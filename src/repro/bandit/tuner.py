@@ -294,7 +294,9 @@ class BanditTuner:
             session = self.whatif.begin_query(query)
             self.features.note_query(query.tables)
             used = session.base.plan.indexes_used()
-            self.profiler.candidates.observe_query(query, used, self.materialized)
+            self.profiler.candidates.observe_query(
+                query, used, self.materialized, session.cache
+            )
 
             verify_calls = 0
             verify_overhead = 0.0

@@ -382,11 +382,7 @@ def replay_fleet(
     stats = coordinator.replicas
     total_cost = sum(r.stats.total_cost for r in stats)
     failed = sum(r.stats.failed for r in stats)
-    whatif = (
-        sum(r.stats.whatif_calls for r in stats)
-        if all(hasattr(r.stats, "whatif_calls") for r in stats)
-        else 0
-    )
+    whatif = sum(r.stats.whatif_calls for r in stats)
     return ReplayReport(
         mode=mode,
         events=len(events),

@@ -15,6 +15,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
 from repro.optimizer.access import crude_index_delta_cost
+from repro.optimizer.optimizer import PlanCache
 from repro.sql.ast import CompareOp, ComparisonPredicate, InPredicate, Query
 
 
@@ -116,7 +117,11 @@ class CandidateTracker:
         return self._stats.get((index.table, index.columns))
 
     def observe_query(
-        self, query: Query, used_indexes: Iterable[IndexDef], materialized: Iterable[IndexDef]
+        self,
+        query: Query,
+        used_indexes: Iterable[IndexDef],
+        materialized: Iterable[IndexDef],
+        cache: Optional[PlanCache] = None,
     ) -> List[Tuple[IndexDef, float]]:
         """Mine candidates from a query and update their crude benefits.
 
@@ -129,6 +134,8 @@ class CandidateTracker:
             query: The current (bound) query.
             used_indexes: Indexes appearing in the query's chosen plan.
             materialized: The current materialized set.
+            cache: The plan cache of the query's what-if session, whose
+                sequential-scan baselines price every mined index.
 
         Returns:
             The (candidate, gain) pairs credited for this query.
@@ -136,7 +143,7 @@ class CandidateTracker:
         used = set(used_indexes)
         mat = set(materialized)
         credited: List[Tuple[IndexDef, float]] = []
-        for index, crude in self._mined_with_crude(query):
+        for index, crude in self._mined_with_crude(query, cache or PlanCache()):
             stats = self._stats.get((index.table, index.columns))
             if stats is None:
                 stats = CandidateStats(index, self._history, self._smoothing)
@@ -150,41 +157,28 @@ class CandidateTracker:
             credited.append((index, gain))
         return credited
 
-    def _mined_with_crude(self, query: Query) -> List[Tuple[IndexDef, float]]:
+    def _mined_with_crude(self, query: Query, cache: PlanCache) -> List[Tuple[IndexDef, float]]:
         """``(candidate, crude delta cost)`` pairs for one query.
 
         With an interner attached (see :meth:`use_interner`) the pairs
         are served from a signature-keyed memo validated against the
         stats versions of the query's tables; otherwise they are
-        computed fresh, exactly as before.
+        computed fresh, every index mined on a table against that
+        table's one baseline in ``cache``.
         """
-        if self._interner is None:
-            return [
-                (
-                    index,
-                    crude_index_delta_cost(
-                        self._catalog, index, query.filters_on(index.table)
-                    ),
-                )
-                for index in self._mined_indexes(query)
-            ]
-        _, sig_index = self._interner.signature_index(query)
-        versions = tuple(
-            self._catalog.stats_version(t) for t in query.tables
-        )
-        cached = self._crude_memo.get(sig_index)
-        if cached is not None and cached[0] == versions:
-            return cached[1]
-        pairs = [
-            (
-                index,
-                crude_index_delta_cost(
-                    self._catalog, index, query.filters_on(index.table)
-                ),
-            )
-            for index in self._mined_indexes(query)
-        ]
-        self._crude_memo[sig_index] = (versions, pairs)
+        if self._interner is not None:
+            _, sig_index = self._interner.signature_index(query)
+            versions = tuple(self._catalog.stats_version(t) for t in query.tables)
+            cached = self._crude_memo.get(sig_index)
+            if cached is not None and cached[0] == versions:
+                return cached[1]
+        pairs = []
+        for index in self._mined_indexes(query):
+            scan = cache.scan(self._catalog, query, index.table)
+            crude = crude_index_delta_cost(self._catalog, index, scan.filters, scan)
+            pairs.append((index, crude))
+        if self._interner is not None:
+            self._crude_memo[sig_index] = (versions, pairs)
         return pairs
 
     def _mined_indexes(self, query: Query) -> List[IndexDef]:

@@ -57,14 +57,18 @@ class Cluster:
         key: The structural cluster key.
         cluster_id: Dense integer id, stable for the run.
         epoch_count: Queries assigned in the current epoch.
+        signature: The profiler's ``(catalog generation, configuration
+            signature)`` for this cluster, or None; it lives here so
+            that it goes when the cluster does.
     """
 
-    __slots__ = ("key", "cluster_id", "epoch_count", "_window")
+    __slots__ = ("key", "cluster_id", "epoch_count", "signature", "_window")
 
     def __init__(self, key: ClusterKey, cluster_id: int, history_epochs: int) -> None:
         self.key = key
         self.cluster_id = cluster_id
         self.epoch_count = 0
+        self.signature = None
         self._window: Deque[int] = deque(maxlen=history_epochs)
 
     @property

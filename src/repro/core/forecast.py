@@ -20,7 +20,7 @@ horizon and is mistaken for a shift.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Sequence
+from typing import Deque, Dict, List, Sequence
 
 
 class BenefitHistory:
@@ -74,12 +74,22 @@ def total_predicted_benefit(
     horizon: int,
     min_window: int = MIN_FORECAST_WINDOW,
 ) -> float:
-    """Sum of ``PredBenefit_j`` for ``j = 1..horizon``."""
+    """Sum of ``PredBenefit_j`` for ``j = 1..horizon``.
+
+    A term depends on ``j`` only through the number of measurements it
+    averages, ``min(max(j, min_window), len(history))``: each distinct
+    window is averaged once, and the terms are summed in ``j`` order.
+    """
     if not history:
         return 0.0
-    return sum(
-        predicted_benefit(history, j, min_window) for j in range(1, horizon + 1)
-    )
+    by_window: Dict[int, float] = {}
+    terms = []
+    for j in range(1, horizon + 1):
+        window = min(max(j, min_window), len(history))
+        if window not in by_window:
+            by_window[window] = predicted_benefit(history, j, min_window)
+        terms.append(by_window[window])
+    return sum(terms)
 
 
 def net_benefit(

@@ -265,7 +265,7 @@ class Profiler:
                     cache_ctx.store(ix, gain)
 
         # Lines 13-14: crude benefit updates for every relevant candidate.
-        self.candidates.observe_query(query, used, materialized)
+        self.candidates.observe_query(query, used, materialized, session.cache)
         self._m_clusters.set(len(self.clusters))
         return ProfileOutcome(cluster=cluster, probed=probation, gains=gains)
 
@@ -377,12 +377,19 @@ class Profiler:
     # Internals
     # ------------------------------------------------------------------
     def _cluster_signature(self, cluster: Cluster) -> FrozenSet[IndexKey]:
-        referenced = cluster.referenced_columns()
-        return frozenset(
-            _key(ix)
-            for ix in self._catalog.materialized_indexes()
-            if any((ix.table, col) in referenced for col in ix.columns)
-        )
+        """Materialized indexes on columns the cluster references, evaluated
+        once per catalog generation (any materialization change bumps it)."""
+        generation = self._catalog.generation
+        held = cluster.signature
+        if held is None or held[0] != generation:
+            referenced = cluster.referenced_columns()
+            signature = frozenset(
+                _key(ix)
+                for ix in self._catalog.materialized_indexes()
+                if any((ix.table, col) in referenced for col in ix.columns)
+            )
+            held = cluster.signature = (generation, signature)
+        return held[1]
 
     def _valid_pair(self, key: IndexKey, cluster_id: int) -> Optional[PairStats]:
         """The pair stats for (index, cluster), if current and consistent."""

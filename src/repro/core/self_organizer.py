@@ -169,8 +169,10 @@ class SelfOrganizer:
                 for ix in sorted(constraints.pinned, key=str)
                 if _key(ix) not in in_pool
             ]
+        # The conservative and optimistic NetBenefit share one cost side.
+        charges: Dict[IndexKey, float] = {}
         values = {
-            _key(ix): self._net_benefit(ix, optimistic=False) for ix in pool
+            _key(ix): self._net_benefit(ix, False, charges) for ix in pool
         }
         selected, chosen_value = self._solve(
             pool, values, warm=self._warm_conservative, constraints=constraints
@@ -191,11 +193,10 @@ class SelfOrganizer:
         # --- Re-budgeting ---------------------------------------------
         optimistic_values = dict(values)
         for ix in self.hot:
-            optimistic_values[_key(ix)] = self._net_benefit(ix, optimistic=True)
+            optimistic_values[_key(ix)] = self._net_benefit(ix, True, charges)
         for ix in new_hot:
-            optimistic_values.setdefault(
-                _key(ix), self._net_benefit(ix, optimistic=True)
-            )
+            if _key(ix) not in optimistic_values:
+                optimistic_values[_key(ix)] = self._net_benefit(ix, True, charges)
         # The optimistic scenario considers every hot index -- including
         # ones not yet eligible for actual materialization -- since its
         # purpose is to decide whether profiling them is worthwhile.
@@ -261,7 +262,9 @@ class SelfOrganizer:
             )
             self._measured[key] = self._measured.get(key, 0) + benefit.measured
 
-    def _net_benefit(self, index: IndexDef, optimistic: bool) -> float:
+    def _net_benefit(
+        self, index: IndexDef, optimistic: bool, charges: Dict[IndexKey, float]
+    ) -> float:
         """Forecasted NetBenefit for an index.
 
         ``NetBenefit(I) = Σ_j PredBenefit_j(I) − MatCost(I)`` with
@@ -277,6 +280,8 @@ class SelfOrganizer:
         additionally charged their forecasted maintenance cost over the
         horizon, at the same benefit/cost exchange rate as the build
         cost.  A heavily written table must earn its indexes twice over.
+
+        ``charges``: this boundary's cost side per index, filled on demand.
         """
         key = _key(index)
         if self._window_tuner is not None:
@@ -286,21 +291,24 @@ class SelfOrganizer:
         histories = self._high_history if optimistic else self._history
         history = histories.get(key)
         values = history.values() if history is not None else []
-        build = self._catalog.index_build_cost(index)
-        if index in self.materialized:
-            # Small retention credit: a challenger must beat the
-            # incumbent by a margin, since evicting and re-adopting on
-            # forecast noise costs two builds.
-            mat_cost = -build * self._config.retention_weight
-        else:
-            mat_cost = build * self._config.matcost_weight
-        maintenance = (
-            self.write_rate(index.table)
-            * self._catalog.params.index_maintain_cost_per_tuple
-            * horizon
-            * self._config.matcost_weight
-        )
-        return net_benefit(values, horizon, mat_cost + maintenance)
+        charge = charges.get(key)
+        if charge is None:
+            build = self._catalog.index_build_cost(index)
+            if index in self.materialized:
+                # Small retention credit: a challenger must beat the
+                # incumbent by a margin, since evicting and re-adopting on
+                # forecast noise costs two builds.
+                mat_cost = -build * self._config.retention_weight
+            else:
+                mat_cost = build * self._config.matcost_weight
+            maintenance = (
+                self.write_rate(index.table)
+                * self._catalog.params.index_maintain_cost_per_tuple
+                * horizon
+                * self._config.matcost_weight
+            )
+            charge = charges[key] = mat_cost + maintenance
+        return net_benefit(values, horizon, charge)
 
     # ------------------------------------------------------------------
     # Write-aware extension helpers
@@ -388,8 +396,11 @@ class SelfOrganizer:
             size = max(1.0, self._catalog.index_size_pages(stats.index))
             return stats.smoothed_benefit / size
 
-        by_density = sorted(positive, key=density, reverse=True)
-        split_d = two_means_split([density(s) for s in by_density])
+        scored = sorted(
+            ((density(s), s) for s in positive), key=lambda ds: ds[0], reverse=True
+        )
+        by_density = [s for _, s in scored]
+        split_d = two_means_split([d for d, _ in scored])
 
         promoted = []
         seen: Set[IndexKey] = set()

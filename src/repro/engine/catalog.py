@@ -55,6 +55,8 @@ class TableDef:
         row_count: Statistical row count used by the cost model.  This may
             describe a larger logical table than is physically stored (see
             DESIGN.md on paper-scale statistics over sampled data).
+        row_width: Average row payload width in bytes; fixed with the
+            column list at construction.
     """
 
     name: str
@@ -65,6 +67,9 @@ class TableDef:
         self._by_name = {c.name: c for c in self.columns}
         if len(self._by_name) != len(self.columns):
             raise ValueError(f"duplicate column names in table {self.name!r}")
+        self.row_width = sum(c.dtype.width for c in self.columns)
+        # (row_count, params, pages) of the last heap_pages() answer.
+        self._heap_pages: Optional[tuple] = None
 
     def column(self, name: str) -> ColumnDef:
         """Look up a column by name.
@@ -78,14 +83,14 @@ class TableDef:
         """Whether the table defines a column with this name."""
         return name in self._by_name
 
-    @property
-    def row_width(self) -> int:
-        """Average row payload width in bytes."""
-        return sum(c.dtype.width for c in self.columns)
-
     def heap_pages(self, params: CostParams) -> float:
-        """Heap size in pages under the statistical row count."""
-        return params.heap_pages(self.row_count, self.row_width)
+        """Heap size in pages under the statistical row count (re-derived
+        when ``row_count``, which callers may assign, or ``params`` differs)."""
+        held = self._heap_pages
+        if held is None or held[0] != self.row_count or held[1] is not params:
+            pages = params.heap_pages(self.row_count, self.row_width)
+            held = self._heap_pages = (self.row_count, params, pages)
+        return held[2]
 
 
 class Catalog:
@@ -105,6 +110,10 @@ class Catalog:
         self._views: Dict[str, object] = {}
         self._stats_versions: Dict[str, int] = {}
         self._generation: int = 0
+        # The one descriptor per (table, column) that index_for serves.
+        self._single_indexes: Dict[Tuple[str, str], IndexDef] = {}
+        # index -> (row_count, params, size pages, build cost), see _costing.
+        self._index_costs: Dict[IndexDef, tuple] = {}
 
     # ------------------------------------------------------------------
     # Tables and columns
@@ -239,8 +248,12 @@ class Catalog:
     # ------------------------------------------------------------------
     def index_for(self, table: str, column: str) -> IndexDef:
         """The canonical single-column :class:`IndexDef` for a column."""
-        dtype = self.table(table).column(column).dtype
-        return IndexDef(table=table, column=column, dtype=dtype)
+        index = self._single_indexes.get((table, column))
+        if index is None:
+            dtype = self.table(table).column(column).dtype
+            index = IndexDef(table=table, column=column, dtype=dtype)
+            self._single_indexes[(table, column)] = index
+        return index
 
     def composite_index_for(self, table: str, columns: Iterable[str]) -> IndexDef:
         """The canonical composite :class:`IndexDef` over ordered columns.
@@ -289,14 +302,23 @@ class Catalog:
 
     def index_size_pages(self, index: IndexDef) -> float:
         """Estimated size of one index in pages."""
-        return index.size_pages(self.table(index.table).row_count, self.params)
+        return self._costing(index)[2]
 
     def index_build_cost(self, index: IndexDef) -> float:
         """Estimated cost of materializing one index, in cost units."""
+        return self._costing(index)[3]
+
+    def _costing(self, index: IndexDef) -> tuple:
+        """``(row_count, params, size pages, build cost)`` for ``index``,
+        evaluated once per row count of its table."""
         table = self.table(index.table)
-        return index.materialization_cost(
-            table.row_count, table.heap_pages(self.params), self.params
-        )
+        rows, params = table.row_count, self.params
+        held = self._index_costs.get(index)
+        if held is None or held[0] != rows or held[1] is not params:
+            size = index.size_pages(rows, params)
+            build = index.materialization_cost(rows, table.heap_pages(params), params)
+            held = self._index_costs[index] = (rows, params, size, build)
+        return held
 
     # ------------------------------------------------------------------
     # Materialized views (extension; see repro.engine.matview)

@@ -28,7 +28,7 @@ class DataType(enum.Enum):
         floats and dates (date + alignment), and an assumed 16-byte
         average for variable-length text.
         """
-        return _WIDTHS[self]
+        return _WIDTHS[self._value_]
 
     @property
     def is_numeric(self) -> bool:
@@ -36,12 +36,9 @@ class DataType(enum.Enum):
         return self in (DataType.INT, DataType.FLOAT, DataType.DATE)
 
 
-_WIDTHS = {
-    DataType.INT: 4,
-    DataType.FLOAT: 8,
-    DataType.TEXT: 16,
-    DataType.DATE: 8,
-}
+# Keyed by the member's value: a str caches its hash, whereas hashing
+# the member itself goes through the Python-level ``Enum.__hash__``.
+_WIDTHS = {"int": 4, "float": 8, "text": 16, "date": 8}
 
 _EPOCH = datetime.date(1970, 1, 1)
 

@@ -37,6 +37,11 @@ class IndexDef:
         dtype: Data type of the leading key column.
         extra_columns: Trailing key columns as (name, dtype) pairs, in
             key order; empty for single-column indexes.
+        columns: All key column names, in key order (derived).
+        dtypes: Data types of all key columns, in key order (derived).
+        key_width: Total key width in bytes (derived).
+        name: Canonical index name, e.g. ``ix_lineitem_l_shipdate``
+            (derived).
     """
 
     table: str
@@ -44,30 +49,32 @@ class IndexDef:
     dtype: DataType
     extra_columns: Tuple[Tuple[str, DataType], ...] = ()
 
+    def __post_init__(self) -> None:
+        # Immutable, and read on every costing, set lookup and
+        # name-ordered sort: derive once.
+        columns = (self.column,) + tuple(name for name, _ in self.extra_columns)
+        dtypes = (self.dtype,) + tuple(dt for _, dt in self.extra_columns)
+        derive = object.__setattr__
+        derive(self, "columns", columns)
+        derive(self, "dtypes", dtypes)
+        derive(self, "key_width", sum(dt.width for dt in dtypes))
+        derive(self, "name", f"ix_{self.table}_" + "_".join(columns))
+        derive(self, "_hash", hash((self.table, columns)))
+
+    def __hash__(self) -> int:
+        # (table, columns) is the index's identity; equal descriptors
+        # agree on it, so this is consistent with the generated __eq__.
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: str hashes are salted per
+        # process, so the cached hash must never travel in a pickle.
+        return (IndexDef, (self.table, self.column, self.dtype, self.extra_columns))
+
     @property
     def is_composite(self) -> bool:
         """Whether this index has more than one key column."""
         return bool(self.extra_columns)
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        """All key column names, in key order."""
-        return (self.column,) + tuple(name for name, _ in self.extra_columns)
-
-    @property
-    def dtypes(self) -> Tuple[DataType, ...]:
-        """Data types of all key columns, in key order."""
-        return (self.dtype,) + tuple(dt for _, dt in self.extra_columns)
-
-    @property
-    def key_width(self) -> int:
-        """Total key width in bytes."""
-        return sum(dt.width for dt in self.dtypes)
-
-    @property
-    def name(self) -> str:
-        """Canonical index name, e.g. ``ix_lineitem_l_shipdate``."""
-        return f"ix_{self.table}_" + "_".join(self.columns)
 
     def __str__(self) -> str:
         return self.name

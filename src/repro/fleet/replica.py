@@ -57,12 +57,14 @@ class ReplicaStats:
         queries: Queries processed by this replica.
         execution_cost: Sum of execution costs of those queries.
         total_cost: Execution plus tuning overheads (what-if, builds).
+        whatif_calls: Ledger what-if calls spent on those queries.
         failed: Queries that errored and were recorded in skip mode.
     """
 
     queries: int = 0
     execution_cost: float = 0.0
     total_cost: float = 0.0
+    whatif_calls: int = 0
     failed: int = 0
 
 
@@ -230,6 +232,7 @@ class TunerReplica:
         self.stats.queries += 1
         self.stats.execution_cost += outcome.execution_cost
         self.stats.total_cost += outcome.total_cost
+        self.stats.whatif_calls += outcome.whatif_calls
         if outcome.failed:
             self.stats.failed += 1
         self._epoch_exec += outcome.execution_cost

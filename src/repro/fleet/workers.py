@@ -143,6 +143,7 @@ def _status(replica: TunerReplica) -> Dict:
         "queries": replica.stats.queries,
         "execution_cost": replica.stats.execution_cost,
         "total_cost": replica.stats.total_cost,
+        "whatif_calls": replica.stats.whatif_calls,
         "failed": replica.stats.failed,
         "materialized": replica.materialized_names,
         "quarantined": replica.quarantined_names,
@@ -368,6 +369,7 @@ class WorkerHandle:
             queries=status["queries"],
             execution_cost=status["execution_cost"],
             total_cost=status["total_cost"],
+            whatif_calls=status["whatif_calls"],
             failed=status["failed"],
         )
         self._materialized = status["materialized"]

@@ -10,12 +10,16 @@ interpolated by the column's physical-order correlation.
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
 from repro.optimizer.plan import IndexScanNode, PlanNode, SeqScanNode
-from repro.optimizer.selectivity import combined_selectivity, operator_count
+from repro.optimizer.selectivity import (
+    conjunction,
+    operator_count,
+    predicate_selectivity,
+)
 from repro.sql.ast import (
     BetweenPredicate,
     CompareOp,
@@ -55,25 +59,70 @@ class _Sargable:
         return 1
 
 
-def seq_scan_path(catalog: Catalog, table: str, filters: List) -> SeqScanNode:
-    """Build a sequential scan path with its cost and cardinality."""
+@dataclasses.dataclass
+class TableScan:
+    """What one query's filters on one table cost, whatever the index.
+
+    Evaluated once per (query, table), held in the query's
+    :class:`~repro.optimizer.optimizer.PlanCache`, and read by every
+    access path, what-if probe and crude benefit of that query.
+
+    Attributes:
+        filters: The query's filters on the table.
+        sel_of: Selectivity of each filter, keyed by the ``id`` of the
+            predicate object in ``filters`` (which keeps it alive).
+        total_sel: Combined selectivity of all the filters.
+        seq: The sequential scan path, every index path's baseline.
+    """
+
+    filters: List
+    sel_of: Dict[int, float]
+    total_sel: float
+    seq: SeqScanNode
+
+    def selectivity(self, preds: Iterable) -> float:
+        """Combined selectivity of ``preds``, objects out of ``filters``."""
+        return conjunction(self.sel_of[id(pred)] for pred in preds)
+
+
+def table_scan(catalog: Catalog, table: str, filters: List) -> TableScan:
+    """Evaluate each filter's selectivity and the sequential scan path."""
     params = catalog.params
     tdef = catalog.table(table)
     rows = tdef.row_count
     pages = tdef.heap_pages(params)
-    sel = combined_selectivity(catalog, filters)
+    sels = [predicate_selectivity(catalog, pred) for pred in filters]
+    sel = conjunction(sels)
     cost = (
         pages * params.seq_page_cost
         + rows * params.cpu_tuple_cost
         + rows * operator_count(filters) * params.cpu_operator_cost
     )
-    return SeqScanNode(rows=max(1.0, rows * sel), cost=cost, table=table, filters=filters)
+    seq = SeqScanNode(rows=max(1.0, rows * sel), cost=cost, table=table, filters=filters)
+    sel_of = dict(zip(map(id, filters), sels))
+    return TableScan(filters=filters, sel_of=sel_of, total_sel=sel, seq=seq)
+
+
+def seq_scan_path(catalog: Catalog, table: str, filters: List) -> SeqScanNode:
+    """Build a sequential scan path with its cost and cardinality."""
+    return table_scan(catalog, table, filters).seq
 
 
 def index_paths(
-    catalog: Catalog, table: str, filters: List, config: IndexConfig
+    catalog: Catalog,
+    table: str,
+    filters: List,
+    config: IndexConfig,
+    scan: Optional[TableScan] = None,
 ) -> List[IndexScanNode]:
-    """All applicable index scan paths for ``table`` under ``config``."""
+    """All applicable index scan paths for ``table`` under ``config``.
+
+    ``scan`` is the query's :class:`TableScan` for ``table`` when the
+    caller holds one; ``filters`` must then be ``scan.filters``.
+    """
+    if scan is None:
+        scan = table_scan(catalog, table, filters)
+    rows = scan.seq.rows  # max(1, row_count * total_sel), whatever the path
     paths: List[IndexScanNode] = []
     for index in sorted(config, key=lambda ix: ix.name):
         if index.table != table:
@@ -82,12 +131,10 @@ def index_paths(
         if sarg is None:
             continue
         residual = [f for f in filters if f not in sarg.consumed]
-        index_sel = combined_selectivity(catalog, sarg.consumed)
-        total_sel = combined_selectivity(catalog, filters)
+        index_sel = scan.selectivity(sarg.consumed)
         cost = _index_scan_cost(
             catalog, table, index, index_sel, sarg.num_lookups, residual
         )
-        rows = max(1.0, catalog.table(table).row_count * total_sel)
         paths.append(
             IndexScanNode(
                 rows=rows,
@@ -108,26 +155,34 @@ def index_paths(
 
 
 def best_access_path(
-    catalog: Catalog, table: str, filters: List, config: IndexConfig
+    catalog: Catalog,
+    table: str,
+    filters: List,
+    config: IndexConfig,
+    scan: Optional[TableScan] = None,
 ) -> PlanNode:
     """The cheapest access path for one relation.
 
     Considers the sequential scan, one index scan per applicable index
     in ``config``, and -- when a registered materialized view's range
     contains the query's predicate -- a scan of the (smaller) view.
+    ``scan`` as for :func:`index_paths`.
     """
-    best: PlanNode = seq_scan_path(catalog, table, filters)
-    for path in index_paths(catalog, table, filters, config):
+    if scan is None:
+        scan = table_scan(catalog, table, filters)
+    best: PlanNode = scan.seq
+    for path in index_paths(catalog, table, filters, config, scan):
         if path.cost < best.cost:
             best = path
-    view_path = _view_scan_path(catalog, table, filters)
+    view_path = _view_scan_path(catalog, table, filters, scan.total_sel)
     if view_path is not None and view_path.cost < best.cost:
         best = view_path
     return best
 
 
-def _view_scan_path(catalog: Catalog, table: str, filters: List):
-    """A view scan path, if a registered view matches the filters."""
+def _view_scan_path(catalog: Catalog, table: str, filters: List, sel: float):
+    """A view scan path, if a registered view matches ``filters`` (whose
+    combined selectivity is ``sel``)."""
     from repro.engine.matview import matching_view, view_row_count
     from repro.optimizer.plan import ViewScanNode
 
@@ -141,7 +196,6 @@ def _view_scan_path(catalog: Catalog, table: str, filters: List):
     tdef = catalog.table(table)
     rows_in_view = view_row_count(catalog, view)
     pages = params.heap_pages(rows_in_view, tdef.row_width)
-    sel = combined_selectivity(catalog, filters)
     cost = (
         pages * params.seq_page_cost
         + rows_in_view * params.cpu_tuple_cost
@@ -163,6 +217,7 @@ def parameterized_index_path(
     inner_column: str,
     outer_column,
     config: IndexConfig,
+    scan: Optional[TableScan] = None,
 ) -> Optional[IndexScanNode]:
     """Inner side of an index nested-loop join, if an index permits it.
 
@@ -177,6 +232,7 @@ def parameterized_index_path(
         outer_column: The outer :class:`~repro.sql.ast.ColumnExpr`
             supplying lookup keys at run time.
         config: Available indexes.
+        scan: As for :func:`index_paths`.
 
     Returns:
         A parameterized index scan, or None if no index on the join
@@ -194,9 +250,10 @@ def parameterized_index_path(
     tdef = catalog.table(table)
     stats = catalog.stats(table, inner_column)
     join_sel = 1.0 / max(1.0, stats.n_distinct)
-    filter_sel = combined_selectivity(catalog, filters)
+    if scan is None:
+        scan = table_scan(catalog, table, filters)
     cost = _index_scan_cost(catalog, table, index, join_sel, 1, filters)
-    rows = max(1e-6, tdef.row_count * join_sel * filter_sel)
+    rows = max(1e-6, tdef.row_count * join_sel * scan.total_sel)
     return IndexScanNode(
         rows=rows,
         cost=cost,
@@ -375,32 +432,26 @@ def _tighten(sarg: _Sargable, bound, inclusive: bool, is_low: bool) -> _Sargable
     return sarg
 
 
-def selectivity_of_index_predicates(catalog: Catalog, index: IndexDef, filters: List) -> float:
-    """Selectivity of the filters ``index`` would absorb.
-
-    Exposed for COLT's crude benefit model (``BenefitC``), which needs the
-    same sargability decision the optimizer makes without paying for a
-    full optimization.
-    """
-    sarg = extract_for_index(index, filters)
-    if sarg is None:
-        return 1.0
-    return combined_selectivity(catalog, sarg.consumed)
-
-
-def crude_index_delta_cost(catalog: Catalog, index: IndexDef, filters: List) -> float:
+def crude_index_delta_cost(
+    catalog: Catalog,
+    index: IndexDef,
+    filters: List,
+    scan: Optional[TableScan] = None,
+) -> float:
     """Crude gain of evaluating the filters with ``index`` vs. a seq scan.
 
     This is the paper's ``Δcost(R, σ, I)``: standard cost formulas, no
     optimizer invocation.  Returns 0 when the index is inapplicable or
-    does not beat the sequential scan.
+    does not beat the sequential scan.  ``scan`` as for
+    :func:`index_paths`: one baseline for every index mined from a query.
     """
     sarg = extract_for_index(index, filters)
     if sarg is None:
         return 0.0
     table = index.table
-    seq = seq_scan_path(catalog, table, filters)
-    index_sel = combined_selectivity(catalog, sarg.consumed)
+    if scan is None:
+        scan = table_scan(catalog, table, filters)
+    index_sel = scan.selectivity(sarg.consumed)
     residual = [f for f in filters if f not in sarg.consumed]
     cost = _index_scan_cost(catalog, table, index, index_sel, sarg.num_lookups, residual)
-    return max(0.0, seq.cost - cost)
+    return max(0.0, scan.seq.cost - cost)

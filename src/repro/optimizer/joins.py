@@ -21,34 +21,49 @@ import math
 from typing import Dict, List, Optional
 
 from repro.engine.catalog import Catalog
-from repro.optimizer.access import IndexConfig, parameterized_index_path
+from repro.optimizer.access import (
+    IndexConfig,
+    TableScan,
+    parameterized_index_path,
+    table_scan,
+)
 from repro.optimizer.plan import (
     HashJoinNode,
     IndexScanNode,
     NestedLoopNode,
     PlanNode,
 )
-from repro.optimizer.selectivity import combined_selectivity, join_selectivity
+from repro.optimizer.selectivity import join_selectivity
 from repro.sql.ast import JoinPredicate, Query
 
 
 class JoinPlanner:
-    """Enumerates join orders for one query under one index configuration."""
+    """Enumerates join orders for one query under one index configuration.
 
-    def __init__(self, catalog: Catalog, query: Query, config: IndexConfig) -> None:
+    ``scans`` holds the query's :class:`~repro.optimizer.access.TableScan`
+    per table where the caller already has them (the per-query plan
+    cache); tables it lacks are evaluated here.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        query: Query,
+        config: IndexConfig,
+        scans: Optional[Dict[str, TableScan]] = None,
+    ) -> None:
         self._catalog = catalog
         self._query = query
         self._config = config
         self._tables = list(query.tables)
         self._index_of = {t: i for i, t in enumerate(self._tables)}
-        self._filtered_rows = {
-            t: max(
-                1.0,
-                catalog.table(t).row_count
-                * combined_selectivity(catalog, query.filters_on(t)),
-            )
+        held = scans or {}
+        self._scans = {
+            t: held.get(t) or table_scan(catalog, t, query.filters_on(t))
             for t in self._tables
         }
+        # A sequential scan's output: max(1, row_count * selectivity).
+        self._filtered_rows = {t: self._scans[t].seq.rows for t in self._tables}
 
     def plan(self, access_paths: Dict[str, PlanNode]) -> PlanNode:
         """Find the cheapest join plan given per-relation access paths.
@@ -170,13 +185,15 @@ class JoinPlanner:
                 inner_col, outer_col = edge.right.column, edge.left
             else:  # pragma: no cover - edges are pre-filtered
                 continue
+            scan = self._scans[inner_table]
             inner_path = parameterized_index_path(
                 self._catalog,
                 inner_table,
-                self._query.filters_on(inner_table),
+                scan.filters,
                 inner_col,
                 outer_col,
                 self._config,
+                scan,
             )
             if inner_path is None:
                 continue

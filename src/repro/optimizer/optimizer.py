@@ -16,7 +16,12 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
-from repro.optimizer.access import IndexConfig, best_access_path
+from repro.optimizer.access import (
+    IndexConfig,
+    TableScan,
+    best_access_path,
+    table_scan,
+)
 from repro.optimizer.joins import JoinPlanner
 from repro.optimizer.plan import (
     AggregateNode,
@@ -77,14 +82,24 @@ class PlanCache:
     that hypothesizes an index on table R reuses every other table's path
     untouched, and caches whole plans by the relevant-config signature so
     repeated what-if calls with identical effective configurations are
-    free.
+    free.  It also holds the query's per-table costing constants
+    (:class:`~repro.optimizer.access.TableScan`: filter selectivities
+    and the sequential-scan baseline), which no configuration changes.
     """
 
     def __init__(self) -> None:
         self.access_paths: Dict[Tuple[str, FrozenSet[IndexDef]], PlanNode] = {}
         self.plans: Dict[FrozenSet[IndexDef], OptimizationResult] = {}
+        self.scans: Dict[str, TableScan] = {}
         self.hits = 0
         self.misses = 0
+
+    def scan(self, catalog: Catalog, query: Query, table: str) -> TableScan:
+        """The query's :class:`TableScan` for ``table``, made on first use."""
+        scan = self.scans.get(table)
+        if scan is None:
+            scan = self.scans[table] = table_scan(catalog, table, query.filters_on(table))
+        return scan
 
 
 class Optimizer:
@@ -98,6 +113,8 @@ class Optimizer:
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
         self.optimize_count = 0
+        # (catalog generation, configuration) of the last current_config().
+        self._current: Optional[Tuple[int, IndexConfig]] = None
 
     @property
     def catalog(self) -> Catalog:
@@ -106,7 +123,12 @@ class Optimizer:
 
     def current_config(self) -> IndexConfig:
         """The currently materialized index set, as a configuration."""
-        return frozenset(self._catalog.materialized_indexes())
+        generation = self._catalog.generation
+        held = self._current
+        if held is None or held[0] != generation:
+            config = frozenset(self._catalog.materialized_indexes())
+            held = self._current = (generation, config)
+        return held[1]
 
     def optimize(
         self,
@@ -127,48 +149,35 @@ class Optimizer:
         """
         if config is None:
             config = self.current_config()
-        relevant = self._relevant_config(query, config)
-        if cache is not None and relevant in cache.plans:
+        relevant = relevant_config(query, config)
+        if cache is None:
+            cache = PlanCache()  # scratch: shares work within this call only
+        elif relevant in cache.plans:
             cache.hits += 1
             return cache.plans[relevant]
 
         self.optimize_count += 1
-        if cache is not None:
-            cache.misses += 1
+        cache.misses += 1
 
         access_paths: Dict[str, PlanNode] = {}
         for table in query.tables:
             table_config = frozenset(ix for ix in relevant if ix.table == table)
             key = (table, table_config)
-            if cache is not None and key in cache.access_paths:
-                access_paths[table] = cache.access_paths[key]
-            else:
+            path = cache.access_paths.get(key)
+            if path is None:
+                scan = cache.scan(self._catalog, query, table)
                 path = best_access_path(
-                    self._catalog, table, query.filters_on(table), table_config
+                    self._catalog, table, scan.filters, table_config, scan
                 )
-                access_paths[table] = path
-                if cache is not None:
-                    cache.access_paths[key] = path
+                cache.access_paths[key] = path
+            access_paths[table] = path
 
-        planner = JoinPlanner(self._catalog, query, relevant)
+        planner = JoinPlanner(self._catalog, query, relevant, cache.scans)
         plan = planner.plan(access_paths)
         plan = self._finalize(query, plan)
         result = OptimizationResult(plan=plan, cost=plan.cost, config=config)
-        if cache is not None:
-            cache.plans[relevant] = result
+        cache.plans[relevant] = result
         return result
-
-    # ------------------------------------------------------------------
-    def relevant_config(self, query: Query, config: IndexConfig) -> IndexConfig:
-        """Restrict a configuration to indexes that could affect the query.
-
-        Delegates to the module-level pure function
-        :func:`relevant_config`; kept as a method for existing callers.
-        """
-        return relevant_config(query, config)
-
-    # Backwards-compatible private alias (pre-gain-cache callers).
-    _relevant_config = relevant_config
 
     def _finalize(self, query: Query, plan: PlanNode) -> PlanNode:
         """Stack aggregation / sort / limit / projection above the join tree."""

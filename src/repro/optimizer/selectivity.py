@@ -65,9 +65,14 @@ def predicate_selectivity(catalog: Catalog, pred) -> float:
 
 def combined_selectivity(catalog: Catalog, preds: Iterable) -> float:
     """Selectivity of a conjunction of predicates (independence)."""
+    return conjunction(predicate_selectivity(catalog, pred) for pred in preds)
+
+
+def conjunction(selectivities: Iterable[float]) -> float:
+    """Selectivity of a conjunction, given each conjunct's (independence)."""
     sel = 1.0
-    for pred in preds:
-        sel *= predicate_selectivity(catalog, pred)
+    for each in selectivities:
+        sel *= each
     return _clamp(sel) if sel < 1.0 else 1.0
 
 

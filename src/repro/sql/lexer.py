@@ -106,6 +106,14 @@ def _tokens(sql: str) -> Iterator[Token]:
                         break
                     seen_dot = True
                 j += 1
+            # An exponent (``1.03e-05``: how repr() prints tiny and huge
+            # floats) needs a digit after it; otherwise ``e`` starts a word.
+            if j < n and sql[j] in "eE":
+                k = j + 2 if j + 1 < n and sql[j + 1] in "+-" else j + 1
+                if k < n and sql[k].isdigit():
+                    j = k + 1
+                    while j < n and sql[j].isdigit():
+                        j += 1
             yield Token(TokenType.NUMBER, sql[i:j], i)
             i = j
             continue

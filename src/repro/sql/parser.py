@@ -98,7 +98,12 @@ class _Parser:
         limit = None
         if self._accept(TokenType.KEYWORD, "limit"):
             tok = self._expect(TokenType.NUMBER)
-            limit = int(tok.value)
+            try:
+                limit = int(tok.value)
+            except ValueError:
+                raise ParseError(
+                    f"LIMIT takes an integer, got {tok.value!r} at offset {tok.pos}"
+                ) from None
         self._expect(TokenType.EOF)
         return Query(
             tables=tables,
@@ -216,7 +221,7 @@ class _Parser:
     def _literal(self):
         tok = self._next()
         if tok.type is TokenType.NUMBER:
-            if "." in tok.value:
+            if any(c in tok.value for c in ".eE"):
                 return float(tok.value)
             return int(tok.value)
         if tok.type is TokenType.STRING:

@@ -157,8 +157,28 @@ class TestDecisionParity:
         assert report.total_cost > 0
         assert report.failed == 0
 
+    @pytest.mark.parametrize("policy", ["round-robin", "affinity", "client", "cost"])
+    def test_one_replica_fleet_matches_serial(self, policy):
+        # A fleet of one is the serial tuner behind a router: the
+        # ledger anchors -- what-if calls included -- must be equal.
+        stream = make_stream(events=200)
+        serial = replay_serial(
+            build_replay_tuner(build_small_catalog(), make_config()), stream
+        )
+        fleet = FleetCoordinator(
+            build_small_catalog,
+            n_replicas=1,
+            config=make_config(),
+            fleet_epoch_length=20,
+            policy=policy,
+        )
+        report = replay_fleet(fleet, stream)
+        assert serial.whatif_calls > 0
+        assert report.whatif_calls == serial.whatif_calls
+        assert report.total_cost == serial.total_cost
+
     def test_workers_replay_matches_fleet_serial_decisions(self):
-        stream = make_stream(events=100)
+        stream = make_stream(events=200)
         serial_fleet = FleetCoordinator(
             build_small_catalog,
             n_replicas=2,
@@ -175,12 +195,16 @@ class TestDecisionParity:
             worker_report = replay_fleet(fleet, stream)
             assert worker_report.mode == "workers"
             assert worker_report.detail["workers"] == 2
-            assert worker_report.events == 100
+            assert worker_report.events == 200
             # Same routing, same per-replica decisions: the cost-model
             # anchors agree exactly with the single-process fleet.
             assert worker_report.total_cost == serial_report.total_cost
+            assert serial_report.whatif_calls > 0
             assert worker_report.whatif_calls == serial_report.whatif_calls
-            assert worker_report.latency["count"] == 100
+            assert worker_report.whatif_calls == sum(
+                r.stats.whatif_calls for r in fleet.replicas
+            )
+            assert worker_report.latency["count"] == 200
 
 
 class TestReportFile:

@@ -46,6 +46,20 @@ class TestNumbers:
     def test_negative(self):
         assert tokenize("-42")[0].value == "-42"
 
+    @pytest.mark.parametrize(
+        "text", ["1.03e-05", "1e+22", "-2.5E3", "7e300", "5e-324"]
+    )
+    def test_exponent(self, text):
+        tok = tokenize(text)[0]
+        assert tok.type is TokenType.NUMBER
+        assert tok.value == text
+        assert _types(text) == [TokenType.NUMBER, TokenType.EOF]
+
+    def test_e_without_digits_is_not_an_exponent(self):
+        assert _values("1e") == ["1", "e"]
+        assert _values("12 e3") == ["12", "e3"]
+        assert _values("1ex") == ["1", "ex"]
+
     def test_qualified_name_not_decimal(self):
         values = _values("t.a")
         assert values == ["t", ".", "a"]

@@ -129,6 +129,16 @@ class TestTrailingClauses:
         q = parse_query("select a from t limit 10")
         assert q.limit == 10
 
+    def test_limit_rejects_non_integer(self):
+        for text in ("1e3", "1.5"):
+            with pytest.raises(ParseError):
+                parse_query(f"select a from t limit {text}")
+
+    def test_exponent_literals(self):
+        q = parse_query("select a from t where b < 1.03e-05 and c = 1E+22")
+        assert [f.value for f in q.filters] == [1.03e-05, 1e22]
+        assert all(isinstance(f.value, float) for f in q.filters)
+
     def test_everything_together(self):
         q = parse_query(
             "select t.a, count(*) from t, s "

@@ -8,13 +8,15 @@ filters (with identical literal values, including DATE ordinals), joins,
 grouping, ordering, and limit.
 
 Literal generation stays inside the renderer's exact-round-trip domain:
-floats are rounded to two decimals (``repr`` never falls back to
-scientific notation there) and strings carry no quote characters (the
+floats are either rounded to two decimals (``repr`` renders those
+positionally) or tiny / huge enough that ``repr`` prints an exponent
+(``1.03e-05``, ``4.2e+17``), and strings carry no quote characters (the
 renderer does not escape ``'``).
 """
 
 import datetime
 import random
+import re
 import string
 
 import pytest
@@ -50,6 +52,8 @@ JOIN_PAIRS = [
 
 RANGE_TYPES = (DataType.INT, DataType.FLOAT, DataType.DATE)
 
+EXPONENTS = (-300, -12, -6, -5, 16, 17, 22, 300)
+
 
 @pytest.fixture(scope="module")
 def catalog():
@@ -60,6 +64,9 @@ def _literal(rng, dtype):
     if dtype is DataType.INT:
         return rng.randint(-9_999, 9_999)
     if dtype is DataType.FLOAT:
+        if rng.random() < 0.15:
+            # Below 1e-4 and from 1e16 up repr() prints an exponent.
+            return rng.uniform(1.0, 10.0) * 10.0 ** rng.choice(EXPONENTS)
         # Two decimals: repr() renders positionally, never scientific.
         return round(rng.uniform(0.01, 9_999.99), 2)
     if dtype is DataType.DATE:
@@ -177,6 +184,28 @@ class TestRoundTripFuzz:
         rng = random.Random(1234)
         for _ in range(300):
             _roundtrip(_random_query(rng, catalog), catalog)
+
+    def test_exponent_literals_survive_roundtrip(self, catalog):
+        # Tiny and huge floats in every predicate shape, both signs.
+        col = ColumnExpr("l_extendedprice", "lineitem_1")
+        for value in (1.03e-05, 5e-324, 1e16, 7.1e307):
+            for signed in (value, -value):
+                lo, hi = sorted((signed, signed * 2.5))
+                query = Query(
+                    tables=["lineitem_1"],
+                    filters=[
+                        ComparisonPredicate(col, CompareOp.LT, signed),
+                        BetweenPredicate(col, lo, hi),
+                        InPredicate(col, (signed, 0.25)),
+                    ],
+                )
+                assert "e" in render_query(query, catalog)
+                _roundtrip(query, catalog)
+
+    def test_exponent_literals_are_generated(self, catalog):
+        rng = random.Random(11)
+        texts = [render_query(_random_query(rng, catalog), catalog) for _ in range(300)]
+        assert any(re.search(r"\d[eE][-+]?\d", text) for text in texts)
 
     def test_all_predicate_shapes_are_generated(self, catalog):
         rng = random.Random(7)
