@@ -19,18 +19,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from repro.bandit.config import BanditConfig
-from repro.bandit.tuner import BanditTuner
-from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
 from repro.executor.executor import execute
 from repro.executor.instrument import CountingStore
 from repro.guardrails.verify import observed_cost
 from repro.workload.adversarial import Scenario
-
-#: Engines this harness can drive over a scenario.
-ENGINES = ("colt", "bandit", "none")
-
 
 @dataclasses.dataclass
 class ScenarioResult:
@@ -65,35 +58,23 @@ class ScenarioResult:
 def make_tuner(engine: str, scenario: Scenario, epoch_length: int = 20, storage_budget_pages: float = 400.0):
     """Build a tuner of the requested engine over a scenario's store.
 
-    The two live engines get matched epoch clocks and storage budgets
-    (the bandit derives everything else from its defaults); ``"none"``
-    returns None -- the do-nothing baseline.
+    Every live engine (any name in :data:`repro.engines.ENGINES`) gets a
+    matched epoch clock and storage budget, everything else staying at
+    the engine's defaults; ``"none"`` returns None -- the do-nothing
+    baseline.
     """
-    if engine == "colt":
-        return ColtTuner(
-            scenario.catalog,
-            ColtConfig(
-                epoch_length=epoch_length,
-                storage_budget_pages=storage_budget_pages,
-                composite_candidates=True,
-                seed=0,
-            ),
-            store=scenario.store,
-        )
-    if engine == "bandit":
-        return BanditTuner(
-            scenario.catalog,
-            BanditConfig(
-                epoch_length=epoch_length,
-                storage_budget_pages=storage_budget_pages,
-                composite_candidates=True,
-                seed=0,
-            ),
-            store=scenario.store,
-        )
     if engine == "none":
         return None
-    raise ValueError(f"unknown engine {engine!r} (expected one of {ENGINES})")
+    # Deferred import: the engine table imports this package.
+    from repro.engines import engine_spec
+
+    config = ColtConfig(
+        epoch_length=epoch_length,
+        storage_budget_pages=storage_budget_pages,
+        composite_candidates=True,
+        seed=0,
+    )
+    return engine_spec(engine).build(scenario.catalog, config, store=scenario.store)
 
 
 def run_scenario(
@@ -107,7 +88,7 @@ def run_scenario(
     """Drive one engine through a scenario's event stream.
 
     Args:
-        engine: ``"colt"``, ``"bandit"`` or ``"none"``.
+        engine: A loop engine's name, or ``"none"``.
         scenario: A freshly built scenario (its store will be mutated).
         epoch_length: Epoch clock for the live engines.
         storage_budget_pages: Storage budget for the live engines.

@@ -23,12 +23,20 @@ from typing import Dict, Optional
 from repro.bandit.config import BanditConfig
 from repro.bandit.linucb import RidgeModel
 from repro.bandit.tuner import BanditTuner, _key
-from repro.core.candidates import CandidateStats
 from repro.engine.catalog import Catalog
 from repro.engine.storage import PhysicalStore
-from repro.guardrails.manager import GuardrailManager
 from repro.guardrails.verify import CostObserver
-from repro.persist import SNAPSHOT_VERSION, SnapshotError, _key_text, _resolve
+from repro.persist import (
+    SNAPSHOT_VERSION,
+    SnapshotError,
+    _checked_restore,
+    _key_text,
+    _resolve,
+    _restore_candidates,
+    _restore_guardrails,
+    _restore_materialized,
+    _snapshot_candidates,
+)
 
 #: Engine tag embedded in every bandit snapshot.
 ENGINE = "bandit"
@@ -36,16 +44,6 @@ ENGINE = "bandit"
 
 def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
     """Serialize a bandit tuner's durable state to a JSON dict."""
-    candidates = []
-    for stats in tuner.profiler.candidates.ranked():
-        candidates.append(
-            {
-                "table": stats.index.table,
-                "columns": list(stats.index.columns),
-                "window": list(stats._window),  # noqa: SLF001 - owner module
-                "smoothed": stats.smoothed_benefit,
-            }
-        )
     watch = None
     if tuner._safety_watch is not None:  # noqa: SLF001 - owner module
         added, baseline = tuner._safety_watch  # noqa: SLF001
@@ -61,7 +59,7 @@ def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
             [ix.table, list(ix.columns)] for ix in tuner.materialized_set
         ],
         "hot": [[ix.table, list(ix.columns)] for ix in tuner.hot_set],
-        "candidates": candidates,
+        "candidates": _snapshot_candidates(tuner),
         "model": tuner.model.to_snapshot(),
         "features": tuner.features.to_snapshot(),
         "epochs_closed": tuner.epochs_closed,
@@ -100,27 +98,7 @@ def restore_bandit_tuner(
         SnapshotError: on version or engine mismatch, references to
             unknown tables/columns, or any malformed structure.
     """
-    if not isinstance(snapshot, dict):
-        raise SnapshotError(
-            f"snapshot must be a dict, got {type(snapshot).__name__}"
-        )
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"unsupported snapshot version {snapshot.get('version')!r}"
-        )
-    if snapshot.get("engine", "colt") != ENGINE:
-        raise SnapshotError(
-            "engine mismatch: snapshot was written by the "
-            f"{snapshot.get('engine', 'colt')!r} engine, but a 'bandit' "
-            "tuner was requested (use restore_any, or restore with the "
-            "matching --engine)"
-        )
-    try:
-        return _restore(catalog, snapshot, store, observer)
-    except SnapshotError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SnapshotError(f"malformed snapshot: {exc!r}") from exc
+    return _checked_restore(ENGINE, _restore, catalog, snapshot, store, observer)
 
 
 def _restore(
@@ -130,32 +108,18 @@ def _restore(
     observer: Optional[CostObserver],
 ) -> BanditTuner:
     config = BanditConfig(**snapshot["config"])
-    guardrails = None
-    if "guardrails" in snapshot:
-        guardrails = GuardrailManager.from_snapshot(
-            snapshot["guardrails"], catalog, observer=observer
-        )
-    tuner = BanditTuner(catalog, config, store=store, guardrails=guardrails)
-
-    for table, columns in snapshot["materialized"]:
-        index = _resolve(catalog, table, columns)
-        if store is not None:
-            store.build_index(index)
-        else:
-            catalog.materialize_index(index)
-        tuner.materialized.add(index)
+    tuner = BanditTuner(
+        catalog,
+        config,
+        store=store,
+        guardrails=_restore_guardrails(catalog, snapshot, observer),
+    )
+    _restore_materialized(tuner, snapshot["materialized"], store)
     tuner.hot = [
         _resolve(catalog, table, columns) for table, columns in snapshot["hot"]
     ]
 
-    tracker = tuner.profiler.candidates
-    for entry in snapshot["candidates"]:
-        index = _resolve(catalog, entry["table"], entry["columns"])
-        stats = CandidateStats(index, config.history_epochs, config.smoothing)
-        for value in entry["window"][-config.history_epochs:]:
-            stats._window.append(float(value))  # noqa: SLF001
-        stats._smoothed = float(entry["smoothed"])  # noqa: SLF001
-        tracker._stats[_key(index)] = stats  # noqa: SLF001
+    _restore_candidates(tuner, snapshot["candidates"], config)
 
     model = RidgeModel.from_snapshot(snapshot["model"])
     if model.dim != tuner.model.dim:

@@ -1,10 +1,12 @@
 """Structured experiment traces.
 
-``trace_run`` executes a COLT simulation while recording, per epoch,
-everything the Self-Organizer decided: set compositions, what-if budget
-grants and usage, the improvement ratio, and the epoch's execution cost.
-The resulting :class:`TunerTrace` renders as a human-readable timeline --
-the quickest way to *see* COLT hibernate, wake, and re-tune.
+``trace_run`` executes a tuning engine over a workload while recording,
+per epoch, everything it decided: set compositions, probe budget grants
+and usage, the improvement ratio, and the epoch's execution cost.  The
+resulting :class:`TunerTrace` renders as a human-readable timeline --
+the quickest way to *see* COLT hibernate, wake, and re-tune.  The
+per-epoch records are built by one :class:`TraceAccumulator`, shared
+with the fleet's replicas and the CLI.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
+from repro.core.loop import QueryOutcome, TuningLoop
 from repro.engine.catalog import Catalog
 from repro.sql.ast import Query
 
@@ -49,10 +51,19 @@ class EpochTrace:
 
 @dataclasses.dataclass
 class TunerTrace:
-    """A complete traced run."""
+    """A complete traced run.
+
+    Attributes:
+        epochs: One record per closed epoch.
+        config: The traced tuner's configuration (the engine's own
+            config type).
+        engine: Name of the engine that ran (a key of
+            :data:`repro.engines.ENGINES`).
+    """
 
     epochs: List[EpochTrace]
-    config: ColtConfig
+    config: object
+    engine: str = "colt"
 
     @property
     def total_cost(self) -> float:
@@ -70,15 +81,17 @@ class TunerTrace:
         The payload is self-describing (config included), so fleet
         benchmarks can dump per-replica traces next to their
         ``results/*.txt`` reports and tests can assert per-epoch
-        decisions machine-readably.
+        decisions machine-readably.  COLT payloads carry no engine tag
+        (old dumps and new ones are the same bytes); every other engine
+        tags its name so :meth:`from_json` can find the config type.
         """
-        return json.dumps(
-            {
-                "epochs": [dataclasses.asdict(e) for e in self.epochs],
-                "config": dataclasses.asdict(self.config),
-            },
-            indent=indent,
-        )
+        payload = {
+            "epochs": [dataclasses.asdict(e) for e in self.epochs],
+            "config": dataclasses.asdict(self.config),
+        }
+        if self.engine != "colt":
+            payload["engine"] = self.engine
+        return json.dumps(payload, indent=indent)
 
     @classmethod
     def from_json(cls, data: Union[str, Dict]) -> "TunerTrace":
@@ -88,19 +101,24 @@ class TunerTrace:
             data: The JSON string (or the already-parsed dict).
 
         Raises:
-            ValueError: if the payload is not a trace (missing keys or
-                malformed epochs).
+            ValueError: if the payload is not a trace (missing keys,
+                malformed epochs or an unknown engine tag).
         """
+        # Deferred import: the engine table imports the tuners, which
+        # must stay importable without the bench package.
+        from repro.engines import engine_spec
+
         if isinstance(data, str):
             data = json.loads(data)
         if not isinstance(data, dict) or "epochs" not in data or "config" not in data:
             raise ValueError("not a serialized TunerTrace (missing keys)")
+        engine = data.get("engine", "colt")
         try:
             epochs = [EpochTrace(**entry) for entry in data["epochs"]]
-            config = ColtConfig(**data["config"])
+            config = engine_spec(engine).config_type(**data["config"])
         except TypeError as exc:
             raise ValueError(f"malformed TunerTrace payload: {exc}") from exc
-        return cls(epochs=epochs, config=config)
+        return cls(epochs=epochs, config=config, engine=engine)
 
     def render_timeline(self, cost_width: int = 24) -> str:
         """Render the run as a per-epoch text timeline."""
@@ -129,50 +147,84 @@ class TunerTrace:
         return "\n".join(lines)
 
 
+class TraceAccumulator:
+    """Folds a tuner's ledger records into one :class:`EpochTrace` per epoch.
+
+    The single builder of epoch records: :func:`trace_run`, the fleet's
+    :class:`~repro.fleet.replica.TunerReplica` and the CLI timeline all
+    feed it the outcomes of whichever engine they drive.
+    """
+
+    def __init__(self, tuner: TuningLoop) -> None:
+        self.tuner = tuner
+        self.epochs: List[EpochTrace] = []
+        self._execution = 0.0
+        self._total = 0.0
+        self._whatif = 0
+
+    def add(self, outcome: QueryOutcome) -> Optional[EpochTrace]:
+        """Account one ledger record of the tuner.
+
+        Returns:
+            The epoch record this outcome closed, if it closed one.
+        """
+        self._execution += outcome.execution_cost
+        self._total += outcome.total_cost
+        self._whatif += outcome.whatif_calls
+        reorg = outcome.reorganization
+        if not outcome.epoch_ended or reorg is None:
+            return None
+        closed = EpochTrace(
+            epoch=len(self.epochs),
+            execution_cost=self._execution,
+            total_cost=self._total,
+            whatif_used=self._whatif,
+            budget_granted=reorg.whatif_budget,
+            improvement_ratio=reorg.improvement_ratio,
+            materialized=[ix.name for ix in self.tuner.materialized_set],
+            added=[_short(ix.name) for ix in reorg.materialize],
+            dropped=[_short(ix.name) for ix in reorg.drop],
+            hot=[ix.name for ix in reorg.hot],
+        )
+        self.epochs.append(closed)
+        self._execution = self._total = 0.0
+        self._whatif = 0
+        return closed
+
+    def trace(self) -> TunerTrace:
+        """The epochs recorded so far as a trace of the tuner."""
+        return TunerTrace(
+            epochs=list(self.epochs),
+            config=self.tuner.config,
+            engine=self.tuner.engine_name,
+        )
+
+
 def trace_run(
     catalog: Catalog,
     workload: Sequence[Query],
     config: Optional[ColtConfig] = None,
     backend=None,
+    engine: str = "colt",
 ) -> TunerTrace:
-    """Run COLT over a workload, recording one trace entry per epoch.
+    """Run a tuning engine over a workload, one trace entry per epoch.
 
     Args:
+        config: Tuning parameters; engines other than COLT derive their
+            own configuration from it through the engine table.
         backend: Optional DBMS backend for the tuner (defaults to the
             local in-python engine) -- what lets the parity gate replay
             a recorded cost trace through the identical harness.
+        engine: Name of the engine to run (a key of
+            :data:`repro.engines.ENGINES`).
     """
-    tuner = ColtTuner(catalog, config, backend=backend)
-    epochs: List[EpochTrace] = []
-    exec_acc = 0.0
-    total_acc = 0.0
-    wi_acc = 0
+    from repro.engines import engine_spec
 
+    tuner = engine_spec(engine).build(catalog, config, backend=backend)
+    accumulator = TraceAccumulator(tuner)
     for query in workload:
-        outcome = tuner.process_query(query)
-        exec_acc += outcome.execution_cost
-        total_acc += outcome.total_cost
-        wi_acc += outcome.whatif_calls
-        if outcome.epoch_ended:
-            reorg = outcome.reorganization
-            assert reorg is not None
-            epochs.append(
-                EpochTrace(
-                    epoch=len(epochs),
-                    execution_cost=exec_acc,
-                    total_cost=total_acc,
-                    whatif_used=wi_acc,
-                    budget_granted=reorg.whatif_budget,
-                    improvement_ratio=reorg.improvement_ratio,
-                    materialized=[ix.name for ix in tuner.materialized_set],
-                    added=[_short(ix.name) for ix in reorg.materialize],
-                    dropped=[_short(ix.name) for ix in reorg.drop],
-                    hot=[ix.name for ix in reorg.hot],
-                )
-            )
-            exec_acc = total_acc = 0.0
-            wi_acc = 0
-    return TunerTrace(epochs=epochs, config=tuner.config)
+        accumulator.add(tuner.process_query(query))
+    return accumulator.trace()
 
 
 def _short(name: str) -> str:

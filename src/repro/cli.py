@@ -43,6 +43,7 @@ from repro.bench.figures import (
     table1_dataset,
 )
 from repro.backend.base import BackendError
+from repro.engines import ENGINES, engine_spec
 from repro.persist import SnapshotError
 from repro.sql.binder import BindError
 from repro.sql.lexer import LexError
@@ -55,10 +56,11 @@ EXIT_PARSE = 2
 EXIT_BIND = 3
 EXIT_SNAPSHOT = 4
 
-#: Engines selectable via ``--engine``.  Every command carrying the flag
-#: accepts the same four names; combinations an engine cannot serve
+#: Engines selectable via ``--engine``: every loop engine in the engine
+#: table plus the two one-shot baselines.  Every command carrying the
+#: flag accepts the same names; combinations an engine cannot serve
 #: (e.g. ``timeline --engine offline``) fail with a clear error.
-ENGINE_CHOICES = ("colt", "bandit", "offline", "continuous")
+ENGINE_CHOICES = (*ENGINES, "offline", "continuous")
 
 
 def _add_engine_flag(parser: argparse.ArgumentParser, support: str) -> None:
@@ -71,20 +73,27 @@ def _add_engine_flag(parser: argparse.ArgumentParser, support: str) -> None:
 
 
 def _require_epoch_engine(command: str, engine: str) -> None:
-    """Commands driving the on-line epoch loop accept colt/bandit only."""
-    if engine not in ("colt", "bandit"):
+    """Commands driving the on-line epoch loop accept loop engines only."""
+    if engine not in ENGINES:
         raise ValueError(
             f"{command} drives an on-line epoch-loop tuner; "
             f"--engine {engine} is only available on 'run' "
-            "(use colt or bandit here)"
+            f"(use {' or '.join(ENGINES)} here)"
         )
 
 
 def _check_gain_cache(engine: str, gain_cache: str) -> None:
-    if gain_cache == "on" and engine != "colt":
+    """``--gain-cache on`` needs an engine whose config has the knob."""
+    if gain_cache != "on":
+        return
+    caching = [
+        name for name, spec in ENGINES.items() if hasattr(spec.config_type, "gain_cache")
+    ]
+    if engine not in caching:
         raise ValueError(
-            "--gain-cache on requires --engine colt: only COLT caches "
-            "what-if gains (the bandit learns from observed rewards)"
+            f"--gain-cache on requires --engine {' or '.join(caching)}: "
+            "only engines that profile through what-if calls cache their "
+            "gains (the others learn from observed rewards)"
         )
 
 
@@ -169,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-query what-if gain cache (COLT only; see "
         "docs/PERFORMANCE.md)",
     )
-    _add_engine_flag(pt, "epoch-loop engines only (colt, bandit)")
+    _add_engine_flag(pt, f"epoch-loop engines only ({', '.join(ENGINES)})")
 
     ps = sub.add_parser(
         "check-snapshot",
@@ -178,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("path", help="path to a snapshot written by save_json")
     ps.add_argument(
         "--engine",
-        choices=("colt", "bandit"),
+        choices=tuple(ENGINES),
         default=None,
         help="assert the snapshot was written by this engine "
         "(mismatch fails with the snapshot exit code)",
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("local", "trace", "hypopg"),
         default="local",
-        help="DBMS backend answering what-if probes (colt/bandit only; "
+        help="DBMS backend answering what-if probes (loop engines only; "
         "see docs/BACKENDS.md)",
     )
     pr.add_argument(
@@ -341,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "relevant-index signature, specialize replicas, refine the "
         "routing map with budgeted what-if probes (see docs/COTUNE.md)",
     )
-    _add_engine_flag(pf, "epoch-loop engines only (colt, bandit)")
+    _add_engine_flag(pf, f"epoch-loop engines only ({', '.join(ENGINES)})")
 
     pp = sub.add_parser(
         "replay",
@@ -577,30 +586,29 @@ def _run_advise(args) -> None:
     print(report.to_text())
 
 
-def _run_timeline(args) -> None:
-    from repro.bench.tracing import trace_run
-    from repro.core.config import ColtConfig
+def _paper_workload(args):
+    """The ``--workload stable|shifting`` stream of ``run``/``timeline``."""
     from repro.workload import build_catalog, shifting_workload, stable_workload
     from repro.workload.experiments import phase_distributions, stable_distribution
 
-    _require_epoch_engine("timeline", args.engine)
-    _check_gain_cache(args.engine, args.gain_cache)
     catalog = build_catalog()
     if args.workload == "stable":
-        workload = stable_workload(
+        return stable_workload(
             stable_distribution(), args.queries, catalog, seed=args.seed
         )
-    else:
-        workload = shifting_workload(
-            phase_distributions(),
-            catalog,
-            phase_length=150,
-            transition=30,
-            seed=args.seed,
-        )
-    if args.engine == "bandit":
-        _bandit_timeline(args, workload)
-        return
+    return shifting_workload(
+        phase_distributions(), catalog, phase_length=150, transition=30, seed=args.seed
+    )
+
+
+def _run_timeline(args) -> None:
+    from repro.bench.tracing import trace_run
+    from repro.core.config import ColtConfig
+    from repro.workload import build_catalog
+
+    _require_epoch_engine("timeline", args.engine)
+    _check_gain_cache(args.engine, args.gain_cache)
+    workload = _paper_workload(args)
     trace = trace_run(
         build_catalog(),
         workload.queries,
@@ -609,41 +617,12 @@ def _run_timeline(args) -> None:
             seed=args.seed,
             gain_cache=args.gain_cache == "on",
         ),
+        engine=args.engine,
     )
-    print(f"workload: {workload.description}\n")
+    print(f"workload: {workload.description} (engine: {trace.engine})\n")
     print(trace.render_timeline())
-
-
-def _bandit_timeline(args, workload) -> None:
-    """Per-round timeline of a bandit run (``trace_run`` is COLT-only)."""
-    from repro.bandit import BanditConfig, BanditTuner
-    from repro.workload import build_catalog
-
-    tuner = BanditTuner(
-        build_catalog(),
-        BanditConfig(storage_budget_pages=args.budget, seed=args.seed),
-    )
-    print(f"workload: {workload.description} (engine: bandit)\n")
-    print(f"{'round':>5} {'exec cost':>12} {'probes':>6} {'|M|':>4}  changes")
-    epoch_cost = 0.0
-    probes = 0
-    epoch = 0
-    for outcome in tuner.run(workload.queries):
-        epoch_cost += outcome.execution_cost
-        probes += outcome.whatif_calls
-        if outcome.epoch_ended and outcome.reorganization is not None:
-            reorg = outcome.reorganization
-            changes = [f"+{ix.name}" for ix in reorg.materialize]
-            changes += [f"-{ix.name}" for ix in reorg.drop]
-            print(
-                f"{epoch:>5} {epoch_cost:>12,.0f} {probes:>6} "
-                f"{len(tuner.materialized_set):>4}  {' '.join(changes) or '-'}"
-            )
-            epoch_cost = 0.0
-            probes = 0
-            epoch += 1
-    final = ", ".join(ix.name for ix in tuner.materialized_set) or "(none)"
-    print(f"\nfinal materialized: {final}")
+    final = ", ".join(trace.epochs[-1].materialized) if trace.epochs else ""
+    print(f"\nfinal materialized: {final or '(none)'}")
 
 
 def _run_check_snapshot(args) -> None:
@@ -663,24 +642,10 @@ def _run_check_snapshot(args) -> None:
 
 def _run_run(args) -> None:
     from repro.obs.export import write_metrics
-    from repro.workload import build_catalog, shifting_workload, stable_workload
-    from repro.workload.experiments import phase_distributions, stable_distribution
 
     _check_gain_cache(args.engine, args.gain_cache)
     _check_backend_flags(args)
-    catalog = build_catalog()
-    if args.workload == "stable":
-        workload = stable_workload(
-            stable_distribution(), args.queries, catalog, seed=args.seed
-        )
-    else:
-        workload = shifting_workload(
-            phase_distributions(),
-            catalog,
-            phase_length=150,
-            transition=30,
-            seed=args.seed,
-        )
+    workload = _paper_workload(args)
     if args.engine == "offline":
         _run_offline(args, workload)
         return
@@ -696,10 +661,9 @@ def _run_run(args) -> None:
         f"materialized: {len(tuner.materialized_set)}"
     )
     print(f"total cost: {sum(o.total_cost for o in outcomes):,.0f}\n")
-    if args.engine == "bandit":
-        print("observation overhead dashboard (requested / granted / spent):")
-    else:
-        print("what-if overhead dashboard (requested / granted / spent):")
+    print(
+        f"{tuner.budget_label} overhead dashboard (requested / granted / spent):"
+    )
     print(tuner.dashboard.render())
     recorder = getattr(tuner.backend, "recorder", None)
     if recorder is not None and getattr(args, "record_trace", None):
@@ -717,13 +681,20 @@ def _run_run(args) -> None:
 
 
 def _check_backend_flags(args) -> None:
-    """Reject inconsistent ``--backend``/``--trace``/``--dsn`` combos."""
+    """Reject ``--backend``/``--trace``/``--dsn``/``--metrics-out`` combos
+    the selected engine cannot serve."""
     backend = getattr(args, "backend", "local")
-    if backend != "local" and args.engine not in ("colt", "bandit"):
-        raise ValueError(
-            f"--backend {backend} requires an on-line engine "
-            "(colt or bandit); baselines always price locally"
-        )
+    if args.engine not in ENGINES:
+        online = f"requires an on-line engine ({' or '.join(ENGINES)})"
+        if backend != "local":
+            raise ValueError(
+                f"--backend {backend} {online}; baselines always price locally"
+            )
+        if args.metrics_out:
+            raise ValueError(
+                f"--metrics-out {online}; the {args.engine} baseline emits "
+                "no metrics"
+            )
     if getattr(args, "record_trace", None) and backend != "local":
         raise ValueError("--record-trace requires --backend local")
     if getattr(args, "trace", None) and backend != "trace":
@@ -756,40 +727,23 @@ def _build_backend(args, catalog):
 
 
 def _build_engine_tuner(args):
-    """A colt or bandit tuner over the paper catalog, from CLI args."""
+    """A loop-engine tuner over the paper catalog, from CLI args."""
+    from repro.core.config import ColtConfig
     from repro.workload import build_catalog
 
     catalog = build_catalog()
-    backend = _build_backend(args, catalog)
-    if args.engine == "bandit":
-        from repro.bandit import BanditConfig, BanditTuner
-
-        return BanditTuner(
-            catalog,
-            BanditConfig(storage_budget_pages=args.budget, seed=args.seed),
-            backend=backend,
-        )
-    from repro.core.colt import ColtTuner
-    from repro.core.config import ColtConfig
-
-    return ColtTuner(
-        catalog,
-        ColtConfig(
-            storage_budget_pages=args.budget,
-            seed=args.seed,
-            gain_cache=args.gain_cache == "on",
-        ),
-        backend=backend,
+    config = ColtConfig(
+        storage_budget_pages=args.budget,
+        seed=args.seed,
+        gain_cache=args.gain_cache == "on",
+    )
+    return engine_spec(args.engine).build(
+        catalog, config, backend=_build_backend(args, catalog)
     )
 
 
 def _run_offline(args, workload) -> None:
     """The OFFLINE baseline under ``run``: exact selection, free tuning."""
-    if args.metrics_out:
-        raise ValueError(
-            "--metrics-out requires an on-line engine (colt or bandit); "
-            "the offline baseline emits no metrics"
-        )
     from repro.baselines.offline import OfflineTuner
     from repro.workload import build_catalog
 
@@ -808,11 +762,6 @@ def _run_offline(args, workload) -> None:
 
 def _run_continuous(args, workload) -> None:
     """The QUIET-style continuous baseline under ``run``."""
-    if args.metrics_out:
-        raise ValueError(
-            "--metrics-out requires an on-line engine (colt or bandit); "
-            "the continuous baseline emits no metrics"
-        )
     from repro.baselines.continuous import ContinuousConfig, ContinuousTuner
     from repro.workload import build_catalog
 

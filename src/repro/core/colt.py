@@ -1,7 +1,9 @@
-"""The COLT tuner facade.
+"""The COLT tuner: the paper's engine of the shared tuning loop.
 
-Wires the Profiler, Self-Organizer and Scheduler to the engine behind a
-single per-query entry point, :meth:`ColtTuner.process_query`.  The
+:class:`~repro.core.loop.TuningLoop` owns the per-query frame and the
+epoch clock; :class:`ColtTuner` plugs the Profiler (how a query is
+observed) and the Self-Organizer (how an epoch closes) into it.  The
+per-query entry point is still :meth:`ColtTuner.process_query`, and the
 returned :class:`QueryOutcome` is the simulation's ledger record: the
 query's execution cost under the configuration in force, plus the
 on-line tuning overheads attributable to it (what-if calls this query,
@@ -10,181 +12,48 @@ index builds triggered at an epoch boundary it closed).
 
 from __future__ import annotations
 
-import dataclasses
-import time
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.config import ColtConfig
+from repro.core.knapsack import SelectionConstraints
+from repro.core.loop import InsertOutcome, QueryOutcome, TuningLoop
 from repro.core.profiler import Profiler
-from repro.core.scheduler import Scheduler, SchedulingPolicy
 from repro.core.self_organizer import ReorganizationResult, SelfOrganizer
-from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
-from repro.engine.storage import PhysicalStore
-from repro.guardrails.synthesis import synthesize_constraints
-from repro.obs.dashboard import OverheadDashboard
-from repro.obs.export import build_snapshot
 from repro.obs.names import TUNER_METRICS
-from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
-from repro.backend.base import Backend
-from repro.backend.local import LocalBackend
-from repro.optimizer.plan import PlanNode
-from repro.optimizer.whatif import WhatIfOptimizer
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy
 from repro.sql.ast import Query
 
-if TYPE_CHECKING:  # avoid repro.core <-> repro.guardrails import cycle
-    from repro.guardrails.manager import GuardrailManager
+__all__ = ["ColtTuner", "InsertOutcome", "QueryOutcome"]
 
 
-@dataclasses.dataclass
-class InsertOutcome:
-    """Ledger record for a batch of inserts (write-aware extension).
-
-    Attributes:
-        table: Target table.
-        count: Rows inserted.
-        heap_cost: Cost of appending to the heap.
-        maintenance_cost: Cost of keeping the table's materialized
-            indexes up to date for these rows.
-        total_cost: Sum of the above.
-    """
-
-    table: str
-    count: int
-    heap_cost: float
-    maintenance_cost: float
-    total_cost: float
-
-
-@dataclasses.dataclass
-class QueryOutcome:
-    """Ledger record for one processed query.
-
-    Attributes:
-        index: 0-based position of the query in the stream.
-        execution_cost: Optimizer cost of the chosen plan under the
-            configuration in force when the query ran.
-        whatif_calls: What-if calls spent profiling this query.
-        whatif_overhead: Cost units charged for those calls.
-        verify_calls: Guardrail verification probes spent on this query
-            (0 with no guardrail manager attached).
-        verify_overhead: Cost units charged for those probes (optimizer
-            calls plus any shadow-execution charge).
-        build_cost: Index build cost charged at the epoch boundary this
-            query closed (0 otherwise).
-        total_cost: Sum of the above -- the COLT-side response-time
-            analogue the paper measures.
-        plan: The executed plan (None for a failed query recorded in
-            ``on_error="skip"`` mode).
-        epoch_ended: Whether this query closed an epoch.
-        reorganization: The Self-Organizer's decisions, when an epoch
-            ended.
-        error: The exception that aborted this query, when it was
-            recorded by :meth:`ColtTuner.run` in ``"skip"`` mode; None
-            for queries that processed normally.
-    """
-
-    index: int
-    execution_cost: float
-    whatif_calls: int
-    whatif_overhead: float
-    build_cost: float
-    total_cost: float
-    plan: Optional[PlanNode]
-    verify_calls: int = 0
-    verify_overhead: float = 0.0
-    epoch_ended: bool = False
-    reorganization: Optional[ReorganizationResult] = None
-    error: Optional[BaseException] = None
-
-    @property
-    def failed(self) -> bool:
-        """Whether this record stands in for a query that errored."""
-        return self.error is not None
-
-
-class ColtTuner:
+class ColtTuner(TuningLoop):
     """Continuous on-line index tuning over a catalog.
 
-    Args:
-        catalog: The catalog to tune.  Its materialized set is owned by
-            the tuner from now on.
-        config: Tuning parameters (defaults follow the paper).
-        backend: DBMS backend answering what-if probes; defaults to a
-            :class:`~repro.backend.local.LocalBackend` over ``catalog``
-            (the in-python engine).  Must describe the same catalog.
-        store: Optional physical store; when given, materializations
-            build real B+trees so queries can be executed.
-        policy: Materialization scheduling policy.
-        breaker: Circuit breaker guarding what-if profiling; defaults
-            to a fresh one with standard thresholds.
-        retry: Backoff policy for failed index builds.
-        fault_injector: Optional fault injector; when given, its
-            failpoints are installed on the what-if optimizer and the
-            scheduler (testing and chaos runs).
-        registry: Metrics registry shared by the tuner and its
-            components; defaults to a fresh enabled one.  Pass
-            ``MetricsRegistry(enabled=False)`` for a zero-overhead
-            no-op registry.
-        guardrails: Optional :class:`~repro.guardrails.manager.
-            GuardrailManager` closing the predict->observe->act loop:
-            per-query observed-cost verification, quarantine of
-            over-promised indexes, and DBA pin/ban/prefer constraints
-            on reorganization.  None (the default) changes nothing.
+    The COLT engine of the shared :class:`~repro.core.loop.TuningLoop`
+    (which documents the constructor arguments): queries are observed by
+    the two-level :class:`~repro.core.profiler.Profiler` within the
+    self-regulated what-if budget ``#WI_lim``, and epochs are closed by
+    the :class:`~repro.core.self_organizer.SelfOrganizer` (forecast,
+    knapsack, hot-set promotion, re-budgeting).
 
-    Attributes:
-        tracer: Span tracer timing queries and epoch closes.
-        dashboard: Per-epoch what-if overhead accounting.
+    Args:
+        config: Tuning parameters (:class:`ColtConfig`; defaults follow
+            the paper).
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        config: Optional[ColtConfig] = None,
-        store: Optional[PhysicalStore] = None,
-        policy: SchedulingPolicy = SchedulingPolicy.IMMEDIATE,
-        breaker: Optional[CircuitBreaker] = None,
-        retry: Optional[RetryPolicy] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        registry: Optional[MetricsRegistry] = None,
-        guardrails: Optional["GuardrailManager"] = None,
-        backend: Optional[Backend] = None,
-    ) -> None:
-        self.catalog = catalog
-        self.config = config or ColtConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = SpanTracer(enabled=self.registry.enabled)
-        self.dashboard = OverheadDashboard()
-        self.backend = backend if backend is not None else LocalBackend(catalog)
-        if self.backend.catalog is not catalog:
-            raise ValueError("backend and tuner must share one catalog")
-        self.backend.bind_registry(self.registry)
-        self.optimizer = getattr(self.backend, "optimizer", None)
-        self.whatif = WhatIfOptimizer(backend=self.backend)
+    engine_name = "colt"
+    config_type = ColtConfig
+    budget_label = "what-if"
+
+    def _build_engine(self, breaker: Optional[CircuitBreaker]) -> None:
         self.profiler = Profiler(
-            catalog, self.whatif, self.config, breaker=breaker, registry=self.registry
+            self.catalog, self.whatif, self.config, breaker=breaker, registry=self.registry
         )
-        self.self_organizer = SelfOrganizer(catalog, self.config, registry=self.registry)
-        self.scheduler = Scheduler(
-            catalog, store=store, policy=policy, retry=retry, registry=self.registry
+        self.self_organizer = SelfOrganizer(
+            self.catalog, self.config, registry=self.registry
         )
-        # Any materialization change (builds, drops, idle-time builds,
-        # recovered retries) invalidates affected gain-cache entries;
-        # pair-statistics consistency stays with purge_stale in _apply.
-        self.scheduler.on_change = lambda changed: (
-            self.profiler.gain_cache.invalidate_indexes(
-                changed, reason="materialization"
-            )
-        )
-        if fault_injector is not None:
-            fault_injector.attach(self)
-        self._store = store
-        self._queries_seen = 0
-        self._epoch_inserts: dict = {}
+        self._epoch_inserts: Dict[str, int] = {}
         self._m_queries = TUNER_METRICS["colt_queries_total"].build(self.registry)
         self._m_query_failures = TUNER_METRICS["colt_query_failures_total"].build(self.registry)
         self._m_epochs = TUNER_METRICS["colt_epochs_total"].build(self.registry)
@@ -203,320 +72,83 @@ class ColtTuner:
         self._m_budget = TUNER_METRICS["colt_whatif_budget"].build(self.registry)
         self._m_ratio = TUNER_METRICS["colt_improvement_ratio"].build(self.registry)
         # Adopt whatever is already materialized as the starting M.
-        self.self_organizer.materialized = set(catalog.materialized_indexes())
-        self._m_materialized.set(len(self.self_organizer.materialized))
+        self.self_organizer.materialized = set(self.catalog.materialized_indexes())
+        self._m_materialized.set(len(self.materialized))
         self._m_budget.set(self.profiler.whatif_budget)
-        self.guardrails = guardrails
-        if guardrails is not None:
-            guardrails.attach(self)
-        # Advisory soft preferences pushed down by an external adviser
-        # (the fleet co-tuning controller); merged with guardrail
-        # constraints at each epoch boundary, pins/bans winning.
-        self._advisory: tuple = ()
+
+    @property
+    def materialized(self) -> Set[IndexDef]:
+        """``M``, owned by the Self-Organizer (which rebinds it per epoch)."""
+        return self.self_organizer.materialized
+
+    @property
+    def hot(self) -> Set[IndexDef]:
+        """``H``, owned by the Self-Organizer."""
+        return self.self_organizer.hot
 
     # ------------------------------------------------------------------
-    def set_advisory(self, preferred) -> None:
-        """Install advisory ``(IndexDef, weight)`` soft preferences.
-
-        Used by the fleet's co-tuning loop to bias this replica's
-        knapsack toward its workload partition.  The partition's
-        footprint is also seeded into the candidate tracker so the
-        profiler can credit it without waiting for the miner.  Passing
-        an empty sequence clears stale advice.
-        """
-        self._advisory = tuple(
-            sorted(preferred, key=lambda kv: str(kv[0]))
-        )
-        self.profiler.candidates.seed(ix for ix, _ in self._advisory)
-
-    @property
-    def materialized_set(self) -> List[IndexDef]:
-        """The current materialized set ``M``."""
-        return sorted(self.self_organizer.materialized, key=str)
-
-    @property
-    def hot_set(self) -> List[IndexDef]:
-        """The current hot set ``H``."""
-        return sorted(self.self_organizer.hot, key=str)
-
-    @property
-    def queries_seen(self) -> int:
-        """Number of queries processed so far."""
-        return self._queries_seen
-
-    # ------------------------------------------------------------------
-    def process_query(self, query: Query) -> QueryOutcome:
-        """Process one arriving (bound) query.
-
-        Optimizes it under the current configuration, profiles candidate
-        indexes within the epoch's what-if budget, and -- when the query
-        closes an epoch -- runs reorganization and re-budgeting, applying
-        any materialization decisions through the scheduler.
-
-        Returns:
-            The ledger record for the query.
-        """
-        with self.tracer.span("query", index=self._queries_seen):
-            session = self.whatif.begin_query(query)
-            calls_before = self.whatif.call_count
-
-            self.profiler.profile_query(
-                query,
-                session,
-                hot=self.self_organizer.hot,
-                materialized=self.self_organizer.materialized,
-            )
-
-            verify_calls = 0
-            verify_overhead = 0.0
-            if self.guardrails is not None:
-                # Verification probes re-optimize directly (bypassing
-                # the what-if call counter), so profiling accounting
-                # above stays untouched; their cost is charged here.
-                verify_calls, verify_charge = self.guardrails.observe_query(
-                    session, self.self_organizer.materialized
-                )
-                verify_overhead = (
-                    verify_calls * self.config.whatif_call_cost + verify_charge
-                )
-
-            self._queries_seen += 1
-            build_cost = 0.0
-            reorg: Optional[ReorganizationResult] = None
-            epoch_ended = self._queries_seen % self.config.epoch_length == 0
-            if epoch_ended:
-                # Budget accounting must be read before the epoch close
-                # resets the profiler's spend counter.
-                granted = self.profiler.whatif_budget
-                spent = self.profiler.whatif_used
-                epoch = self._queries_seen // self.config.epoch_length - 1
-                close_started = time.perf_counter()
-                with self.tracer.span("epoch_close", epoch=epoch):
-                    hot_before = set(self.self_organizer.hot)
-                    reorg = self._close_epoch()
-                    build_cost = self._apply(reorg)
-                self._m_epoch_close.observe(time.perf_counter() - close_started)
-                self._record_epoch(reorg, granted, spent, build_cost, hot_before)
-
-        whatif_calls = self.whatif.call_count - calls_before
-        whatif_overhead = whatif_calls * self.config.whatif_call_cost
-        self._m_queries.inc()
-        self._m_whatif_calls.inc(whatif_calls)
-        self._m_whatif_overhead.inc(whatif_overhead)
-        self._m_exec_cost.inc(session.base.cost)
-        self._m_query_cost.observe(session.base.cost)
-        return QueryOutcome(
-            index=self._queries_seen - 1,
-            execution_cost=session.base.cost,
-            whatif_calls=whatif_calls,
-            whatif_overhead=whatif_overhead,
-            build_cost=build_cost,
-            total_cost=session.base.cost
-            + whatif_overhead
-            + verify_overhead
-            + build_cost,
-            plan=session.base.plan,
-            verify_calls=verify_calls,
-            verify_overhead=verify_overhead,
-            epoch_ended=epoch_ended,
-            reorganization=reorg,
-        )
-
-    def process_insert(self, table: str, rows=None, count: Optional[int] = None) -> InsertOutcome:
-        """Process a batch of inserts (write-aware extension).
-
-        The batch is charged a heap-append cost plus one maintenance
-        charge per (row, materialized index on the table); the observed
-        write volume feeds the Self-Organizer, which discounts the
-        NetBenefit of indexes on write-hot tables accordingly.
-
-        Args:
-            table: Target table.
-            rows: Concrete rows to insert.  Required when the tuner is
-                attached to a physical store (heaps and trees are
-                actually updated); optional in pure cost-model mode.
-            count: Number of rows when ``rows`` is omitted (statistics-
-                only insert).
-
-        Returns:
-            The ledger record for the batch.
-
-        Raises:
-            ValueError: if neither ``rows`` nor ``count`` is given, or
-                if ``rows`` is omitted while a physical store is attached.
-        """
-        if rows is None and count is None:
-            raise ValueError("provide rows or count")
-        if self._store is not None:
-            if rows is None:
-                raise ValueError(
-                    "a physical store is attached: concrete rows are required"
-                )
-            n = self._store.apply_inserts(table, rows)
-        else:
-            n = len(list(rows)) if rows is not None else int(count)
-            self.catalog.apply_row_delta(table, n)
-        # The write changes costs on this table; cached what-if gains
-        # recorded under the old statistics would no longer validate
-        # anyway (stats-token mismatch), but dropping them eagerly
-        # keeps the cache small.
-        self.profiler.gain_cache.invalidate_table(table)
-
-        params = self.catalog.params
-        n_indexes = len(self.catalog.materialized_indexes(table))
-        heap_cost = n * params.cpu_tuple_cost
-        maintenance = n * n_indexes * params.index_maintain_cost_per_tuple
-        self._epoch_inserts[table] = self._epoch_inserts.get(table, 0) + n
-        self._m_insert_rows.inc(n)
-        return InsertOutcome(
-            table=table,
-            count=n,
-            heap_cost=heap_cost,
-            maintenance_cost=maintenance,
-            total_cost=heap_cost + maintenance,
-        )
-
-    def run(self, queries, on_error: str = "raise") -> List[QueryOutcome]:
-        """Process a sequence of queries, returning all ledger records.
-
-        Args:
-            queries: Bound queries in arrival order.
-            on_error: ``"raise"`` propagates the first failure
-                (discarding nothing the caller already holds, but ending
-                the run); ``"skip"`` records the failed query as a
-                zero-cost :class:`QueryOutcome` carrying its exception
-                and keeps going, so one bad query no longer discards all
-                prior ledger records.
-
-        Raises:
-            ValueError: for an unknown ``on_error`` mode.
-        """
-        if on_error not in ("raise", "skip"):
-            raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-        outcomes: List[QueryOutcome] = []
-        for query in queries:
-            seen_before = self._queries_seen
-            try:
-                outcomes.append(self.process_query(query))
-            except Exception as exc:
-                if on_error == "raise":
-                    raise
-                # Keep the epoch clock ticking for the failed arrival
-                # unless process_query already counted it.
-                if self._queries_seen == seen_before:
-                    self._queries_seen += 1
-                self._m_query_failures.inc()
-                outcomes.append(
-                    QueryOutcome(
-                        index=self._queries_seen - 1,
-                        execution_cost=0.0,
-                        whatif_calls=0,
-                        whatif_overhead=0.0,
-                        build_cost=0.0,
-                        total_cost=0.0,
-                        plan=None,
-                        error=exc,
-                    )
-                )
-        return outcomes
-
-    # ------------------------------------------------------------------
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The tuner's metrics registry (shared with its components)."""
-        return self.registry
-
-    def metrics_snapshot(self) -> Dict:
-        """Self-describing snapshot: metric families, overhead, spans."""
-        return build_snapshot(
-            self.registry.snapshot(),
-            overhead=self.dashboard.to_rows(),
-            spans=self.tracer.summary(),
-        )
-
-    def _record_epoch(
-        self,
-        reorg: ReorganizationResult,
-        granted: int,
-        spent: int,
-        build_cost: float,
-        hot_before: set,
-    ) -> None:
-        """Fold one epoch boundary into metrics and the dashboard."""
-        self._m_epochs.inc()
-        self._m_build_cost.inc(build_cost)
-        hot_after = set(self.self_organizer.hot)
-        self._m_hot_churn.inc(len(hot_before.symmetric_difference(hot_after)))
-        self._m_materialized.set(len(self.self_organizer.materialized))
-        self._m_hot.set(len(hot_after))
-        self._m_budget.set(reorg.whatif_budget)
-        self._m_ratio.set(reorg.improvement_ratio)
-        self.dashboard.record(
-            requested=self.config.max_whatif_per_epoch,
-            granted=granted,
-            spent=spent,
-            ratio=reorg.improvement_ratio,
-            build_cost=build_cost,
-            breaker_state=reorg.breaker_state,
-        )
-
-    def _close_epoch(self) -> ReorganizationResult:
-        report = self.profiler.end_epoch(
+    def _observe_query(self, query: Query, session) -> Tuple[int, float]:
+        calls_before = self.whatif.call_count
+        self.profiler.profile_query(
+            query,
+            session,
             hot=self.self_organizer.hot,
             materialized=self.self_organizer.materialized,
         )
+        calls = self.whatif.call_count - calls_before
+        return calls, calls * self.config.whatif_call_cost
+
+    def _count_query(self, session, calls: int, overhead: float) -> None:
+        self._m_queries.inc()
+        self._m_whatif_calls.inc(calls)
+        self._m_whatif_overhead.inc(overhead)
+        self._m_exec_cost.inc(session.base.cost)
+        self._m_query_cost.observe(session.base.cost)
+
+    def _note_insert(self, table: str, n: int) -> None:
+        self._epoch_inserts[table] = self._epoch_inserts.get(table, 0) + n
+        self._m_insert_rows.inc(n)
+
+    def _epoch_budget(self) -> Tuple[int, int, int]:
+        return (
+            self.config.max_whatif_per_epoch,
+            self.profiler.whatif_budget,
+            self.profiler.whatif_used,
+        )
+
+    def _digest_epoch(self):
+        return self.profiler.end_epoch(
+            hot=self.self_organizer.hot,
+            materialized=self.self_organizer.materialized,
+        )
+
+    def _decide(
+        self, report, constraints: Optional[SelectionConstraints]
+    ) -> ReorganizationResult:
         inserts = self._epoch_inserts
         self._epoch_inserts = {}
-        constraints = None
-        decisions = None
-        if self.guardrails is not None:
-            # Guardrail verdicts land first, so a fresh quarantine is
-            # already a hard ban for this boundary's knapsack (the
-            # banned index falls out of the selection and is dropped).
-            decisions = self.guardrails.end_epoch(self.self_organizer.materialized)
-            constraints = self.guardrails.constraints() or None
-        # Advisory co-tuning preferences are soft and never override
-        # pins/bans; with no advisory installed this is a no-op, so the
-        # cotune-off path stays bit-identical.
-        constraints = synthesize_constraints(constraints, self._advisory)
+        hot_before = set(self.self_organizer.hot)
         reorg = self.self_organizer.end_epoch(
             report, self.profiler, inserts=inserts, constraints=constraints
         )
-        if decisions is not None:
-            reorg.quarantined = decisions.quarantined
-            reorg.released = decisions.released
+        self._m_hot_churn.inc(
+            len(hot_before.symmetric_difference(self.self_organizer.hot))
+        )
         return reorg
 
-    def _apply(self, reorg: ReorganizationResult) -> float:
-        # Retry previously failed builds whose backoff elapsed, then
-        # apply this boundary's fresh decisions.
-        retry = self.scheduler.advance_epoch()
-        build_cost = retry.charged
-        for index in retry.recovered:
-            self.self_organizer.materialized.add(index)
-        build_cost += self.scheduler.request_materialization(reorg.materialize)
-        self.scheduler.request_drop(reorg.drop)
-        if self.guardrails is not None and reorg.drop:
-            # Dropped indexes' verification evidence is stale by
-            # definition; a re-materialized index re-earns its verdict.
-            self.guardrails.on_drop(reorg.drop)
-        # A failed build leaves the index unmaterialized: take it back
-        # out of M so NetBenefit and the knapsack see reality, and
-        # surface it on the ledger record.  Idle-policy requests are
-        # merely queued, not failed.
-        queued = set(self.scheduler.pending)
-        failed = [
-            ix
-            for ix in reorg.materialize
-            if not self.catalog.is_materialized(ix) and ix not in queued
-        ]
-        for index in failed:
-            self.self_organizer.materialized.discard(index)
-        reorg.build_failures = failed
-        reorg.recovered_builds = list(retry.recovered)
-        reorg.abandoned_builds = list(retry.abandoned)
-        reorg.breaker_state = self.profiler.breaker.state.value
-        if reorg.materialize or reorg.drop or retry.recovered:
+    def _applied(self, reorg: ReorganizationResult, changed: bool) -> None:
+        # Pair statistics gathered under the old M are stale once it moves.
+        if changed:
             self.profiler.purge_stale()
         self.profiler.set_budget(reorg.whatif_budget)
-        return build_cost
+
+    def _record_epoch(
+        self, reorg: ReorganizationResult, build_cost: float, seconds: float
+    ) -> None:
+        self._m_epoch_close.observe(seconds)
+        self._m_epochs.inc()
+        self._m_build_cost.inc(build_cost)
+        self._m_materialized.set(len(self.self_organizer.materialized))
+        self._m_hot.set(len(self.self_organizer.hot))
+        self._m_budget.set(reorg.whatif_budget)
+        self._m_ratio.set(reorg.improvement_ratio)

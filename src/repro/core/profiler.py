@@ -98,7 +98,52 @@ class ProfileOutcome:
     gains: Dict[IndexDef, float]
 
 
-class Profiler:
+class ProfilerBase:
+    """What the tuning loop reaches through ``tuner.profiler`` on any engine.
+
+    The fleet, fault injection, snapshots and
+    :class:`~repro.core.loop.TuningLoop` itself rely on exactly this
+    surface: the circuit breaker every probe runs behind (with its
+    transition metric), the candidate tracker, the gain cache (whose
+    metric families register even when it is disabled, so the
+    observability contract holds for every engine) and the per-epoch
+    probe accounting.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        whatif: WhatIfOptimizer,
+        config,
+        breaker: Optional[CircuitBreaker],
+        registry: Optional[MetricsRegistry],
+        gain_cache: bool,
+    ) -> None:
+        self.registry = registry or NULL_REGISTRY
+        self.breaker = breaker or CircuitBreaker()
+        transitions = RESILIENCE_METRICS["breaker_transitions_total"].build(self.registry)
+        self.breaker.add_listener(
+            lambda origin, to: transitions.inc(1, from_state=origin, to_state=to)
+        )
+        self.gain_cache = GainCache(
+            catalog,
+            whatif,
+            enabled=gain_cache,
+            ttl_epochs=config.history_epochs,
+            registry=self.registry,
+        )
+        self.candidates = CandidateTracker(
+            catalog,
+            config.history_epochs,
+            config.smoothing,
+            composite=config.composite_candidates,
+        )
+        self.probe_failures = 0
+        self.whatif_used = 0
+        self.whatif_budget = 0
+
+
+class Profiler(ProfilerBase):
     """Implements the profiling algorithm of Figure 2."""
 
     def __init__(
@@ -109,13 +154,13 @@ class Profiler:
         breaker: Optional[CircuitBreaker] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
+        super().__init__(
+            catalog, whatif, config, breaker, registry, gain_cache=config.gain_cache
+        )
         self._catalog = catalog
         self._whatif = whatif
         self._config = config
-        self.breaker = breaker or CircuitBreaker()
-        self.probe_failures = 0
         self.degraded_queries = 0
-        self.registry = registry or NULL_REGISTRY
         self._m_probes = PROFILER_METRICS["profiler_probes_total"].build(self.registry)
         self._m_probe_failures = PROFILER_METRICS["profiler_probe_failures_total"].build(
             self.registry
@@ -126,32 +171,12 @@ class Profiler:
         )
         self._m_clusters = PROFILER_METRICS["profiler_clusters"].build(self.registry)
         self._m_ci_width = PROFILER_METRICS["profiler_ci_width"].build(self.registry)
-        transitions = RESILIENCE_METRICS["breaker_transitions_total"].build(self.registry)
-        self.breaker.add_listener(
-            lambda origin, to: transitions.inc(1, from_state=origin, to_state=to)
-        )
         self._rng = random.Random(config.seed)
-        # Cross-query gain cache (collectors registered even when
-        # disabled, so the metrics contract holds in either mode).
-        self.gain_cache = GainCache(
-            catalog,
-            whatif,
-            enabled=config.gain_cache,
-            ttl_epochs=config.history_epochs,
-            registry=self.registry,
-        )
         self.clusters = ClusterStore(catalog, config.history_epochs)
-        self.candidates = CandidateTracker(
-            catalog,
-            config.history_epochs,
-            config.smoothing,
-            composite=config.composite_candidates,
-        )
         self._pairs: Dict[Tuple[IndexKey, int], PairStats] = {}
         # Per-epoch bookkeeping, keyed by index then cluster id.
         self._epoch_measured: Dict[IndexKey, Dict[int, List[float]]] = {}
         self._epoch_exposure: Dict[IndexKey, Dict[int, int]] = {}
-        self.whatif_used = 0
         self.whatif_budget = config.max_whatif_per_epoch
 
     # ------------------------------------------------------------------

@@ -26,15 +26,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core.colt import QueryOutcome
 from repro.core.config import ColtConfig
+from repro.core.loop import QueryOutcome
 from repro.engine.catalog import Catalog
-from repro.fleet.cotune import (
-    CotuneConfig,
-    CotuneController,
-    CotuneReport,
-    resolve_advisory,
-)
+from repro.engines import engine_spec
+from repro.fleet.cotune import CotuneConfig, CotuneController, CotuneReport
 from repro.fleet.replica import ReplicaHealth, ReplicaStats, TunerReplica
 from repro.guardrails.advice import AdviceBook
 from repro.guardrails.manager import GuardrailConfig, GuardrailManager
@@ -226,10 +222,10 @@ class FleetCoordinator:
             replica before fleet-wide promotion.
         advice: Optional DBA advice applied to every replica's
             guardrail manager (requires ``guardrails``).
-        engine: Tuning engine every replica runs -- ``"colt"``
-            (default) or ``"bandit"``; a ``ColtConfig`` is still what
-            parameterizes the fleet (bandit replicas derive a matched
-            :class:`~repro.bandit.config.BanditConfig` from it).
+        engine: Name of the tuning engine every replica runs (a key of
+            :data:`repro.engines.ENGINES`); a ``ColtConfig`` is still
+            what parameterizes the fleet (other engines derive a
+            matched configuration from it through the table's adapter).
         backend_factory: Optional callable ``catalog -> Backend``
             giving each replica its DBMS backend (defaults to the local
             in-python engine).
@@ -298,15 +294,10 @@ class FleetCoordinator:
             raise ValueError("fleet_epoch_length must be positive")
         if advice is not None and guardrails is None:
             raise ValueError("advice requires guardrails to be enabled")
-        if engine not in ("colt", "bandit"):
-            raise ValueError(
-                f"unknown fleet engine {engine!r} (expected 'colt' or 'bandit')"
-            )
-        self.engine = engine
-        self.config = config or ColtConfig()
-        self.fleet_epoch_length = fleet_epoch_length
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.replicas: List[TunerReplica] = []
+        engine_spec(engine)  # ValueError for a name the table lacks
+        registry = registry if registry is not None else MetricsRegistry()
+        config = config or ColtConfig()
+        replicas: List[TunerReplica] = []
         for i in range(n_replicas):
             breaker = breakers[i] if breakers else None
             injector = fault_injectors[i] if fault_injectors else None
@@ -315,39 +306,71 @@ class FleetCoordinator:
                 if guardrails is not None
                 else None
             )
-            self.replicas.append(
+            replicas.append(
                 TunerReplica(
                     i,
                     catalog_factory(),
-                    self.config,
+                    config,
                     breaker=breaker,
                     fault_injector=injector,
-                    registry=MetricsRegistry(enabled=self.registry.enabled),
+                    registry=MetricsRegistry(enabled=registry.enabled),
                     guardrails=manager,
                     engine=engine,
                     backend_factory=backend_factory,
                 )
             )
-        self.rollout: Optional[RolloutController] = None
+        rollout: Optional[RolloutController] = None
         if guardrails is not None:
-            baseline = [
-                ix for r in self.replicas for ix in r.tuner.materialized_set
-            ]
-            self.rollout = RolloutController(baseline=baseline)
-        self._routing_catalog = catalog_factory()
-        self.router: Router = make_router(
-            policy, n_replicas, self._routing_catalog, probe_budget=probe_budget
+            baseline = [ix for r in replicas for ix in r.tuner.materialized_set]
+            rollout = RolloutController(baseline=baseline)
+        routing_catalog = catalog_factory()
+        router = make_router(
+            policy, n_replicas, routing_catalog, probe_budget=probe_budget
         )
-        if isinstance(self.router, CostBasedRouter):
-            self.router.bind(self.replicas)
-        self.cotune: Optional[CotuneController] = None
-        if cotune:
-            self.cotune = CotuneController(
-                n_replicas,
-                self._routing_catalog,
+        self._wire(
+            engine, config, replicas, routing_catalog, router,
+            fleet_epoch_length, registry, rollout=rollout, cotune=cotune,
+        )
+
+    def _wire(
+        self,
+        engine: str,
+        config: ColtConfig,
+        replicas: Sequence,
+        routing_catalog: Catalog,
+        router: Router,
+        fleet_epoch_length: int,
+        registry: MetricsRegistry,
+        rollout: Optional[RolloutController] = None,
+        cotune: Union[bool, CotuneConfig, CotuneController, None] = None,
+    ) -> None:
+        """Install the coordinator's fields around existing replicas.
+
+        The one place the field set is spelled out: fresh construction,
+        :meth:`adopt` and the multiprocess coordinator all end here.
+        ``cotune`` is a restored controller (adopted as is), a config /
+        truthy flag (a fresh controller is built) or falsy (off).
+        """
+        self.engine = engine
+        self.config = config
+        self.fleet_epoch_length = fleet_epoch_length
+        self.registry = registry
+        self.replicas = list(replicas)
+        self.rollout = rollout
+        self._routing_catalog = routing_catalog
+        self.router = router
+        if isinstance(router, CostBasedRouter):
+            router.bind(self.replicas)
+        if isinstance(cotune, CotuneController):
+            cotune.set_whatif_call_cost(config.whatif_call_cost)
+        elif cotune:
+            cotune = CotuneController(
+                len(self.replicas),
+                routing_catalog,
                 config=cotune if isinstance(cotune, CotuneConfig) else None,
-                whatif_call_cost=self.config.whatif_call_cost,
+                whatif_call_cost=config.whatif_call_cost,
             )
+        self.cotune: Optional[CotuneController] = cotune or None
         self._cotune_epoch_cost = 0.0
         self._cotune_epoch_queries = 0
         self.queries_routed = 0
@@ -375,28 +398,15 @@ class FleetCoordinator:
         partition map mid-convergence).
         """
         coordinator = cls.__new__(cls)
-        coordinator.engine = replicas[0].engine
-        coordinator.config = replicas[0].tuner.config
-        coordinator.fleet_epoch_length = fleet_epoch_length
-        coordinator.replicas = list(replicas)
-        coordinator.rollout = rollout
-        coordinator._routing_catalog = routing_catalog
-        coordinator.router = make_router(
+        tuner = replicas[0].tuner
+        router = make_router(
             policy, len(replicas), routing_catalog, probe_budget=probe_budget
         )
-        if isinstance(coordinator.router, CostBasedRouter):
-            coordinator.router.bind(coordinator.replicas)
-        coordinator.cotune = cotune
-        if cotune is not None:
-            cotune.set_whatif_call_cost(coordinator.config.whatif_call_cost)
-        coordinator._cotune_epoch_cost = 0.0
-        coordinator._cotune_epoch_queries = 0
-        coordinator.queries_routed = 0
-        coordinator.reorganizations = []
-        coordinator.registry = MetricsRegistry(
-            enabled=replicas[0].tuner.registry.enabled
+        coordinator._wire(
+            replicas[0].engine, tuner.config, replicas, routing_catalog, router,
+            fleet_epoch_length, MetricsRegistry(enabled=tuner.registry.enabled),
+            rollout=rollout, cotune=cotune,
         )
-        coordinator._init_observability()
         return coordinator
 
     # ------------------------------------------------------------------
@@ -503,18 +513,36 @@ class FleetCoordinator:
         overhead: List[Dict] = []
         summaries = [self.tracer.summary()]
         for r in self.replicas:
-            parts.append(
-                (r.tuner.registry.snapshot(), {"replica": str(r.replica_id)})
-            )
-            for row in r.tuner.dashboard.to_rows():
+            snapshot = r.metrics_snapshot()
+            if snapshot is None:
+                # A crashed worker contributes nothing beyond what the
+                # fleet-level registry already recorded about it.
+                continue
+            parts.append((snapshot["metrics"], {"replica": str(r.replica_id)}))
+            for row in snapshot["overhead"]:
                 row["replica"] = r.replica_id
                 overhead.append(row)
-            summaries.append(r.tuner.tracer.summary())
+            summaries.append(snapshot["spans"])
         return build_snapshot(
             merge_snapshots(parts),
             overhead=overhead,
             spans=merge_span_summaries(summaries),
         )
+
+    def replica_snapshots(self) -> List[Dict]:
+        """Per-replica durable snapshots, by replica id.
+
+        The same :func:`repro.persist.snapshot_any` payloads whether the
+        replicas live in this process or in workers, so one manifest
+        format serves both and a worker-fleet snapshot restores into a
+        serial coordinator.
+
+        Raises:
+            WorkerCrash: when a replica's worker is gone -- a partial
+                fleet snapshot would restore into a silently smaller
+                fleet.
+        """
+        return [r.snapshot() for r in self.replicas]
 
     def _route(self, query: Query, client_id: Optional[int]):
         """Routing front door: partition map first, base policy second.
@@ -609,7 +637,16 @@ class FleetCoordinator:
                 client_ids = workload.client_ids
         else:
             queries = workload
-        outcomes = [
+        return FleetRun(
+            outcomes=self._serve(queries, client_ids, on_error),
+            reorganizations=list(self.reorganizations),
+            replica_stats=[r.stats for r in self.replicas],
+            policy=self.policy,
+        )
+
+    def _serve(self, queries, client_ids, on_error: str) -> List[FleetOutcome]:
+        """Process the arrivals of one :meth:`run`, in order."""
+        return [
             self.process_query(
                 query,
                 client_id=client_ids[i] if client_ids is not None else None,
@@ -617,12 +654,6 @@ class FleetCoordinator:
             )
             for i, query in enumerate(queries)
         ]
-        return FleetRun(
-            outcomes=outcomes,
-            reorganizations=list(self.reorganizations),
-            replica_stats=[r.stats for r in self.replicas],
-            policy=self.policy,
-        )
 
     # ------------------------------------------------------------------
     def reorganize(self) -> FleetReorganizationResult:
@@ -670,7 +701,7 @@ class FleetCoordinator:
                 # profiles next; per-replica gain caches keyed on the
                 # old assignment mix are cleared rather than aged out.
                 for replica in self.replicas:
-                    replica.tuner.profiler.gain_cache.clear(reason="rebalance")
+                    replica.clear_gain_cache("rebalance")
             self.router.roll_epoch()
             probe_budget = (
                 self.router.probe_budget
@@ -778,17 +809,12 @@ class FleetCoordinator:
     def _cotune_advise(self, payloads: Dict[int, List]) -> None:
         """Push per-replica partition advisories down to the tuners.
 
-        Payloads are in wire format (``(table, [columns], weight)``)
-        and resolved against each replica's own catalog so identity-
-        keyed tuner structures see that replica's ``IndexDef`` objects.
-        The multiprocess coordinator overrides this with an ``advise``
-        op at the chunk boundary -- the same point in every replica's
-        event sequence, preserving serial-order parity.
+        Runs at the fleet-epoch boundary -- between chunk batches on the
+        multiprocess fleet, i.e. the same point in every replica's event
+        sequence -- so serial-order parity is preserved.
         """
         for replica_id in sorted(payloads):
-            replica = self.replicas[replica_id]
-            resolved = resolve_advisory(replica.catalog, payloads[replica_id])
-            replica.tuner.set_advisory(resolved)
+            self.replicas[replica_id].advise(payloads[replica_id])
 
     def configuration_divergence(self) -> float:
         """Mean pairwise Jaccard distance between materialized sets.

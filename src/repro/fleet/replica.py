@@ -1,15 +1,14 @@
 """One fleet member: a tuning engine wrapped with identity and health.
 
-A :class:`TunerReplica` owns its catalog and tuner -- a
-:class:`~repro.core.colt.ColtTuner` or, with ``engine="bandit"``, a
-:class:`~repro.bandit.tuner.BanditTuner` (replicas must evolve
-independent materialized sets), carries a per-replica storage budget,
-and derives a
-fleet-facing health state from the tuner's existing profiling circuit
-breaker (``repro.resilience``): a breaker that trips OPEN marks the
-replica DRAINED so the router stops sending it traffic, HALF_OPEN maps
-to DEGRADED (traffic allowed, profiling trickles), and CLOSED is
-HEALTHY.
+A :class:`TunerReplica` owns its catalog and tuner -- whichever
+:class:`~repro.core.loop.TuningLoop` engine the engine table
+(:mod:`repro.engines`) lists under the replica's ``engine`` name
+(replicas must evolve independent materialized sets), carries a
+per-replica storage budget, and derives a fleet-facing health state
+from the tuner's existing profiling circuit breaker
+(``repro.resilience``): a breaker that trips OPEN marks the replica
+DRAINED so the router stops sending it traffic, HALF_OPEN maps to
+DEGRADED (traffic allowed, profiling trickles), and CLOSED is HEALTHY.
 
 The replica also keeps the per-epoch :class:`~repro.bench.tracing.
 EpochTrace` ledger so fleet benchmarks can dump machine-readable traces
@@ -20,13 +19,16 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.bench.tracing import EpochTrace, TunerTrace
-from repro.core.colt import ColtTuner, QueryOutcome
+from repro.bench.tracing import TraceAccumulator, TunerTrace
 from repro.core.config import ColtConfig
+from repro.core.loop import QueryOutcome, TuningLoop
 from repro.engine.catalog import Catalog
+from repro.engines import engine_spec
+from repro.fleet.cotune import resolve_advisory
 from repro.obs.registry import MetricsRegistry
+from repro.persist import snapshot_any
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.faults import FaultInjector
 from repro.sql.ast import Query
@@ -89,10 +91,10 @@ class TunerReplica:
         guardrails: Optional per-replica guardrail manager forwarded to
             the tuner (verification, quarantine, rollout bans); ignored
             when ``tuner`` is pre-built.
-        engine: Tuning engine to construct -- ``"colt"`` (default) or
-            ``"bandit"`` (a :class:`~repro.bandit.tuner.BanditTuner`
-            with a :meth:`~repro.bandit.config.BanditConfig.from_colt`
-            configuration); ignored when ``tuner`` is pre-built.
+        engine: Name of the tuning engine to construct (a key of
+            :data:`repro.engines.ENGINES`; its configuration is derived
+            from ``config`` by the table's adapter); ignored when
+            ``tuner`` is pre-built.
         backend_factory: Optional callable ``catalog -> Backend``
             building the replica tuner's DBMS backend (defaults to the
             local in-python engine); ignored when ``tuner`` is
@@ -106,7 +108,7 @@ class TunerReplica:
         config: Optional[ColtConfig] = None,
         breaker: Optional[CircuitBreaker] = None,
         fault_injector: Optional[FaultInjector] = None,
-        tuner: Optional[ColtTuner] = None,
+        tuner: Optional[TuningLoop] = None,
         registry: Optional[MetricsRegistry] = None,
         guardrails=None,
         engine: str = "colt",
@@ -114,53 +116,28 @@ class TunerReplica:
     ) -> None:
         self.replica_id = replica_id
         self.catalog = catalog
-        backend = backend_factory(catalog) if backend_factory is not None else None
         if tuner is None:
-            if engine == "bandit":
-                # Deferred import keeps the fleet importable without
-                # pulling the bandit stack for pure-COLT deployments.
-                from repro.bandit.config import BanditConfig
-                from repro.bandit.tuner import BanditTuner
-
-                tuner = BanditTuner(
-                    catalog,
-                    BanditConfig.from_colt(config or ColtConfig()),
-                    breaker=breaker,
-                    fault_injector=fault_injector,
-                    registry=registry,
-                    guardrails=guardrails,
-                    backend=backend,
-                )
-            elif engine == "colt":
-                tuner = ColtTuner(
-                    catalog,
-                    config,
-                    breaker=breaker,
-                    fault_injector=fault_injector,
-                    registry=registry,
-                    guardrails=guardrails,
-                    backend=backend,
-                )
-            else:
-                raise ValueError(
-                    f"unknown replica engine {engine!r} "
-                    "(expected 'colt' or 'bandit')"
-                )
+            tuner = engine_spec(engine).build(
+                catalog,
+                config,
+                breaker=breaker,
+                fault_injector=fault_injector,
+                registry=registry,
+                guardrails=guardrails,
+                backend=(
+                    backend_factory(catalog) if backend_factory is not None else None
+                ),
+            )
         self.tuner = tuner
         self.stats = ReplicaStats()
         self.config_version = 0
-        self._epochs: List[EpochTrace] = []
-        self._epoch_exec = 0.0
-        self._epoch_total = 0.0
-        self._epoch_whatif = 0
+        self._trace = TraceAccumulator(tuner)
 
     # ------------------------------------------------------------------
     @property
     def engine(self) -> str:
-        """The tuning engine this replica runs (``"colt"``/``"bandit"``)."""
-        from repro.bandit.tuner import BanditTuner
-
-        return "bandit" if isinstance(self.tuner, BanditTuner) else "colt"
+        """Name of the tuning engine this replica runs."""
+        return self.tuner.engine_name
 
     @property
     def health(self) -> ReplicaHealth:
@@ -181,7 +158,7 @@ class TunerReplica:
     def quarantined_names(self) -> List[str]:
         """Names of indexes this replica's guardrails hold in quarantine
         (or on parole); empty when no guardrail manager is attached."""
-        manager = getattr(self.tuner, "guardrails", None)
+        manager = self.tuner.guardrails
         if manager is None:
             return []
         return [entry.index.name for entry in manager.quarantine.entries]
@@ -192,7 +169,7 @@ class TunerReplica:
 
         Args:
             query: The bound query.
-            on_error: Forwarded to :meth:`~repro.core.colt.ColtTuner.run`
+            on_error: Forwarded to :meth:`~repro.core.loop.TuningLoop.run`
                 -- ``"skip"`` records a failed query as a zero-cost
                 outcome carrying its exception instead of raising.
         """
@@ -208,10 +185,28 @@ class TunerReplica:
         charges the probe against its per-epoch budget; this method only
         measures.
         """
-        backend = getattr(self.tuner, "backend", None)
-        if backend is not None:
-            return backend.get_cost(query)
-        return self.tuner.optimizer.optimize(query).cost
+        return self.tuner.backend.get_cost(query)
+
+    def clear_gain_cache(self, reason: str) -> None:
+        """Drop every cached what-if gain (fleet rebalance invalidation)."""
+        self.tuner.profiler.gain_cache.clear(reason=reason)
+
+    def advise(self, payload) -> None:
+        """Install a partition advisory given in wire format.
+
+        ``(table, [columns], weight)`` entries are resolved against this
+        replica's own catalog so identity-keyed tuner structures see its
+        ``IndexDef`` objects.
+        """
+        self.tuner.set_advisory(resolve_advisory(self.catalog, payload))
+
+    def snapshot(self) -> Dict:
+        """The tuner's durable state (:func:`repro.persist.snapshot_any`)."""
+        return snapshot_any(self.tuner)
+
+    def metrics_snapshot(self) -> Dict:
+        """The tuner's metrics snapshot (this replica's share of the fleet's)."""
+        return self.tuner.metrics_snapshot()
 
     def idle_tick(self) -> None:
         """Advance the breaker clock while this replica receives no traffic.
@@ -226,7 +221,7 @@ class TunerReplica:
     # ------------------------------------------------------------------
     def trace(self) -> TunerTrace:
         """The replica's per-epoch decision trace so far."""
-        return TunerTrace(epochs=list(self._epochs), config=self.tuner.config)
+        return self._trace.trace()
 
     def _account(self, outcome: QueryOutcome) -> None:
         self.stats.queries += 1
@@ -235,26 +230,6 @@ class TunerReplica:
         self.stats.whatif_calls += outcome.whatif_calls
         if outcome.failed:
             self.stats.failed += 1
-        self._epoch_exec += outcome.execution_cost
-        self._epoch_total += outcome.total_cost
-        self._epoch_whatif += outcome.whatif_calls
-        if outcome.epoch_ended and outcome.reorganization is not None:
-            reorg = outcome.reorganization
-            if reorg.materialize or reorg.drop:
-                self.config_version += 1
-            self._epochs.append(
-                EpochTrace(
-                    epoch=len(self._epochs),
-                    execution_cost=self._epoch_exec,
-                    total_cost=self._epoch_total,
-                    whatif_used=self._epoch_whatif,
-                    budget_granted=reorg.whatif_budget,
-                    improvement_ratio=reorg.improvement_ratio,
-                    materialized=self.materialized_names,
-                    added=[ix.name for ix in reorg.materialize],
-                    dropped=[ix.name for ix in reorg.drop],
-                    hot=[ix.name for ix in reorg.hot],
-                )
-            )
-            self._epoch_exec = self._epoch_total = 0.0
-            self._epoch_whatif = 0
+        closed = self._trace.add(outcome)
+        if closed is not None and (closed.added or closed.dropped):
+            self.config_version += 1

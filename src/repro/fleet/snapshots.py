@@ -32,7 +32,6 @@ from repro.persist import (
     load_json,
     restore_any,
     save_json,
-    snapshot_any,
 )
 
 FLEET_SNAPSHOT_VERSION = 1
@@ -43,22 +42,6 @@ FLEET_MANIFEST = "fleet.json"
 
 def _replica_file(replica_id: int) -> str:
     return f"replica-{replica_id}.json"
-
-
-def _collect_replica_snapshots(coordinator: FleetCoordinator) -> List[Dict]:
-    """Per-replica snapshots from wherever the replicas live.
-
-    A multiprocess coordinator exposes ``replica_snapshots()`` (workers
-    serialize their own tuners and ship the payloads over the pipe);
-    the in-process fleet snapshots its tuners directly.  Both produce
-    the same :func:`repro.persist.snapshot_any` payloads, so one
-    manifest format serves both and a worker-fleet snapshot restores
-    into a serial coordinator.
-    """
-    fetch = getattr(coordinator, "replica_snapshots", None)
-    if fetch is not None:
-        return fetch()
-    return [snapshot_any(r.tuner) for r in coordinator.replicas]
 
 
 def snapshot_fleet(
@@ -74,7 +57,7 @@ def snapshot_fleet(
             computed on the fly when omitted.
     """
     if replica_snapshots is None:
-        replica_snapshots = _collect_replica_snapshots(coordinator)
+        replica_snapshots = coordinator.replica_snapshots()
     entries = []
     for replica, snap in zip(coordinator.replicas, replica_snapshots):
         entries.append(
@@ -122,7 +105,7 @@ def save_fleet(
     """
     root = pathlib.Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    snapshots = _collect_replica_snapshots(coordinator)
+    snapshots = coordinator.replica_snapshots()
     for replica, snap in zip(coordinator.replicas, snapshots):
         save_json(root / _replica_file(replica.replica_id), snap)
     manifest = snapshot_fleet(coordinator, replica_snapshots=snapshots)

@@ -58,32 +58,29 @@ import multiprocessing
 import os
 import time
 import types
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.core.colt import QueryOutcome
 from repro.core.config import ColtConfig
+from repro.core.loop import QueryOutcome
+from repro.engines import engine_spec
 from repro.fleet.coordinator import (
     CatalogFactory,
     FleetCoordinator,
     FleetOutcome,
     FleetReorganizationResult,
-    FleetRun,
 )
-from repro.fleet.cotune import CotuneConfig, CotuneController, resolve_advisory
+from repro.fleet.cotune import CotuneConfig
 from repro.fleet.replica import ReplicaHealth, ReplicaStats, TunerReplica
 from repro.fleet.router import (
     DEFAULT_PROBE_BUDGET,
     CostBasedRouter,
     make_router,
 )
-from repro.obs.export import build_snapshot
 from repro.obs.names import REPLAY_METRICS
 from repro.obs.quantiles import merge_histogram_samples, summarize_sample
-from repro.obs.registry import MetricsRegistry, merge_snapshots
-from repro.obs.spans import merge_span_summaries
+from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.sql.ast import Query
-from repro.workload.phases import Workload
 
 __all__ = ["WorkerCrash", "WorkerFleetCoordinator", "WorkerHandle"]
 
@@ -216,7 +213,7 @@ def _worker_main(
             elif op == "status":
                 conn.send(("ok", None, _status(replica)))
             elif op == "clear_cache":
-                replica.tuner.profiler.gain_cache.clear(reason=command[1])
+                replica.clear_gain_cache(command[1])
                 conn.send(("ok", None, _status(replica)))
             elif op == "probe":
                 # Read-only what-if pricing for co-tuning refinement;
@@ -230,28 +227,16 @@ def _worker_main(
                     prices.append(replica.probe_cost(queries[key]))
                 conn.send(("ok", prices, _status(replica)))
             elif op == "advise":
-                # Partition advisory in wire format; resolved against
-                # this replica's own catalog (identity-keyed tuner
-                # structures need its IndexDef objects).
-                replica.tuner.set_advisory(
-                    resolve_advisory(replica.catalog, command[1])
-                )
+                replica.advise(command[1])
                 conn.send(("ok", None, _status(replica)))
             elif op == "latency":
                 conn.send(("ok", latency.samples(), _status(replica)))
             elif op == "metrics":
-                payload = {
-                    "registry": registry.snapshot(),
-                    "overhead": replica.tuner.dashboard.to_rows(),
-                    "spans": replica.tuner.tracer.summary(),
-                }
-                conn.send(("ok", payload, _status(replica)))
+                conn.send(("ok", replica.metrics_snapshot(), _status(replica)))
             elif op == "trace":
                 conn.send(("ok", replica.trace().to_json(), _status(replica)))
             elif op == "snapshot":
-                from repro.persist import snapshot_any
-
-                conn.send(("ok", snapshot_any(replica.tuner), _status(replica)))
+                conn.send(("ok", replica.snapshot(), _status(replica)))
             elif op == "stop":
                 conn.send(("ok", None, None))
                 conn.close()
@@ -266,37 +251,14 @@ class WorkerCrash(RuntimeError):
     """A worker process died while the coordinator waited on it."""
 
 
-class _RemoteGainCache:
-    """Stand-in for ``replica.tuner.profiler.gain_cache`` in the parent."""
-
-    def __init__(self, handle: "WorkerHandle") -> None:
-        self._handle = handle
-
-    def clear(self, reason: str = "manual") -> None:
-        if not self._handle.crashed:
-            self._handle.request(("clear_cache", reason))
-
-
-class _RemoteProfiler:
-    def __init__(self, handle: "WorkerHandle") -> None:
-        self.gain_cache = _RemoteGainCache(handle)
-
-
-class _RemoteTuner:
-    """The thin slice of the tuner surface fleet reorganization touches."""
-
-    def __init__(self, handle: "WorkerHandle") -> None:
-        self.profiler = _RemoteProfiler(handle)
-
-
 class WorkerHandle:
     """Parent-side proxy for one replica living in a worker process.
 
     Duck-types the coordinator-facing surface of
     :class:`~repro.fleet.replica.TunerReplica` (``health``, ``breaker``,
     ``stats``, ``materialized_names``, ``quarantined_names``,
-    ``tuner.profiler.gain_cache.clear``) from the worker's last reported
-    status, so the inherited reorganization logic runs unchanged.
+    ``clear_gain_cache``) from the worker's last reported status, so the
+    inherited reorganization logic runs unchanged.
 
     The ``breaker`` attribute is a real parent-side
     :class:`~repro.resilience.breaker.CircuitBreaker` that exists solely
@@ -314,7 +276,6 @@ class WorkerHandle:
         self.crashed = False
         self.crash_breaker = CircuitBreaker()
         self.stats = ReplicaStats()
-        self.tuner = _RemoteTuner(self)
         self._remote_state = BreakerState.CLOSED
         self._materialized: List[str] = []
         self._quarantined: List[str] = []
@@ -358,6 +319,30 @@ class WorkerHandle:
     @property
     def quarantined_names(self) -> List[str]:
         return list(self._quarantined)
+
+    def clear_gain_cache(self, reason: str) -> None:
+        """Forward a gain-cache clear to the worker (no-op once crashed)."""
+        if not self.crashed:
+            self.request(("clear_cache", reason))
+
+    def advise(self, payload) -> None:
+        """Ship a partition advisory to the worker (no-op once crashed)."""
+        if not self.crashed:
+            self.request(("advise", payload))
+
+    def metrics_snapshot(self) -> Optional[Dict]:
+        """The worker tuner's metrics snapshot; None once it has crashed."""
+        return None if self.crashed else self.request(("metrics",))
+
+    def snapshot(self) -> Dict:
+        """The worker tuner's durable snapshot, fetched over the pipe."""
+        snap = self.request(("snapshot",))
+        if snap is None:
+            raise WorkerCrash(
+                f"replica {self.replica_id} worker is gone; cannot "
+                "snapshot a partial fleet"
+            )
+        return snap
 
     # -- protocol ------------------------------------------------------
     def apply_status(self, status: Optional[Dict]) -> None:
@@ -510,44 +495,25 @@ class WorkerFleetCoordinator(FleetCoordinator):
                 "process and cannot be injected from the parent; use the "
                 "worker crash hook to exercise failure paths"
             )
-        if engine not in ("colt", "bandit"):
-            raise ValueError(
-                f"unknown fleet engine {engine!r} (expected 'colt' or 'bandit')"
-            )
+        engine_spec(engine)  # ValueError for a name the table lacks
         if fleet_epoch_length < 1:
             raise ValueError("fleet_epoch_length must be positive")
-        self.engine = engine
-        self.config = config or ColtConfig()
-        self.fleet_epoch_length = fleet_epoch_length
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.workers = workers
-        self.worker_timeout = worker_timeout
-        self.rollout = None
-        self._routing_catalog = catalog_factory()
+        routing_catalog = catalog_factory()
         # One process per replica: `workers` IS the fleet size.
-        self.router = make_router(
-            policy, workers, self._routing_catalog, probe_budget=probe_budget
+        router = make_router(
+            policy, workers, routing_catalog, probe_budget=probe_budget
         )
-        if isinstance(self.router, CostBasedRouter):
+        if isinstance(router, CostBasedRouter):
             raise ValueError(
                 "cost-based routing probes replica state synchronously per "
                 "arrival and is not supported with worker processes"
             )
-        self.cotune: Optional[CotuneController] = None
-        if cotune:
-            # Co-tuning state lives entirely in the parent: routing is a
-            # lookup, and boundary probes/advisories travel as chunk-
-            # aligned worker ops, so serial-order parity is preserved.
-            self.cotune = CotuneController(
-                workers,
-                self._routing_catalog,
-                config=cotune if isinstance(cotune, CotuneConfig) else None,
-                whatif_call_cost=self.config.whatif_call_cost,
-            )
-        self._cotune_epoch_cost = 0.0
-        self._cotune_epoch_queries = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        config = config or ColtConfig()
+        self.workers = workers
+        self.worker_timeout = worker_timeout
         ctx = _mp_context()
-        self.replicas: List[WorkerHandle] = []
+        handles: List[WorkerHandle] = []
         crash_plan = _crash_plan or {}
         for i in range(workers):
             parent_conn, child_conn = ctx.Pipe()
@@ -557,22 +523,24 @@ class WorkerFleetCoordinator(FleetCoordinator):
                     child_conn,
                     i,
                     catalog_factory,
-                    self.config,
+                    config,
                     engine,
                     backend_factory,
-                    self.registry.enabled,
+                    registry.enabled,
                     crash_plan.get(i),
                 ),
                 daemon=True,
             )
             process.start()
             child_conn.close()
-            self.replicas.append(
-                WorkerHandle(i, parent_conn, process, worker_timeout)
-            )
-        self.queries_routed = 0
-        self.reorganizations: List[FleetReorganizationResult] = []
-        self._init_observability()
+            handles.append(WorkerHandle(i, parent_conn, process, worker_timeout))
+        # Co-tuning state lives entirely in the parent: routing is a
+        # lookup, and boundary probes/advisories travel as chunk-aligned
+        # worker ops, so serial-order parity is preserved.
+        self._wire(
+            engine, config, handles, routing_catalog, router,
+            fleet_epoch_length, registry, cotune=cotune,
+        )
         self._m_crashes = REPLAY_METRICS["replay_worker_crashes_total"].build(
             self.registry
         )
@@ -606,28 +574,15 @@ class WorkerFleetCoordinator(FleetCoordinator):
             "per arrival)"
         )
 
-    def run(
-        self,
-        workload: Union[Workload, Sequence[Query]],
-        client_ids: Optional[Sequence[Optional[int]]] = None,
-        on_error: str = "raise",
-    ) -> FleetRun:
-        """Process a whole workload across the worker fleet.
+    def _serve(self, queries, client_ids, on_error: str) -> List[FleetOutcome]:
+        """Ship one :meth:`run`'s arrivals to the workers, a fleet epoch at a time.
 
-        Semantics match :meth:`FleetCoordinator.run` -- same routing,
-        same fleet-epoch reorganizations, bit-identical per-replica
-        decisions -- with arrivals shipped to workers one fleet epoch
-        at a time.  Outcomes carry no plans (plans stay worker-side)
-        and, under ``on_error="skip"``, a crashed worker's
-        unacknowledged chunk queries come back as failed outcomes.
+        Semantics match the serial coordinator -- same routing, same
+        fleet-epoch reorganizations, bit-identical per-replica decisions.
+        Outcomes carry no plans (plans stay worker-side) and, under
+        ``on_error="skip"``, a crashed worker's unacknowledged chunk
+        queries come back as failed outcomes.
         """
-        if isinstance(workload, Workload):
-            queries: Sequence[Query] = workload.queries
-            if client_ids is None:
-                client_ids = workload.client_ids
-        else:
-            queries = workload
-
         outcomes: List[FleetOutcome] = []
         chunk: List[Tuple[int, Query, Optional[int]]] = []
         for i, query in enumerate(queries):
@@ -639,13 +594,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
                 chunk = []
         if chunk:
             outcomes.extend(self._run_chunk(chunk, on_error, full=False))
-
-        return FleetRun(
-            outcomes=outcomes,
-            reorganizations=list(self.reorganizations),
-            replica_stats=[r.stats for r in self.replicas],
-            policy=self.policy,
-        )
+        return outcomes
 
     def _run_chunk(
         self,
@@ -788,46 +737,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
                 costs[handle.replica_id] = list(payload)
         return costs
 
-    def _cotune_advise(self, payloads: Dict[int, List]) -> None:
-        """Ship partition advisories as chunk-aligned ``advise`` ops.
-
-        The op lands between chunk batches -- the same point in each
-        replica's event sequence where the serial coordinator calls
-        ``set_advisory`` -- so decision parity is preserved.
-        """
-        pending: List[WorkerHandle] = []
-        for replica_id in sorted(payloads):
-            handle = self.replicas[replica_id]
-            if handle.crashed:
-                continue
-            if handle.send(("advise", payloads[replica_id])):
-                pending.append(handle)
-        for handle in pending:
-            handle.receive()
-
     # ------------------------------------------------------------------
-    def replica_snapshots(self) -> List[Dict]:
-        """Per-replica durable snapshots, fetched from the workers.
-
-        Same payloads :func:`repro.persist.snapshot_any` produces in
-        process, so ``save_fleet`` writes the standard atomic manifest.
-
-        Raises:
-            WorkerCrash: when any replica's worker is gone -- a partial
-                fleet snapshot would restore into a silently smaller
-                fleet.
-        """
-        snapshots: List[Dict] = []
-        for handle in self.replicas:
-            snap = handle.request(("snapshot",))
-            if snap is None:
-                raise WorkerCrash(
-                    f"replica {handle.replica_id} worker is gone; cannot "
-                    "snapshot a partial fleet"
-                )
-            snapshots.append(snap)
-        return snapshots
-
     def replica_traces(self) -> List[Dict]:
         """Every live replica's decision trace (JSON dict), by replica id."""
         traces = []
@@ -855,33 +765,3 @@ class WorkerFleetCoordinator(FleetCoordinator):
         if not samples:
             return summarize_sample({"count": 0, "sum": 0.0, "buckets": {}})
         return summarize_sample(merge_histogram_samples(samples))
-
-    def metrics_snapshot(self) -> Dict:
-        """Merged fleet + per-worker metrics snapshot.
-
-        Same shape as the serial coordinator's: worker samples gain a
-        ``replica`` label, overhead rows a ``replica`` key, span
-        summaries merge.  Crashed workers contribute nothing beyond
-        what the fleet-level registry already recorded about them.
-        """
-        parts = [(self.registry.snapshot(), {})]
-        overhead: List[Dict] = []
-        summaries = [self.tracer.summary()]
-        for handle in self.replicas:
-            if handle.crashed:
-                continue
-            payload = handle.request(("metrics",))
-            if payload is None:
-                continue
-            parts.append(
-                (payload["registry"], {"replica": str(handle.replica_id)})
-            )
-            for row in payload["overhead"]:
-                row["replica"] = handle.replica_id
-                overhead.append(row)
-            summaries.append(payload["spans"])
-        return build_snapshot(
-            merge_snapshots(parts),
-            overhead=overhead,
-            spans=merge_span_summaries(summaries),
-        )

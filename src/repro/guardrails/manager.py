@@ -137,17 +137,11 @@ class GuardrailManager:
     def attach(self, tuner) -> None:
         """Bind to a tuner: resolve advice, register metrics.
 
-        Called by :class:`~repro.core.colt.ColtTuner` when constructed
+        Called by :class:`~repro.core.loop.TuningLoop` when constructed
         with a guardrail manager.
         """
         self._catalog = tuner.catalog
-        self._backend = getattr(tuner, "backend", None)
-        if self._backend is None and getattr(tuner, "optimizer", None) is not None:
-            # Legacy tuners expose only an optimizer; wrap it so the
-            # verification path below speaks one protocol.
-            from repro.backend.local import LocalBackend
-
-            self._backend = LocalBackend(optimizer=tuner.optimizer)
+        self._backend = tuner.backend
         self._pinned, self._banned, self._preferred = self.advice.resolve(
             tuner.catalog
         )

@@ -33,6 +33,7 @@ Usage::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -67,19 +68,9 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
     index.
     """
     so = tuner.self_organizer
-    candidates = []
-    for stats in tuner.profiler.candidates.ranked():
-        candidates.append(
-            {
-                "table": stats.index.table,
-                "columns": list(stats.index.columns),
-                "window": list(stats._window),  # noqa: SLF001 - owner module
-                "smoothed": stats.smoothed_benefit,
-            }
-        )
     return {
         "version": SNAPSHOT_VERSION,
-        "config": _config_to_dict(tuner.config),
+        "config": dataclasses.asdict(tuner.config),
         "materialized": [
             [ix.table, list(ix.columns)] for ix in tuner.materialized_set
         ],
@@ -97,7 +88,7 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
                 _key_text(t, cols): n for (t, cols), n in so._measured.items()
             },
         },
-        "candidates": candidates,
+        "candidates": _snapshot_candidates(tuner),
         "whatif_budget": tuner.profiler.whatif_budget,
         **(
             {"guardrails": tuner.guardrails.to_snapshot()}
@@ -128,21 +119,30 @@ def restore_tuner(
             structurally malformed snapshot (missing keys, wrong value
             types).
     """
+    return _checked_restore("colt", _restore_tuner, catalog, snapshot, store, observer)
+
+
+def _checked_restore(engine: str, restore, catalog, snapshot, store, observer):
+    """Validate a snapshot's envelope for ``engine``, then ``restore`` it.
+
+    Every structural failure inside ``restore`` surfaces as
+    :class:`SnapshotError`.
+    """
     if not isinstance(snapshot, dict):
         raise SnapshotError(f"snapshot must be a dict, got {type(snapshot).__name__}")
     if snapshot.get("version") != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"unsupported snapshot version {snapshot.get('version')!r}"
         )
-    engine = snapshot.get("engine", "colt")
-    if engine != "colt":
+    tagged = snapshot.get("engine", "colt")
+    if tagged != engine:
         raise SnapshotError(
-            f"engine mismatch: snapshot was written by the {engine!r} "
-            "engine, but a 'colt' tuner was requested (use restore_any, "
+            f"engine mismatch: snapshot was written by the {tagged!r} "
+            f"engine, but a {engine!r} tuner was requested (use restore_any, "
             "or restore with the matching --engine)"
         )
     try:
-        return _restore_tuner(catalog, snapshot, store, observer)
+        return restore(catalog, snapshot, store, observer)
     except SnapshotError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -155,22 +155,15 @@ def _restore_tuner(
     store: Optional[PhysicalStore],
     observer: Optional[CostObserver] = None,
 ) -> ColtTuner:
-    config = _config_from_dict(snapshot["config"])
-    guardrails = None
-    if "guardrails" in snapshot:
-        guardrails = GuardrailManager.from_snapshot(
-            snapshot["guardrails"], catalog, observer=observer
-        )
-    tuner = ColtTuner(catalog, config, store=store, guardrails=guardrails)
+    config = ColtConfig(**snapshot["config"])
+    tuner = ColtTuner(
+        catalog,
+        config,
+        store=store,
+        guardrails=_restore_guardrails(catalog, snapshot, observer),
+    )
     so = tuner.self_organizer
-
-    for table, columns in snapshot["materialized"]:
-        index = _resolve(catalog, table, columns)
-        if store is not None:
-            store.build_index(index)
-        else:
-            catalog.materialize_index(index)
-        so.materialized.add(index)
+    _restore_materialized(tuner, snapshot["materialized"], store)
     for table, columns in snapshot["hot"]:
         so.hot.add(_resolve(catalog, table, columns))
 
@@ -194,23 +187,21 @@ def snapshot_any(tuner) -> Dict:
     """Serialize any supported tuner, tagging the snapshot's engine.
 
     COLT snapshots stay byte-identical to :func:`snapshot_tuner` output
-    (no ``"engine"`` key -- old snapshots keep restoring); bandit
-    snapshots carry ``"engine": "bandit"`` for dispatch on load.
+    (no ``"engine"`` key -- old snapshots keep restoring); every other
+    engine's serializer tags its own name for dispatch on load.
 
     Raises:
-        SnapshotError: for a tuner type no serializer knows.
+        SnapshotError: for a tuner type the engine table does not list.
     """
-    if isinstance(tuner, ColtTuner):
-        return snapshot_tuner(tuner)
-    # Deferred import: repro.bandit imports repro.persist helpers.
-    from repro.bandit.persist import snapshot_bandit_tuner
-    from repro.bandit.tuner import BanditTuner
+    # Deferred import: the engine table imports this module's helpers.
+    from repro.engines import ENGINES
 
-    if isinstance(tuner, BanditTuner):
-        return snapshot_bandit_tuner(tuner)
-    raise SnapshotError(
-        f"no snapshot serializer for tuner type {type(tuner).__name__}"
-    )
+    spec = ENGINES.get(getattr(tuner, "engine_name", None))
+    if spec is None:
+        raise SnapshotError(
+            f"no snapshot serializer for tuner type {type(tuner).__name__}"
+        )
+    return spec.snapshot(tuner)
 
 
 def restore_any(
@@ -222,20 +213,21 @@ def restore_any(
 ):
     """Restore whichever tuner engine wrote the snapshot.
 
-    Dispatches on the snapshot's ``"engine"`` key: absent or ``"colt"``
-    restores a :class:`~repro.core.colt.ColtTuner`, ``"bandit"``
-    restores a :class:`~repro.bandit.tuner.BanditTuner`.
+    Dispatches on the snapshot's ``"engine"`` key through the engine
+    table (:data:`repro.engines.ENGINES`); an absent key means COLT.
 
     Args:
-        engine: Expected engine tag (``"colt"`` or ``"bandit"``); when
-            given, a snapshot written by a different engine fails with
-            a clear error instead of restoring the wrong tuner type.
+        engine: Expected engine tag; when given, a snapshot written by
+            a different engine fails with a clear error instead of
+            restoring the wrong tuner type.
 
     Raises:
         SnapshotError: for an unknown engine tag, a tag that does not
             match the requested ``engine``, or any malformed snapshot
             (same guarantees as the per-engine restorers).
     """
+    from repro.engines import ENGINES
+
     if not isinstance(snapshot, dict):
         raise SnapshotError(f"snapshot must be a dict, got {type(snapshot).__name__}")
     tagged = snapshot.get("engine", "colt")
@@ -244,15 +236,10 @@ def restore_any(
             f"engine mismatch: snapshot was written by the {tagged!r} "
             f"engine, but --engine {engine} was requested"
         )
-    if tagged == "colt":
-        return restore_tuner(catalog, snapshot, store=store, observer=observer)
-    if tagged == "bandit":
-        from repro.bandit.persist import restore_bandit_tuner
-
-        return restore_bandit_tuner(
-            catalog, snapshot, store=store, observer=observer
-        )
-    raise SnapshotError(f"unknown snapshot engine {tagged!r}")
+    spec = ENGINES.get(tagged)
+    if spec is None:
+        raise SnapshotError(f"unknown snapshot engine {tagged!r}")
+    return spec.restore(catalog, snapshot, store=store, observer=observer)
 
 
 def checksum(snapshot: Dict) -> str:
@@ -363,16 +350,6 @@ def load_or_quarantine(path: Union[str, pathlib.Path]) -> Optional[Dict]:
 
 
 # ----------------------------------------------------------------------
-def _config_to_dict(config: ColtConfig) -> Dict:
-    import dataclasses
-
-    return dataclasses.asdict(config)
-
-
-def _config_from_dict(data: Dict) -> ColtConfig:
-    return ColtConfig(**data)
-
-
 def _key_text(table: str, columns) -> str:
     return f"{table}:{','.join(columns)}"
 
@@ -399,7 +376,41 @@ def _parse_key(catalog: Catalog, text: str):
     return index.table, index.columns
 
 
-def _restore_candidates(tuner: ColtTuner, entries, config: ColtConfig) -> None:
+def _restore_guardrails(
+    catalog: Catalog, snapshot: Dict, observer: Optional[CostObserver]
+) -> Optional[GuardrailManager]:
+    """The snapshot's guardrail manager, quarantine clocks and all."""
+    if "guardrails" not in snapshot:
+        return None
+    return GuardrailManager.from_snapshot(
+        snapshot["guardrails"], catalog, observer=observer
+    )
+
+
+def _restore_materialized(tuner, entries, store: Optional[PhysicalStore]) -> None:
+    """Re-register ``M`` (physically rebuilt on a store), free of charge."""
+    for table, columns in entries:
+        index = _resolve(tuner.catalog, table, columns)
+        if store is not None:
+            store.build_index(index)
+        else:
+            tuner.catalog.materialize_index(index)
+        tuner.materialized.add(index)
+
+
+def _snapshot_candidates(tuner) -> list:
+    return [
+        {
+            "table": stats.index.table,
+            "columns": list(stats.index.columns),
+            "window": list(stats._window),  # noqa: SLF001 - owner module
+            "smoothed": stats.smoothed_benefit,
+        }
+        for stats in tuner.profiler.candidates.ranked()
+    ]
+
+
+def _restore_candidates(tuner, entries, config) -> None:
     from repro.core.candidates import CandidateStats
 
     tracker = tuner.profiler.candidates

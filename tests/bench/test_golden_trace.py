@@ -6,6 +6,9 @@ chosen materialized set, the boundary adds/drops, the hot set, the
 granted what-if budget, the improvement ratio, and the costs.  Any
 change to profiling, re-budgeting, the knapsack, or the scheduler that
 shifts a single decision fails loudly with the first diverging epoch.
+The same workload through the bandit engine is pinned the same way in
+``tests/data/golden_bandit_trace.json`` (reward probes, ridge updates,
+super-arm selection, safety fallback).
 
 When a change *intentionally* alters tuner behaviour, regenerate with:
 
@@ -26,6 +29,7 @@ from repro.workload.experiments import phase_distributions
 from repro.workload.phases import shifting_workload
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "data" / "golden_trace.json"
+GOLDEN_BANDIT_PATH = GOLDEN_PATH.with_name("golden_bandit_trace.json")
 
 PHASE_LENGTH = 60
 TRANSITION = 10
@@ -33,7 +37,7 @@ BUDGET_PAGES = 9_000.0
 SEED = 0
 
 
-def _traced_run():
+def _traced_run(engine="colt"):
     catalog = build_catalog()
     workload = shifting_workload(
         phase_distributions(),
@@ -43,7 +47,7 @@ def _traced_run():
         seed=SEED,
     )
     config = ColtConfig(storage_budget_pages=BUDGET_PAGES, seed=SEED)
-    return trace_run(catalog, workload.queries, config)
+    return trace_run(catalog, workload.queries, config, engine=engine)
 
 
 @pytest.fixture(scope="module")
@@ -51,18 +55,46 @@ def trace():
     return _traced_run()
 
 
-def test_golden_trace_exists_or_regenerates(trace):
+@pytest.fixture(scope="module")
+def bandit_trace():
+    return _traced_run("bandit")
+
+
+def _exists_or_regenerates(trace, path):
     if os.environ.get("GOLDEN_REGEN") == "1":
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(trace.to_json(indent=2) + "\n")
-    assert GOLDEN_PATH.exists(), (
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(trace.to_json(indent=2) + "\n")
+    assert path.exists(), (
         "golden trace missing -- regenerate with GOLDEN_REGEN=1 (see module "
         "docstring)"
     )
 
 
+def test_golden_trace_exists_or_regenerates(trace):
+    _exists_or_regenerates(trace, GOLDEN_PATH)
+
+
+def test_golden_bandit_trace_exists_or_regenerates(bandit_trace):
+    _exists_or_regenerates(bandit_trace, GOLDEN_BANDIT_PATH)
+
+
 def test_trace_matches_golden(trace):
-    golden = TunerTrace.from_json(GOLDEN_PATH.read_text())
+    _assert_matches(trace, TunerTrace.from_json(GOLDEN_PATH.read_text()))
+
+
+def test_bandit_trace_matches_golden(bandit_trace):
+    golden = TunerTrace.from_json(GOLDEN_BANDIT_PATH.read_text())
+    assert golden.engine == "bandit"
+    _assert_matches(bandit_trace, golden)
+    # The bandit pin must actually exercise decisions, not an idle run.
+    assert sum(len(e.added) for e in golden.epochs) >= 5
+    assert sum(len(e.dropped) for e in golden.epochs) >= 5
+    assert golden.total_whatif > 0
+
+
+def _assert_matches(trace, golden):
+    assert trace.engine == golden.engine
+    assert trace.config == golden.config
     assert len(trace.epochs) == len(golden.epochs)
     for current, pinned in zip(trace.epochs, golden.epochs):
         label = f"epoch {pinned.epoch}"

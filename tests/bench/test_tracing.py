@@ -110,3 +110,58 @@ class TestJsonRoundtrip:
         payload["epochs"][0].pop("execution_cost")
         with pytest.raises(ValueError, match="malformed"):
             TunerTrace.from_json(payload)
+
+
+class TestEngineTag:
+    """The trace payload names its engine; an absent tag means COLT."""
+
+    @pytest.fixture(scope="class", params=["colt", "bandit"])
+    def replica_trace(self, request):
+        from repro.fleet.replica import TunerReplica
+
+        catalog = build_catalog()
+        workload = stable_workload(stable_distribution(), 40, catalog, seed=1)
+        replica = TunerReplica(
+            0,
+            build_catalog(),
+            ColtConfig(storage_budget_pages=9_000.0),
+            engine=request.param,
+        )
+        for query in workload.queries:
+            replica.process(query)
+        return request.param, replica.trace()
+
+    def test_replica_trace_round_trips_for_every_engine(self, replica_trace):
+        # Regression: from_json rebuilt ColtConfig(**config), so a bandit
+        # replica's trace failed with "unexpected keyword argument 'alpha'".
+        from repro.bench.tracing import TunerTrace
+        from repro.engines import ENGINES
+
+        engine, trace = replica_trace
+        restored = TunerTrace.from_json(trace.to_json())
+        assert restored.engine == engine
+        assert isinstance(restored.config, ENGINES[engine].config_type)
+        assert restored.config == trace.config
+        assert restored.epochs == trace.epochs and len(trace.epochs) == 4
+
+    def test_colt_payload_carries_no_tag(self, trace):
+        import json
+
+        assert "engine" not in json.loads(trace.to_json())
+
+    def test_unknown_engine_tag_rejected(self, trace):
+        import json
+
+        from repro.bench.tracing import TunerTrace
+
+        payload = json.loads(trace.to_json())
+        payload["engine"] = "quantum"
+        with pytest.raises(ValueError, match="unknown engine"):
+            TunerTrace.from_json(payload)
+
+    def test_trace_run_serves_every_engine(self):
+        catalog = build_catalog()
+        workload = stable_workload(stable_distribution(), 30, catalog, seed=1)
+        bandit = trace_run(build_catalog(), workload.queries, engine="bandit")
+        assert bandit.engine == "bandit" and len(bandit.epochs) == 3
+        assert "exec cost" in bandit.render_timeline()

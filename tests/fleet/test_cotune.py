@@ -6,8 +6,8 @@ Two differential contracts anchor this file (ISSUE: parity satellite):
   the argument omitted) must be bit-identical to the pre-co-tuning
   coordinator across every routing policy and engine -- same outcomes,
   same what-if ledger, same total cost, same decision traces.  The
-  co-tuning hooks sit on the routing hot path and inside both tuners'
-  ``_close_epoch``, so "dormant" has to be proven, not assumed.
+  co-tuning hooks sit on the routing hot path and inside the tuning
+  loop's epoch close, so "dormant" has to be proven, not assumed.
 * **serial = workers at cotune=on.**  Partition routing, boundary
   probes, and advisory pushes all travel the worker pipe chunk-aligned;
   the multiprocess fleet must reproduce the serial coordinator's run

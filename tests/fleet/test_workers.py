@@ -110,6 +110,28 @@ class TestParity:
             ]
             assert worker_traces == serial_traces
 
+    def test_bandit_worker_traces_load_and_match_serial(self):
+        # Regression: a bandit replica's trace payload could not be
+        # loaded (from_json assumed ColtConfig).
+        from repro.bench.tracing import TunerTrace
+
+        queries = mixed_queries(40)
+        serial = FleetCoordinator(
+            build_small_catalog,
+            n_replicas=2,
+            config=make_config(),
+            fleet_epoch_length=10,
+            engine="bandit",
+        )
+        serial.run(queries)
+        with make_worker_fleet(workers=2, engine="bandit") as fleet:
+            fleet.run(queries)
+            payloads = fleet.replica_traces()
+        traces = [TunerTrace.from_json(payload) for payload in payloads]
+        assert [t.engine for t in traces] == ["bandit", "bandit"]
+        assert [t.epochs for t in traces] == [r.trace().epochs for r in serial.replicas]
+        assert any(t.epochs for t in traces)
+
     def test_client_ids_route_identically(self):
         queries = [eq_query(i + 1) for i in range(40)]
         client_ids = [i % 2 for i in range(40)]

@@ -199,10 +199,11 @@ class TestRunOnError:
         ]
         outcomes = tuner.run(queries, on_error="skip")
         ended = [o.index for o in outcomes if o.epoch_ended]
-        # Failed arrivals tick the epoch clock but cannot themselves
-        # close an epoch: queries 4 and 19 failed, so those boundaries
-        # are skipped and their statistics roll into the next epoch.
-        assert ended == [9, 14]
+        # Failed arrivals tick the epoch clock and, landing on a
+        # boundary, close it: queries 4 and 19 failed, yet no epoch is
+        # skipped (a skipped close would leave #WI_lim pre-spent).
+        assert ended == [4, 9, 14, 19]
+        assert outcomes[4].failed and outcomes[4].reorganization is not None
         assert tuner.queries_seen == 20
 
     def test_unknown_mode_rejected(self, small_catalog):
