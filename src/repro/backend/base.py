@@ -159,21 +159,18 @@ class Backend:
         return config
 
     def begin_query(self, query: Query) -> WhatIfSession:
-        """Normally optimize ``query`` and open a what-if session for it."""
+        """Normally optimize ``query`` and open a what-if session for it.
+
+        ``query`` must not be mutated once a backend has seen it: a
+        backend may recognize the object when it arrives again (see
+        :meth:`LocalBackend.begin_query
+        <repro.backend.local.LocalBackend.begin_query>`).  This base
+        implementation starts every session from an empty plan cache;
+        it is the reference an overriding backend must equal.
+        """
         cache = PlanCache()
         base = self.optimize(query, cache=cache)
         return WhatIfSession(query=query, base=base, cache=cache)
-
-    def begin_queries(self, queries) -> list:
-        """Open what-if sessions for a whole batch, in batch order.
-
-        The default is the per-query loop; batch-aware backends (the
-        :class:`~repro.core.batching.BatchedPricer` memo, a future
-        server adapter pipelining EXPLAINs) override this to share work
-        across the batch.  Results MUST be element-wise identical to
-        the loop -- the batched-path property tests enforce it.
-        """
-        return [self.begin_query(query) for query in queries]
 
     def optimize(
         self,
@@ -237,22 +234,6 @@ class Backend:
         """The currently simulated (hypothetical) index set."""
         return frozenset()
 
-    def config_token(self) -> Optional[tuple]:
-        """Cheap validity token covering *everything* ``optimize`` sees.
-
-        When non-``None``, two equal tokens assert the backend would
-        price any query identically: the materialized set, the simulated
-        set, and every table's statistics are all unchanged.  Batch
-        memos (:class:`~repro.core.batching.BatchedPricer`) use it to
-        validate a hit with one tuple compare instead of recomputing
-        the relevant configuration and per-table stats tokens per
-        lookup.  The default returns ``None`` ("no cheap token"),
-        which is always safe: callers must then fall back to the full
-        self-validating key.  Only backends that fully own their
-        pricing state (the local engine) should implement it.
-        """
-        return None
-
     # -- statistics ----------------------------------------------------
     def stats_token(self, table: str) -> StatsToken:
         """Freshness token for ``table``'s statistics.
@@ -260,10 +241,10 @@ class Backend:
         Two equal tokens assert the backend would price queries over the
         table identically; any stats-affecting mutation must change the
         token.  The default combines the logical row count with the
-        catalog's monotonically bumped ``stats_version``.
+        catalog's monotonically bumped ``stats_version`` (row-count
+        changes, ``set_stats``, materialized views on the table).
         """
-        tdef = self.catalog.table(table)
-        return (tdef.row_count, self.catalog.stats_version(table))
+        return self.catalog.stats_token(table)
 
     def refresh_stats(self, table: str) -> None:
         """Recompute (or mark changed) statistics for ``table``."""

@@ -8,6 +8,12 @@ optimizer prices arbitrary configurations symbolically, hypothetical
 indexes need no server-side state -- ``simulate_index`` just folds the
 index into :meth:`current_config`.
 
+Sessions are where it departs from the base class: a stream that hands
+the same bound ``Query`` object in again (``repro replay``, the fleet
+workers' interned transfer) gets its :class:`~repro.optimizer.optimizer.
+PlanCache` back for as long as the statistics of its tables hold, see
+:meth:`LocalBackend.begin_query`.
+
 The backend doubles as the trace *recorder*: pass a
 :class:`~repro.backend.trace.CostTraceRecorder` and every priced
 (query, relevant-config) pair is logged, producing the trace a
@@ -16,6 +22,8 @@ The backend doubles as the trace *recorder*: pass a
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
 from typing import Dict, Optional
 
 from repro.backend.base import (
@@ -34,6 +42,20 @@ from repro.optimizer.optimizer import (
 from repro.sql.ast import Query
 
 __all__ = ["LocalBackend"]
+
+
+class _LiveQuery(weakref.ref):
+    """What the backend keeps for one live ``Query`` object.
+
+    Attributes:
+        key: ``id`` of the query, its key in the live table.
+        token: Validity token at the last sighting
+            (:meth:`LocalBackend._validity_token`).
+        cache: The retained plan cache, or None while the query has been
+            seen only once under ``token``.
+    """
+
+    __slots__ = ("key", "token", "cache")
 
 
 class LocalBackend(Backend):
@@ -69,6 +91,9 @@ class LocalBackend(Backend):
         self.optimizer = optimizer
         self.recorder = recorder
         self._simulated: Dict[IndexDef, None] = {}
+        # id(query) -> its _LiveQuery; the entry goes when the query does.
+        self._live: Dict[int, _LiveQuery] = {}
+        self._forget = lambda ref, live=self._live: live.pop(ref.key, None)
 
     @property
     def catalog(self) -> Catalog:
@@ -97,18 +122,55 @@ class LocalBackend(Backend):
             self.recorder.record(query, config, result)
         return result
 
-    def config_token(self):
-        """One-integer validity token (see :meth:`Backend.config_token`).
+    def begin_query(self, query: Query) -> WhatIfSession:
+        """Open a what-if session, on the query's retained plan cache
+        when this very object has been here before.
 
-        The local backend owns all of its pricing state: the catalog
-        (whose ``generation`` counter is bumped by every stats change
-        and every materialization change) plus the simulated-index set.
-        The two tuple shapes cannot collide: the simulated set is only
-        appended when non-empty.
+        Everything a :class:`PlanCache` holds is a function of the query
+        and its tables' statistics, or is keyed inside it by the relevant
+        configuration, so a cache stays exact for as long as the query's
+        validity token is unchanged -- materialization changes need no
+        invalidation.  The live table is keyed by object identity and
+        holds the query weakly: an entry disappears with its query, so a
+        stream that never repeats an object retains nothing.  A cache is
+        kept from the *second* sighting under one token (the first only
+        stores the token); retaining on the first sighting makes the
+        collector traverse entries that die a few hundred events later
+        (measured in ``docs/PERFORMANCE.md``).
+
+        The session always comes out of one ``self.optimize`` call under
+        the current configuration -- a ``plans`` hit on a retained cache
+        -- so call counters and the trace recorder see what the base
+        class would show them.
         """
-        if self._simulated:
-            return (self.optimizer.catalog.generation, frozenset(self._simulated))
-        return (self.optimizer.catalog.generation,)
+        token = self._validity_token(query)
+        key = id(query)
+        entry = self._live.get(key)
+        if entry is None:
+            entry = self._live[key] = _LiveQuery(query, self._forget)
+            entry.key = key
+            entry.token = None  # equals no token: first sighting below
+        if entry.token != token:
+            entry.token = token
+            entry.cache = None
+            cache = PlanCache()
+        else:
+            cache = entry.cache
+            if cache is None:
+                cache = entry.cache = PlanCache()
+        config = self.current_config()
+        base = self.optimize(query, config=config, cache=cache)
+        if base.config is not config and base.config != config:
+            # A retained plan answers for every configuration with the
+            # same relevant restriction; the session's base names this one.
+            base = dataclasses.replace(base, config=config)
+        return WhatIfSession(query=query, base=base, cache=cache)
+
+    def _validity_token(self, query: Query) -> tuple:
+        """Every input of ``Optimizer.optimize`` that is not in the plan
+        key: the cost parameters and the statistics token of each table."""
+        catalog = self.optimizer.catalog
+        return (catalog.params, *map(catalog.stats_token, query.tables))
 
     # -- hypothetical indexes ------------------------------------------
     def simulate_index(self, index: IndexDef) -> None:

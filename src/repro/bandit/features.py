@@ -113,7 +113,7 @@ class FeatureMap:
             _log_damp(window),
             min(4.0, self._catalog.index_size_pages(index) / self._budget),
             math.log10(1.0 + max(0, table.row_count)),
-            1.0 if index in set(materialized) else 0.0,
+            1.0 if index in materialized else 0.0,
             _log_damp(self._read_rate.get(index.table, 0.0)),
             _log_damp(self._write_rate.get(index.table, 0.0)),
             float(len(index.columns)),

@@ -14,7 +14,8 @@ inverse with partial pivoting is both fast enough and dependency-free
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from operator import mul
+from typing import Dict, List, Optional, Sequence
 
 
 def mat_identity(dim: int, scale: float = 1.0) -> List[List[float]]:
@@ -26,14 +27,12 @@ def mat_identity(dim: int, scale: float = 1.0) -> List[List[float]]:
 
 def mat_vec(matrix: Sequence[Sequence[float]], vector: Sequence[float]) -> List[float]:
     """Matrix-vector product."""
-    return [
-        sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix
-    ]
+    return [sum(map(mul, row, vector)) for row in matrix]
 
 
 def dot(a: Sequence[float], b: Sequence[float]) -> float:
     """Inner product."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def mat_inverse(matrix: Sequence[Sequence[float]]) -> List[List[float]]:
@@ -97,7 +96,9 @@ class RidgeModel:
         self.v = mat_identity(dim, lambda_reg)
         self.b = [0.0] * dim
         self.updates = 0
-        self._inv: List[List[float]] | None = None
+        # Derived from (v, b); dropped whenever either moves.
+        self._inv: Optional[List[List[float]]] = None
+        self._theta: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
     def update(self, x: Sequence[float], reward: float) -> None:
@@ -113,7 +114,7 @@ class RidgeModel:
                 row[j] += xi * x[j]
             self.b[i] += reward * xi
         self.updates += 1
-        self._inv = None
+        self._inv = self._theta = None
 
     def decay(self) -> None:
         """Age the evidence: ``V <- gamma V + (1-gamma) lambda I``.
@@ -132,7 +133,7 @@ class RidgeModel:
                 row[j] *= g
             row[i] += (1.0 - g) * self.lambda_reg
             self.b[i] *= g
-        self._inv = None
+        self._inv = self._theta = None
 
     # ------------------------------------------------------------------
     def _inverse(self) -> List[List[float]]:
@@ -141,8 +142,11 @@ class RidgeModel:
         return self._inv
 
     def theta(self) -> List[float]:
-        """The ridge point estimate ``V^-1 b``."""
-        return mat_vec(self._inverse(), self.b)
+        """The ridge point estimate ``V^-1 b`` (evaluated once per model
+        state; callers must not modify the returned list)."""
+        if self._theta is None:
+            self._theta = mat_vec(self._inverse(), self.b)
+        return self._theta
 
     def mean(self, x: Sequence[float]) -> float:
         """Predicted reward ``theta^T x``."""
@@ -155,10 +159,7 @@ class RidgeModel:
 
     def ucb(self, x: Sequence[float], alpha: float) -> float:
         """Optimistic reward estimate ``theta^T x + alpha * width(x)``."""
-        inv = self._inverse()
-        mean = dot(mat_vec(inv, self.b), x)
-        quad = dot(x, mat_vec(inv, x))
-        return mean + alpha * math.sqrt(max(0.0, quad))
+        return self.mean(x) + alpha * self.width(x)
 
     # ------------------------------------------------------------------
     def to_snapshot(self) -> Dict:

@@ -4,7 +4,7 @@
 and collects per-query ledgers; ``figures`` turns those ledgers into the
 exact series each figure of the paper plots; ``replay`` is the
 throughput driver (wall-clock QPS and latency percentiles over 1M+
-event streams, serial vs batched vs multiprocess fleet).
+event streams, serial vs multiprocess fleet).
 """
 
 from repro.bench.harness import (

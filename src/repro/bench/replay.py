@@ -11,13 +11,9 @@ read back with :mod:`repro.obs.quantiles` -- the same machinery a
 production dashboard would use, and the machinery the multiprocess
 fleet needs anyway (workers ship bucket counts, never raw samples).
 
-Three modes, compared in ``BENCH_throughput.json``:
+Two modes, compared in ``BENCH_throughput.json``:
 
 * ``serial``   -- one tuner, one process, per-query loop (baseline);
-* ``batched``  -- one tuner whose backend is wrapped in the
-  :class:`~repro.core.batching.BatchedPricer`, fed chunk-at-a-time so
-  binding/signature work and base optimizations amortize across the
-  batch (decisions bit-identical to ``serial``);
 * ``workers``  -- a :class:`~repro.fleet.workers.WorkerFleetCoordinator`
   running N replicas on N cores (decisions bit-identical per replica to
   the single-process fleet).
@@ -33,10 +29,9 @@ import pathlib
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.backend.local import LocalBackend
-from repro.core.batching import BatchedPricer, SignatureInterner
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
+from repro.core.loop import TuningLoop
 from repro.engine.catalog import Catalog
 from repro.obs.names import REPLAY_METRICS
 from repro.obs.quantiles import merge_histogram_samples, summarize_sample
@@ -56,9 +51,6 @@ __all__ = [
 
 #: Default mean arrival rate for generated streams, events/second.
 DEFAULT_ARRIVAL_RATE = 2000.0
-
-#: Default hot-path chunk size for the batched mode.
-DEFAULT_BATCH_SIZE = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,8 +77,8 @@ class ReplayStream:
     a finite base workload out to ``events`` arrivals and stamps each
     with a seeded exponential inter-arrival time (a Poisson process,
     the standard open-loop arrival model).  Cycling reuses the *same
-    query objects*, which is exactly what the identity-keyed memos in
-    the batched hot path exploit.
+    query objects*, which the local backend recognizes (it keeps a live
+    query's plan cache while the statistics of its tables hold).
 
     Args:
         queries: Base queries, in order.
@@ -174,7 +166,7 @@ class ReplayReport:
     """What one replay run measured.
 
     Attributes:
-        mode: ``serial`` / ``batched`` / ``fleet-serial`` / ``workers``.
+        mode: ``serial`` / ``fleet-serial`` / ``workers``.
         events: Arrivals processed.
         wall_seconds: Wall-clock duration of the processing loop.
         qps: ``events / wall_seconds``.
@@ -185,7 +177,7 @@ class ReplayReport:
             decision-equivalent modes).
         whatif_calls: Ledger what-if calls (same anchor).
         failed: Queries recorded as failed.
-        detail: Mode-specific extras (memo hit rates, worker count...).
+        detail: Mode-specific extras (engine, worker count...).
     """
 
     mode: str
@@ -204,41 +196,20 @@ class ReplayReport:
 
 
 def build_replay_tuner(
-    catalog: Catalog,
-    config: Optional[ColtConfig] = None,
-    batched: bool = False,
-    interner: Optional[SignatureInterner] = None,
+    catalog: Catalog, config: Optional[ColtConfig] = None
 ) -> ColtTuner:
     """A tuner wired for replay: local backend, metrics off the hot path.
 
-    With ``batched=True`` the backend is wrapped in a
-    :class:`BatchedPricer` (decision-preserving; see
-    ``repro/core/batching.py``) and the candidate tracker's mining +
-    crude-benefit computation is memoized through the same signature
-    interner (also decision-preserving; see
-    :meth:`~repro.core.candidates.CandidateTracker.use_interner`).
     The tuner's own registry is disabled -- the driver measures with
-    its own registry -- so both modes pay identical instrumentation
+    its own registry -- so every mode pays identical instrumentation
     costs.
     """
-    backend: object = LocalBackend(catalog)
-    if batched:
-        backend = BatchedPricer(backend, interner=interner)
-    tuner = ColtTuner(
-        catalog,
-        config,
-        backend=backend,
-        registry=MetricsRegistry(enabled=False),
-    )
-    if batched:
-        tuner.profiler.candidates.use_interner(backend.interner)
-    return tuner
+    return ColtTuner(catalog, config, registry=MetricsRegistry(enabled=False))
 
 
 def _driver_metrics(registry: MetricsRegistry):
     return (
         REPLAY_METRICS["replay_queries_total"].build(registry),
-        REPLAY_METRICS["replay_batches_total"].build(registry),
         REPLAY_METRICS["replay_query_latency_seconds"].build(registry),
     )
 
@@ -251,71 +222,43 @@ def _latency_summary(histogram) -> Dict[str, Optional[float]]:
 
 
 def replay_serial(
-    tuner: ColtTuner,
+    tuner: TuningLoop,
     stream: ReplayStream,
-    batch_size: Optional[int] = None,
     registry: Optional[MetricsRegistry] = None,
     on_error: str = "raise",
 ) -> ReplayReport:
     """Replay a stream through one tuner, timing every query.
 
     Args:
-        tuner: The tuner under test (build with :func:`build_replay_tuner`).
+        tuner: The tuner under test, of any engine (the CLI builds a
+            COLT one with :func:`build_replay_tuner`).
         stream: The event stream.
-        batch_size: When given, the stream is fed chunk-at-a-time: the
-            gain cache is primed per chunk and the backend's
-            ``begin_queries`` warms the batched pricer's memo before
-            the per-query loop (the ``batched`` mode).  None processes
-            strictly one query at a time (the ``serial`` baseline).
         registry: Registry for the driver's ``replay_*`` families;
             fresh when omitted.
         on_error: ``"raise"`` or ``"skip"`` (forwarded to the tuner).
     """
     registry = registry if registry is not None else MetricsRegistry()
-    m_queries, m_batches, m_latency = _driver_metrics(registry)
+    m_queries, m_latency = _driver_metrics(registry)
     perf = time.perf_counter
     total_cost = 0.0
     whatif_calls = 0
     failed = 0
     events = 0
-    gain_cache = tuner.profiler.gain_cache
-    backend = tuner.whatif.backend
-    batched = batch_size is not None
 
     started = perf()
-    if batched:
-        for chunk in stream.chunks(batch_size):
-            queries = [e.query for e in chunk]
-            gain_cache.prime_batch(queries)
-            backend.begin_queries(queries)
-            m_batches.inc()
-            for event in chunk:
-                t0 = perf()
-                outcome = tuner.run([event.query], on_error=on_error)[0]
-                m_latency.observe(perf() - t0)
-                total_cost += outcome.total_cost
-                whatif_calls += outcome.whatif_calls
-                failed += outcome.failed
-                events += 1
-    else:
-        for event in stream:
-            t0 = perf()
-            outcome = tuner.run([event.query], on_error=on_error)[0]
-            m_latency.observe(perf() - t0)
-            total_cost += outcome.total_cost
-            whatif_calls += outcome.whatif_calls
-            failed += outcome.failed
-            events += 1
+    for event in stream:
+        t0 = perf()
+        outcome = tuner.run([event.query], on_error=on_error)[0]
+        m_latency.observe(perf() - t0)
+        total_cost += outcome.total_cost
+        whatif_calls += outcome.whatif_calls
+        failed += outcome.failed
+        events += 1
     wall = perf() - started
     m_queries.inc(events)
 
-    detail: Dict = {"engine": "colt"}
-    if isinstance(backend, BatchedPricer):
-        detail["memo_hits"] = backend.hits
-        detail["memo_misses"] = backend.misses
-        detail["gaincache_hits"] = gain_cache.hits
     return ReplayReport(
-        mode="batched" if batched else "serial",
+        mode="serial",
         events=events,
         wall_seconds=wall,
         qps=events / wall if wall > 0 else 0.0,
@@ -323,7 +266,7 @@ def replay_serial(
         total_cost=total_cost,
         whatif_calls=whatif_calls,
         failed=failed,
-        detail=detail,
+        detail={"engine": tuner.engine_name},
     )
 
 
@@ -344,7 +287,7 @@ def replay_fleet(
     boundary.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    m_queries, m_batches, m_latency = _driver_metrics(registry)
+    m_queries, m_latency = _driver_metrics(registry)
     perf = time.perf_counter
 
     events = list(stream)
@@ -414,8 +357,8 @@ def write_throughput_report(
         "benchmark": "replay-throughput",
         "description": (
             "Wall-clock QPS and latency percentiles for the replay "
-            "driver: serial vs batched hot path vs multiprocess fleet "
-            "workers (see docs/PERFORMANCE.md)."
+            "driver: serial vs multiprocess fleet workers (see "
+            "docs/PERFORMANCE.md)."
         ),
         "meta": dict(meta or {}),
         "modes": by_mode,

@@ -366,15 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument(
         "--mode",
-        choices=("serial", "batched", "workers", "all"),
+        choices=("serial", "workers", "all"),
         default="all",
         help="which serving paths to measure",
-    )
-    pp.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        help="hot-path chunk size for the batched mode",
     )
     pp.add_argument(
         "--workers",
@@ -976,9 +970,7 @@ def _run_replay(args) -> None:
         raise ValueError("--events must be positive")
     if args.workers < 1:
         raise ValueError("--workers must be positive")
-    modes = (
-        ("serial", "batched", "workers") if args.mode == "all" else (args.mode,)
-    )
+    modes = ("serial", "workers") if args.mode == "all" else (args.mode,)
     config = ColtConfig(storage_budget_pages=args.budget)
     catalog = build_catalog()
     phases = phase_distributions()
@@ -1012,9 +1004,6 @@ def _run_replay(args) -> None:
         if mode == "serial":
             tuner = build_replay_tuner(build_catalog(), config)
             report = replay_serial(tuner, stream)
-        elif mode == "batched":
-            tuner = build_replay_tuner(build_catalog(), config, batched=True)
-            report = replay_serial(tuner, stream, batch_size=args.batch_size)
         else:
             fleet = FleetCoordinator(
                 build_catalog,
@@ -1055,7 +1044,6 @@ def _run_replay(args) -> None:
             reports,
             meta={
                 "events": args.events,
-                "batch_size": args.batch_size,
                 "workers": args.workers,
                 "seed": args.seed,
                 "base_workload": merged.description,

@@ -84,26 +84,6 @@ class CandidateTracker:
         self._smoothing = smoothing
         self._composite = composite
         self._stats: Dict[Tuple[str, Tuple[str, ...]], CandidateStats] = {}
-        self._interner = None
-        # sig index -> (per-table stats versions, [(index, crude)]):
-        # see use_interner.
-        self._crude_memo: Dict[int, Tuple[Tuple, List[Tuple[IndexDef, float]]]] = {}
-
-    def use_interner(self, interner) -> None:
-        """Memoize mining + crude costs through a signature interner.
-
-        Mining and ``crude_index_delta_cost`` are pure functions of the
-        query's structure (literals included in the signature) and the
-        catalog's statistics, so their results are cached per signature
-        and revalidated against the per-table stats versions of the
-        query's tables -- the exact inputs the crude formulas read.
-        The ``u`` indicator (plan actually used the index) is applied
-        *outside* the memo, so credited gains are bit-identical to the
-        unmemoized loop.  Used by the batched replay driver; plain
-        tuners keep the original per-query computation.
-        """
-        self._interner = interner
-        self._crude_memo.clear()
 
     def __len__(self) -> int:
         return len(self._stats)
@@ -160,25 +140,25 @@ class CandidateTracker:
     def _mined_with_crude(self, query: Query, cache: PlanCache) -> List[Tuple[IndexDef, float]]:
         """``(candidate, crude delta cost)`` pairs for one query.
 
-        With an interner attached (see :meth:`use_interner`) the pairs
-        are served from a signature-keyed memo validated against the
-        stats versions of the query's tables; otherwise they are
-        computed fresh, every index mined on a table against that
-        table's one baseline in ``cache``.
+        Mining and ``crude_index_delta_cost`` are pure functions of the
+        query, the statistics and this tracker's ``composite`` setting,
+        so the pairs are kept in ``cache`` under that setting: a backend
+        that retains the cache across sightings of one query object
+        serves them again.  The ``u`` indicator is applied by the caller,
+        outside the memo.  Every index mined on a table is priced against
+        that table's one baseline in ``cache``.
         """
-        if self._interner is not None:
-            _, sig_index = self._interner.signature_index(query)
-            versions = tuple(self._catalog.stats_version(t) for t in query.tables)
-            cached = self._crude_memo.get(sig_index)
-            if cached is not None and cached[0] == versions:
-                return cached[1]
-        pairs = []
-        for index in self._mined_indexes(query):
-            scan = cache.scan(self._catalog, query, index.table)
-            crude = crude_index_delta_cost(self._catalog, index, scan.filters, scan)
-            pairs.append((index, crude))
-        if self._interner is not None:
-            self._crude_memo[sig_index] = (versions, pairs)
+        held = cache.crude
+        if held is None:
+            held = cache.crude = [None, None]
+        pairs = held[self._composite]
+        if pairs is None:
+            pairs = []
+            for index in self._mined_indexes(query):
+                scan = cache.scan(self._catalog, query, index.table)
+                crude = crude_index_delta_cost(self._catalog, index, scan.filters, scan)
+                pairs.append((index, crude))
+            held[self._composite] = pairs
         return pairs
 
     def _mined_indexes(self, query: Query) -> List[IndexDef]:

@@ -15,10 +15,11 @@ in a dictionary.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
+from repro.optimizer.optimizer import PlanCache
 from repro.optimizer.selectivity import predicate_selectivity
 from repro.sql.ast import Query
 
@@ -33,8 +34,19 @@ ClusterKey = Tuple[
 ]
 
 
-def cluster_key(query: Query, catalog: Catalog) -> ClusterKey:
-    """Compute the cluster key for a bound query."""
+def cluster_key(
+    query: Query, catalog: Catalog, cache: Optional[PlanCache] = None
+) -> ClusterKey:
+    """Compute the cluster key for a bound query.
+
+    ``cache`` is the plan cache of the query's what-if session where
+    there is one: the key :meth:`ClusterStore.assign` left in it is
+    returned, or else the filters' selectivities are read from its
+    scans.  Callers without a session (the fleet router) leave it out
+    and every selectivity is evaluated here.
+    """
+    if cache is not None and cache.cluster_key is not None:
+        return cache.cluster_key
     tables = tuple(sorted(query.tables))
     joins = []
     for join in query.joins:
@@ -44,7 +56,10 @@ def cluster_key(query: Query, catalog: Catalog) -> ClusterKey:
         )
     selections = []
     for pred in query.filters:
-        sel = predicate_selectivity(catalog, pred)
+        if cache is None:
+            sel = predicate_selectivity(catalog, pred)
+        else:
+            sel = cache.scan(catalog, query, pred.column.table).sel_of[id(pred)]
         klass = "S" if sel <= SELECTIVE_THRESHOLD else "N"
         selections.append((pred.column.table, pred.column.column, klass))
     return tables, tuple(sorted(joins)), tuple(sorted(selections))
@@ -129,15 +144,18 @@ class ClusterStore:
         self._by_id: Dict[int, Cluster] = {}
         self._next_id = 0
 
-    def assign(self, query: Query) -> Cluster:
-        """Assign a query to its (possibly new) cluster."""
-        key = cluster_key(query, self._catalog)
+    def assign(self, query: Query, cache: Optional[PlanCache] = None) -> Cluster:
+        """Assign a query to its (possibly new) cluster (``cache`` as for
+        :func:`cluster_key`)."""
+        key = cluster_key(query, self._catalog, cache)
         cluster = self._clusters.get(key)
         if cluster is None:
             cluster = Cluster(key, self._next_id, self._history)
             self._next_id += 1
             self._clusters[key] = cluster
             self._by_id[cluster.cluster_id] = cluster
+        if cache is not None:
+            cache.cluster_key = cluster.key  # one key object per cluster
         cluster.epoch_count += 1
         return cluster
 

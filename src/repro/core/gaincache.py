@@ -135,6 +135,71 @@ def query_signature(query: Query) -> Tuple:
     )
 
 
+class SignatureInterner:
+    """Compute-once, share-everything query signatures.
+
+    Two layers of reuse:
+
+    * identity: the signature of a query *object* is computed once
+      (replay streams cycle the same objects, so this is the common
+      hit);
+    * structure: equal signatures from distinct objects are interned to
+      a single tuple, so hash-heavy consumers compare and hash one
+      shared object.
+
+    The interner holds strong references to the queries it has seen --
+    that is what makes the ``id()`` fast path sound (a dead object's id
+    can be reused; a live one's cannot).  Call :meth:`clear` between
+    unrelated streams.
+    """
+
+    def __init__(self) -> None:
+        self._by_id: Dict[int, Tuple[Query, Tuple, int]] = {}
+        self._interned: Dict[Tuple, Tuple] = {}
+        self._index: Dict[Tuple, int] = {}
+        # Never reset, even by clear(): signature indices are unique
+        # for the interner's whole lifetime, so a consumer that keys a
+        # cache by index and misses a clear() can only miss, never
+        # silently alias two distinct signatures.
+        self._next_index = 0
+
+    def __len__(self) -> int:
+        return len(self._interned)
+
+    def signature(self, query: Query) -> Tuple:
+        """The (interned) structural signature of ``query``."""
+        return self.signature_index(query)[0]
+
+    def signature_index(self, query: Query) -> Tuple[Tuple, int]:
+        """``(signature, index)`` for ``query``.
+
+        The index is a small integer unique to the signature's
+        *structure*: equal signatures share one index, distinct ones
+        never do.  Hash-heavy consumers key their memos by it instead
+        of the (large, hash-uncached) signature tuple, turning every
+        probe into an int hash.  Indices are never reused, even across
+        :meth:`clear`.
+        """
+        hit = self._by_id.get(id(query))
+        if hit is not None and hit[0] is query:
+            return hit[1], hit[2]
+        sig = query_signature(query)
+        sig = self._interned.setdefault(sig, sig)
+        index = self._index.get(sig)
+        if index is None:
+            index = self._next_index
+            self._next_index += 1
+            self._index[sig] = index
+        self._by_id[id(query)] = (query, sig, index)
+        return sig, index
+
+    def clear(self) -> None:
+        """Drop all memoized signatures (and the query references)."""
+        self._by_id.clear()
+        self._interned.clear()
+        self._index.clear()
+
+
 def referenced_columns(query: Query) -> FrozenSet[Tuple[str, str]]:
     """(table, column) pairs referenced by filters or join predicates.
 
@@ -182,16 +247,7 @@ class GainCacheContext:
         self._qsig: Optional[Tuple] = None
         self._csig: Optional[FrozenSet[IndexKey]] = None
         self._tokens: Optional[Tuple[Tuple[str, StatsToken], ...]] = None
-        # Batch priming (see GainCache.prime_batch): when the replay
-        # driver announced this exact query object, its signature and
-        # referenced-column set were computed once for the whole batch.
-        # The identity check guards against id() reuse across batches.
-        primed = cache._primed.get(id(query))
-        if primed is not None and primed[0] is query:
-            self._qsig = primed[1]
-            self.referenced = primed[2]
-        else:
-            self.referenced = referenced_columns(query)
+        self.referenced = referenced_columns(query)
 
     # -- lazily computed key parts -------------------------------------
     def _key(self, index: IndexDef) -> Tuple:
@@ -282,7 +338,6 @@ class GainCache:
         self.ttl_epochs = max(1, ttl_epochs)
         self.max_entries = max(1, max_entries)
         self._entries: Dict[Tuple, _Entry] = {}
-        self._primed: Dict[int, Tuple[Query, Tuple, FrozenSet]] = {}
         self._epoch = 0
         self.hits_structural = 0
         self.hits_exact = 0
@@ -311,33 +366,6 @@ class GainCache:
         """Open a per-query cache view (signatures computed lazily, once)."""
         return GainCacheContext(self, query)
 
-    def prime_batch(self, queries: Iterable[Query]) -> int:
-        """Precompute signature work for a whole batch of queries.
-
-        The replay driver's batched mode calls this once per chunk so
-        the per-query contexts opened inside the chunk skip their
-        ``query_signature`` / ``referenced_columns`` computation --
-        duplicated query objects (the common case in a replayed stream,
-        and guaranteed by :func:`~repro.core.batching.bind_batch`'s
-        sharing) are computed exactly once.  Purely a precomputation:
-        lookups, stores and invalidation behave bit-identically with or
-        without priming.
-
-        Returns:
-            The number of distinct query objects primed.
-        """
-        primed: Dict[int, Tuple[Query, Tuple, FrozenSet]] = {}
-        for query in queries:
-            key = id(query)
-            if key not in primed:
-                primed[key] = (
-                    query,
-                    query_signature(query),
-                    referenced_columns(query),
-                )
-        self._primed = primed
-        return len(primed)
-
     # ------------------------------------------------------------------
     # Signature plumbing
     # ------------------------------------------------------------------
@@ -358,8 +386,7 @@ class GainCache:
         backend = getattr(self._whatif, "backend", None)
         if backend is not None:
             return backend.stats_token(table)
-        tdef = self._catalog.table(table)
-        return tdef.row_count, self._catalog.stats_version(table)
+        return self._catalog.stats_token(table)
 
     # ------------------------------------------------------------------
     # Invalidation

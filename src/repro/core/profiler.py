@@ -202,7 +202,7 @@ class Profiler(ProfilerBase):
             The profiling outcome (cluster, probed indexes, gains).
         """
         self.breaker.tick()
-        cluster = self.clusters.assign(query)
+        cluster = self.clusters.assign(query, session.cache)
         used = session.base.plan.indexes_used()
 
         # I_M: materialized indexes used in the plan (paper line 3).

@@ -183,8 +183,20 @@ class Catalog:
         :meth:`apply_row_delta` and :meth:`set_row_count` all bump it --
         the version alone distinguishes a delete-then-insert that
         restores the original row count, which ``row_count`` cannot.
+        So do :meth:`materialize_view` and :meth:`drop_view`: a view
+        changes how queries over its base table are priced.
         """
         return self._stats_versions.get(table, 0)
+
+    def stats_token(self, table: str) -> Tuple[float, int]:
+        """``(row_count, stats_version)`` of a table: equal tokens mean
+        queries over it are priced identically (a direct ``row_count``
+        assignment shows in the first component).
+
+        Raises:
+            KeyError: if the table does not exist.
+        """
+        return self._tables[table].row_count, self._stats_versions.get(table, 0)
 
     @property
     def generation(self) -> int:
@@ -194,10 +206,9 @@ class Catalog:
         Bumped by each per-table stats bump *and* by every
         materialization change (index or view create/drop).  An
         unchanged generation therefore proves the optimizer would see
-        an identical catalog, which is what lets batch-level memos
-        (:class:`repro.core.batching.BatchedPricer`) validate a hit
-        with one integer compare instead of recomputing the relevant
-        configuration and per-table stats tokens on every lookup.
+        an identical catalog (``Optimizer.current_config`` and the
+        profiler's cluster signatures are re-derived once per
+        generation).
         """
         return self._generation
 
@@ -332,13 +343,13 @@ class Catalog:
         existing = self._views.get(view.name)
         if existing is not None and existing != view:
             raise ValueError(f"view {view.name!r} already exists")
+        self.bump_stats_version(view.table)
         self._views[view.name] = view
-        self._generation += 1
 
     def drop_view(self, view) -> None:
         """Remove a materialized view (no-op if absent)."""
         if self._views.pop(view.name, None) is not None:
-            self._generation += 1
+            self.bump_stats_version(view.table)
 
     def materialized_views(self, table: Optional[str] = None) -> List:
         """Registered views, optionally restricted to one base table."""

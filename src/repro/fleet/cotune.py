@@ -58,7 +58,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.batching import SignatureInterner
+from repro.core.gaincache import SignatureInterner
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
 from repro.fleet.router import DEFAULT_PROBE_BUDGET, MIN_PROBE_BUDGET

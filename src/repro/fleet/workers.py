@@ -284,7 +284,7 @@ class WorkerHandle:
         # Query interning over the pipe: ship each distinct query object
         # once, then reference it by key.  Strong refs guard the id()
         # fast path against id reuse (same discipline as the
-        # SignatureInterner in repro.core.batching).
+        # SignatureInterner in repro.core.gaincache).
         self._query_keys: Dict[int, int] = {}
         self._query_refs: List[Query] = []
 

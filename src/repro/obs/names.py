@@ -219,9 +219,8 @@ BACKEND_METRICS = _catalog(
 )
 
 #: Families emitted by the throughput serving path: the replay driver
-#: (:mod:`repro.bench.replay`), the batched pricer
-#: (:class:`~repro.core.batching.BatchedPricer`), and the multiprocess
-#: fleet (:mod:`repro.fleet.workers`).
+#: (:mod:`repro.bench.replay`) and the multiprocess fleet
+#: (:mod:`repro.fleet.workers`).
 REPLAY_METRICS = _catalog(
     MetricSpec(
         "replay_queries_total",
@@ -229,25 +228,10 @@ REPLAY_METRICS = _catalog(
         "Queries replayed through the throughput driver.",
     ),
     MetricSpec(
-        "replay_batches_total",
-        "counter",
-        "Hot-path batches dispatched by the replay driver.",
-    ),
-    MetricSpec(
         "replay_query_latency_seconds",
         "histogram",
         "Wall-clock per-query processing latency during replay.",
         buckets=LATENCY_BUCKETS,
-    ),
-    MetricSpec(
-        "replay_batch_memo_hits_total",
-        "counter",
-        "Base optimizations served from the batched pricer's memo.",
-    ),
-    MetricSpec(
-        "replay_batch_memo_misses_total",
-        "counter",
-        "Base optimizations the batched pricer had to compute.",
     ),
     MetricSpec(
         "replay_worker_crashes_total",

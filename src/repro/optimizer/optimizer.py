@@ -34,6 +34,11 @@ from repro.optimizer.plan import (
 from repro.sql.ast import Aggregate, Query
 
 
+#: The one empty configuration (``frozenset(iterable)`` allocates a new
+#: object even when empty, and plan caches keep their keys).
+_NO_INDEXES: IndexConfig = frozenset()
+
+
 def relevant_config(query: Query, config: IndexConfig) -> IndexConfig:
     """Restrict a configuration to indexes that could affect the query.
 
@@ -57,7 +62,7 @@ def relevant_config(query: Query, config: IndexConfig) -> IndexConfig:
         ix
         for ix in config
         if ix.table in tables and (ix.table, ix.column) in referenced
-    )
+    ) or _NO_INDEXES
 
 
 @dataclasses.dataclass
@@ -76,21 +81,45 @@ class OptimizationResult:
 
 
 class PlanCache:
-    """Per-query cache of access paths and complete plans.
+    """Per-query cache of everything the optimizer derives for one query.
 
-    Keys access paths by (table, relevant-index subset) so a what-if call
-    that hypothesizes an index on table R reuses every other table's path
-    untouched, and caches whole plans by the relevant-config signature so
+    Keys the access paths of a join query by (table, relevant-index
+    subset) so a what-if call that hypothesizes an index on table R
+    reuses every other table's path untouched (a one-table query has no
+    other table), and caches whole plans by the relevant-config signature so
     repeated what-if calls with identical effective configurations are
-    free.  It also holds the query's per-table costing constants
-    (:class:`~repro.optimizer.access.TableScan`: filter selectivities
-    and the sequential-scan baseline), which no configuration changes.
+    free.  Beside these configuration-keyed parts it holds what depends
+    on the query and the statistics alone: the per-table costing
+    constants (:class:`~repro.optimizer.access.TableScan`: filter
+    selectivities and the sequential-scan baseline), the candidate
+    tracker's crude ``(index, delta cost)`` pairs and the query's
+    cluster key.
+
+    A change of the materialized set makes nothing in it stale, so a
+    backend may keep one for as long as the statistics it was filled
+    under hold (:meth:`LocalBackend.begin_query
+    <repro.backend.local.LocalBackend.begin_query>`).
+
+    Attributes:
+        crude: The ``[(index, crude delta cost)]`` pairs mined without
+            (slot 0) and with (slot 1) composite candidates, or None
+            until a :class:`~repro.core.candidates.CandidateTracker`
+            mines the query.
+        cluster_key: The query's :func:`~repro.core.clustering.
+            cluster_key`, or None until a :class:`~repro.core.clustering.
+            ClusterStore` assigns the query.
     """
+
+    __slots__ = (
+        "access_paths", "plans", "scans", "crude", "cluster_key", "hits", "misses"
+    )
 
     def __init__(self) -> None:
         self.access_paths: Dict[Tuple[str, FrozenSet[IndexDef]], PlanNode] = {}
         self.plans: Dict[FrozenSet[IndexDef], OptimizationResult] = {}
         self.scans: Dict[str, TableScan] = {}
+        self.crude: Optional[list] = None
+        self.cluster_key: Optional[tuple] = None
         self.hits = 0
         self.misses = 0
 
@@ -160,17 +189,28 @@ class Optimizer:
         cache.misses += 1
 
         access_paths: Dict[str, PlanNode] = {}
-        for table in query.tables:
-            table_config = frozenset(ix for ix in relevant if ix.table == table)
-            key = (table, table_config)
-            path = cache.access_paths.get(key)
-            if path is None:
-                scan = cache.scan(self._catalog, query, table)
-                path = best_access_path(
-                    self._catalog, table, scan.filters, table_config, scan
+        if len(query.tables) == 1:
+            # One table: the plan memo above already is the path memo.
+            (table,) = query.tables
+            scan = cache.scan(self._catalog, query, table)
+            access_paths[table] = best_access_path(
+                self._catalog, table, scan.filters, relevant, scan
+            )
+        else:
+            for table in query.tables:
+                table_config = (
+                    frozenset(ix for ix in relevant if ix.table == table)
+                    or _NO_INDEXES
                 )
-                cache.access_paths[key] = path
-            access_paths[table] = path
+                key = (table, table_config)
+                path = cache.access_paths.get(key)
+                if path is None:
+                    scan = cache.scan(self._catalog, query, table)
+                    path = best_access_path(
+                        self._catalog, table, scan.filters, table_config, scan
+                    )
+                    cache.access_paths[key] = path
+                access_paths[table] = path
 
         planner = JoinPlanner(self._catalog, query, relevant, cache.scans)
         plan = planner.plan(access_paths)

@@ -85,14 +85,6 @@ class WhatIfOptimizer:
         """Normally optimize ``query`` and open a what-if session for it."""
         return self.backend.begin_query(query)
 
-    def begin_queries(self, queries) -> list:
-        """Open sessions for a whole batch (see ``Backend.begin_queries``).
-
-        Element-wise identical to calling :meth:`begin_query` per query;
-        batch-aware backends amortize the underlying optimizer work.
-        """
-        return self.backend.begin_queries(queries)
-
     def what_if_optimize(
         self,
         session: WhatIfSession,

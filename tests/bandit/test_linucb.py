@@ -129,6 +129,45 @@ class TestRidgeModel:
         assert model.updates == 1
 
 
+class TestThetaIsHeldPerModelState:
+    def _reference_mean(self, model, x):
+        return dot(mat_vec(mat_inverse(model.v), model.b), x)
+
+    def test_mean_tracks_every_update_and_decay(self):
+        import random
+
+        rng = random.Random(4)
+        model = RidgeModel(dim=4, lambda_reg=0.5, forgetting=0.9)
+        arms = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(6)]
+        for step in range(30):
+            if step % 7 == 3:
+                model.decay()
+            else:
+                model.update(arms[step % 6], rng.uniform(-1, 3))
+            for x in arms:  # several reads per state, as an epoch close does
+                assert model.mean(x) == self._reference_mean(model, x)
+                assert model.ucb(x, 1.7) == model.mean(x) + 1.7 * model.width(x)
+
+    def test_theta_is_evaluated_once_per_state(self):
+        model = RidgeModel(dim=3)
+        model.update([1.0, 2.0, 0.5], 2.0)
+        held = model.theta()
+        assert model.theta() is held
+        model.update([0.0, 1.0, 0.0], 1.0)
+        assert model.theta() is not held
+        held = model.theta()
+        model.decay()  # forgetting == 1.0: nothing moved
+        assert model.theta() is held
+
+    def test_restored_model_starts_without_a_held_theta(self):
+        model = RidgeModel(dim=2, forgetting=0.8)
+        model.update([1.0, 3.0], 4.0)
+        model.theta()
+        restored = RidgeModel.from_snapshot(model.to_snapshot())
+        assert restored.theta() == model.theta()
+        assert restored.theta() is not model.theta()
+
+
 class TestSnapshot:
     def test_round_trip(self):
         model = RidgeModel(3, lambda_reg=2.0, forgetting=0.9)

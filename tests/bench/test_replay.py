@@ -2,12 +2,15 @@
 
 The replay driver (``repro.bench.replay``) is a throughput benchmark,
 so its numbers only mean something if the *decisions* are mode-
-invariant: batched and fleet modes must spend exactly the same
-cost-model totals and what-if calls as the serial baseline.  These
-tests pin that anchor along with the stream's determinism and the
-``BENCH_throughput.json`` layout the CI gate consumes.
+invariant: fleet modes must spend exactly the same cost-model totals
+and what-if calls as the serial baseline, and a stream that repeats its
+query objects (which the backend recognizes) exactly what a stream of
+fresh copies spends.  These tests pin that anchor along with the
+stream's determinism and the ``BENCH_throughput.json`` layout the CI
+gate consumes.
 """
 
+import copy
 import json
 
 import pytest
@@ -20,6 +23,7 @@ from repro.bench.replay import (
     write_throughput_report,
 )
 from repro.core.config import ColtConfig
+from repro.engines import ENGINES
 from repro.fleet import FleetCoordinator
 from repro.workload.phases import Workload
 
@@ -69,8 +73,8 @@ class TestStream:
         stream = ReplayStream(queries, events=25, seed=0)
         events = list(stream)
         assert len(events) == 25
-        # Identity, not just equality: the batched memos key on the
-        # interned signature of these exact objects.
+        # Identity, not just equality: the backend keeps a plan cache
+        # per live object.
         assert events[13].query is queries[3]
 
     def test_from_workload_carries_client_ids(self):
@@ -107,30 +111,52 @@ class TestStream:
 
 
 class TestDecisionParity:
-    def test_batched_matches_serial_exactly(self):
-        stream = make_stream(events=300)
-        serial = replay_serial(
-            build_replay_tuner(build_small_catalog(), make_config()), stream
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_repeating_stream_matches_fresh_copies_exactly(self, engine):
+        # A cycling stream hands the backend the same objects again, so
+        # sessions open on retained plan caches; the same stream as
+        # never-repeating deep copies opens every session from scratch.
+        # No knob selects between the two, so this is the differential:
+        # the ledgers must be identical, row by row.
+        cycling = make_stream(events=300)
+        fresh = ReplayStream(
+            [copy.deepcopy(e.query) for e in cycling], seed=cycling.seed
         )
-        batched = replay_serial(
-            build_replay_tuner(
-                build_small_catalog(), make_config(), batched=True
-            ),
-            stream,
-            batch_size=32,
-        )
-        # The throughput numbers are only comparable because the
-        # decisions are bit-identical -- same cost-model total, same
-        # what-if ledger, nothing skipped.
-        assert batched.total_cost == serial.total_cost
-        assert batched.whatif_calls == serial.whatif_calls
-        assert batched.failed == serial.failed == 0
-        assert batched.events == serial.events == 300
-        assert batched.mode == "batched"
-        assert serial.mode == "serial"
-        # The batched hot path actually exercised its memo.
-        assert batched.detail["memo_hits"] > 0
-        assert batched.detail["memo_hits"] + batched.detail["memo_misses"] > 0
+        assert len({id(e.query) for e in fresh}) == 300
+
+        def ledger(stream):
+            tuner = ENGINES[engine].build(build_small_catalog(), make_config())
+            rows = [
+                (
+                    o.execution_cost,
+                    o.whatif_calls,
+                    o.whatif_overhead,
+                    o.build_cost,
+                    o.total_cost,
+                    o.epoch_ended,
+                    o.failed,
+                    o.plan,
+                    o.reorganization
+                    and (
+                        sorted(map(str, o.reorganization.materialize)),
+                        sorted(map(str, o.reorganization.drop)),
+                        o.reorganization.whatif_budget,
+                    ),
+                )
+                for o in (tuner.process_query(e.query) for e in stream)
+            ]
+            return rows, replay_serial(
+                ENGINES[engine].build(build_small_catalog(), make_config()), stream
+            )
+
+        rows, report = ledger(cycling)
+        fresh_rows, fresh_report = ledger(fresh)
+        assert rows == fresh_rows
+        assert report.total_cost == fresh_report.total_cost
+        assert report.whatif_calls == fresh_report.whatif_calls > 0
+        assert report.failed == fresh_report.failed == 0
+        assert report.events == fresh_report.events == 300
+        assert report.detail["engine"] == engine
 
     def test_latency_summary_is_populated(self):
         report = replay_serial(
@@ -213,26 +239,28 @@ class TestReportFile:
         serial = replay_serial(
             build_replay_tuner(build_small_catalog(), make_config()), stream
         )
-        batched = replay_serial(
-            build_replay_tuner(
-                build_small_catalog(), make_config(), batched=True
+        fleet = replay_fleet(
+            FleetCoordinator(
+                build_small_catalog,
+                n_replicas=2,
+                config=make_config(),
+                fleet_epoch_length=20,
             ),
             stream,
-            batch_size=16,
         )
         path = write_throughput_report(
             tmp_path / "BENCH_throughput.json",
-            [serial, batched],
+            [serial, fleet],
             meta={"events": 60, "cpu_cores": 1},
         )
         report = json.loads(path.read_text())
         assert report["benchmark"] == "replay-throughput"
         assert report["meta"]["cpu_cores"] == 1
-        assert set(report["modes"]) == {"serial", "batched"}
+        assert set(report["modes"]) == {"serial", "fleet-serial"}
         assert report["speedups_vs_serial"]["serial"] == 1.0
-        expected = round(batched.qps / serial.qps, 3)
-        assert report["speedups_vs_serial"]["batched"] == expected
-        assert report["modes"]["batched"]["latency"]["p50"] is not None
+        expected = round(fleet.qps / serial.qps, 3)
+        assert report["speedups_vs_serial"]["fleet-serial"] == expected
+        assert report["modes"]["fleet-serial"]["latency"]["p50"] is not None
 
     def test_gate_script_accepts_report(self, tmp_path):
         """The committed CI gate parses what the driver writes."""

@@ -1,6 +1,8 @@
 """Unit tests for on-line query clustering."""
 
+from repro.backend.local import LocalBackend
 from repro.core.clustering import ClusterStore, cluster_key
+from repro.optimizer import selectivity
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 
@@ -38,6 +40,46 @@ class TestClusterKey:
         a = _q(small_catalog, "select * from events where user_id = 5 and day = 8000")
         b = _q(small_catalog, "select * from events where day = 8100 and user_id = 9")
         assert cluster_key(a, small_catalog) == cluster_key(b, small_catalog)
+
+
+class TestSessionSelectivities:
+    SQLS = [
+        "select amount from events where user_id = 5",
+        "select amount from events where day between 8100 and 9900 and kind = 'a'",
+        "select amount from events, users "
+        "where events.user_id = users.user_id and users.score > 3 and day < 8010",
+    ]
+
+    def test_key_from_the_session_equals_the_computed_key(self, small_catalog):
+        backend = LocalBackend(small_catalog)
+        for sql in self.SQLS:
+            q = _q(small_catalog, sql)
+            cache = backend.begin_query(q).cache
+            assert cluster_key(q, small_catalog, cache) == cluster_key(q, small_catalog)
+
+    def test_session_path_evaluates_no_selectivity(self, small_catalog, monkeypatch):
+        backend = LocalBackend(small_catalog)
+        store = ClusterStore(small_catalog, history_epochs=4)
+        sessions = [backend.begin_query(_q(small_catalog, sql)) for sql in self.SQLS]
+        calls = []
+        real = selectivity.predicate_selectivity
+        monkeypatch.setattr(
+            "repro.core.clustering.predicate_selectivity",
+            lambda catalog, pred: calls.append(pred) or real(catalog, pred),
+        )
+        with_session = [store.assign(s.query, s.cache) for s in sessions]
+        assert calls == []  # read from the scans the optimizer filled
+        without = [store.assign(s.query) for s in sessions]
+        assert len(calls) == sum(len(s.query.filters) for s in sessions)
+        assert [c.cluster_id for c in with_session] == [c.cluster_id for c in without]
+
+    def test_queries_of_one_cluster_share_the_key_object(self, small_catalog):
+        backend = LocalBackend(small_catalog)
+        store = ClusterStore(small_catalog, history_epochs=4)
+        a = backend.begin_query(_q(small_catalog, "select amount from events where user_id = 5"))
+        b = backend.begin_query(_q(small_catalog, "select day from events where user_id = 77"))
+        assert store.assign(a.query, a.cache) is store.assign(b.query, b.cache)
+        assert a.cache.cluster_key is b.cache.cluster_key
 
 
 class TestClusterStore:

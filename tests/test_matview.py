@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.backend.base import Backend
+from repro.backend.local import LocalBackend
+from repro.core.gaincache import GainCache
 from repro.engine.matview import (
     ViewDef,
     matching_view,
@@ -12,6 +15,7 @@ from repro.engine.matview import (
 from repro.executor import execute
 from repro.optimizer.optimizer import Optimizer, PlanCache
 from repro.optimizer.plan import SeqScanNode, ViewScanNode
+from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 
@@ -98,6 +102,53 @@ class TestOptimizerIntegration:
         gain = view_gain(optimizer, _view(), queries)
         assert gain > 0
         assert small_catalog.materialized_views() == []
+
+
+class TestViewsMoveTheStatsToken:
+    """A view changes how queries over its table are priced, so every
+    key validated by ``stats_token`` must stop matching (regression: the
+    calls used to bump only the catalog-wide generation)."""
+
+    SQL = "select amount from events where day between 8100 and 8110"
+
+    def test_both_calls_bump_the_stats_version(self, small_catalog):
+        backend = LocalBackend(small_catalog)
+        other = backend.stats_token("users")
+        seen = [backend.stats_token("events")]
+        small_catalog.materialize_view(_view())
+        seen.append(backend.stats_token("events"))
+        small_catalog.materialize_view(_view())  # idempotent, still a bump
+        small_catalog.drop_view(_view())
+        seen.append(backend.stats_token("events"))
+        small_catalog.drop_view(_view())  # absent: nothing changed
+        assert backend.stats_token("events") == seen[-1]
+        assert len(set(seen)) == 3
+        assert backend.stats_token("users") == other
+
+    def test_retained_plan_cache_sees_the_view(self, small_catalog):
+        backend = LocalBackend(small_catalog)
+        q = _q(small_catalog, self.SQL)
+        for _ in range(3):
+            before = backend.begin_query(q).base.cost
+        small_catalog.materialize_view(_view())
+        after = backend.begin_query(q)
+        assert after.base.cost == Backend.begin_query(backend, q).base.cost
+        assert after.base.cost < before
+        assert any(isinstance(n, ViewScanNode) for n in _walk(after.base.plan))
+        small_catalog.drop_view(_view())
+        assert backend.begin_query(q).base.cost == before
+
+    def test_gain_cache_drops_pre_view_gains(self, small_catalog):
+        whatif = WhatIfOptimizer(backend=LocalBackend(small_catalog))
+        cache = GainCache(small_catalog, whatif, enabled=True)
+        q = _q(small_catalog, self.SQL)
+        index = small_catalog.index_for("events", "day")
+        gain = whatif.gains_for(q, [index])[index]
+        cache.begin_query(q).store(index, gain)
+        assert cache.begin_query(q).lookup(index) == gain
+        small_catalog.materialize_view(_view())
+        assert cache.begin_query(q).lookup(index) is None
+        assert whatif.gains_for(q, [index])[index] != gain
 
 
 class TestExecution:
