@@ -17,7 +17,7 @@ conditioned without normalization passes.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.candidates import CandidateTracker
 from repro.engine.catalog import Catalog
@@ -64,6 +64,9 @@ class FeatureMap:
         self._epoch_writes: Dict[str, int] = {}
         self._read_rate: Dict[str, float] = {}
         self._write_rate: Dict[str, float] = {}
+        # table -> (row count, log rows, read pressure, write pressure):
+        # the terms every arm on the table shares until the rates roll.
+        self._table_terms: Dict[str, Tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------------
     # live workload signals
@@ -92,6 +95,7 @@ class FeatureMap:
             )
         self._epoch_reads = {}
         self._epoch_writes = {}
+        self._table_terms = {}
 
     # ------------------------------------------------------------------
     def vector(
@@ -104,7 +108,15 @@ class FeatureMap:
         stats = tracker.stats_for(index)
         smoothed = stats.smoothed_benefit if stats is not None else 0.0
         window = stats.window_total() if stats is not None else 0.0
-        table = self._catalog.table(index.table)
+        rows = self._catalog.table(index.table).row_count
+        terms = self._table_terms.get(index.table)
+        if terms is None or terms[0] != rows:
+            terms = self._table_terms[index.table] = (
+                rows,
+                math.log10(1.0 + max(0, rows)),
+                _log_damp(self._read_rate.get(index.table, 0.0)),
+                _log_damp(self._write_rate.get(index.table, 0.0)),
+            )
         lead = self._catalog.stats(index.table, index.columns[0])
         selectivity = 1.0 / max(1.0, lead.n_distinct)
         return [
@@ -112,10 +124,10 @@ class FeatureMap:
             _log_damp(smoothed),
             _log_damp(window),
             min(4.0, self._catalog.index_size_pages(index) / self._budget),
-            math.log10(1.0 + max(0, table.row_count)),
+            terms[1],
             1.0 if index in materialized else 0.0,
-            _log_damp(self._read_rate.get(index.table, 0.0)),
-            _log_damp(self._write_rate.get(index.table, 0.0)),
+            terms[2],
+            terms[3],
             float(len(index.columns)),
             selectivity,
         ]
@@ -137,6 +149,7 @@ class FeatureMap:
         self._write_rate = {
             str(k): float(v) for k, v in data.get("write_rate", {}).items()
         }
+        self._table_terms = {}
 
 
 def _log_damp(value: float) -> float:

@@ -44,7 +44,7 @@ from repro.core.knapsack import (
     solve_constrained,
 )
 from repro.core.loop import TuningLoop
-from repro.core.profiler import IndexKey, ProfilerBase, _key
+from repro.core.profiler import IndexKey, ProfilerBase, _key, _name
 from repro.core.self_organizer import ReorganizationResult
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
@@ -251,7 +251,7 @@ class BanditTuner(TuningLoop):
 
         # 1. Learn: fold the round's reward evidence into the model.
         self.model.decay()
-        for index in sorted(self.materialized, key=str):
+        for index in sorted(self.materialized, key=_name):
             key = _key(index)
             samples = self._epoch_rewards.get(key)
             uses = self._epoch_uses.get(key, 0)
@@ -318,7 +318,7 @@ class BanditTuner(TuningLoop):
     def _arm_pool(self) -> List[IndexDef]:
         """Arms for this round: ``M`` plus the best-ranked candidates."""
         pool: Dict[IndexKey, IndexDef] = {
-            _key(ix): ix for ix in sorted(self.materialized, key=str)
+            _key(ix): ix for ix in sorted(self.materialized, key=_name)
         }
         budget = self.config.max_arms - len(pool)
         for stats in self.profiler.candidates.ranked(exclude=pool.values()):
@@ -342,7 +342,7 @@ class BanditTuner(TuningLoop):
         pool = self._arm_pool()
         # Advice-pinned indexes must be selectable even when never mined.
         present = {_key(ix) for ix in pool}
-        for index in sorted(constraints.pinned, key=str):
+        for index in sorted(constraints.pinned, key=_name):
             if _key(index) not in present:
                 pool.append(index)
                 present.add(_key(index))
@@ -385,10 +385,10 @@ class BanditTuner(TuningLoop):
         )
         target = {it.key for it in selected}
         materialize = sorted(
-            (ix for ix in target if ix not in self.materialized), key=str
+            (ix for ix in target if ix not in self.materialized), key=_name
         )
         drop = sorted(
-            (ix for ix in self.materialized if ix not in target), key=str
+            (ix for ix in self.materialized if ix not in target), key=_name
         )
         self.hot = sorted(
             (ix for ix in pool if ix not in target and scores[_key(ix)] > 0.0),

@@ -9,6 +9,7 @@ promotion into the hot set.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -22,12 +23,13 @@ from repro.sql.ast import CompareOp, ComparisonPredicate, InPredicate, Query
 class CandidateStats:
     """Sliding-window crude benefit statistics for one candidate index."""
 
-    __slots__ = ("index", "epoch_gain", "_window", "_smoothed", "_smoothing")
+    __slots__ = ("index", "epoch_gain", "_window", "_idle", "_smoothed", "_smoothing")
 
     def __init__(self, index: IndexDef, history_epochs: int, smoothing: float) -> None:
         self.index = index
         self.epoch_gain = 0.0
         self._window: Deque[float] = deque(maxlen=history_epochs)
+        self._idle = 0  # newest window entries in a row without benefit
         self._smoothed: Optional[float] = None
         self._smoothing = smoothing
 
@@ -39,12 +41,20 @@ class CandidateStats:
         """Close the epoch: push the per-query average into the window."""
         benefit = self.epoch_gain / epoch_length
         self._window.append(benefit)
+        self._idle = self._idle + 1 if benefit <= 0.0 else 0
         self.epoch_gain = 0.0
         if self._smoothed is None:
             self._smoothed = benefit
         else:
             a = self._smoothing
             self._smoothed = a * benefit + (1.0 - a) * self._smoothed
+
+    def load(self, window: Iterable[float], smoothed: float) -> None:
+        """Adopt a recorded window (oldest first) and smoothed benefit."""
+        for benefit in window:
+            self._window.append(benefit)
+            self._idle = self._idle + 1 if benefit <= 0.0 else 0
+        self._smoothed = smoothed
 
     @property
     def smoothed_benefit(self) -> float:
@@ -57,9 +67,10 @@ class CandidateStats:
 
     def stale(self) -> bool:
         """Whether the candidate saw no benefit across the whole window."""
-        return len(self._window) == self._window.maxlen and all(
-            b <= 0.0 for b in self._window
-        )
+        return self._idle >= self._window.maxlen
+
+
+_smoothed_benefit = operator.attrgetter("smoothed_benefit")
 
 
 class CandidateTracker:
@@ -245,4 +256,4 @@ class CandidateTracker:
             for key, s in self._stats.items()
             if key not in excluded
         ]
-        return sorted(pool, key=lambda s: s.smoothed_benefit, reverse=True)
+        return sorted(pool, key=_smoothed_benefit, reverse=True)

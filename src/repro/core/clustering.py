@@ -66,25 +66,28 @@ def cluster_key(
 
 
 class Cluster:
-    """One query cluster with a sliding window of per-epoch counts.
+    """One query cluster and its population in the memory window.
 
     Attributes:
         key: The structural cluster key.
         cluster_id: Dense integer id, stable for the run.
         epoch_count: Queries assigned in the current epoch.
+        windowed: Queries assigned in the closed epochs still inside the
+            window; the :class:`ClusterStore` moves it as epochs close
+            and expire.
         signature: The profiler's ``(catalog generation, configuration
             signature)`` for this cluster, or None; it lives here so
             that it goes when the cluster does.
     """
 
-    __slots__ = ("key", "cluster_id", "epoch_count", "signature", "_window")
+    __slots__ = ("key", "cluster_id", "epoch_count", "windowed", "signature")
 
-    def __init__(self, key: ClusterKey, cluster_id: int, history_epochs: int) -> None:
+    def __init__(self, key: ClusterKey, cluster_id: int) -> None:
         self.key = key
         self.cluster_id = cluster_id
         self.epoch_count = 0
+        self.windowed = 0
         self.signature = None
-        self._window: Deque[int] = deque(maxlen=history_epochs)
 
     @property
     def tables(self) -> Tuple[str, ...]:
@@ -111,12 +114,7 @@ class Cluster:
 
     def count(self) -> int:
         """``Count(Q_i)``: queries in the memory window ``S_h``."""
-        return sum(self._window) + self.epoch_count
-
-    def roll_epoch(self) -> None:
-        """Close the current epoch (push its count into the window)."""
-        self._window.append(self.epoch_count)
-        self.epoch_count = 0
+        return self.windowed + self.epoch_count
 
     def is_relevant(self, index: IndexDef) -> bool:
         """Whether an index could serve this cluster's queries.
@@ -143,6 +141,12 @@ class ClusterStore:
         self._clusters: Dict[ClusterKey, Cluster] = {}
         self._by_id: Dict[int, Cluster] = {}
         self._next_id = 0
+        self._total = 0  # sum of count() over live clusters
+        # Per closed epoch in the window, oldest first: the clusters
+        # that saw queries in it, each with its count.  Clusters idle in
+        # an epoch are not touched when it closes.
+        self._epochs: Deque[List[Tuple[Cluster, int]]] = deque()
+        self._active: List[Cluster] = []  # assigned to this epoch
 
     def assign(self, query: Query, cache: Optional[PlanCache] = None) -> Cluster:
         """Assign a query to its (possibly new) cluster (``cache`` as for
@@ -150,13 +154,16 @@ class ClusterStore:
         key = cluster_key(query, self._catalog, cache)
         cluster = self._clusters.get(key)
         if cluster is None:
-            cluster = Cluster(key, self._next_id, self._history)
+            cluster = Cluster(key, self._next_id)
             self._next_id += 1
             self._clusters[key] = cluster
             self._by_id[cluster.cluster_id] = cluster
         if cache is not None:
             cache.cluster_key = cluster.key  # one key object per cluster
+        if not cluster.epoch_count:
+            self._active.append(cluster)
         cluster.epoch_count += 1
+        self._total += 1
         return cluster
 
     def by_id(self, cluster_id: int) -> "Cluster":
@@ -172,15 +179,21 @@ class ClusterStore:
         return cluster_id in self._by_id
 
     def roll_epoch(self) -> None:
-        """Close the epoch on every cluster and evict empty ones."""
-        dead = []
-        for key, cluster in self._clusters.items():
-            cluster.roll_epoch()
-            if cluster.count() == 0:
-                dead.append(key)
-        for key in dead:
-            cluster = self._clusters.pop(key)
-            del self._by_id[cluster.cluster_id]
+        """Close the epoch and evict the clusters the window has left."""
+        closed = []
+        for cluster in self._active:
+            closed.append((cluster, cluster.epoch_count))
+            cluster.windowed += cluster.epoch_count
+            cluster.epoch_count = 0
+        self._active = []
+        self._epochs.append(closed)
+        if len(self._epochs) > self._history:
+            for cluster, count in self._epochs.popleft():
+                cluster.windowed -= count
+                self._total -= count
+                if not cluster.windowed:  # nothing current: just closed
+                    del self._clusters[cluster.key]
+                    del self._by_id[cluster.cluster_id]
 
     def clusters(self) -> Iterable[Cluster]:
         """All live clusters."""
@@ -188,7 +201,7 @@ class ClusterStore:
 
     def total_count(self) -> int:
         """Total queries across clusters in the memory window."""
-        return sum(c.count() for c in self._clusters.values())
+        return self._total
 
     def __len__(self) -> int:
         return len(self._clusters)

@@ -20,7 +20,7 @@ horizon and is mistaken for a shift.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Sequence
+from typing import Deque, List, Sequence
 
 
 class BenefitHistory:
@@ -77,18 +77,24 @@ def total_predicted_benefit(
     """Sum of ``PredBenefit_j`` for ``j = 1..horizon``.
 
     A term depends on ``j`` only through the number of measurements it
-    averages, ``min(max(j, min_window), len(history))``: each distinct
-    window is averaged once, and the terms are summed in ``j`` order.
+    averages, ``min(max(j, min_window), len(history))``, which never
+    shrinks as ``j`` grows: the first ``min_window`` terms share one
+    mean, each later ``j`` up to ``len(history)`` averages one more
+    measurement, and every term past that repeats the whole-history
+    mean.  Each window is summed oldest first and the terms are summed
+    in ``j`` order, exactly as the term-per-``j`` definition does.
     """
-    if not history:
+    n = len(history)
+    if not n:
         return 0.0
-    by_window: Dict[int, float] = {}
-    terms = []
-    for j in range(1, horizon + 1):
-        window = min(max(j, min_window), len(history))
-        if window not in by_window:
-            by_window[window] = predicted_benefit(history, j, min_window)
-        terms.append(by_window[window])
+    min_window = max(min_window, 1)  # max(j, min_window) never goes below j >= 1
+    window = min(min_window, n)
+    mean = sum(history[-window:]) / window
+    terms = [mean] * min(horizon, min_window)
+    for j in range(min_window + 1, horizon + 1):
+        if j <= n:
+            mean = sum(history[-j:]) / j
+        terms.append(mean)
     return sum(terms)
 
 

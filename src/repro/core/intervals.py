@@ -89,7 +89,9 @@ class GainStats:
             return math.inf
         if self.count == 1:
             return 0.5 * abs(self._mean)
-        return self._z * self.stddev / math.sqrt(self.count)
+        # z * stddev / sqrt(n), without the property hops: this runs per
+        # probe and per (index, cluster) pair of every epoch summary.
+        return self._z * math.sqrt(self._m2 / (self.count - 1)) / math.sqrt(self.count)
 
     def interval(self) -> Tuple[float, float]:
         """The confidence interval ``[LowGain, HighGain]``.

@@ -12,7 +12,7 @@ cross-check in tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 DEFAULT_RESOLUTION = 2048
 
@@ -160,16 +160,60 @@ def solve_knapsack(
     ]
     if not viable or capacity <= 0.0:
         return [], 0.0
-    if len(viable) <= MAX_EXACT_ITEMS:
-        return _solve_exact(viable, capacity, incumbent_value)
-    return _solve_grid(viable, capacity, resolution)
+    if len(viable) > MAX_EXACT_ITEMS:
+        return _solve_grid(viable, capacity, resolution)
+    order = sorted(viable, key=lambda it: it.value / it.size, reverse=True)
+    total = _take_all(order, capacity, incumbent_value)
+    if total is not None:
+        return order, total
+    return _solve_exact(order, capacity, incumbent_value)
+
+
+def _seeded_bound(incumbent_value: float) -> float:
+    """The value a solution must beat, given the caller's incumbent.
+
+    Backed off by a margin larger than the prune tolerance (and any
+    float sum-order drift): the incumbent's own leaf must survive the
+    prune chain so the returned mask is the optimum, never an empty
+    fallback.
+    """
+    return max(0.0, incumbent_value - 1e-9 * max(1.0, abs(incumbent_value)))
+
+
+def _take_all(
+    order: List[KnapsackItem], capacity: float, incumbent_value: float
+) -> Optional[float]:
+    """Total value when nothing has to be left out, else None.
+
+    When every item still fits as sizes come off the capacity in density
+    order, the search's first descent takes them all, accumulating this
+    very sum; values are positive, so no subset sums higher in float
+    arithmetic either and that descent is the search's answer.  The
+    margin -- far above the summation's rounding and the prune
+    tolerance, far below any NetBenefit that matters -- rules out the
+    cases where the descent would be pruned on the way or would only
+    tie the seeded bound or its own last step; those go to the search.
+    """
+    room = capacity
+    total = before = 0.0
+    for item in order:
+        if item.size > room:
+            return None
+        room -= item.size
+        before = total
+        total += item.value
+    if total - max(_seeded_bound(incumbent_value), before) > 1e-10 * max(1.0, total):
+        return total
+    return None
 
 
 def _solve_exact(
-    viable: List[KnapsackItem], capacity: float, incumbent_value: float = 0.0
+    order: List[KnapsackItem], capacity: float, incumbent_value: float = 0.0
 ) -> Tuple[List[KnapsackItem], float]:
-    """Branch-and-bound with the fractional-relaxation upper bound."""
-    order = sorted(viable, key=lambda it: it.value / it.size, reverse=True)
+    """Branch-and-bound with the fractional-relaxation upper bound.
+
+    ``order`` lists the viable items by descending value density.
+    """
     sizes = [it.size for it in order]
     values = [it.value for it in order]
     n = len(order)
@@ -186,13 +230,7 @@ def _solve_exact(
                 break
         return total
 
-    # Seed the pruning bound from the caller's incumbent, backed off by
-    # a margin larger than the prune tolerance (and any float sum-order
-    # drift): the incumbent's own leaf must survive the prune chain so
-    # the returned mask is the optimum, never an empty fallback.
-    best_value = max(
-        0.0, incumbent_value - 1e-9 * max(1.0, abs(incumbent_value))
-    )
+    best_value = _seeded_bound(incumbent_value)
     best_mask = 0
 
     # Feasibility tolerance: subtracting sizes from the remaining room

@@ -26,6 +26,7 @@ and closes again once calls succeed.  See ``docs/RESILIENCE.md``.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -50,6 +51,10 @@ IndexKey = Tuple[str, Tuple[str, ...]]
 
 def _key(index: IndexDef) -> IndexKey:
     return index.table, index.columns
+
+
+# Canonical order of an index set: by name, which is what ``str`` gives.
+_name = operator.attrgetter("name")
 
 
 class PairStats:
@@ -310,10 +315,8 @@ class Profiler(ProfilerBase):
         """
         w = self._config.epoch_length
         report: Dict[IndexKey, EpochIndexBenefit] = {}
-        for index in sorted(list(hot) + list(materialized), key=str):
+        for index in sorted({*hot, *materialized}, key=_name):
             key = _key(index)
-            if key in report:
-                continue
             measured = self._epoch_measured.get(key, {})
             exposure = self._epoch_exposure.get(key, {})
             low_total = 0.0
@@ -321,21 +324,19 @@ class Profiler(ProfilerBase):
             n_measured = 0
             any_unmeasured_pair = False
             for cid, count in exposure.items():
-                samples = measured.get(cid, [])
+                samples = measured.get(cid, ())
                 n = len(samples)
                 n_measured += n
                 pair = self._valid_pair(key, cid)
-                low_bound = pair.gain.low if pair else 0.0
-                if pair and pair.gain.count > 0:
-                    high_bound = pair.gain.high
+                if pair is not None and pair.gain.count > 0:
+                    low_bound, high_bound = pair.gain.interval()
                 else:
-                    high_bound = None
+                    low_bound = high_bound = 0.0
                     any_unmeasured_pair = True
                 unmeasured = max(0, count - n)
-                low_total += sum(samples) + unmeasured * low_bound
-                high_total += sum(samples) + unmeasured * (
-                    high_bound if high_bound is not None else 0.0
-                )
+                sampled = sum(samples)
+                low_total += sampled + unmeasured * low_bound
+                high_total += sampled + unmeasured * high_bound
             low = low_total / w
             high = high_total / w
             if any_unmeasured_pair:

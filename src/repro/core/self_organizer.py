@@ -17,9 +17,10 @@ At the end of each epoch the Self-Organizer:
 from __future__ import annotations
 
 import dataclasses
+import operator
 import time
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.config import ColtConfig
 from repro.core.forecast import BenefitHistory, net_benefit
@@ -29,7 +30,7 @@ from repro.core.knapsack import (
     solve_constrained,
     solve_knapsack,
 )
-from repro.core.profiler import EpochIndexBenefit, Profiler
+from repro.core.profiler import EpochIndexBenefit, Profiler, _name
 from repro.core.window_tuner import ForecastWindowTuner
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
@@ -42,6 +43,36 @@ IndexKey = Tuple[str, Tuple[str, ...]]
 
 def _key(index: IndexDef) -> IndexKey:
     return index.table, index.columns
+
+
+_row_name = operator.attrgetter("index.name")
+
+
+class _Row:
+    """One index at one epoch boundary.
+
+    Attributes:
+        index / key: The index and its bookkeeping identity.
+        hot / held: Whether it was in ``H`` / in ``M`` coming in.
+        size: Size in pages.
+        charge: Cost side of its NetBenefit at this boundary.
+        low / high: Conservative and optimistic NetBenefit, once known.
+        item: Its knapsack object under the view solved last.
+    """
+
+    __slots__ = ("index", "key", "hot", "held", "size", "charge", "low", "high", "item")
+
+    def __init__(
+        self, index: IndexDef, hot: bool, held: bool, size: float, charge: float
+    ) -> None:
+        self.index = index
+        self.key = _key(index)
+        self.hot = hot
+        self.held = held
+        self.size = size
+        self.charge = charge
+        self.low = self.high = 0.0
+        self.item: Optional[KnapsackItem] = None
 
 
 @dataclasses.dataclass
@@ -103,10 +134,10 @@ class SelfOrganizer:
         self._measured: Dict[IndexKey, int] = {}
         # Write-aware extension: per-table insert counts per epoch.
         self._writes: Dict[str, Deque[int]] = {}
-        # Previous epoch's knapsack selections (by index key), used to
+        # Previous epoch's knapsack selections, used to
         # warm-start the next solve's branch-and-bound incumbent.
-        self._warm_conservative: frozenset = frozenset()
-        self._warm_optimistic: frozenset = frozenset()
+        self._warm_conservative: FrozenSet[IndexDef] = frozenset()
+        self._warm_optimistic: FrozenSet[IndexDef] = frozenset()
         self._window_tuner = (
             ForecastWindowTuner(config.effective_forecast_window)
             if config.adaptive_forecast_window
@@ -144,70 +175,82 @@ class SelfOrganizer:
         """
         self._record_histories(report)
         self._record_writes(inserts or {})
+        config = self._config
+        min_epochs = config.min_history_epochs
+        if self._window_tuner is not None:
+            horizon = self._window_tuner.window
+        else:
+            horizon = config.effective_forecast_window
+        hot, materialized = self.hot, self.materialized
+        pinned = constraints.pinned if constraints is not None else ()
+
+        # --- The boundary table ---------------------------------------
+        # One row per index of ``H ∪ M ∪ pinned``, in canonical (name)
+        # order: ``hot`` and ``materialized`` are sets, and letting their
+        # hash order leak into the knapsack would break run-to-run
+        # reproducibility on value ties.  Everything below reads it.
+        rows = [
+            self._row(ix, ix in hot, horizon)
+            for ix in sorted({*hot, *materialized, *pinned}, key=_name)
+        ]
 
         # --- Reorganization: the new materialized set -----------------
         # Hot indexes become eligible for materialization only once they
-        # carry enough measured history to trust the forecast.
-        min_epochs = self._config.min_history_epochs
-        # Canonical (name-sorted) pool order: ``hot`` and ``materialized``
-        # are sets, and letting their hash order leak into the knapsack
-        # would break run-to-run reproducibility on value ties.
-        eligible = [
-            ix
-            for ix in sorted(self.hot, key=str)
-            if len(self._history.get(_key(ix), ())) >= min_epochs
-        ]
-        pool = eligible + [
-            ix for ix in sorted(self.materialized, key=str) if ix not in eligible
-        ]
-        if constraints is not None and constraints.pinned:
-            # Pinned indexes always face the knapsack, history or not;
-            # solve_constrained forces them in regardless of value.
-            in_pool = {_key(ix) for ix in pool}
-            pool += [
-                ix
-                for ix in sorted(constraints.pinned, key=str)
-                if _key(ix) not in in_pool
-            ]
-        # The conservative and optimistic NetBenefit share one cost side.
-        charges: Dict[IndexKey, float] = {}
-        values = {
-            _key(ix): self._net_benefit(ix, False, charges) for ix in pool
-        }
+        # carry enough measured history to trust the forecast.  Pinned
+        # indexes always face the knapsack, history or not;
+        # solve_constrained forces them in regardless of value.
+        eligible: List[_Row] = []
+        kept: List[_Row] = []
+        forced: List[_Row] = []
+        for row in rows:
+            if row.hot and len(self._history.get(row.key, ())) >= min_epochs:
+                eligible.append(row)
+            elif row.held:
+                kept.append(row)
+            elif row.index in pinned:
+                forced.append(row)
+        pool = eligible + kept + forced
+        for row in pool:
+            # The optimistic view of a row that is not hot is this one.
+            row.low = row.high = self._forecast(self._history, row, horizon)
+            row.item = KnapsackItem(key=row.index, size=row.size, value=row.low)
         selected, chosen_value = self._solve(
-            pool, values, warm=self._warm_conservative, constraints=constraints
+            [row.item for row in pool], self._warm_conservative, constraints
         )
-        self._warm_conservative = frozenset(_key(ix) for ix in selected)
+        self._warm_conservative = frozenset(selected)
         new_m = set(selected)
-        adds = [ix for ix in sorted(new_m, key=str) if ix not in self.materialized]
-        drops = [ix for ix in sorted(self.materialized, key=str) if ix not in new_m]
+        adds: List[IndexDef] = []
+        drops: List[IndexDef] = []
+        for row in rows:
+            if row.index in new_m:
+                if not row.held:
+                    adds.append(row.index)
+            elif row.held:
+                drops.append(row.index)
 
         # --- Hot set selection ----------------------------------------
-        hot_exclude = set(new_m)
-        if constraints is not None:
-            # A banned index must not be promoted hot either: profiling
-            # it would spend what-if budget on an unselectable index.
-            hot_exclude |= set(constraints.banned)
-        new_hot = self._select_hot(profiler, exclude=hot_exclude)
+        # A banned index must not be promoted hot either: profiling it
+        # would spend what-if budget on an unselectable index.
+        hot_exclude = new_m if constraints is None else new_m | constraints.banned
+        by_index = {row.index: row for row in rows}
+        new_hot = set(self._select_hot(profiler, hot_exclude, by_index))
+        fresh = [self._row(ix, False, horizon) for ix in new_hot if ix not in by_index]
+        if fresh:
+            by_index.update((row.index, row) for row in fresh)
+            rows = sorted(rows + fresh, key=_row_name)
 
         # --- Re-budgeting ---------------------------------------------
-        optimistic_values = dict(values)
-        for ix in self.hot:
-            optimistic_values[_key(ix)] = self._net_benefit(ix, True, charges)
-        for ix in new_hot:
-            if _key(ix) not in optimistic_values:
-                optimistic_values[_key(ix)] = self._net_benefit(ix, True, charges)
-        # The optimistic scenario considers every hot index -- including
-        # ones not yet eligible for actual materialization -- since its
-        # purpose is to decide whether profiling them is worthwhile.
-        opt_pool = sorted({*pool, *self.hot, *new_hot}, key=str)
-        _opt_selected, opt_value = self._solve(
-            opt_pool,
-            optimistic_values,
-            warm=self._warm_optimistic,
-            constraints=constraints,
+        # The optimistic scenario considers every row -- including hot
+        # indexes not yet eligible for actual materialization -- since
+        # its purpose is to decide whether profiling them is worthwhile.
+        for row in rows:
+            if row.hot or row.item is None:
+                row.high = self._forecast(self._high_history, row, horizon)
+                row.item = KnapsackItem(key=row.index, size=row.size, value=row.high)
+        opt_selected, opt_value = self._solve(
+            [row.item for row in rows], self._warm_optimistic, constraints
         )
-        self._warm_optimistic = frozenset(_key(ix) for ix in _opt_selected)
+        self._warm_optimistic = frozenset(opt_selected)
         ratio = self._improvement_ratio(opt_value, chosen_value)
         budget = self._budget_for(ratio)
 
@@ -215,14 +258,11 @@ class SelfOrganizer:
         # exists: while any hot index with positive optimistic potential
         # still lacks the history needed for materialization eligibility,
         # keep the profiler funded so it can prove (or refute) them.
-        unproven = [
-            ix
-            for ix in new_hot
-            if self._measured.get(_key(ix), 0) < min_epochs
-            and optimistic_values.get(_key(ix), 0.0) > 0.0
-        ]
-        if unproven:
-            budget = max(budget, self._config.max_whatif_per_epoch // 2)
+        for ix in new_hot:
+            row = by_index[ix]
+            if row.high > 0.0 and self._measured.get(row.key, 0) < min_epochs:
+                budget = max(budget, config.max_whatif_per_epoch // 2)
+                break
 
         # --- Adaptive forecast window (§6.2 future work) ----------------
         if self._window_tuner is not None:
@@ -233,12 +273,12 @@ class SelfOrganizer:
             self._history.pop(_key(ix), None)
             self._high_history.pop(_key(ix), None)
         self.materialized = new_m
-        self.hot = set(new_hot)
+        self.hot = new_hot
 
         return ReorganizationResult(
             materialize=adds,
             drop=drops,
-            hot=sorted(self.hot, key=str),
+            hot=[r.index for r in rows if r.index in new_hot],
             whatif_budget=budget,
             improvement_ratio=ratio,
         )
@@ -254,18 +294,21 @@ class SelfOrganizer:
         paper's noise resilience (a dropped distribution's indexes keep
         part of their forecast for up to ``h`` epochs).
         """
-        h = self._config.history_epochs
         for key, benefit in report.items():
-            self._history.setdefault(key, BenefitHistory(h)).record(benefit.low)
-            self._high_history.setdefault(key, BenefitHistory(h)).record(
-                benefit.high
-            )
+            self._history_in(self._history, key).record(benefit.low)
+            self._history_in(self._high_history, key).record(benefit.high)
             self._measured[key] = self._measured.get(key, 0) + benefit.measured
 
-    def _net_benefit(
-        self, index: IndexDef, optimistic: bool, charges: Dict[IndexKey, float]
-    ) -> float:
-        """Forecasted NetBenefit for an index.
+    def _history_in(
+        self, histories: Dict[IndexKey, BenefitHistory], key: IndexKey
+    ) -> BenefitHistory:
+        history = histories.get(key)
+        if history is None:
+            history = histories[key] = BenefitHistory(self._config.history_epochs)
+        return history
+
+    def _row(self, index: IndexDef, hot: bool, horizon: int) -> _Row:
+        """The boundary-table row for an index: its size and cost side.
 
         ``NetBenefit(I) = Σ_j PredBenefit_j(I) − MatCost(I)`` with
         ``MatCost = 0`` for already-materialized indexes (§5).  We take
@@ -281,42 +324,43 @@ class SelfOrganizer:
         horizon, at the same benefit/cost exchange rate as the build
         cost.  A heavily written table must earn its indexes twice over.
 
-        ``charges``: this boundary's cost side per index, filled on demand.
+        The conservative and optimistic NetBenefit share this cost side.
         """
-        key = _key(index)
-        if self._window_tuner is not None:
-            horizon = self._window_tuner.window
+        config = self._config
+        build = self._catalog.index_build_cost(index)
+        held = index in self.materialized
+        if held:
+            # Small retention credit: a challenger must beat the
+            # incumbent by a margin, since evicting and re-adopting on
+            # forecast noise costs two builds.
+            mat_cost = -build * config.retention_weight
         else:
-            horizon = self._config.effective_forecast_window
-        histories = self._high_history if optimistic else self._history
-        history = histories.get(key)
+            mat_cost = build * config.matcost_weight
+        maintenance = (
+            self.write_rate(index.table)
+            * self._catalog.params.index_maintain_cost_per_tuple
+            * horizon
+            * config.matcost_weight
+        )
+        size = self._catalog.index_size_pages(index)
+        return _Row(index, hot, held, size, mat_cost + maintenance)
+
+    @staticmethod
+    def _forecast(
+        histories: Dict[IndexKey, BenefitHistory], row: _Row, horizon: int
+    ) -> float:
+        """Forecasted NetBenefit of a row under one view of its history."""
+        history = histories.get(row.key)
         values = history.values() if history is not None else []
-        charge = charges.get(key)
-        if charge is None:
-            build = self._catalog.index_build_cost(index)
-            if index in self.materialized:
-                # Small retention credit: a challenger must beat the
-                # incumbent by a margin, since evicting and re-adopting on
-                # forecast noise costs two builds.
-                mat_cost = -build * self._config.retention_weight
-            else:
-                mat_cost = build * self._config.matcost_weight
-            maintenance = (
-                self.write_rate(index.table)
-                * self._catalog.params.index_maintain_cost_per_tuple
-                * horizon
-                * self._config.matcost_weight
-            )
-            charge = charges[key] = mat_cost + maintenance
-        return net_benefit(values, horizon, charge)
+        return net_benefit(values, horizon, row.charge)
 
     # ------------------------------------------------------------------
     # Write-aware extension helpers
     # ------------------------------------------------------------------
     def _record_writes(self, inserts: Dict[str, int]) -> None:
-        h = self._config.history_epochs
         for table in inserts:
-            self._writes.setdefault(table, deque(maxlen=h))
+            if table not in self._writes:
+                self._writes[table] = deque(maxlen=self._config.history_epochs)
         for table, window in self._writes.items():
             window.append(inserts.get(table, 0))
 
@@ -329,20 +373,11 @@ class SelfOrganizer:
 
     def _solve(
         self,
-        pool: Iterable[IndexDef],
-        values: Dict[IndexKey, float],
-        warm: frozenset = frozenset(),
-        constraints: Optional[SelectionConstraints] = None,
+        items: List[KnapsackItem],
+        warm: FrozenSet[IndexDef],
+        constraints: Optional[SelectionConstraints],
     ) -> Tuple[List[IndexDef], float]:
         capacity = self._config.storage_budget_pages
-        items = [
-            KnapsackItem(
-                key=ix,
-                size=self._catalog.index_size_pages(ix),
-                value=values.get(_key(ix), 0.0),
-            )
-            for ix in pool
-        ]
         if constraints:
             # The previous selection may violate fresh constraints, so
             # the warm incumbent is not a valid lower bound here.
@@ -359,7 +394,7 @@ class SelfOrganizer:
             prev = [
                 it
                 for it in items
-                if _key(it.key) in warm
+                if it.key in warm
                 and it.value > 0.0
                 and 0.0 < it.size <= capacity
             ]
@@ -373,7 +408,7 @@ class SelfOrganizer:
         return [item.key for item in selected], total
 
     def _select_hot(
-        self, profiler: Profiler, exclude: Set[IndexDef]
+        self, profiler: Profiler, exclude: Set[IndexDef], by_index: Dict[IndexDef, _Row]
     ) -> List[IndexDef]:
         """Select the hot set from the candidates' crude benefits (§5).
 
@@ -393,8 +428,9 @@ class SelfOrganizer:
         split_b = two_means_split([s.smoothed_benefit for s in by_benefit])
 
         def density(stats) -> float:
-            size = max(1.0, self._catalog.index_size_pages(stats.index))
-            return stats.smoothed_benefit / size
+            row = by_index.get(stats.index)
+            size = row.size if row is not None else self._catalog.index_size_pages(stats.index)
+            return stats.smoothed_benefit / max(1.0, size)
 
         scored = sorted(
             ((density(s), s) for s in positive), key=lambda ds: ds[0], reverse=True
@@ -417,9 +453,7 @@ class SelfOrganizer:
         for stats in promoted:
             key = _key(stats.index)
             if key not in self._high_history:
-                history = BenefitHistory(self._config.history_epochs)
-                history.record(stats.smoothed_benefit)
-                self._high_history[key] = history
+                self._history_in(self._high_history, key).record(stats.smoothed_benefit)
         return [s.index for s in promoted]
 
     def _improvement_ratio(self, optimistic: float, current: float) -> float:
@@ -464,5 +498,5 @@ def two_means_split(values: List[float]) -> int:
 
 def _sse(group: List[float]) -> float:
     mean = sum(group) / len(group)
-    return sum((v - mean) ** 2 for v in group)
+    return sum([(v - mean) ** 2 for v in group])
 

@@ -417,7 +417,6 @@ def _restore_candidates(tuner, entries, config) -> None:
     for entry in entries:
         index = _resolve(tuner.catalog, entry["table"], entry["columns"])
         stats = CandidateStats(index, config.history_epochs, config.smoothing)
-        for value in entry["window"][-config.history_epochs :]:
-            stats._window.append(float(value))  # noqa: SLF001
-        stats._smoothed = float(entry["smoothed"])  # noqa: SLF001
+        window = entry["window"][-config.history_epochs :]
+        stats.load(map(float, window), float(entry["smoothed"]))
         tracker._stats[(index.table, index.columns)] = stats  # noqa: SLF001
