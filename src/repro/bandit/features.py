@@ -67,6 +67,10 @@ class FeatureMap:
         # table -> (row count, log rows, read pressure, write pressure):
         # the terms every arm on the table shares until the rates roll.
         self._table_terms: Dict[str, Tuple[float, float, float, float]] = {}
+        # index -> (stats token, cost params, size fraction, column count,
+        # lead-column selectivity): an arm's catalog-only terms, which
+        # hold until its table's row count or statistics version moves.
+        self._index_terms: Dict[IndexDef, tuple] = {}
 
     # ------------------------------------------------------------------
     # live workload signals
@@ -108,28 +112,39 @@ class FeatureMap:
         stats = tracker.stats_for(index)
         smoothed = stats.smoothed_benefit if stats is not None else 0.0
         window = stats.window_total() if stats is not None else 0.0
-        rows = self._catalog.table(index.table).row_count
-        terms = self._table_terms.get(index.table)
+        table = index.table
+        token = self._catalog.stats_token(table)
+        rows = token[0]
+        terms = self._table_terms.get(table)
         if terms is None or terms[0] != rows:
-            terms = self._table_terms[index.table] = (
+            terms = self._table_terms[table] = (
                 rows,
                 math.log10(1.0 + max(0, rows)),
-                _log_damp(self._read_rate.get(index.table, 0.0)),
-                _log_damp(self._write_rate.get(index.table, 0.0)),
+                _log_damp(self._read_rate.get(table, 0.0)),
+                _log_damp(self._write_rate.get(table, 0.0)),
             )
-        lead = self._catalog.stats(index.table, index.columns[0])
-        selectivity = 1.0 / max(1.0, lead.n_distinct)
+        params = self._catalog.params
+        held = self._index_terms.get(index)
+        if held is None or held[0] != token or held[1] is not params:
+            lead = self._catalog.stats(table, index.columns[0])
+            held = self._index_terms[index] = (
+                token,
+                params,
+                min(4.0, self._catalog.index_size_pages(index) / self._budget),
+                float(len(index.columns)),
+                1.0 / max(1.0, lead.n_distinct),
+            )
         return [
             1.0,
             _log_damp(smoothed),
             _log_damp(window),
-            min(4.0, self._catalog.index_size_pages(index) / self._budget),
+            held[2],
             terms[1],
             1.0 if index in materialized else 0.0,
             terms[2],
             terms[3],
-            float(len(index.columns)),
-            selectivity,
+            held[3],
+            held[4],
         ]
 
     def to_snapshot(self) -> Dict:

@@ -6,67 +6,56 @@ every (feature, reward) observation, giving the ridge estimate
 ``theta = V^-1 b`` and the confidence width ``sqrt(x^T V^-1 x)`` (the
 ellipsoid shrinks along directions the data has covered).
 
-No numpy: the feature dimension is tiny (~10), so a Gauss-Jordan
-inverse with partial pivoting is both fast enough and dependency-free
-(the CI image only ships the test toolchain).
+``V`` is symmetric positive definite (the ridge prior keeps it so), so
+neither quantity needs ``V^-1``: one Cholesky factor ``V = L L^T`` per
+model state turns the width into a forward substitution
+(``x^T V^-1 x = |L^-1 x|^2``, non-negative by construction) and
+``theta`` into a forward plus a back substitution.  No numpy: the
+feature dimension is tiny (~10) and the CI image only ships the test
+toolchain.  ``tests/bandit/oracle.py`` keeps the Gauss-Jordan inverse
+this replaced as the reference the arithmetic is held against.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from operator import mul
 from typing import Dict, List, Optional, Sequence
 
 
-def mat_identity(dim: int, scale: float = 1.0) -> List[List[float]]:
-    """A ``dim x dim`` scaled identity matrix."""
-    return [
-        [scale if i == j else 0.0 for j in range(dim)] for i in range(dim)
-    ]
+def cholesky(matrix: Sequence[Sequence[float]]) -> List[List[float]]:
+    """The lower-triangular ``L`` with ``L L^T = matrix``, row ``i``
+    holding its ``i + 1`` entries up to the diagonal.
 
-
-def mat_vec(matrix: Sequence[Sequence[float]], vector: Sequence[float]) -> List[float]:
-    """Matrix-vector product."""
-    return [sum(map(mul, row, vector)) for row in matrix]
-
-
-def dot(a: Sequence[float], b: Sequence[float]) -> float:
-    """Inner product."""
-    return sum(map(mul, a, b))
-
-
-def mat_inverse(matrix: Sequence[Sequence[float]]) -> List[List[float]]:
-    """Invert a small square matrix by Gauss-Jordan elimination.
-
-    Partial pivoting keeps the elimination stable; the ridge prior
-    ``lambda*I`` guarantees the model's ``V`` is positive definite, so a
-    singular pivot only arises on caller error.
+    Only the lower triangle of ``matrix`` is read.  Each inner product
+    is a C-level ``sum(map(mul, ...))`` that stops at the shorter
+    operand (the row under construction).
 
     Raises:
-        ValueError: if the matrix is (numerically) singular.
+        ValueError: if a pivot is not positive (the matrix is not
+            positive definite, or holds a NaN).
     """
-    n = len(matrix)
-    # Augment [M | I] and reduce in place.
-    aug = [list(row) + [1.0 if i == j else 0.0 for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot_row][col]) < 1e-12:
-            raise ValueError("matrix is singular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [v / pivot for v in aug[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = aug[row][col]
-            if factor == 0.0:
-                continue
-            aug[row] = [
-                rv - factor * cv for rv, cv in zip(aug[row], aug[col])
-            ]
-    return [row[n:] for row in aug]
+    factor: List[List[float]] = []
+    for i, source in enumerate(matrix):
+        row: List[float] = []
+        for j in range(i):
+            above = factor[j]
+            row.append((source[j] - sum(map(mul, row, above))) / above[j])
+        pivot = source[i] - sum(map(mul, row, row))
+        if not pivot > 0.0:
+            raise ValueError("matrix is not positive definite")
+        row.append(math.sqrt(pivot))
+        factor.append(row)
+    return factor
+
+
+def forward_solve(factor: Sequence[Sequence[float]], x: Sequence[float]) -> List[float]:
+    """``L^-1 x`` by forward substitution."""
+    z: List[float] = []
+    for row, xi in zip(factor, x):
+        z.append((xi - sum(map(mul, row, z))) / row[-1])
+    return z
 
 
 class RidgeModel:
@@ -93,11 +82,13 @@ class RidgeModel:
         self.dim = dim
         self.lambda_reg = lambda_reg
         self.forgetting = forgetting
-        self.v = mat_identity(dim, lambda_reg)
+        self.v = [
+            [lambda_reg if i == j else 0.0 for j in range(dim)] for i in range(dim)
+        ]
         self.b = [0.0] * dim
         self.updates = 0
         # Derived from (v, b); dropped whenever either moves.
-        self._inv: Optional[List[List[float]]] = None
+        self._factor: Optional[List[List[float]]] = None
         self._theta: Optional[List[float]] = None
 
     # ------------------------------------------------------------------
@@ -114,7 +105,7 @@ class RidgeModel:
                 row[j] += xi * x[j]
             self.b[i] += reward * xi
         self.updates += 1
-        self._inv = self._theta = None
+        self._factor = self._theta = None
 
     def decay(self) -> None:
         """Age the evidence: ``V <- gamma V + (1-gamma) lambda I``.
@@ -133,29 +124,38 @@ class RidgeModel:
                 row[j] *= g
             row[i] += (1.0 - g) * self.lambda_reg
             self.b[i] *= g
-        self._inv = self._theta = None
+        self._factor = self._theta = None
 
     # ------------------------------------------------------------------
-    def _inverse(self) -> List[List[float]]:
-        if self._inv is None:
-            self._inv = mat_inverse(self.v)
-        return self._inv
+    def _cholesky(self) -> List[List[float]]:
+        if self._factor is None:
+            self._factor = cholesky(self.v)
+        return self._factor
 
     def theta(self) -> List[float]:
         """The ridge point estimate ``V^-1 b`` (evaluated once per model
         state; callers must not modify the returned list)."""
         if self._theta is None:
-            self._theta = mat_vec(self._inverse(), self.b)
+            factor = self._cholesky()
+            y = forward_solve(factor, self.b)
+            # Back substitution on L^T in place, last component first:
+            # each solved one leaves those above it through its row of L.
+            for i in range(self.dim - 1, -1, -1):
+                row = factor[i]
+                t = y[i] = y[i] / row[i]
+                for k in range(i):
+                    y[k] -= row[k] * t
+            self._theta = y
         return self._theta
 
     def mean(self, x: Sequence[float]) -> float:
         """Predicted reward ``theta^T x``."""
-        return dot(self.theta(), x)
+        return sum(map(mul, self.theta(), x))
 
     def width(self, x: Sequence[float]) -> float:
         """Confidence width ``sqrt(x^T V^-1 x)`` (unscaled by alpha)."""
-        quad = dot(x, mat_vec(self._inverse(), x))
-        return math.sqrt(max(0.0, quad))
+        z = forward_solve(self._cholesky(), x)
+        return math.sqrt(sum(map(mul, z, z)))
 
     def ucb(self, x: Sequence[float], alpha: float) -> float:
         """Optimistic reward estimate ``theta^T x + alpha * width(x)``."""
@@ -175,7 +175,15 @@ class RidgeModel:
 
     @classmethod
     def from_snapshot(cls, data: Dict) -> "RidgeModel":
-        """Inverse of :meth:`to_snapshot`."""
+        """Inverse of :meth:`to_snapshot`.
+
+        Raises:
+            ValueError: if ``v`` or ``b`` has the wrong shape or a
+                non-finite entry, or ``v`` is not symmetric (beyond 1e-9
+                relative; the factor reads one triangle) or not positive
+                definite -- a model that would restore cleanly and then
+                score every arm NaN, or fail at every close.
+        """
         model = cls(
             dim=int(data["dim"]),
             lambda_reg=float(data["lambda_reg"]),
@@ -189,5 +197,12 @@ class RidgeModel:
             raise ValueError("snapshot b has wrong shape")
         model.v = [list(map(float, row)) for row in v]
         model.b = list(map(float, b))
+        if not all(map(math.isfinite, chain(model.b, *model.v))):
+            raise ValueError("snapshot V or b is not finite")
+        for i, row in enumerate(model.v):
+            for j in range(i):
+                if not math.isclose(row[j], model.v[j][i], rel_tol=1e-9):
+                    raise ValueError("snapshot V is not symmetric")
+        model._cholesky()  # positive definite, or ValueError
         model.updates = int(data.get("updates", 0))
         return model

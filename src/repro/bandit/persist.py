@@ -69,7 +69,7 @@ def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
                 _key_text(ix.table, ix.columns): remaining
                 for ix, remaining in sorted(
                     tuner._safety_bans.values(),  # noqa: SLF001
-                    key=lambda pair: str(pair[0]),
+                    key=lambda pair: pair[0].name,
                 )
             },
             "watch": watch,

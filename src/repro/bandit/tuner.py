@@ -200,7 +200,7 @@ class BanditTuner(TuningLoop):
         calls = 0
         charge = 0.0
         mat = frozenset(self.materialized)
-        for index in sorted(used, key=str):
+        for index in sorted(used, key=_name):
             if index not in mat:
                 continue
             key = _key(index)
@@ -349,32 +349,30 @@ class BanditTuner(TuningLoop):
         self._metrics["bandit_arms"].set(len(pool))
         items: List[KnapsackItem] = []
         scores: Dict[IndexKey, float] = {}
+        # One pass over the arms, its invariants bound once per close
+        # (per close, not per tuner: a restore replaces ``self.model``).
+        config, materialized = self.config, self.materialized
+        tracker = self.profiler.candidates
+        vector, width_of, mean_of = self.features.vector, self.model.width, self.model.mean
+        size_of, build_of = self.catalog.index_size_pages, self.catalog.index_build_cost
+        observe_width = self._metrics["bandit_confidence_width"].observe
+        alpha, retention, matcost = config.alpha, config.retention_weight, config.matcost_weight
         for index in pool:
-            x = self.features.vector(
-                index, self.profiler.candidates, self.materialized
-            )
-            width = self.model.width(x)
-            optimistic = self.model.mean(x) + self.config.alpha * width
-            self._metrics["bandit_confidence_width"].observe(width)
+            x = vector(index, tracker, materialized)
+            width = width_of(x)
+            optimistic = mean_of(x) + alpha * width
+            observe_width(width)
             value = optimistic * epoch_length
             if not forced:
-                build = self.catalog.index_build_cost(index)
-                if index in self.materialized:
+                if index not in materialized:
+                    value -= matcost * build_of(index)
+                elif optimistic > 0.0:
                     # Anti-thrash margin -- but never life support: an
                     # arm whose optimistic estimate has gone non-positive
                     # earns no retention credit and falls out.
-                    if optimistic > 0.0:
-                        value += self.config.retention_weight * build
-                else:
-                    value -= self.config.matcost_weight * build
+                    value += retention * build_of(index)
             scores[_key(index)] = optimistic
-            items.append(
-                KnapsackItem(
-                    key=index,
-                    size=self.catalog.index_size_pages(index),
-                    value=value,
-                )
-            )
+            items.append(KnapsackItem(key=index, size=size_of(index), value=value))
 
         merged = self._merge_safety_bans(constraints)
         selected, total_value = solve_constrained(
@@ -392,7 +390,7 @@ class BanditTuner(TuningLoop):
         )
         self.hot = sorted(
             (ix for ix in pool if ix not in target and scores[_key(ix)] > 0.0),
-            key=lambda ix: (-scores[_key(ix)], str(ix)),
+            key=lambda ix: (-scores[_key(ix)], ix.name),
         )[: self.config.max_hot_size]
 
         prev = self._prev_solution_value

@@ -1,19 +1,31 @@
-"""Tests for the pure-Python ridge model behind the C³-UCB bandit."""
+"""Tests for the pure-Python ridge model behind the C³-UCB bandit.
+
+The model factors ``V`` (Cholesky) where it used to invert it
+(Gauss-Jordan), so its floats are no longer bit-identical with the
+arithmetic it replaced; they are held to it by tolerance instead:
+``REL`` relative, ``ABS`` absolute, against ``tests/bandit/oracle.py``.
+"""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bandit.linucb import (
-    RidgeModel,
-    dot,
-    mat_identity,
-    mat_inverse,
-    mat_vec,
-)
+from repro.bandit.linucb import RidgeModel, cholesky, forward_solve
+
+from tests.bandit.oracle import dot, mat_identity, mat_inverse, mat_vec
+
+REL, ABS = 1e-9, 1e-12
+
+
+def _close(value):
+    return pytest.approx(value, rel=REL, abs=ABS)
 
 
 class TestMatrixHelpers:
+    """The oracle's own arithmetic (``tests/bandit/oracle.py``)."""
+
     def test_identity(self):
         assert mat_identity(2) == [[1.0, 0.0], [0.0, 1.0]]
         assert mat_identity(2, scale=3.0)[0][0] == 3.0
@@ -46,6 +58,45 @@ class TestMatrixHelpers:
         # Without partial pivoting the first pivot would be 0.
         inv = mat_inverse([[0.0, 1.0], [1.0, 0.0]])
         assert inv == [[0.0, 1.0], [1.0, 0.0]]
+
+
+class TestCholesky:
+    def test_known_factor(self):
+        # [[4,2],[2,5]] = [[2,0],[1,2]] [[2,1],[0,2]]
+        assert cholesky([[4.0, 2.0], [2.0, 5.0]]) == [[2.0], [1.0, 2.0]]
+
+    def test_factor_times_transpose_is_the_matrix(self):
+        matrix = [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+        factor = cholesky(matrix)
+        assert [len(row) for row in factor] == [1, 2, 3]
+        for i in range(3):
+            for j in range(i + 1):
+                assert dot(factor[i], factor[j]) == pytest.approx(matrix[i][j])
+
+    def test_only_the_lower_triangle_is_read(self):
+        lower = cholesky([[4.0, math.nan], [2.0, 5.0]])
+        assert lower == cholesky([[4.0, 2.0], [2.0, 5.0]])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1.0, 2.0], [2.0, 4.0]],  # singular
+            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[-1.0]],
+            [[math.nan]],
+            [[1.0, 0.0], [math.nan, 1.0]],
+        ],
+    )
+    def test_not_positive_definite_raises(self, matrix):
+        with pytest.raises(ValueError, match="positive definite"):
+            cholesky(matrix)
+
+    def test_forward_solve_inverts_the_factor(self):
+        factor = cholesky([[4.0, 2.0], [2.0, 5.0]])
+        z = forward_solve(factor, [2.0, 5.0])
+        # L z = x with L = [[2,0],[1,2]]: z = [1, 2].
+        assert z == [1.0, 2.0]
 
 
 class TestRidgeModel:
@@ -145,7 +196,7 @@ class TestThetaIsHeldPerModelState:
             else:
                 model.update(arms[step % 6], rng.uniform(-1, 3))
             for x in arms:  # several reads per state, as an epoch close does
-                assert model.mean(x) == self._reference_mean(model, x)
+                assert model.mean(x) == _close(self._reference_mean(model, x))
                 assert model.ucb(x, 1.7) == model.mean(x) + 1.7 * model.width(x)
 
     def test_theta_is_evaluated_once_per_state(self):
@@ -166,6 +217,45 @@ class TestThetaIsHeldPerModelState:
         restored = RidgeModel.from_snapshot(model.to_snapshot())
         assert restored.theta() == model.theta()
         assert restored.theta() is not model.theta()
+
+
+# ----------------------------------------------------------------------
+# the differential that replaces bit-identity
+_features = st.floats(-4.0, 4.0, allow_nan=False)
+_steps = st.one_of(
+    st.just(None),  # decay
+    st.tuples(st.lists(_features, min_size=10, max_size=10), st.floats(-3.0, 3.0)),
+)
+
+
+@given(
+    dim=st.integers(1, 10),
+    lambda_reg=st.floats(0.1, 10.0),
+    forgetting=st.floats(0.5, 1.0),
+    steps=st.lists(_steps, min_size=1, max_size=30),
+    reads=st.lists(st.lists(_features, min_size=10, max_size=10), min_size=2, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_read_tracks_the_gauss_jordan_oracle(
+    dim, lambda_reg, forgetting, steps, reads
+):
+    """``mean``, ``width`` and ``theta`` of every model state reached by
+    an ``update`` / ``decay`` interleaving agree with ``V^-1`` taken by
+    Gauss-Jordan elimination, and the width needs no clamp at zero."""
+    model = RidgeModel(dim, lambda_reg=lambda_reg, forgetting=forgetting)
+    for step in steps:
+        if step is None:
+            model.decay()
+        else:
+            model.update(step[0][:dim], step[1])
+        inverse = mat_inverse(model.v)
+        theta = mat_vec(inverse, model.b)
+        assert model.theta() == _close(theta)
+        for x in (read[:dim] for read in reads):  # several reads per state
+            assert model.mean(x) == _close(dot(theta, x))
+            width = model.width(x)
+            assert width >= 0.0
+            assert width == _close(math.sqrt(max(0.0, dot(x, mat_vec(inverse, x)))))
 
 
 class TestSnapshot:
@@ -199,4 +289,43 @@ class TestSnapshot:
         snap = RidgeModel(2).to_snapshot()
         snap["b"] = [0.0]
         with pytest.raises(ValueError, match="shape"):
+            RidgeModel.from_snapshot(snap)
+
+    def _trained_snapshot(self):
+        model = RidgeModel(3, lambda_reg=1.0, forgetting=0.9)
+        model.update([1.0, 0.5, 2.0], 1.5)
+        model.update([0.0, 1.0, -1.0], -0.5)
+        return model.to_snapshot()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_v_rejected(self, bad):
+        snap = self._trained_snapshot()
+        snap["v"][1][2] = snap["v"][2][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RidgeModel.from_snapshot(snap)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_b_rejected(self, bad):
+        snap = self._trained_snapshot()
+        snap["b"][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RidgeModel.from_snapshot(snap)
+
+    def test_asymmetric_v_rejected(self):
+        snap = self._trained_snapshot()
+        snap["v"][0][2] += 0.25  # the factor would never read it
+        with pytest.raises(ValueError, match="symmetric"):
+            RidgeModel.from_snapshot(snap)
+        snap = self._trained_snapshot()
+        snap["v"][0][2] *= 1.0 + 1e-12  # a last-digit difference is not an error
+        RidgeModel.from_snapshot(snap)
+
+    def test_v_that_is_not_positive_definite_rejected(self):
+        snap = self._trained_snapshot()
+        snap["v"] = [[0.0] * 3 for _ in range(3)]
+        with pytest.raises(ValueError, match="positive definite"):
+            RidgeModel.from_snapshot(snap)
+        snap = self._trained_snapshot()
+        snap["v"][0][0] = -snap["v"][0][0]
+        with pytest.raises(ValueError, match="positive definite"):
             RidgeModel.from_snapshot(snap)

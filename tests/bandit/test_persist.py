@@ -1,6 +1,7 @@
 """Tests for bandit snapshot/restore and engine-dispatch persistence."""
 
 import json
+import math
 import random
 
 import pytest
@@ -162,6 +163,27 @@ class TestEngineDispatch:
             restore_tuner(build_small_catalog(), snap)
 
 
+# Models that are not a ridge model's.  Each restored cleanly before V was
+# factored at restore: the NaN made every UCB NaN (the knapsack never
+# selected an arm again, with no error anywhere), the zero V raised at
+# every later close, the asymmetric V was accepted as it stood.
+def _nan_v(model):
+    model["v"][2][3] = model["v"][3][2] = math.nan
+
+
+def _zero_v(model):
+    model["forgetting"] = 1.0  # decay never re-anchors V at the prior
+    model["v"] = [[0.0] * len(row) for row in model["v"]]
+
+
+def _asymmetric_v(model):
+    model["v"][0][4] += 1.0
+
+
+def _infinite_b(model):
+    model["b"][1] = math.inf
+
+
 class TestValidation:
     def test_colt_snapshot_rejected(self, small_catalog):
         snap = snapshot_tuner(ColtTuner(small_catalog, ColtConfig()))
@@ -195,3 +217,21 @@ class TestValidation:
         del snap["model"]
         with pytest.raises(SnapshotError, match="malformed"):
             restore_bandit_tuner(build_small_catalog(), snap)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_nan_v, "finite"),
+            (_zero_v, "positive definite"),
+            (_asymmetric_v, "symmetric"),
+            (_infinite_b, "finite"),
+        ],
+    )
+    @pytest.mark.parametrize("restore", [restore_bandit_tuner, restore_any])
+    def test_model_that_cannot_be_a_ridge_model_rejected(
+        self, small_catalog, restore, corrupt, message
+    ):
+        snap = snapshot_bandit_tuner(_trained_bandit(small_catalog))
+        corrupt(snap["model"])
+        with pytest.raises(SnapshotError, match=message):
+            restore(build_small_catalog(), snap)

@@ -19,9 +19,18 @@ streams are therefore pinned epoch by epoch in
   prefers two others: ``solve_constrained`` and the pinned pool rows.
 
 Each epoch row is ``[materialize, drop, hot, whatif_budget,
-repr(improvement_ratio)]``; floats are compared by ``repr`` so the pin
-is bit-exact.  The file was recorded on the commit *before* the close
-was restructured.  Only an intended behaviour change regenerates it:
+repr(improvement_ratio)]``.  The four decision fields and the summed
+``total_cost`` are compared exactly, everywhere.  The ratio is compared
+by ``repr`` (bit-exact) only where the recording's arithmetic still
+applies -- the COLT scenarios on CPython < 3.12 -- and within
+``RATIO_REL`` otherwise: built-in ``sum`` over floats is compensated
+from 3.12 (both engines sum into the ratio), and the bandit's ridge
+model factors ``V`` (Cholesky) where the recording inverted it
+(Gauss-Jordan), which moves ``bandit_shift`` ratios by up to 4.8e-13
+relative without moving a decision.  The file was recorded on CPython
+3.11, on the commit *before* the close was restructured, and stays the
+reference newer arithmetic is held against.  Only an intended behaviour
+change regenerates it:
 
     CLOSE_IDENTITY_REGEN=1 PYTHONPATH=src python -m pytest \
         tests/core/test_close_identity.py -q
@@ -31,6 +40,7 @@ import itertools
 import json
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -43,6 +53,7 @@ from repro.workload.experiments import phase_distributions
 DATA_PATH = pathlib.Path(__file__).parent.parent / "data" / "close_identity.json"
 SEED = 0
 CYCLES = 10
+RATIO_REL = 1e-9
 HTAP_TABLES = ("lineitem_1", "lineitem_2", "orders_1", "orders_2")
 ADVICE = """
 pin lineitem_1.l_shipdate
@@ -149,9 +160,15 @@ def pinned():
 def test_every_close_matches_the_recorded_run(pinned, scenario):
     rows, total = SCENARIOS[scenario]()
     expected = pinned[scenario]
+    bit_exact = scenario.startswith("colt_") and sys.version_info < (3, 12)
     assert len(rows) == len(expected["epochs"])
     for epoch, (got, want) in enumerate(zip(rows, expected["epochs"])):
-        assert got == want, f"{scenario}: first divergence at epoch {epoch}"
+        where = f"{scenario}: first divergence at epoch {epoch}"
+        assert got[:4] == want[:4], where
+        if bit_exact:
+            assert got[4] == want[4], where
+        else:
+            assert float(got[4]) == pytest.approx(float(want[4]), rel=RATIO_REL), where
     assert total == expected["total_cost"]
 
 
