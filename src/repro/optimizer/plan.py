@@ -217,6 +217,12 @@ class LimitNode(PlanNode):
     child: Optional[PlanNode] = None
     limit: int = 0
 
+    def __post_init__(self) -> None:
+        # The parser rejects ``LIMIT -5``; a hand-built Query must not
+        # get a plan with a negative cardinality either.
+        if self.limit < 0 or self.rows < 0:
+            raise ValueError(f"LIMIT cannot be negative, got {self.limit}")
+
     def children(self) -> List[PlanNode]:
         return [self.child]
 

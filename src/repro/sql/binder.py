@@ -5,11 +5,19 @@ that every referenced table and column exists, checks type compatibility
 of predicates, and coerces literals to the engine representation (e.g.
 date strings to day ordinals).  Everything downstream -- optimizer,
 executor, COLT -- assumes bound queries.
+
+AST nodes are frozen, so the bound query shares every node binding does
+not change with its input: an already-qualified column, the select item
+or ordering key around it, a predicate whose coerced literals are the
+objects it already held.  Only the ``Query`` and its lists are always new.
 """
 
 from __future__ import annotations
 
-from repro.engine.catalog import Catalog
+import operator
+from typing import Dict
+
+from repro.engine.catalog import Catalog, TableDef
 from repro.engine.datatypes import DataType, coerce, comparable
 from repro.sql.ast import (
     Aggregate,
@@ -35,44 +43,45 @@ def bind_query(query: Query, catalog: Catalog) -> Query:
         BindError: on unknown tables/columns, ambiguous references, or
             type-incompatible predicates.
     """
-    binder = _Binder(query, catalog)
-    return binder.bind()
+    return _Binder(query, catalog).bind()
 
 
 class _Binder:
+    __slots__ = ("_query", "_tables")
+
     def __init__(self, query: Query, catalog: Catalog) -> None:
         self._query = query
-        self._catalog = catalog
+        # The FROM list, resolved once: a column lookup is one dict read.
+        self._tables: Dict[str, TableDef] = {}
+        for name in query.tables:
+            try:
+                self._tables[name] = catalog.table(name)
+            except KeyError:
+                raise BindError(f"unknown table {name!r}") from None
 
     def bind(self) -> Query:
-        for name in self._query.tables:
-            if not self._catalog.has_table(name):
-                raise BindError(f"unknown table {name!r}")
+        query = self._query
         return Query(
-            tables=list(self._query.tables),
-            select=[self._bind_item(i) for i in self._query.select],
-            filters=[self._bind_filter(f) for f in self._query.filters],
-            joins=[self._bind_join(j) for j in self._query.joins],
-            group_by=[self._bind_column(c) for c in self._query.group_by],
-            order_by=[
-                OrderItem(self._bind_column(o.column), o.descending)
-                for o in self._query.order_by
-            ],
-            limit=self._query.limit,
-            text=self._query.text,
+            tables=list(query.tables),
+            select=[self._bind_item(i) for i in query.select],
+            filters=[self._bind_filter(f) for f in query.filters],
+            joins=[self._bind_join(j) for j in query.joins],
+            group_by=[self._bind_column(c) for c in query.group_by],
+            order_by=[self._bind_order(o) for o in query.order_by],
+            limit=query.limit,
+            text=query.text,
         )
 
     def _bind_column(self, col: ColumnExpr) -> ColumnExpr:
         if col.table is not None:
-            if col.table not in self._query.tables:
+            table = self._tables.get(col.table)
+            if table is None:
                 raise BindError(f"table {col.table!r} not in FROM clause")
-            if not self._catalog.table(col.table).has_column(col.column):
+            if not table.has_column(col.column):
                 raise BindError(f"no column {col.column!r} in table {col.table!r}")
             return col
         owners = [
-            t
-            for t in self._query.tables
-            if self._catalog.table(t).has_column(col.column)
+            t for t in self._query.tables if self._tables[t].has_column(col.column)
         ]
         if not owners:
             raise BindError(f"unknown column {col.column!r}")
@@ -83,37 +92,45 @@ class _Binder:
         return ColumnExpr(column=col.column, table=owners[0])
 
     def _dtype(self, col: ColumnExpr) -> DataType:
-        return self._catalog.table(col.table).column(col.column).dtype
+        return self._tables[col.table].column(col.column).dtype
 
     def _bind_item(self, item: SelectItem) -> SelectItem:
-        if isinstance(item.expr, Aggregate):
-            arg = item.expr.arg
-            bound_arg = None if arg is None else self._bind_column(arg)
-            return SelectItem(
-                expr=Aggregate(func=item.expr.func, arg=bound_arg),
-                alias=item.alias,
-            )
-        return SelectItem(expr=self._bind_column(item.expr), alias=item.alias)
+        expr = item.expr
+        if isinstance(expr, Aggregate):
+            if expr.arg is None:
+                return item
+            arg = self._bind_column(expr.arg)
+            if arg is expr.arg:
+                return item
+            return SelectItem(Aggregate(expr.func, arg), item.alias)
+        column = self._bind_column(expr)
+        return item if column is expr else SelectItem(column, item.alias)
+
+    def _bind_order(self, item: OrderItem) -> OrderItem:
+        column = self._bind_column(item.column)
+        return item if column is item.column else OrderItem(column, item.descending)
 
     def _bind_filter(self, pred):
         column = self._bind_column(pred.column)
         dtype = self._dtype(column)
+        same = column is pred.column
         try:
             if isinstance(pred, ComparisonPredicate):
-                return ComparisonPredicate(
-                    column=column, op=pred.op, value=coerce(pred.value, dtype)
-                )
+                value = coerce(pred.value, dtype)
+                if same and value is pred.value:
+                    return pred
+                return ComparisonPredicate(column, pred.op, value)
             if isinstance(pred, BetweenPredicate):
-                return BetweenPredicate(
-                    column=column,
-                    low=coerce(pred.low, dtype),
-                    high=coerce(pred.high, dtype),
-                )
+                low = coerce(pred.low, dtype)
+                high = coerce(pred.high, dtype)
+                if same and low is pred.low and high is pred.high:
+                    return pred
+                return BetweenPredicate(column, low, high)
             if isinstance(pred, InPredicate):
-                return InPredicate(
-                    column=column,
-                    values=tuple(coerce(v, dtype) for v in pred.values),
-                )
+                values = tuple(coerce(v, dtype) for v in pred.values)
+                if same and all(map(operator.is_, values, pred.values)):
+                    return pred
+                return InPredicate(column, values)
         except TypeError as exc:
             raise BindError(f"type error in predicate on {column}: {exc}") from exc
         raise BindError(f"unsupported predicate type {type(pred).__name__}")
@@ -127,4 +144,6 @@ class _Binder:
             raise BindError(
                 f"join predicate {join} compares incompatible types"
             )
-        return JoinPredicate(left=left, right=right)
+        if left is join.left and right is join.right:
+            return join
+        return JoinPredicate(left, right)

@@ -17,7 +17,7 @@ workload model makes (COLT mines conjunctive selection predicates).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.sql.ast import (
     AggFunc,
@@ -32,79 +32,101 @@ from repro.sql.ast import (
     Query,
     SelectItem,
 )
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import EOF, IDENT, NUMBER, STRING, tokenize
 
 
 class ParseError(ValueError):
     """Raised when the input does not conform to the grammar."""
 
 
-_AGG_NAMES = {f.value for f in AggFunc}
+_AGGREGATES = {func.value: func for func in AggFunc}
+_OPERATORS = {op.value: op for op in CompareOp}
+_OPERATORS["!="] = CompareOp.NE
+# ``literal op column`` is stored as ``column flipped(op) literal``.
+_FLIPPED = {text: op.flipped() for text, op in _OPERATORS.items()}
 
 
 class _Parser:
+    """One parse: the scanner's parallel lists and an index into them."""
+
+    __slots__ = ("_sql", "_kinds", "_values", "_offsets", "_i")
+
     def __init__(self, sql: str) -> None:
         self._sql = sql
-        self._tokens = tokenize(sql)
-        self._pos = 0
+        self._kinds, self._values, self._offsets = tokenize(sql)
+        self._i = 0
 
     # -- token helpers -------------------------------------------------
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
+    # The clauses every query passes through test ``kinds[self._i]`` in
+    # line; ``_accept`` serves the optional tokens off that path.
+    def _accept(self, kind: str) -> bool:
+        i = self._i
+        if self._kinds[i] == kind:
+            self._i = i + 1
+            return True
+        return False
 
-    def _next(self) -> Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
+    def _expect(self, kind: str) -> str:
+        """Consume one token of ``kind`` and return its value."""
+        i = self._i
+        if self._kinds[i] != kind:
+            raise self._expected(kind.lower())
+        self._i = i + 1
+        return self._values[i]
 
-    def _accept(self, ttype: TokenType, value: Optional[str] = None) -> Optional[Token]:
-        tok = self._peek()
-        if tok.type is ttype and (value is None or tok.value == value):
-            return self._next()
-        return None
+    def _expected(self, want: str) -> ParseError:
+        i = self._i
+        return ParseError(
+            f"expected {want!r} at offset {self._offsets[i]}, got {self._values[i]!r}"
+        )
 
-    def _expect(self, ttype: TokenType, value: Optional[str] = None) -> Token:
-        tok = self._accept(ttype, value)
-        if tok is None:
-            got = self._peek()
-            want = value or ttype.value
-            raise ParseError(
-                f"expected {want!r} at offset {got.pos}, got {got.value!r}"
-            )
-        return tok
+    def _listed(self, item) -> list:
+        """``item (',' item)*``"""
+        items = [item()]
+        kinds = self._kinds
+        while kinds[self._i] == ",":
+            self._i += 1
+            items.append(item())
+        return items
 
     # -- grammar -------------------------------------------------------
     def parse(self) -> Query:
-        self._expect(TokenType.KEYWORD, "select")
-        select = self._select_list()
-        self._expect(TokenType.KEYWORD, "from")
+        kinds = self._kinds
+        self._expect("select")
+        select = [] if self._accept("*") else self._listed(self._select_item)
+        self._expect("from")
         tables = self._table_list()
         filters: List[object] = []
         joins: List[JoinPredicate] = []
-        if self._accept(TokenType.KEYWORD, "where"):
-            self._conjuncts(filters, joins)
+        if kinds[self._i] == "where":
+            self._i += 1
+            self._predicate(filters, joins)
+            while kinds[self._i] == "and":
+                self._i += 1
+                self._predicate(filters, joins)
         group_by: List[ColumnExpr] = []
-        if self._accept(TokenType.KEYWORD, "group"):
-            self._expect(TokenType.KEYWORD, "by")
-            group_by.append(self._column())
-            while self._accept(TokenType.PUNCT, ","):
-                group_by.append(self._column())
+        if kinds[self._i] == "group":
+            self._i += 1
+            self._expect("by")
+            group_by = self._listed(self._column)
         order_by: List[OrderItem] = []
-        if self._accept(TokenType.KEYWORD, "order"):
-            self._expect(TokenType.KEYWORD, "by")
-            order_by.append(self._order_item())
-            while self._accept(TokenType.PUNCT, ","):
-                order_by.append(self._order_item())
+        if kinds[self._i] == "order":
+            self._i += 1
+            self._expect("by")
+            order_by = self._listed(self._order_item)
         limit = None
-        if self._accept(TokenType.KEYWORD, "limit"):
-            tok = self._expect(TokenType.NUMBER)
+        if kinds[self._i] == "limit":
+            self._i += 1
+            text = self._expect(NUMBER)
             try:
-                limit = int(tok.value)
+                limit = int(text)
             except ValueError:
-                raise ParseError(
-                    f"LIMIT takes an integer, got {tok.value!r} at offset {tok.pos}"
-                ) from None
-        self._expect(TokenType.EOF)
+                limit = None
+            if limit is None or limit < 0:
+                what = "takes an integer" if limit is None else "cannot be negative"
+                at = self._offsets[self._i - 1]
+                raise ParseError(f"LIMIT {what}, got {text!r} at offset {at}")
+        self._expect(EOF)
         return Query(
             tables=tables,
             select=select,
@@ -116,123 +138,116 @@ class _Parser:
             text=self._sql,
         )
 
-    def _select_list(self) -> List[SelectItem]:
-        if self._accept(TokenType.PUNCT, "*"):
-            return []
-        items = [self._select_item()]
-        while self._accept(TokenType.PUNCT, ","):
-            items.append(self._select_item())
-        return items
-
     def _select_item(self) -> SelectItem:
-        tok = self._peek()
-        if tok.type is TokenType.KEYWORD and tok.value in _AGG_NAMES:
-            self._next()
-            self._expect(TokenType.PUNCT, "(")
-            func = AggFunc(tok.value)
-            if self._accept(TokenType.PUNCT, "*"):
+        func = _AGGREGATES.get(self._kinds[self._i])
+        if func is not None:
+            self._i += 1
+            self._expect("(")
+            if self._accept("*"):
                 arg = None
                 if func is not AggFunc.COUNT:
                     raise ParseError(f"{func.value}(*) is not supported")
             else:
-                self._accept(TokenType.KEYWORD, "distinct")
+                self._accept("distinct")
                 arg = self._column()
-            self._expect(TokenType.PUNCT, ")")
-            expr: object = Aggregate(func=func, arg=arg)
+            self._expect(")")
+            expr: object = Aggregate(func, arg)
         else:
             expr = self._column()
-        alias = None
-        if self._accept(TokenType.KEYWORD, "as"):
-            alias = self._expect(TokenType.IDENT).value
-        return SelectItem(expr=expr, alias=alias)
+        if self._kinds[self._i] != "as":
+            return SelectItem(expr)
+        self._i += 1
+        return SelectItem(expr, self._expect(IDENT))
 
     def _table_list(self) -> List[str]:
-        tables = [self._expect(TokenType.IDENT).value]
-        while self._accept(TokenType.PUNCT, ","):
-            name = self._expect(TokenType.IDENT).value
+        tables = [self._expect(IDENT)]
+        kinds = self._kinds
+        while kinds[self._i] == ",":
+            self._i += 1
+            name = self._expect(IDENT)
             if name in tables:
                 raise ParseError(f"table {name!r} referenced twice (self-joins unsupported)")
             tables.append(name)
         return tables
 
-    def _conjuncts(self, filters: List[object], joins: List[JoinPredicate]) -> None:
-        self._predicate(filters, joins)
-        while self._accept(TokenType.KEYWORD, "and"):
-            self._predicate(filters, joins)
-
     def _predicate(self, filters: List[object], joins: List[JoinPredicate]) -> None:
-        tok = self._peek()
-        if tok.type in (TokenType.NUMBER, TokenType.STRING):
+        kinds = self._kinds
+        kind = kinds[self._i]
+        if kind == NUMBER or kind == STRING:
             # literal op column  →  normalize to column op literal
             literal = self._literal()
-            op_tok = self._expect(TokenType.OP)
-            column = self._column()
-            op = _parse_op(op_tok.value).flipped()
-            filters.append(ComparisonPredicate(column=column, op=op, value=literal))
+            op = _FLIPPED.get(kinds[self._i])
+            if op is None:
+                raise self._expected("op")
+            self._i += 1
+            filters.append(ComparisonPredicate(self._column(), op, literal))
             return
 
         column = self._column()
-        if self._accept(TokenType.KEYWORD, "between"):
+        i = self._i
+        kind = kinds[i]
+        if kind == "between":
+            self._i = i + 1
             low = self._literal()
-            self._expect(TokenType.KEYWORD, "and")
-            high = self._literal()
-            filters.append(BetweenPredicate(column=column, low=low, high=high))
-            return
-        if self._accept(TokenType.KEYWORD, "in"):
-            self._expect(TokenType.PUNCT, "(")
-            values = [self._literal()]
-            while self._accept(TokenType.PUNCT, ","):
-                values.append(self._literal())
-            self._expect(TokenType.PUNCT, ")")
-            filters.append(InPredicate(column=column, values=tuple(values)))
-            return
-
-        op_tok = self._expect(TokenType.OP)
-        op = _parse_op(op_tok.value)
-        rhs = self._peek()
-        if rhs.type is TokenType.IDENT:
-            right = self._column()
-            if op is not CompareOp.EQ:
-                raise ParseError(
-                    f"only equi-joins are supported, got {op.value!r} at offset {op_tok.pos}"
-                )
-            joins.append(JoinPredicate(left=column, right=right))
+            self._expect("and")
+            filters.append(BetweenPredicate(column, low, self._literal()))
+        elif kind == "in":
+            self._i = i + 1
+            self._expect("(")
+            values = tuple(self._listed(self._literal))
+            self._expect(")")
+            filters.append(InPredicate(column, values))
         else:
-            filters.append(
-                ComparisonPredicate(column=column, op=op, value=self._literal())
-            )
+            op = _OPERATORS.get(kind)
+            if op is None:
+                raise self._expected("op")
+            self._i = i + 1
+            if kinds[i + 1] == IDENT:
+                right = self._column()
+                if op is not CompareOp.EQ:
+                    raise ParseError(
+                        f"only equi-joins are supported, got {op.value!r} "
+                        f"at offset {self._offsets[i]}"
+                    )
+                joins.append(JoinPredicate(column, right))
+            else:
+                filters.append(ComparisonPredicate(column, op, self._literal()))
 
     def _column(self) -> ColumnExpr:
-        first = self._expect(TokenType.IDENT).value
-        if self._accept(TokenType.PUNCT, "."):
-            second = self._expect(TokenType.IDENT).value
-            return ColumnExpr(column=second, table=first)
-        return ColumnExpr(column=first)
+        i = self._i
+        kinds = self._kinds
+        if kinds[i] != IDENT:
+            raise self._expected("ident")
+        # Past an IDENT the stream holds at least EOF, past a "." too.
+        if kinds[i + 1] != ".":
+            self._i = i + 1
+            return ColumnExpr(self._values[i])
+        self._i = i + 2
+        if kinds[i + 2] != IDENT:
+            raise self._expected("ident")
+        self._i = i + 3
+        return ColumnExpr(self._values[i + 2], self._values[i])
 
     def _order_item(self) -> OrderItem:
         column = self._column()
-        descending = False
-        if self._accept(TokenType.KEYWORD, "desc"):
-            descending = True
-        else:
-            self._accept(TokenType.KEYWORD, "asc")
-        return OrderItem(column=column, descending=descending)
+        descending = self._accept("desc")
+        if not descending:
+            self._accept("asc")
+        return OrderItem(column, descending)
 
     def _literal(self):
-        tok = self._next()
-        if tok.type is TokenType.NUMBER:
-            if any(c in tok.value for c in ".eE"):
-                return float(tok.value)
-            return int(tok.value)
-        if tok.type is TokenType.STRING:
-            return tok.value
-        raise ParseError(f"expected literal at offset {tok.pos}, got {tok.value!r}")
-
-
-def _parse_op(text: str) -> CompareOp:
-    if text == "!=":
-        return CompareOp.NE
-    return CompareOp(text)
+        i = self._i
+        kind = self._kinds[i]
+        text = self._values[i]
+        if kind == NUMBER:
+            self._i = i + 1
+            if "." in text or "e" in text or "E" in text:
+                return float(text)
+            return int(text)
+        if kind == STRING:
+            self._i = i + 1
+            return text
+        raise ParseError(f"expected literal at offset {self._offsets[i]}, got {text!r}")
 
 
 def parse_query(sql: str) -> Query:
@@ -240,5 +255,6 @@ def parse_query(sql: str) -> Query:
 
     Raises:
         ParseError: if the input does not conform to the grammar.
+        LexError: if the text does not scan (see :mod:`repro.sql.lexer`).
     """
     return _Parser(sql).parse()

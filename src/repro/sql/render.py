@@ -15,7 +15,6 @@ from typing import List, Optional
 from repro.engine.catalog import Catalog
 from repro.engine.datatypes import DataType, ordinal_to_date
 from repro.sql.ast import (
-    Aggregate,
     BetweenPredicate,
     ColumnExpr,
     ComparisonPredicate,
@@ -63,10 +62,7 @@ def _render_select(items: List[SelectItem]) -> str:
         return "*"
     rendered = []
     for item in items:
-        if isinstance(item.expr, Aggregate):
-            text = str(item.expr)
-        else:
-            text = str(item.expr)
+        text = str(item.expr)
         if item.alias:
             text += f" as {item.alias}"
         rendered.append(text)
@@ -96,7 +92,8 @@ def _literal(value, column: ColumnExpr, catalog: Optional[Catalog]) -> str:
         if dtype is DataType.DATE and isinstance(value, int):
             return f"'{ordinal_to_date(value).isoformat()}'"
     if isinstance(value, str):
-        return f"'{value}'"
+        # Standard SQL: a quote inside a string literal is written twice.
+        return "'" + value.replace("'", "''") + "'"
     if isinstance(value, datetime.date):  # pragma: no cover - defensive
         return f"'{value.isoformat()}'"
     if isinstance(value, float):

@@ -17,6 +17,8 @@ from repro.backend.base import (
 from repro.backend.hypopg import PostgresHypoBackend, driver_available
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.resilience.errors import WhatIfProbeError
+from repro.sql.ast import ColumnExpr, CompareOp, ComparisonPredicate, Query
+from repro.sql.parser import parse_query
 
 from tests.fleet.workloads import build_small_catalog, eq_query
 
@@ -145,6 +147,23 @@ class TestHypotheticalIndexes:
 class TestPricing:
     def test_explain_cost_parsed_from_json(self, backend):
         assert backend.get_cost(eq_query(7)) == 1000.0
+
+    def test_quote_in_a_literal_reaches_the_server_doubled(self, backend, conn):
+        # Unescaped, the literal would close early and the rest of it
+        # would run as a second predicate on the server.
+        query = Query(
+            tables=["events"],
+            filters=[
+                ComparisonPredicate(
+                    ColumnExpr("kind", "events"), CompareOp.EQ, "x' and user_id = '1"
+                )
+            ],
+        )
+        backend.get_cost(query)
+        explain = [s for s, _ in conn.statements if s.startswith("EXPLAIN")][-1]
+        assert explain.endswith("where events.kind = 'x'' and user_id = ''1'")
+        sent = parse_query(explain[len("EXPLAIN (FORMAT JSON) "):])
+        assert sent.filters == query.filters
 
     def test_optimize_simulates_then_cleans_up(self, backend, conn):
         user = backend.catalog.index_for("events", "user_id")

@@ -13,11 +13,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.engine.catalog import Catalog, ColumnDef, TableDef
 from repro.engine.datatypes import DataType
 from repro.engine.stats import ColumnStats
 from repro.engine.storage import PhysicalStore
+
+# ``--hypothesis-profile=deep``: 20x the default example budget for every
+# property test that does not fix its own (CI runs tests/sql under it, so
+# each interpreter's ``re`` engine meets the front-end differential at depth).
+settings.register_profile(
+    "deep", max_examples=20 * settings.default.max_examples, deadline=None
+)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from repro.optimizer.plan import (
     plan_signature,
 )
 from repro.sql.binder import bind_query
-from repro.sql.parser import parse_query
+from repro.sql.parser import ParseError, parse_query
 
 
 def _optimize(catalog, sql, config=None, cache=None):
@@ -51,6 +51,25 @@ class TestFinalization:
         res = _optimize(small_catalog, "select amount from events limit 7")
         limits = [n for n in _walk(res.plan) if isinstance(n, LimitNode)]
         assert limits and limits[0].rows == 7.0
+
+    def test_limit_zero_is_an_empty_result(self, small_catalog):
+        res = _optimize(small_catalog, "select amount from events limit 0")
+        limits = [n for n in _walk(res.plan) if isinstance(n, LimitNode)]
+        assert limits and limits[0].rows == 0.0
+
+    def test_no_limit_node_carries_a_negative_row_count(self, small_catalog):
+        # The parser refuses the text; a hand-built query is refused when
+        # its plan is made, so no plan reports rows = -5.
+        with pytest.raises(ParseError):
+            parse_query("select amount from events limit -5")
+        query = bind_query(parse_query("select amount from events"), small_catalog)
+        query.limit = -5
+        with pytest.raises(ValueError, match="LIMIT cannot be negative"):
+            Optimizer(small_catalog).optimize(query)
+        scan = SeqScanNode(rows=10.0, cost=1.0, table="events")
+        for rows, limit in ((-1.0, 3), (3.0, -3), (-5.0, -5)):
+            with pytest.raises(ValueError):
+                LimitNode(rows=rows, cost=1.0, child=scan, limit=limit)
 
     def test_cost_monotone_up_the_tree(self, small_catalog):
         res = _optimize(

@@ -124,3 +124,48 @@ class TestShape:
         )
         assert q.group_by[0].table == "events"
         assert q.order_by[0].column.table == "events"
+
+    def test_unchanged_nodes_are_shared_changed_ones_rebuilt(self, small_catalog):
+        parsed = parse_query(
+            "select events.amount, kind, count(events.day), count(*) "
+            "from events, users "
+            "where events.user_id = users.user_id and events.user_id = 7 "
+            "and events.amount > 5 and events.day >= '1992-06-01' "
+            "and events.kind in ('a', 'b') and score between 1 and 2 "
+            "order by events.amount, kind"
+        )
+        bound = bind_query(parsed, small_catalog)
+        # Already qualified, literal already in the column's type: as is.
+        shared = [(0, 0), (2, 2), (3, 3)]
+        assert all(bound.select[b] is parsed.select[p] for b, p in shared)
+        assert bound.select[1] is not parsed.select[1]  # kind -> events.kind
+        assert bound.joins[0] is parsed.joins[0]
+        assert bound.filters[0] is parsed.filters[0]  # int on INT
+        assert bound.filters[3] is parsed.filters[3]  # strs on TEXT
+        assert bound.order_by[0] is parsed.order_by[0]
+        # int on FLOAT, str on DATE, unqualified column: new nodes.
+        for i in (1, 2, 4):
+            assert bound.filters[i] is not parsed.filters[i]
+        assert bound.filters[1].value == 5.0 and isinstance(bound.filters[1].value, float)
+        assert bound.filters[4].column.table == "users"
+        assert bound.order_by[1].column.table == "events"
+        # The containers are always the bound query's own.
+        for name in ("tables", "select", "filters", "joins", "group_by", "order_by"):
+            assert getattr(bound, name) is not getattr(parsed, name)
+
+    def test_rebinding_a_bound_query_shares_every_node(self, small_catalog):
+        bound = bind_query(
+            parse_query(
+                "select kind, count(*) from events, users "
+                "where events.user_id = users.user_id and amount > 5 "
+                "and day between '1992-06-01' and '1992-07-01' and kind in ('a', 'b') "
+                "group by kind order by kind desc limit 3"
+            ),
+            small_catalog,
+        )
+        again = bind_query(bound, small_catalog)
+        assert again == bound and again is not bound
+        for name in ("select", "filters", "joins", "group_by", "order_by"):
+            ours, theirs = getattr(again, name), getattr(bound, name)
+            assert ours is not theirs
+            assert all(a is b for a, b in zip(ours, theirs))

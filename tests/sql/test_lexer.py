@@ -1,30 +1,34 @@
-"""Unit tests for the SQL tokenizer."""
+"""Unit tests for the SQL scanner."""
 
 import pytest
 
-from repro.sql.lexer import LexError, Token, TokenType, tokenize
+from repro.sql.lexer import EOF, IDENT, KEYWORDS, NUMBER, STRING, LexError, tokenize
 
 
-def _types(sql):
-    return [t.type for t in tokenize(sql)]
+def _kinds(sql):
+    return tokenize(sql)[0]
 
 
 def _values(sql):
-    return [t.value for t in tokenize(sql)][:-1]  # drop EOF
+    return tokenize(sql)[1][:-1]  # drop EOF
+
+
+def _first(sql):
+    kinds, values, offsets = tokenize(sql)
+    return kinds[0], values[0], offsets[0]
 
 
 class TestBasics:
     def test_keywords_case_insensitive(self):
         assert _values("SELECT select SeLeCt") == ["select", "select", "select"]
+        assert _kinds("SELECT select SeLeCt") == ["select", "select", "select", EOF]
 
     def test_identifiers_lowercased(self):
-        tokens = tokenize("MyTable")
-        assert tokens[0].type is TokenType.IDENT
-        assert tokens[0].value == "mytable"
+        assert _first("MyTable") == (IDENT, "mytable", 0)
 
     def test_eof_always_last(self):
-        assert tokenize("")[-1].type is TokenType.EOF
-        assert tokenize("select")[-1].type is TokenType.EOF
+        assert tokenize("") == ([EOF], [""], [0])
+        assert tokenize("select  ") == (["select", EOF], ["select", ""], [0, 8])
 
     def test_full_query(self):
         sql = "select a, b from t where a >= 10 and b = 'x' order by a desc limit 5"
@@ -33,27 +37,48 @@ class TestBasics:
         assert ">=" in values
         assert "x" in values
 
+    def test_streams_are_parallel(self):
+        kinds, values, offsets = tokenize("select t.a from t where a<=-1.5 and b='x'")
+        assert len(kinds) == len(values) == len(offsets)
+        assert offsets == sorted(offsets)
+
+    def test_fixed_tokens_are_their_own_kind(self):
+        sql = " ".join(sorted(KEYWORDS)) + " <= >= <> != = < > ( ) , . *"
+        kinds, values, _ = tokenize(sql)
+        assert kinds[:-1] == values[:-1]
+
+    def test_class_kinds_cannot_collide_with_words(self):
+        # Words are lower-cased; the class names are not.
+        for name in (IDENT, NUMBER, STRING, EOF):
+            assert name != name.lower()
+            assert _first(name) == (IDENT, name.lower(), 0)
+
+    @pytest.mark.parametrize("space", " \t\n\r\f\v\x1c\x1d\x1e\x1f")
+    def test_every_ascii_whitespace_separates(self, space):
+        assert tokenize(f"a{space}{space}b{space}") == (
+            [IDENT, IDENT, EOF],
+            ["a", "b", ""],
+            [0, 3, 5],
+        )
+
 
 class TestNumbers:
     def test_integer(self):
-        tok = tokenize("123")[0]
-        assert tok.type is TokenType.NUMBER
-        assert tok.value == "123"
+        assert _first("123") == (NUMBER, "123", 0)
 
     def test_decimal(self):
-        assert tokenize("1.5")[0].value == "1.5"
+        assert _values("1.5") == ["1.5"]
 
     def test_negative(self):
-        assert tokenize("-42")[0].value == "-42"
+        assert _values("-42") == ["-42"]
+        assert _values("a-42") == ["a", "-42"]
 
     @pytest.mark.parametrize(
         "text", ["1.03e-05", "1e+22", "-2.5E3", "7e300", "5e-324"]
     )
     def test_exponent(self, text):
-        tok = tokenize(text)[0]
-        assert tok.type is TokenType.NUMBER
-        assert tok.value == text
-        assert _types(text) == [TokenType.NUMBER, TokenType.EOF]
+        assert _first(text) == (NUMBER, text, 0)
+        assert _kinds(text) == [NUMBER, EOF]
 
     def test_e_without_digits_is_not_an_exponent(self):
         assert _values("1e") == ["1", "e"]
@@ -68,27 +93,50 @@ class TestNumbers:
         # "1.x" lexes as number 1, dot, ident x (not a malformed decimal).
         assert _values("1.x") == ["1", ".", "x"]
 
+    def test_second_dot_ends_the_number(self):
+        assert _values("1.5.3") == ["1.5", ".", "3"]
+        assert _values("1..5") == ["1", ".", ".", "5"]
+
 
 class TestStrings:
     def test_quoted_string(self):
-        tok = tokenize("'hello world'")[0]
-        assert tok.type is TokenType.STRING
-        assert tok.value == "hello world"
+        assert _first("'hello world'") == (STRING, "hello world", 0)
 
     def test_empty_string(self):
-        assert tokenize("''")[0].value == ""
+        assert _first("''") == (STRING, "", 0)
 
     def test_unterminated_string(self):
-        with pytest.raises(LexError):
-            tokenize("'oops")
+        with pytest.raises(LexError, match="unterminated string literal at offset 4"):
+            tokenize("a = 'oops")
+
+    def test_doubled_quote_is_one_quote(self):
+        assert _first("'O''Brien'") == (STRING, "O'Brien", 0)
+        assert _first("''''") == (STRING, "'", 0)
+        assert _first("'x'' and l_orderkey = ''1'") == (
+            STRING,
+            "x' and l_orderkey = '1",
+            0,
+        )
+        assert _kinds("'a''b' 'c'") == [STRING, STRING, EOF]
+
+    def test_odd_quote_run_is_unterminated(self):
+        # Reported at the last quote, the one nothing pairs with.
+        with pytest.raises(LexError, match="unterminated string literal at offset 2"):
+            tokenize("'''")
+        with pytest.raises(LexError, match="unterminated string literal at offset 6"):
+            tokenize("a 'it''s")
+
+    def test_strings_keep_case_spacing_and_any_character(self):
+        assert _values("'  Mixed\tCase ²٣é\n'") == ["  Mixed\tCase ²٣é\n"]
+
+    def test_keyword_text_in_a_string_is_a_string(self):
+        assert _kinds("'select' ','") == [STRING, STRING, EOF]
 
 
 class TestOperators:
     @pytest.mark.parametrize("op", ["=", "<", ">", "<=", ">=", "<>", "!="])
     def test_each_operator(self, op):
-        tok = tokenize(op)[0]
-        assert tok.type is TokenType.OP
-        assert tok.value == op
+        assert _first(op) == (op, op, 0)
 
     def test_two_char_ops_not_split(self):
         assert _values("a<=b") == ["a", "<=", "b"]
@@ -100,16 +148,26 @@ class TestErrors:
             tokenize("select @")
 
     def test_position_reported(self):
-        try:
+        with pytest.raises(LexError, match=r"unexpected character '#' at offset 3"):
             tokenize("ab #")
-        except LexError as exc:
-            assert "3" in str(exc)
-        else:  # pragma: no cover
-            pytest.fail("expected LexError")
 
+    @pytest.mark.parametrize("bad", ["-", "!", "- 1", "1e+", "a ; b", "\x00"])
+    def test_ascii_characters_outside_the_dialect(self, bad):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(bad)
 
-class TestTokenDataclass:
-    def test_frozen(self):
-        tok = Token(TokenType.IDENT, "x", 0)
-        with pytest.raises(Exception):
-            tok.value = "y"  # type: ignore[misc]
+    @pytest.mark.parametrize(
+        "sql, offset",
+        [
+            ("select a from t where a = ²", 26),  # str.isdigit(), int() rejects it
+            ("select a from t where a = ٣", 26),  # int() reads it as 3
+            ("select a from t where a = 1٣", 27),
+            ("select café from t", 10),  # str.isalpha()
+            ("select\xa0a from t", 6),  # str.isspace(): no-break space
+            ("select a\u2003from t", 8),  # em space
+            ("select a from t where a = 'x' €", 30),
+        ],
+    )
+    def test_non_ascii_outside_a_string_is_a_lex_error(self, sql, offset):
+        with pytest.raises(LexError, match=f"at offset {offset}$"):
+            tokenize(sql)

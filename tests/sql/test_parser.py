@@ -134,6 +134,13 @@ class TestTrailingClauses:
             with pytest.raises(ParseError):
                 parse_query(f"select a from t limit {text}")
 
+    def test_limit_rejects_negative(self):
+        sql = "select l_orderkey from lineitem_1 limit -5"
+        with pytest.raises(ParseError, match=f"'-5' at offset {sql.index('-5')}$"):
+            parse_query(sql)
+        assert parse_query("select a from t limit 0").limit == 0
+        assert parse_query("select a from t limit -0").limit == 0
+
     def test_exponent_literals(self):
         q = parse_query("select a from t where b < 1.03e-05 and c = 1E+22")
         assert [f.value for f in q.filters] == [1.03e-05, 1e22]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sql.ast import ColumnExpr, CompareOp, ComparisonPredicate
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 from repro.sql.render import render_query
@@ -42,6 +43,15 @@ class TestRendering:
     def test_string_literals_quoted(self):
         rendered = render_query(parse_query("select a from t where b = 'x y'"))
         assert "'x y'" in rendered
+
+    def test_quote_in_a_string_is_doubled(self):
+        query = parse_query("select a from t where b = 'x'")
+        for value in ("O'Brien", "'", "''", "x' and l_orderkey = '1", "it''s"):
+            query.filters[0] = ComparisonPredicate(ColumnExpr("b"), CompareOp.EQ, value)
+            rendered = render_query(query)
+            assert rendered.count("'") == 2 + 2 * value.count("'")
+            # One predicate in, one predicate out, carrying the same text.
+            assert parse_query(rendered).filters == query.filters
 
     def test_alias(self):
         rendered = render_query(parse_query("select a as z from t"))

@@ -10,8 +10,8 @@ grouping, ordering, and limit.
 Literal generation stays inside the renderer's exact-round-trip domain:
 floats are either rounded to two decimals (``repr`` renders those
 positionally) or tiny / huge enough that ``repr`` prints an exponent
-(``1.03e-05``, ``4.2e+17``), and strings carry no quote characters (the
-renderer does not escape ``'``).
+(``1.03e-05``, ``4.2e+17``).  Strings draw from an alphabet that holds the
+quote character: the renderer doubles it and the scanner reads it back.
 """
 
 import datetime
@@ -54,6 +54,8 @@ RANGE_TYPES = (DataType.INT, DataType.FLOAT, DataType.DATE)
 
 EXPONENTS = (-300, -12, -6, -5, 16, 17, 22, 300)
 
+TEXT_ALPHABET = string.ascii_lowercase + string.digits + "'"
+
 
 @pytest.fixture(scope="module")
 def catalog():
@@ -74,11 +76,7 @@ def _literal(rng, dtype):
             days=rng.randint(0, 2_500)
         )
         return date_to_ordinal(day)
-    # TEXT: no quote characters (the renderer does not escape them).
-    return "".join(
-        rng.choice(string.ascii_lowercase + string.digits)
-        for _ in range(rng.randint(1, 8))
-    )
+    return "".join(rng.choice(TEXT_ALPHABET) for _ in range(rng.randint(1, 8)))
 
 
 def _filter(rng, table, column):
@@ -206,6 +204,18 @@ class TestRoundTripFuzz:
         rng = random.Random(11)
         texts = [render_query(_random_query(rng, catalog), catalog) for _ in range(300)]
         assert any(re.search(r"\d[eE][-+]?\d", text) for text in texts)
+
+    def test_quoted_strings_are_generated(self, catalog):
+        # TEXT columns only ever get a comparison (see _filter).
+        rng = random.Random(5)
+        texts = [
+            f.value
+            for _ in range(300)
+            for f in _random_query(rng, catalog).filters
+            if isinstance(f, ComparisonPredicate) and isinstance(f.value, str)
+        ]
+        assert any("'" in text for text in texts)
+        assert any("''" in text for text in texts)
 
     def test_all_predicate_shapes_are_generated(self, catalog):
         rng = random.Random(7)

@@ -109,6 +109,17 @@ class TestExitCodes:
     def test_lex_error_exit_code(self, capsys):
         assert main(["explain", "select ~ from lineitem_1"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "literal", ["\u00b2", "\u0663", "1\u0663", "-5 limit -5"],
+        ids=["superscript-two", "arabic-three", "mixed-digits", "negative-limit"],
+    )
+    def test_literal_outside_the_dialect_exit_code(self, literal, capsys):
+        # int() refuses the first and reads the second as 3; neither is a
+        # literal of the dialect, and neither may surface as EXIT_ERROR.
+        sql = f"select l_orderkey from lineitem_1 where l_orderkey = {literal}"
+        assert main(["explain", sql]) == EXIT_PARSE
+        assert "parse error:" in capsys.readouterr().err
+
     def test_bind_error_exit_code(self, capsys):
         sql = "select no_such_column from lineitem_1"
         assert main(["explain", sql]) == EXIT_BIND
