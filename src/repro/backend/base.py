@@ -259,10 +259,11 @@ class Backend:
             name: spec.build(registry)
             for name, spec in BACKEND_METRICS.items()
         }
+        self._count_call = (
+            self._metrics["backend_optimize_calls_total"]
+            .labels(backend=self.capabilities.name)
+            .inc
+        )
 
     def _count_call(self) -> None:
-        metrics = getattr(self, "_metrics", None)
-        if metrics is not None:
-            metrics["backend_optimize_calls_total"].inc(
-                backend=self.capabilities.name
-            )
+        """Count one pricing request (nothing, until a registry is bound)."""

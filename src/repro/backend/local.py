@@ -22,7 +22,6 @@ The backend doubles as the trace *recorder*: pass a
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from typing import Dict, Optional
 
@@ -163,7 +162,7 @@ class LocalBackend(Backend):
         if base.config is not config and base.config != config:
             # A retained plan answers for every configuration with the
             # same relevant restriction; the session's base names this one.
-            base = dataclasses.replace(base, config=config)
+            base = OptimizationResult(base.plan, base.cost, config, base.indexes_used)
         return WhatIfSession(query=query, base=base, cache=cache)
 
     def _validity_token(self, query: Query) -> tuple:

@@ -130,6 +130,8 @@ class BanditTuner(TuningLoop):
             name: spec.build(self.registry) for name, spec in BANDIT_METRICS.items()
         }
         self._m_query_failures = self._metrics["bandit_query_failures_total"]
+        self._counted = 0  # read by its family, as in ColtTuner
+        self._metrics["bandit_queries_total"].set_function(lambda: self._counted or None)
         self._metrics["bandit_materialized_indexes"].set(len(self.materialized))
 
     @property
@@ -142,7 +144,7 @@ class BanditTuner(TuningLoop):
         """Record arm usage and sample counterfactual rewards."""
         self.profiler.breaker.tick()
         self.features.note_query(query.tables)
-        used = session.base.plan.indexes_used()
+        used = session.base.indexes_used
         self.profiler.candidates.observe_query(
             query, used, self.materialized, session.cache
         )
@@ -151,7 +153,7 @@ class BanditTuner(TuningLoop):
         return self._observe_rewards(session, used, base_observed)
 
     def _count_query(self, session, calls: int, overhead: float) -> None:
-        self._metrics["bandit_queries_total"].inc()
+        self._counted += 1
 
     def _note_insert(self, table: str, n: int) -> None:
         # The write-pressure feature is how the bandit learns to retire
@@ -199,7 +201,7 @@ class BanditTuner(TuningLoop):
         """
         calls = 0
         charge = 0.0
-        mat = frozenset(self.materialized)
+        mat = self.materialized  # read only; one frozen copy per probe below
         for index in sorted(used, key=_name):
             if index not in mat:
                 continue

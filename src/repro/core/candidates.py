@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Container, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
@@ -110,8 +110,8 @@ class CandidateTracker:
     def observe_query(
         self,
         query: Query,
-        used_indexes: Iterable[IndexDef],
-        materialized: Iterable[IndexDef],
+        used_indexes: Container[IndexDef],
+        materialized: Container[IndexDef],
         cache: Optional[PlanCache] = None,
     ) -> List[Tuple[IndexDef, float]]:
         """Mine candidates from a query and update their crude benefits.
@@ -123,23 +123,22 @@ class CandidateTracker:
 
         Args:
             query: The current (bound) query.
-            used_indexes: Indexes appearing in the query's chosen plan.
-            materialized: The current materialized set.
+            used_indexes: Indexes appearing in the query's chosen plan
+                (only membership is read).
+            materialized: The current materialized set (likewise).
             cache: The plan cache of the query's what-if session, whose
                 sequential-scan baselines price every mined index.
 
         Returns:
             The (candidate, gain) pairs credited for this query.
         """
-        used = set(used_indexes)
-        mat = set(materialized)
         credited: List[Tuple[IndexDef, float]] = []
         for index, crude in self._mined_with_crude(query, cache or PlanCache()):
             stats = self._stats.get((index.table, index.columns))
             if stats is None:
                 stats = CandidateStats(index, self._history, self._smoothing)
                 self._stats[(index.table, index.columns)] = stats
-            if index in mat and index not in used:
+            if index in materialized and index not in used_indexes:
                 u = 0.0  # the optimizer had it and chose not to use it
             else:
                 u = 1.0  # optimistic prediction, per the paper

@@ -123,9 +123,10 @@ class Cluster:
         selection attributes, or the index's table is accessed (covering
         potential join use).
         """
-        if (index.table, index.column) in self.selection_attributes:
+        table = index.table
+        if table in self.key[0]:
             return True
-        return index.table in self.tables
+        return any(t == table and c == index.column for t, c, _klass in self.key[2])
 
 
 class ClusterStore:
@@ -147,6 +148,7 @@ class ClusterStore:
         # an epoch are not touched when it closes.
         self._epochs: Deque[List[Tuple[Cluster, int]]] = deque()
         self._active: List[Cluster] = []  # assigned to this epoch
+        self._evicted = 0  # by the closes since the last assignment
 
     def assign(self, query: Query, cache: Optional[PlanCache] = None) -> Cluster:
         """Assign a query to its (possibly new) cluster (``cache`` as for
@@ -178,8 +180,16 @@ class ClusterStore:
         """Whether a cluster with this id is still live."""
         return cluster_id in self._by_id
 
+    def live_at_last_assign(self) -> Optional[int]:
+        """Live clusters when a query was last assigned (None before the
+        first); what the window evicted since is still counted."""
+        if not self._next_id:
+            return None
+        return len(self._clusters) + (0 if self._active else self._evicted)
+
     def roll_epoch(self) -> None:
         """Close the epoch and evict the clusters the window has left."""
+        live = self.live_at_last_assign() or 0
         closed = []
         for cluster in self._active:
             closed.append((cluster, cluster.epoch_count))
@@ -194,6 +204,7 @@ class ClusterStore:
                 if not cluster.windowed:  # nothing current: just closed
                     del self._clusters[cluster.key]
                     del self._by_id[cluster.cluster_id]
+        self._evicted = live - len(self._clusters)
 
     def clusters(self) -> Iterable[Cluster]:
         """All live clusters."""

@@ -54,14 +54,24 @@ class ColtTuner(TuningLoop):
             self.catalog, self.config, registry=self.registry
         )
         self._epoch_inserts: Dict[str, int] = {}
-        self._m_queries = TUNER_METRICS["colt_queries_total"].build(self.registry)
+        # Per-query totals are plain adds (_count_query); their families
+        # read them when read, a sample appearing with the first counted
+        # query as ever.  (``queries_seen`` and ``whatif.call_count`` also
+        # move for an arrival that raised, which these never counted.)
+        self._counted = self._whatif_calls = 0
+        self._whatif_overhead = self._execution_cost = 0.0
+
+        def reads(family: str, total: str) -> None:
+            TUNER_METRICS[family].build(self.registry).set_function(
+                lambda: getattr(self, total) if self._counted else None
+            )
+
+        reads("colt_queries_total", "_counted")
         self._m_query_failures = TUNER_METRICS["colt_query_failures_total"].build(self.registry)
         self._m_epochs = TUNER_METRICS["colt_epochs_total"].build(self.registry)
-        self._m_whatif_calls = TUNER_METRICS["colt_whatif_calls_total"].build(self.registry)
-        self._m_whatif_overhead = TUNER_METRICS["colt_whatif_overhead_cost_total"].build(
-            self.registry
-        )
-        self._m_exec_cost = TUNER_METRICS["colt_execution_cost_total"].build(self.registry)
+        reads("colt_whatif_calls_total", "_whatif_calls")
+        reads("colt_whatif_overhead_cost_total", "_whatif_overhead")
+        reads("colt_execution_cost_total", "_execution_cost")
         self._m_build_cost = TUNER_METRICS["colt_build_cost_total"].build(self.registry)
         self._m_hot_churn = TUNER_METRICS["colt_hot_churn_total"].build(self.registry)
         self._m_insert_rows = TUNER_METRICS["colt_insert_rows_total"].build(self.registry)
@@ -99,11 +109,12 @@ class ColtTuner(TuningLoop):
         return calls, calls * self.config.whatif_call_cost
 
     def _count_query(self, session, calls: int, overhead: float) -> None:
-        self._m_queries.inc()
-        self._m_whatif_calls.inc(calls)
-        self._m_whatif_overhead.inc(overhead)
-        self._m_exec_cost.inc(session.base.cost)
-        self._m_query_cost.observe(session.base.cost)
+        cost = session.base.cost
+        self._counted += 1
+        self._whatif_calls += calls
+        self._whatif_overhead += overhead
+        self._execution_cost += cost
+        self._m_query_cost.observe(cost)
 
     def _note_insert(self, table: str, n: int) -> None:
         self._epoch_inserts[table] = self._epoch_inserts.get(table, 0) + n

@@ -314,7 +314,10 @@ class TuningLoop:
         Returns:
             The ledger record for the query.
         """
-        with self.tracer.span("query", index=self._queries_seen):
+        tracer = self.tracer
+        index = self._queries_seen
+        started = tracer.clock() if tracer.enabled else None
+        try:
             session = self.whatif.begin_query(query)
             calls, overhead = self._observe_query(query, session)
 
@@ -337,19 +340,23 @@ class TuningLoop:
             epoch_ended = self._queries_seen % self.config.epoch_length == 0
             if epoch_ended:
                 reorg, build_cost = self._end_epoch()
+        finally:
+            # The "query" span, without a handle: a raising query records too.
+            if started is not None:
+                tracer.record(
+                    "query", started, tracer.clock() - started, (("index", index),)
+                )
 
         self._count_query(session, calls, overhead)
+        base = session.base
         return QueryOutcome(
-            index=self._queries_seen - 1,
-            execution_cost=session.base.cost,
+            index=index,
+            execution_cost=base.cost,
             whatif_calls=calls,
             whatif_overhead=overhead,
             build_cost=build_cost,
-            total_cost=session.base.cost
-            + overhead
-            + verify_overhead
-            + build_cost,
-            plan=session.base.plan,
+            total_cost=base.cost + overhead + verify_overhead + build_cost,
+            plan=base.plan,
             verify_calls=verify_calls,
             verify_overhead=verify_overhead,
             epoch_ended=epoch_ended,

@@ -174,10 +174,16 @@ class Profiler(ProfilerBase):
         self._m_degraded = PROFILER_METRICS["profiler_degraded_queries_total"].build(
             self.registry
         )
-        self._m_clusters = PROFILER_METRICS["profiler_clusters"].build(self.registry)
+        clusters = PROFILER_METRICS["profiler_clusters"].build(self.registry)
         self._m_ci_width = PROFILER_METRICS["profiler_ci_width"].build(self.registry)
+        # H moves at epoch boundaries: its name-ordered list is held
+        # beside a frozen copy and sorted again only when they differ.
+        self._hot_held: FrozenSet[IndexDef] = frozenset()
+        self._hot_ordered: List[IndexDef] = []
         self._rng = random.Random(config.seed)
         self.clusters = ClusterStore(catalog, config.history_epochs)
+        # The gauge is as of the last profiled query, read when it is read.
+        clusters.set_function(self.clusters.live_at_last_assign)
         self._pairs: Dict[Tuple[IndexKey, int], PairStats] = {}
         # Per-epoch bookkeeping, keyed by index then cluster id.
         self._epoch_measured: Dict[IndexKey, Dict[int, List[float]]] = {}
@@ -208,17 +214,9 @@ class Profiler(ProfilerBase):
         """
         self.breaker.tick()
         cluster = self.clusters.assign(query, session.cache)
-        used = session.base.plan.indexes_used()
+        used = session.base.indexes_used
 
-        # I_M: materialized indexes used in the plan (paper line 3).
-        # Canonical (name-sorted) order before the seeded shuffle below:
-        # iterating the caller's sets directly would make probation order
-        # -- and thus the whole run -- vary with hash randomization.
-        mat_used = [ix for ix in sorted(materialized, key=str) if ix in used]
-        # I_H: hot indexes relevant to the cluster (paper line 4).
-        hot_relevant = [
-            ix for ix in sorted(hot, key=str) if cluster.is_relevant(ix)
-        ]
+        mat_used, hot_relevant = self._pool(cluster, used, hot, materialized)
 
         # Exposure counts: every query in the cluster contributes to the
         # denominator of Benefit_H for relevant hot indexes; materialized
@@ -231,8 +229,11 @@ class Profiler(ProfilerBase):
 
         probation: List[IndexDef] = []
         budget_cap = self.effective_budget
-        self._rng.shuffle(mat_used)
-        self._rng.shuffle(hot_relevant)
+        # Shorter than 2 there is nothing to shuffle and nothing is drawn.
+        if len(mat_used) > 1:
+            self._rng.shuffle(mat_used)
+        if len(hot_relevant) > 1:
+            self._rng.shuffle(hot_relevant)
         for index in mat_used + hot_relevant:
             if self.whatif_used + len(probation) >= budget_cap:
                 break
@@ -296,8 +297,26 @@ class Profiler(ProfilerBase):
 
         # Lines 13-14: crude benefit updates for every relevant candidate.
         self.candidates.observe_query(query, used, materialized, session.cache)
-        self._m_clusters.set(len(self.clusters))
         return ProfileOutcome(cluster=cluster, probed=probation, gains=gains)
+
+    def _pool(
+        self, cluster: Cluster, used: FrozenSet[IndexDef], hot, materialized
+    ) -> Tuple[List[IndexDef], List[IndexDef]]:
+        """``I_M`` and ``I_H`` (Figure 2, lines 3-4), each in name order.
+
+        Canonical order before the seeded shuffle: iterating the caller's
+        sets would make probation -- and thus the whole run -- vary with
+        hash randomization.  ``I_M`` is sorted from its small side (a
+        plan uses an index or two; set intersection reads stored hashes).
+        The held order of ``H`` is validated by content, ``hot ==
+        held``, because its owners rebind and mutate the live set.
+        """
+        hits = used.intersection(materialized)
+        mat_used = sorted(hits, key=_name) if len(hits) > 1 else list(hits)
+        if hot != self._hot_held:
+            self._hot_held = frozenset(hot)
+            self._hot_ordered = sorted(hot, key=_name)
+        return mat_used, [ix for ix in self._hot_ordered if cluster.is_relevant(ix)]
 
     # ------------------------------------------------------------------
     # Epoch roll-over

@@ -413,7 +413,12 @@ class FleetCoordinator:
     def _init_observability(self) -> None:
         """Build the fleet-level collectors and span tracer."""
         self.tracer = SpanTracer(enabled=self.registry.enabled)
-        self._m_routed = FLEET_METRICS["fleet_queries_routed_total"].build(self.registry)
+        # Counted on every arrival: bound to each replica's sample here
+        # (replica ids are positions in ``self.replicas``).
+        routed = FLEET_METRICS["fleet_queries_routed_total"].build(self.registry)
+        self._count_routed = [
+            routed.labels(replica=r.replica_id).inc for r in self.replicas
+        ]
         self._m_probes = FLEET_METRICS["fleet_routing_probes_total"].build(self.registry)
         self._m_routing_cost = FLEET_METRICS["fleet_routing_overhead_cost_total"].build(
             self.registry
@@ -597,7 +602,7 @@ class FleetCoordinator:
             self._cotune_epoch_cost += outcome.execution_cost
             self._cotune_epoch_queries += 1
         routing_overhead = route.probes * self.config.whatif_call_cost
-        self._m_routed.inc(1, replica=route.replica_id)
+        self._count_routed[route.replica_id]()
         self._m_probes.inc(route.probes)
         self._m_routing_cost.inc(routing_overhead)
         reorg: Optional[FleetReorganizationResult] = None

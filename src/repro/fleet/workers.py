@@ -58,7 +58,7 @@ import multiprocessing
 import os
 import time
 import types
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.config import ColtConfig
 from repro.core.loop import QueryOutcome
@@ -274,6 +274,7 @@ class WorkerHandle:
         self.process = process
         self.timeout = timeout
         self.crashed = False
+        self.reported = False  # whether any reply carried a status yet
         self.crash_breaker = CircuitBreaker()
         self.stats = ReplicaStats()
         self._remote_state = BreakerState.CLOSED
@@ -349,6 +350,7 @@ class WorkerHandle:
         """Adopt a worker-reported status dict (piggybacked on replies)."""
         if not status:
             return
+        self.reported = True
         self._remote_state = BreakerState(status["breaker_state"])
         self.stats = ReplicaStats(
             queries=status["queries"],
@@ -620,7 +622,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
                 self.replicas[route.replica_id].encode_query(query)
             )
             arrivals.append((index, route.replica_id))
-            self._m_routed.inc(1, replica=route.replica_id)
+            self._count_routed[route.replica_id]()
             self._m_probes.inc(route.probes)
             for drained_id in drained:
                 if (
@@ -636,18 +638,21 @@ class WorkerFleetCoordinator(FleetCoordinator):
             batch = events[handle.replica_id]
             if batch and handle.send(("batch", batch, on_error)):
                 dispatched.append(handle)
-        replies: Dict[int, List[Dict]] = {}
+        # Slim outcomes in arrival order; nothing from a worker that died.
+        replies: Dict[int, Iterator[Tuple]] = {
+            h.replica_id: iter(()) for h in self.replicas
+        }
         for handle in dispatched:
             payload = handle.receive()
             if payload is not None:
-                replies[handle.replica_id] = list(payload)
+                replies[handle.replica_id] = iter(payload)
 
         fleet_outcomes: List[FleetOutcome] = []
         for index, replica_id in arrivals:
             handle = self.replicas[replica_id]
-            slim_list = replies.get(replica_id)
-            if slim_list:
-                outcome = _inflate_outcome(slim_list.pop(0))
+            slim = next(replies[replica_id], None)
+            if slim is not None:
+                outcome = _inflate_outcome(slim)
             else:
                 # The worker died before acknowledging this chunk; no
                 # reply means no per-query records, so every arrival
@@ -701,14 +706,20 @@ class WorkerFleetCoordinator(FleetCoordinator):
     def reorganize(self) -> FleetReorganizationResult:
         """Fleet reorganization over worker-reported state.
 
-        Refreshes each live worker's status first (batch replies
-        piggyback status, so this is usually a no-op refresh), then runs
-        the inherited drain/restore/rebalance logic against the handles'
-        duck-typed replica surface.  Gain-cache clears on reassignment
-        travel to the workers as ``clear_cache`` commands.
+        Every reply piggybacks the worker's status and a worker changes
+        nothing between commands, so the handles are current: only a
+        worker that never replied is asked, and one that died after its
+        last reply is found without IPC and drained at this boundary.
+        Then the inherited drain/restore/rebalance logic runs against the
+        handles' duck-typed replica surface.  Gain-cache clears on
+        reassignment travel to the workers as ``clear_cache`` commands.
         """
         for handle in self.replicas:
-            if not handle.crashed:
+            if handle.crashed:
+                continue
+            if not handle.process.is_alive():
+                handle.mark_crashed()
+            elif not handle.reported:
                 handle.request(("status",))
         return super().reorganize()
 

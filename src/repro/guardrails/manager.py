@@ -199,7 +199,7 @@ class GuardrailManager:
         mat = frozenset(materialized)
         calls = 0
         charge = 0.0
-        for index in sorted(session.base.plan.indexes_used(), key=str):
+        for index in sorted(session.base.indexes_used, key=str):
             if self._epoch_probes >= self.config.verify_budget_per_epoch:
                 break
             if index not in mat or not self.verifier.needs_samples(index):

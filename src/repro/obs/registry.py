@@ -1,16 +1,21 @@
 """Dependency-free metrics registry: counters, gauges, histograms.
 
 The registry is deliberately tiny and allocation-light so the tuner's
-hot path (every arriving query) can afford it: a metric handle is
-created once at instrumentation time and each update is a dict lookup
-plus a float add.  A registry built with ``enabled=False`` turns every
-update into an early return, which is how the overhead benchmark
-measures the instrumentation's wall-clock cost.
+hot path (every arriving query) can afford it: a family is created once
+at instrumentation time, ``family.labels(...)`` binds one of its samples
+once, and each update of the bound child is a dict lookup plus a float
+add.  A total its owner already keeps is not counted twice: the family
+reads it when it is read (:meth:`Metric.set_function`).  A registry
+built with ``enabled=False`` hands out one shared do-nothing child,
+which is how the instrumentation's wall-clock cost is measured.
 
 All three collector types support Prometheus-style labels, declared at
-registration time (``labelnames``) and bound per update (``inc(1,
-replica="0")``).  Snapshots are plain JSON-compatible dicts; the
-Prometheus text rendering lives in :mod:`repro.obs.export`.
+registration time (``labelnames``) and bound with ``labels(replica=0)``;
+``inc(1, replica=0)`` on the family is the same update through the same
+child, and a registered family without labels *is* its one child (its
+``inc`` / ``set`` / ``observe`` are the child's).  Snapshots are plain
+JSON-compatible dicts; the Prometheus text rendering lives in
+:mod:`repro.obs.export`.
 
 Design choices mirroring ``prometheus_client`` (the idiom, not the
 code): registration is idempotent for an identical (name, kind,
@@ -23,7 +28,8 @@ exports diff cleanly across runs.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import types
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 class MetricError(ValueError):
@@ -88,6 +94,14 @@ def _validate_name(name: str) -> None:
         raise MetricError(f"metric name {name!r} must not start with a digit")
 
 
+def _noop(amount: float = 1.0) -> None:
+    return None
+
+
+#: The one child a disabled registry hands out.
+_NOOP_CHILD = types.SimpleNamespace(inc=_noop, dec=_noop, set=_noop, observe=_noop)
+
+
 class Metric:
     """Base collector: a named family of labeled samples.
 
@@ -117,11 +131,11 @@ class Metric:
         self._sorted_labelnames = tuple(sorted(self.labelnames))
         self._enabled = enabled
         self._samples: Dict[Tuple[str, ...], float] = {}
+        self._children: Dict[Tuple[str, ...], object] = {}
+        self._readers: Dict[Tuple[str, ...], Callable[[], Optional[float]]] = {}
 
     # ------------------------------------------------------------------
     def _labelvalues(self, labels: Dict[str, object]) -> Tuple[str, ...]:
-        # Fast path for the common unlabeled family: hot-path updates
-        # (one per query) must not pay two sorted() calls.
         if not labels and not self.labelnames:
             return ()
         if tuple(sorted(labels)) != self._sorted_labelnames:
@@ -131,15 +145,49 @@ class Metric:
             )
         return tuple(str(labels[k]) for k in self.labelnames)
 
+    def labels(self, **labels: object):
+        """The child bound to one label binding's sample.
+
+        Bind once at instrumentation time, update the child on the hot
+        path (``inc`` / ``set`` / ``dec`` / ``observe`` as the family
+        has them, without label arguments).  Updates through the child
+        and through the family land on the same sample; a disabled
+        registry's child does nothing.
+
+        Raises:
+            MetricError: for wrong or missing label names.
+        """
+        if not self._enabled:
+            return _NOOP_CHILD
+        key = self._labelvalues(labels)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = self._bind(key)
+        return child
+
+    def set_function(self, read: Callable[[], Optional[float]], **labels: object) -> None:
+        """Read one label binding's value from ``read()`` whenever the
+        family is read, for a total its owner already keeps.  ``read``
+        returns None while the binding has no sample yet."""
+        if self._enabled:
+            self._readers[self._labelvalues(labels)] = read
+
+    def _read(self) -> Dict[Tuple[str, ...], float]:
+        for key, read in self._readers.items():
+            value = read()
+            if value is not None:
+                self._samples[key] = float(value)
+        return self._samples
+
     def value(self, **labels: object) -> float:
         """The current value for one label binding (0.0 if never set)."""
-        return self._samples.get(self._labelvalues(labels), 0.0)
+        return self._read().get(self._labelvalues(labels), 0.0)
 
     def samples(self) -> List[Dict]:
         """JSON-compatible samples, deterministically ordered."""
         return [
             {"labels": dict(zip(self.labelnames, key)), "value": value}
-            for key, value in sorted(self._samples.items())
+            for key, value in sorted(self._read().items())
         ]
 
     def snapshot(self) -> Dict:
@@ -158,14 +206,19 @@ class Counter(Metric):
 
     kind = "counter"
 
+    def _bind(self, key: Tuple[str, ...]):
+        name, samples = self.name, self._samples  # a sample exists from its first update
+
+        def inc(amount: float = 1.0) -> None:
+            if amount < 0:
+                raise MetricError(f"counter {name} cannot decrease")
+            samples[key] = samples.get(key, 0.0) + amount
+
+        return types.SimpleNamespace(inc=inc)
+
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Add ``amount`` (must be >= 0) to one label binding's value."""
-        if not self._enabled:
-            return
-        if amount < 0:
-            raise MetricError(f"counter {self.name} cannot decrease")
-        key = self._labelvalues(labels)
-        self._samples[key] = self._samples.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
 
 
 class Gauge(Metric):
@@ -173,22 +226,28 @@ class Gauge(Metric):
 
     kind = "gauge"
 
+    def _bind(self, key: Tuple[str, ...]):
+        samples = self._samples
+
+        def set_to(value: float) -> None:
+            samples[key] = float(value)
+
+        def inc(amount: float = 1.0) -> None:
+            samples[key] = samples.get(key, 0.0) + amount
+
+        return types.SimpleNamespace(set=set_to, inc=inc, dec=lambda amount=1.0: inc(-amount))
+
     def set(self, value: float, **labels: object) -> None:
         """Set one label binding's value."""
-        if not self._enabled:
-            return
-        self._samples[self._labelvalues(labels)] = float(value)
+        self.labels(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Add ``amount`` (may be negative) to one label binding's value."""
-        if not self._enabled:
-            return
-        key = self._labelvalues(labels)
-        self._samples[key] = self._samples.get(key, 0.0) + amount
+        self.labels(**labels).inc(amount)
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         """Subtract ``amount`` from one label binding's value."""
-        self.inc(-amount, **labels)
+        self.labels(**labels).inc(-amount)
 
 
 class Histogram(Metric):
@@ -216,21 +275,24 @@ class Histogram(Metric):
         if not bounds:
             raise MetricError(f"histogram {name} needs at least one bucket")
         self.buckets = bounds
-        # key -> [count, sum, per-bucket counts (non-cumulative)]
+        # key -> [count, sum, per-bucket counts (non-cumulative)]; a bound
+        # series nothing was observed on yet is not a sample.
         self._series: Dict[Tuple[str, ...], List] = {}
+
+    def _bind(self, key: Tuple[str, ...]):
+        buckets, bisect_left = self.buckets, bisect.bisect_left
+        series = self._series[key] = [0, 0.0, [0] * (len(buckets) + 1)]
+
+        def observe(value: float) -> None:
+            series[0] += 1
+            series[1] += value
+            series[2][bisect_left(buckets, value)] += 1
+
+        return types.SimpleNamespace(observe=observe)
 
     def observe(self, value: float, **labels: object) -> None:
         """Record one observation."""
-        if not self._enabled:
-            return
-        key = self._labelvalues(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = [0, 0.0, [0] * (len(self.buckets) + 1)]
-            self._series[key] = series
-        series[0] += 1
-        series[1] += value
-        series[2][bisect.bisect_left(self.buckets, value)] += 1
+        self.labels(**labels).observe(value)
 
     def count(self, **labels: object) -> int:
         """Number of observations for one label binding."""
@@ -246,6 +308,8 @@ class Histogram(Metric):
         """Per-binding count/sum plus cumulative bucket counts."""
         out = []
         for key, (count, total, raw) in sorted(self._series.items()):
+            if not count:
+                continue
             cumulative = {}
             acc = 0
             for bound, n in zip(self.buckets, raw):
@@ -294,6 +358,10 @@ class MetricsRegistry:
                 )
             return existing
         self._metrics[metric.name] = metric
+        if metric._enabled and not metric.labelnames:
+            # One sample, so the family is its own bound child: its update
+            # methods are the child's, and every site that holds it is bound.
+            vars(metric).update(vars(metric.labels()))
         return metric
 
     def counter(

@@ -13,14 +13,18 @@ Usage::
     with tracer.span("epoch_close", epoch=3):
         ...reorganize...
     tracer.summary()["epoch_close"]["count"]  # -> 1
+
+A scope entered on every query reads ``tracer.clock`` itself and calls
+:meth:`SpanTracer.record`, where the context manager ends too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 
 @dataclasses.dataclass
@@ -40,39 +44,8 @@ class Span:
     attrs: Dict[str, object]
 
 
-class _SpanHandle:
-    """Context manager recording one span on exit."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_start")
-
-    def __init__(self, tracer: "SpanTracer", name: str, attrs: Dict) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-
-    def __enter__(self) -> "_SpanHandle":
-        self._start = self._tracer._clock()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        tracer = self._tracer
-        duration = tracer._clock() - self._start
-        tracer._record(self._name, self._start, duration, self._attrs)
-
-
-class _NoopHandle:
-    """Shared do-nothing handle returned by a disabled tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NOOP = _NoopHandle()
+#: What a disabled tracer's :meth:`SpanTracer.span` hands out.
+_NOOP = contextlib.nullcontext()
 
 
 class SpanTracer:
@@ -81,8 +54,9 @@ class SpanTracer:
     Args:
         capacity: Maximum finished spans retained in the ring.
         enabled: When False, :meth:`span` returns a shared no-op handle
-            (zero allocation, no clock reads).
-        clock: Monotonic clock; injectable for deterministic tests.
+            (zero allocation, no clock reads), :meth:`record` nothing.
+        clock: Monotonic clock (kept as ``tracer.clock``); injectable
+            for deterministic tests.
     """
 
     def __init__(
@@ -94,23 +68,30 @@ class SpanTracer:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.enabled = enabled
-        self._clock = clock
-        self._ring: Deque[Span] = deque(maxlen=capacity)
+        self.clock = clock
+        # (name, start, duration, attrs) per span; a Span is built on read.
+        self._ring: Deque[Tuple] = deque(maxlen=capacity)
         # name -> [count, total_seconds, max_seconds]
         self._totals: Dict[str, List] = {}
 
     def span(self, name: str, **attrs: object):
         """Open a timed scope; use as a context manager."""
-        if not self.enabled:
-            return _NOOP
-        return _SpanHandle(self, name, attrs)
+        return self._timed(name, tuple(attrs.items())) if self.enabled else _NOOP
 
-    def _record(
-        self, name: str, start: float, duration: float, attrs: Dict
-    ) -> None:
-        self._ring.append(
-            Span(name=name, start=start, duration=duration, attrs=attrs)
-        )
+    @contextlib.contextmanager
+    def _timed(self, name: str, attrs: Tuple):
+        start = self.clock()
+        try:
+            yield
+        finally:
+            self.record(name, start, self.clock() - start, attrs)
+
+    def record(self, name: str, start: float, duration: float, attrs: Tuple = ()) -> None:
+        """Record one finished scope the caller timed on ``clock``:
+        ``attrs`` are its identifying ``(key, value)`` pairs."""
+        if not self.enabled:
+            return
+        self._ring.append((name, start, duration, attrs))
         totals = self._totals.get(name)
         if totals is None:
             self._totals[name] = [1, duration, duration]
@@ -122,9 +103,11 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def recent(self, name: Optional[str] = None) -> List[Span]:
         """Finished spans still in the ring, oldest first."""
-        if name is None:
-            return list(self._ring)
-        return [s for s in self._ring if s.name == name]
+        return [
+            Span(name=kept, start=start, duration=duration, attrs=dict(attrs))
+            for kept, start, duration, attrs in self._ring
+            if name is None or kept == name
+        ]
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-name aggregates over every span ever recorded."""

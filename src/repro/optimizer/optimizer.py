@@ -53,15 +53,25 @@ def relevant_config(query: Query, config: IndexConfig) -> IndexConfig:
     optimizer (trace replay, remote servers) compute the same
     signatures.
     """
-    tables = set(query.tables)
-    referenced = {
+    return _restrict(config, referenced_columns(query))
+
+
+def referenced_columns(query: Query) -> FrozenSet[Tuple[str, str]]:
+    """The ``(table, column)`` pairs of the query's own tables that a
+    filter or join predicate references: the query's half of
+    :func:`relevant_config`."""
+    tables = query.tables
+    return frozenset(
         (c.table, c.column)
         for c in query.selection_columns() + query.join_columns()
-    }
+        if c.table in tables
+    )
+
+
+def _restrict(config: IndexConfig, referenced: FrozenSet[Tuple[str, str]]) -> IndexConfig:
+    """The configuration's half of :func:`relevant_config`."""
     return frozenset(
-        ix
-        for ix in config
-        if ix.table in tables and (ix.table, ix.column) in referenced
+        ix for ix in config if (ix.table, ix.column) in referenced
     ) or _NO_INDEXES
 
 
@@ -73,11 +83,18 @@ class OptimizationResult:
         plan: The chosen physical plan.
         cost: The plan's total estimated cost (same as ``plan.cost``).
         config: The index configuration the plan was optimized under.
+        indexes_used: ``plan.indexes_used()``, walked once when the
+            result is made (a plan cache serves a result many times).
     """
 
     plan: PlanNode
     cost: float
     config: IndexConfig
+    indexes_used: FrozenSet[IndexDef] = None
+
+    def __post_init__(self) -> None:
+        if self.indexes_used is None:
+            self.indexes_used = frozenset(self.plan.indexes_used())
 
 
 class PlanCache:
@@ -92,8 +109,8 @@ class PlanCache:
     on the query and the statistics alone: the per-table costing
     constants (:class:`~repro.optimizer.access.TableScan`: filter
     selectivities and the sequential-scan baseline), the candidate
-    tracker's crude ``(index, delta cost)`` pairs and the query's
-    cluster key.
+    tracker's crude ``(index, delta cost)`` pairs, the query's cluster
+    key and (the query alone) its referenced columns.
 
     A change of the materialized set makes nothing in it stale, so a
     backend may keep one for as long as the statistics it was filled
@@ -101,6 +118,8 @@ class PlanCache:
     <repro.backend.local.LocalBackend.begin_query>`).
 
     Attributes:
+        referenced: The query's :func:`referenced_columns`, or None
+            until the query is first optimized on this cache.
         crude: The ``[(index, crude delta cost)]`` pairs mined without
             (slot 0) and with (slot 1) composite candidates, or None
             until a :class:`~repro.core.candidates.CandidateTracker`
@@ -111,13 +130,15 @@ class PlanCache:
     """
 
     __slots__ = (
-        "access_paths", "plans", "scans", "crude", "cluster_key", "hits", "misses"
+        "access_paths", "plans", "scans", "referenced", "crude", "cluster_key",
+        "hits", "misses",
     )
 
     def __init__(self) -> None:
         self.access_paths: Dict[Tuple[str, FrozenSet[IndexDef]], PlanNode] = {}
         self.plans: Dict[FrozenSet[IndexDef], OptimizationResult] = {}
         self.scans: Dict[str, TableScan] = {}
+        self.referenced: Optional[FrozenSet[Tuple[str, str]]] = None
         self.crude: Optional[list] = None
         self.cluster_key: Optional[tuple] = None
         self.hits = 0
@@ -142,8 +163,9 @@ class Optimizer:
     def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
         self.optimize_count = 0
-        # (catalog generation, configuration) of the last current_config().
-        self._current: Optional[Tuple[int, IndexConfig]] = None
+        # (catalog generation, configuration, its restriction per referenced
+        # column set) of the last current_config().
+        self._current: Optional[Tuple[int, IndexConfig, dict]] = None
 
     @property
     def catalog(self) -> Catalog:
@@ -156,8 +178,25 @@ class Optimizer:
         held = self._current
         if held is None or held[0] != generation:
             config = frozenset(self._catalog.materialized_indexes())
-            held = self._current = (generation, config)
+            held = self._current = (generation, config, {})
         return held[1]
+
+    def relevant(self, query: Query, config: IndexConfig, cache: PlanCache) -> IndexConfig:
+        """``relevant_config(query, config)`` through what is held: the
+        query's half in ``cache``, the configuration's half only for the
+        object :meth:`current_config` hands out (replaced when the
+        materialized set moves).  A probe's ``M ± {I}`` is restricted afresh.
+        """
+        referenced = cache.referenced
+        if referenced is None:
+            referenced = cache.referenced = referenced_columns(query)
+        held = self._current
+        if held is None or config is not held[1]:
+            return _restrict(config, referenced)
+        relevant = held[2].get(referenced)
+        if relevant is None:
+            relevant = held[2][referenced] = _restrict(config, referenced)
+        return relevant
 
     def optimize(
         self,
@@ -178,12 +217,13 @@ class Optimizer:
         """
         if config is None:
             config = self.current_config()
-        relevant = relevant_config(query, config)
         if cache is None:
             cache = PlanCache()  # scratch: shares work within this call only
-        elif relevant in cache.plans:
+        relevant = self.relevant(query, config, cache)
+        result = cache.plans.get(relevant)
+        if result is not None:
             cache.hits += 1
-            return cache.plans[relevant]
+            return result
 
         self.optimize_count += 1
         cache.misses += 1

@@ -131,7 +131,8 @@ class _Binder:
                 if same and all(map(operator.is_, values, pred.values)):
                     return pred
                 return InPredicate(column, values)
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # The wrong type, text that is no date, an integer no float holds.
             raise BindError(f"type error in predicate on {column}: {exc}") from exc
         raise BindError(f"unsupported predicate type {type(pred).__name__}")
 

@@ -243,7 +243,11 @@ class _Parser:
             self._i = i + 1
             if "." in text or "e" in text or "E" in text:
                 return float(text)
-            return int(text)
+            try:
+                return int(text)
+            except ValueError:  # more digits than int() converts (3.11+)
+                at = self._offsets[i]
+                raise ParseError(f"integer literal too long at offset {at}") from None
         if kind == STRING:
             self._i = i + 1
             return text

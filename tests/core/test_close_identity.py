@@ -64,7 +64,7 @@ prefer lineitem_1.l_receiptdate 0.5
 """
 
 
-def _shifting_base(catalog):
+def shifting_workload_base(catalog, seed=SEED):
     """The system benchmark's ``shift_cyclic`` base (``perf/workloads.py``)."""
     phases = phase_distributions()
     clients = [
@@ -73,11 +73,15 @@ def _shifting_base(catalog):
             catalog,
             phase_length=100,
             transition=20,
-            seed=SEED + i,
+            seed=seed + i,
         )
         for i in range(2)
     ]
-    return multi_client_workload(clients, seed=SEED + 7).queries
+    return multi_client_workload(clients, seed=seed + 7)
+
+
+def _shifting_base(catalog):
+    return shifting_workload_base(catalog).queries
 
 
 def _shift_events(catalog):

@@ -10,7 +10,10 @@ import random
 
 import pytest
 
+from repro.bandit.config import BanditConfig
+from repro.bandit.tuner import BanditTuner
 from repro.core import ColtConfig, ColtTuner
+from repro.obs import spans
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
 
@@ -120,3 +123,132 @@ class TestBreakerTransitions:
         assert sum(
             s["value"] for s in counter.samples()
         ) == len(breaker.transitions)
+
+
+class _CountingFamily:
+    """Collector double: logs every update, bound or through the family."""
+
+    def __init__(self, log, name):
+        self._log = log
+        self.name = name
+
+    def labels(self, **labels):
+        return self
+
+    def inc(self, *args, **labels):
+        self._log.append(self.name)
+
+    dec = set = observe = inc
+
+    def set_function(self, read, **labels):
+        """A total its owner keeps costs the hot path no update."""
+
+    def value(self, **labels):
+        return 0.0
+
+
+class CountingRegistry:
+    """Registry double counting collector updates (what a query *does*,
+    not how long it takes: deterministic, so it can gate in tier 1)."""
+
+    enabled = True
+
+    def __init__(self):
+        self.updates = []
+
+    def counter(self, name, help, labelnames=(), buckets=None):
+        return _CountingFamily(self.updates, name)
+
+    gauge = histogram = counter
+
+    def snapshot(self):
+        return []
+
+
+class CountingTracer(spans.SpanTracer):
+    """Tracer double logging handles opened and spans recorded."""
+
+    def __init__(self):
+        super().__init__()
+        self.handles = 0
+        self.recorded = []
+
+    def span(self, name, **attrs):
+        self.handles += 1
+        return super().span(name, **attrs)
+
+    def record(self, name, start, duration, attrs=()):
+        self.recorded.append((name, attrs))
+        super().record(name, start, duration, attrs)
+
+
+#: Collector updates of a query that probes nothing: the backend's call
+#: counter and the query-cost histogram (COLT; the bandit has no such
+#: histogram).  Every other per-query total is a plain add its family
+#: reads at snapshot time.
+COLT_PLAIN_QUERY_UPDATES = 2
+BANDIT_PLAIN_QUERY_UPDATES = 1
+#: Per what-if probe, COLT: probes_total, whatif_spent_total, the
+#: ci_width histogram and at most two backend pricing calls.  Per reward
+#: probe, bandit: observe_probes_total, its overhead cost, one pricing call.
+COLT_UPDATES_PER_PROBE = 5
+BANDIT_UPDATES_PER_PROBE = 3
+
+
+class TestPerQueryUpdateBudget:
+    """The overhead bound that can fail: counts, not a timing ratio."""
+
+    @pytest.mark.parametrize(
+        "engine, config, plain, per_probe",
+        [
+            (ColtTuner, ColtConfig, COLT_PLAIN_QUERY_UPDATES, COLT_UPDATES_PER_PROBE),
+            (BanditTuner, BanditConfig, BANDIT_PLAIN_QUERY_UPDATES, BANDIT_UPDATES_PER_PROBE),
+        ],
+        ids=["colt", "bandit"],
+    )
+    def test_updates_per_query_are_bounded(
+        self, small_catalog, monkeypatch, engine, config, plain, per_probe
+    ):
+        registry = CountingRegistry()
+        tuner = engine(
+            small_catalog, config(storage_budget_pages=6000.0), registry=registry
+        )
+        tuner.tracer = tracer = CountingTracer()
+        built = []
+        monkeypatch.setattr(
+            spans, "Span", lambda **fields: built.append(fields) or fields
+        )
+        queries = [eq_query(7), day_query(8100), eq_query(9)]
+        plain_seen = probing_seen = 0
+        for i in range(400):
+            query = queries[i % len(queries)]  # the same objects: retained hits
+            registry.updates.clear()
+            tracer.recorded.clear()
+            handles = tracer.handles
+            outcome = tuner.process_query(query)
+            if outcome.epoch_ended:
+                continue  # the close is the boundary's own budget
+            assert len(registry.updates) <= plain + per_probe * outcome.whatif_calls, (
+                i, registry.updates
+            )
+            assert tracer.handles == handles and built == []
+            assert tracer.recorded == [("query", (("index", i),))]
+            plain_seen += outcome.whatif_calls == 0
+            probing_seen += outcome.whatif_calls > 0
+        assert plain_seen > 100 and probing_seen > 10
+        assert len(tracer.recent()) == 256 == len(built)  # Spans are built on read
+
+    def test_raising_query_still_records_its_span(self, small_catalog):
+        tuner = _tuner(small_catalog)
+        tuner.tracer = tracer = CountingTracer()
+        _run(tuner, 3)
+
+        def refuse(query):
+            raise RuntimeError("backend down")
+
+        tuner.whatif.begin_query = refuse
+        with pytest.raises(RuntimeError):
+            tuner.process_query(eq_query(1))
+        assert tracer.recorded[-1] == ("query", (("index", 3),))
+        assert tracer.summary()["query"]["count"] == 4
+        assert tuner.metrics.get("colt_queries_total").value() == 3

@@ -1,0 +1,161 @@
+"""Metric identity across a restructure of the per-query instrumentation.
+
+Binding label sets once, and reading totals and a gauge their owners
+already keep when the family is read instead of updating a collector on
+every query, must not move a single sample.  Three runs of the system benchmark's
+``shift_cyclic`` base (2 shifting clients, 440 bound queries, cycled to
+2 000 arrivals) are therefore pinned family by family in
+``tests/data/metrics_identity.json``: COLT, the bandit, and a 2-replica
+in-process fleet (client routing, ten fleet boundaries, per-replica
+families merged under the ``replica`` label).
+
+Every counter, gauge and cost-histogram sample is compared exactly;
+wall-clock histograms (``*_seconds``) by ``count`` only.  The file was
+recorded on CPython 3.11, on the commit *before* the instrumentation was
+restructured, and stays the reference.  From 3.12 built-in ``sum`` over
+floats is compensated, which moves the last digits of sums the bandit
+feeds its histograms (not a count, not a decision): there, floats are
+held within ``FLOAT_REL`` and everything else exactly, as
+``tests/core/test_close_identity.py`` does for its ratios.  Only an
+intended metric change regenerates the file:
+
+    METRICS_IDENTITY_REGEN=1 PYTHONPATH=src python -m pytest \
+        tests/obs/test_metrics_identity.py -q
+"""
+
+import itertools
+import json
+import os
+import pathlib
+import sys
+
+import pytest
+
+from repro.engines import engine_spec
+from repro.fleet import FleetCoordinator
+from repro.workload import build_catalog
+
+from tests.core.test_close_identity import shifting_workload_base
+
+DATA_PATH = pathlib.Path(__file__).parent.parent / "data" / "metrics_identity.json"
+SEED = 0
+ARRIVALS = 2000
+FLOAT_REL = 1e-9
+
+
+def _shifting_base():
+    # Bound queries replay across identical catalogs.
+    return shifting_workload_base(build_catalog(), SEED)
+
+
+def _cycled(items):
+    return list(itertools.islice(itertools.cycle(items), ARRIVALS))
+
+
+def _tuner(engine):
+    base = _shifting_base()
+    # Default-constructed, as the benchmark's workloads build them.
+    tuner = engine_spec(engine).tuner(build_catalog())
+    for query in _cycled(base.queries):
+        tuner.process_query(query)
+    return tuner.metrics_snapshot()
+
+
+def _fleet():
+    base = _shifting_base()
+    fleet = FleetCoordinator(
+        build_catalog, n_replicas=2, policy="client", fleet_epoch_length=200
+    )
+    fleet.run(_cycled(base.queries), client_ids=_cycled(base.client_ids))
+    return fleet.metrics_snapshot()
+
+
+SCENARIOS = {
+    "colt": lambda: _tuner("colt"),
+    "bandit": lambda: _tuner("bandit"),
+    "fleet": _fleet,
+}
+
+
+def _comparable(snapshot):
+    """The snapshot's families with wall-clock samples reduced to counts."""
+    families = []
+    for family in snapshot["metrics"]:
+        if family["type"] == "histogram" and family["name"].endswith("_seconds"):
+            family = dict(
+                family,
+                samples=[
+                    {"labels": s["labels"], "count": s["count"]}
+                    for s in family["samples"]
+                ],
+            )
+        families.append(family)
+    # Through JSON once, as the recording went (tuples become lists).
+    return json.loads(json.dumps(families))
+
+
+def _dump(recorded) -> str:
+    """One family per line: a diff of the file names the family that moved."""
+    parts = []
+    for name, families in recorded.items():
+        rows = ",\n".join(
+            "  " + json.dumps(family, separators=(",", ":"), sort_keys=True)
+            for family in families
+        )
+        parts.append(f' "{name}": [\n{rows}\n ]')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    if os.environ.get("METRICS_IDENTITY_REGEN") == "1":
+        DATA_PATH.write_text(
+            _dump({name: _comparable(run()) for name, run in SCENARIOS.items()})
+        )
+    assert DATA_PATH.exists(), "fixture missing -- see the module docstring"
+    return json.loads(DATA_PATH.read_text())
+
+
+def _within(got, want) -> bool:
+    """Equal, floats within ``FLOAT_REL`` (the recording's ``sum`` is 3.11's)."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_within(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return len(got) == len(want) and all(map(_within, got, want))
+    if isinstance(want, float):
+        return got == pytest.approx(want, rel=FLOAT_REL)
+    return got == want
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_sample_matches_the_recorded_run(pinned, scenario):
+    got = _comparable(SCENARIOS[scenario]())
+    expected = pinned[scenario]
+    assert [f["name"] for f in got] == [f["name"] for f in expected]
+    for family, want in zip(got, expected):
+        same = family == want if sys.version_info < (3, 12) else _within(family, want)
+        assert same, f"{scenario}: {family['name']} moved"
+
+
+def test_the_recording_covers_the_per_query_families(pinned):
+    """The pin is only worth its bytes if the hot-path families have samples."""
+
+    def value(scenario, name, **labels):
+        (family,) = [f for f in pinned[scenario] if f["name"] == name]
+        (sample,) = [s for s in family["samples"] if s["labels"] == labels]
+        return sample.get("value", sample.get("count"))
+
+    assert value("colt", "colt_queries_total") == ARRIVALS
+    assert value("colt", "colt_query_cost") == ARRIVALS
+    assert value("colt", "colt_whatif_calls_total") > 0
+    assert value("colt", "profiler_clusters") > 0
+    assert value("colt", "backend_optimize_calls_total", backend="local") > ARRIVALS
+    assert value("colt", "colt_epoch_close_seconds") == ARRIVALS // 10
+    assert value("bandit", "bandit_queries_total") == ARRIVALS
+    assert value("bandit", "bandit_observe_probes_total") > 0
+    routed = [
+        value("fleet", "fleet_queries_routed_total", replica=str(i)) for i in range(2)
+    ]
+    assert sum(routed) == ARRIVALS and min(routed) > 0
+    assert value("fleet", "fleet_reorganizations_total") == ARRIVALS // 200
+    assert value("fleet", "colt_queries_total", replica="0") == routed[0]

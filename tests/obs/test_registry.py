@@ -76,6 +76,114 @@ class TestHistogram:
         assert h.count() == 1 and h.sum() == 3.0
 
 
+class TestBoundChildren:
+    def test_bound_and_unbound_updates_land_on_the_same_sample(self):
+        r = MetricsRegistry()
+        c = r.counter("x_total", "x", ("replica",))
+        child = c.labels(replica=0)
+        child.inc()
+        c.inc(2, replica=0)
+        c.labels(replica="0").inc(0.5)  # values bind by their str
+        c.labels(replica=1).inc(4)
+        assert c.labels(replica=0) is child
+        assert c.value(replica=0) == 3.5 and c.value(replica=1) == 4.0
+        g = r.gauge("depth", "d")
+        bound = g.labels()
+        bound.set(10)
+        g.inc(2)
+        bound.dec(5)
+        assert g.value() == 7.0
+        h = r.histogram("d", "d", buckets=(1.0, 10.0))
+        h.labels().observe(0.5)
+        h.observe(5.0)
+        (sample,) = h.samples()
+        assert (sample["count"], sample["sum"]) == (2, 5.5)
+        assert sample["buckets"] == {"1.0": 1, "10.0": 2, "+Inf": 2}
+
+    def test_wrong_or_missing_label_names_raise_at_bind_time(self):
+        r = MetricsRegistry()
+        for family in (
+            r.counter("x_total", "x", ("replica",)),
+            r.gauge("depth", "d", ("replica",)),
+            r.histogram("d", "d", ("replica",)),
+        ):
+            with pytest.raises(MetricError):
+                family.labels()
+            with pytest.raises(MetricError):
+                family.labels(shard=0)
+            with pytest.raises(MetricError):
+                family.labels(replica=0, shard=0)
+        with pytest.raises(MetricError):
+            r.counter("y_total", "y").labels(replica=0)
+
+    def test_registered_family_without_labels_is_its_own_child(self):
+        r = MetricsRegistry()
+        c, g, h = r.counter("x_total", "x"), r.gauge("depth", "d"), r.histogram("d", "d")
+        assert c.inc is c.labels().inc
+        assert (g.set, g.inc, g.dec) == (g.labels().set, g.labels().inc, g.labels().dec)
+        assert h.observe is h.labels().observe
+        assert c.samples() == [] and h.samples() == []  # binding is not updating
+        c.inc(2)
+        with pytest.raises(MetricError):
+            c.inc(-1)
+        assert c.value() == 2.0
+        labelled = r.counter("y_total", "y", ("replica",))
+        assert "inc" not in vars(labelled)  # binds per update, or through labels()
+
+    def test_binding_alone_makes_no_sample(self):
+        r = MetricsRegistry()
+        c = r.counter("x_total", "x", ("replica",))
+        h = r.histogram("d", "d")
+        c.labels(replica=0)
+        h.labels()
+        assert c.samples() == [] and h.samples() == []
+        assert h.count() == 0 and h.sum() == 0.0
+
+    def test_bound_counter_rejects_negative_increment(self):
+        child = MetricsRegistry().counter("x_total", "x").labels()
+        with pytest.raises(MetricError):
+            child.inc(-1)
+
+    def test_disabled_registry_child_is_a_noop(self):
+        r = MetricsRegistry(enabled=False)
+        c = r.counter("x_total", "x", ("replica",))
+        child = c.labels(replica=0)
+        child.inc(5)
+        r.gauge("depth", "d").labels().set(3)
+        r.histogram("d", "d").labels().observe(0.5)
+        assert child is c.labels(replica=1)  # one shared child
+        assert c.value(replica=0) == 0.0 and c.samples() == []
+        assert r.get("depth").value() == 0.0 and r.get("d").count() == 0
+
+
+class TestSetFunction:
+    def test_value_is_read_when_the_family_is_read(self):
+        r = MetricsRegistry()
+        total = [None]
+        c = r.counter("x_total", "x")
+        c.set_function(lambda: total[0])
+        assert c.samples() == []  # None: no sample yet
+        total[0] = 3
+        assert c.value() == 3.0
+        assert r.snapshot()[0]["samples"] == [{"labels": {}, "value": 3.0}]
+        assert isinstance(c.value(), float)
+        total[0] = 4.5
+        assert c.value() == 4.5
+
+    def test_labelled_binding_beside_counted_ones(self):
+        g = MetricsRegistry().gauge("depth", "d", ("replica",))
+        g.set_function(lambda: 7, replica=0)
+        g.set(2, replica=1)
+        assert [s["value"] for s in g.samples()] == [7.0, 2.0]
+        with pytest.raises(MetricError):
+            g.set_function(lambda: 1)
+
+    def test_disabled_registry_reads_nothing(self):
+        c = MetricsRegistry(enabled=False).counter("x_total", "x")
+        c.set_function(lambda: 5)
+        assert c.value() == 0.0 and c.samples() == []
+
+
 class TestRegistry:
     def test_registration_is_idempotent_for_identical_family(self):
         r = MetricsRegistry()

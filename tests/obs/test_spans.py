@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.spans import SpanTracer, merge_span_summaries
+from repro.obs.spans import Span, SpanTracer, merge_span_summaries
 
 
 class FakeClock:
@@ -70,6 +70,34 @@ class TestSpanTracer:
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             SpanTracer(capacity=0)
+
+    def test_record_then_recent_returns_equal_spans(self):
+        tracer = SpanTracer(clock=FakeClock())
+        tracer.record("query", 1.0, 2.5, (("index", 7),))
+        tracer.record("epoch_close", 4.0, 0.5)
+        with tracer.span("query", index=8):  # ends in the same routine
+            pass
+        assert tracer.recent() == [
+            Span("query", 1.0, 2.5, {"index": 7}),
+            Span("epoch_close", 4.0, 0.5, {}),
+            Span("query", 0.0, 1.0, {"index": 8}),
+        ]
+        assert tracer.recent("epoch_close") == [Span("epoch_close", 4.0, 0.5, {})]
+        assert tracer.summary()["query"] == {
+            "count": 2, "total_seconds": 3.5, "max_seconds": 2.5,
+        }
+
+    def test_ring_bound_holds_for_recorded_spans(self):
+        tracer = SpanTracer(capacity=3, clock=FakeClock())
+        for i in range(10):
+            tracer.record("query", float(i), 1.0, (("index", i),))
+        assert [s.attrs["index"] for s in tracer.recent()] == [7, 8, 9]
+        assert tracer.summary()["query"]["count"] == 10
+
+    def test_disabled_tracer_records_nothing_through_record(self):
+        tracer = SpanTracer(enabled=False)
+        tracer.record("query", 0.0, 1.0)
+        assert tracer.recent() == [] and tracer.summary() == {}
 
     def test_span_recorded_even_when_body_raises(self):
         tracer = SpanTracer(clock=FakeClock())

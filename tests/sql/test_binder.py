@@ -69,6 +69,18 @@ class TestTypeChecking:
                 small_catalog,
             )
 
+    @pytest.mark.parametrize(
+        "literal", ["'no date'", "'1994-13-45'", "1" + "0" * 400],
+        ids=["no-date", "no-such-day", "integer-no-float-holds"],
+    )
+    def test_uncoercible_literal_names_the_column(self, literal, small_catalog):
+        # parse_date's ValueError and float()'s OverflowError used to
+        # leave bind_query as they were.
+        column = "amount" if literal[0] == "1" else "day"
+        sql = f"select amount from events where {column} = {literal}"
+        with pytest.raises(BindError, match=f"predicate on events.{column}: "):
+            bind_query(parse_query(sql), small_catalog)
+
     def test_between_coerces_both_bounds(self, small_catalog):
         q = bind_query(
             parse_query(

@@ -8,12 +8,14 @@ the offset); ``parse_query`` must return an equal AST or raise the same;
 ``bind_query`` must return an equal ``Query`` or raise the same, and
 leave its input as it found it.
 
-Three behaviour changes are deliberate, and they are the only places the
+Five behaviour changes are deliberate, and they are the only places the
 two may part (``DELIBERATE``).  Two are the scanner's: up to the first
 character one of them applies to, the streams must still agree exactly,
 so the text is cut there, the new behaviour is asserted at the cut, and
-the comparison runs on what is in front of it.  The third is the
-parser's and is asserted in place of the AST comparison.
+the comparison runs on what is in front of it.  Two are the parser's and
+one the binder's, each asserted in place of the comparison it replaces:
+where the old front end let a bare ``ValueError`` / ``OverflowError``
+through, the new one raises its own error class.
 
 No test here fixes ``max_examples``: the ``deep`` profile
 (``tests/conftest.py``, ``--hypothesis-profile=deep``) decides the depth.
@@ -22,13 +24,14 @@ No test here fixes ``max_examples``: the ``deep`` profile
 import copy
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sql.ast import Query
-from repro.sql.binder import bind_query
+from repro.sql.binder import BindError, bind_query
 from repro.sql.lexer import KEYWORDS, STRING, LexError, tokenize
 from repro.sql.parser import ParseError, parse_query
 from repro.sql.render import render_query
@@ -47,7 +50,18 @@ ASCII_OUTSIDE_STRINGS = "ascii_outside_strings"
 DOUBLED_QUOTE = "doubled_quote"
 #: ``LIMIT -5`` parsed; now a ParseError naming the number's offset.
 NEGATIVE_LIMIT = "negative_limit"
-DELIBERATE = (ASCII_OUTSIDE_STRINGS, DOUBLED_QUOTE, NEGATIVE_LIMIT)
+#: An integer literal of more digits than ``int()`` converts (4 300 from
+#: Python 3.11) left ``parse_query`` as ``int()``'s bare ValueError; now a
+#: ParseError naming the literal's offset.
+OVERLONG_INTEGER = "overlong_integer"
+#: A literal ``coerce`` cannot convert for a reason other than its type
+#: (text that is no date, an integer no float holds) left ``bind_query``
+#: as a bare ValueError / OverflowError; now a BindError naming the column.
+UNCOERCIBLE_LITERAL = "uncoercible_literal"
+DELIBERATE = (
+    ASCII_OUTSIDE_STRINGS, DOUBLED_QUOTE, NEGATIVE_LIMIT, OVERLONG_INTEGER,
+    UNCOERCIBLE_LITERAL,
+)
 
 _FIXED = (oracle.TokenType.KEYWORD, oracle.TokenType.OP, oracle.TokenType.PUNCT)
 
@@ -162,13 +176,24 @@ def _compare(sql, catalog):
         assert _raised(new) and new[0] is ParseError
         assert new[1].endswith(f"at offset {number_at}")
         return met + [NEGATIVE_LIMIT]
+    if _raised(old) and old[0] is ValueError:  # int()'s own, not a subclass
+        assert _raised(new) and new[0] is ParseError
+        assert re.search(r"^integer literal too long at offset \d+$", new[1])
+        return met + [OVERLONG_INTEGER]
     _assert_same(new, old)
     if not isinstance(new, Query):
         return met
 
     before = copy.deepcopy(new)
     bound = _outcome(bind_query, new, catalog)
-    _assert_same(bound, _outcome(oracle.bind_query, old, catalog))
+    old_bound = _outcome(oracle.bind_query, old, catalog)
+    if _raised(old_bound) and old_bound[0] in (ValueError, OverflowError):
+        assert _raised(bound) and bound[0] is BindError
+        assert bound[1].startswith("type error in predicate on ")
+        assert bound[1].endswith(": " + old_bound[1])
+        met.append(UNCOERCIBLE_LITERAL)
+    else:
+        _assert_same(bound, old_bound)
     _assert_same(new, before)
     if isinstance(bound, Query):
         assert bound is not new
@@ -350,6 +375,17 @@ class TestFrontEndDifferential:
             ("select * from orders_1 where o_clerk = '''", []),
             ("select l_orderkey from lineitem_1 limit -5", [NEGATIVE_LIMIT]),
             ("select l_orderkey from lineitem_1 limit -0", []),
+            (
+                "select l_orderkey from lineitem_1 where l_orderkey = " + "7" * 5000,
+                [OVERLONG_INTEGER] if sys.version_info >= (3, 11) else [],
+            ),
+            ("select l_orderkey from lineitem_1 limit " + "7" * 5000, []),
+            ("select * from orders_1 where o_orderdate = 'no date'", [UNCOERCIBLE_LITERAL]),
+            ("select * from orders_1 where o_orderdate = '1994-01-01'", []),
+            (
+                "select * from lineitem_1 where l_extendedprice = 1" + "0" * 400,
+                [UNCOERCIBLE_LITERAL],
+            ),
         ],
     )
     def test_each_deliberate_change_is_met_and_only_where_named(self, sql, met, catalog):

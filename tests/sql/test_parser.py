@@ -1,5 +1,7 @@
 """Unit tests for the SQL parser."""
 
+import sys
+
 import pytest
 
 from repro.sql.ast import (
@@ -140,6 +142,16 @@ class TestTrailingClauses:
             parse_query(sql)
         assert parse_query("select a from t limit 0").limit == 0
         assert parse_query("select a from t limit -0").limit == 0
+
+    def test_integer_literal_longer_than_int_converts(self):
+        # Python >= 3.11 caps int() at 4 300 digits: its ValueError used
+        # to leave parse_query as it was.
+        sql = "select a from t where b = " + "7" * 5000
+        if sys.version_info >= (3, 11):
+            with pytest.raises(ParseError, match=f"too long at offset {sql.index('7')}$"):
+                parse_query(sql)
+        else:
+            assert parse_query(sql).filters[0].value == int("7" * 5000)
 
     def test_exponent_literals(self):
         q = parse_query("select a from t where b < 1.03e-05 and c = 1E+22")

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.cli import (
@@ -120,10 +122,26 @@ class TestExitCodes:
         assert main(["explain", sql]) == EXIT_PARSE
         assert "parse error:" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="int() converts any length before 3.11"
+    )
+    def test_overlong_integer_literal_exit_code(self, capsys):
+        sql = "select l_orderkey from lineitem_1 where l_orderkey = " + "7" * 5000
+        assert main(["explain", sql]) == EXIT_PARSE
+        assert "parse error: integer literal too long" in capsys.readouterr().err
+
     def test_bind_error_exit_code(self, capsys):
         sql = "select no_such_column from lineitem_1"
         assert main(["explain", sql]) == EXIT_BIND
         assert "bind error:" in capsys.readouterr().err
+
+    def test_text_that_is_no_date_exit_code(self, capsys):
+        # A bare ValueError (EXIT_ERROR) before the binder named the column.
+        sql = "select o_orderkey from orders_1 where o_orderdate = 'no date'"
+        assert main(["explain", sql]) == EXIT_BIND
+        assert "bind error: type error in predicate on orders_1.o_orderdate" in (
+            capsys.readouterr().err
+        )
 
     def test_snapshot_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "state.json"

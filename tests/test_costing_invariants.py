@@ -1,11 +1,14 @@
 """What the cost model holds on to equals what it would compute afresh.
 
-The catalog, index descriptors, per-query plan cache and forecaster keep
-values they used to recompute on every read.  Each is a pure function of
-inputs that are checked on the value (``row_count``, the catalog
-generation) or never change (a descriptor's columns), so served values
-must be ``==`` -- not approximately equal -- to a fresh evaluation of the
-formula, after any sequence of mutations and across processes.
+The catalog, index descriptors, per-query plan cache, per-query frame and
+forecaster keep values they used to recompute on every read.  Each is a
+pure function of inputs that are checked on the value (``row_count``,
+the catalog generation, a live set's content, the identity of the
+current configuration) or never change (a descriptor's columns), so
+served values must be ``==`` -- not approximately equal -- to a fresh
+evaluation of the formula, after any sequence of mutations and across
+processes.  (``tests/core/test_query_frame.py`` drives the frame's three
+through whole tuners.)
 """
 
 import dataclasses
@@ -18,15 +21,21 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.local import LocalBackend
 from repro.core.candidates import CandidateTracker
+from repro.core.clustering import Cluster, cluster_key
+from repro.core.config import ColtConfig
 from repro.core.forecast import MIN_FORECAST_WINDOW, total_predicted_benefit
+from repro.core.profiler import Profiler
 from repro.engine.catalog import Catalog, ColumnDef, TableDef
 from repro.engine.datatypes import DataType
 from repro.engine.index import IndexDef
 from repro.engine.stats import ColumnStats
 from repro.optimizer.access import crude_index_delta_cost
-from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.optimizer import Optimizer, relevant_config
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.sql.binder import bind_query
+from repro.sql.parser import parse_query
 from repro.workload import build_catalog, shifting_workload
 from repro.workload.experiments import phase_distributions
 
@@ -35,6 +44,11 @@ TABLES = {
     "dims": [("k", DataType.INT), ("d", DataType.DATE)],
 }
 INDEXES = [("facts", ("a",)), ("facts", ("b",)), ("facts", ("a", "c")), ("dims", ("k",))]
+QUERIES = (
+    "select a from facts where a = 5 and b < 3.5",
+    "select c from facts where c = 'x'",
+    "select a from facts, dims where facts.a = dims.k and dims.d < '1995-06-01'",
+)
 
 
 def _catalog() -> Catalog:
@@ -97,17 +111,22 @@ class TestCatalogServesFreshValues:
         optimizer = Optimizer(catalog)
         params = catalog.params
         shadow = set()  # the materialized set, tracked independently
+        frame = _Frame(catalog, optimizer)
         self._check(catalog, optimizer, params, shadow)
         for mutation in mutations:
             _apply(catalog, mutation)
             if mutation[0] == "materialize":
                 shadow.add(_fresh_index(*mutation[1]))
+                frame.hot.discard(_fresh_index(*mutation[1]))
             elif mutation[0] == "drop":
                 shadow.discard(_fresh_index(*mutation[1]))
+                frame.hot.add(_fresh_index(*mutation[1]))
             # Read twice: the first read may refill a held value, the
             # second must serve it.
             self._check(catalog, optimizer, params, shadow)
+            frame.check(shadow)
             self._check(catalog, optimizer, params, shadow)
+            frame.check(shadow)
 
     @staticmethod
     def _check(catalog, optimizer, params, shadow):
@@ -142,6 +161,45 @@ class TestCatalogServesFreshValues:
         assert catalog.index_for("facts", "a") is catalog.index_for("facts", "a")
         assert catalog.index_for("facts", "a") == _fresh_index("facts", ("a",))
         assert catalog.index_for("facts", "a") != catalog.index_for("facts", "b")
+
+
+class _Frame:
+    """What a repeated query is served from, held to a from-scratch run:
+    the retained plan, its used indexes, the restriction of the current
+    and of what-if configurations, the profiler's ordered ``I_M`` / ``I_H``."""
+
+    def __init__(self, catalog, optimizer):
+        self.catalog = catalog
+        self.optimizer = optimizer
+        self.backend = LocalBackend(optimizer=optimizer)
+        self.queries = [bind_query(parse_query(sql), catalog) for sql in QUERIES]
+        self.profiler = Profiler(
+            catalog, WhatIfOptimizer(backend=self.backend), ColtConfig()
+        )
+        self.hot = set()  # dropped indexes turn hot: mutated in place
+
+    def check(self, shadow):
+        config = self.optimizer.current_config()
+        assert config == frozenset(shadow)
+        probes = [config]
+        for spec in INDEXES:
+            probes += [config | {_fresh_index(*spec)}, config - {_fresh_index(*spec)}]
+        for query in self.queries:
+            session = self.backend.begin_query(query)  # retained from the 2nd sighting
+            base, cache = session.base, session.cache
+            fresh = Optimizer(self.catalog).optimize(query)
+            assert (base.cost, base.config) == (fresh.cost, config)
+            assert base.indexes_used == base.plan.indexes_used()
+            assert base.indexes_used == fresh.plan.indexes_used()
+            for probe in probes:
+                assert self.optimizer.relevant(query, probe, cache) == relevant_config(
+                    query, probe
+                )
+            cluster = Cluster(cluster_key(query, self.catalog), 0)
+            assert self.profiler._pool(cluster, base.indexes_used, self.hot, shadow) == (
+                [ix for ix in sorted(shadow, key=str) if ix in fresh.plan.indexes_used()],
+                [ix for ix in sorted(self.hot, key=str) if cluster.is_relevant(ix)],
+            )
 
 
 _CHILD = """
