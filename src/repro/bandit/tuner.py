@@ -356,7 +356,7 @@ class BanditTuner(TuningLoop):
         config, materialized = self.config, self.materialized
         tracker = self.profiler.candidates
         vector, width_of, mean_of = self.features.vector, self.model.width, self.model.mean
-        size_of, build_of = self.catalog.index_size_pages, self.catalog.index_build_cost
+        costing_of = self.catalog.index_costing  # (rows, params, size, build)
         observe_width = self._metrics["bandit_confidence_width"].observe
         alpha, retention, matcost = config.alpha, config.retention_weight, config.matcost_weight
         for index in pool:
@@ -365,23 +365,21 @@ class BanditTuner(TuningLoop):
             optimistic = mean_of(x) + alpha * width
             observe_width(width)
             value = optimistic * epoch_length
+            costing = costing_of(index)
             if not forced:
                 if index not in materialized:
-                    value -= matcost * build_of(index)
+                    value -= matcost * costing[3]
                 elif optimistic > 0.0:
                     # Anti-thrash margin -- but never life support: an
                     # arm whose optimistic estimate has gone non-positive
                     # earns no retention credit and falls out.
-                    value += retention * build_of(index)
+                    value += retention * costing[3]
             scores[_key(index)] = optimistic
-            items.append(KnapsackItem(key=index, size=size_of(index), value=value))
+            items.append(KnapsackItem(index, costing[2], value))
 
         merged = self._merge_safety_bans(constraints)
         selected, total_value = solve_constrained(
-            items,
-            self.config.storage_budget_pages,
-            merged,
-            incumbent_value=0.0,
+            items, self.config.storage_budget_pages, merged
         )
         target = {it.key for it in selected}
         materialize = sorted(

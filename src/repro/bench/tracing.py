@@ -15,7 +15,7 @@ import dataclasses
 import json
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.config import ColtConfig
+from repro.core.config import ColtConfig, stored_config
 from repro.core.loop import QueryOutcome, TuningLoop
 from repro.engine.catalog import Catalog
 from repro.sql.ast import Query
@@ -115,7 +115,7 @@ class TunerTrace:
         engine = data.get("engine", "colt")
         try:
             epochs = [EpochTrace(**entry) for entry in data["epochs"]]
-            config = engine_spec(engine).config_type(**data["config"])
+            config = stored_config(engine_spec(engine).config_type, data["config"])
         except TypeError as exc:
             raise ValueError(f"malformed TunerTrace payload: {exc}") from exc
         return cls(epochs=epochs, config=config, engine=engine)

@@ -651,7 +651,7 @@ def _run_run(args) -> None:
     print(f"workload: {workload.description}")
     print(f"engine:   {args.engine}")
     print(
-        f"queries:  {len(outcomes)}; epochs: {len(tuner.dashboard.records)}; "
+        f"queries:  {len(outcomes)}; epochs: {tuner.dashboard.epochs}; "
         f"materialized: {len(tuner.materialized_set)}"
     )
     print(f"total cost: {sum(o.total_cost for o in outcomes):,.0f}\n")

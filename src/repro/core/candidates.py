@@ -37,18 +37,6 @@ class CandidateStats:
         """Accumulate one query's crude gain into the current epoch."""
         self.epoch_gain += gain
 
-    def roll_epoch(self, epoch_length: int) -> None:
-        """Close the epoch: push the per-query average into the window."""
-        benefit = self.epoch_gain / epoch_length
-        self._window.append(benefit)
-        self._idle = self._idle + 1 if benefit <= 0.0 else 0
-        self.epoch_gain = 0.0
-        if self._smoothed is None:
-            self._smoothed = benefit
-        else:
-            a = self._smoothing
-            self._smoothed = a * benefit + (1.0 - a) * self._smoothed
-
     def load(self, window: Iterable[float], smoothed: float) -> None:
         """Adopt a recorded window (oldest first) and smoothed benefit."""
         for benefit in window:
@@ -64,10 +52,6 @@ class CandidateStats:
     def window_total(self) -> float:
         """Sum of windowed per-epoch benefits (recency-unweighted)."""
         return sum(self._window)
-
-    def stale(self) -> bool:
-        """Whether the candidate saw no benefit across the whole window."""
-        return self._idle >= self._window.maxlen
 
 
 _smoothed_benefit = operator.attrgetter("smoothed_benefit")
@@ -214,9 +198,21 @@ class CandidateTracker:
         ``S_h`` and is dropped from ``C``.
         """
         dead = []
+        # One loop over the candidates' own fields, no call per candidate:
+        # every one of them passes here at every boundary.
         for key, stats in self._stats.items():
-            stats.roll_epoch(epoch_length)
-            if stats.stale():
+            # Push the per-query average into the window.
+            benefit = stats.epoch_gain / epoch_length
+            stats.epoch_gain = 0.0
+            window = stats._window
+            window.append(benefit)
+            if stats._smoothed is None:
+                stats._smoothed = benefit
+            else:
+                a = stats._smoothing
+                stats._smoothed = a * benefit + (1.0 - a) * stats._smoothed
+            stats._idle = idle = stats._idle + 1 if benefit <= 0.0 else 0
+            if idle >= window.maxlen:  # no benefit across the whole window
                 dead.append(key)
         for key in dead:
             del self._stats[key]

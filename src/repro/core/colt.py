@@ -128,19 +128,18 @@ class ColtTuner(TuningLoop):
         )
 
     def _digest_epoch(self):
-        return self.profiler.end_epoch(
-            hot=self.self_organizer.hot,
-            materialized=self.self_organizer.materialized,
-        )
+        tracked = self.self_organizer.tracked()
+        self.profiler.end_epoch(tracked)
+        return tracked
 
     def _decide(
-        self, report, constraints: Optional[SelectionConstraints]
+        self, tracked, constraints: Optional[SelectionConstraints]
     ) -> ReorganizationResult:
         inserts = self._epoch_inserts
         self._epoch_inserts = {}
-        hot_before = set(self.self_organizer.hot)
+        hot_before = self.self_organizer.hot  # rebound, not mutated, by the close
         reorg = self.self_organizer.end_epoch(
-            report, self.profiler, inserts=inserts, constraints=constraints
+            tracked, self.profiler, inserts=inserts, constraints=constraints
         )
         self._m_hot_churn.inc(
             len(hot_before.symmetric_difference(self.self_organizer.hot))

@@ -9,6 +9,18 @@ sensitive to the exact values.
 from __future__ import annotations
 
 import dataclasses
+from typing import Mapping
+
+#: Fields earlier versions wrote into snapshots and traces and this one
+#: no longer has.
+RETIRED_FIELDS = frozenset({"knapsack_warm_start"})
+
+
+def stored_config(config_type: type, stored: Mapping):
+    """An engine configuration from a stored ``config`` block, without
+    the fields retired since it was written (any other unknown key still
+    fails the constructor)."""
+    return config_type(**{k: v for k, v in stored.items() if k not in RETIRED_FIELDS})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,11 +84,6 @@ class ColtConfig:
             selected configuration are unchanged either way (see
             docs/PERFORMANCE.md); off by default so overhead accounting
             matches the paper's prototype exactly.
-        knapsack_warm_start: Seeds each epoch's knapsack solve with the
-            previous epoch's solution value as a branch-and-bound
-            incumbent.  Provably returns the same optimum -- the
-            incumbent is a strict lower bound -- it only prunes the
-            search earlier.
         seed: Seed for the profiler's sampling decisions.
     """
 
@@ -96,7 +103,6 @@ class ColtConfig:
     adaptive_forecast_window: bool = False
     composite_candidates: bool = False
     gain_cache: bool = False
-    knapsack_warm_start: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:

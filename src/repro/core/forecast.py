@@ -24,24 +24,45 @@ from typing import Deque, List, Sequence
 
 
 class BenefitHistory:
-    """Sliding window of per-epoch benefits for one index."""
+    """Sliding window of per-epoch benefits for one index.
 
-    __slots__ = ("_window",)
+    Attributes:
+        nonzero: How many windowed benefits differ from zero, kept as
+            they enter and leave.  Every forecast term of a window
+            without one is ``0.0`` (``-0.0`` terms included: Python's
+            ``sum`` starts from ``0``), so such a window needs no
+            forecast at all.
+    """
+
+    __slots__ = ("_window", "nonzero")
 
     def __init__(self, history_epochs: int) -> None:
         self._window: Deque[float] = deque(maxlen=history_epochs)
+        self.nonzero = 0
 
     def record(self, benefit: float) -> None:
         """Append the benefit measured for the epoch just ended."""
-        self._window.append(benefit)
+        window = self._window
+        if len(window) == window.maxlen and window[0] != 0.0:
+            self.nonzero -= 1  # the append below pushes it out
+        window.append(benefit)
+        if benefit != 0.0:
+            self.nonzero += 1
 
     def values(self) -> List[float]:
         """Windowed benefits, oldest first."""
         return list(self._window)
 
+    def predicted_total(self, horizon: int) -> float:
+        """:func:`total_predicted_benefit` of the window."""
+        if not self.nonzero:
+            return 0.0
+        return total_predicted_benefit(list(self._window), horizon)
+
     def clear(self) -> None:
         """Forget all history (used when statistics become inconsistent)."""
         self._window.clear()
+        self.nonzero = 0
 
     def __len__(self) -> int:
         return len(self._window)

@@ -12,14 +12,13 @@ cross-check in tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_RESOLUTION = 2048
 
 
-@dataclasses.dataclass(frozen=True)
-class KnapsackItem:
-    """One knapsack object.
+class KnapsackItem(NamedTuple):
+    """One knapsack object (a tuple: an epoch close builds a dozen).
 
     Attributes:
         key: Caller's identifier (e.g. an :class:`IndexDef`).
@@ -89,7 +88,6 @@ def solve_constrained(
     capacity: float,
     constraints: SelectionConstraints,
     resolution: int = DEFAULT_RESOLUTION,
-    incumbent_value: float = 0.0,
 ) -> Tuple[List[KnapsackItem], float]:
     """Solve 0/1 knapsack under pin/ban/prefer constraints.
 
@@ -118,12 +116,10 @@ def solve_constrained(
             continue
         weight = prefs.get(item.key)
         if weight is not None:
-            item = dataclasses.replace(item, value=item.value * weight)
+            item = item._replace(value=item.value * weight)
         free.append(item)
     room = max(0.0, capacity - sum(it.size for it in pinned))
-    selected, total = solve_knapsack(
-        free, room, resolution=resolution, incumbent_value=incumbent_value
-    )
+    selected, total = solve_knapsack(free, room, resolution=resolution)
     pinned_value = sum(it.value for it in pinned)
     return pinned + selected, pinned_value + total
 
@@ -132,7 +128,6 @@ def solve_knapsack(
     items: Sequence[KnapsackItem],
     capacity: float,
     resolution: int = DEFAULT_RESOLUTION,
-    incumbent_value: float = 0.0,
 ) -> Tuple[List[KnapsackItem], float]:
     """Solve 0/1 knapsack.
 
@@ -145,11 +140,6 @@ def solve_knapsack(
         items: Candidate objects.
         capacity: Knapsack capacity (>= 0).
         resolution: Grid cells for the large-pool DP fallback.
-        incumbent_value: Value of a known-feasible solution, used to
-            warm-start the branch-and-bound pruning (epoch solves seed
-            this with the previous epoch's solution).  Must be a true
-            lower bound on the optimum; the returned solution is the
-            same optimum with or without it.  Ignored by the grid DP.
 
     Returns:
         (selected items, total value).  Items with value <= 0 or size
@@ -163,26 +153,13 @@ def solve_knapsack(
     if len(viable) > MAX_EXACT_ITEMS:
         return _solve_grid(viable, capacity, resolution)
     order = sorted(viable, key=lambda it: it.value / it.size, reverse=True)
-    total = _take_all(order, capacity, incumbent_value)
+    total = _take_all(order, capacity)
     if total is not None:
         return order, total
-    return _solve_exact(order, capacity, incumbent_value)
+    return _solve_exact(order, capacity)
 
 
-def _seeded_bound(incumbent_value: float) -> float:
-    """The value a solution must beat, given the caller's incumbent.
-
-    Backed off by a margin larger than the prune tolerance (and any
-    float sum-order drift): the incumbent's own leaf must survive the
-    prune chain so the returned mask is the optimum, never an empty
-    fallback.
-    """
-    return max(0.0, incumbent_value - 1e-9 * max(1.0, abs(incumbent_value)))
-
-
-def _take_all(
-    order: List[KnapsackItem], capacity: float, incumbent_value: float
-) -> Optional[float]:
+def _take_all(order: List[KnapsackItem], capacity: float) -> Optional[float]:
     """Total value when nothing has to be left out, else None.
 
     When every item still fits as sizes come off the capacity in density
@@ -192,7 +169,7 @@ def _take_all(
     margin -- far above the summation's rounding and the prune
     tolerance, far below any NetBenefit that matters -- rules out the
     cases where the descent would be pruned on the way or would only
-    tie the seeded bound or its own last step; those go to the search.
+    tie its own last step; those go to the search.
     """
     room = capacity
     total = before = 0.0
@@ -202,13 +179,13 @@ def _take_all(
         room -= item.size
         before = total
         total += item.value
-    if total - max(_seeded_bound(incumbent_value), before) > 1e-10 * max(1.0, total):
+    if total - before > 1e-10 * max(1.0, total):
         return total
     return None
 
 
 def _solve_exact(
-    order: List[KnapsackItem], capacity: float, incumbent_value: float = 0.0
+    order: List[KnapsackItem], capacity: float
 ) -> Tuple[List[KnapsackItem], float]:
     """Branch-and-bound with the fractional-relaxation upper bound.
 
@@ -230,7 +207,7 @@ def _solve_exact(
                 break
         return total
 
-    best_value = _seeded_bound(incumbent_value)
+    best_value = 0.0
     best_mask = 0
 
     # Feasibility tolerance: subtracting sizes from the remaining room

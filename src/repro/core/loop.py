@@ -520,30 +520,34 @@ class TuningLoop:
 
     def _apply(self, reorg: ReorganizationResult) -> float:
         # Retry previously failed builds whose backoff elapsed, then
-        # apply this boundary's fresh decisions.
-        retry = self.scheduler.advance_epoch()
+        # apply this boundary's fresh decisions.  Most boundaries decide
+        # nothing: then only the retry clock ticks.
+        scheduler = self.scheduler
+        retry = scheduler.advance_epoch()
         build_cost = retry.charged
         for index in retry.recovered:
             self.materialized.add(index)
-        build_cost += self.scheduler.request_materialization(reorg.materialize)
-        self.scheduler.request_drop(reorg.drop)
-        if self.guardrails is not None and reorg.drop:
-            # Dropped indexes' verification evidence is stale by
-            # definition; a re-materialized index re-earns its verdict.
-            self.guardrails.on_drop(reorg.drop)
-        # A failed build leaves the index unmaterialized: take it back
-        # out of M so the next selection sees reality, and surface it
-        # on the ledger record.  Idle-policy requests are merely
-        # queued, not failed.
-        queued = set(self.scheduler.pending)
-        failed = [
-            ix
-            for ix in reorg.materialize
-            if not self.catalog.is_materialized(ix) and ix not in queued
-        ]
-        for index in failed:
-            self.materialized.discard(index)
-        reorg.build_failures = failed
+        if reorg.materialize:
+            build_cost += scheduler.request_materialization(reorg.materialize)
+            # A failed build leaves the index unmaterialized: take it back
+            # out of M so the next selection sees reality, and surface it
+            # on the ledger record.  Idle-policy requests are merely
+            # queued, not failed.
+            queued = set(scheduler.pending)
+            failed = [
+                ix
+                for ix in reorg.materialize
+                if not self.catalog.is_materialized(ix) and ix not in queued
+            ]
+            for index in failed:
+                self.materialized.discard(index)
+            reorg.build_failures = failed
+        if reorg.drop:
+            scheduler.request_drop(reorg.drop)
+            if self.guardrails is not None:
+                # Dropped indexes' verification evidence is stale by
+                # definition; a re-materialized index re-earns its verdict.
+                self.guardrails.on_drop(reorg.drop)
         reorg.recovered_builds = list(retry.recovered)
         reorg.abandoned_builds = list(retry.abandoned)
         reorg.breaker_state = self.profiler.breaker.state.value

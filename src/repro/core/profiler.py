@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.candidates import CandidateTracker
 from repro.core.clustering import Cluster, ClusterStore
@@ -44,6 +44,9 @@ from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.errors import WhatIfProbeError
 from repro.sql.ast import Query
 
+if TYPE_CHECKING:  # the Self-Organizer imports this module
+    from repro.core.self_organizer import IndexRecord
+
 # Identity of an index within COLT's bookkeeping: table plus the ordered
 # key-column tuple (composite-safe).
 IndexKey = Tuple[str, Tuple[str, ...]]
@@ -55,6 +58,9 @@ def _key(index: IndexDef) -> IndexKey:
 
 # Canonical order of an index set: by name, which is what ``str`` gives.
 _name = operator.attrgetter("name")
+
+# The epoch summary of an index no query was exposed to.
+_UNEXPOSED = (0.0, 0.0, 0)
 
 
 class PairStats:
@@ -74,24 +80,6 @@ class PairStats:
     def __init__(self, confidence: float, signature: FrozenSet[IndexKey]) -> None:
         self.gain = GainStats(confidence)
         self.signature = signature
-
-
-@dataclasses.dataclass
-class EpochIndexBenefit:
-    """Per-epoch benefit summary for one profiled index.
-
-    Attributes:
-        index: The profiled index.
-        low: Conservative per-query benefit (``Benefit_H``/``Benefit_M``).
-        high: Optimistic per-query benefit (upper CI bounds; crude
-            estimate where the index was never measured).
-        measured: Number of what-if measurements contributing this epoch.
-    """
-
-    index: IndexDef
-    low: float
-    high: float
-    measured: int
 
 
 @dataclasses.dataclass
@@ -321,29 +309,31 @@ class Profiler(ProfilerBase):
     # ------------------------------------------------------------------
     # Epoch roll-over
     # ------------------------------------------------------------------
-    def end_epoch(
-        self,
-        hot: Iterable[IndexDef],
-        materialized: Iterable[IndexDef],
-    ) -> Dict[IndexKey, EpochIndexBenefit]:
+    def end_epoch(self, tracked: Iterable[IndexRecord]) -> None:
         """Summarize the epoch and reset per-epoch state.
 
-        Returns:
-            Per-index epoch benefits (low = conservative, high =
-            optimistic) for every index in ``H ∪ M``.
+        Args:
+            tracked: The Self-Organizer's records of ``H ∪ M``, in name
+                order; each one's ``epoch`` is set to the epoch's
+                ``(low, high, measured)`` -- conservative and optimistic
+                per-query benefit and the number of what-if measurements
+                behind them.
         """
         w = self._config.epoch_length
-        report: Dict[IndexKey, EpochIndexBenefit] = {}
-        for index in sorted({*hot, *materialized}, key=_name):
-            key = _key(index)
-            measured = self._epoch_measured.get(key, {})
-            exposure = self._epoch_exposure.get(key, {})
+        epoch_measured, epoch_exposure = self._epoch_measured, self._epoch_exposure
+        for rec in tracked:
+            key = rec.key
+            exposure = epoch_exposure.get(key)
+            if not exposure:  # no query met the index: 0.0 / w, twice
+                rec.epoch = _UNEXPOSED
+                continue
+            measured = epoch_measured.get(key)
             low_total = 0.0
             high_total = 0.0
             n_measured = 0
             any_unmeasured_pair = False
             for cid, count in exposure.items():
-                samples = measured.get(cid, ())
+                samples = measured.get(cid, ()) if measured is not None else ()
                 n = len(samples)
                 n_measured += n
                 pair = self._valid_pair(key, cid)
@@ -361,11 +351,9 @@ class Profiler(ProfilerBase):
             if any_unmeasured_pair:
                 # Never-profiled exposure: the optimistic view falls back
                 # to the crude (optimistic by construction) estimate.
-                crude = self._crude_epoch_benefit(index)
+                crude = self._crude_epoch_benefit(rec.index)
                 high = max(high, crude)
-            report[key] = EpochIndexBenefit(
-                index=index, low=low, high=max(high, low), measured=n_measured
-            )
+            rec.epoch = (low, max(high, low), n_measured)
 
         self._epoch_measured.clear()
         self._epoch_exposure.clear()
@@ -373,7 +361,6 @@ class Profiler(ProfilerBase):
         self.clusters.roll_epoch()
         self.gain_cache.roll_epoch()
         self.whatif_used = 0
-        return report
 
     def set_budget(self, budget: int) -> None:
         """Install the next epoch's what-if budget ``#WI_lim``."""

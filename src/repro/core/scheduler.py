@@ -255,6 +255,9 @@ class Scheduler:
         """
         self._epoch += 1
         report = RetryReport()
+        if not self.retry_queue:  # nothing waits: only the clock moved
+            self._sync_gauges()
+            return report
         due = [f for f in self.retry_queue if f.next_retry_epoch <= self._epoch]
         for entry in due:
             self.retry_queue.remove(entry)

@@ -20,17 +20,18 @@ import dataclasses
 import operator
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.core.candidates import _smoothed_benefit
 from repro.core.config import ColtConfig
-from repro.core.forecast import BenefitHistory, net_benefit
+from repro.core.forecast import BenefitHistory
 from repro.core.knapsack import (
     KnapsackItem,
     SelectionConstraints,
     solve_constrained,
     solve_knapsack,
 )
-from repro.core.profiler import EpochIndexBenefit, Profiler, _name
+from repro.core.profiler import Profiler, _name
 from repro.core.window_tuner import ForecastWindowTuner
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
@@ -41,37 +42,64 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 IndexKey = Tuple[str, Tuple[str, ...]]
 
 
-def _key(index: IndexDef) -> IndexKey:
-    return index.table, index.columns
+_record_name = operator.attrgetter("index.name")
+_first = operator.itemgetter(0)
 
 
-_row_name = operator.attrgetter("index.name")
+def _net_benefit(history: Optional[BenefitHistory], horizon: int, charge: float) -> float:
+    """Forecasted NetBenefit under one view of an index's history: the
+    summed forecast (``0.0`` with no history) minus the cost side."""
+    if history is None:
+        return 0.0 - charge
+    return history.predicted_total(horizon) - charge
 
 
-class _Row:
-    """One index at one epoch boundary.
+class IndexRecord:
+    """Everything the Self-Organizer keeps about one tracked index.
+
+    A record is created the first time an index enters ``H ∪ M`` (or is
+    pinned, or promoted) and outlives the boundary: windows, sample
+    count and costing carry from close to close, the per-boundary
+    columns are overwritten at each one -- the record *is* the index's
+    row of the boundary table.
 
     Attributes:
-        index / key: The index and its bookkeeping identity.
+        index / key / table: The index, its bookkeeping identity and its
+            table definition (whose row count validates ``costing``).
+        low / high: Conservative and optimistic per-epoch benefit
+            windows; None while the index has none (never reported or
+            promoted, or dropped from ``M`` since).
+        measured: What-if samples reported so far; None before the first
+            report (a drop does not forget it).
+        costing: The catalog's ``(row_count, params, size pages, build
+            cost)`` for the index as last read.
+        epoch: The closing epoch's ``(low, high, measured)``, written by
+            :meth:`Profiler.end_epoch`: conservative and optimistic
+            per-query benefit (``Benefit_H`` / ``Benefit_M``; upper CI
+            bounds, the crude estimate where never measured) and the
+            number of what-if measurements behind them.
         hot / held: Whether it was in ``H`` / in ``M`` coming in.
-        size: Size in pages.
         charge: Cost side of its NetBenefit at this boundary.
-        low / high: Conservative and optimistic NetBenefit, once known.
-        item: Its knapsack object under the view solved last.
+        item: Its knapsack object under the view solved last (its value
+            is the NetBenefit under that view).
     """
 
-    __slots__ = ("index", "key", "hot", "held", "size", "charge", "low", "high", "item")
+    __slots__ = (
+        "index", "key", "table", "low", "high", "measured", "costing",
+        "epoch", "hot", "held", "charge", "item",
+    )
 
-    def __init__(
-        self, index: IndexDef, hot: bool, held: bool, size: float, charge: float
-    ) -> None:
+    def __init__(self, index: IndexDef, catalog: Catalog) -> None:
         self.index = index
-        self.key = _key(index)
-        self.hot = hot
-        self.held = held
-        self.size = size
-        self.charge = charge
-        self.low = self.high = 0.0
+        self.key: IndexKey = (index.table, index.columns)
+        self.table = catalog.table(index.table)
+        self.low: Optional[BenefitHistory] = None
+        self.high: Optional[BenefitHistory] = None
+        self.measured: Optional[int] = None
+        self.costing = catalog.index_costing(index)
+        self.epoch: Tuple[float, float, int] = (0.0, 0.0, 0)
+        self.hot = self.held = False
+        self.charge = 0.0
         self.item: Optional[KnapsackItem] = None
 
 
@@ -129,15 +157,14 @@ class SelfOrganizer:
         self._m_knapsack = TUNER_METRICS["colt_knapsack_seconds"].build(self.registry)
         self.materialized: Set[IndexDef] = set()
         self.hot: Set[IndexDef] = set()
-        self._history: Dict[IndexKey, BenefitHistory] = {}
-        self._high_history: Dict[IndexKey, BenefitHistory] = {}
-        self._measured: Dict[IndexKey, int] = {}
+        # One record per index ever tracked, and the boundary table: the
+        # records of ``H ∪ M`` in name order, held beside frozen copies
+        # of the two sets it was built from.
+        self._records: Dict[IndexKey, IndexRecord] = {}
+        self._tracked: List[IndexRecord] = []
+        self._tracked_sets: Tuple[FrozenSet[IndexDef], ...] = (frozenset(), frozenset())
         # Write-aware extension: per-table insert counts per epoch.
         self._writes: Dict[str, Deque[int]] = {}
-        # Previous epoch's knapsack selections, used to
-        # warm-start the next solve's branch-and-bound incumbent.
-        self._warm_conservative: FrozenSet[IndexDef] = frozenset()
-        self._warm_optimistic: FrozenSet[IndexDef] = frozenset()
         self._window_tuner = (
             ForecastWindowTuner(config.effective_forecast_window)
             if config.adaptive_forecast_window
@@ -145,9 +172,45 @@ class SelfOrganizer:
         )
 
     # ------------------------------------------------------------------
+    def record(self, index: IndexDef) -> IndexRecord:
+        """The index's record, created on first sight."""
+        key = (index.table, index.columns)
+        rec = self._records.get(key)
+        if rec is None:
+            rec = self._records[key] = IndexRecord(index, self._catalog)
+        return rec
+
+    def records(self) -> Iterable[IndexRecord]:
+        """Every record, in order of first sight."""
+        return self._records.values()
+
+    def tracked(self) -> List[IndexRecord]:
+        """The records of ``H ∪ M`` in canonical (name) order.
+
+        ``hot`` and ``materialized`` are sets, and letting their hash
+        order leak into the knapsack would break run-to-run
+        reproducibility on value ties.  Most boundaries move neither
+        set, so the list is kept and rebuilt only when one of them no
+        longer equals the copy it was built from (compared by content:
+        their owners rebind and mutate the live sets).
+        """
+        hot, materialized = self.hot, self.materialized
+        built_hot, built_m = self._tracked_sets
+        if hot != built_hot or materialized != built_m:
+            for rec in self._tracked:  # only a listed record is ever flagged
+                rec.hot = rec.held = False
+            self._tracked_sets = (frozenset(hot), frozenset(materialized))
+            self._tracked = [
+                self.record(ix) for ix in sorted({*hot, *materialized}, key=_name)
+            ]
+            for rec in self._tracked:
+                rec.hot = rec.index in hot
+                rec.held = rec.index in materialized
+        return self._tracked
+
     def end_epoch(
         self,
-        report: Dict[IndexKey, EpochIndexBenefit],
+        tracked: List[IndexRecord],
         profiler: Profiler,
         inserts: Optional[Dict[str, int]] = None,
         constraints: Optional[SelectionConstraints] = None,
@@ -155,7 +218,8 @@ class SelfOrganizer:
         """Run one reorganization + re-budgeting step.
 
         Args:
-            report: The Profiler's epoch benefit summary for ``H ∪ M``.
+            tracked: :meth:`tracked`, each record's ``epoch`` holding
+                the Profiler's benefit summary of the closing epoch.
             profiler: The profiler (for candidate rankings; its epoch
                 state must already be rolled).
             inserts: Per-table insert counts observed this epoch (the
@@ -173,7 +237,7 @@ class SelfOrganizer:
             is responsible for carrying them out via the Scheduler and
             for invalidating profiler statistics on changed tables.
         """
-        self._record_histories(report)
+        self._record_histories(tracked)
         self._record_writes(inserts or {})
         config = self._config
         min_epochs = config.min_history_epochs
@@ -181,76 +245,78 @@ class SelfOrganizer:
             horizon = self._window_tuner.window
         else:
             horizon = config.effective_forecast_window
-        hot, materialized = self.hot, self.materialized
+        params = self._catalog.params
         pinned = constraints.pinned if constraints is not None else ()
 
         # --- The boundary table ---------------------------------------
-        # One row per index of ``H ∪ M ∪ pinned``, in canonical (name)
-        # order: ``hot`` and ``materialized`` are sets, and letting their
-        # hash order leak into the knapsack would break run-to-run
-        # reproducibility on value ties.  Everything below reads it.
-        rows = [
-            self._row(ix, ix in hot, horizon)
-            for ix in sorted({*hot, *materialized, *pinned}, key=_name)
-        ]
+        # The tracked records plus those of pinned indexes outside
+        # ``H ∪ M``, in name order.  Everything below reads it.
+        rows = tracked
+        if pinned:
+            extra = [
+                rec
+                for rec in map(self.record, sorted(pinned, key=_name))
+                if rec not in tracked
+            ]
+            if extra:
+                rows = sorted(tracked + extra, key=_record_name)
 
         # --- Reorganization: the new materialized set -----------------
         # Hot indexes become eligible for materialization only once they
         # carry enough measured history to trust the forecast.  Pinned
         # indexes always face the knapsack, history or not;
         # solve_constrained forces them in regardless of value.
-        eligible: List[_Row] = []
-        kept: List[_Row] = []
-        forced: List[_Row] = []
-        for row in rows:
-            if row.hot and len(self._history.get(row.key, ())) >= min_epochs:
-                eligible.append(row)
-            elif row.held:
-                kept.append(row)
-            elif row.index in pinned:
-                forced.append(row)
+        eligible: List[IndexRecord] = []
+        kept: List[IndexRecord] = []
+        forced: List[IndexRecord] = []
+        for rec in rows:
+            self._cost_side(rec, horizon, params)
+            if rec.hot and rec.low is not None and len(rec.low) >= min_epochs:
+                eligible.append(rec)
+            elif rec.held:
+                kept.append(rec)
+            elif pinned and rec.index in pinned:
+                forced.append(rec)
         pool = eligible + kept + forced
-        for row in pool:
+        for rec in pool:
             # The optimistic view of a row that is not hot is this one.
-            row.low = row.high = self._forecast(self._history, row, horizon)
-            row.item = KnapsackItem(key=row.index, size=row.size, value=row.low)
-        selected, chosen_value = self._solve(
-            [row.item for row in pool], self._warm_conservative, constraints
-        )
-        self._warm_conservative = frozenset(selected)
+            rec.item = KnapsackItem(
+                rec.index, rec.costing[2], _net_benefit(rec.low, horizon, rec.charge)
+            )
+        selected, chosen_value = self._solve([rec.item for rec in pool], constraints)
         new_m = set(selected)
         adds: List[IndexDef] = []
-        drops: List[IndexDef] = []
-        for row in rows:
-            if row.index in new_m:
-                if not row.held:
-                    adds.append(row.index)
-            elif row.held:
-                drops.append(row.index)
+        dropped: List[IndexRecord] = []
+        for rec in rows:
+            if rec.index in new_m:
+                if not rec.held:
+                    adds.append(rec.index)
+            elif rec.held:
+                dropped.append(rec)
+        drops = [rec.index for rec in dropped]
 
         # --- Hot set selection ----------------------------------------
         # A banned index must not be promoted hot either: profiling it
         # would spend what-if budget on an unselectable index.
         hot_exclude = new_m if constraints is None else new_m | constraints.banned
-        by_index = {row.index: row for row in rows}
-        new_hot = set(self._select_hot(profiler, hot_exclude, by_index))
-        fresh = [self._row(ix, False, horizon) for ix in new_hot if ix not in by_index]
+        promoted = self._select_hot(profiler, hot_exclude)
+        new_hot = {rec.index for rec in promoted}
+        fresh = [rec for rec in promoted if rec not in rows]
         if fresh:
-            by_index.update((row.index, row) for row in fresh)
-            rows = sorted(rows + fresh, key=_row_name)
+            for rec in fresh:
+                self._cost_side(rec, horizon, params)
+            rows = sorted(rows + fresh, key=_record_name)
 
         # --- Re-budgeting ---------------------------------------------
         # The optimistic scenario considers every row -- including hot
         # indexes not yet eligible for actual materialization -- since
         # its purpose is to decide whether profiling them is worthwhile.
-        for row in rows:
-            if row.hot or row.item is None:
-                row.high = self._forecast(self._high_history, row, horizon)
-                row.item = KnapsackItem(key=row.index, size=row.size, value=row.high)
-        opt_selected, opt_value = self._solve(
-            [row.item for row in rows], self._warm_optimistic, constraints
-        )
-        self._warm_optimistic = frozenset(opt_selected)
+        for rec in rows:
+            if rec.hot or rec.item is None:
+                rec.item = KnapsackItem(
+                    rec.index, rec.costing[2], _net_benefit(rec.high, horizon, rec.charge)
+                )
+        _, opt_value = self._solve([rec.item for rec in rows], constraints)
         ratio = self._improvement_ratio(opt_value, chosen_value)
         budget = self._budget_for(ratio)
 
@@ -258,9 +324,8 @@ class SelfOrganizer:
         # exists: while any hot index with positive optimistic potential
         # still lacks the history needed for materialization eligibility,
         # keep the profiler funded so it can prove (or refute) them.
-        for ix in new_hot:
-            row = by_index[ix]
-            if row.high > 0.0 and self._measured.get(row.key, 0) < min_epochs:
+        for rec in promoted:
+            if rec.item.value > 0.0 and (rec.measured or 0) < min_epochs:
                 budget = max(budget, config.max_whatif_per_epoch // 2)
                 break
 
@@ -269,22 +334,21 @@ class SelfOrganizer:
             self._window_tuner.observe_epoch(adds, drops)
 
         # --- Commit set transitions -----------------------------------
-        for ix in drops:
-            self._history.pop(_key(ix), None)
-            self._high_history.pop(_key(ix), None)
+        for rec in dropped:
+            rec.low = rec.high = None
         self.materialized = new_m
         self.hot = new_hot
 
         return ReorganizationResult(
             materialize=adds,
             drop=drops,
-            hot=[r.index for r in rows if r.index in new_hot],
+            hot=[rec.index for rec in rows if rec.index in new_hot],
             whatif_budget=budget,
             improvement_ratio=ratio,
         )
 
     # ------------------------------------------------------------------
-    def _record_histories(self, report: Dict[IndexKey, EpochIndexBenefit]) -> None:
+    def _record_histories(self, tracked: List[IndexRecord]) -> None:
         """Fold raw epoch benefits into the histories.
 
         Benefits are recorded unsmoothed: the forecasting function's
@@ -294,21 +358,19 @@ class SelfOrganizer:
         paper's noise resilience (a dropped distribution's indexes keep
         part of their forecast for up to ``h`` epochs).
         """
-        for key, benefit in report.items():
-            self._history_in(self._history, key).record(benefit.low)
-            self._history_in(self._high_history, key).record(benefit.high)
-            self._measured[key] = self._measured.get(key, 0) + benefit.measured
+        h = self._config.history_epochs
+        for rec in tracked:
+            low, high, measured = rec.epoch
+            if rec.low is None:
+                rec.low = BenefitHistory(h)
+            rec.low.record(low)
+            if rec.high is None:
+                rec.high = BenefitHistory(h)
+            rec.high.record(high)
+            rec.measured = (rec.measured or 0) + measured
 
-    def _history_in(
-        self, histories: Dict[IndexKey, BenefitHistory], key: IndexKey
-    ) -> BenefitHistory:
-        history = histories.get(key)
-        if history is None:
-            history = histories[key] = BenefitHistory(self._config.history_epochs)
-        return history
-
-    def _row(self, index: IndexDef, hot: bool, horizon: int) -> _Row:
-        """The boundary-table row for an index: its size and cost side.
+    def _cost_side(self, rec: IndexRecord, horizon: int, params) -> None:
+        """Open a record's row at this boundary: its cost side.
 
         ``NetBenefit(I) = Σ_j PredBenefit_j(I) − MatCost(I)`` with
         ``MatCost = 0`` for already-materialized indexes (§5).  We take
@@ -325,34 +387,28 @@ class SelfOrganizer:
         cost.  A heavily written table must earn its indexes twice over.
 
         The conservative and optimistic NetBenefit share this cost side.
+        Size and build cost are read from the catalog again only once
+        the table's row count (or the cost parameters) moved.
         """
         config = self._config
-        build = self._catalog.index_build_cost(index)
-        held = index in self.materialized
-        if held:
+        costing = rec.costing
+        if costing[0] != rec.table.row_count or costing[1] is not params:
+            costing = rec.costing = self._catalog.index_costing(rec.index)
+        if rec.held:
             # Small retention credit: a challenger must beat the
             # incumbent by a margin, since evicting and re-adopting on
             # forecast noise costs two builds.
-            mat_cost = -build * config.retention_weight
+            mat_cost = -costing[3] * config.retention_weight
         else:
-            mat_cost = build * config.matcost_weight
+            mat_cost = costing[3] * config.matcost_weight
         maintenance = (
-            self.write_rate(index.table)
-            * self._catalog.params.index_maintain_cost_per_tuple
+            (self.write_rate(rec.index.table) if self._writes else 0.0)
+            * params.index_maintain_cost_per_tuple
             * horizon
             * config.matcost_weight
         )
-        size = self._catalog.index_size_pages(index)
-        return _Row(index, hot, held, size, mat_cost + maintenance)
-
-    @staticmethod
-    def _forecast(
-        histories: Dict[IndexKey, BenefitHistory], row: _Row, horizon: int
-    ) -> float:
-        """Forecasted NetBenefit of a row under one view of its history."""
-        history = histories.get(row.key)
-        values = history.values() if history is not None else []
-        return net_benefit(values, horizon, row.charge)
+        rec.charge = mat_cost + maintenance
+        rec.item = None
 
     # ------------------------------------------------------------------
     # Write-aware extension helpers
@@ -374,42 +430,20 @@ class SelfOrganizer:
     def _solve(
         self,
         items: List[KnapsackItem],
-        warm: FrozenSet[IndexDef],
         constraints: Optional[SelectionConstraints],
     ) -> Tuple[List[IndexDef], float]:
         capacity = self._config.storage_budget_pages
-        if constraints:
-            # The previous selection may violate fresh constraints, so
-            # the warm incumbent is not a valid lower bound here.
-            started = time.perf_counter()
-            selected, total = solve_constrained(items, capacity, constraints)
-            self._m_knapsack.observe(time.perf_counter() - started)
-            return [item.key for item in selected], total
-        # Warm-start: the previous epoch's selection, re-valued under
-        # this epoch's forecasts and filtered to still-viable items, is
-        # a feasible solution -- a true lower bound that lets the
-        # branch-and-bound prune earlier without changing its optimum.
-        incumbent = 0.0
-        if warm and self._config.knapsack_warm_start:
-            prev = [
-                it
-                for it in items
-                if it.key in warm
-                and it.value > 0.0
-                and 0.0 < it.size <= capacity
-            ]
-            if prev and sum(it.size for it in prev) <= capacity:
-                incumbent = sum(it.value for it in prev)
         started = time.perf_counter()
-        selected, total = solve_knapsack(
-            items, capacity, incumbent_value=incumbent
-        )
+        if constraints:
+            selected, total = solve_constrained(items, capacity, constraints)
+        else:
+            selected, total = solve_knapsack(items, capacity)
         self._m_knapsack.observe(time.perf_counter() - started)
         return [item.key for item in selected], total
 
     def _select_hot(
-        self, profiler: Profiler, exclude: Set[IndexDef], by_index: Dict[IndexDef, _Row]
-    ) -> List[IndexDef]:
+        self, profiler: Profiler, exclude: Set[IndexDef]
+    ) -> List[IndexRecord]:
         """Select the hot set from the candidates' crude benefits (§5).
 
         The paper groups smoothed ``BenefitC`` values into two clusters
@@ -418,43 +452,40 @@ class SelfOrganizer:
         benefit *density* (benefit per page) -- and take the union: under
         a tight budget the knapsack favours dense small indexes that a
         purely absolute ranking would starve of profiling.
+
+        Returns:
+            The promoted indexes' records, by descending benefit.
         """
         ranked = profiler.candidates.ranked(exclude=exclude)
         positive = [s for s in ranked if s.smoothed_benefit > 0.0]
         if not positive:
             return []
 
-        by_benefit = positive
-        split_b = two_means_split([s.smoothed_benefit for s in by_benefit])
-
-        def density(stats) -> float:
-            row = by_index.get(stats.index)
-            size = row.size if row is not None else self._catalog.index_size_pages(stats.index)
-            return stats.smoothed_benefit / max(1.0, size)
-
+        split_b = two_means_split([s.smoothed_benefit for s in positive])
+        size_of = self._catalog.index_size_pages
         scored = sorted(
-            ((density(s), s) for s in positive), key=lambda ds: ds[0], reverse=True
+            ((s.smoothed_benefit / max(1.0, size_of(s.index)), s) for s in positive),
+            key=_first,
+            reverse=True,
         )
-        by_density = [s for _, s in scored]
         split_d = two_means_split([d for d, _ in scored])
 
-        promoted = []
-        seen: Set[IndexKey] = set()
-        for stats in by_benefit[:split_b] + by_density[:split_d]:
-            key = _key(stats.index)
-            if key not in seen:
-                seen.add(key)
+        promoted = positive[:split_b]
+        for _, stats in scored[:split_d]:
+            if stats not in promoted:  # one stats object per candidate
                 promoted.append(stats)
-        promoted.sort(key=lambda s: s.smoothed_benefit, reverse=True)
-        promoted = promoted[: self._config.max_hot_size]
+        promoted.sort(key=_smoothed_benefit, reverse=True)
 
         # Seed optimistic histories for newly promoted candidates so
         # re-budgeting can see their potential before any what-if call.
-        for stats in promoted:
-            key = _key(stats.index)
-            if key not in self._high_history:
-                self._history_in(self._high_history, key).record(stats.smoothed_benefit)
-        return [s.index for s in promoted]
+        records = []
+        for stats in promoted[: self._config.max_hot_size]:
+            rec = self.record(stats.index)
+            if rec.high is None:
+                rec.high = BenefitHistory(self._config.history_epochs)
+                rec.high.record(stats.smoothed_benefit)
+            records.append(rec)
+        return records
 
     def _improvement_ratio(self, optimistic: float, current: float) -> float:
         if optimistic <= 0.0:
@@ -488,11 +519,15 @@ def two_means_split(values: List[float]) -> int:
     best_split = 1
     best_score = float("inf")
     for split in range(1, len(values)):
-        top, bottom = values[:split], values[split:]
-        score = _sse(top) + _sse(bottom)
+        # A sum of squares is never negative: once the top group alone
+        # reaches the best score, the bottom group cannot bring the split
+        # below it (NaN and inf compare as their sum would).
+        score = _sse(values[:split])
         if score < best_score:
-            best_score = score
-            best_split = split
+            score += _sse(values[split:])
+            if score < best_score:
+                best_score = score
+                best_split = split
     return best_split
 
 

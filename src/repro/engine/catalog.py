@@ -112,7 +112,7 @@ class Catalog:
         self._generation: int = 0
         # The one descriptor per (table, column) that index_for serves.
         self._single_indexes: Dict[Tuple[str, str], IndexDef] = {}
-        # index -> (row_count, params, size pages, build cost), see _costing.
+        # index -> (row_count, params, size pages, build cost), see index_costing.
         self._index_costs: Dict[IndexDef, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -313,15 +313,17 @@ class Catalog:
 
     def index_size_pages(self, index: IndexDef) -> float:
         """Estimated size of one index in pages."""
-        return self._costing(index)[2]
+        return self.index_costing(index)[2]
 
     def index_build_cost(self, index: IndexDef) -> float:
         """Estimated cost of materializing one index, in cost units."""
-        return self._costing(index)[3]
+        return self.index_costing(index)[3]
 
-    def _costing(self, index: IndexDef) -> tuple:
+    def index_costing(self, index: IndexDef) -> tuple:
         """``(row_count, params, size pages, build cost)`` for ``index``,
-        evaluated once per row count of its table."""
+        evaluated once per row count of its table: size and build cost
+        beside what they were costed under, for a caller that holds the
+        tuple and checks the first two itself."""
         table = self.table(index.table)
         rows, params = table.row_count, self.params
         held = self._index_costs.get(index)

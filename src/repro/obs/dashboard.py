@@ -13,12 +13,16 @@ stable.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List
+from collections import deque
+from typing import Deque, Dict, List, NamedTuple
+
+#: Epochs kept row by row (the newest); the totals run over every epoch.
+#: Far above any test or figure run, so those see every row -- while a
+#: long-lived tuner's snapshot stops growing with its age.
+WINDOW_EPOCHS = 4096
 
 
-@dataclasses.dataclass(frozen=True)
-class EpochOverheadRecord:
+class EpochOverheadRecord(NamedTuple):
     """One epoch's overhead accounting.
 
     Attributes:
@@ -47,20 +51,23 @@ class EpochOverheadRecord:
         """Whether the epoch's spend respected its granted allowance."""
         return self.spent <= self.granted
 
-    def to_dict(self) -> Dict:
-        """JSON-compatible form for metrics snapshots."""
-        return dataclasses.asdict(self)
-
 
 class OverheadDashboard:
     """Per-epoch overhead records for one tuner.
 
     Attributes:
-        records: Every epoch's :class:`EpochOverheadRecord`, in order.
+        records: The newest :data:`WINDOW_EPOCHS` epochs'
+            :class:`EpochOverheadRecord`, in order.
+        epochs: Epochs recorded so far, kept or not.
+        total_spent: What-if calls issued across all of them.
+        within_budget: Whether every one respected its granted allowance.
     """
 
     def __init__(self) -> None:
-        self.records: List[EpochOverheadRecord] = []
+        self.records: Deque[EpochOverheadRecord] = deque(maxlen=WINDOW_EPOCHS)
+        self.epochs = 0
+        self.total_spent = 0
+        self.within_budget = True
 
     def record(
         self,
@@ -73,28 +80,16 @@ class OverheadDashboard:
     ) -> EpochOverheadRecord:
         """Append one epoch's accounting and return the record."""
         entry = EpochOverheadRecord(
-            epoch=len(self.records),
-            requested=requested,
-            granted=granted,
-            spent=spent,
-            ratio=ratio,
-            build_cost=build_cost,
-            breaker_state=breaker_state,
+            self.epochs, requested, granted, spent, ratio, build_cost, breaker_state
         )
         self.records.append(entry)
+        self.epochs += 1
+        self.total_spent += spent
+        if spent > granted:
+            self.within_budget = False
         return entry
 
     # ------------------------------------------------------------------
-    @property
-    def within_budget(self) -> bool:
-        """Whether every epoch respected its granted allowance."""
-        return all(r.within_budget for r in self.records)
-
-    @property
-    def total_spent(self) -> int:
-        """What-if calls issued across all recorded epochs."""
-        return sum(r.spent for r in self.records)
-
     def spend_fraction(self, tail: int = 5) -> float:
         """Mean ``spent / requested`` over the last ``tail`` epochs.
 
@@ -102,7 +97,7 @@ class OverheadDashboard:
         is stable this decays toward 0 (profiling hibernates).  Returns
         1.0 when no epochs are recorded (nothing proven yet).
         """
-        window = self.records[-tail:]
+        window = list(self.records)[-tail:]
         if not window:
             return 1.0
         fractions = [
@@ -112,13 +107,15 @@ class OverheadDashboard:
 
     def to_rows(self) -> List[Dict]:
         """JSON-compatible rows for metrics snapshots."""
-        return [r.to_dict() for r in self.records]
+        return [r._asdict() for r in self.records]
 
     def render(self) -> str:
         """Human-readable overhead table."""
         table = render_overhead_rows(self.to_rows())
         if not self.records:
             return table
+        if self.epochs > len(self.records):
+            table += f"\n(the last {len(self.records)} of {self.epochs} epochs)"
         return (
             f"{table}\n"
             f"total what-if spend {self.total_spent}; "

@@ -42,7 +42,7 @@ import tempfile
 from typing import Dict, Optional, Union
 
 from repro.core.colt import ColtTuner
-from repro.core.config import ColtConfig
+from repro.core.config import ColtConfig, stored_config
 from repro.core.forecast import BenefitHistory
 from repro.engine.catalog import Catalog
 from repro.engine.storage import PhysicalStore
@@ -67,7 +67,7 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
     guardrail-free tuner), so a restart cannot amnesty a quarantined
     index.
     """
-    so = tuner.self_organizer
+    records = tuner.self_organizer.records()
     return {
         "version": SNAPSHOT_VERSION,
         "config": dataclasses.asdict(tuner.config),
@@ -75,17 +75,24 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
             [ix.table, list(ix.columns)] for ix in tuner.materialized_set
         ],
         "hot": [[ix.table, list(ix.columns)] for ix in tuner.hot_set],
+        # Three sections with their own key sets: an index has a "high"
+        # window from promotion, a "low" one from its first report, and
+        # keeps its "measured" count when a drop forgets both windows.
         "histories": {
             "low": {
-                _key_text(t, cols): h.values()
-                for (t, cols), h in so._history.items()
+                _key_text(*rec.key): rec.low.values()
+                for rec in records
+                if rec.low is not None
             },
             "high": {
-                _key_text(t, cols): h.values()
-                for (t, cols), h in so._high_history.items()
+                _key_text(*rec.key): rec.high.values()
+                for rec in records
+                if rec.high is not None
             },
             "measured": {
-                _key_text(t, cols): n for (t, cols), n in so._measured.items()
+                _key_text(*rec.key): rec.measured
+                for rec in records
+                if rec.measured is not None
             },
         },
         "candidates": _snapshot_candidates(tuner),
@@ -155,7 +162,7 @@ def _restore_tuner(
     store: Optional[PhysicalStore],
     observer: Optional[CostObserver] = None,
 ) -> ColtTuner:
-    config = ColtConfig(**snapshot["config"])
+    config = stored_config(ColtConfig, snapshot["config"])
     tuner = ColtTuner(
         catalog,
         config,
@@ -168,15 +175,14 @@ def _restore_tuner(
         so.hot.add(_resolve(catalog, table, columns))
 
     h = config.history_epochs
-    for kind, target in (("low", so._history), ("high", so._high_history)):
+    for kind in ("low", "high"):
         for key_text, values in snapshot["histories"][kind].items():
-            key = _parse_key(catalog, key_text)
             history = BenefitHistory(h)
             for value in values[-h:]:
                 history.record(float(value))
-            target[key] = history
+            setattr(so.record(_parse_index(catalog, key_text)), kind, history)
     for key_text, count in snapshot["histories"]["measured"].items():
-        so._measured[_parse_key(catalog, key_text)] = int(count)
+        so.record(_parse_index(catalog, key_text)).measured = int(count)
 
     _restore_candidates(tuner, snapshot["candidates"], config)
     tuner.profiler.set_budget(int(snapshot["whatif_budget"]))
@@ -369,11 +375,9 @@ def _resolve(catalog: Catalog, table: str, columns):
     return catalog.composite_index_for(table, columns)
 
 
-def _parse_key(catalog: Catalog, text: str):
+def _parse_index(catalog: Catalog, text: str):
     table, _, rest = text.partition(":")
-    columns = rest.split(",")
-    index = _resolve(catalog, table, columns)
-    return index.table, index.columns
+    return _resolve(catalog, table, rest.split(","))
 
 
 def _restore_guardrails(

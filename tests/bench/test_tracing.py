@@ -93,6 +93,18 @@ class TestJsonRoundtrip:
         restored = TunerTrace.from_json(empty.to_json())
         assert restored.epochs == []
 
+    def test_retired_config_field_is_dropped_not_fatal(self, trace):
+        import json
+
+        from repro.bench.tracing import TunerTrace
+
+        payload = json.loads(trace.to_json())
+        payload["config"]["knapsack_warm_start"] = True  # as an earlier version wrote it
+        assert TunerTrace.from_json(payload).config == trace.config
+        payload["config"]["no_such_field"] = 1
+        with pytest.raises(ValueError, match="malformed"):
+            TunerTrace.from_json(payload)
+
     def test_missing_keys_rejected(self):
         from repro.bench.tracing import TunerTrace
 

@@ -3,7 +3,7 @@
 The 270-query golden traces close 27 epochs; a restructure of the close
 (``Profiler.end_epoch`` -> ``SelfOrganizer.end_epoch`` ->
 ``TuningLoop._apply``, and the bandit's ``_select``) needs more than
-that to trip over a set-order leak or a one-ulp forecast drift.  Four
+that to trip over a set-order leak or a one-ulp forecast drift.  Seven
 streams are therefore pinned epoch by epoch in
 ``tests/data/close_identity.json``:
 
@@ -16,11 +16,25 @@ streams are therefore pinned epoch by epoch in
   that go stale with every row-count change;
 * ``colt_constrained`` -- the shifting stream under DBA advice that
   pins a popular and a never-mined index, bans the most selected one and
-  prefers two others: ``solve_constrained`` and the pinned pool rows.
+  prefers two others: ``solve_constrained`` and the pinned pool rows;
+* ``colt_faults`` -- the shifting stream with every other build attempt
+  failing on average (seeded) under a three-attempt retry policy: failed
+  builds leaving ``M``, backed-off retries recovering or being abandoned,
+  a retry queue that is rarely empty at a boundary;
+* ``colt_adaptive_composite`` -- ``adaptive_forecast_window`` and
+  ``composite_candidates`` on, over a stream that moves both: two-predicate
+  queries (an equality plus a range per table) with 40-query noise bursts,
+  534 queries cycled to 440 closes -- two-column rows in the boundary
+  table, 28 short-tenure drops and a forecast horizon wandering 12..24;
+* ``colt_restored`` -- the shifting stream through a tuner restored from
+  ``tests/data/parent_snapshot.json``, the snapshot the recording commit
+  took after the 2 000-arrival run of ``tests/obs/test_metrics_identity.py``
+  (its ``config`` block still carries whatever fields that commit had).
 
 Each epoch row is ``[materialize, drop, hot, whatif_budget,
-repr(improvement_ratio)]``.  The four decision fields and the summed
-``total_cost`` are compared exactly, everywhere.  The ratio is compared
+repr(improvement_ratio)]``, in ``colt_faults`` followed by
+``[build_failures, recovered_builds, abandoned_builds]``.  The decision
+fields and the summed ``total_cost`` are compared exactly, everywhere.  The ratio is compared
 by ``repr`` (bit-exact) only where the recording's arithmetic still
 applies -- the COLT scenarios on CPython < 3.12 -- and within
 ``RATIO_REL`` otherwise: built-in ``sum`` over floats is compensated
@@ -28,12 +42,17 @@ from 3.12 (both engines sum into the ratio), and the bandit's ridge
 model factors ``V`` (Cholesky) where the recording inverted it
 (Gauss-Jordan), which moves ``bandit_shift`` ratios by up to 4.8e-13
 relative without moving a decision.  The file was recorded on CPython
-3.11, on the commit *before* the close was restructured, and stays the
-reference newer arithmetic is held against.  Only an intended behaviour
+3.11, on the commit *before* the close was restructured (the last three
+scenarios and the snapshot on the parent of the commit that gave the
+close one record per tracked index), and stays the reference newer
+arithmetic is held against.  Only an intended behaviour
 change regenerates it:
 
     CLOSE_IDENTITY_REGEN=1 PYTHONPATH=src python -m pytest \
         tests/core/test_close_identity.py -q
+
+(``CLOSE_IDENTITY_REGEN=colt_faults,colt_restored`` records only the
+named scenarios and leaves the other recordings as they are.)
 """
 
 import itertools
@@ -44,15 +63,24 @@ import sys
 
 import pytest
 
+from repro.core.config import ColtConfig
 from repro.engines import engine_spec
 from repro.guardrails.advice import AdviceBook
 from repro.guardrails.manager import GuardrailManager
+from repro.persist import checksum, restore_tuner, snapshot_tuner
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.resilience.retry import RetryPolicy
 from repro.workload import build_catalog, multi_client_workload, shifting_workload
 from repro.workload.experiments import phase_distributions
+from repro.workload.phases import noisy_workload
+from repro.workload.querygen import PredicateSpec, QueryDistribution, QueryTemplate
 
 DATA_PATH = pathlib.Path(__file__).parent.parent / "data" / "close_identity.json"
+SNAPSHOT_PATH = DATA_PATH.with_name("parent_snapshot.json")
 SEED = 0
 CYCLES = 10
+SNAPSHOT_ARRIVALS = 2000  # tests/obs/test_metrics_identity.py's run
+RETIRED_CONFIG_KEYS = ("knapsack_warm_start",)
 RATIO_REL = 1e-9
 HTAP_TABLES = ("lineitem_1", "lineitem_2", "orders_1", "orders_2")
 ADVICE = """
@@ -99,11 +127,50 @@ def _htap_events(catalog):
             yield next(tables)
 
 
-def _run(engine, events, guardrails=None):
-    """Drive one engine; returns (epoch rows, repr of summed total cost)."""
+def _conjunctive_events(catalog):
+    """Noise bursts over two-predicate templates, cycled to 440 closes."""
+
+    def both(table, equality, ranged, weight):
+        return QueryTemplate(
+            predicates=(PredicateSpec(table, ranged), PredicateSpec(table, equality)),
+            weight=weight,
+        )
+
+    def mix(name, i, third):
+        return QueryDistribution(
+            name,
+            (
+                both(f"lineitem_{i}", "l_shipmode", "l_shipdate", 3.5),
+                both(f"orders_{i}", "o_orderpriority", "o_orderdate", 2.5),
+                both(f"lineitem_{i}", "l_linenumber", third, 2.0),
+            ),
+        )
+
+    base = noisy_workload(
+        mix("conj_base", 1, "l_receiptdate"),
+        mix("conj_noise", 2, "l_commitdate"),
+        catalog,
+        burst_length=40,
+        noise_fraction=0.3,
+        warmup=60,
+        min_length=440,
+        seed=SEED,
+    ).queries
+    return itertools.islice(itertools.cycle(base), 44 * CYCLES * 10)
+
+
+def _run(engine, events, resilience=False, **kwargs):
+    """Drive one engine; returns (epoch rows, repr of summed total cost).
+
+    ``engine`` is a name (a tuner is built over a fresh catalog with
+    ``kwargs``; default-constructed, as the benchmark's workloads build
+    them) or a ready tuner.
+    """
     source = build_catalog()  # bound queries replay across identical catalogs
-    # Default-constructed, as the benchmark's workloads build them.
-    tuner = engine_spec(engine).tuner(build_catalog(), guardrails=guardrails)
+    if isinstance(engine, str):
+        tuner = engine_spec(engine).tuner(build_catalog(), **kwargs)
+    else:
+        tuner = engine
     rows = []
     total = 0.0
     for event in events(source):
@@ -123,7 +190,22 @@ def _run(engine, events, guardrails=None):
                     repr(reorg.improvement_ratio),
                 ]
             )
+            if resilience:
+                rows[-1] += [
+                    [ix.name for ix in reorg.build_failures],
+                    [ix.name for ix in reorg.recovered_builds],
+                    [ix.name for ix in reorg.abandoned_builds],
+                ]
     return rows, repr(total)
+
+
+def _identity_snapshot():
+    """COLT's snapshot after the metrics-identity run, through JSON once."""
+    tuner = engine_spec("colt").tuner(build_catalog())
+    base = _shifting_base(build_catalog())
+    for query in itertools.islice(itertools.cycle(base), SNAPSHOT_ARRIVALS):
+        tuner.process_query(query)
+    return json.loads(json.dumps(snapshot_tuner(tuner)))
 
 
 SCENARIOS = {
@@ -134,6 +216,24 @@ SCENARIOS = {
         "colt",
         _shift_events,
         guardrails=GuardrailManager(advice=AdviceBook.parse(ADVICE)),
+    ),
+    "colt_faults": lambda: _run(
+        "colt",
+        _shift_events,
+        resilience=True,
+        fault_injector=FaultInjector(
+            FaultPlan(build=FaultSpec(probability=0.6)), seed=SEED
+        ),
+        retry=RetryPolicy(max_attempts=3),
+    ),
+    "colt_adaptive_composite": lambda: _run(
+        "colt",
+        _conjunctive_events,
+        config=ColtConfig(adaptive_forecast_window=True, composite_candidates=True),
+    ),
+    "colt_restored": lambda: _run(
+        restore_tuner(build_catalog(), json.loads(SNAPSHOT_PATH.read_text())),
+        _shift_events,
     ),
 }
 
@@ -154,8 +254,18 @@ def _dump(recorded) -> str:
 
 @pytest.fixture(scope="module")
 def pinned():
-    if os.environ.get("CLOSE_IDENTITY_REGEN") == "1":
-        DATA_PATH.write_text(_dump({name: run() for name, run in SCENARIOS.items()}))
+    regen = os.environ.get("CLOSE_IDENTITY_REGEN")
+    if regen:
+        # "1" records everything; a comma list only the named scenarios.
+        names = sorted(SCENARIOS) if regen == "1" else regen.split(",")
+        if "colt_restored" in names:
+            SNAPSHOT_PATH.write_text(json.dumps(_identity_snapshot(), indent=1) + "\n")
+        recorded = {} if regen == "1" else json.loads(DATA_PATH.read_text())
+        recorded = {
+            name: (run["epochs"], run["total_cost"]) for name, run in recorded.items()
+        }
+        recorded.update((name, SCENARIOS[name]()) for name in names)
+        DATA_PATH.write_text(_dump({name: recorded[name] for name in SCENARIOS}))
     assert DATA_PATH.exists(), "fixture missing -- see the module docstring"
     return json.loads(DATA_PATH.read_text())
 
@@ -173,12 +283,28 @@ def test_every_close_matches_the_recorded_run(pinned, scenario):
             assert got[4] == want[4], where
         else:
             assert float(got[4]) == pytest.approx(float(want[4]), rel=RATIO_REL), where
+        assert got[5:] == want[5:], where
     assert total == expected["total_cost"]
+
+
+def _without_retired(snapshot):
+    config = {
+        k: v for k, v in snapshot["config"].items() if k not in RETIRED_CONFIG_KEYS
+    }
+    return dict(snapshot, config=config)
+
+
+def test_snapshot_after_the_identity_run_is_the_recording_commits():
+    """Same canonical JSON on both commits, bar the retired config keys."""
+    got = _without_retired(_identity_snapshot())
+    want = _without_retired(json.loads(SNAPSHOT_PATH.read_text()))
+    assert got == want
+    assert checksum(got) == checksum(want)
 
 
 def test_streams_are_long_and_exercise_the_close(pinned):
     """The pin is only worth its bytes if the closes it covers do work."""
-    for scenario in ("colt_shift", "bandit_shift", "colt_constrained"):
+    for scenario in set(pinned) - {"colt_htap"}:
         assert len(pinned[scenario]["epochs"]) == 44 * CYCLES
     assert len(pinned["colt_htap"]["epochs"]) == 44 * 4
     for scenario, run in pinned.items():
@@ -189,3 +315,20 @@ def test_streams_are_long_and_exercise_the_close(pinned):
     assert not any(
         "ix_lineitem_2_l_shipdate" in adds for adds, *_ in constrained
     )
+    # Failed, recovered and abandoned builds, and boundaries with a retry
+    # still waiting (a failure not yet resolved either way).
+    faults = pinned["colt_faults"]["epochs"]
+    failed, recovered, abandoned = (
+        sum(len(row[i]) for row in faults) for i in (5, 6, 7)
+    )
+    assert failed >= 20 and recovered >= 10 and abandoned >= 3
+    waiting = 0
+    open_retries = set()
+    for row in faults:
+        open_retries |= set(row[5])
+        open_retries -= {*row[6], *row[7], *row[1]}
+        waiting += bool(open_retries)
+    assert waiting >= 40
+    composite = pinned["colt_adaptive_composite"]["epochs"]
+    built = {name for adds, *_ in composite for name in adds}
+    assert "ix_lineitem_1_l_shipmode_l_shipdate" in built  # a two-column index

@@ -1,12 +1,19 @@
 """Property suites for the epoch close's incremental pieces, all with ``==``.
 
-Each piece the close now computes incrementally or in a single pass is
-compared against the from-scratch code it replaced, kept here verbatim as
-the oracle: the forecast sum, the knapsack's take-everything exit, the
-running cluster populations and the candidates' idle-run staleness.
+Each piece the close computes incrementally, in a single pass, or not at
+all when a boundary cannot have changed it, is compared against the
+from-scratch code it replaced, kept here verbatim as the oracle: the
+forecast sum and its all-zero exit, the windows' running non-zero count,
+the knapsack's take-everything exit, the 2-means split that skips a
+hopeless bottom group, the running cluster populations, the candidates'
+in-line epoch roll, the profiler's unexposed-index exit, the per-index
+record against the three dicts it replaced, and the no-op exits of
+``TuningLoop._apply`` and the scheduler against the full protocol.
 """
 
+import json
 import math
+import types
 from collections import deque
 
 from hypothesis import given, settings
@@ -14,15 +21,29 @@ from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateStats, CandidateTracker
 from repro.core.clustering import ClusterStore, cluster_key
-from repro.core.forecast import total_predicted_benefit
+from repro.core.colt import ColtTuner
+from repro.core.config import ColtConfig
+from repro.core.forecast import BenefitHistory, net_benefit, total_predicted_benefit
 from repro.core.knapsack import (
     KnapsackItem,
     _solve_exact,
     _take_all,
     solve_knapsack,
 )
+from repro.core.scheduler import RetryReport, Scheduler, SchedulingPolicy
+from repro.core.self_organizer import (
+    _net_benefit,
+    two_means_split,
+)
+from repro.obs.registry import MetricsRegistry
+from repro.persist import restore_tuner, snapshot_tuner
+from repro.resilience.errors import IndexBuildError
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.resilience.retry import RetryPolicy
 from repro.workload import build_catalog, shifting_workload
 from repro.workload.experiments import phase_distributions
+
+from tests.obs.test_metrics_identity import _comparable
 
 H = 12  # ColtConfig.history_epochs
 
@@ -70,15 +91,80 @@ def test_single_pass_forecast_equals_the_windowed_definition(
     assert got == want or (math.isnan(got) and math.isnan(want))  # inf - inf
 
 
+def _same(got, want):
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+zeros = st.sampled_from([0.0, -0.0])
+# Windows with few, late or no non-zero terms, beside the dense ones.
+sparse_histories = st.one_of(
+    st.lists(zeros, max_size=2 * H),
+    st.lists(st.one_of(zeros, zeros, benefits), max_size=2 * H),
+    st.lists(st.one_of(benefits, st.just(math.nan), st.just(math.inf)), max_size=H),
+)
+charges = st.one_of(
+    st.floats(allow_nan=False), st.sampled_from([0.0, -0.0, 5e-324, 1e300])
+)
+
+
+@given(
+    values=sparse_histories,
+    history_epochs=st.integers(1, H),
+    horizon=st.integers(0, 24),
+    charge=charges,
+)
+@settings(deadline=None)
+def test_zero_window_exit_equals_the_full_forecast(
+    values, history_epochs, horizon, charge
+):
+    history = BenefitHistory(history_epochs)
+    for value in values:
+        history.record(value)
+    windowed = history.values()
+    assert windowed == values[-history_epochs:]
+    assert _same(
+        history.predicted_total(horizon), total_predicted_benefit(windowed, horizon)
+    )
+    assert _same(
+        _net_benefit(history, horizon, charge), net_benefit(windowed, horizon, charge)
+    )
+    if not values:  # an index without a window forecasts like an empty one
+        assert _same(_net_benefit(None, horizon, charge), net_benefit([], horizon, charge))
+
+
+_window_op = st.one_of(
+    st.one_of(zeros, benefits, st.just(math.nan)),
+    st.sampled_from(["clear", "restore"]),
+)
+
+
+@given(history_epochs=st.integers(1, 5), ops=st.lists(_window_op, max_size=60))
+@settings(deadline=None)
+def test_running_nonzero_count_equals_a_recount(history_epochs, ops):
+    history = BenefitHistory(history_epochs)
+    for op in ops:
+        if op == "clear":
+            history.clear()
+        elif op == "restore":  # as repro.persist replays a stored window
+            stored = json.loads(json.dumps(history.values()))
+            history = BenefitHistory(history_epochs)
+            for value in stored[-history_epochs:]:
+                history.record(float(value))
+        else:
+            history.record(op)
+        assert history.nonzero == sum(1 for value in history.values() if value != 0.0)
+        assert len(history) <= history_epochs
+
+
 # ----------------------------------------------------------------------
 # knapsack
-def _search(items, capacity, incumbent):
+def _search(items, capacity):
     """``solve_knapsack`` with the branch-and-bound deciding every case."""
     viable = [it for it in items if it.value > 0.0 and 0.0 < it.size <= capacity]
     if not viable or capacity <= 0.0:
         return [], 0.0
     order = sorted(viable, key=lambda it: it.value / it.size, reverse=True)
-    return _solve_exact(order, capacity, incumbent)
+    return _solve_exact(order, capacity)
 
 
 sizes = st.one_of(st.floats(0.01, 500.0), st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.9]))
@@ -91,10 +177,9 @@ values = st.one_of(
 @given(
     pairs=st.lists(st.tuples(sizes, values), min_size=1, max_size=8),
     fit=st.sampled_from(["exact", "below", "above", "half", "double"]),
-    seed=st.sampled_from(["none", "below", "at", "just_above", "above"]),
 )
 @settings(max_examples=800, deadline=None)
-def test_take_all_exit_is_the_search_result(pairs, fit, seed):
+def test_take_all_exit_is_the_search_result(pairs, fit):
     items = [KnapsackItem(key=i, size=s, value=v) for i, (s, v) in enumerate(pairs)]
     # Capacities around the point where everything fits: the sum the
     # descent itself forms (density order), one ulp either side, and far.
@@ -111,26 +196,60 @@ def test_take_all_exit_is_the_search_result(pairs, fit, seed):
         "half": total / 2,
         "double": total * 2,
     }[fit]
-    optimum = _search(items, capacity, 0.0)[1]
-    incumbent = {
-        "none": 0.0,
-        "below": optimum * 0.75,
-        "at": optimum,
-        "just_above": optimum * (1 + 2e-9) + 2e-9,
-        "above": optimum * 2 + 1.0,
-    }[seed]
-    got = solve_knapsack(items, capacity, incumbent_value=incumbent)
-    assert got == _search(items, capacity, incumbent)  # selection and value
+    assert solve_knapsack(items, capacity) == _search(items, capacity)  # selection and value
 
 
 def test_take_all_exit_fires_only_when_everything_fits():
     a, b = KnapsackItem("a", 2.0, 6.0), KnapsackItem("b", 3.0, 3.0)
-    assert _take_all([a, b], 5.0, 0.0) == 9.0
-    assert _take_all([a], 2.0, 0.0) == 6.0
-    assert _take_all([a, b], 4.9, 0.0) is None  # b is left out
-    assert _take_all([a, b], 5.0, 9.0) == 9.0  # a warm start that is the optimum
-    assert _take_all([a, b], 5.0, 9.5) is None  # seeded above it: the search decides
-    assert _take_all([a, KnapsackItem("c", 1.0, 1e-13)], 5.0, 0.0) is None
+    assert _take_all([a, b], 5.0) == 9.0
+    assert _take_all([a], 2.0) == 6.0
+    assert _take_all([a, b], 4.9) is None  # b is left out
+    assert _take_all([a, KnapsackItem("c", 1.0, 1e-13)], 5.0) is None
+
+
+# ----------------------------------------------------------------------
+# 2-means
+def _two_means_split_oracle(values):
+    """``two_means_split`` as it stood: both groups scored at every split."""
+    if not values:
+        return 0
+    if len(values) == 1:
+        return 1
+    best_split = 1
+    best_score = float("inf")
+    for split in range(1, len(values)):
+        top, bottom = values[:split], values[split:]
+        score = _sse_oracle(top) + _sse_oracle(bottom)
+        if score < best_score:
+            best_score = score
+            best_split = split
+    return best_split
+
+
+def _sse_oracle(group):
+    mean = sum(group) / len(group)
+    return sum([(v - mean) ** 2 for v in group])
+
+
+# Magnitudes whose squares stay finite (beyond them ``**`` raises in both),
+# and the values that do not: inf and NaN square without raising.
+split_values = st.lists(
+    st.one_of(
+        st.floats(-1e150, 1e150),
+        st.floats(0.0, 1e4),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-13, 1e150]),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+    ),
+    max_size=14,
+)
+
+
+@given(values=split_values, descending=st.booleans())
+@settings(deadline=None)
+def test_two_means_split_equals_the_exhaustive_scoring(values, descending):
+    if descending:  # as the close calls it; NaN keeps whatever place it has
+        values = sorted(values, key=lambda v: (v != v, -v if v == v else 0.0))
+    assert two_means_split(values) == _two_means_split_oracle(values)
 
 
 # ----------------------------------------------------------------------
@@ -198,34 +317,73 @@ def test_running_cluster_totals_equal_recomputed_sums(history_epochs, ops):
 
 
 # ----------------------------------------------------------------------
-# candidate staleness
+# candidates: the in-line epoch roll
+def _roll_epoch_oracle(stats, epoch_length):
+    """``CandidateStats.roll_epoch`` as it stood (one call per candidate)."""
+    benefit = stats.epoch_gain / epoch_length
+    stats._window.append(benefit)
+    stats._idle = stats._idle + 1 if benefit <= 0.0 else 0
+    stats.epoch_gain = 0.0
+    if stats._smoothed is None:
+        stats._smoothed = benefit
+    else:
+        a = stats._smoothing
+        stats._smoothed = a * benefit + (1.0 - a) * stats._smoothed
+
+
+def _stale_oracle(stats):
+    """``CandidateStats.stale`` as it stood."""
+    return stats._idle >= stats._window.maxlen
+
+
 def _stale_by_scan(window):
-    """``CandidateStats.stale`` as a scan of the whole window."""
+    """Staleness as a scan of the whole window."""
     return len(window) == window.maxlen and all(b <= 0.0 for b in window)
+
+
+def _state(stats):
+    return (list(stats._window), stats._idle, stats._smoothed, stats.epoch_gain)
 
 
 @given(
     history_epochs=st.integers(1, 5),
+    smoothing=st.sampled_from([0.3, 0.5, 1.0]),
     epochs=st.lists(st.lists(benefits, max_size=3), max_size=40),
     reload_at=st.integers(0, 40),
 )
-@settings(max_examples=400, deadline=None)
-def test_idle_run_staleness_equals_the_window_scan(history_epochs, epochs, reload_at):
+@settings(deadline=None)
+def test_inline_roll_equals_the_per_candidate_calls(
+    history_epochs, smoothing, epochs, reload_at
+):
     index = CATALOG.index_for("lineitem_1", "l_shipdate")
-    stats = CandidateStats(index, history_epochs, 0.5)
+    key = (index.table, index.columns)
+    tracker = CandidateTracker(CATALOG, history_epochs, smoothing)
+    tracker.seed([index])
+    twin = CandidateStats(index, history_epochs, smoothing)
     window = deque(maxlen=history_epochs)
     for epoch, gains in enumerate(epochs):
+        if key not in tracker._stats:  # evicted: a later sighting starts over
+            tracker.seed([index])
+            twin = CandidateStats(index, history_epochs, smoothing)
+            window.clear()
         if epoch == reload_at:  # a snapshot restore adopts the window
-            reloaded = CandidateStats(index, history_epochs, 0.5)
-            reloaded.load(list(window), stats.smoothed_benefit)
-            stats = reloaded
-        total = 0.0
+            for holder in (tracker._stats, None):
+                reloaded = CandidateStats(index, history_epochs, smoothing)
+                reloaded.load(list(window), twin.smoothed_benefit)
+                if holder is None:
+                    twin = reloaded
+                else:
+                    holder[key] = reloaded
         for gain in gains:
-            stats.add_gain(gain)
-            total += gain
-        stats.roll_epoch(10)
-        window.append(total / 10)
-        assert stats.stale() == _stale_by_scan(window)
+            tracker.stats_for(index).add_gain(gain)
+            twin.add_gain(gain)
+        stats = tracker.stats_for(index)
+        tracker.roll_epoch(10)
+        _roll_epoch_oracle(twin, 10)
+        window.append(twin._window[-1])
+        assert _state(stats) == _state(twin)
+        assert _stale_oracle(twin) == _stale_by_scan(window)
+        assert (key not in tracker._stats) == _stale_oracle(twin)
 
 
 @given(
@@ -252,3 +410,373 @@ def test_tracker_evicts_exactly_the_scan_stale_candidates(history_epochs, epochs
         tracker.roll_epoch(10)
         windows = {ix: w for ix, w in windows.items() if not _stale_by_scan(w)}
         assert set(tracker.candidates()) == set(windows)
+
+
+# ----------------------------------------------------------------------
+# the per-index record against the three dicts it replaced
+def _report_oracle(profiler, hot, materialized):
+    """``Profiler.end_epoch``'s summary as it stood -- its own sort of
+    ``H ∪ M``, no exit for an unexposed index -- as ``{key: (low, high,
+    measured)}``; read before the real one clears the epoch's state."""
+    w = profiler._config.epoch_length
+    report = {}
+    for index in sorted({*hot, *materialized}, key=lambda ix: ix.name):
+        key = (index.table, index.columns)
+        measured = profiler._epoch_measured.get(key, {})
+        exposure = profiler._epoch_exposure.get(key, {})
+        low_total = 0.0
+        high_total = 0.0
+        n_measured = 0
+        any_unmeasured_pair = False
+        for cid, count in exposure.items():
+            samples = measured.get(cid, ())
+            n = len(samples)
+            n_measured += n
+            pair = profiler._valid_pair(key, cid)
+            if pair is not None and pair.gain.count > 0:
+                low_bound, high_bound = pair.gain.interval()
+            else:
+                low_bound = high_bound = 0.0
+                any_unmeasured_pair = True
+            unmeasured = max(0, count - n)
+            sampled = sum(samples)
+            low_total += sampled + unmeasured * low_bound
+            high_total += sampled + unmeasured * high_bound
+        low = low_total / w
+        high = high_total / w
+        if any_unmeasured_pair:
+            crude = profiler._crude_epoch_benefit(index)
+            high = max(high, crude)
+        report[key] = (low, max(high, low), n_measured)
+    return report
+
+
+class _ThreeDicts:
+    """The organizer's per-index state as it stood: ``_history``,
+    ``_high_history`` and ``_measured``, each with its own key set."""
+
+    def __init__(self, history_epochs):
+        self.h = history_epochs
+        self.low, self.high, self.measured = {}, {}, {}
+
+    def record(self, report):  # _record_histories
+        for key, (low, high, measured) in report.items():
+            self.low.setdefault(key, deque(maxlen=self.h)).append(low)
+            self.high.setdefault(key, deque(maxlen=self.h)).append(high)
+            self.measured[key] = self.measured.get(key, 0) + measured
+
+    def commit(self, promoted, drops):
+        for stats in promoted:  # _select_hot seeds a first optimistic window
+            key = (stats.index.table, stats.index.columns)
+            if key not in self.high:
+                self.high[key] = deque([stats.smoothed_benefit], maxlen=self.h)
+        for index in drops:  # the commit forgets a dropped index's windows
+            self.low.pop((index.table, index.columns), None)
+            self.high.pop((index.table, index.columns), None)
+
+    def sections(self):
+        def text(held, value):
+            return {f"{t}:{','.join(cols)}": value(v) for (t, cols), v in held.items()}
+
+        return {
+            "low": text(self.low, list),
+            "high": text(self.high, list),
+            "measured": text(self.measured, int),
+        }
+
+
+def _watch(tuner, shadow):
+    """Hold each close's digest to the oracle and feed the shadow dicts."""
+    organizer, profiler = tuner.self_organizer, tuner.profiler
+    digest, close = profiler.end_epoch, organizer.end_epoch
+
+    def end_epoch(tracked):
+        report = _report_oracle(profiler, organizer.hot, organizer.materialized)
+        digest(tracked)
+        # Same indexes, same (name) order, same floats.
+        assert [(rec.key, rec.epoch) for rec in tracked] == list(report.items())
+        shadow.record(report)
+
+    def decide(tracked, *args, **kwargs):
+        reorg = close(tracked, *args, **kwargs)
+        promoted = [profiler.candidates.stats_for(ix) for ix in reorg.hot]
+        shadow.commit(promoted, reorg.drop)
+        return reorg
+
+    profiler.end_epoch, organizer.end_epoch = end_epoch, decide
+
+
+SOURCE = build_catalog()  # bound queries replay across identical catalogs
+PHASES = [
+    shifting_workload([dist], SOURCE, phase_length=30, transition=0, seed=5).queries
+    for dist in phase_distributions()
+]
+_queries_op = st.tuples(
+    st.just("queries"), st.integers(0, len(PHASES) - 1), st.integers(1, 30)
+)
+_record_op = st.one_of(
+    _queries_op,
+    _queries_op,
+    _queries_op,
+    st.tuples(
+        st.just("insert"),
+        st.sampled_from(["lineitem_1", "orders_2", "lineitem_3"]),
+        st.integers(1, 200_000),
+    ),
+    st.just(("restore",)),
+)
+
+
+@given(
+    ops=st.lists(_record_op, max_size=30),
+    history_epochs=st.sampled_from([2, 4, 12]),
+    budget=st.sampled_from([1_500.0, 4_000.0, 12_000.0]),  # tight ones drop
+    max_hot=st.sampled_from([2, 12]),  # a small H keeps re-promoting
+)
+@settings(deadline=None)
+def test_index_records_equal_the_three_dicts(ops, history_epochs, budget, max_hot):
+    config = ColtConfig(
+        epoch_length=5,
+        history_epochs=history_epochs,
+        min_history_epochs=2,
+        storage_budget_pages=budget,
+        max_hot_size=max_hot,
+    )
+    tuner = ColtTuner(build_catalog(), config)
+    shadow = _ThreeDicts(history_epochs)
+    _watch(tuner, shadow)
+    cursor = [0] * len(PHASES)
+    for op in ops:
+        if op[0] == "insert":
+            tuner.process_insert(op[1], count=op[2])
+            continue
+        if op[0] == "restore":
+            stored = json.loads(json.dumps(snapshot_tuner(tuner)))
+            tuner = restore_tuner(tuner.catalog, stored)
+            _watch(tuner, shadow)
+            assert snapshot_tuner(tuner)["histories"] == shadow.sections()
+            continue
+        _, phase, count = op
+        for _ in range(count):
+            query = PHASES[phase][cursor[phase] % len(PHASES[phase])]
+            cursor[phase] += 1
+            if not tuner.process_query(query).epoch_ended:
+                continue
+            organizer = tuner.self_organizer
+            assert snapshot_tuner(tuner)["histories"] == shadow.sections()
+            for rec in organizer.records():
+                for window in (rec.low, rec.high):
+                    if window is not None:
+                        assert window.nonzero == sum(
+                            1 for value in window.values() if value != 0.0
+                        )
+            # What the next boundary starts from: H ∪ M by name, flagged,
+            # costed as the catalog costs them now (inserts moved rows).
+            tracked = organizer.tracked()
+            members = {*organizer.hot, *organizer.materialized}
+            assert [rec.index for rec in tracked] == sorted(members, key=str)
+            for rec in tracked:
+                assert rec is organizer.record(rec.index)
+                assert rec.hot == (rec.index in organizer.hot)
+                assert rec.held == (rec.index in organizer.materialized)
+                assert rec.costing == tuner.catalog.index_costing(rec.index)
+
+
+# ----------------------------------------------------------------------
+# the no-op exits of ``TuningLoop._apply`` and the scheduler
+def _apply_oracle(self, reorg):
+    """``TuningLoop._apply`` as it stood: every step at every boundary."""
+    retry = self.scheduler.advance_epoch()
+    build_cost = retry.charged
+    for index in retry.recovered:
+        self.materialized.add(index)
+    build_cost += self.scheduler.request_materialization(reorg.materialize)
+    self.scheduler.request_drop(reorg.drop)
+    if self.guardrails is not None and reorg.drop:
+        self.guardrails.on_drop(reorg.drop)
+    queued = set(self.scheduler.pending)
+    failed = [
+        ix
+        for ix in reorg.materialize
+        if not self.catalog.is_materialized(ix) and ix not in queued
+    ]
+    for index in failed:
+        self.materialized.discard(index)
+    reorg.build_failures = failed
+    reorg.recovered_builds = list(retry.recovered)
+    reorg.abandoned_builds = list(retry.abandoned)
+    reorg.breaker_state = self.profiler.breaker.state.value
+    self._applied(reorg, bool(reorg.materialize or reorg.drop or retry.recovered))
+    return build_cost
+
+
+def _advance_epoch_oracle(self):
+    """``Scheduler.advance_epoch`` as it stood: the queue scanned, empty or not."""
+    self._epoch += 1
+    report = RetryReport()
+    due = [f for f in self.retry_queue if f.next_retry_epoch <= self._epoch]
+    for entry in due:
+        self.retry_queue.remove(entry)
+        if self._catalog.is_materialized(entry.index):
+            continue
+        self._m_retries.inc()
+        try:
+            report.charged += self._build(entry.index)
+        except IndexBuildError as exc:
+            self.failure_count += 1
+            self._m_build_failures.inc()
+            entry.attempts += 1
+            entry.error = str(exc)
+            if self._retry.exhausted(entry.attempts):
+                self.abandoned.append(entry)
+                report.abandoned.append(entry.index)
+                self._m_abandoned.inc()
+            else:
+                entry.next_retry_epoch = self._epoch + self._retry.delay_for(
+                    entry.attempts
+                )
+                self.retry_queue.append(entry)
+        else:
+            report.recovered.append(entry.index)
+            self._m_recovered.inc()
+    self._sync_gauges()
+    self._notify_change(report.recovered)
+    return report
+
+
+def _as_it_stood(scheduler):
+    scheduler.advance_epoch = types.MethodType(_advance_epoch_oracle, scheduler)
+
+
+def _scheduler_state(scheduler):
+    def failed(entries):
+        return [(f.index, f.attempts, f.next_retry_epoch, f.error) for f in entries]
+
+    return (
+        scheduler.epoch,
+        failed(scheduler.retry_queue),
+        failed(scheduler.abandoned),
+        scheduler.pending,
+        scheduler.failure_count,
+        scheduler.total_build_cost,
+        [(b.index, b.cost) for b in scheduler.builds],
+        sorted(scheduler._catalog.materialized_indexes(), key=str),
+        _comparable({"metrics": scheduler.registry.snapshot()}),  # gauges included
+    )
+
+
+_retry_policies = st.builds(
+    RetryPolicy,
+    base_delay_epochs=st.integers(1, 2),
+    max_delay_epochs=st.integers(2, 4),
+    max_attempts=st.integers(1, 4),
+)
+_policies = st.sampled_from(list(SchedulingPolicy))
+
+
+# Heavy writes retire an index with nothing built in its place: the one
+# boundary that drops without adding.
+_write_op = st.tuples(
+    st.just("insert"),
+    st.sampled_from([f"lineitem_{i}" for i in (1, 2, 3, 4)]),
+    st.just(400_000),
+)
+
+
+@given(
+    ops=st.lists(st.one_of(_queries_op, _queries_op, _write_op), max_size=16),
+    idle_every=st.integers(1, 4),
+    probability=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+    fault_seed=st.integers(0, 3),
+    retry=_retry_policies,
+    policy=_policies,
+)
+@settings(deadline=None)
+def test_apply_exits_equal_the_full_protocol(
+    ops, idle_every, probability, fault_seed, retry, policy
+):
+    def build():
+        faults = FaultInjector(
+            FaultPlan(build=FaultSpec(probability=probability)), seed=fault_seed
+        )
+        config = ColtConfig(epoch_length=5, min_history_epochs=2, storage_budget_pages=4_000.0)
+        return ColtTuner(
+            build_catalog(), config, policy=policy, retry=retry, fault_injector=faults
+        )
+
+    got, want = build(), build()
+    want._apply = types.MethodType(_apply_oracle, want)
+    _as_it_stood(want.scheduler)
+    cursor = [0] * len(PHASES)
+    closes = 0
+    for kind, phase, count in ops:
+        if kind == "insert":
+            for tuner in (got, want):
+                tuner.process_insert(phase, count=count)
+            continue
+        for _ in range(count):
+            query = PHASES[phase][cursor[phase] % len(PHASES[phase])]
+            cursor[phase] += 1
+            a, b = got.process_query(query), want.process_query(query)
+            assert (a.total_cost, a.build_cost) == (b.total_cost, b.build_cost)
+            if not a.epoch_ended:
+                continue
+            assert a.reorganization == b.reorganization  # every ledger field
+            closes += 1
+            if closes % idle_every == 0:  # idle time: queued builds run (or fail)
+                assert got.scheduler.on_idle(2) == want.scheduler.on_idle(2)
+            assert _scheduler_state(got.scheduler) == _scheduler_state(want.scheduler)
+            assert got.materialized == want.materialized
+    assert _comparable(got.metrics_snapshot()) == _comparable(want.metrics_snapshot())
+
+
+_picks = st.lists(st.integers(0, 4), max_size=4)
+_scheduler_op = st.one_of(
+    st.tuples(st.just("build"), _picks),
+    st.tuples(st.just("drop"), _picks),
+    st.tuples(st.just("advance"), st.just([])),
+    st.tuples(st.just("advance"), st.just([])),
+    st.tuples(st.just("idle"), _picks),
+)
+
+
+@given(
+    ops=st.lists(_scheduler_op, max_size=40),
+    failing=st.lists(st.booleans(), max_size=40),
+    retry=_retry_policies,
+    policy=_policies,
+)
+@settings(deadline=None)
+def test_scheduler_exits_equal_the_full_protocol(ops, failing, retry, policy):
+    """Also with the requests passed as one-shot generators, which an
+    ``if not indexes`` exit would get wrong."""
+
+    def build():
+        outcomes = iter(failing)
+
+        def failpoint(index):
+            if next(outcomes, False):
+                raise IndexBuildError(f"injected failure building {index}")
+
+        catalog = build_catalog()
+        scheduler = Scheduler(
+            catalog, policy=policy, retry=retry, failpoint=failpoint,
+            registry=MetricsRegistry(),
+        )
+        columns = ("l_shipdate", "l_commitdate", "l_receiptdate", "l_quantity", "l_discount")
+        return scheduler, [catalog.index_for("lineitem_1", c) for c in columns]
+
+    (got, got_indexes), (want, want_indexes) = build(), build()
+    _as_it_stood(want)
+    for op, picks in ops:
+        if op == "build":
+            charged = got.request_materialization(got_indexes[i] for i in picks)
+            assert charged == want.request_materialization([want_indexes[i] for i in picks])
+        elif op == "drop":
+            got.request_drop(got_indexes[i] for i in picks)
+            want.request_drop([want_indexes[i] for i in picks])
+        elif op == "advance":
+            assert got.advance_epoch() == want.advance_epoch()
+        else:
+            assert got.on_idle(len(picks)) == want.on_idle(len(picks))
+        assert _scheduler_state(got) == _scheduler_state(want)

@@ -39,15 +39,9 @@ def _capture_epoch_reports(tuner, sink):
     """Record every epoch's profiled benefit report, then pass it on."""
     original = tuner.profiler.end_epoch
 
-    def wrapper(hot, materialized):
-        report = original(hot=hot, materialized=materialized)
-        sink.append(
-            {
-                key: (b.low, b.high, b.measured)
-                for key, b in sorted(report.items())
-            }
-        )
-        return report
+    def wrapper(tracked):
+        original(tracked)
+        sink.append(dict(sorted((rec.key, rec.epoch) for rec in tracked)))
 
     tuner.profiler.end_epoch = wrapper
 

@@ -73,65 +73,6 @@ class TestExactSolver:
         assert value == pytest.approx(best)
 
 
-class TestWarmStart:
-    """The incumbent seed must never change the returned optimum."""
-
-    def test_incumbent_equal_to_optimum_still_returns_it(self):
-        items = _items([(10.0, 60.0), (6.0, 35.0), (5.0, 30.0)])
-        cold_selected, cold_value = solve_knapsack(items, 11.0)
-        warm_selected, warm_value = solve_knapsack(
-            items, 11.0, incumbent_value=cold_value
-        )
-        assert warm_value == cold_value == 65.0
-        assert [it.key for it in warm_selected] == [
-            it.key for it in cold_selected
-        ]
-
-    def test_incumbent_at_the_optimum_keeps_the_optimum_reachable(self):
-        # The tightest valid lower bound (the optimum itself, which the
-        # epoch warm-start produces whenever forecasts are stable): the
-        # epsilon back-off keeps the optimal leaf from pruning itself.
-        items = _items([(2.0, 5.0), (3.0, 4.0)])
-        selected, value = solve_knapsack(items, 10.0, incumbent_value=9.0)
-        assert value == 9.0
-        assert len(selected) == 2
-
-    def test_zero_and_negative_incumbents_are_inert(self):
-        items = _items([(2.0, 5.0), (3.0, 4.0)])
-        for incumbent in (0.0, -7.5):
-            selected, value = solve_knapsack(
-                items, 10.0, incumbent_value=incumbent
-            )
-            assert value == 9.0
-            assert len(selected) == 2
-
-    @given(
-        sizes=st.lists(st.floats(0.1, 20.0), min_size=1, max_size=10),
-        values=st.lists(st.floats(0.1, 100.0), min_size=10, max_size=10),
-        capacity=st.floats(1.0, 40.0),
-        fraction=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_warm_equals_cold_for_any_valid_incumbent(
-        self, sizes, values, capacity, fraction
-    ):
-        items = [
-            KnapsackItem(key=i, size=s, value=v)
-            for i, (s, v) in enumerate(zip(sizes, values))
-        ]
-        cold_selected, cold_value = solve_knapsack(items, capacity)
-        # Any value in [0, optimum] is a valid lower bound -- the epoch
-        # warm-start's feasibility check guarantees it lands here.
-        incumbent = cold_value * fraction
-        warm_selected, warm_value = solve_knapsack(
-            items, capacity, incumbent_value=incumbent
-        )
-        assert warm_value == cold_value
-        assert [it.key for it in warm_selected] == [
-            it.key for it in cold_selected
-        ]
-
-
 class TestGridFallback:
     def test_large_pool_uses_grid_and_stays_feasible(self):
         # 30 items exceeds MAX_EXACT_ITEMS → DP grid path.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import ColtConfig
 from repro.core.profiler import Profiler
+from repro.core.self_organizer import IndexRecord
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
@@ -18,6 +19,13 @@ def _setup(catalog, **config_kwargs):
 
 def _q(catalog, sql):
     return bind_query(parse_query(sql), catalog)
+
+
+def _end_epoch(profiler, catalog, hot, materialized):
+    """Close the epoch over fresh records; ``{key: (low, high, measured)}``."""
+    tracked = [IndexRecord(ix, catalog) for ix in (*hot, *materialized)]
+    profiler.end_epoch(tracked)
+    return {rec.key: rec.epoch for rec in tracked}
 
 
 class TestProfileQuery:
@@ -88,7 +96,7 @@ class TestEpochReport:
         q = _q(small_catalog, "select amount from events where user_id = 5")
         session = whatif.begin_query(q)
         profiler.profile_query(q, session, hot=hot, materialized=[ix_m])
-        report = profiler.end_epoch(hot=hot, materialized=[ix_m])
+        report = _end_epoch(profiler, small_catalog, hot, [ix_m])
         assert ("events", ("user_id",)) in report
         assert ("events", ("day",)) in report
 
@@ -99,10 +107,11 @@ class TestEpochReport:
         session = whatif.begin_query(q)
         outcome = profiler.profile_query(q, session, hot=hot, materialized=[])
         gain = outcome.gains[hot[0]]
-        report = profiler.end_epoch(hot=hot, materialized=[])
-        benefit = report[("events", ("user_id",))]
-        assert benefit.low == pytest.approx(gain / config.epoch_length)
-        assert benefit.measured == 1
+        low, _high, measured = _end_epoch(profiler, small_catalog, hot, [])[
+            ("events", ("user_id",))
+        ]
+        assert low == pytest.approx(gain / config.epoch_length)
+        assert measured == 1
 
     def test_unmeasured_exposure_uses_crude_for_high(self, small_catalog):
         profiler, whatif, _ = _setup(small_catalog)
@@ -111,10 +120,11 @@ class TestEpochReport:
         q = _q(small_catalog, "select amount from events where user_id = 5")
         session = whatif.begin_query(q)
         profiler.profile_query(q, session, hot=hot, materialized=[])
-        report = profiler.end_epoch(hot=hot, materialized=[])
-        benefit = report[("events", ("user_id",))]
-        assert benefit.low == 0.0
-        assert benefit.high > 0.0  # crude optimistic fallback
+        low, high, _measured = _end_epoch(profiler, small_catalog, hot, [])[
+            ("events", ("user_id",))
+        ]
+        assert low == 0.0
+        assert high > 0.0  # crude optimistic fallback
 
     def test_epoch_state_resets(self, small_catalog):
         profiler, whatif, _ = _setup(small_catalog)
@@ -122,9 +132,9 @@ class TestEpochReport:
         q = _q(small_catalog, "select amount from events where user_id = 5")
         session = whatif.begin_query(q)
         profiler.profile_query(q, session, hot=hot, materialized=[])
-        profiler.end_epoch(hot=hot, materialized=[])
-        report = profiler.end_epoch(hot=hot, materialized=[])
-        assert report[("events", ("user_id",))].low == 0.0
+        _end_epoch(profiler, small_catalog, hot, [])
+        report = _end_epoch(profiler, small_catalog, hot, [])
+        assert report[("events", ("user_id",))] == (0.0, 0.0, 0)
         assert profiler.whatif_used == 0
 
 

@@ -1,7 +1,7 @@
 """Unit tests for the Self-Organizer (reorganization + re-budgeting)."""
 
 from repro.core.config import ColtConfig
-from repro.core.profiler import EpochIndexBenefit, Profiler
+from repro.core.profiler import Profiler
 from repro.core.self_organizer import SelfOrganizer, two_means_split
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -9,10 +9,15 @@ from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 
 
-def _benefit(index, low, high=None, measured=1):
-    return EpochIndexBenefit(
-        index=index, low=low, high=high if high is not None else low, measured=measured
-    )
+def _close(so, profiler, benefits=None):
+    """One boundary with ``{index: low | (low, high)}`` as the epoch report;
+    a tracked index left out reports nothing but zeros."""
+    tracked = so.tracked()
+    for rec in tracked:
+        benefit = (benefits or {}).get(rec.index, (0.0, 0.0))
+        low, high = benefit if isinstance(benefit, tuple) else (benefit, benefit)
+        rec.epoch = (low, high, 1)
+    return so.end_epoch(tracked, profiler)
 
 
 def _setup(catalog, **kwargs):
@@ -27,10 +32,8 @@ def _feed(so, profiler, index, benefit, epochs, hot=True):
     """Push `epochs` epochs of a constant benefit for one index."""
     if hot:
         so.hot.add(index)
-    key = (index.table, index.columns)
     for _ in range(epochs):
-        report = {key: _benefit(index, benefit)}
-        so.end_epoch(report, profiler)
+        _close(so, profiler, {index: benefit})
         if hot:
             so.hot.add(index)  # keep it hot regardless of candidate state
 
@@ -58,12 +61,11 @@ class TestReorganization:
         so, profiler, config = _setup(small_catalog, min_history_epochs=2)
         ix = small_catalog.index_for("events", "user_id")
         so.hot.add(ix)
-        key = (ix.table, ix.columns)
         # Benefit far above the (scaled) build cost.
         big = small_catalog.index_build_cost(ix)
         result = None
         for _ in range(4):
-            result = so.end_epoch({key: _benefit(ix, big)}, profiler)
+            result = _close(so, profiler, {ix: big})
             so.hot.add(ix)
         assert ix in so.materialized
         assert any(True for _ in [result])
@@ -95,17 +97,13 @@ class TestReorganization:
         )
         weak = small_catalog.index_for("events", "user_id")
         strong = small_catalog.index_for("events", "day")
-        wkey, skey = (weak.table, weak.columns), (strong.table, strong.columns)
 
         _feed(so, profiler, weak, benefit=50_000.0, epochs=3)
         assert weak in so.materialized
         # Weak decays to zero while strong rises.
         so.hot.add(strong)
         for _ in range(8):
-            so.end_epoch(
-                {wkey: _benefit(weak, 0.0), skey: _benefit(strong, 80_000.0)},
-                profiler,
-            )
+            _close(so, profiler, {weak: 0.0, strong: 80_000.0})
             so.hot.add(strong)
         assert strong in so.materialized
         assert weak not in so.materialized
@@ -114,15 +112,14 @@ class TestReorganization:
         so, profiler, _ = _setup(small_catalog, min_history_epochs=3)
         ix = small_catalog.index_for("events", "user_id")
         so.hot.add(ix)
-        key = (ix.table, ix.columns)
-        so.end_epoch({key: _benefit(ix, 1e9)}, profiler)
+        _close(so, profiler, {ix: 1e9})
         assert ix not in so.materialized  # only 1 epoch of history
 
 
 class TestRebudgeting:
     def test_budget_zero_when_no_potential(self, small_catalog):
         so, profiler, _ = _setup(small_catalog)
-        result = so.end_epoch({}, profiler)
+        result = _close(so, profiler)
         assert result.whatif_budget == 0
         assert result.improvement_ratio == 1.0
 
@@ -146,10 +143,7 @@ class TestRebudgeting:
         so, profiler, config = _setup(small_catalog, min_history_epochs=10)
         ix = small_catalog.index_for("events", "user_id")
         so.hot.add(ix)
-        key = (ix.table, ix.columns)
-        result = so.end_epoch(
-            {key: _benefit(ix, 1e6, high=1e7)}, profiler
-        )
+        result = _close(so, profiler, {ix: (1e6, 1e7)})
         assert result.whatif_budget == config.max_whatif_per_epoch
 
 
@@ -161,7 +155,7 @@ class TestHotSelection:
         )
         profiler.candidates.observe_query(q, [], [])
         profiler.candidates.roll_epoch(10)
-        result = so.end_epoch({}, profiler)
+        result = _close(so, profiler)
         assert [ix.name for ix in result.hot] == ["ix_events_user_id"]
 
     def test_hot_capped(self, small_catalog):
@@ -173,7 +167,7 @@ class TestHotSelection:
             q = bind_query(parse_query(sql), small_catalog)
             profiler.candidates.observe_query(q, [], [])
         profiler.candidates.roll_epoch(10)
-        result = so.end_epoch({}, profiler)
+        result = _close(so, profiler)
         assert len(result.hot) == 1
 
     def test_materialized_excluded_from_hot(self, small_catalog):
@@ -186,7 +180,5 @@ class TestHotSelection:
         assert ix in so.materialized
         profiler.candidates.observe_query(q, [], [ix])
         profiler.candidates.roll_epoch(10)
-        result = so.end_epoch(
-            {(ix.table, ix.columns): _benefit(ix, 1e9)}, profiler
-        )
+        result = _close(so, profiler, {ix: 1e9})
         assert ix not in result.hot

@@ -1,8 +1,13 @@
 """Tests for the per-epoch overhead dashboard."""
 
+import json
+import time
+
 import pytest
 
-from repro.obs.dashboard import OverheadDashboard, render_overhead_rows
+from repro.core import ColtTuner
+from repro.obs.dashboard import WINDOW_EPOCHS, OverheadDashboard, render_overhead_rows
+from repro.workload import build_catalog
 
 
 def _fill(dashboard, spends, granted=20, requested=20):
@@ -70,6 +75,61 @@ class TestOverheadDashboard:
 
     def test_render_empty(self):
         assert OverheadDashboard().render() == "(no epochs recorded)"
+
+
+class TestBoundedWindow:
+    """Rows are kept for the newest epochs only; the totals cover them all."""
+
+    def test_window_covers_every_test_and_figure_run(self):
+        assert WINDOW_EPOCHS >= 4096
+
+    def test_totals_stay_exact_past_the_window(self):
+        d = OverheadDashboard()
+        spends = [i % 7 for i in range(10_000)]
+        _fill(d, spends)
+        assert d.epochs == 10_000
+        assert d.total_spent == sum(spends)
+        assert d.within_budget
+        assert len(d.records) == len(d.to_rows()) == WINDOW_EPOCHS
+        assert [r.epoch for r in d.records] == list(range(10_000 - WINDOW_EPOCHS, 10_000))
+        assert d.to_rows()[-1] == {
+            "epoch": 9_999,
+            "requested": 20,
+            "granted": 20,
+            "spent": spends[-1],
+            "ratio": 1.0,
+            "build_cost": 0.0,
+            "breaker_state": "closed",
+        }
+        assert f"the last {WINDOW_EPOCHS} of 10000 epochs" in d.render()
+
+    def test_an_overspend_is_remembered_after_its_row_is_gone(self):
+        d = OverheadDashboard()
+        _fill(d, [21])  # granted 20
+        _fill(d, [0] * (WINDOW_EPOCHS + 1))
+        assert all(r.within_budget for r in d.records)
+        assert not d.within_budget
+        assert "within budget: NO" in d.render()
+
+    def test_snapshot_stops_growing_with_the_tuners_age(self):
+        tuner = ColtTuner(build_catalog())
+
+        def snapshot_after(epochs):
+            _fill(tuner.dashboard, [3] * (epochs - tuner.dashboard.epochs))
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                snapshot = tuner.metrics_snapshot()
+                best = min(best, time.perf_counter() - started)
+            return len(snapshot["overhead"]), len(json.dumps(snapshot)), best
+
+        rows_mid, size_mid, time_mid = snapshot_after(5_000)
+        rows_end, size_end, time_end = snapshot_after(10_000)
+        assert rows_mid == rows_end == WINDOW_EPOCHS
+        assert size_end <= size_mid * 1.01  # epoch numbers gain a digit
+        assert time_end <= 2.0 * time_mid + 0.005  # same rows: same work
+        assert tuner.dashboard.epochs == 10_000
+        assert tuner.dashboard.total_spent == 30_000
 
 
 class TestRenderOverheadRows:

@@ -1,6 +1,7 @@
 """Tests for tuner state persistence."""
 
 import json
+import pathlib
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from repro.sql.ast import (
     Query,
     SelectItem,
 )
+
+DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
 def _eq_query(value):
@@ -76,11 +79,15 @@ class TestRoundtrip:
         tuner = _trained_tuner(small_catalog)
         snapshot = snapshot_tuner(tuner)
         restored = restore_tuner(copy.deepcopy(small_catalog), snapshot)
-        orig = tuner.self_organizer._history
-        back = restored.self_organizer._history
-        assert set(orig) == set(back)
-        for key in orig:
-            assert orig[key].values() == back[key].values()
+        def windows(organizer, view):
+            held = ((rec.key, getattr(rec, view)) for rec in organizer.records())
+            return {key: h.values() for key, h in held if h is not None}
+
+        assert windows(tuner.self_organizer, "low")
+        for view in ("low", "high"):
+            assert windows(tuner.self_organizer, view) == windows(
+                restored.self_organizer, view
+            )
 
     def test_restored_tuner_keeps_tuning_without_rebuilds(self, small_catalog):
         """After restore, a stable workload causes no immediate rebuild
@@ -164,6 +171,29 @@ class TestValidation:
         tuner = _trained_tuner(small_catalog)
         snapshot = snapshot_tuner(tuner)
         snapshot["hot"].append(["events", "no_such_column"])
+        import copy
+
+        with pytest.raises(SnapshotError):
+            restore_tuner(copy.deepcopy(small_catalog), snapshot)
+
+
+class TestRetiredConfigFields:
+    """A stored ``config`` block may carry fields this version retired."""
+
+    def test_snapshot_written_before_the_retirement_restores(self):
+        from repro.persist import SNAPSHOT_VERSION
+        from repro.workload import build_catalog
+
+        stored = json.loads((DATA_DIR / "parent_snapshot.json").read_text())
+        assert stored["version"] == SNAPSHOT_VERSION
+        assert stored["config"]["knapsack_warm_start"] is True
+        tuner = restore_tuner(build_catalog(), stored)
+        assert tuner.config == ColtConfig()
+        assert "knapsack_warm_start" not in snapshot_tuner(tuner)["config"]
+
+    def test_any_other_unknown_field_still_fails(self, small_catalog):
+        snapshot = snapshot_tuner(_trained_tuner(small_catalog))
+        snapshot["config"]["no_such_field"] = 1
         import copy
 
         with pytest.raises(SnapshotError):
