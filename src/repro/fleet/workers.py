@@ -11,23 +11,27 @@ whole exchange is message passing over two channels:
 * **downstream commands** -- per fleet epoch the parent routes the
   chunk's arrivals (routing is outcome-independent: it depends only on
   the query stream and the drain set, both parent-side), then ships
-  each replica *its exact serial event sequence* -- ``process`` events
-  for queries routed to it interleaved with ``tick`` events for the
-  arrivals it sat out while drained.  Because per-replica decision
-  state only observes that per-replica sequence, every worker's
-  decision stream is bit-identical to the single-process fleet's; the
-  parity test diffs the full epoch traces to prove it.
-* **upstream state** -- workers reply with slim outcome records plus a
-  status line (breaker state, materialized set, totals); durable state
-  crosses as the very same ``repro.persist`` snapshots the serial
-  fleet writes, so ``save_fleet`` on a worker fleet produces the
-  standard atomic manifest and ``restore_fleet`` of it yields a serial
-  coordinator.
+  each replica *its exact serial event sequence* -- a query routed to
+  it is its interned key (``(key, query)`` the first time it crosses),
+  an arrival it sat out while drained is ``None``, an idle tick.
+  Because per-replica decision state only observes that per-replica
+  sequence, every worker's decision stream is bit-identical to the
+  single-process fleet's; the parity test diffs the full epoch traces
+  to prove it.
+* **upstream state** -- every reply is ``(kind, payload, status)``:
+  ``"ok"`` with slim outcome records (inflated into their arrivals'
+  slots as each reply lands, whichever worker lands first) and a status
+  line (breaker state, materialized set, totals), or ``"error"`` with
+  the message, raised only once every reply of the exchange is in.
+  Durable state crosses as the very same ``repro.persist`` snapshots
+  the serial fleet writes, so ``save_fleet`` on a worker fleet produces
+  the standard atomic manifest and ``restore_fleet`` of it yields a
+  serial coordinator.
 
-Crash safety: replies are collected with ``poll`` + ``is_alive`` (never
-a blocking ``recv``), so a worker dying mid-epoch surfaces immediately
-instead of hanging the epoch barrier.  The parent trips the replica's
-stand-in circuit breaker (:meth:`~repro.resilience.breaker.
+Crash safety: replies are awaited with a short ``wait`` + ``is_alive``
+(never a blocking ``recv``), so a worker dying mid-epoch surfaces
+immediately instead of hanging the epoch barrier.  The parent trips the
+replica's stand-in circuit breaker (:meth:`~repro.resilience.breaker.
 CircuitBreaker.trip`), records the chunk's unacknowledged queries as
 failed outcomes (or raises, under ``on_error="raise"``), and the next
 reorganization drains the replica and reassigns its sticky keys through
@@ -53,12 +57,14 @@ paths).
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
 import time
 import types
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from multiprocessing import connection
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ColtConfig
 from repro.core.loop import QueryOutcome
@@ -98,40 +104,38 @@ def _mp_context():
 
 
 def _slim_outcome(outcome: QueryOutcome) -> Tuple:
-    """The picklable subset of a QueryOutcome (plans stay in the worker).
+    """The picklable part of a QueryOutcome, in its constructor's order.
 
-    A flat tuple, not a dict: replies carry one per query and the
-    parent's chunk barrier deserializes them on the critical path.
+    Plans and reorganization reports stay in the worker, so the tuple
+    stops at ``epoch_ended``; only a failed query's carries the last two
+    fields, its error as a ``RuntimeError`` of the original's ``repr``.
+    The parent inflates it with ``QueryOutcome(*slim)`` on the chunk's
+    critical path.
     """
-    return (
+    slim = (
         outcome.index,
         outcome.execution_cost,
         outcome.whatif_calls,
         outcome.whatif_overhead,
         outcome.build_cost,
         outcome.total_cost,
+        None,
         outcome.verify_calls,
         outcome.verify_overhead,
         outcome.epoch_ended,
-        repr(outcome.error) if outcome.error is not None else None,
     )
+    if outcome.error is None:
+        return slim
+    return slim + (None, RuntimeError(repr(outcome.error)))
 
 
-def _inflate_outcome(slim: Tuple) -> QueryOutcome:
-    return QueryOutcome(
-        index=slim[0],
-        execution_cost=slim[1],
-        whatif_calls=slim[2],
-        whatif_overhead=slim[3],
-        build_cost=slim[4],
-        total_cost=slim[5],
-        plan=None,
-        verify_calls=slim[6],
-        verify_overhead=slim[7],
-        epoch_ended=slim[8],
-        reorganization=None,
-        error=RuntimeError(slim[9]) if slim[9] else None,
-    )
+def _decode(queries: Dict[int, Query], event) -> Query:
+    """The query a wire event names: a bare interned key, or ``(key,
+    query)`` on the query's first crossing (remembered from then on)."""
+    if event.__class__ is tuple:
+        queries[event[0]] = event[1]
+        return event[1]
+    return queries[event]
 
 
 def _status(replica: TunerReplica) -> Dict:
@@ -182,7 +186,8 @@ def _worker_main(
     )
     # Replayed streams cycle a bounded set of distinct queries; the
     # parent ships each one exactly once and then references it by key,
-    # so steady-state batch messages carry small integers, not ASTs.
+    # so steady-state batch messages carry small integers, not ASTs
+    # (see _decode); in a batch, None is an idle tick while drained.
     queries: Dict[int, Query] = {}
     perf = time.perf_counter
     processed = 0
@@ -194,21 +199,17 @@ def _worker_main(
                 events, on_error = command[1], command[2]
                 outcomes: List[Tuple] = []
                 for event in events:
-                    if event[0] == "q":
-                        if crash_after is not None and processed >= crash_after:
-                            os._exit(1)
-                        key, payload = event[1], event[2]
-                        if payload is not None:
-                            queries[key] = payload
-                        t0 = perf()
-                        outcome = replica.process(
-                            queries[key], on_error=on_error
-                        )
-                        latency.observe(perf() - t0)
-                        processed += 1
-                        outcomes.append(_slim_outcome(outcome))
-                    else:  # ("t",) -- idle tick while drained
+                    if event is None:
                         replica.idle_tick()
+                        continue
+                    if crash_after is not None and processed >= crash_after:
+                        os._exit(1)
+                    query = _decode(queries, event)
+                    t0 = perf()
+                    outcome = replica.process(query, on_error=on_error)
+                    latency.observe(perf() - t0)
+                    processed += 1
+                    outcomes.append(_slim_outcome(outcome))
                 conn.send(("ok", outcomes, _status(replica)))
             elif op == "status":
                 conn.send(("ok", None, _status(replica)))
@@ -216,15 +217,11 @@ def _worker_main(
                 replica.clear_gain_cache(command[1])
                 conn.send(("ok", None, _status(replica)))
             elif op == "probe":
-                # Read-only what-if pricing for co-tuning refinement;
-                # events reuse the batch encoding (interned keys, full
-                # AST only on a query's first crossing).
-                prices: List[float] = []
-                for event in command[1]:
-                    key, payload = event[1], event[2]
-                    if payload is not None:
-                        queries[key] = payload
-                    prices.append(replica.probe_cost(queries[key]))
+                # Read-only what-if pricing for co-tuning refinement.
+                prices = [
+                    replica.probe_cost(_decode(queries, event))
+                    for event in command[1]
+                ]
                 conn.send(("ok", prices, _status(replica)))
             elif op == "advise":
                 replica.advise(command[1])
@@ -241,10 +238,13 @@ def _worker_main(
                 conn.send(("ok", None, None))
                 conn.close()
                 return
-            else:  # pragma: no cover - protocol bug
-                conn.send(("error", f"unknown worker command {op!r}"))
+            else:
+                raise ValueError(f"unknown worker command {op!r}")
         except Exception as exc:  # propagate to the parent, stay alive
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            if op in ("batch", "probe"):
+                # The parent holds every first crossing it sent as made.
+                queries.update(e for e in command[1] if e.__class__ is tuple)
+            conn.send(("error", f"{type(exc).__name__}: {exc}", None))
 
 
 class WorkerCrash(RuntimeError):
@@ -282,6 +282,7 @@ class WorkerHandle:
         self._quarantined: List[str] = []
         self.config_version = 0
         self.on_crash = None  # set by the coordinator
+        self._deadline = 0.0  # monotonic; restarted by every send
         # Query interning over the pipe: ship each distinct query object
         # once, then reference it by key.  Strong refs guard the id()
         # fast path against id reuse (same discipline as the
@@ -289,16 +290,16 @@ class WorkerHandle:
         self._query_keys: Dict[int, int] = {}
         self._query_refs: List[Query] = []
 
-    def encode_query(self, query: Query) -> Tuple:
-        """The batch event for ``query``: full AST on first send, a
-        small interned key afterwards."""
+    def encode_query(self, query: Query):
+        """The wire event for ``query``: ``(key, query)`` on its first
+        crossing, the bare interned key afterwards."""
         key = self._query_keys.get(id(query))
         if key is not None:
-            return ("q", key, None)
+            return key
         key = len(self._query_refs)
         self._query_keys[id(query)] = key
         self._query_refs.append(query)
-        return ("q", key, query)
+        return (key, query)
 
     # -- TunerReplica-facing surface -----------------------------------
     @property
@@ -375,56 +376,69 @@ class WorkerHandle:
             self.on_crash(self)
 
     def send(self, command: Tuple) -> bool:
-        """Ship a command; False (after crash-marking) when the worker
-        is already gone."""
+        """Ship a command and start its reply deadline; False (after
+        crash-marking) when the worker is already gone."""
         if self.crashed:
             return False
         try:
             self.conn.send(command)
-            return True
         except (BrokenPipeError, OSError):
             self.mark_crashed()
             return False
+        self._deadline = time.monotonic() + self.timeout
+        return True
 
-    def receive(self):
-        """Collect one reply without ever blocking on a dead worker.
+    def receive(self, peers: Sequence["WorkerHandle"] = ()):
+        """Wait for the first reply among this worker and ``peers``.
 
-        Polls the pipe in short intervals, checking process liveness
-        between polls -- the fix for the epoch-barrier deadlock: a
-        blocking ``recv`` on a crashed worker's pipe would wait forever.
+        Never blocks on a dead worker -- the fix for the epoch-barrier
+        deadlock: the pipes are polled in short intervals and, between
+        polls, a worker whose process died is crash-marked, and so is
+        one still silent ``timeout`` seconds after its command was sent
+        (live but wedged, it would stall every future epoch; it is
+        terminated first).
 
-        Returns the reply payload, applying the piggybacked status;
-        returns None when the worker crashed (marking it) or timed out.
+        Returns:
+            ``(handle, reply)``: the worker that settled and its raw
+            reply for :meth:`accept`, None when it crashed instead.
         """
-        deadline = time.monotonic() + self.timeout
+        waiting = (self, *peers)
+        conns = [h.conn for h in waiting]
         while True:
-            try:
-                if self.conn.poll(_POLL_INTERVAL):
-                    kind, payload, status = self.conn.recv()
-                    if kind == "error":
-                        raise RuntimeError(
-                            f"replica {self.replica_id} worker error: {payload}"
-                        )
-                    self.apply_status(status)
-                    return payload
-            except (EOFError, BrokenPipeError, OSError):
-                self.mark_crashed()
-                return None
-            if not self.process.is_alive():
-                self.mark_crashed()
-                return None
-            if time.monotonic() > deadline:
-                # A live-but-wedged worker would stall every future
-                # epoch; treat it exactly like a crash.
-                self.process.terminate()
-                self.mark_crashed()
-                return None
+            ready = connection.wait(conns, _POLL_INTERVAL)
+            now = time.monotonic()
+            for handle in waiting:
+                if handle.conn in ready:
+                    try:
+                        return handle, handle.conn.recv()
+                    except (EOFError, OSError):
+                        pass  # the pipe closed under a dying worker
+                elif handle.process.is_alive() and now <= handle._deadline:
+                    continue
+                handle.process.terminate()
+                handle.mark_crashed()
+                return handle, None
+
+    def accept(self, reply: Optional[Tuple]):
+        """The payload of this worker's ``reply`` (None stays None),
+        adopting the status every reply piggybacks.
+
+        Raises:
+            RuntimeError: The worker answered its command with an error.
+        """
+        if reply is None:
+            return None
+        kind, payload, status = reply
+        if kind == "error":
+            raise RuntimeError(f"replica {self.replica_id} worker error: {payload}")
+        self.apply_status(status)
+        return payload
 
     def request(self, command: Tuple):
         """Send a command and collect its reply (None on a dead worker)."""
         if not self.send(command):
             return None
-        return self.receive()
+        return self.accept(self.receive()[1])
 
     def close(self) -> None:
         """Ask the worker to stop, then close the pipe and join (idempotent)."""
@@ -586,23 +600,22 @@ class WorkerFleetCoordinator(FleetCoordinator):
         queries come back as failed outcomes.
         """
         outcomes: List[FleetOutcome] = []
-        chunk: List[Tuple[int, Query, Optional[int]]] = []
-        for i, query in enumerate(queries):
-            chunk.append(
-                (i, query, client_ids[i] if client_ids is not None else None)
+        step = self.fleet_epoch_length
+        for start in range(0, len(queries), step):
+            outcomes += self._run_chunk(
+                start,
+                queries[start : start + step],
+                client_ids[start : start + step] if client_ids is not None else None,
+                on_error,
             )
-            if len(chunk) == self.fleet_epoch_length:
-                outcomes.extend(self._run_chunk(chunk, on_error, full=True))
-                chunk = []
-        if chunk:
-            outcomes.extend(self._run_chunk(chunk, on_error, full=False))
         return outcomes
 
     def _run_chunk(
         self,
-        chunk: List[Tuple[int, Query, Optional[int]]],
+        start: int,
+        queries: Sequence[Query],
+        client_ids: Optional[Sequence[Optional[int]]],
         on_error: str,
-        full: bool,
     ) -> List[FleetOutcome]:
         """Route one fleet epoch's arrivals, dispatch, collect, reorganize.
 
@@ -611,96 +624,117 @@ class WorkerFleetCoordinator(FleetCoordinator):
         replica then receives its own serial-order event sequence
         (queries routed to it, interleaved with the idle ticks it would
         have received while drained), so per-replica state evolves
-        identically to the single-process fleet.
+        identically to the single-process fleet.  ``start`` is the
+        chunk's position in its :meth:`run`; a chunk shorter than the
+        fleet epoch (the run's tail) closes no fleet epoch.
         """
-        events: Dict[int, List[Tuple]] = {h.replica_id: [] for h in self.replicas}
-        arrivals: List[Tuple[int, int]] = []  # (global index, replica id)
-        drained = set(self.router.drained)
-        for index, query, client_id in chunk:
-            route = self._route(query, client_id)
-            events[route.replica_id].append(
-                self.replicas[route.replica_id].encode_query(query)
-            )
-            arrivals.append((index, route.replica_id))
-            self._count_routed[route.replica_id]()
-            self._m_probes.inc(route.probes)
-            for drained_id in drained:
-                if (
-                    drained_id != route.replica_id
-                    and not self.replicas[drained_id].crashed
-                ):
-                    events[drained_id].append(("t",))
-            self.queries_routed += 1
+        replicas = self.replicas
+        events: List[List] = [[] for _ in replicas]
+        # Chunk offsets of each replica's arrivals, in its event order:
+        # where its reply's outcomes belong.
+        slots: List[List[int]] = [[] for _ in replicas]
+        encode = [h.encode_query for h in replicas]
+        # A crashed replica is never ticked; the drain set and the crash
+        # marks only change between chunks.
+        ticked = [d for d in self.router.drained if not replicas[d].crashed]
+        route = self._route
+        probes = 0
+        for offset, (query, client_id) in enumerate(
+            zip(queries, client_ids or itertools.repeat(None))
+        ):
+            chosen = route(query, client_id)
+            replica_id = chosen.replica_id
+            events[replica_id].append(encode[replica_id](query))
+            slots[replica_id].append(offset)
+            probes += chosen.probes
+            for drained_id in ticked:
+                if drained_id != replica_id:
+                    events[drained_id].append(None)
+        for count, offsets in zip(self._count_routed, slots):
+            if offsets:
+                count(len(offsets))
+        self._m_probes.inc(probes)
+        self.queries_routed += len(queries)
 
-        # Dispatch everything, then collect: workers run concurrently.
-        dispatched: List[WorkerHandle] = []
-        for handle in self.replicas:
-            batch = events[handle.replica_id]
-            if batch and handle.send(("batch", batch, on_error)):
-                dispatched.append(handle)
-        # Slim outcomes in arrival order; nothing from a worker that died.
-        replies: Dict[int, Iterator[Tuple]] = {
-            h.replica_id: iter(()) for h in self.replicas
-        }
-        for handle in dispatched:
-            payload = handle.receive()
-            if payload is not None:
-                replies[handle.replica_id] = iter(payload)
-
-        fleet_outcomes: List[FleetOutcome] = []
-        for index, replica_id in arrivals:
-            handle = self.replicas[replica_id]
-            slim = next(replies[replica_id], None)
-            if slim is not None:
-                outcome = _inflate_outcome(slim)
-            else:
-                # The worker died before acknowledging this chunk; no
-                # reply means no per-query records, so every arrival
-                # routed to it this epoch is accounted as failed.
-                if on_error != "skip":
-                    raise WorkerCrash(
-                        f"replica {replica_id} worker crashed mid-epoch "
-                        f"(query {index}); rerun with on_error='skip' to "
-                        "keep serving through crashes"
-                    )
-                outcome = QueryOutcome(
-                    index=-1,
-                    execution_cost=0.0,
-                    whatif_calls=0,
-                    whatif_overhead=0.0,
-                    build_cost=0.0,
-                    total_cost=0.0,
-                    plan=None,
-                    error=WorkerCrash(
-                        f"replica {replica_id} worker crashed mid-epoch"
-                    ),
+        # Dispatch everything, then inflate each reply straight into its
+        # arrivals' slots as it lands: workers run concurrently, and the
+        # first reply is unpacked while the slower worker still runs.
+        outcomes: List[Optional[FleetOutcome]] = [None] * len(queries)
+        for handle, payload in self._collect(
+            [(h, ("batch", batch, on_error)) for h, batch in zip(replicas, events) if batch]
+        ):
+            replica_id = handle.replica_id
+            # The supported policies are probe-free: no routing overhead.
+            for offset, slim in zip(slots[replica_id], payload):
+                outcomes[offset] = FleetOutcome(
+                    start + offset, replica_id, QueryOutcome(*slim)
                 )
-                handle.stats.queries += 1
-                handle.stats.failed += 1
-            if self.cotune is not None:
-                self._cotune_epoch_cost += outcome.execution_cost
-                self._cotune_epoch_queries += 1
-            fleet_outcomes.append(
-                FleetOutcome(
-                    index=index,
-                    replica_id=replica_id,
-                    outcome=outcome,
-                    # The supported policies are probe-free.
-                    routing_overhead=0.0,
-                )
+        # A worker that died before acknowledging this chunk left no
+        # per-query records: every arrival routed to it this epoch is
+        # accounted as failed.
+        lost = [
+            replica_id
+            for replica_id, offsets in enumerate(slots)
+            if offsets and outcomes[offsets[0]] is None
+        ]
+        if lost and on_error != "skip":
+            replica_id = min(lost, key=lambda r: slots[r][0])
+            raise WorkerCrash(
+                f"replica {replica_id} worker crashed mid-epoch (query "
+                f"{start + slots[replica_id][0]}); rerun with "
+                "on_error='skip' to keep serving through crashes"
             )
-        if full:
+        for replica_id in lost:
+            crash = WorkerCrash(f"replica {replica_id} worker crashed mid-epoch")
+            for offset in slots[replica_id]:
+                outcomes[offset] = FleetOutcome(
+                    start + offset,
+                    replica_id,
+                    QueryOutcome(-1, 0.0, 0, 0.0, 0.0, 0.0, None, error=crash),
+                )
+            replicas[replica_id].stats.queries += len(slots[replica_id])
+            replicas[replica_id].stats.failed += len(slots[replica_id])
+        if self.cotune is not None:
+            # Summed in arrival order, as the serial coordinator does:
+            # float addition is not associative.
+            cost = self._cotune_epoch_cost
+            for fleet_outcome in outcomes:
+                cost += fleet_outcome.outcome.execution_cost
+            self._cotune_epoch_cost = cost
+            self._cotune_epoch_queries += len(queries)
+        if len(queries) == self.fleet_epoch_length:
             reorg = self.reorganize()
-            if fleet_outcomes:
-                fleet_outcomes[-1].reorganization = reorg
-                if reorg.cotune is not None:
-                    # Refinement probes are charged as routing overhead
-                    # on the epoch-closing arrival, as in the serial
-                    # coordinator.
-                    fleet_outcomes[-1].routing_overhead += (
-                        reorg.cotune.probe_cost
-                    )
-        return fleet_outcomes
+            outcomes[-1].reorganization = reorg
+            if reorg.cotune is not None:
+                # Refinement probes are charged as routing overhead on
+                # the epoch-closing arrival, as in the serial coordinator.
+                outcomes[-1].routing_overhead += reorg.cotune.probe_cost
+        return outcomes
+
+    def _collect(
+        self, commands: List[Tuple[WorkerHandle, Tuple]]
+    ) -> Iterator[Tuple[WorkerHandle, List]]:
+        """Send every ``(handle, command)``, then yield ``(handle,
+        payload)`` per reply as it lands, whichever worker lands first.
+
+        A worker that is gone yields nothing.  A worker's error reply is
+        raised only once every command sent has been answered for, so no
+        reply stays in a pipe for the next exchange to read as its own.
+        """
+        pending = [h for h, command in commands if h.send(command)]
+        error: Optional[RuntimeError] = None
+        while pending:
+            handle, reply = pending[0].receive(pending[1:])
+            pending.remove(handle)
+            try:
+                payload = handle.accept(reply)
+            except RuntimeError as exc:
+                error = error or exc
+                continue
+            if payload is not None:
+                yield handle, payload
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     def reorganize(self) -> FleetReorganizationResult:
@@ -733,20 +767,16 @@ class WorkerFleetCoordinator(FleetCoordinator):
         workers are simply omitted from the cost map -- the controller
         treats missing replicas as unprobeable.
         """
-        pending: List[WorkerHandle] = []
-        for replica_id in replica_ids:
-            handle = self.replicas[replica_id]
-            if handle.crashed:
-                continue
-            batch = [handle.encode_query(q) for q in queries]
-            if handle.send(("probe", batch)):
-                pending.append(handle)
-        costs: Dict[int, List[float]] = {}
-        for handle in pending:
-            payload = handle.receive()
-            if payload is not None:
-                costs[handle.replica_id] = list(payload)
-        return costs
+        return {
+            handle.replica_id: list(prices)
+            for handle, prices in self._collect(
+                [
+                    (h, ("probe", [h.encode_query(q) for q in queries]))
+                    for h in (self.replicas[i] for i in replica_ids)
+                    if not h.crashed
+                ]
+            )
+        }
 
     # ------------------------------------------------------------------
     def replica_traces(self) -> List[Dict]:

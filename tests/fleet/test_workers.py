@@ -10,7 +10,11 @@ hard-killed mid-epoch trips its breaker and is drained at the next
 boundary instead of deadlocking the coordinator.
 """
 
+import functools
 import json
+import os
+import signal
+import time
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.core.config import ColtConfig
 from repro.fleet import FleetCoordinator, WorkerCrash, WorkerFleetCoordinator
 from repro.fleet.replica import ReplicaHealth
 from repro.fleet.snapshots import restore_fleet, save_fleet
+from repro.fleet.workers import WorkerHandle
 
 from tests.fleet.workloads import (
     build_small_catalog,
@@ -144,6 +149,51 @@ class TestParity:
             ]
             assert worker_run.total_cost == serial_run.total_cost
 
+    def test_three_workers_client_policy_over_partial_last_chunk(self):
+        queries = mixed_queries(47)  # four full chunks and a partial one
+        client_ids = [(i * 7) % 5 for i in range(47)]
+        serial = make_serial_fleet(n=3, policy="client")
+        serial_run = serial.run(queries, client_ids=client_ids)
+        with make_worker_fleet(workers=3, policy="client") as fleet:
+            worker_run = fleet.run(queries, client_ids=client_ids)
+            assert [outcome_key(o) for o in worker_run.outcomes] == [
+                outcome_key(o) for o in serial_run.outcomes
+            ]
+            assert [o.reorganization is not None for o in worker_run.outcomes] == [
+                o.reorganization is not None for o in serial_run.outcomes
+            ]
+            assert fleet.replica_traces() == [
+                json.loads(r.trace().to_json()) for r in serial.replicas
+            ]
+            # Counted once per chunk instead of once per arrival: same totals.
+            assert fleet.queries_routed == serial.queries_routed == 47
+            for name in ("fleet_queries_routed_total", "fleet_routing_probes_total"):
+                assert (
+                    fleet.registry.get(name).samples()
+                    == serial.registry.get(name).samples()
+                )
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_outcomes_do_not_depend_on_which_reply_lands_first(self, order):
+        queries = mixed_queries(40)
+        serial_run = make_serial_fleet(n=2, policy="round-robin").run(queries)
+        with make_worker_fleet(workers=2, policy="round-robin") as fleet:
+
+            def landing(handle, peers=()):
+                # A real receive, on the awaited worker `order` puts first.
+                waiting = (handle, *peers)
+                return WorkerHandle.receive(
+                    next(h for i in order for h in waiting if h.replica_id == i)
+                )
+
+            for handle in fleet.replicas:
+                handle.receive = functools.partial(landing, handle)
+            worker_run = fleet.run(queries)
+        assert [outcome_key(o) for o in worker_run.outcomes] == [
+            outcome_key(o) for o in serial_run.outcomes
+        ]
+        assert worker_run.queries_per_replica == serial_run.queries_per_replica
+
     def test_latency_summary_merges_worker_histograms(self):
         with make_worker_fleet(workers=2) as fleet:
             fleet.run(mixed_queries(30))
@@ -214,6 +264,26 @@ class TestCrashHandling:
             with pytest.raises(WorkerCrash):
                 fleet.run(mixed_queries(40), on_error="raise")
 
+    def test_wedged_worker_is_terminated_a_timeout_after_its_batch_was_sent(self):
+        with make_worker_fleet(
+            workers=2, policy="round-robin", worker_timeout=0.3
+        ) as fleet:
+            fleet.run(mixed_queries(10))
+            wedged = fleet.replicas[1]
+            os.kill(wedged.process.pid, signal.SIGSTOP)  # alive, never replies
+            try:
+                started = time.monotonic()
+                run = fleet.run(mixed_queries(10), on_error="skip")
+                waited = time.monotonic() - started
+            finally:
+                os.kill(wedged.process.pid, signal.SIGCONT)  # lets SIGTERM land
+            assert wedged.crashed and 0.3 <= waited < 3.0
+            assert fleet._m_crashes.value() == 1
+            # Replica 0's reply landed first and was kept; replica 1's
+            # arrivals are the failed ones, in arrival order.
+            assert [o.replica_id for o in run.outcomes] == [0, 1] * 5
+            assert [o.outcome.failed for o in run.outcomes] == [False, True] * 5
+
     def test_snapshot_of_crashed_fleet_refuses_partial_manifest(self):
         with make_worker_fleet(
             workers=2, policy="round-robin", _crash_plan={1: 5}
@@ -221,6 +291,58 @@ class TestCrashHandling:
             fleet.run(mixed_queries(40), on_error="skip")
             with pytest.raises(WorkerCrash):
                 fleet.replica_snapshots()
+
+
+class TestErrorReplies:
+    """A command the worker cannot serve comes back as one readable error."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (("batch", [999999], "raise"), "KeyError: 999999"),
+            (("probe", [999999]), "KeyError: 999999"),
+            (("no-such-op",), "unknown worker command 'no-such-op'"),
+        ],
+    )
+    def test_error_reply_raises_and_worker_keeps_serving(self, command, message):
+        with make_worker_fleet(workers=2) as fleet:
+            handle = fleet.replicas[0]
+            with pytest.raises(RuntimeError, match="replica 0 worker error: .*" + message):
+                handle.request(command)
+            assert handle.request(("status",)) is None and not handle.crashed
+
+    def test_failed_chunk_leaves_no_reply_behind(self):
+        # Regression: chunk 1 raises on replica 0's error reply while
+        # replica 1's reply sat unread in its pipe, so chunk 2 read
+        # chunk 1's outcomes as its own.
+        chunks = [mixed_queries(30)[i : i + 10] for i in (0, 10, 20)]
+        serial = make_serial_fleet(n=2, policy="round-robin")
+        with make_worker_fleet(workers=2, policy="round-robin") as fleet:
+            assert [outcome_key(o) for o in fleet.run(chunks[0]).outcomes] == [
+                outcome_key(o) for o in serial.run(chunks[0]).outcomes
+            ]
+            # Chunk 1: replica 0 is sent a key it never saw, replica 1 serves.
+            broken = fleet.replicas[0]
+            broken.encode_query = lambda query: 999999
+            with pytest.raises(RuntimeError, match="replica 0 worker error"):
+                fleet.run(chunks[1])
+            del broken.encode_query
+            assert not any(h.conn.poll() for h in fleet.replicas)
+            # The in-process fleet, fed the same arrivals: routed in
+            # full, served by replica 1 only, no fleet epoch closed.
+            for query in chunks[1]:
+                route = serial._route(query, None)
+                if route.replica_id == 1:
+                    serial.replicas[1].process(query)
+            serial.queries_routed += 10
+
+            worker_run, serial_run = fleet.run(chunks[2]), serial.run(chunks[2])
+            assert [outcome_key(o)[1:] for o in worker_run.outcomes] == [
+                outcome_key(o)[1:] for o in serial_run.outcomes
+            ]
+            assert fleet.replica_traces() == [
+                json.loads(r.trace().to_json()) for r in serial.replicas
+            ]
 
 
 class TestValidation:
