@@ -11,8 +11,8 @@ index into :meth:`current_config`.
 Sessions are where it departs from the base class: a stream that hands
 the same bound ``Query`` object in again (``repro replay``, the fleet
 workers' interned transfer) gets its :class:`~repro.optimizer.optimizer.
-PlanCache` back for as long as the statistics of its tables hold, see
-:meth:`LocalBackend.begin_query`.
+PlanCache` back for as long as the statistics of its tables hold -- and
+its structural half across row moves -- see :meth:`LocalBackend.begin_query`.
 
 The backend doubles as the trace *recorder*: pass a
 :class:`~repro.backend.trace.CostTraceRecorder` and every priced
@@ -50,11 +50,13 @@ class _LiveQuery(weakref.ref):
         key: ``id`` of the query, its key in the live table.
         token: Validity token at the last sighting
             (:meth:`LocalBackend._validity_token`).
+        columns: The tables' ``Catalog.column_stats_version`` when
+            ``token`` last changed.
         cache: The retained plan cache, or None while the query has been
-            seen only once under ``token``.
+            seen only once under these column statistics.
     """
 
-    __slots__ = ("key", "token", "cache")
+    __slots__ = ("key", "token", "columns", "cache")
 
 
 class LocalBackend(Backend):
@@ -129,13 +131,19 @@ class LocalBackend(Backend):
         and its tables' statistics, or is keyed inside it by the relevant
         configuration, so a cache stays exact for as long as the query's
         validity token is unchanged -- materialization changes need no
-        invalidation.  The live table is keyed by object identity and
+        invalidation.  When the token moved but only row counts did (the
+        cost parameters are the same object, every table's
+        ``column_stats_version`` is unchanged, and every filter column
+        reads installed statistics rather than the row-count-derived
+        fallback), the cache's structural half still holds and
+        :meth:`PlanCache.reprice` drops the priced half alone; any other
+        move starts over.  The live table is keyed by object identity and
         holds the query weakly: an entry disappears with its query, so a
         stream that never repeats an object retains nothing.  A cache is
-        kept from the *second* sighting under one token (the first only
-        stores the token); retaining on the first sighting makes the
-        collector traverse entries that die a few hundred events later
-        (measured in ``docs/PERFORMANCE.md``).
+        kept from the *second* sighting under one set of column
+        statistics (the first only stores the token); retaining on the
+        first sighting makes the collector traverse entries that die a
+        few hundred events later (measured in ``docs/PERFORMANCE.md``).
 
         The session always comes out of one ``self.optimize`` call under
         the current configuration -- a ``plans`` hit on a retained cache
@@ -149,14 +157,14 @@ class LocalBackend(Backend):
             entry = self._live[key] = _LiveQuery(query, self._forget)
             entry.key = key
             entry.token = None  # equals no token: first sighting below
-        if entry.token != token:
-            entry.token = token
-            entry.cache = None
-            cache = PlanCache()
-        else:
+        if entry.token == token or self._revalidate(entry, query, token):
             cache = entry.cache
             if cache is None:
                 cache = entry.cache = PlanCache()
+        else:
+            # First sighting under these column statistics: the token only.
+            entry.cache = None
+            cache = PlanCache()
         config = self.current_config()
         base = self.optimize(query, config=config, cache=cache)
         if base.config is not config and base.config != config:
@@ -164,6 +172,27 @@ class LocalBackend(Backend):
             # same relevant restriction; the session's base names this one.
             base = OptimizationResult(base.plan, base.cost, config, base.indexes_used)
         return WhatIfSession(query=query, base=base, cache=cache)
+
+    def _revalidate(self, entry: _LiveQuery, query: Query, token: tuple) -> bool:
+        """Move ``entry`` to ``token``; whether only row counts moved since
+        its column statistics were recorded (its cache, if any, is then
+        re-priced).  Read on a token miss only, never on the hit path."""
+        catalog = self.optimizer.catalog
+        columns = tuple(map(catalog.column_stats_version, query.tables))
+        held = entry.token
+        entry.token = token
+        if (
+            held is not None
+            and held[0] is token[0]
+            and entry.columns == columns
+            # Fallback statistics are derived from the row count.
+            and all(catalog.has_stats(p.column.table, p.column.column) for p in query.filters)
+        ):
+            if entry.cache is not None:
+                entry.cache.reprice(catalog)
+            return True
+        entry.columns = columns
+        return False
 
     def _validity_token(self, query: Query) -> tuple:
         """Every input of ``Optimizer.optimize`` that is not in the plan

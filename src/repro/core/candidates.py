@@ -134,25 +134,33 @@ class CandidateTracker:
     def _mined_with_crude(self, query: Query, cache: PlanCache) -> List[Tuple[IndexDef, float]]:
         """``(candidate, crude delta cost)`` pairs for one query.
 
-        Mining and ``crude_index_delta_cost`` are pure functions of the
-        query, the statistics and this tracker's ``composite`` setting,
-        so the pairs are kept in ``cache`` under that setting: a backend
-        that retains the cache across sightings of one query object
-        serves them again.  The ``u`` indicator is applied by the caller,
-        outside the memo.  Every index mined on a table is priced against
-        that table's one baseline in ``cache``.
+        Mining is a pure function of the query and this tracker's
+        ``composite`` setting, ``crude_index_delta_cost`` of those and the
+        statistics, so both are kept in ``cache`` under that setting: a
+        backend that retains the cache across sightings of one query
+        object serves them again, and one that re-prices it after a row
+        move prices the mined indexes again.  The ``u`` indicator is
+        applied by the caller, outside the memo.  Every index mined on a
+        table is priced against that table's one baseline in ``cache``.
         """
+        composite = self._composite
         held = cache.crude
         if held is None:
             held = cache.crude = [None, None]
-        pairs = held[self._composite]
+        pairs = held[composite]
         if pairs is None:
+            mined = cache.mined
+            if mined is None:
+                mined = cache.mined = [None, None]
+            indexes = mined[composite]
+            if indexes is None:
+                indexes = mined[composite] = self._mined_indexes(query)
             pairs = []
-            for index in self._mined_indexes(query):
+            for index in indexes:
                 scan = cache.scan(self._catalog, query, index.table)
                 crude = crude_index_delta_cost(self._catalog, index, scan.filters, scan)
                 pairs.append((index, crude))
-            held[self._composite] = pairs
+            held[composite] = pairs
         return pairs
 
     def _mined_indexes(self, query: Query) -> List[IndexDef]:

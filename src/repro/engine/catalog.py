@@ -109,6 +109,7 @@ class Catalog:
         self._materialized: Dict[Tuple[str, Tuple[str, ...]], IndexDef] = {}
         self._views: Dict[str, object] = {}
         self._stats_versions: Dict[str, int] = {}
+        self._column_stats_versions: Dict[str, int] = {}
         self._generation: int = 0
         # The one descriptor per (table, column) that index_for serves.
         self._single_indexes: Dict[Tuple[str, str], IndexDef] = {}
@@ -162,8 +163,7 @@ class Catalog:
         if not tdef.has_column(column):
             raise KeyError(f"no column {column!r} in table {table!r}")
         self._stats[(table, column)] = stats
-        self._stats_versions[table] = self._stats_versions.get(table, 0) + 1
-        self._generation += 1
+        self.bump_stats_version(table)
 
     def stats(self, table: str, column: str) -> ColumnStats:
         """Statistics for a column, falling back to type defaults."""
@@ -172,6 +172,12 @@ class Catalog:
             return self._stats[key]
         tdef = self.table(table)
         return default_stats_for(tdef.column(column).dtype, tdef.row_count)
+
+    def has_stats(self, table: str, column: str) -> bool:
+        """Whether :meth:`stats` reads installed statistics for the column
+        (not the fallback :func:`default_stats_for` derives from
+        ``row_count``)."""
+        return (table, column) in self._stats
 
     def stats_version(self, table: str) -> int:
         """Monotone counter bumped on every stats-affecting mutation.
@@ -188,6 +194,17 @@ class Catalog:
         """
         return self._stats_versions.get(table, 0)
 
+    def column_stats_version(self, table: str) -> int:
+        """Monotone counter over the table's column statistics and views:
+        bumped with :meth:`stats_version` by :meth:`bump_stats_version`
+        (so by ``set_stats`` and view changes), *not* by row moves.
+
+        An unchanged value means every installed column statistic of the
+        table, and so every filter selectivity read from one, is what it
+        was; a row move still changes every cost.
+        """
+        return self._column_stats_versions.get(table, 0)
+
     def stats_token(self, table: str) -> Tuple[float, int]:
         """``(row_count, stats_version)`` of a table: equal tokens mean
         queries over it are priced identically (a direct ``row_count``
@@ -200,28 +217,33 @@ class Catalog:
 
     @property
     def generation(self) -> int:
-        """Catalog-wide monotone counter over every optimizer-visible
-        mutation.
+        """Catalog-wide monotone counter over the materialized index set.
 
-        Bumped by each per-table stats bump *and* by every
-        materialization change (index or view create/drop).  An
-        unchanged generation therefore proves the optimizer would see
-        an identical catalog (``Optimizer.current_config`` and the
-        profiler's cluster signatures are re-derived once per
-        generation).
+        Bumped by :meth:`materialize_index` and by a :meth:`drop_index`
+        that removes something -- nothing else.  An unchanged generation
+        proves the materialized set is the same (``Optimizer.
+        current_config`` and the profiler's cluster signatures are
+        re-derived once per generation); statistics and row counts are
+        tracked per table by :meth:`stats_token`.
         """
         return self._generation
 
     def bump_stats_version(self, table: str) -> int:
-        """Mark a table's statistics as changed; returns the new version.
+        """Mark a table's column statistics as changed; returns the new
+        :meth:`stats_version` (the :meth:`column_stats_version` moves too).
 
         Raises:
             KeyError: if the table does not exist.
         """
         self.table(table)
+        versions = self._column_stats_versions
+        versions[table] = versions.get(table, 0) + 1
+        return self._bump_version(table)
+
+    def _bump_version(self, table: str) -> int:
+        """Move the table's :meth:`stats_version` alone (a row move)."""
         version = self._stats_versions.get(table, 0) + 1
         self._stats_versions[table] = version
-        self._generation += 1
         return version
 
     def apply_row_delta(self, table: str, delta: float) -> float:
@@ -231,7 +253,8 @@ class Catalog:
         here (not assign ``TableDef.row_count`` directly) so the stats
         version is bumped alongside -- otherwise a delete-then-insert
         restoring the original row count would leave the staleness
-        token unchanged and stale plans could be served.
+        token unchanged and stale plans could be served.  A row move
+        leaves :meth:`column_stats_version` and :attr:`generation` alone.
 
         Returns:
             The new row count.
@@ -241,18 +264,19 @@ class Catalog:
         """
         tdef = self.table(table)
         tdef.row_count += delta
-        self.bump_stats_version(table)
+        self._bump_version(table)
         return tdef.row_count
 
     def set_row_count(self, table: str, row_count: float) -> None:
-        """Set a table's statistical row count, bumping the stats version.
+        """Set a table's statistical row count, bumping the stats version
+        (not the column statistics version: see :meth:`apply_row_delta`).
 
         Raises:
             KeyError: if the table does not exist.
         """
         tdef = self.table(table)
         tdef.row_count = float(row_count)
-        self.bump_stats_version(table)
+        self._bump_version(table)
 
     # ------------------------------------------------------------------
     # Indexes
@@ -337,14 +361,17 @@ class Catalog:
     # Materialized views (extension; see repro.engine.matview)
     # ------------------------------------------------------------------
     def materialize_view(self, view) -> None:
-        """Register a materialized view (usable by the optimizer).
+        """Register a materialized view (usable by the optimizer); a no-op
+        when an equal view is already registered.
 
         Raises:
             ValueError: if a different view with the same name exists.
         """
         existing = self._views.get(view.name)
-        if existing is not None and existing != view:
-            raise ValueError(f"view {view.name!r} already exists")
+        if existing is not None:
+            if existing != view:
+                raise ValueError(f"view {view.name!r} already exists")
+            return
         self.bump_stats_version(view.table)
         self._views[view.name] = view
 

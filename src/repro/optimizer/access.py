@@ -59,6 +59,14 @@ class _Sargable:
         return 1
 
 
+#: What :meth:`TableScan.sargable` holds for one index: the filters'
+#: decomposition, the residual filters and the selectivity of the
+#: consumed ones -- or None when the index cannot serve the filters.
+SargableUse = Optional[Tuple[_Sargable, List, float]]
+
+_UNSEEN = object()
+
+
 @dataclasses.dataclass
 class TableScan:
     """What one query's filters on one table cost, whatever the index.
@@ -67,40 +75,69 @@ class TableScan:
     :class:`~repro.optimizer.optimizer.PlanCache`, and read by every
     access path, what-if probe and crude benefit of that query.
 
+    Everything but ``seq`` is a function of the query and the table's
+    column statistics; ``seq`` also reads the row count and is the one
+    part :meth:`reprice` replaces.
+
     Attributes:
         filters: The query's filters on the table.
         sel_of: Selectivity of each filter, keyed by the ``id`` of the
             predicate object in ``filters`` (which keeps it alive).
         total_sel: Combined selectivity of all the filters.
         seq: The sequential scan path, every index path's baseline.
+        sargs: Each index's :data:`SargableUse` seen so far.
     """
 
     filters: List
     sel_of: Dict[int, float]
     total_sel: float
     seq: SeqScanNode
+    sargs: Dict[IndexDef, SargableUse] = dataclasses.field(default_factory=dict)
 
     def selectivity(self, preds: Iterable) -> float:
         """Combined selectivity of ``preds``, objects out of ``filters``."""
         return conjunction(self.sel_of[id(pred)] for pred in preds)
 
+    def sargable(self, index: IndexDef) -> SargableUse:
+        """How ``index`` serves the filters, decomposed once per index."""
+        use = self.sargs.get(index, _UNSEEN)
+        if use is _UNSEEN:
+            sarg = extract_for_index(index, self.filters)
+            if sarg is None:
+                use = None
+            else:
+                residual = [f for f in self.filters if f not in sarg.consumed]
+                use = (sarg, residual, self.selectivity(sarg.consumed))
+            self.sargs[index] = use
+        return use
+
+    def reprice(self, catalog: Catalog) -> None:
+        """Re-derive ``seq`` under the table's current row count."""
+        self.seq = _seq_scan(catalog, self.seq.table, self.filters, self.total_sel)
+
 
 def table_scan(catalog: Catalog, table: str, filters: List) -> TableScan:
     """Evaluate each filter's selectivity and the sequential scan path."""
+    sels = [predicate_selectivity(catalog, pred) for pred in filters]
+    sel = conjunction(sels)
+    seq = _seq_scan(catalog, table, filters, sel)
+    sel_of = dict(zip(map(id, filters), sels))
+    return TableScan(filters=filters, sel_of=sel_of, total_sel=sel, seq=seq)
+
+
+def _seq_scan(catalog: Catalog, table: str, filters: List, sel: float) -> SeqScanNode:
+    """The sequential scan of ``table`` under ``filters`` of combined
+    selectivity ``sel``."""
     params = catalog.params
     tdef = catalog.table(table)
     rows = tdef.row_count
     pages = tdef.heap_pages(params)
-    sels = [predicate_selectivity(catalog, pred) for pred in filters]
-    sel = conjunction(sels)
     cost = (
         pages * params.seq_page_cost
         + rows * params.cpu_tuple_cost
         + rows * operator_count(filters) * params.cpu_operator_cost
     )
-    seq = SeqScanNode(rows=max(1.0, rows * sel), cost=cost, table=table, filters=filters)
-    sel_of = dict(zip(map(id, filters), sels))
-    return TableScan(filters=filters, sel_of=sel_of, total_sel=sel, seq=seq)
+    return SeqScanNode(rows=max(1.0, rows * sel), cost=cost, table=table, filters=filters)
 
 
 def seq_scan_path(catalog: Catalog, table: str, filters: List) -> SeqScanNode:
@@ -127,11 +164,10 @@ def index_paths(
     for index in sorted(config, key=lambda ix: ix.name):
         if index.table != table:
             continue
-        sarg = extract_for_index(index, filters)
-        if sarg is None:
+        use = scan.sargable(index)
+        if use is None:
             continue
-        residual = [f for f in filters if f not in sarg.consumed]
-        index_sel = scan.selectivity(sarg.consumed)
+        sarg, residual, index_sel = use
         cost = _index_scan_cost(
             catalog, table, index, index_sel, sarg.num_lookups, residual
         )
@@ -445,13 +481,13 @@ def crude_index_delta_cost(
     does not beat the sequential scan.  ``scan`` as for
     :func:`index_paths`: one baseline for every index mined from a query.
     """
-    sarg = extract_for_index(index, filters)
-    if sarg is None:
-        return 0.0
-    table = index.table
     if scan is None:
-        scan = table_scan(catalog, table, filters)
-    index_sel = scan.selectivity(sarg.consumed)
-    residual = [f for f in filters if f not in sarg.consumed]
-    cost = _index_scan_cost(catalog, table, index, index_sel, sarg.num_lookups, residual)
+        scan = table_scan(catalog, index.table, filters)
+    use = scan.sargable(index)
+    if use is None:
+        return 0.0
+    sarg, residual, index_sel = use
+    cost = _index_scan_cost(
+        catalog, index.table, index, index_sel, sarg.num_lookups, residual
+    )
     return max(0.0, scan.seq.cost - cost)

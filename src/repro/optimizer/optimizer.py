@@ -108,11 +108,17 @@ class PlanCache:
     free.  Beside these configuration-keyed parts it holds what depends
     on the query and the statistics alone: the per-table costing
     constants (:class:`~repro.optimizer.access.TableScan`: filter
-    selectivities and the sequential-scan baseline), the candidate
-    tracker's crude ``(index, delta cost)`` pairs, the query's cluster
-    key and (the query alone) its referenced columns.
+    selectivities, each index's sargable decomposition and the
+    sequential-scan baseline), the candidate tracker's mined indexes and
+    their crude delta costs, the query's cluster key and (the query
+    alone) its referenced columns.
 
-    A change of the materialized set makes nothing in it stale, so a
+    It comes in two halves.  The *priced* half -- ``plans``,
+    ``access_paths``, each scan's sequential path and the crude delta
+    costs -- reads row counts; the *structural* half -- everything else
+    -- reads only the query and the installed column statistics, so a
+    row move leaves it exact and :meth:`reprice` drops the priced half
+    alone.  A change of the materialized set makes nothing stale, so a
     backend may keep one for as long as the statistics it was filled
     under hold (:meth:`LocalBackend.begin_query
     <repro.backend.local.LocalBackend.begin_query>`).
@@ -120,18 +126,20 @@ class PlanCache:
     Attributes:
         referenced: The query's :func:`referenced_columns`, or None
             until the query is first optimized on this cache.
-        crude: The ``[(index, crude delta cost)]`` pairs mined without
-            (slot 0) and with (slot 1) composite candidates, or None
-            until a :class:`~repro.core.candidates.CandidateTracker`
-            mines the query.
+        mined: The candidate indexes mined without (slot 0) and with
+            (slot 1) composite candidates, or None until a
+            :class:`~repro.core.candidates.CandidateTracker` mines the
+            query.
+        crude: The ``[(index, crude delta cost)]`` pairs over ``mined``,
+            slot for slot, or None until priced.
         cluster_key: The query's :func:`~repro.core.clustering.
             cluster_key`, or None until a :class:`~repro.core.clustering.
             ClusterStore` assigns the query.
     """
 
     __slots__ = (
-        "access_paths", "plans", "scans", "referenced", "crude", "cluster_key",
-        "hits", "misses",
+        "access_paths", "plans", "scans", "referenced", "mined", "crude",
+        "cluster_key", "hits", "misses",
     )
 
     def __init__(self) -> None:
@@ -139,10 +147,20 @@ class PlanCache:
         self.plans: Dict[FrozenSet[IndexDef], OptimizationResult] = {}
         self.scans: Dict[str, TableScan] = {}
         self.referenced: Optional[FrozenSet[Tuple[str, str]]] = None
+        self.mined: Optional[list] = None
         self.crude: Optional[list] = None
         self.cluster_key: Optional[tuple] = None
         self.hits = 0
         self.misses = 0
+
+    def reprice(self, catalog: Catalog) -> None:
+        """Drop the priced half after a row move, keeping the structural
+        half (valid only while the column statistics it read hold)."""
+        self.plans.clear()
+        self.access_paths.clear()
+        for scan in self.scans.values():
+            scan.reprice(catalog)
+        self.crude = None
 
     def scan(self, catalog: Catalog, query: Query, table: str) -> TableScan:
         """The query's :class:`TableScan` for ``table``, made on first use."""

@@ -18,6 +18,7 @@ import dataclasses
 import gc
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from repro.backend.local import LocalBackend
 from repro.core.candidates import CandidateTracker
 from repro.core.clustering import cluster_key
 from repro.core.gaincache import query_signature
+from repro.engine.catalog import Catalog, TableDef
 from repro.engine.matview import ViewDef
 from repro.fleet.cotune import SignatureInterner
 from repro.optimizer.optimizer import PlanCache
@@ -116,11 +118,18 @@ def _assign_row_count(catalog, backend, index, view):
 
 
 def _set_stats(catalog, backend, index, view):
+    # Moves equality and range selectivities both (the distribution's
+    # columns are numeric).
     stats = catalog.stats(index.table, index.column)
     catalog.set_stats(
         index.table,
         index.column,
-        dataclasses.replace(stats, n_distinct=stats.n_distinct * 7 + 1, histogram=None),
+        dataclasses.replace(
+            stats,
+            n_distinct=stats.n_distinct * 7 + 1,
+            max_value=stats.max_value + (stats.max_value - stats.min_value),
+            histogram=None,
+        ),
     )
 
 
@@ -156,6 +165,31 @@ MUTATIONS = [
     _drop_view,
     _replace_params,
 ]
+
+
+ROW_MOVES = [_row_delta, _set_row_count, _assign_row_count]
+
+#: A filtered column the fallback catalog leaves without statistics, and
+#: a range query over it.
+FALLBACK = ("lineitem_2", "l_shipdate")
+FALLBACK_SQL = (
+    "select l_orderkey from lineitem_2 "
+    "where l_shipdate between '1995-12-06' and '1995-12-24'"
+)
+
+
+def _fallback_catalog():
+    """``build_catalog()`` with :data:`FALLBACK` on ``default_stats_for``."""
+    full = build_catalog()
+    catalog = Catalog(full.params)
+    for table in full.tables():
+        catalog.add_table(TableDef(table.name, table.columns, table.row_count))
+        for column in table.columns:
+            if (table.name, column.name) != FALLBACK:
+                catalog.set_stats(
+                    table.name, column.name, full.stats(table.name, column.name)
+                )
+    return catalog
 
 
 def _view_for(queries):
@@ -203,7 +237,7 @@ class TestBatchedPricerParity:
             max_size=8,
         ),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     def test_sessions_identical_under_any_split_and_mutations(
         self, drawn, mutations
     ):
@@ -232,6 +266,30 @@ class TestBatchedPricerParity:
                 relevant[(position + 3) % len(relevant)],
             ]
             assert_session_equals_reference(catalog, backend, session, probes)
+
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.sampled_from(ROW_MOVES), min_size=1, max_size=4),
+    )
+    @settings(deadline=None)
+    def test_a_column_on_fallback_statistics_is_not_carried_across_row_moves(
+        self, seed, moves
+    ):
+        # Fallback statistics derive from the row count, so a row move
+        # changes the selectivities of filters on the column: the cache's
+        # structural half must not survive it.
+        catalog = _fallback_catalog()
+        rng = random.Random(seed)
+        queries = [DIST.sample(catalog, rng) for _ in range(6)]
+        queries.append(bind_query(parse_query(FALLBACK_SQL), catalog))
+        backend = LocalBackend(catalog)
+        index = catalog.index_for(*FALLBACK)
+        for move in [None, *moves]:
+            if move is not None:
+                move(catalog, backend, index, None)
+            for query in queries + queries:
+                session = backend.begin_query(query)
+                assert_session_equals_reference(catalog, backend, session, [index])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
@@ -267,17 +325,60 @@ class TestAdmission:
         assert third.cache is second.cache
         assert third.base.cost == first.base.cost
 
-    def test_a_statistics_bump_starts_over(self):
+    @pytest.mark.parametrize("move", ROW_MOVES)
+    def test_a_row_move_reprices(self, move):
         catalog, (query,) = sample_queries(7, 1)
         backend = LocalBackend(catalog)
         for _ in range(3):
             held = backend.begin_query(query).cache
+        tracker = CandidateTracker(catalog, 4, 0.5)
+        tracker.observe_query(query, (), (), held)
+        (table,) = held.scans
+        scan = held.scans[table]
+        structural = (
+            held.referenced, held.mined, held.cluster_key, scan.sel_of, scan.sargs
+        )
+        seq = scan.seq
+        move(catalog, backend, catalog.index_for(table, query.filters[0].column.column), None)
+        session = backend.begin_query(query)
+        assert session.cache is held is backend._live[id(query)].cache
+        # The structural half is carried, the priced half was rebuilt: the
+        # one plan in it is the one just priced under the new row count.
+        assert held.scans[table] is scan
+        assert (
+            held.referenced, held.mined, held.cluster_key, scan.sel_of, scan.sargs
+        ) == structural
+        assert held.mined[False] is structural[1][False]
+        assert scan.seq is not seq and scan.seq.cost != seq.cost
+        assert held.crude is None
+        assert list(held.plans.values()) == [session.base]
+        assert_session_equals_reference(catalog, backend, session, [])
+
+    def test_a_row_move_between_the_first_two_sightings_retains(self):
+        catalog, (query,) = sample_queries(7, 1)
+        backend = LocalBackend(catalog)
+        backend.begin_query(query)
         catalog.apply_row_delta(query.tables[0], 10)
+        session = backend.begin_query(query)
+        assert backend._live[id(query)].cache is session.cache is not None
+
+    @pytest.mark.parametrize(
+        "change", [_set_stats, _bump_version, _materialize_view, _replace_params]
+    )
+    def test_a_statistics_bump_starts_over(self, change):
+        catalog, (query,) = sample_queries(7, 1)
+        backend = LocalBackend(catalog)
+        for _ in range(3):
+            held = backend.begin_query(query).cache
+        column = query.filters[0].column
+        index = catalog.index_for(column.table, column.column)
+        change(catalog, backend, index, _view_for([query]))
         entry = backend._live[id(query)]
         after = backend.begin_query(query)
         assert after.cache is not held
-        assert entry.cache is None  # first sighting under the new token
+        assert entry.cache is None  # first sighting under the new statistics
         assert backend.begin_query(query).cache is entry.cache is not None
+        assert_session_equals_reference(catalog, backend, after, [index])
 
     def test_materialization_changes_keep_the_cache(self):
         catalog, (query,) = sample_queries(7, 1)

@@ -5,6 +5,7 @@ import pytest
 from repro.engine.catalog import Catalog, ColumnDef, ColumnRef, TableDef
 from repro.engine.datatypes import DataType
 from repro.engine.stats import ColumnStats
+from repro.optimizer.optimizer import Optimizer
 
 
 def _table(name="t", rows=1000.0):
@@ -127,3 +128,56 @@ class TestIndexes:
         assert catalog.materialized_size_pages() == 0.0
         catalog.materialize_index(catalog.index_for("t", "a"))
         assert catalog.materialized_size_pages() > 0.0
+
+
+class TestCounters:
+    """What each mutation moves: ``generation`` follows the materialized
+    set alone, ``column_stats_version`` the column statistics alone, and
+    ``stats_version`` both those and the row count."""
+
+    def _catalog(self):
+        catalog = Catalog()
+        catalog.add_table(_table())
+        catalog.set_stats("t", "a", ColumnStats(n_distinct=10, min_value=0, max_value=9))
+        return catalog
+
+    def test_generation_and_current_config_survive_row_and_stats_moves(self):
+        catalog = self._catalog()
+        optimizer = Optimizer(catalog)
+        generation, config = catalog.generation, optimizer.current_config()
+        catalog.apply_row_delta("t", 50)
+        catalog.set_row_count("t", 7)
+        catalog.set_stats("t", "a", ColumnStats(n_distinct=3, min_value=0, max_value=2))
+        catalog.bump_stats_version("t")
+        assert catalog.generation == generation
+        assert optimizer.current_config() is config
+        index = catalog.index_for("t", "a")
+        catalog.materialize_index(index)
+        assert catalog.generation > generation
+        built = optimizer.current_config()
+        assert built is not config and built == {index}
+        generation = catalog.generation
+        catalog.drop_index(index)
+        assert catalog.generation > generation
+        assert optimizer.current_config() == frozenset()
+        generation = catalog.generation
+        catalog.drop_index(index)  # absent: nothing moved
+        assert catalog.generation == generation
+
+    def test_row_moves_leave_the_column_statistics_version(self):
+        catalog = self._catalog()
+        columns, version = catalog.column_stats_version("t"), catalog.stats_version("t")
+        catalog.apply_row_delta("t", 50)
+        catalog.set_row_count("t", 7)
+        assert catalog.column_stats_version("t") == columns
+        assert catalog.stats_version("t") == version + 2
+        catalog.set_stats("t", "a", catalog.stats("t", "a"))
+        assert catalog.column_stats_version("t") == columns + 1
+        assert catalog.stats_version("t") == version + 3
+        assert catalog.bump_stats_version("t") == version + 4
+        assert catalog.column_stats_version("t") == columns + 2
+
+    def test_has_stats_tells_installed_from_fallback(self):
+        catalog = self._catalog()
+        assert catalog.has_stats("t", "a")
+        assert not catalog.has_stats("t", "b")

@@ -115,13 +115,28 @@ class TestViewsMoveTheStatsToken:
         seen = [backend.stats_token("events")]
         small_catalog.materialize_view(_view())
         seen.append(backend.stats_token("events"))
-        small_catalog.materialize_view(_view())  # idempotent, still a bump
+        small_catalog.materialize_view(_view())  # already registered: a no-op
         small_catalog.drop_view(_view())
         seen.append(backend.stats_token("events"))
         small_catalog.drop_view(_view())  # absent: nothing changed
         assert backend.stats_token("events") == seen[-1]
         assert len(set(seen)) == 3
         assert backend.stats_token("users") == other
+
+    def test_registering_an_equal_view_again_keeps_the_retained_cache(
+        self, small_catalog
+    ):
+        backend = LocalBackend(small_catalog)
+        q = _q(small_catalog, self.SQL)
+        small_catalog.materialize_view(_view())
+        for _ in range(2):
+            held = backend.begin_query(q).cache
+        token = backend.stats_token("events")
+        small_catalog.materialize_view(_view())
+        assert backend.stats_token("events") == token
+        assert backend.begin_query(q).cache is held
+        with pytest.raises(ValueError):
+            small_catalog.materialize_view(_view(high=8600))
 
     def test_retained_plan_cache_sees_the_view(self, small_catalog):
         backend = LocalBackend(small_catalog)
