@@ -4,8 +4,8 @@ Persists everything the bandit would otherwise have to re-learn: the
 ridge model (``V``, ``b``), the materialized and hot sets, candidate
 crude-benefit windows, the feature map's read/write EWMA rates, the
 safety-fallback state (live bans and the watched change), and the
-decision-round clock.  Guardrail state rides along exactly as for COLT
-snapshots.
+decision-round clock.  DBA advice and guardrail state ride along
+exactly as for COLT snapshots.
 
 The produced dictionaries are JSON-compatible and carry
 ``"engine": "bandit"`` so :func:`repro.persist.snapshot_any` /
@@ -31,10 +31,12 @@ from repro.persist import (
     SnapshotError,
     _checked_restore,
     _key_text,
+    _parse_index,
     _resolve,
+    _restore_advice_and_guardrails,
     _restore_candidates,
-    _restore_guardrails,
     _restore_materialized,
+    _snapshot_advice_and_guardrails,
     _snapshot_candidates,
 )
 
@@ -44,9 +46,9 @@ ENGINE = "bandit"
 
 def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
     """Serialize a bandit tuner's durable state to a JSON dict."""
-    watch = None
-    if tuner._safety_watch is not None:  # noqa: SLF001 - owner module
-        added, baseline = tuner._safety_watch  # noqa: SLF001
+    safety, watch = tuner.safety, None
+    if safety.watch is not None:
+        added, baseline = safety.watch
         watch = {
             "added": [[ix.table, list(ix.columns)] for ix in added],
             "baseline": baseline,
@@ -68,17 +70,12 @@ def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
             "bans": {
                 _key_text(ix.table, ix.columns): remaining
                 for ix, remaining in sorted(
-                    tuner._safety_bans.values(),  # noqa: SLF001
-                    key=lambda pair: pair[0].name,
+                    safety.bans.values(), key=lambda pair: pair[0].name
                 )
             },
             "watch": watch,
         },
-        **(
-            {"guardrails": tuner.guardrails.to_snapshot()}
-            if tuner.guardrails is not None
-            else {}
-        ),
+        **_snapshot_advice_and_guardrails(tuner),
     }
 
 
@@ -112,7 +109,7 @@ def _restore(
         catalog,
         config,
         store=store,
-        guardrails=_restore_guardrails(catalog, snapshot, observer),
+        **_restore_advice_and_guardrails(catalog, snapshot, observer),
     )
     _restore_materialized(tuner, snapshot["materialized"], store)
     tuner.hot = [
@@ -135,15 +132,12 @@ def _restore(
     )
 
     safety = snapshot.get("safety", {})
-    bans = {}
     for key_text, remaining in safety.get("bans", {}).items():
-        table, _, rest = key_text.partition(":")
-        index = _resolve(catalog, table, rest.split(","))
-        bans[_key(index)] = (index, int(remaining))
-    tuner._safety_bans = bans  # noqa: SLF001
+        index = _parse_index(catalog, key_text)
+        tuner.safety.bans[_key(index)] = (index, int(remaining))
     watch = safety.get("watch")
     if watch:
-        tuner._safety_watch = (  # noqa: SLF001
+        tuner.safety.watch = (
             [_resolve(catalog, t, cols) for t, cols in watch["added"]],
             float(watch["baseline"]),
         )

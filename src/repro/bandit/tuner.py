@@ -22,12 +22,13 @@ Safety rails:
 * **Safety fallback** -- when the observed per-query cost of the round
   following a configuration change regresses past
   ``safety_factor x`` the pre-change cost, the change is reverted and
-  the added arms are banned for a cooldown.
+  the added arms are banned for a cooldown (:class:`SafetyWatch`, a
+  stage of the loop's ruling pipeline).
 
 The class is the bandit engine of the shared
 :class:`~repro.core.loop.TuningLoop` (``run``/``process_query`` frame,
 :class:`QueryOutcome` ledger records, :class:`ReorganizationResult` at
-boundaries, constraint merge, scheduler protocol), so the fleet,
+boundaries, ruling pipeline, scheduler protocol), so the fleet,
 guardrails, CLI, and fault injection drive either engine unchanged.
 """
 
@@ -40,6 +41,7 @@ from repro.bandit.features import FEATURE_DIM, FeatureMap
 from repro.bandit.linucb import RidgeModel
 from repro.core.knapsack import (
     KnapsackItem,
+    Ruling,
     SelectionConstraints,
     solve_constrained,
 )
@@ -75,6 +77,53 @@ class BanditProfile(ProfilerBase):
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(catalog, config, breaker, registry, gain_cache=False)
+
+
+class SafetyWatch:
+    """The bandit's safety fallback: one stage of the close's rulings.
+
+    After a boundary builds arms, the watch holds them against that
+    round's mean observed per-query cost (the bandit's epoch evidence).
+    When the next round costs more than ``factor`` times that, the
+    built arms still in ``M`` are banned for ``cooldown`` closes -- the
+    knapsack drops them, reverting the change.
+
+    Attributes:
+        watch: ``(arms built, baseline cost)`` awaiting judgement.
+        bans: Live bans, ``IndexKey -> (index, closes left)``.
+    """
+
+    def __init__(self, factor: float, cooldown: int, trips) -> None:
+        self.factor = factor
+        self.cooldown = cooldown
+        self.watch: Optional[Tuple[List[IndexDef], float]] = None
+        self.bans: Dict[IndexKey, Tuple[IndexDef, int]] = {}
+        self._trips = trips
+        self._cost = 0.0
+
+    def rulings(self, epoch: int, mean_cost: float, materialized) -> Tuple[Ruling, ...]:
+        """Age the bans, judge the watched change, rule the live bans."""
+        self._cost = mean_cost
+        self.bans = {
+            k: (ix, left - 1) for k, (ix, left) in self.bans.items() if left > 1
+        }
+        if self.watch is not None:
+            added, baseline = self.watch
+            self.watch = None
+            tripped = [ix for ix in added if ix in materialized]
+            if baseline > 0.0 and mean_cost > self.factor * baseline and tripped:
+                for index in tripped:
+                    self.bans[_key(index)] = (index, self.cooldown)
+                self._trips.inc()
+        return tuple(
+            Ruling(ix, "ban", "safety", reason="regressed", until=epoch + left)
+            for ix, left in self.bans.values()
+        )
+
+    def applied(self, reorg: ReorganizationResult) -> None:
+        """Watch the arms this boundary actually built."""
+        added = [ix for ix in reorg.materialize if ix not in reorg.build_failures]
+        self.watch = (added, self._cost) if added and self._cost > 0.0 else None
 
 
 class BanditTuner(TuningLoop):
@@ -120,13 +169,15 @@ class BanditTuner(TuningLoop):
         self._epoch_uses: Dict[IndexKey, int] = {}
         self._epoch_observed_cost = 0.0
         self._epoch_probes = 0
-        # Safety fallback: the last change watched, and live arm bans.
-        self._safety_watch: Optional[Tuple[List[IndexDef], float]] = None
-        self._safety_bans: Dict[IndexKey, Tuple[IndexDef, int]] = {}
         self._prev_solution_value = 0.0
         self._metrics = {
             name: spec.build(self.registry) for name, spec in BANDIT_METRICS.items()
         }
+        self.safety = SafetyWatch(
+            self.config.safety_factor,
+            self.config.safety_cooldown_epochs,
+            self._metrics["bandit_safety_fallbacks_total"],
+        )
         self._m_query_failures = self._metrics["bandit_query_failures_total"]
         self._counted = 0  # read by its family, as in ColtTuner
         self._metrics["bandit_queries_total"].set_function(lambda: self._counted or None)
@@ -271,10 +322,7 @@ class BanditTuner(TuningLoop):
             self._metrics["bandit_reward_samples_total"].inc()
             self._metrics["bandit_reward"].observe(abs(reward))
 
-        # 2. Safety fallback: judge the previous round's change.
-        self._tick_safety(mean_cost)
-
-        # 3. Roll workload state into the next round.
+        # 2. Roll workload state into the next round.
         self.profiler.candidates.roll_epoch(epoch_length)
         self.features.roll_epoch(epoch_length)
         self._epoch_rewards = {}
@@ -284,35 +332,12 @@ class BanditTuner(TuningLoop):
         return mean_cost
 
     def _decide(
-        self, mean_cost: float, constraints: Optional[SelectionConstraints]
+        self, mean_cost: float, constraints: SelectionConstraints
     ) -> ReorganizationResult:
         """Pick the super-arm under the storage budget."""
-        reorg = self._select(constraints or SelectionConstraints(), mean_cost)
+        reorg = self._select(constraints)
         self._epochs_closed += 1
         return reorg
-
-    def _tick_safety(self, mean_cost: float) -> None:
-        """Revert and ban the last change if observed cost regressed."""
-        self._safety_bans = {
-            k: (ix, left - 1)
-            for k, (ix, left) in self._safety_bans.items()
-            if left > 1
-        }
-        if self._safety_watch is None:
-            return
-        added, baseline = self._safety_watch
-        self._safety_watch = None
-        if baseline <= 0.0 or mean_cost <= self.config.safety_factor * baseline:
-            return
-        tripped = [ix for ix in added if ix in self.materialized]
-        if not tripped:
-            return
-        for index in tripped:
-            self._safety_bans[_key(index)] = (
-                index,
-                self.config.safety_cooldown_epochs,
-            )
-        self._metrics["bandit_safety_fallbacks_total"].inc()
 
     def _arm_pool(self) -> List[IndexDef]:
         """Arms for this round: ``M`` plus the best-ranked candidates."""
@@ -330,9 +355,7 @@ class BanditTuner(TuningLoop):
             budget -= 1
         return list(pool.values())
 
-    def _select(
-        self, constraints: SelectionConstraints, mean_cost: float
-    ) -> ReorganizationResult:
+    def _select(self, constraints: SelectionConstraints) -> ReorganizationResult:
         forced = self._epochs_closed < self.config.forced_exploration_epochs
         if forced:
             self._metrics["bandit_forced_exploration_epochs_total"].inc()
@@ -374,9 +397,8 @@ class BanditTuner(TuningLoop):
             scores[_key(index)] = optimistic
             items.append(KnapsackItem(index, costing[2], value))
 
-        merged = self._merge_safety_bans(constraints)
         selected, total_value = solve_constrained(
-            items, self.config.storage_budget_pages, merged
+            items, self.config.storage_budget_pages, constraints
         )
         target = {it.key for it in selected}
         materialize = sorted(
@@ -393,8 +415,6 @@ class BanditTuner(TuningLoop):
         prev = self._prev_solution_value
         ratio = total_value / prev if prev > 1e-9 else 1.0
         self._prev_solution_value = max(total_value, 0.0)
-        if materialize and mean_cost > 0.0:
-            self._safety_watch = (list(materialize), mean_cost)
         self.materialized.update(materialize)
         self.materialized.difference_update(drop)
         return ReorganizationResult(
@@ -405,30 +425,9 @@ class BanditTuner(TuningLoop):
             improvement_ratio=ratio,
         )
 
-    def _merge_safety_bans(
-        self, constraints: SelectionConstraints
-    ) -> SelectionConstraints:
-        bans = [ix for ix, _ in self._safety_bans.values()]
-        if not bans:
-            return constraints
-        pinned = set(constraints.pinned)
-        banned = set(constraints.banned) | {
-            ix for ix in bans if ix not in pinned
-        }
-        return SelectionConstraints(
-            pinned=frozenset(pinned),
-            banned=frozenset(banned),
-            preferred=tuple(
-                (ix, w) for ix, w in constraints.preferred if ix not in banned
-            ),
-        )
-
     def _applied(self, reorg: ReorganizationResult, changed: bool) -> None:
-        # An arm that never got built cannot be judged by the safety watch.
-        if self._safety_watch is not None and reorg.build_failures:
-            watched, baseline = self._safety_watch
-            watched = [ix for ix in watched if ix not in reorg.build_failures]
-            self._safety_watch = (watched, baseline) if watched else None
+        # Nothing to react to: the safety stage watches what was built.
+        pass
 
     def _record_epoch(
         self, reorg: ReorganizationResult, build_cost: float, seconds: float

@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--advice",
         default=None,
         metavar="FILE",
-        help="DBA advice file (pin/ban/prefer lines; requires guardrails on)",
+        help="DBA advice file (pin/ban/prefer lines), applied to every arm",
     )
     pd.add_argument(
         "--compare",
@@ -1138,18 +1138,13 @@ def _run_fleet_status(args) -> None:
             print(f"  replica {replica}: {', '.join(labels)}")
 
 
-def _audit_arm(scenario: str, guardrails: bool, args) -> dict:
+def _audit_arm(scenario: str, guardrails: bool, args, advice) -> dict:
     """Run one guardrail arm of the audit scenario; observed-cost regret."""
     from repro.core.colt import ColtTuner
     from repro.core.config import ColtConfig
     from repro.executor.executor import execute
     from repro.executor.instrument import CountingStore
-    from repro.guardrails import (
-        AdviceBook,
-        ExecutionObserver,
-        GuardrailConfig,
-        GuardrailManager,
-    )
+    from repro.guardrails import ExecutionObserver, GuardrailConfig, GuardrailManager
     from repro.guardrails.verify import observed_cost
     from repro.workload import build_adversarial_store, misleading_workload
 
@@ -1164,17 +1159,15 @@ def _audit_arm(scenario: str, guardrails: bool, args) -> dict:
     workload = misleading_workload(catalog, length=args.queries, seed=args.seed)
     manager = None
     if guardrails:
-        advice = AdviceBook.load(args.advice) if args.advice else None
         manager = GuardrailManager(
-            config=GuardrailConfig(),
-            observer=ExecutionObserver(store),
-            advice=advice,
+            config=GuardrailConfig(), observer=ExecutionObserver(store)
         )
     tuner = ColtTuner(
         catalog,
         ColtConfig(epoch_length=20, storage_budget_pages=200.0),
         store=store,
         guardrails=manager,
+        advice=advice,
     )
     counting = CountingStore(store)
     observed = overhead = 0.0
@@ -1206,8 +1199,11 @@ def _audit_arm(scenario: str, guardrails: bool, args) -> dict:
 def _run_audit(args) -> None:
     import json
 
+    from repro.guardrails import AdviceBook
+
     primary_on = args.guardrails == "on"
-    arm = _audit_arm(args.scenario, primary_on, args)
+    advice = AdviceBook.load(args.advice) if args.advice else None
+    arm = _audit_arm(args.scenario, primary_on, args, advice)
     print(
         f"scenario: {args.scenario} ({args.queries} queries, "
         f"seed {args.seed}); guardrails {'on' if primary_on else 'off'}"
@@ -1247,7 +1243,7 @@ def _run_audit(args) -> None:
         "arms": {("on" if primary_on else "off"): arm},
     }
     if args.compare:
-        other = _audit_arm(args.scenario, not primary_on, args)
+        other = _audit_arm(args.scenario, not primary_on, args, advice)
         document["arms"]["off" if primary_on else "on"] = other
         on_arm = document["arms"]["on"]
         off_arm = document["arms"]["off"]

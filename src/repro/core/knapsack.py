@@ -39,7 +39,7 @@ MAX_EXACT_ITEMS = 24
 
 @dataclasses.dataclass(frozen=True)
 class SelectionConstraints:
-    """DBA / guardrail constraints on one knapsack solve.
+    """The constraints on one knapsack solve (see :func:`constraints_from`).
 
     Keys must compare equal to the ``key`` attribute of the
     :class:`KnapsackItem` objects they constrain (the Self-Organizer
@@ -83,6 +83,61 @@ class SelectionConstraints:
         return dict(self.preferred)
 
 
+#: The constraint set of a close nothing ruled on.
+UNCONSTRAINED = SelectionConstraints()
+
+
+class Ruling(NamedTuple):
+    """One constraint source's word on one index at an epoch close.
+
+    Attributes:
+        index: The index ruled on (a knapsack item key).
+        kind: ``"pin"``, ``"ban"`` or ``"prefer"``.
+        source: Who ruled: ``"dba"`` (advice), ``"quarantine"``
+            (guardrails), ``"rollout"`` / ``"advisory"`` (pushed by a
+            fleet controller) or ``"safety"`` (the bandit's fallback).
+        weight: Value multiplier of a ``prefer`` ruling (> 0).
+        reason: Why, for a reader of the close.
+        until: First epoch close at which the ruling lapses by itself;
+            None while its source keeps it.
+    """
+
+    index: object
+    kind: str
+    source: str
+    weight: float = 1.0
+    reason: str = ""
+    until: Optional[int] = None
+
+
+def constraints_from(rulings: Sequence[Ruling]) -> SelectionConstraints:
+    """Merge every stage's rulings into one knapsack constraint set.
+
+    Pins win; a ban from any source holds unless the index is pinned; a
+    preference holds unless the index is pinned or banned, a DBA
+    preference out-ranking every other source's on the same index
+    (otherwise the first ruling stands).  Preferences are ordered by
+    ``str(key)`` so the result does not depend on set iteration order.
+    """
+    if not rulings:  # most closes
+        return UNCONSTRAINED
+    pinned = frozenset(r.index for r in rulings if r.kind == "pin")
+    banned = frozenset(
+        r.index for r in rulings if r.kind == "ban" and r.index not in pinned
+    )
+    preferred: Dict[object, float] = {}
+    for r in sorted(
+        (r for r in rulings if r.kind == "prefer"), key=lambda r: r.source != "dba"
+    ):
+        if r.index not in pinned and r.index not in banned:
+            preferred.setdefault(r.index, r.weight)
+    return SelectionConstraints(
+        pinned=pinned,
+        banned=banned,
+        preferred=tuple(sorted(preferred.items(), key=lambda kv: str(kv[0]))),
+    )
+
+
 def solve_constrained(
     items: Sequence[KnapsackItem],
     capacity: float,
@@ -100,8 +155,10 @@ def solve_constrained(
 
     Returns:
         (selected items, total value) with pinned items listed first in
-        the order given.
+        the order given; with no constraints, :func:`solve_knapsack`'s.
     """
+    if not constraints:
+        return solve_knapsack(items, capacity, resolution=resolution)
     prefs = constraints.preference_map
     pinned: List[KnapsackItem] = []
     free: List[KnapsackItem] = []

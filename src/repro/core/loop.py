@@ -4,8 +4,10 @@ The paper describes one loop -- per query: optimize, observe within the
 epoch's budget; per epoch: select under the storage budget, apply,
 re-budget (Fig. 2, §5).  :class:`TuningLoop` is that loop, once: it owns
 construction wiring, the per-query frame, the epoch clock, inserts,
-``run``, the guardrail + advisory constraint merge and the scheduler
-apply protocol.  An engine (:class:`~repro.core.colt.ColtTuner`,
+``run``, the close's ruling pipeline (DBA advice, guardrail quarantine,
+pushed rollout bans and co-tuning advice, the engine's safety stage --
+merged once) and the scheduler apply protocol.  An engine
+(:class:`~repro.core.colt.ColtTuner`,
 :class:`~repro.bandit.tuner.BanditTuner`) subclasses it and supplies
 only what differs: how a query is observed and how an epoch's evidence
 becomes a :class:`~repro.core.self_organizer.ReorganizationResult`.
@@ -16,18 +18,19 @@ further engine registers in :mod:`repro.engines`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.backend.base import Backend
 from repro.backend.local import LocalBackend
-from repro.core.knapsack import SelectionConstraints
+from repro.core.knapsack import Ruling, SelectionConstraints, constraints_from
 from repro.core.scheduler import Scheduler, SchedulingPolicy
 from repro.core.self_organizer import ReorganizationResult
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
 from repro.engine.storage import PhysicalStore
-from repro.guardrails.synthesis import synthesize_constraints
+from repro.guardrails.advice import AdviceBook
 from repro.obs.dashboard import OverheadDashboard
 from repro.obs.export import build_snapshot
 from repro.obs.registry import MetricsRegistry
@@ -39,7 +42,8 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import RetryPolicy
 from repro.sql.ast import Query
 
-if TYPE_CHECKING:  # avoid repro.core <-> repro.guardrails import cycle
+if TYPE_CHECKING:  # avoid import cycles
+    from repro.bandit.tuner import SafetyWatch
     from repro.guardrails.manager import GuardrailManager
 
 
@@ -132,12 +136,14 @@ class TuningLoop:
             no-op registry.
         guardrails: Optional :class:`~repro.guardrails.manager.
             GuardrailManager` closing the predict->observe->act loop:
-            per-query observed-cost verification, quarantine of
-            over-promised indexes, and DBA pin/ban/prefer constraints
-            on reorganization.  None (the default) changes nothing.
+            per-query observed-cost verification and quarantine of
+            over-promised indexes.  None (the default) changes nothing.
         backend: DBMS backend answering what-if probes; defaults to a
             :class:`~repro.backend.local.LocalBackend` over ``catalog``
             (the in-python engine).  Must describe the same catalog.
+        advice: DBA pin/ban/prefer directives
+            (:class:`~repro.guardrails.advice.AdviceBook`), resolved
+            against ``catalog`` here and ruled at every close.
 
     Attributes:
         tracer: Span tracer timing queries and epoch closes.
@@ -148,7 +154,7 @@ class TuningLoop:
     ``_record_epoch`` hooks below.  ``_build_engine`` must leave behind
     ``self.profiler`` (exposing ``breaker``, ``candidates`` and
     ``gain_cache``), the sets ``self.materialized`` / ``self.hot`` and a
-    ``self._m_query_failures`` counter.
+    ``self._m_query_failures`` counter; it may set ``self.safety``.
     """
 
     #: Key of this engine in :data:`repro.engines.ENGINES`.
@@ -157,6 +163,8 @@ class TuningLoop:
     config_type: type
     #: What the dashboard's requested/granted/spent columns count.
     budget_label: str
+    #: The engine's safety stage, when it has one (the bandit's).
+    safety: Optional["SafetyWatch"] = None
 
     def __init__(
         self,
@@ -170,6 +178,7 @@ class TuningLoop:
         registry: Optional[MetricsRegistry] = None,
         guardrails: Optional["GuardrailManager"] = None,
         backend: Optional[Backend] = None,
+        advice: Optional[AdviceBook] = None,
     ) -> None:
         self.catalog = catalog
         self.config = config or self.config_type()
@@ -190,13 +199,17 @@ class TuningLoop:
         )
         if fault_injector is not None:
             fault_injector.attach(self)
+        self.advice = advice or AdviceBook()
+        pinned, banned, preferred = self.advice.resolve(catalog)
+        self._advice = (
+            *(Ruling(ix, "pin", "dba", reason="advice") for ix in pinned),
+            *(Ruling(ix, "ban", "dba", reason="advice") for ix in banned),
+            *(Ruling(ix, "prefer", "dba", w, "advice") for ix, w in preferred),
+        )
+        self._pushed: Dict[str, Tuple[Ruling, ...]] = {}
         self.guardrails = guardrails
         if guardrails is not None:
             guardrails.attach(self)
-        # Advisory soft preferences pushed down by an external adviser
-        # (the fleet co-tuning controller); merged with guardrail
-        # constraints at each epoch boundary, pins/bans winning.
-        self._advisory: tuple = ()
 
     # ------------------------------------------------------------------
     # engine hooks
@@ -233,7 +246,7 @@ class TuningLoop:
         raise NotImplementedError
 
     def _decide(
-        self, evidence, constraints: Optional[SelectionConstraints]
+        self, evidence, constraints: SelectionConstraints
     ) -> ReorganizationResult:
         """Select the next configuration; updates ``materialized``/``hot``."""
         raise NotImplementedError
@@ -253,19 +266,25 @@ class TuningLoop:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def set_advisory(self, preferred) -> None:
-        """Install advisory ``(IndexDef, weight)`` soft preferences.
+    def push_rulings(self, source: str, rulings) -> None:
+        """Replace the rulings a fleet controller keeps on this tuner.
 
-        Used by the fleet's co-tuning loop to bias this replica's
-        knapsack toward its workload partition.  The partition's
-        footprint is also seeded into the candidate tracker so the
-        engine can credit it without waiting for the miner.  Passing
-        an empty sequence clears stale advice.
+        The coordinator's staged rollout pushes ``"rollout"`` bans, the
+        co-tuning loop ``"advisory"`` preferences for this replica's
+        workload partition; every close rules them until the next push
+        under the same source (an empty one withdraws them).  Preferred
+        indexes are seeded into the candidate tracker so the engine can
+        credit them without waiting for the miner.
         """
-        self._advisory = tuple(
-            sorted(preferred, key=lambda kv: str(kv[0]))
+        self._pushed[source] = tuple(sorted(rulings, key=lambda r: str(r.index)))
+        self.profiler.candidates.seed(
+            r.index for r in self._pushed[source] if r.kind == "prefer"
         )
-        self.profiler.candidates.seed(ix for ix, _ in self._advisory)
+
+    @property
+    def standing_rulings(self) -> Tuple[Ruling, ...]:
+        """The rulings in force between closes: DBA advice, then pushed."""
+        return (*self._advice, *itertools.chain.from_iterable(self._pushed.values()))
 
     @property
     def materialized_set(self) -> List[IndexDef]:
@@ -477,24 +496,26 @@ class TuningLoop:
         started = time.perf_counter()
         with self.tracer.span("epoch_close", epoch=epoch):
             evidence = self._digest_epoch()
-            constraints = None
-            decisions = None
+            # The stages, in order: DBA advice; guardrail quarantine (a
+            # fresh admission is already a ban at this boundary, so the
+            # index falls out of the selection and is dropped); what the
+            # fleet pushed; the engine's safety stage.  One merge.
+            quarantine, quarantined, released = (), [], []
             if self.guardrails is not None:
-                # Guardrail verdicts land first, so a fresh quarantine
-                # is already a hard ban for this boundary's knapsack
-                # (the banned index falls out of the selection and is
-                # dropped).
-                decisions = self.guardrails.end_epoch(self.materialized)
-                constraints = self.guardrails.constraints() or None
-            # Advisory co-tuning preferences are soft and never override
-            # pins/bans; with no advisory installed this is a no-op, so
-            # the cotune-off path stays bit-identical.
-            constraints = synthesize_constraints(constraints, self._advisory)
-            reorg = self._decide(evidence, constraints)
-            if decisions is not None:
-                reorg.quarantined = decisions.quarantined
-                reorg.released = decisions.released
+                quarantine, quarantined, released = self.guardrails.end_epoch(
+                    self.materialized, epoch
+                )
+            safety = ()
+            if self.safety is not None:
+                safety = self.safety.rulings(epoch, evidence, self.materialized)
+            pushed = itertools.chain.from_iterable(self._pushed.values())
+            rulings = (*self._advice, *quarantine, *pushed, *safety)
+            reorg = self._decide(evidence, constraints_from(rulings))
+            reorg.rulings = rulings
+            reorg.quarantined, reorg.released = quarantined, released
             build_cost = self._apply(reorg)
+            if self.safety is not None:
+                self.safety.applied(reorg)
         self._record_epoch(reorg, build_cost, time.perf_counter() - started)
         self.dashboard.record(
             requested=requested,

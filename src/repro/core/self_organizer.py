@@ -25,11 +25,13 @@ from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.core.candidates import _smoothed_benefit
 from repro.core.config import ColtConfig
 from repro.core.forecast import BenefitHistory
-from repro.core.knapsack import (
+from repro.core.knapsack import (  # solve_knapsack: perf/layers.py patches it here
+    UNCONSTRAINED,
     KnapsackItem,
+    Ruling,
     SelectionConstraints,
     solve_constrained,
-    solve_knapsack,
+    solve_knapsack,  # noqa: F401
 )
 from repro.core.profiler import Profiler, _name
 from repro.core.window_tuner import ForecastWindowTuner
@@ -127,6 +129,8 @@ class ReorganizationResult:
             they also appear in ``drop``.
         released: Indexes the guardrails released from quarantine at
             this boundary.
+        rulings: Every stage's rulings the selection was made under, in
+            stage order (see :meth:`repro.core.loop.TuningLoop._end_epoch`).
     """
 
     materialize: List[IndexDef]
@@ -140,6 +144,7 @@ class ReorganizationResult:
     breaker_state: str = "closed"
     quarantined: List[IndexDef] = dataclasses.field(default_factory=list)
     released: List[IndexDef] = dataclasses.field(default_factory=list)
+    rulings: Tuple[Ruling, ...] = ()
 
 
 class SelfOrganizer:
@@ -213,7 +218,7 @@ class SelfOrganizer:
         tracked: List[IndexRecord],
         profiler: Profiler,
         inserts: Optional[Dict[str, int]] = None,
-        constraints: Optional[SelectionConstraints] = None,
+        constraints: SelectionConstraints = UNCONSTRAINED,
     ) -> ReorganizationResult:
         """Run one reorganization + re-budgeting step.
 
@@ -226,11 +231,10 @@ class SelfOrganizer:
                 write-aware extension); indexes on write-hot tables get
                 their forecasted maintenance cost charged against
                 NetBenefit.
-            constraints: Optional guardrail/DBA constraints on both
-                knapsack solves: pinned indexes are forced into ``M``,
-                banned ones (advice bans, quarantine, rollout staging)
-                are excluded from selection and from hot promotion,
-                preferred ones get their NetBenefit scaled.
+            constraints: The close's merged rulings, on both knapsack
+                solves: pinned indexes are forced into ``M``, banned
+                ones are excluded from selection and from hot
+                promotion, preferred ones get their NetBenefit scaled.
 
         Returns:
             The decisions for the next epoch.  The caller (the tuner)
@@ -246,7 +250,7 @@ class SelfOrganizer:
         else:
             horizon = config.effective_forecast_window
         params = self._catalog.params
-        pinned = constraints.pinned if constraints is not None else ()
+        pinned = constraints.pinned
 
         # --- The boundary table ---------------------------------------
         # The tracked records plus those of pinned indexes outside
@@ -298,8 +302,7 @@ class SelfOrganizer:
         # --- Hot set selection ----------------------------------------
         # A banned index must not be promoted hot either: profiling it
         # would spend what-if budget on an unselectable index.
-        hot_exclude = new_m if constraints is None else new_m | constraints.banned
-        promoted = self._select_hot(profiler, hot_exclude)
+        promoted = self._select_hot(profiler, new_m | constraints.banned)
         new_hot = {rec.index for rec in promoted}
         fresh = [rec for rec in promoted if rec not in rows]
         if fresh:
@@ -430,14 +433,12 @@ class SelfOrganizer:
     def _solve(
         self,
         items: List[KnapsackItem],
-        constraints: Optional[SelectionConstraints],
+        constraints: SelectionConstraints,
     ) -> Tuple[List[IndexDef], float]:
-        capacity = self._config.storage_budget_pages
         started = time.perf_counter()
-        if constraints:
-            selected, total = solve_constrained(items, capacity, constraints)
-        else:
-            selected, total = solve_knapsack(items, capacity)
+        selected, total = solve_constrained(
+            items, self._config.storage_budget_pages, constraints
+        )
         self._m_knapsack.observe(time.perf_counter() - started)
         return [item.key for item in selected], total
 

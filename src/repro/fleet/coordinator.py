@@ -220,8 +220,7 @@ class FleetCoordinator:
             guardrail manager (observed-cost verification, quarantine)
             and the coordinator stages new indexes through a canary
             replica before fleet-wide promotion.
-        advice: Optional DBA advice applied to every replica's
-            guardrail manager (requires ``guardrails``).
+        advice: Optional DBA advice applied to every replica's tuner.
         engine: Name of the tuning engine every replica runs (a key of
             :data:`repro.engines.ENGINES`); a ``ColtConfig`` is still
             what parameterizes the fleet (other engines derive a
@@ -292,8 +291,6 @@ class FleetCoordinator:
             raise ValueError("n_replicas must be positive")
         if fleet_epoch_length < 1:
             raise ValueError("fleet_epoch_length must be positive")
-        if advice is not None and guardrails is None:
-            raise ValueError("advice requires guardrails to be enabled")
         engine_spec(engine)  # ValueError for a name the table lacks
         registry = registry if registry is not None else MetricsRegistry()
         config = config or ColtConfig()
@@ -302,9 +299,7 @@ class FleetCoordinator:
             breaker = breakers[i] if breakers else None
             injector = fault_injectors[i] if fault_injectors else None
             manager = (
-                GuardrailManager(config=guardrails, advice=advice)
-                if guardrails is not None
-                else None
+                GuardrailManager(config=guardrails) if guardrails is not None else None
             )
             replicas.append(
                 TunerReplica(
@@ -317,6 +312,7 @@ class FleetCoordinator:
                     guardrails=manager,
                     engine=engine,
                     backend_factory=backend_factory,
+                    advice=advice,
                 )
             )
         rollout: Optional[RolloutController] = None

@@ -17,10 +17,11 @@ cluster-and-tune iteration run at fleet epoch boundaries:
    replica left the active set.
 2. **Specialize** each replica toward its partition: at every boundary
    the controller pushes advisory soft preferences (the partition's
-   index footprint, weighted) down to the replica's tuner, where they
-   are merged with guardrail constraints (pins and bans always win --
-   see :func:`repro.guardrails.synthesis.synthesize_constraints`) and
-   bias the knapsack; the same footprint seeds the replica's candidate
+   index footprint, weighted) down to the replica's tuner as
+   ``"advisory"`` rulings, which the close merges with every other
+   stage's (pins, bans and DBA preferences win -- see
+   :func:`repro.core.knapsack.constraints_from`) and which bias the
+   knapsack; the same footprint seeds the replica's candidate
    tracker so freshly migrated partitions are minable immediately.
 3. **Route** every arriving query to its partition's replica (a pure
    dictionary lookup, overriding the base router mid-epoch), and
@@ -59,8 +60,8 @@ from typing import (
 )
 
 from repro.core.gaincache import query_signature
+from repro.core.knapsack import Ruling
 from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.fleet.router import DEFAULT_PROBE_BUDGET, MIN_PROBE_BUDGET
 from repro.sql.ast import Query
 
@@ -266,8 +267,8 @@ def assign_partitions(
 
 def resolve_advisory(
     catalog: Catalog, payload: Sequence[Tuple[str, Sequence[str], float]]
-) -> List[Tuple[IndexDef, float]]:
-    """Resolve a serialized advisory payload against a replica catalog.
+) -> List[Ruling]:
+    """Resolve a serialized advisory payload into ``"advisory"`` rulings.
 
     Payload entries are ``(table, columns, weight)`` -- the wire format
     the worker fleet ships over the pipe (``IndexDef`` objects must be
@@ -275,7 +276,7 @@ def resolve_advisory(
     structures behave).  Entries naming unknown tables or columns are
     skipped: advice is advisory.
     """
-    resolved: List[Tuple[IndexDef, float]] = []
+    resolved: List[Ruling] = []
     for table, columns, weight in payload:
         if not catalog.has_table(table):
             continue
@@ -286,7 +287,7 @@ def resolve_advisory(
             index = catalog.index_for(table, columns[0])
         else:
             index = catalog.composite_index_for(table, list(columns))
-        resolved.append((index, weight))
+        resolved.append(Ruling(index, "prefer", "advisory", weight, "partition"))
     return resolved
 
 

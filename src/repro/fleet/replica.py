@@ -89,7 +89,9 @@ class TunerReplica:
             merged under a ``replica`` label); ignored when ``tuner``
             is pre-built.
         guardrails: Optional per-replica guardrail manager forwarded to
-            the tuner (verification, quarantine, rollout bans); ignored
+            the tuner (verification, quarantine); ignored when ``tuner``
+            is pre-built.
+        advice: Optional DBA advice forwarded to the tuner; ignored
             when ``tuner`` is pre-built.
         engine: Name of the tuning engine to construct (a key of
             :data:`repro.engines.ENGINES`; its configuration is derived
@@ -113,6 +115,7 @@ class TunerReplica:
         guardrails=None,
         engine: str = "colt",
         backend_factory=None,
+        advice=None,
     ) -> None:
         self.replica_id = replica_id
         self.catalog = catalog
@@ -127,6 +130,7 @@ class TunerReplica:
                 backend=(
                     backend_factory(catalog) if backend_factory is not None else None
                 ),
+                advice=advice,
             )
         self.tuner = tuner
         self.stats = ReplicaStats()
@@ -194,7 +198,7 @@ class TunerReplica:
         replica's own catalog so identity-keyed tuner structures see its
         ``IndexDef`` objects.
         """
-        self.tuner.set_advisory(resolve_advisory(self.catalog, payload))
+        self.tuner.push_rulings("advisory", resolve_advisory(self.catalog, payload))
 
     def snapshot(self) -> Dict:
         """The tuner's durable state (:func:`repro.persist.snapshot_any`)."""

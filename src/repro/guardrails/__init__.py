@@ -4,17 +4,14 @@ Closes the predict->observe->act loop around COLT's what-if-driven
 decisions: observed-cost verification per materialized index
 (:mod:`repro.guardrails.verify`), breaker-backed quarantine for indexes
 that failed it (:mod:`repro.guardrails.quarantine`), DBA pin/ban/prefer
-advice (:mod:`repro.guardrails.advice`), canary-first fleet rollout
-(:mod:`repro.guardrails.rollout`), all orchestrated per tuner by the
+advice (:mod:`repro.guardrails.advice`, resolved by the tuner itself),
+canary-first fleet rollout (:mod:`repro.guardrails.rollout`); verification
+and quarantine are orchestrated per tuner by the
 :class:`~repro.guardrails.manager.GuardrailManager`.
 """
 
 from repro.guardrails.advice import AdviceBook, AdviceDirective, AdviceError
-from repro.guardrails.manager import (
-    GuardrailConfig,
-    GuardrailDecisions,
-    GuardrailManager,
-)
+from repro.guardrails.manager import GuardrailConfig, GuardrailManager
 from repro.guardrails.quarantine import Quarantine, QuarantineEntry
 from repro.guardrails.rollout import (
     RolloutController,
@@ -39,7 +36,6 @@ __all__ = [
     "CostObserver",
     "ExecutionObserver",
     "GuardrailConfig",
-    "GuardrailDecisions",
     "GuardrailManager",
     "IndexVerifier",
     "Observation",

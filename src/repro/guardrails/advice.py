@@ -92,7 +92,7 @@ def parse_directive(line: str) -> AdviceDirective:
 
 
 class AdviceBook:
-    """The resolved set of directives a guardrail manager enforces.
+    """The resolved set of directives a tuner enforces at every close.
 
     Duplicate directives for the same index collapse (last one wins per
     verb); a pin and a ban for the same index is a contradiction and

@@ -1,13 +1,11 @@
-"""The guardrail manager: verification, quarantine, and advice, wired.
+"""The guardrail manager: verification and quarantine, wired.
 
-One :class:`GuardrailManager` rides along with one
-:class:`~repro.core.colt.ColtTuner`.  Per query it spends a bounded
-number of verification probes on the materialized indexes the chosen
-plan actually used; per epoch it turns REGRESSED verdicts into
-quarantine admissions and hands the Self-Organizer a
-:class:`~repro.core.knapsack.SelectionConstraints` combining DBA advice
-(pin/ban/prefer) with quarantine hard bans and any fleet-rollout bans
-the coordinator pushed down.
+One :class:`GuardrailManager` rides along with one tuner.  Per query it
+spends a bounded number of verification probes on the materialized
+indexes the chosen plan actually used; per epoch it turns REGRESSED
+verdicts into quarantine admissions and rules a hard ban on every index
+the quarantine holds -- the quarantine stage of the close's ruling
+pipeline (:meth:`repro.core.loop.TuningLoop._end_epoch`).
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.knapsack import SelectionConstraints
+from repro.core.knapsack import Ruling
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
-from repro.guardrails.advice import AdviceBook
 from repro.guardrails.quarantine import Quarantine
 from repro.guardrails.verify import (
     CostObserver,
@@ -27,7 +24,6 @@ from repro.guardrails.verify import (
     Verdict,
 )
 from repro.obs.names import GUARDRAIL_METRICS
-from repro.obs.registry import MetricsRegistry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,21 +78,6 @@ class GuardrailConfig:
         return cls(**data)
 
 
-@dataclasses.dataclass
-class GuardrailDecisions:
-    """What the guardrails did at one epoch boundary.
-
-    Attributes:
-        quarantined: Indexes admitted (or re-admitted) to quarantine
-            this boundary; COLT must drop them.
-        released: Indexes released from quarantine this boundary
-            (parole verification passed, or parole expired unused).
-    """
-
-    quarantined: List[IndexDef] = dataclasses.field(default_factory=list)
-    released: List[IndexDef] = dataclasses.field(default_factory=list)
-
-
 class GuardrailManager:
     """Per-tuner guardrail state machine.
 
@@ -105,72 +86,51 @@ class GuardrailManager:
         observer: How observed costs are priced; defaults to
             :class:`~repro.guardrails.verify.PlanCostObserver` (pure
             cost-model mode, decisions provably unchanged).
-        advice: DBA pin/ban/prefer directives; resolved against the
-            tuner's catalog at :meth:`attach` time.
     """
 
     def __init__(
         self,
         config: Optional[GuardrailConfig] = None,
         observer: Optional[CostObserver] = None,
-        advice: Optional[AdviceBook] = None,
     ) -> None:
         self.config = config or GuardrailConfig()
         self.observer = observer or PlanCostObserver()
-        self.advice = advice or AdviceBook()
         self.verifier = IndexVerifier(
             window=self.config.verify_window,
             quarantine_ratio=self.config.quarantine_ratio,
             min_predicted_fraction=self.config.min_predicted_fraction,
         )
         self.quarantine = Quarantine(cooldown_epochs=self.config.quarantine_epochs)
-        self._pinned: List[IndexDef] = []
-        self._banned: List[IndexDef] = []
-        self._preferred: List[Tuple[IndexDef, float]] = []
-        self._rollout_bans: List[IndexDef] = []
         self._epoch_probes = 0
+        self._tuner = None
         self._backend = None
-        self._catalog: Optional[Catalog] = None
         self._metrics: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     def attach(self, tuner) -> None:
-        """Bind to a tuner: resolve advice, register metrics.
+        """Bind to a tuner and register metrics.
 
         Called by :class:`~repro.core.loop.TuningLoop` when constructed
-        with a guardrail manager.
+        with a guardrail manager.  The tuner's standing rulings (DBA
+        advice, rollout bans) count into the pinned/banned gauges and
+        mark the :meth:`audit` rows.
         """
-        self._catalog = tuner.catalog
+        self._tuner = tuner
         self._backend = tuner.backend
-        self._pinned, self._banned, self._preferred = self.advice.resolve(
-            tuner.catalog
-        )
-        self._build_metrics(tuner.registry)
-
-    def _build_metrics(self, registry: MetricsRegistry) -> None:
         self._metrics = {
-            name: spec.build(registry) for name, spec in GUARDRAIL_METRICS.items()
+            name: spec.build(tuner.registry) for name, spec in GUARDRAIL_METRICS.items()
         }
-        self._metrics["guardrail_pinned_indexes"].set(len(self._pinned))
-        self._refresh_gauges()
 
-    def _refresh_gauges(self) -> None:
-        if self._metrics is None:
-            return
-        self._metrics["guardrail_quarantined_indexes"].set(len(self.quarantine))
-        self._metrics["guardrail_banned_indexes"].set(
-            len(self._banned) + len(self.quarantine.blocked()) + len(self._rollout_bans)
+        def standing(kind: str) -> int:
+            return sum(1 for r in tuner.standing_rulings if r.kind == kind)
+
+        self._metrics["guardrail_pinned_indexes"].set_function(lambda: standing("pin"))
+        self._metrics["guardrail_quarantined_indexes"].set_function(
+            lambda: len(self.quarantine)
         )
-
-    @property
-    def pinned(self) -> List[IndexDef]:
-        """Advice-pinned indexes (resolved; empty before attach)."""
-        return list(self._pinned)
-
-    @property
-    def banned(self) -> List[IndexDef]:
-        """Advice-banned indexes (resolved; empty before attach)."""
-        return list(self._banned)
+        self._metrics["guardrail_banned_indexes"].set_function(
+            lambda: standing("ban") + len(self.quarantine.blocked())
+        )
 
     # ------------------------------------------------------------------
     def observe_query(self, session, materialized: Iterable[IndexDef]) -> Tuple[int, float]:
@@ -231,27 +191,33 @@ class GuardrailManager:
         return calls, charge
 
     # ------------------------------------------------------------------
-    def end_epoch(self, materialized: Iterable[IndexDef]) -> GuardrailDecisions:
-        """Advance quarantine clocks and act on fresh verdicts.
+    def end_epoch(
+        self, materialized: Iterable[IndexDef], epoch: int
+    ) -> Tuple[Tuple[Ruling, ...], List[IndexDef], List[IndexDef]]:
+        """Advance quarantine clocks, act on fresh verdicts, and rule.
 
-        REGRESSED indexes still in ``M`` (and not pinned) are admitted
-        to quarantine -- the caller must drop them; parolees that were
-        re-materialized and re-verified clean are released.
+        REGRESSED indexes still in ``M`` (and not pinned by the tuner's
+        DBA advice) are admitted to quarantine -- the ban ruled on them
+        drops them; parolees that were re-materialized and re-verified
+        clean are released.
+
+        Returns:
+            (a ``"quarantine"`` ban per index the quarantine holds, the
+            indexes admitted this boundary, the indexes released this
+            boundary -- parole verified, or expired unused).
         """
         mat = set(materialized)
-        decisions = GuardrailDecisions()
-        decisions.released.extend(self.quarantine.tick_epoch(mat))
-        pinned_keys = {(ix.table, ix.columns) for ix in self._pinned}
+        released = self.quarantine.tick_epoch(mat)
+        quarantined: List[IndexDef] = []
+        pinned = {r.index for r in self._tuner.standing_rulings if r.kind == "pin"}
         for state in list(self.verifier.states):
             if state.verdict is not Verdict.REGRESSED:
                 continue
-            if state.index not in mat:
-                continue
-            if (state.index.table, state.index.columns) in pinned_keys:
+            if state.index not in mat or state.index in pinned:
                 continue
             self.quarantine.admit(state.index, state.ratio or 0.0)
             self.verifier.reset(state.index)
-            decisions.quarantined.append(state.index)
+            quarantined.append(state.index)
         for entry in list(self.quarantine.entries):
             if (
                 entry.state == "parole"
@@ -259,42 +225,22 @@ class GuardrailManager:
                 and self.verifier.verdict_for(entry.index) is Verdict.VERIFIED
             ):
                 self.quarantine.clear(entry.index)
-                decisions.released.append(entry.index)
+                released.append(entry.index)
         self._epoch_probes = 0
-        if self._metrics is not None:
-            self._metrics["guardrail_quarantines_total"].inc(
-                len(decisions.quarantined)
+        self._metrics["guardrail_quarantines_total"].inc(len(quarantined))
+        self._metrics["guardrail_releases_total"].inc(len(released))
+        rulings = tuple(
+            Ruling(
+                entry.index,
+                "ban",
+                "quarantine",
+                reason=f"observed/predicted {entry.ratio:.2f}, strike {entry.strikes}",
+                until=epoch + entry.cooldown_remaining,
             )
-            self._metrics["guardrail_releases_total"].inc(len(decisions.released))
-            self._refresh_gauges()
-        return decisions
-
-    def constraints(self) -> SelectionConstraints:
-        """The combined knapsack constraints in force right now."""
-        pinned = frozenset(self._pinned)
-        banned = frozenset(
-            ix
-            for ix in (*self._banned, *self.quarantine.blocked(), *self._rollout_bans)
-            if ix not in pinned
+            for entry in self.quarantine.entries
+            if entry.state == "quarantined"
         )
-        preferred = tuple(
-            (ix, weight)
-            for ix, weight in self._preferred
-            if ix not in pinned and ix not in banned
-        )
-        return SelectionConstraints(
-            pinned=pinned, banned=banned, preferred=preferred
-        )
-
-    def set_rollout_bans(self, indexes: Iterable[IndexDef]) -> None:
-        """Replace the coordinator-pushed rollout bans (canary staging)."""
-        self._rollout_bans = sorted(set(indexes), key=str)
-        self._refresh_gauges()
-
-    @property
-    def rollout_bans(self) -> List[IndexDef]:
-        """Indexes banned on this tuner pending canary verification."""
-        return list(self._rollout_bans)
+        return rulings, quarantined, released
 
     def on_drop(self, indexes: Iterable[IndexDef]) -> None:
         """Forget verification evidence for indexes leaving ``M``."""
@@ -310,7 +256,8 @@ class GuardrailManager:
         """Per-index guardrail report rows (the ``audit`` CLI's data).
 
         Covers every index that is materialized, tracked by the
-        verifier, in quarantine, or named by advice.
+        verifier, in quarantine, or named by one of the tuner's standing
+        rulings.
         """
         mat = {(ix.table, ix.columns): ix for ix in materialized}
         rows: Dict[Tuple[str, Tuple[str, ...]], Dict] = {}
@@ -359,14 +306,14 @@ class GuardrailManager:
                 "cooldown_remaining": entry.cooldown_remaining,
                 "parole_ticks": entry.parole_ticks,
             }
-        for index in self._pinned:
-            row_for(index)["pinned"] = True
-        for index in self._banned:
-            row_for(index)["banned"] = True
-        for index, weight in self._preferred:
-            row_for(index)["preferred_weight"] = weight
-        for index in self._rollout_bans:
-            row_for(index)["banned"] = True
+        standing = self._tuner.standing_rulings if self._tuner is not None else ()
+        for ruling in standing:
+            row = row_for(ruling.index)
+            if ruling.kind == "prefer":
+                if row["preferred_weight"] is None:
+                    row["preferred_weight"] = ruling.weight
+            else:
+                row["pinned" if ruling.kind == "pin" else "banned"] = True
         return [rows[key] for key in sorted(rows)]
 
     # ------------------------------------------------------------------
@@ -374,7 +321,6 @@ class GuardrailManager:
         """JSON-compatible serialization of all guardrail state."""
         return {
             "config": self.config.to_dict(),
-            "advice": self.advice.to_snapshot(),
             "quarantine": self.quarantine.to_snapshot(),
             "verifier": self.verifier.to_snapshot(),
             "epoch_probes": self._epoch_probes,
@@ -393,9 +339,7 @@ class GuardrailManager:
         store); pass one explicitly or accept the plan-cost default.
         """
         manager = cls(
-            config=GuardrailConfig.from_dict(data["config"]),
-            observer=observer,
-            advice=AdviceBook.from_snapshot(data.get("advice", [])),
+            config=GuardrailConfig.from_dict(data["config"]), observer=observer
         )
         manager.quarantine = Quarantine.from_snapshot(data["quarantine"], catalog)
         manager.verifier.restore(data.get("verifier", []), catalog)

@@ -7,9 +7,8 @@ fleet regresses together.  The :class:`RolloutController` (driven by the
 boundaries) stages each *new* index:
 
 1. **CANARY** -- the first replica to materialize the index keeps it;
-   every other replica gets a rollout ban (pushed into its
-   :class:`~repro.guardrails.manager.GuardrailManager`), so its knapsack
-   cannot select the index yet.
+   every other replica gets a rollout ban (a ``"rollout"`` ruling pushed
+   onto its tuner), so its knapsack cannot select the index yet.
 2. The canary's guardrails verify the index against observed cost.
    **VERIFIED** promotes the rollout: bans lift fleet-wide and the
    index joins the baseline.  **REGRESSED** (or quarantine on the
@@ -20,7 +19,7 @@ boundaries) stages each *new* index:
    rollout is cancelled (a later materialization starts a fresh one).
 
 Bans are *recomputed wholesale* every reconcile and pushed with
-``set_rollout_bans`` -- idempotent, so restores and replays converge.
+``push_rulings`` -- idempotent, so restores and replays converge.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import dataclasses
 import enum
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.knapsack import Ruling
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
 from repro.guardrails.verify import Verdict
@@ -259,22 +259,19 @@ class RolloutController:
 
     def _push_bans(self, replicas) -> None:
         for r in replicas:
-            manager = getattr(r.tuner, "guardrails", None)
-            if manager is None:
-                continue
             bans = []
             for rec in self._records.values():
                 if (
                     rec.stage is RolloutStage.CANARY
                     and r.replica_id != rec.canary_id
                 ):
-                    bans.append(rec.index)
+                    bans.append(Ruling(rec.index, "ban", "rollout", reason="canary"))
                 elif (
                     rec.stage is RolloutStage.ROLLED_BACK
                     and rec.cooldown_remaining > 0
                 ):
-                    bans.append(rec.index)
-            manager.set_rollout_bans(bans)
+                    bans.append(Ruling(rec.index, "ban", "rollout", reason="rollback"))
+            r.tuner.push_rulings("rollout", bans)
 
     # ------------------------------------------------------------------
     def to_snapshot(self) -> Dict:

@@ -46,6 +46,7 @@ from repro.core.config import ColtConfig, stored_config
 from repro.core.forecast import BenefitHistory
 from repro.engine.catalog import Catalog
 from repro.engine.storage import PhysicalStore
+from repro.guardrails.advice import AdviceBook
 from repro.guardrails.manager import GuardrailManager
 from repro.guardrails.verify import CostObserver
 
@@ -65,7 +66,7 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
     When a guardrail manager is attached its state rides along under a
     ``"guardrails"`` key (additive -- snapshots without it restore to a
     guardrail-free tuner), so a restart cannot amnesty a quarantined
-    index.
+    index; DBA advice, when there is any, under an ``"advice"`` key.
     """
     records = tuner.self_organizer.records()
     return {
@@ -97,11 +98,7 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
         },
         "candidates": _snapshot_candidates(tuner),
         "whatif_budget": tuner.profiler.whatif_budget,
-        **(
-            {"guardrails": tuner.guardrails.to_snapshot()}
-            if tuner.guardrails is not None
-            else {}
-        ),
+        **_snapshot_advice_and_guardrails(tuner),
     }
 
 
@@ -117,8 +114,10 @@ def restore_tuner(
     when a physical store is given, physically rebuilt) without charging
     build cost -- they already exist on disk in the scenario this models.
     A snapshot carrying guardrail state gets its guardrail manager back,
-    quarantine clocks and all; ``observer`` re-attaches a live cost
-    observer (observers hold stores and never serialize).
+    quarantine clocks and all, and its DBA advice (also from the
+    guardrail block, where older snapshots kept it); ``observer``
+    re-attaches a live cost observer (observers hold stores and never
+    serialize).
 
     Raises:
         SnapshotError: on version or engine-tag mismatch, references to
@@ -167,7 +166,7 @@ def _restore_tuner(
         catalog,
         config,
         store=store,
-        guardrails=_restore_guardrails(catalog, snapshot, observer),
+        **_restore_advice_and_guardrails(catalog, snapshot, observer),
     )
     so = tuner.self_organizer
     _restore_materialized(tuner, snapshot["materialized"], store)
@@ -380,15 +379,32 @@ def _parse_index(catalog: Catalog, text: str):
     return _resolve(catalog, table, rest.split(","))
 
 
-def _restore_guardrails(
+def _snapshot_advice_and_guardrails(tuner) -> Dict:
+    """The ``"guardrails"`` and ``"advice"`` keys a tuner has state for."""
+    keys = {}
+    if tuner.guardrails is not None:
+        keys["guardrails"] = tuner.guardrails.to_snapshot()
+    if len(tuner.advice):
+        keys["advice"] = tuner.advice.to_snapshot()
+    return keys
+
+
+def _restore_advice_and_guardrails(
     catalog: Catalog, snapshot: Dict, observer: Optional[CostObserver]
-) -> Optional[GuardrailManager]:
-    """The snapshot's guardrail manager, quarantine clocks and all."""
-    if "guardrails" not in snapshot:
-        return None
-    return GuardrailManager.from_snapshot(
-        snapshot["guardrails"], catalog, observer=observer
-    )
+) -> Dict:
+    """``guardrails=`` / ``advice=`` for the restored tuner.
+
+    Snapshots written before advice moved onto the tuner keep it in the
+    guardrail block.
+    """
+    guardrails = snapshot.get("guardrails")
+    lines = snapshot.get("advice", (guardrails or {}).get("advice", []))
+    return {
+        "guardrails": None
+        if guardrails is None
+        else GuardrailManager.from_snapshot(guardrails, catalog, observer=observer),
+        "advice": AdviceBook.from_snapshot(lines),
+    }
 
 
 def _restore_materialized(tuner, entries, store: Optional[PhysicalStore]) -> None:

@@ -99,13 +99,13 @@ class TestRoundtrip:
 
         tuner = _trained_bandit(small_catalog)
         ix = IndexDef("events", "user_id", DataType.INT)
-        tuner._safety_bans[_key(ix)] = (ix, 3)
-        tuner._safety_watch = ([ix], 42.0)
+        tuner.safety.bans[_key(ix)] = (ix, 3)
+        tuner.safety.watch = ([ix], 42.0)
         snap = snapshot_bandit_tuner(tuner)
         restored = restore_bandit_tuner(build_small_catalog(), snap)
-        assert _key(ix) in restored._safety_bans
-        assert restored._safety_bans[_key(ix)][1] == 3
-        watched, baseline = restored._safety_watch
+        assert _key(ix) in restored.safety.bans
+        assert restored.safety.bans[_key(ix)][1] == 3
+        watched, baseline = restored.safety.watch
         assert baseline == 42.0
         assert [str(w) for w in watched] == [str(ix)]
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.bandit import BanditConfig, BanditTuner
 from repro.bandit.tuner import _key
+from repro.core.knapsack import Ruling
+from repro.core.self_organizer import ReorganizationResult
 from repro.engine.datatypes import DataType
 from repro.engine.index import IndexDef
 from repro.obs.registry import MetricsRegistry
@@ -126,6 +128,8 @@ class TestInserts:
 
 
 class TestSafetyFallback:
+    """The safety stage (``tuner.safety``) as the close runs it."""
+
     def _index(self):
         return IndexDef("events", "user_id", DataType.INT)
 
@@ -133,39 +137,60 @@ class TestSafetyFallback:
         tuner = _make_tuner(small_catalog)
         ix = self._index()
         tuner.materialized.add(ix)
-        tuner._safety_watch = ([ix], 10.0)
+        tuner.safety.watch = ([ix], 10.0)
         # safety_factor defaults to 1.5: 100 > 1.5 * 10 trips the rail.
-        tuner._tick_safety(100.0)
-        assert _key(ix) in tuner._safety_bans
-        _, remaining = tuner._safety_bans[_key(ix)]
-        assert remaining == tuner.config.safety_cooldown_epochs
-        assert tuner._safety_watch is None
+        rulings = tuner.safety.rulings(7, 100.0, tuner.materialized)
+        cooldown = tuner.config.safety_cooldown_epochs
+        assert rulings == (
+            Ruling(ix, "ban", "safety", reason=rulings[0].reason, until=7 + cooldown),
+        )
+        _, remaining = tuner.safety.bans[_key(ix)]
+        assert remaining == cooldown
+        assert tuner.safety.watch is None
         assert _metric_total(tuner, "bandit_safety_fallbacks_total") == 1
 
     def test_no_trip_within_safety_factor(self, small_catalog):
         tuner = _make_tuner(small_catalog)
         ix = self._index()
         tuner.materialized.add(ix)
-        tuner._safety_watch = ([ix], 10.0)
-        tuner._tick_safety(14.0)  # below 1.5x baseline
-        assert not tuner._safety_bans
+        tuner.safety.watch = ([ix], 10.0)
+        assert tuner.safety.rulings(0, 14.0, tuner.materialized) == ()  # < 1.5x
+        assert not tuner.safety.bans
         assert _metric_total(tuner, "bandit_safety_fallbacks_total") == 0
 
     def test_dropped_arm_cannot_trip(self, small_catalog):
         # The watched index was already dropped again: nothing to revert.
         tuner = _make_tuner(small_catalog)
-        tuner._safety_watch = ([self._index()], 10.0)
-        tuner._tick_safety(100.0)
-        assert not tuner._safety_bans
+        tuner.safety.watch = ([self._index()], 10.0)
+        assert tuner.safety.rulings(0, 100.0, tuner.materialized) == ()
+        assert not tuner.safety.bans
 
     def test_bans_expire_after_cooldown(self, small_catalog):
         tuner = _make_tuner(small_catalog, safety_cooldown_epochs=2)
         ix = self._index()
-        tuner._safety_bans[_key(ix)] = (ix, 2)
-        tuner._tick_safety(0.0)
-        assert tuner._safety_bans[_key(ix)][1] == 1
-        tuner._tick_safety(0.0)
-        assert _key(ix) not in tuner._safety_bans
+        tuner.safety.bans[_key(ix)] = (ix, 2)
+        assert [r.until for r in tuner.safety.rulings(3, 0.0, set())] == [4]
+        assert tuner.safety.bans[_key(ix)][1] == 1
+        assert tuner.safety.rulings(4, 0.0, set()) == ()
+        assert _key(ix) not in tuner.safety.bans
+
+    def test_only_built_arms_are_watched(self, small_catalog):
+        tuner = _make_tuner(small_catalog)
+        built, failed = self._index(), IndexDef("events", "day", DataType.DATE)
+        tuner.safety.rulings(0, 10.0, tuner.materialized)  # the round's cost
+        reorg = ReorganizationResult(
+            materialize=[built, failed],
+            drop=[],
+            hot=[],
+            whatif_budget=0,
+            improvement_ratio=1.0,
+            build_failures=[failed],
+        )
+        tuner.safety.applied(reorg)
+        assert tuner.safety.watch == ([built], 10.0)
+        reorg.build_failures = [built, failed]
+        tuner.safety.applied(reorg)
+        assert tuner.safety.watch is None
 
 
 class TestWiring:

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.backend.local import LocalBackend
 from repro.core import ColtConfig, ColtTuner
+from repro.core.knapsack import Ruling
 from repro.optimizer.optimizer import (
     Optimizer,
     PlanCache,
@@ -141,8 +142,12 @@ class TestProfilerPoolEqualsFreshFilter:
             elif kind == "fail_build":
                 injector.arm("build")
             elif kind == "advise":
-                tuner.set_advisory(
-                    [(tuner.catalog.index_for(*COLUMNS[i]), 1.0) for i in arg]
+                tuner.push_rulings(
+                    "advisory",
+                    [
+                        Ruling(tuner.catalog.index_for(*COLUMNS[i]), "prefer", "advisory")
+                        for i in arg
+                    ],
                 )
             else:
                 tuner = restore_any(build_catalog(), snapshot_any(tuner))

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import ColtConfig
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.replica import ReplicaHealth
+from repro.guardrails.advice import AdviceBook
 from repro.resilience.breaker import CircuitBreaker
 from repro.workload.phases import Workload
 
@@ -42,6 +43,18 @@ class TestValidation:
     def test_rejects_bad_epoch_length(self):
         with pytest.raises(ValueError):
             make_fleet(fleet_epoch_length=0)
+
+    def test_advice_needs_no_guardrails(self):
+        fleet = FleetCoordinator(
+            build_small_catalog,
+            n_replicas=2,
+            advice=AdviceBook.parse("pin users.score"),
+        )
+        assert fleet.rollout is None
+        fleet.run(mixed_queries(60))
+        for replica in fleet.replicas:
+            assert replica.tuner.guardrails is None
+            assert "ix_users_score" in replica.materialized_names
 
 
 class TestEpochs:

@@ -365,8 +365,9 @@ class TestAdvisory:
         fleet.run(mixed_queries(30))
         advised = [
             {
-                (ix.table, tuple(ix.columns))
-                for ix, _ in replica.tuner._advisory
+                (r.index.table, tuple(r.index.columns))
+                for r in replica.tuner.standing_rulings
+                if r.source == "advisory"
             }
             for replica in fleet.replicas
         ]

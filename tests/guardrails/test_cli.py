@@ -80,6 +80,31 @@ class TestAuditCommand:
         advice.write_text("pin facts.f_skew\nban facts.f_skew\n")
         assert main(self.FAST + ["--advice", str(advice)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("text", [None, "pin nosuchtable.col\n"])
+    def test_advice_is_read_with_guardrails_off(self, capsys, tmp_path, text):
+        advice = tmp_path / "advice.txt"  # missing when text is None
+        if text is not None:
+            advice.write_text(text)
+        argv = self.FAST + ["--guardrails", "off", "--advice", str(advice)]
+        assert main(argv) == EXIT_ERROR
+
+    def test_compare_gives_the_advice_to_both_arms(self, capsys, tmp_path):
+        advice = tmp_path / "advice.txt"
+        advice.write_text("pin facts.f_id\nban facts.f_skew\n")
+        target = tmp_path / "audit.json"
+        argv = ["audit", "--scenario", "clean", "--queries", "160", "--compare"]
+        argv += ["--advice", str(advice), "--json", str(target)]
+        assert main(argv) == 0
+        arms = json.loads(target.read_text())["arms"]
+        for arm in ("on", "off"):
+            assert "ix_facts_f_id" in arms[arm]["materialized"]
+            assert "ix_facts_f_skew" not in arms[arm]["materialized"]
+
+    def test_help_no_longer_ties_advice_to_guardrails(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["audit", "--help"])
+        assert "requires guardrails" not in " ".join(capsys.readouterr().out.split())
+
 
 class TestFleetStatusGuardrails:
     FLEET = [

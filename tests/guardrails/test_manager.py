@@ -29,11 +29,7 @@ def _run(advice=None, queries=QUERIES, guardrails=True):
     store = build_adversarial_store()
     catalog = store.catalog
     manager = (
-        GuardrailManager(
-            config=GuardrailConfig(),
-            observer=ExecutionObserver(store),
-            advice=advice,
-        )
+        GuardrailManager(config=GuardrailConfig(), observer=ExecutionObserver(store))
         if guardrails
         else None
     )
@@ -42,6 +38,7 @@ def _run(advice=None, queries=QUERIES, guardrails=True):
         ColtConfig(epoch_length=20, storage_budget_pages=200.0),
         store=store,
         guardrails=manager,
+        advice=advice,
     )
     workload = misleading_workload(catalog, length=queries, seed=1)
     outcomes = tuner.run(workload.queries)
@@ -146,7 +143,7 @@ def test_snapshot_round_trip_preserves_guardrail_state():
     assert entry.strikes == original.strikes
     assert entry.ratio == pytest.approx(original.ratio)
     # Advice and config survived too.
-    assert restored_manager.advice.to_snapshot() == advice.to_snapshot()
+    assert restored.advice.to_snapshot() == advice.to_snapshot()
     assert restored_manager.config == manager.config
     # A restart must not amnesty the bad index: run more queries and the
     # quarantined index must stay out of M while blocked.

@@ -13,6 +13,15 @@ class _FakeTuner:
     def __init__(self, materialized, guardrails):
         self.materialized_set = set(materialized)
         self.guardrails = guardrails
+        self.pushed = {}
+
+    def push_rulings(self, source, rulings):
+        self.pushed[source] = list(rulings)
+
+    @property
+    def rollout_bans(self):
+        assert all(r.kind == "ban" for r in self.pushed["rollout"])
+        return [r.index for r in self.pushed["rollout"]]
 
 
 class _FakeReplica:
@@ -61,8 +70,8 @@ def test_new_index_starts_canary_and_bans_other_replicas():
     assert record.stage is RolloutStage.CANARY
     assert record.canary_id == 0
     # Only the non-canary replica is banned from materializing it.
-    assert managers[0].rollout_bans == []
-    assert [ix.name for ix in managers[1].rollout_bans] == [index.name]
+    assert replicas[0].tuner.rollout_bans == []
+    assert [ix.name for ix in replicas[1].tuner.rollout_bans] == [index.name]
 
 
 def test_verified_canary_promotes_fleet_wide():
@@ -79,7 +88,7 @@ def test_verified_canary_promotes_fleet_wide():
     summary = controller.reconcile(replicas)
     assert [ix.name for ix in summary.promoted] == [index.name]
     assert controller.stage_for(index) is RolloutStage.PROMOTED
-    assert managers[1].rollout_bans == []  # ban lifted
+    assert replicas[1].tuner.rollout_bans == []  # ban lifted
     # Promoted indexes join the baseline: no fresh canary on re-discovery.
     replicas[1].tuner.materialized_set.add(index)
     assert controller.reconcile(replicas).started == []
@@ -100,8 +109,8 @@ def test_regressed_canary_rolls_back_and_cooldown_expires():
     assert [ix.name for ix in summary.rolled_back] == [index.name]
     assert controller.stage_for(index) is RolloutStage.ROLLED_BACK
     # Fleet-wide ban while the cooldown runs -- canary included.
-    assert [ix.name for ix in managers[0].rollout_bans] == [index.name]
-    assert [ix.name for ix in managers[1].rollout_bans] == [index.name]
+    assert [ix.name for ix in replicas[0].tuner.rollout_bans] == [index.name]
+    assert [ix.name for ix in replicas[1].tuner.rollout_bans] == [index.name]
 
     # The canary's own reorganization dropped it meanwhile.
     replicas[0].tuner.materialized_set.discard(index)
@@ -109,7 +118,7 @@ def test_regressed_canary_rolls_back_and_cooldown_expires():
     assert controller.stage_for(index) is RolloutStage.ROLLED_BACK
     summary = controller.reconcile(replicas)  # cooldown exhausted
     assert controller.record_for(index) is None
-    assert managers[1].rollout_bans == []
+    assert replicas[1].tuner.rollout_bans == []
     # A later materialization starts a *fresh* rollout.
     replicas[1].tuner.materialized_set.add(index)
     summary = controller.reconcile(replicas)
@@ -149,7 +158,7 @@ def test_dead_canary_reassigns_to_lowest_healthy_holder():
     assert record.reassignments == 1
     assert record.stage is RolloutStage.CANARY
     # The drained ex-canary is now "other": it picks up the ban too.
-    assert [ix.name for ix in managers[0].rollout_bans] == [index.name]
+    assert [ix.name for ix in replicas[0].tuner.rollout_bans] == [index.name]
 
 
 def test_canary_dies_with_no_successor_cancels():

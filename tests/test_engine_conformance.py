@@ -15,6 +15,7 @@ import pytest
 
 from repro.backend.local import LocalBackend
 from repro.core import ColtConfig
+from repro.core.knapsack import Ruling
 from repro.core.loop import TuningLoop
 from repro.engines import ENGINES, engine_spec
 from repro.guardrails.advice import AdviceBook, AdviceDirective
@@ -59,6 +60,14 @@ def _stream(n, seed=0):
 def _make(engine, catalog, epoch_length=5, **kwargs):
     config = ColtConfig(epoch_length=epoch_length, storage_budget_pages=5000.0)
     return engine_spec(engine).build(catalog, config, **kwargs)
+
+
+def _advised(engine, catalog, *directives):
+    """A tuner under DBA advice and no guardrail manager."""
+    return _make(engine, catalog, advice=AdviceBook(directives))
+
+
+PIN_SCORE = AdviceDirective("pin", "users", ("score",))
 
 
 class TestConstruction:
@@ -214,36 +223,53 @@ class TestInserts:
             tuner.process_insert("events", count=3)
 
 
-class TestAdvisory:
-    def test_set_advisory_seeds_the_candidate_pool(self, engine, small_catalog):
+def _prefer(index, weight):
+    return Ruling(index, "prefer", "advisory", weight)
+
+
+class TestPushedRulings:
+    def test_a_pushed_preference_seeds_the_candidate_pool(self, engine, small_catalog):
         tuner = _make(engine, small_catalog)
         index = small_catalog.index_for("events", "day")
         assert tuner.profiler.candidates.stats_for(index) is None
-        tuner.set_advisory([(index, 2.0)])
+        tuner.push_rulings("advisory", [_prefer(index, 2.0)])
         assert tuner.profiler.candidates.stats_for(index) is not None
-        tuner.set_advisory([])
-        assert tuner._advisory == ()
+        tuner.push_rulings("advisory", [])
+        assert tuner.standing_rulings == ()
 
-    def test_advisory_order_is_canonical(self, engine, small_catalog):
+    def test_a_pushed_ban_seeds_nothing(self, engine, small_catalog):
+        tuner = _make(engine, small_catalog)
+        index = small_catalog.index_for("events", "day")
+        tuner.push_rulings("rollout", [Ruling(index, "ban", "rollout")])
+        assert tuner.profiler.candidates.stats_for(index) is None
+        assert tuner.standing_rulings == (Ruling(index, "ban", "rollout"),)
+
+    def test_pushed_order_is_canonical(self, engine, small_catalog):
         a = small_catalog.index_for("events", "day")
         b = small_catalog.index_for("events", "user_id")
         first, second = _make(engine, small_catalog), _make(engine, small_catalog)
-        first.set_advisory([(a, 2.0), (b, 1.5)])
-        second.set_advisory([(b, 1.5), (a, 2.0)])
-        assert first._advisory == second._advisory
+        first.push_rulings("advisory", [_prefer(a, 2.0), _prefer(b, 1.5)])
+        second.push_rulings("advisory", [_prefer(b, 1.5), _prefer(a, 2.0)])
+        assert first.standing_rulings == second.standing_rulings
+
+    def test_every_close_keeps_its_rulings(self, engine, small_catalog):
+        index = small_catalog.index_for("events", "day")
+        tuner = _advised(engine, small_catalog, PIN_SCORE)
+        tuner.push_rulings("rollout", [Ruling(index, "ban", "rollout")])
+        reorg = tuner.run(_stream(5))[4].reorganization
+        assert [(r.source, r.kind) for r in reorg.rulings] == [
+            ("dba", "pin"),
+            ("rollout", "ban"),
+        ]
 
 
 class TestConstraints:
-    def _guarded(self, engine, catalog, *directives):
-        manager = GuardrailManager(advice=AdviceBook(directives))
-        return _make(engine, catalog, guardrails=manager)
+    """DBA advice reaches the knapsack with no guardrail manager."""
 
     def test_pin_reaches_the_knapsack(self, engine, small_catalog):
         # Nothing in the stream touches users.score: only the pin can
         # put it into M.
-        tuner = self._guarded(
-            engine, small_catalog, AdviceDirective("pin", "users", ("score",))
-        )
+        tuner = _advised(engine, small_catalog, PIN_SCORE)
         outcomes = tuner.run(_stream(10))
         pinned = small_catalog.index_for("users", "score")
         assert pinned in outcomes[4].reorganization.materialize
@@ -254,7 +280,7 @@ class TestConstraints:
         free = _make(engine, small_catalog)
         free.run(_stream(60))
         assert banned in free.materialized_set  # the ban is what removes it
-        tuner = self._guarded(
+        tuner = _advised(
             engine,
             copy.deepcopy(small_catalog),
             AdviceDirective("ban", "events", ("user_id",)),
@@ -287,6 +313,19 @@ class TestSnapshots:
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot.get("engine", "colt") == engine
         assert snapshot == ENGINES[engine].snapshot(tuner)
+
+    def test_advice_round_trips_without_guardrails(self, engine, small_catalog):
+        tuner = _advised(engine, small_catalog, PIN_SCORE)
+        tuner.run(_stream(7))
+        snapshot = snapshot_any(tuner)
+        assert snapshot["advice"] == ["pin users.score"]
+        assert "guardrails" not in snapshot
+        restored = restore_any(copy.deepcopy(small_catalog), snapshot)
+        assert restored.guardrails is None
+        assert restored.standing_rulings == tuner.standing_rulings
+
+    def test_no_advice_writes_no_advice_key(self, engine, small_catalog):
+        assert "advice" not in snapshot_any(_make(engine, small_catalog))
 
     def test_restore_any_checks_the_requested_engine(self, engine, small_catalog):
         tuner = _make(engine, small_catalog)
