@@ -29,7 +29,7 @@ from repro.core.config import ColtConfig
 from repro.fleet import FleetCoordinator
 from repro.workload.datagen import build_catalog
 from repro.workload.experiments import phase_distributions
-from repro.workload.phases import multi_client_workload, shifting_workload
+from repro.workload.phases import multi_client_shifting_workload
 
 BENCH_FILE = (
     pathlib.Path(__file__).resolve().parent.parent / "BENCH_cotune.json"
@@ -49,19 +49,14 @@ ARMS = {
 
 def build_workload():
     """Three clients, each shifting over its own pair of phases."""
-    catalog = build_catalog()
-    phases = phase_distributions()
-    clients = [
-        shifting_workload(
-            [phases[i % len(phases)], phases[(i + 1) % len(phases)]],
-            catalog,
-            phase_length=100,
-            transition=20,
-            seed=SEED + i,
-        )
-        for i in range(N_REPLICAS)
-    ]
-    return multi_client_workload(clients, seed=SEED + 7)
+    return multi_client_shifting_workload(
+        phase_distributions(),
+        build_catalog(),
+        N_REPLICAS,
+        phase_length=100,
+        transition=20,
+        seed=SEED,
+    )
 
 
 def run_arm(workload, policy, cotune):

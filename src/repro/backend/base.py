@@ -232,7 +232,7 @@ class Backend:
         table identically; any stats-affecting mutation must change the
         token.  The default combines the logical row count with the
         catalog's monotonically bumped ``stats_version`` (row-count
-        changes, ``set_stats``, materialized views on the table).
+        changes, ``set_stats``).
         """
         return self.catalog.stats_token(table)
 

@@ -771,22 +771,17 @@ def _live_metrics_snapshot(seed: int):
     """A small live fleet run exercising every stable metric family."""
     from repro.core.config import ColtConfig
     from repro.fleet import FleetCoordinator
-    from repro.workload import build_catalog, multi_client_workload, shifting_workload
+    from repro.workload import build_catalog, multi_client_shifting_workload
     from repro.workload.experiments import phase_distributions
 
-    catalog = build_catalog()
-    phases = phase_distributions()
-    clients = [
-        shifting_workload(
-            [phases[i % len(phases)], phases[(i + 1) % len(phases)]],
-            catalog,
-            phase_length=40,
-            transition=10,
-            seed=seed + i,
-        )
-        for i in range(2)
-    ]
-    merged = multi_client_workload(clients, seed=seed + 7)
+    merged = multi_client_shifting_workload(
+        phase_distributions(),
+        build_catalog(),
+        2,
+        phase_length=40,
+        transition=10,
+        seed=seed,
+    )
     fleet = FleetCoordinator(
         build_catalog,
         n_replicas=2,
@@ -816,7 +811,7 @@ def _run_fleet(args) -> None:
     from repro.core.config import ColtConfig
     from repro.fleet import FleetCoordinator, save_fleet
     from repro.guardrails import GuardrailConfig
-    from repro.workload import build_catalog, multi_client_workload, shifting_workload
+    from repro.workload import build_catalog, multi_client_shifting_workload
     from repro.workload.experiments import phase_distributions
 
     _require_epoch_engine("fleet-run", args.engine)
@@ -827,22 +822,17 @@ def _run_fleet(args) -> None:
             "(see repro.fleet.workers)"
         )
     n_replicas = args.workers if args.workers else args.replicas
-    catalog = build_catalog()
-    phases = phase_distributions()
     # One client per replica, each shifting through its own pair of
     # consecutive phases -- the §6.2 multi-user setting with enough
     # cross-client divergence for routing to exploit.
-    clients = [
-        shifting_workload(
-            [phases[i % len(phases)], phases[(i + 1) % len(phases)]],
-            catalog,
-            phase_length=args.phase_length,
-            transition=args.transition,
-            seed=args.seed + i,
-        )
-        for i in range(n_replicas)
-    ]
-    merged = multi_client_workload(clients, seed=args.seed + 7)
+    merged = multi_client_shifting_workload(
+        phase_distributions(),
+        build_catalog(),
+        n_replicas,
+        phase_length=args.phase_length,
+        transition=args.transition,
+        seed=args.seed,
+    )
     fleet = FleetCoordinator(
         build_catalog,
         n_replicas=n_replicas,
@@ -952,11 +942,7 @@ def _run_replay(args) -> None:
     )
     from repro.core.config import ColtConfig
     from repro.fleet import FleetCoordinator
-    from repro.workload import (
-        build_catalog,
-        multi_client_workload,
-        shifting_workload,
-    )
+    from repro.workload import build_catalog, multi_client_shifting_workload
     from repro.workload.experiments import phase_distributions
 
     if args.events < 1:
@@ -965,21 +951,16 @@ def _run_replay(args) -> None:
         raise ValueError("--workers must be positive")
     modes = ("serial", "workers") if args.mode == "all" else (args.mode,)
     config = ColtConfig(storage_budget_pages=args.budget)
-    catalog = build_catalog()
-    phases = phase_distributions()
     # Same multi-client shifting base workload fleet-run uses, cycled
     # out to --events timestamped arrivals.
-    clients = [
-        shifting_workload(
-            [phases[i % len(phases)], phases[(i + 1) % len(phases)]],
-            catalog,
-            phase_length=args.phase_length,
-            transition=args.transition,
-            seed=args.seed + i,
-        )
-        for i in range(args.workers)
-    ]
-    merged = multi_client_workload(clients, seed=args.seed + 7)
+    merged = multi_client_shifting_workload(
+        phase_distributions(),
+        build_catalog(),
+        args.workers,
+        phase_length=args.phase_length,
+        transition=args.transition,
+        seed=args.seed,
+    )
     stream = ReplayStream.from_workload(
         merged,
         events=args.events,

@@ -107,7 +107,6 @@ class Catalog:
         self._tables: Dict[str, TableDef] = {}
         self._stats: Dict[Tuple[str, str], ColumnStats] = {}
         self._materialized: Dict[Tuple[str, Tuple[str, ...]], IndexDef] = {}
-        self._views: Dict[str, object] = {}
         self._stats_versions: Dict[str, int] = {}
         self._column_stats_versions: Dict[str, int] = {}
         self._generation: int = 0
@@ -189,15 +188,14 @@ class Catalog:
         :meth:`apply_row_delta` and :meth:`set_row_count` all bump it --
         the version alone distinguishes a delete-then-insert that
         restores the original row count, which ``row_count`` cannot.
-        So do :meth:`materialize_view` and :meth:`drop_view`: a view
-        changes how queries over its base table are priced.
         """
         return self._stats_versions.get(table, 0)
 
     def column_stats_version(self, table: str) -> int:
-        """Monotone counter over the table's column statistics and views:
-        bumped with :meth:`stats_version` by :meth:`bump_stats_version`
-        (so by ``set_stats`` and view changes), *not* by row moves.
+        """Monotone counter over the table's column statistics: bumped
+        with :meth:`stats_version` by :meth:`bump_stats_version` (so by
+        ``set_stats`` and a backend's ``refresh_stats``) and by nothing
+        else, *not* by row moves.
 
         An unchanged value means every installed column statistic of the
         table, and so every filter selectivity read from one, is what it
@@ -356,36 +354,6 @@ class Catalog:
             build = index.materialization_cost(rows, table.heap_pages(params), params)
             held = self._index_costs[index] = (rows, params, size, build)
         return held
-
-    # ------------------------------------------------------------------
-    # Materialized views (extension; see repro.engine.matview)
-    # ------------------------------------------------------------------
-    def materialize_view(self, view) -> None:
-        """Register a materialized view (usable by the optimizer); a no-op
-        when an equal view is already registered.
-
-        Raises:
-            ValueError: if a different view with the same name exists.
-        """
-        existing = self._views.get(view.name)
-        if existing is not None:
-            if existing != view:
-                raise ValueError(f"view {view.name!r} already exists")
-            return
-        self.bump_stats_version(view.table)
-        self._views[view.name] = view
-
-    def drop_view(self, view) -> None:
-        """Remove a materialized view (no-op if absent)."""
-        if self._views.pop(view.name, None) is not None:
-            self.bump_stats_version(view.table)
-
-    def materialized_views(self, table: Optional[str] = None) -> List:
-        """Registered views, optionally restricted to one base table."""
-        views = list(self._views.values())
-        if table is not None:
-            return [v for v in views if v.table == table]
-        return views
 
     # ------------------------------------------------------------------
     # Bulk helpers

@@ -94,7 +94,6 @@ class PhysicalStore:
         self.catalog = catalog
         self._heaps: Dict[str, HeapTable] = {}
         self._trees: Dict[Tuple[str, Tuple[str, ...]], BPlusTree] = {}
-        self._view_heaps: Dict[str, HeapTable] = {}
 
     def create_heap(self, table: str) -> HeapTable:
         """Create (or return the existing) heap for a catalog table."""
@@ -145,36 +144,6 @@ class PhysicalStore:
     def tree(self, index: IndexDef) -> Optional[BPlusTree]:
         """The physical B+tree for an index, if one has been built."""
         return self._trees.get((index.table, index.columns))
-
-    def build_view(self, view) -> HeapTable:
-        """Materialize a view physically (rows copied from the base heap).
-
-        Also registers the view in the catalog.  Note: view contents are
-        a snapshot; inserts applied to the base table afterwards are not
-        propagated (full view maintenance is out of scope).
-        """
-        from repro.executor.predicates import eval_filter
-
-        base = self.heap(view.table)
-        heap = HeapTable(self.catalog.table(view.table))
-        predicate = view.predicate()
-        names = base.column_names
-        for _rid, values in base.scan():
-            row = {(view.table, n): v for n, v in zip(names, values)}
-            if eval_filter(predicate, row):
-                heap.insert(values)
-        self._view_heaps[view.name] = heap
-        self.catalog.materialize_view(view)
-        return heap
-
-    def drop_view(self, view) -> None:
-        """Remove a view's physical rows and catalog entry."""
-        self._view_heaps.pop(view.name, None)
-        self.catalog.drop_view(view)
-
-    def view_heap(self, name: str) -> Optional[HeapTable]:
-        """The physical heap backing a view, if materialized."""
-        return self._view_heaps.get(name)
 
     def apply_inserts(self, table: str, rows: Iterable[Sequence]) -> int:
         """Insert rows into a heap and maintain every built index on it.

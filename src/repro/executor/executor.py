@@ -14,7 +14,7 @@ from repro.executor.operators import (
     star_rows,
 )
 from repro.executor.predicates import Row
-from repro.executor.scans import index_scan, seq_scan, view_scan
+from repro.executor.scans import index_scan, seq_scan
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plan import (
     AggregateNode,
@@ -26,7 +26,6 @@ from repro.optimizer.plan import (
     ProjectNode,
     SeqScanNode,
     SortNode,
-    ViewScanNode,
 )
 from repro.sql.ast import Query
 
@@ -37,8 +36,6 @@ def _rows(plan: PlanNode, store: PhysicalStore) -> Iterator[Row]:
         return seq_scan(store, plan)
     if isinstance(plan, IndexScanNode):
         return index_scan(store, plan)
-    if isinstance(plan, ViewScanNode):
-        return view_scan(store, plan)
     if isinstance(plan, HashJoinNode):
         return hash_join(
             plan,

@@ -146,10 +146,3 @@ class CountingStore:
         if tree is None:
             return None
         return _CountingTree(tree, self.counters)
-
-    def view_heap(self, name: str) -> Optional[_CountingHeap]:
-        """A counting proxy over a materialized view's heap, if built."""
-        heap = self._store.view_heap(name)
-        if heap is None:
-            return None
-        return _CountingHeap(heap, self.counters)

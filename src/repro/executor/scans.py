@@ -14,29 +14,6 @@ def _heap_row(heap: HeapTable, table: str, rid: int) -> Row:
     return {(table, name): heap.value(rid, name) for name in names}
 
 
-def view_scan(store: PhysicalStore, node) -> Iterator[Row]:
-    """Scan a materialized view's heap, applying the node's filters.
-
-    Rows are keyed by the *base table* name so that filters, joins and
-    projections written against the base table evaluate unchanged.
-
-    Raises:
-        RuntimeError: if the view was registered in the catalog but
-            never physically materialized.
-    """
-    heap = store.view_heap(node.view.name)
-    if heap is None:
-        raise RuntimeError(
-            f"view {node.view.name} has no physical rows; "
-            "was it materialized through the store?"
-        )
-    names = heap.column_names
-    for _rid, values in heap.scan():
-        row = {(node.table, name): v for name, v in zip(names, values)}
-        if eval_filters(node.filters, row):
-            yield row
-
-
 def seq_scan(store: PhysicalStore, node: SeqScanNode) -> Iterator[Row]:
     """Scan a heap sequentially, applying the node's filters."""
     heap = store.heap(node.table)

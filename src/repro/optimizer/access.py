@@ -199,10 +199,8 @@ def best_access_path(
 ) -> PlanNode:
     """The cheapest access path for one relation.
 
-    Considers the sequential scan, one index scan per applicable index
-    in ``config``, and -- when a registered materialized view's range
-    contains the query's predicate -- a scan of the (smaller) view.
-    ``scan`` as for :func:`index_paths`.
+    Considers the sequential scan and one index scan per applicable
+    index in ``config``.  ``scan`` as for :func:`index_paths`.
     """
     if scan is None:
         scan = table_scan(catalog, table, filters)
@@ -210,40 +208,7 @@ def best_access_path(
     for path in index_paths(catalog, table, filters, config, scan):
         if path.cost < best.cost:
             best = path
-    view_path = _view_scan_path(catalog, table, filters, scan.total_sel)
-    if view_path is not None and view_path.cost < best.cost:
-        best = view_path
     return best
-
-
-def _view_scan_path(catalog: Catalog, table: str, filters: List, sel: float):
-    """A view scan path, if a registered view matches ``filters`` (whose
-    combined selectivity is ``sel``)."""
-    from repro.engine.matview import matching_view, view_row_count
-    from repro.optimizer.plan import ViewScanNode
-
-    views = catalog.materialized_views(table)
-    if not views:
-        return None
-    view = matching_view(catalog, table, filters, views)
-    if view is None:
-        return None
-    params = catalog.params
-    tdef = catalog.table(table)
-    rows_in_view = view_row_count(catalog, view)
-    pages = params.heap_pages(rows_in_view, tdef.row_width)
-    cost = (
-        pages * params.seq_page_cost
-        + rows_in_view * params.cpu_tuple_cost
-        + rows_in_view * operator_count(filters) * params.cpu_operator_cost
-    )
-    return ViewScanNode(
-        rows=max(1.0, tdef.row_count * sel),
-        cost=cost,
-        table=table,
-        view=view,
-        filters=filters,
-    )
 
 
 def parameterized_index_path(

@@ -49,7 +49,7 @@ class PlanNode:
         stack: List[PlanNode] = [self]
         while stack:
             node = stack.pop()
-            if isinstance(node, (SeqScanNode, IndexScanNode, ViewScanNode)):
+            if isinstance(node, (SeqScanNode, IndexScanNode)):
                 found.add(node.table)
             stack.extend(node.children())
         return found
@@ -115,24 +115,6 @@ class IndexScanNode(PlanNode):
         else:
             kind = "range"
         return f"IndexScan({self.index.name}, {kind})"
-
-
-@dataclasses.dataclass
-class ViewScanNode(PlanNode):
-    """Sequential scan of a materialized view, applying all filters.
-
-    The view contains a predicate-restricted subset of its base table's
-    rows; every original query filter is still applied (matching only
-    guarantees the needed rows are *present*, not that others are
-    absent within the view).
-    """
-
-    table: str = ""
-    view: object = None  # a repro.engine.matview.ViewDef
-    filters: List = dataclasses.field(default_factory=list)
-
-    def label(self) -> str:
-        return f"ViewScan({self.view.name})"
 
 
 @dataclasses.dataclass

@@ -28,6 +28,7 @@ from repro.workload.adversarial import (
 )
 from repro.workload.datagen import build_catalog, build_physical
 from repro.workload.phases import (
+    multi_client_shifting_workload,
     multi_client_workload,
     noisy_workload,
     shifting_workload,
@@ -53,6 +54,7 @@ __all__ = [
     "build_physical",
     "misleading_workload",
     "dataset_summary",
+    "multi_client_shifting_workload",
     "multi_client_workload",
     "noisy_workload",
     "shifting_workload",

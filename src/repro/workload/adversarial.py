@@ -148,10 +148,12 @@ def misleading_workload(
     Args:
         catalog: The adversarial store's catalog (only used for shape;
             predicates are bound directly, not drawn from statistics).
-        length: Number of queries.
+        length: Number of queries (at least 1).
         seed: RNG seed.
         hot_fraction: Fraction of hot-value skew queries.
     """
+    if length < 1:
+        raise ValueError(f"workload length must be positive, got {length}")
     del catalog  # shape is fixed; kept for builder-signature symmetry
     rng = random.Random(seed)
     queries = []

@@ -84,7 +84,7 @@ from repro.guardrails.manager import GuardrailManager
 from repro.persist import checksum, restore_tuner, snapshot_tuner
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
-from repro.workload import build_catalog, multi_client_workload, shifting_workload
+from repro.workload import build_catalog, multi_client_shifting_workload
 from repro.workload.experiments import phase_distributions
 from repro.workload.phases import noisy_workload
 from repro.workload.querygen import PredicateSpec, QueryDistribution, QueryTemplate
@@ -117,18 +117,9 @@ ADVISORY = (
 
 def shifting_workload_base(catalog, seed=SEED):
     """The system benchmark's ``shift_cyclic`` base (``perf/workloads.py``)."""
-    phases = phase_distributions()
-    clients = [
-        shifting_workload(
-            [phases[i % len(phases)], phases[(i + 1) % len(phases)]],
-            catalog,
-            phase_length=100,
-            transition=20,
-            seed=seed + i,
-        )
-        for i in range(2)
-    ]
-    return multi_client_workload(clients, seed=seed + 7)
+    return multi_client_shifting_workload(
+        phase_distributions(), catalog, 2, phase_length=100, transition=20, seed=seed
+    )
 
 
 def _shifting_base(catalog):

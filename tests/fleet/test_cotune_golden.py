@@ -24,9 +24,8 @@ import pytest
 
 from repro.core.config import ColtConfig
 from repro.fleet import FleetCoordinator
-from repro.workload import build_catalog, multi_client_workload
+from repro.workload import build_catalog, multi_client_shifting_workload
 from repro.workload.experiments import phase_distributions
-from repro.workload.phases import shifting_workload
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent.parent / "data" / "golden_fleet_cotune.json"
@@ -44,19 +43,14 @@ _FLOAT_KEYS = ("cost_per_query",)
 
 
 def _cotuned_run():
-    catalog = build_catalog()
-    phases = phase_distributions()
-    clients = [
-        shifting_workload(
-            [phases[i % len(phases)], phases[(i + 1) % len(phases)]],
-            catalog,
-            phase_length=PHASE_LENGTH,
-            transition=TRANSITION,
-            seed=SEED + i,
-        )
-        for i in range(N_REPLICAS)
-    ]
-    merged = multi_client_workload(clients, seed=SEED + 7)
+    merged = multi_client_shifting_workload(
+        phase_distributions(),
+        build_catalog(),
+        N_REPLICAS,
+        phase_length=PHASE_LENGTH,
+        transition=TRANSITION,
+        seed=SEED,
+    )
     fleet = FleetCoordinator(
         build_catalog,
         n_replicas=N_REPLICAS,

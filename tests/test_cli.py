@@ -160,6 +160,22 @@ class TestExitCodes:
         sql = "select l_orderkey from lineitem_1"
         assert main(["explain", sql, "--index", "bogus"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig6", "--bursts", "0"],
+            ["fig6", "--bursts", "-5"],
+            ["run", "--queries", "-3"],
+            ["timeline", "--workload", "stable", "--queries", "0"],
+            ["audit", "--queries", "0"],
+        ],
+    )
+    def test_a_bad_size_is_a_clean_error(self, argv, capsys):
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_check_snapshot_happy_path(self, capsys, tmp_path):
         from repro.persist import save_json, snapshot_tuner
         from repro.core import ColtTuner

@@ -5,6 +5,7 @@ import pytest
 from repro.workload.datagen import build_catalog
 from repro.workload.experiments import noise_distributions, phase_distributions, stable_distribution
 from repro.workload.phases import (
+    multi_client_shifting_workload,
     multi_client_workload,
     noisy_workload,
     shifting_workload,
@@ -30,6 +31,11 @@ class TestStable:
         assert [q.filters[0].column for q in a.queries] == [
             q.filters[0].column for q in b.queries
         ]
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_rejects_a_length_below_one(self, catalog, length):
+        with pytest.raises(ValueError, match="length must be positive"):
+            stable_workload(stable_distribution(), length, catalog)
 
 
 class TestShifting:
@@ -86,6 +92,12 @@ class TestNoisy:
         q1, q2 = noise_distributions()
         with pytest.raises(ValueError):
             noisy_workload(q1, q2, catalog, burst_length=10, noise_fraction=1.5)
+
+    @pytest.mark.parametrize("burst", [0, -5])
+    def test_rejects_bad_burst_length(self, catalog, burst):
+        q1, q2 = noise_distributions()
+        with pytest.raises(ValueError, match="burst length"):
+            noisy_workload(q1, q2, catalog, burst_length=burst)
 
 
 class TestMultiClient:
@@ -171,6 +183,27 @@ class TestClientIds:
     def test_single_client_workloads_stay_untagged(self, catalog):
         wl = stable_workload(stable_distribution(), 10, catalog, seed=1)
         assert wl.client_ids is None
+
+    @pytest.mark.parametrize("clients", [1, 3, 5])
+    def test_shifting_clients_match_the_spelled_out_recipe(self, catalog, clients):
+        phases = phase_distributions()
+        streams = [
+            shifting_workload(
+                [phases[i % len(phases)], phases[(i + 1) % len(phases)]],
+                catalog,
+                phase_length=30,
+                transition=6,
+                seed=4 + i,
+            )
+            for i in range(clients)
+        ]
+        want = multi_client_workload(streams, seed=4 + 7)
+        got = multi_client_shifting_workload(
+            phases, catalog, clients, phase_length=30, transition=6, seed=4
+        )
+        assert got.queries == want.queries
+        assert got.source == want.source
+        assert got.client_ids == want.client_ids
 
 
 def _noise_runs(source):
