@@ -185,6 +185,26 @@ class TestStatsTokenInvalidation:
         backend.catalog.apply_row_delta("events", 500)
         assert backend.stats_token("users") == users_before
 
+    def test_materialization_leaves_the_token(self, backend):
+        # The index set is not statistics: the catalog's generation
+        # tracks it, and a plan cache keys it inside.
+        catalog = backend.catalog
+        before = {t: backend.stats_token(t) for t in ("events", "users")}
+        user = catalog.index_for("events", "user_id")
+        catalog.materialize_index(user)
+        assert {t: backend.stats_token(t) for t in before} == before
+        catalog.drop_index(user)
+        catalog.drop_index(user)  # absent: a no-op
+        assert {t: backend.stats_token(t) for t in before} == before
+
+    def test_simulation_leaves_the_token(self, backend):
+        before = backend.stats_token("events")
+        day = backend.catalog.index_for("events", "day")
+        backend.simulate_index(day)
+        assert backend.stats_token("events") == before
+        backend.drop_simulated_index(day)
+        assert backend.stats_token("events") == before
+
 
 class TestReverseWhatIfConsistency:
     """Pricing depends on the configuration, not on materialization.

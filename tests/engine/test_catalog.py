@@ -164,6 +164,20 @@ class TestCounters:
         catalog.drop_index(index)  # absent: nothing moved
         assert catalog.generation == generation
 
+    def test_materialization_leaves_the_statistics_versions(self):
+        catalog = self._catalog()
+        catalog.add_table(_table("u"))
+        counters = lambda: [
+            (catalog.stats_token(t), catalog.column_stats_version(t)) for t in ("t", "u")
+        ]
+        before = counters()
+        index = catalog.index_for("t", "a")
+        catalog.materialize_index(index)
+        catalog.materialize_index(catalog.index_for("u", "a"))
+        catalog.drop_index(index)
+        catalog.drop_index(index)  # absent: a no-op
+        assert counters() == before
+
     def test_row_moves_leave_the_column_statistics_version(self):
         catalog = self._catalog()
         columns, version = catalog.column_stats_version("t"), catalog.stats_version("t")

@@ -78,6 +78,23 @@ class TestCostModelValidation:
         _, idx_work, _ = _run_counted(small_store, sql, frozenset([index]))
         assert idx_work.total_physical_ops < seq_work.total_physical_ops
 
+    def test_narrow_range_index_scan_does_less_work(self, small_store):
+        """A range on an indexed column: the cheaper plan reads less."""
+        catalog = small_store.catalog
+        index = catalog.index_for("events", "day")
+        small_store.build_index(index)
+        sql = "select amount from events where day between 8150 and 8160"
+
+        seq_rows, seq_work, seq_plan = _run_counted(small_store, sql, frozenset())
+        idx_rows, idx_work, idx_plan = _run_counted(
+            small_store, sql, frozenset([index])
+        )
+        assert idx_plan.indexes_used() == {index}
+        assert sorted(idx_rows) == sorted(seq_rows)
+        assert seq_rows, "the slice should be non-empty on the fixture data"
+        assert idx_plan.cost < seq_plan.cost
+        assert idx_work.total_physical_ops < seq_work.total_physical_ops
+
     def test_cost_ordering_tracks_work_ordering(self, small_store):
         """Across a range of selectivities, estimated cost and physical
         work must be positively rank-correlated."""
