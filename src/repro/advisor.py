@@ -131,9 +131,12 @@ def advise(
         The recommendation report.
 
     Raises:
+        ValueError: for a negative ``budget_pages``.
         repro.sql.parser.ParseError / repro.sql.binder.BindError: if a
             SQL string does not parse or bind against the catalog.
     """
+    if budget_pages < 0:
+        raise ValueError(f"budget must be non-negative, got {budget_pages:g} pages")
     queries = [
         bind_query(parse_query(q), catalog) if isinstance(q, str) else q
         for q in workload

@@ -32,7 +32,7 @@ indexes + ``EXPLAIN (FORMAT JSON)``, import-guarded).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
@@ -242,15 +242,12 @@ class Backend:
 
     # -- observability -------------------------------------------------
     def bind_registry(self, registry) -> None:
-        """Attach the backend's metric families to ``registry``."""
+        """Attach the backend's pricing-call counter to ``registry``."""
         from repro.obs.names import BACKEND_METRICS
 
-        self._metrics: Dict[str, object] = {
-            name: spec.build(registry)
-            for name, spec in BACKEND_METRICS.items()
-        }
         self._count_call = (
-            self._metrics["backend_optimize_calls_total"]
+            BACKEND_METRICS["backend_optimize_calls_total"]
+            .build(registry)
             .labels(backend=self.capabilities.name)
             .inc
         )

@@ -213,7 +213,6 @@ class TraceBackend(Backend):
         entry = self.trace.lookup(key)
         self._count_call()
         if entry is None:
-            self._count_miss()
             raise TraceMissError(
                 f"cost trace has no entry for key {key[:12]}… "
                 f"(tables={list(query.tables)}, |config|={len(config)}); "
@@ -243,9 +242,3 @@ class TraceBackend(Backend):
 
     def simulated_indexes(self) -> IndexConfig:
         return frozenset(self._simulated)
-
-    # -- observability -------------------------------------------------
-    def _count_miss(self) -> None:
-        metrics = getattr(self, "_metrics", None)
-        if metrics is not None:
-            metrics["backend_trace_misses_total"].inc()

@@ -178,10 +178,8 @@ class BanditTuner(TuningLoop):
             self.config.safety_cooldown_epochs,
             self._metrics["bandit_safety_fallbacks_total"],
         )
-        self._m_query_failures = self._metrics["bandit_query_failures_total"]
         self._counted = 0  # read by its family, as in ColtTuner
         self._metrics["bandit_queries_total"].set_function(lambda: self._counted or None)
-        self._metrics["bandit_materialized_indexes"].set(len(self.materialized))
 
     @property
     def epochs_closed(self) -> int:
@@ -285,8 +283,6 @@ class BanditTuner(TuningLoop):
                 reward = without.cost - session.base.cost
             charge += probe_charge
             self._epoch_rewards.setdefault(key, []).append(reward)
-            self._metrics["bandit_observe_probes_total"].inc()
-            self._metrics["bandit_observe_overhead_cost_total"].inc(probe_charge)
         return calls, charge
 
     # ------------------------------------------------------------------
@@ -357,8 +353,6 @@ class BanditTuner(TuningLoop):
 
     def _select(self, constraints: SelectionConstraints) -> ReorganizationResult:
         forced = self._epochs_closed < self.config.forced_exploration_epochs
-        if forced:
-            self._metrics["bandit_forced_exploration_epochs_total"].inc()
         epoch_length = self.config.epoch_length
 
         pool = self._arm_pool()
@@ -368,7 +362,6 @@ class BanditTuner(TuningLoop):
             if _key(index) not in present:
                 pool.append(index)
                 present.add(_key(index))
-        self._metrics["bandit_arms"].set(len(pool))
         items: List[KnapsackItem] = []
         scores: Dict[IndexKey, float] = {}
         # One pass over the arms, its invariants bound once per close
@@ -377,13 +370,11 @@ class BanditTuner(TuningLoop):
         tracker = self.profiler.candidates
         vector, width_of, mean_of = self.features.vector, self.model.width, self.model.mean
         costing_of = self.catalog.index_costing  # (rows, params, size, build)
-        observe_width = self._metrics["bandit_confidence_width"].observe
         alpha, retention, matcost = config.alpha, config.retention_weight, config.matcost_weight
         for index in pool:
             x = vector(index, tracker, materialized)
             width = width_of(x)
             optimistic = mean_of(x) + alpha * width
-            observe_width(width)
             value = optimistic * epoch_length
             costing = costing_of(index)
             if not forced:
@@ -428,9 +419,3 @@ class BanditTuner(TuningLoop):
     def _applied(self, reorg: ReorganizationResult, changed: bool) -> None:
         # Nothing to react to: the safety stage watches what was built.
         pass
-
-    def _record_epoch(
-        self, reorg: ReorganizationResult, build_cost: float, seconds: float
-    ) -> None:
-        self._metrics["bandit_epochs_total"].inc()
-        self._metrics["bandit_materialized_indexes"].set(len(self.materialized))

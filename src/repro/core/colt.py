@@ -50,9 +50,7 @@ class ColtTuner(TuningLoop):
         self.profiler = Profiler(
             self.catalog, self.whatif, self.config, breaker=breaker, registry=self.registry
         )
-        self.self_organizer = SelfOrganizer(
-            self.catalog, self.config, registry=self.registry
-        )
+        self.self_organizer = SelfOrganizer(self.catalog, self.config)
         self._epoch_inserts: Dict[str, int] = {}
         # Per-query totals are plain adds (_count_query); their families
         # read them when read, a sample appearing with the first counted
@@ -67,24 +65,13 @@ class ColtTuner(TuningLoop):
             )
 
         reads("colt_queries_total", "_counted")
-        self._m_query_failures = TUNER_METRICS["colt_query_failures_total"].build(self.registry)
         self._m_epochs = TUNER_METRICS["colt_epochs_total"].build(self.registry)
         reads("colt_whatif_calls_total", "_whatif_calls")
         reads("colt_whatif_overhead_cost_total", "_whatif_overhead")
         reads("colt_execution_cost_total", "_execution_cost")
-        self._m_build_cost = TUNER_METRICS["colt_build_cost_total"].build(self.registry)
-        self._m_hot_churn = TUNER_METRICS["colt_hot_churn_total"].build(self.registry)
-        self._m_insert_rows = TUNER_METRICS["colt_insert_rows_total"].build(self.registry)
         self._m_query_cost = TUNER_METRICS["colt_query_cost"].build(self.registry)
-        self._m_epoch_close = TUNER_METRICS["colt_epoch_close_seconds"].build(self.registry)
-        self._m_materialized = TUNER_METRICS["colt_materialized_indexes"].build(self.registry)
-        self._m_hot = TUNER_METRICS["colt_hot_indexes"].build(self.registry)
-        self._m_budget = TUNER_METRICS["colt_whatif_budget"].build(self.registry)
-        self._m_ratio = TUNER_METRICS["colt_improvement_ratio"].build(self.registry)
         # Adopt whatever is already materialized as the starting M.
         self.self_organizer.materialized = set(self.catalog.materialized_indexes())
-        self._m_materialized.set(len(self.materialized))
-        self._m_budget.set(self.profiler.whatif_budget)
 
     @property
     def materialized(self) -> Set[IndexDef]:
@@ -118,7 +105,6 @@ class ColtTuner(TuningLoop):
 
     def _note_insert(self, table: str, n: int) -> None:
         self._epoch_inserts[table] = self._epoch_inserts.get(table, 0) + n
-        self._m_insert_rows.inc(n)
 
     def _epoch_budget(self) -> Tuple[int, int, int]:
         return (
@@ -137,28 +123,13 @@ class ColtTuner(TuningLoop):
     ) -> ReorganizationResult:
         inserts = self._epoch_inserts
         self._epoch_inserts = {}
-        hot_before = self.self_organizer.hot  # rebound, not mutated, by the close
-        reorg = self.self_organizer.end_epoch(
+        return self.self_organizer.end_epoch(
             tracked, self.profiler, inserts=inserts, constraints=constraints
         )
-        self._m_hot_churn.inc(
-            len(hot_before.symmetric_difference(self.self_organizer.hot))
-        )
-        return reorg
 
     def _applied(self, reorg: ReorganizationResult, changed: bool) -> None:
         # Pair statistics gathered under the old M are stale once it moves.
         if changed:
             self.profiler.purge_stale()
         self.profiler.set_budget(reorg.whatif_budget)
-
-    def _record_epoch(
-        self, reorg: ReorganizationResult, build_cost: float, seconds: float
-    ) -> None:
-        self._m_epoch_close.observe(seconds)
         self._m_epochs.inc()
-        self._m_build_cost.inc(build_cost)
-        self._m_materialized.set(len(self.self_organizer.materialized))
-        self._m_hot.set(len(self.self_organizer.hot))
-        self._m_budget.set(reorg.whatif_budget)
-        self._m_ratio.set(reorg.improvement_ratio)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.backend.base import Backend
@@ -151,10 +150,11 @@ class TuningLoop:
 
     An engine sets the class attributes ``engine_name``, ``config_type``
     and ``budget_label`` and implements the ``_build_engine`` ..
-    ``_record_epoch`` hooks below.  ``_build_engine`` must leave behind
+    ``_applied`` hooks below.  ``_build_engine`` must leave behind
     ``self.profiler`` (exposing ``breaker``, ``candidates`` and
-    ``gain_cache``), the sets ``self.materialized`` / ``self.hot`` and a
-    ``self._m_query_failures`` counter; it may set ``self.safety``.
+    ``gain_cache``) and the sets ``self.materialized`` / ``self.hot``; it
+    may set ``self.safety``.  A failed arrival is counted by its
+    ``QueryOutcome.failed``, not by a collector.
     """
 
     #: Key of this engine in :data:`repro.engines.ENGINES`.
@@ -194,9 +194,7 @@ class TuningLoop:
         self._store = store
         self._queries_seen = 0
         self._build_engine(breaker)
-        self.scheduler = Scheduler(
-            catalog, store=store, policy=policy, retry=retry, registry=self.registry
-        )
+        self.scheduler = Scheduler(catalog, store=store, policy=policy, retry=retry)
         if fault_injector is not None:
             fault_injector.attach(self)
         self.advice = advice or AdviceBook()
@@ -257,12 +255,6 @@ class TuningLoop:
         ``changed`` is true when the materialized set moved (builds,
         drops or recovered retries); ``reorg.build_failures`` is filled.
         """
-        raise NotImplementedError
-
-    def _record_epoch(
-        self, reorg: ReorganizationResult, build_cost: float, seconds: float
-    ) -> None:
-        """Fold one closed epoch into engine metrics."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -468,7 +460,6 @@ class TuningLoop:
             self._queries_seen += 1
             if self._queries_seen % self.config.epoch_length == 0:
                 reorg, build_cost = self._end_epoch()
-        self._m_query_failures.inc()
         return QueryOutcome(
             index=self._queries_seen - 1,
             execution_cost=0.0,
@@ -493,7 +484,6 @@ class TuningLoop:
         # engine's spend counter.
         requested, granted, spent = self._epoch_budget()
         epoch = self._queries_seen // self.config.epoch_length - 1
-        started = time.perf_counter()
         with self.tracer.span("epoch_close", epoch=epoch):
             evidence = self._digest_epoch()
             # The stages, in order: DBA advice; guardrail quarantine (a
@@ -516,7 +506,6 @@ class TuningLoop:
             build_cost = self._apply(reorg)
             if self.safety is not None:
                 self.safety.applied(reorg)
-        self._record_epoch(reorg, build_cost, time.perf_counter() - started)
         self.dashboard.record(
             requested=requested,
             granted=granted,

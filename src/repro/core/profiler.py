@@ -147,15 +147,8 @@ class Profiler(ProfilerBase):
         self._config = config
         self.degraded_queries = 0
         self._m_probes = PROFILER_METRICS["profiler_probes_total"].build(self.registry)
-        self._m_probe_failures = PROFILER_METRICS["profiler_probe_failures_total"].build(
-            self.registry
-        )
         self._m_spent = PROFILER_METRICS["profiler_whatif_spent_total"].build(self.registry)
-        self._m_degraded = PROFILER_METRICS["profiler_degraded_queries_total"].build(
-            self.registry
-        )
         clusters = PROFILER_METRICS["profiler_clusters"].build(self.registry)
-        self._m_ci_width = PROFILER_METRICS["profiler_ci_width"].build(self.registry)
         # H moves at epoch boundaries: its name-ordered list is held
         # beside a frozen copy and sorted again only when they differ.
         self._hot_held: FrozenSet[IndexDef] = frozenset()
@@ -221,7 +214,6 @@ class Profiler(ProfilerBase):
                 probation.append(index)
         if not self.breaker.is_closed and budget_cap == 0:
             self.degraded_queries += 1
-            self._m_degraded.inc()
 
         # Probe one index per what-if call so a single failed call loses
         # only its own gain; each failure feeds the circuit breaker, and
@@ -254,7 +246,6 @@ class Profiler(ProfilerBase):
                 probe = self._whatif.what_if_optimize(session, [index])
             except WhatIfProbeError as exc:
                 self.probe_failures += 1
-                self._m_probe_failures.inc()
                 self.breaker.record_failure()
                 # Gains measured before the failing probe in the same
                 # batch were paid for and are exact -- consume them
@@ -432,10 +423,7 @@ class Profiler(ProfilerBase):
         per_cluster[cluster.cluster_id] = per_cluster.get(cluster.cluster_id, 0) + 1
 
     def _record_gain(self, index: IndexDef, cluster: Cluster, gain: float) -> None:
-        pair = self._pair(index, cluster)
-        pair.gain.add(gain)
-        low, high = pair.gain.interval()
-        self._m_ci_width.observe(high - low)
+        self._pair(index, cluster).gain.add(gain)
         per_cluster = self._epoch_measured.setdefault(_key(index), {})
         per_cluster.setdefault(cluster.cluster_id, []).append(gain)
 

@@ -33,8 +33,6 @@ from typing import Callable, Iterable, List, Optional
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
 from repro.engine.storage import PhysicalStore
-from repro.obs.names import SCHEDULER_METRICS
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.resilience.errors import IndexBuildError
 from repro.resilience.retry import RetryPolicy
 
@@ -123,7 +121,6 @@ class Scheduler:
         policy: SchedulingPolicy = SchedulingPolicy.IMMEDIATE,
         retry: Optional[RetryPolicy] = None,
         failpoint: Optional[Callable[[IndexDef], None]] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self._catalog = catalog
         self._store = store
@@ -137,21 +134,6 @@ class Scheduler:
         self.retry_queue: List[FailedBuild] = []
         self.abandoned: List[FailedBuild] = []
         self.failure_count = 0
-        self.registry = registry or NULL_REGISTRY
-        self._m_builds = SCHEDULER_METRICS["scheduler_builds_total"].build(self.registry)
-        self._m_build_failures = SCHEDULER_METRICS["scheduler_build_failures_total"].build(
-            self.registry
-        )
-        self._m_build_cost = SCHEDULER_METRICS["scheduler_build_cost_total"].build(self.registry)
-        self._m_retries = SCHEDULER_METRICS["scheduler_retry_attempts_total"].build(self.registry)
-        self._m_recovered = SCHEDULER_METRICS["scheduler_recovered_builds_total"].build(
-            self.registry
-        )
-        self._m_abandoned = SCHEDULER_METRICS["scheduler_abandoned_builds_total"].build(
-            self.registry
-        )
-        self._m_retry_depth = SCHEDULER_METRICS["scheduler_retry_queue_depth"].build(self.registry)
-        self._m_pending = SCHEDULER_METRICS["scheduler_pending_builds"].build(self.registry)
 
     @property
     def pending(self) -> List[IndexDef]:
@@ -184,7 +166,6 @@ class Scheduler:
             else:
                 if index not in self._pending:
                     self._pending.append(index)
-        self._sync_gauges()
         return charged
 
     def request_drop(self, indexes: Iterable[IndexDef]) -> None:
@@ -200,7 +181,6 @@ class Scheduler:
                 self._store.drop_index(index)
             else:
                 self._catalog.drop_index(index)
-        self._sync_gauges()
 
     def on_idle(self, max_builds: Optional[int] = None) -> float:
         """Build queued indexes during idle time (idle policy only).
@@ -221,7 +201,6 @@ class Scheduler:
             except IndexBuildError as exc:
                 self._record_failure(index, exc)
             budget -= 1
-        self._sync_gauges()
         return charged
 
     def advance_epoch(self) -> RetryReport:
@@ -239,25 +218,21 @@ class Scheduler:
         self._epoch += 1
         report = RetryReport()
         if not self.retry_queue:  # nothing waits: only the clock moved
-            self._sync_gauges()
             return report
         due = [f for f in self.retry_queue if f.next_retry_epoch <= self._epoch]
         for entry in due:
             self.retry_queue.remove(entry)
             if self._catalog.is_materialized(entry.index):
                 continue
-            self._m_retries.inc()
             try:
                 report.charged += self._build(entry.index)
             except IndexBuildError as exc:
                 self.failure_count += 1
-                self._m_build_failures.inc()
                 entry.attempts += 1
                 entry.error = str(exc)
                 if self._retry.exhausted(entry.attempts):
                     self.abandoned.append(entry)
                     report.abandoned.append(entry.index)
-                    self._m_abandoned.inc()
                 else:
                     entry.next_retry_epoch = self._epoch + self._retry.delay_for(
                         entry.attempts
@@ -265,18 +240,11 @@ class Scheduler:
                     self.retry_queue.append(entry)
             else:
                 report.recovered.append(entry.index)
-                self._m_recovered.inc()
-        self._sync_gauges()
         return report
 
     # ------------------------------------------------------------------
-    def _sync_gauges(self) -> None:
-        self._m_retry_depth.set(len(self.retry_queue))
-        self._m_pending.set(len(self._pending))
-
     def _record_failure(self, index: IndexDef, exc: IndexBuildError) -> None:
         self.failure_count += 1
-        self._m_build_failures.inc()
         if any(f.index == index for f in self.retry_queue):
             return
         self.retry_queue.append(
@@ -312,6 +280,4 @@ class Scheduler:
             raise IndexBuildError(f"build of {index} failed: {exc}") from exc
         self.total_build_cost += cost
         self.builds.append(ScheduledBuild(index=index, cost=cost))
-        self._m_builds.inc()
-        self._m_build_cost.inc(cost)
         return cost

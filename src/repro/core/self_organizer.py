@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-import time
 from collections import deque
 from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -37,8 +36,6 @@ from repro.core.profiler import Profiler, _name
 from repro.core.window_tuner import ForecastWindowTuner
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
-from repro.obs.names import TUNER_METRICS
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 
 # Composite-safe index identity: table plus ordered key columns.
 IndexKey = Tuple[str, Tuple[str, ...]]
@@ -150,16 +147,9 @@ class ReorganizationResult:
 class SelfOrganizer:
     """Implements reorganization and re-budgeting."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        config: ColtConfig,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, config: ColtConfig) -> None:
         self._catalog = catalog
         self._config = config
-        self.registry = registry or NULL_REGISTRY
-        self._m_knapsack = TUNER_METRICS["colt_knapsack_seconds"].build(self.registry)
         self.materialized: Set[IndexDef] = set()
         self.hot: Set[IndexDef] = set()
         # One record per index ever tracked, and the boundary table: the
@@ -435,11 +425,9 @@ class SelfOrganizer:
         items: List[KnapsackItem],
         constraints: SelectionConstraints,
     ) -> Tuple[List[IndexDef], float]:
-        started = time.perf_counter()
         selected, total = solve_constrained(
             items, self._config.storage_budget_pages, constraints
         )
-        self._m_knapsack.observe(time.perf_counter() - started)
         return [item.key for item in selected], total
 
     def _select_hot(

@@ -38,9 +38,7 @@ from repro.guardrails.rollout import RolloutController, RolloutSummary
 from repro.obs.export import build_snapshot
 from repro.obs.names import (
     BANDIT_METRICS,
-    COTUNE_METRICS,
     FLEET_METRICS,
-    GUARDRAIL_METRICS,
     PROFILER_METRICS,
     REPLAY_METRICS,
     TUNER_METRICS,
@@ -415,64 +413,11 @@ class FleetCoordinator:
         self._count_routed = [
             routed.labels(replica=r.replica_id).inc for r in self.replicas
         ]
-        self._m_probes = FLEET_METRICS["fleet_routing_probes_total"].build(self.registry)
-        self._m_routing_cost = FLEET_METRICS["fleet_routing_overhead_cost_total"].build(
-            self.registry
-        )
-        self._m_reorgs = FLEET_METRICS["fleet_reorganizations_total"].build(self.registry)
-        self._m_drains = FLEET_METRICS["fleet_drain_events_total"].build(self.registry)
-        self._m_restores = FLEET_METRICS["fleet_restore_events_total"].build(self.registry)
-        self._m_moved = FLEET_METRICS["fleet_moved_assignments_total"].build(self.registry)
-        self._m_rebalanced = FLEET_METRICS["fleet_rebalanced_keys_total"].build(self.registry)
-        self._m_probe_budget = FLEET_METRICS["fleet_probe_budget"].build(self.registry)
-        self._m_divergence = FLEET_METRICS["fleet_config_divergence"].build(self.registry)
-        self._m_health = FLEET_METRICS["fleet_replica_health"].build(self.registry)
-        self._m_rollouts_started = FLEET_METRICS["fleet_rollouts_started_total"].build(
-            self.registry
-        )
-        self._m_rollouts_promoted = FLEET_METRICS[
-            "fleet_rollouts_promoted_total"
-        ].build(self.registry)
-        self._m_rollouts_rolled_back = FLEET_METRICS[
-            "fleet_rollouts_rolled_back_total"
-        ].build(self.registry)
-        self._m_canary_reassignments = FLEET_METRICS[
-            "fleet_canary_reassignments_total"
-        ].build(self.registry)
-        self._m_active_canaries = FLEET_METRICS["fleet_active_canaries"].build(
-            self.registry
-        )
-        self._m_cotune_sigs = COTUNE_METRICS["cotune_signatures"].build(self.registry)
-        self._m_cotune_parts = COTUNE_METRICS["cotune_partitions"].build(self.registry)
-        self._m_cotune_migrations = COTUNE_METRICS["cotune_migrations_total"].build(
-            self.registry
-        )
-        self._m_cotune_probes = COTUNE_METRICS["cotune_probes_total"].build(
-            self.registry
-        )
-        self._m_cotune_probe_cost = COTUNE_METRICS[
-            "cotune_probe_overhead_cost_total"
-        ].build(self.registry)
-        self._m_cotune_cost_delta = COTUNE_METRICS["cotune_fleet_cost_delta"].build(
-            self.registry
-        )
-        self._m_cotune_divergence = COTUNE_METRICS[
-            "cotune_divergence_objective"
-        ].build(self.registry)
-        self._m_cotune_converged = COTUNE_METRICS["cotune_converged"].build(
-            self.registry
-        )
-        # Guardrail families are registered fleet-level regardless of
-        # whether guardrails are enabled, so the export contract (every
-        # CATALOG family present) holds for every fleet configuration;
-        # per-replica managers register the same families on their own
-        # registries and the samples merge under the replica label.
-        for spec in GUARDRAIL_METRICS.values():
-            spec.build(self.registry)
-        # Likewise for the engine-specific families (COLT's and the
-        # bandit's) and the throughput serving path's: a fleet may mix
-        # engines, run single-process or with workers, but the export
-        # contract stays configuration-agnostic either way.
+        # The engine-specific families (COLT's and the bandit's) and the
+        # throughput serving path's are registered fleet-level too: a
+        # fleet may mix engines, run single-process or with workers, but
+        # the export contract (every CATALOG family present) stays
+        # configuration-agnostic either way.
         for catalog in (
             TUNER_METRICS,
             PROFILER_METRICS,
@@ -481,17 +426,6 @@ class FleetCoordinator:
         ):
             for spec in catalog.values():
                 spec.build(self.registry)
-        self._sync_health()
-
-    _HEALTH_VALUES = {
-        ReplicaHealth.HEALTHY: 0,
-        ReplicaHealth.DEGRADED: 1,
-        ReplicaHealth.DRAINED: 2,
-    }
-
-    def _sync_health(self) -> None:
-        for r in self.replicas:
-            self._m_health.set(self._HEALTH_VALUES[r.health], replica=r.replica_id)
 
     # ------------------------------------------------------------------
     @property
@@ -599,8 +533,6 @@ class FleetCoordinator:
             self._cotune_epoch_queries += 1
         routing_overhead = route.probes * self.config.whatif_call_cost
         self._count_routed[route.replica_id]()
-        self._m_probes.inc(route.probes)
-        self._m_routing_cost.inc(routing_overhead)
         reorg: Optional[FleetReorganizationResult] = None
         if self.queries_routed % self.fleet_epoch_length == 0:
             reorg = self.reorganize()
@@ -704,29 +636,8 @@ class FleetCoordinator:
                 # Staged rollout runs after drains are known: a drained
                 # canary hands its duty to a healthy holder here.
                 rollout_summary = self.rollout.reconcile(self.replicas)
-                self._m_rollouts_started.inc(len(rollout_summary.started))
-                self._m_rollouts_promoted.inc(len(rollout_summary.promoted))
-                self._m_rollouts_rolled_back.inc(
-                    len(rollout_summary.rolled_back)
-                )
-                self._m_canary_reassignments.inc(rollout_summary.reassigned)
-                self._m_active_canaries.set(rollout_summary.active_canaries)
 
         divergence = self.configuration_divergence()
-        if self.cotune is not None:
-            # With co-tuning on, divergence is the steering objective
-            # rather than a passive report; mirror it under the cotune
-            # family so dashboards can track the loop in one place.
-            self._m_cotune_divergence.set(divergence)
-        self._m_reorgs.inc()
-        self._m_drains.inc(len(drained))
-        self._m_restores.inc(len(restored))
-        self._m_moved.inc(moved)
-        self._m_rebalanced.inc(rebalanced)
-        self._m_probe_budget.set(probe_budget)
-        self._m_divergence.set(divergence)
-        self._sync_health()
-
         result = FleetReorganizationResult(
             epoch=len(self.reorganizations),
             drained=drained,
@@ -769,15 +680,6 @@ class FleetCoordinator:
             probe_costs=self._cotune_probe_costs,
         )
         self._cotune_advise(self.cotune.advisory_payloads())
-        self._m_cotune_sigs.set(report.signatures)
-        self._m_cotune_parts.set(report.partitions)
-        self._m_cotune_migrations.inc(report.migrations + report.forced_moves)
-        self._m_cotune_probes.inc(report.probes)
-        self._m_cotune_probe_cost.inc(report.probe_cost)
-        self._m_cotune_cost_delta.set(report.cost_delta)
-        self._m_cotune_converged.set(1 if report.converged else 0)
-        self._m_probes.inc(report.probes)
-        self._m_routing_cost.inc(report.probe_cost)
         return report
 
     def _cotune_probe_costs(

@@ -278,7 +278,6 @@ class WorkerHandle:
         self._materialized: List[str] = []
         self._quarantined: List[str] = []
         self.config_version = 0
-        self.on_crash = None  # set by the coordinator
         self._deadline = 0.0  # monotonic; restarted by every send
         # Query interning over the pipe: ship each distinct query object
         # once, then reference it by key.  Strong refs guard the id()
@@ -364,8 +363,6 @@ class WorkerHandle:
         # Failure evidence from outside the probe path: force the
         # stand-in breaker OPEN so the drain machinery sees it.
         self.crash_breaker.trip()
-        if self.on_crash is not None:
-            self.on_crash(self)
 
     def send(self, command: Tuple) -> bool:
         """Ship a command and start its reply deadline; False (after
@@ -549,12 +546,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
             engine, config, handles, routing_catalog, router,
             fleet_epoch_length, registry, cotune=cotune,
         )
-        self._m_crashes = REPLAY_METRICS["replay_worker_crashes_total"].build(
-            self.registry
-        )
-        REPLAY_METRICS["replay_workers"].build(self.registry).set(workers)
-        for handle in self.replicas:
-            handle.on_crash = lambda h: self._m_crashes.inc()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "WorkerFleetCoordinator":
@@ -630,7 +621,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
         # marks only change between chunks.
         ticked = [d for d in self.router.drained if not replicas[d].crashed]
         route = self._route
-        probes = 0
         for offset, (query, client_id) in enumerate(
             zip(queries, client_ids or itertools.repeat(None))
         ):
@@ -638,14 +628,12 @@ class WorkerFleetCoordinator(FleetCoordinator):
             replica_id = chosen.replica_id
             events[replica_id].append(encode[replica_id](query))
             slots[replica_id].append(offset)
-            probes += chosen.probes
             for drained_id in ticked:
                 if drained_id != replica_id:
                     events[drained_id].append(None)
         for count, offsets in zip(self._count_routed, slots):
             if offsets:
                 count(len(offsets))
-        self._m_probes.inc(probes)
         self.queries_routed += len(queries)
 
         # Dispatch everything, then inflate each reply straight into its

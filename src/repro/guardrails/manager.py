@@ -23,7 +23,6 @@ from repro.guardrails.verify import (
     PlanCostObserver,
     Verdict,
 )
-from repro.obs.names import GUARDRAIL_METRICS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,33 +103,18 @@ class GuardrailManager:
         self._epoch_probes = 0
         self._tuner = None
         self._backend = None
-        self._metrics: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     def attach(self, tuner) -> None:
-        """Bind to a tuner and register metrics.
+        """Bind to a tuner.
 
         Called by :class:`~repro.core.loop.TuningLoop` when constructed
         with a guardrail manager.  The tuner's standing rulings (DBA
-        advice, rollout bans) count into the pinned/banned gauges and
-        mark the :meth:`audit` rows.
+        advice, rollout bans) mark the :meth:`audit` rows; the audit and
+        the close's rulings are the guardrails' record.
         """
         self._tuner = tuner
         self._backend = tuner.backend
-        self._metrics = {
-            name: spec.build(tuner.registry) for name, spec in GUARDRAIL_METRICS.items()
-        }
-
-        def standing(kind: str) -> int:
-            return sum(1 for r in tuner.standing_rulings if r.kind == kind)
-
-        self._metrics["guardrail_pinned_indexes"].set_function(lambda: standing("pin"))
-        self._metrics["guardrail_quarantined_indexes"].set_function(
-            lambda: len(self.quarantine)
-        )
-        self._metrics["guardrail_banned_indexes"].set_function(
-            lambda: standing("ban") + len(self.quarantine.blocked())
-        )
 
     # ------------------------------------------------------------------
     def observe_query(self, session, materialized: Iterable[IndexDef]) -> Tuple[int, float]:
@@ -170,24 +154,10 @@ class GuardrailManager:
             observation = self.observer.observe(
                 session, without.plan, session.base.cost, without.cost
             )
-            state = self.verifier.record(index, observation)
+            self.verifier.record(index, observation)
             self._epoch_probes += 1
             calls += 1
             charge += observation.charge
-            if self._metrics is not None:
-                self._metrics["guardrail_verifications_total"].inc()
-                self._metrics["guardrail_verification_overhead_cost_total"].inc(
-                    observation.charge
-                )
-                if state.verdict is not Verdict.PENDING:
-                    # samples just reached the window: the verdict is new.
-                    self._metrics["guardrail_verdicts_total"].inc(
-                        verdict=state.verdict.value
-                    )
-                    if state.ratio is not None:
-                        self._metrics["guardrail_observed_predicted_ratio"].observe(
-                            state.ratio
-                        )
         return calls, charge
 
     # ------------------------------------------------------------------
@@ -227,8 +197,6 @@ class GuardrailManager:
                 self.quarantine.clear(entry.index)
                 released.append(entry.index)
         self._epoch_probes = 0
-        self._metrics["guardrail_quarantines_total"].inc(len(quarantined))
-        self._metrics["guardrail_releases_total"].inc(len(released))
         rulings = tuple(
             Ruling(
                 entry.index,

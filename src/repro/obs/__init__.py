@@ -32,7 +32,6 @@ from repro.obs.names import (
     FLEET_METRICS,
     PROFILER_METRICS,
     RESILIENCE_METRICS,
-    SCHEDULER_METRICS,
     TUNER_METRICS,
     MetricSpec,
 )

@@ -134,7 +134,9 @@ def load_snapshot(path: str) -> Dict:
     """Load a snapshot document saved by :func:`write_metrics`.
 
     Raises:
-        ValueError: if the file is not a recognizable snapshot.
+        ValueError: if the file is not a recognizable snapshot: not
+            tagged :data:`SNAPSHOT_FORMAT`, of another version, or
+            without a ``metrics`` list.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -143,6 +145,13 @@ def load_snapshot(path: str) -> Dict:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path} is not a {SNAPSHOT_FORMAT} snapshot")
+    if doc.get("version") != SNAPSHOT_VERSION:
+        raise ValueError(
+            f"{path} is a version {doc.get('version')!r} {SNAPSHOT_FORMAT} "
+            f"snapshot; this build reads version {SNAPSHOT_VERSION}"
+        )
+    if not isinstance(doc.get("metrics"), list):
+        raise ValueError(f"{path} has no metrics list")
     return doc
 
 

@@ -65,8 +65,11 @@ class TestEpochLoop:
         # The first forced_exploration_epochs rounds select optimistically
         # (no build-cost hysteresis), so the hot candidate gets built.
         assert tuner.materialized_set
-        assert _metric_total(tuner, "bandit_forced_exploration_epochs_total") >= 1
         assert _metric_total(tuner, "bandit_reward_samples_total") >= 1
+        # One reward-magnitude observation per model update.
+        assert tuner.metrics.get("bandit_reward").count() == _metric_total(
+            tuner, "bandit_reward_samples_total"
+        )
 
     def test_outcome_ledger_is_cost_consistent(self, small_catalog):
         tuner = _make_tuner(small_catalog)
@@ -109,7 +112,7 @@ class TestRunErrors:
         assert not outcomes[2].failed
         # The epoch clock keeps ticking through the failure.
         assert tuner.queries_seen == 3
-        assert _metric_total(tuner, "bandit_query_failures_total") == 1
+        assert _metric_total(tuner, "bandit_queries_total") == 2
 
 
 class TestInserts:
@@ -211,7 +214,7 @@ class TestWiring:
         tuner.run([_eq_query(i + 1) for i in range(6)])
         names = {f["name"] for f in registry.snapshot()}
         assert "bandit_queries_total" in names
-        assert "bandit_epochs_total" in names
+        assert "bandit_reward_samples_total" in names
 
     def test_colt_surface_attributes_present(self, small_catalog):
         # The fleet, guardrails and CLI reach these attributes on either

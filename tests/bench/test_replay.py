@@ -22,6 +22,7 @@ from repro.bench.replay import (
 from repro.core.config import ColtConfig
 from repro.engines import ENGINES
 from repro.fleet import FleetCoordinator
+from repro.obs.registry import MetricsRegistry
 from repro.workload.phases import Workload
 
 from tests.fleet.workloads import (
@@ -156,6 +157,23 @@ class TestDecisionParity:
         assert report.latency["p50"] <= report.latency["p95"]
         assert report.qps > 0
         assert report.wall_seconds > 0
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["serial", "fleet-serial"])
+    def test_driver_families_count_the_replayed_events(self, fleet):
+        registry = MetricsRegistry()
+        stream = make_stream(events=60)
+        if fleet:
+            coordinator = FleetCoordinator(
+                build_small_catalog, n_replicas=2, config=make_config()
+            )
+            report = replay_fleet(coordinator, stream, registry=registry)
+        else:
+            tuner = build_replay_tuner(build_small_catalog(), make_config())
+            report = replay_serial(tuner, stream, registry=registry)
+        assert registry.get("replay_queries_total").value() == report.events == 60
+        latency = registry.get("replay_query_latency_seconds")
+        assert latency.count() == report.latency["count"] == 60
+        assert latency.sum() >= 0.0
 
     def test_fleet_serial_replay(self):
         fleet = FleetCoordinator(

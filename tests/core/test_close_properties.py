@@ -35,7 +35,6 @@ from repro.core.self_organizer import (
     _net_benefit,
     two_means_split,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.persist import restore_tuner, snapshot_tuner
 from repro.resilience.errors import IndexBuildError
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
@@ -619,18 +618,15 @@ def _advance_epoch_oracle(self):
         self.retry_queue.remove(entry)
         if self._catalog.is_materialized(entry.index):
             continue
-        self._m_retries.inc()
         try:
             report.charged += self._build(entry.index)
         except IndexBuildError as exc:
             self.failure_count += 1
-            self._m_build_failures.inc()
             entry.attempts += 1
             entry.error = str(exc)
             if self._retry.exhausted(entry.attempts):
                 self.abandoned.append(entry)
                 report.abandoned.append(entry.index)
-                self._m_abandoned.inc()
             else:
                 entry.next_retry_epoch = self._epoch + self._retry.delay_for(
                     entry.attempts
@@ -638,8 +634,6 @@ def _advance_epoch_oracle(self):
                 self.retry_queue.append(entry)
         else:
             report.recovered.append(entry.index)
-            self._m_recovered.inc()
-    self._sync_gauges()
     return report
 
 
@@ -660,7 +654,6 @@ def _scheduler_state(scheduler):
         scheduler.total_build_cost,
         [(b.index, b.cost) for b in scheduler.builds],
         sorted(scheduler._catalog.materialized_indexes(), key=str),
-        _comparable({"metrics": scheduler.registry.snapshot()}),  # gauges included
     )
 
 
@@ -759,8 +752,7 @@ def test_scheduler_exits_equal_the_full_protocol(ops, failing, retry, policy):
 
         catalog = build_catalog()
         scheduler = Scheduler(
-            catalog, policy=policy, retry=retry, failpoint=failpoint,
-            registry=MetricsRegistry(),
+            catalog, policy=policy, retry=retry, failpoint=failpoint
         )
         columns = ("l_shipdate", "l_commitdate", "l_receiptdate", "l_quantity", "l_discount")
         return scheduler, [catalog.index_for("lineitem_1", c) for c in columns]

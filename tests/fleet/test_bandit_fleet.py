@@ -74,7 +74,7 @@ class TestRuns:
         fleet.run(mixed_queries(30))
         names = {f["name"] for f in fleet.metrics_snapshot()["metrics"]}
         assert "bandit_queries_total" in names
-        assert "bandit_epochs_total" in names
+        assert "bandit_reward_samples_total" in names
         assert "fleet_queries_routed_total" in names
 
 

@@ -77,6 +77,14 @@ class TestEpochs:
         assert run.failed_queries == 0
         assert run.policy == "affinity"
 
+    def test_routed_counter_matches_the_per_replica_ledger(self):
+        fleet = make_fleet()
+        run = fleet.run(mixed_queries(30))
+        routed = fleet.metrics.get("fleet_queries_routed_total")
+        assert [
+            routed.value(replica=r.replica_id) for r in fleet.replicas
+        ] == run.queries_per_replica
+
     def test_workload_client_ids_flow_to_router(self):
         queries = [eq_query(i + 1) for i in range(20)]
         workload = Workload(

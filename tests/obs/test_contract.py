@@ -4,9 +4,11 @@ External dashboards key on metric family names, types, and label sets.
 These tests pin that contract: every spec in ``repro.obs.names.CATALOG``
 must build cleanly, appear in the Prometheus export with its declared
 ``# TYPE``, and -- for the live tuner and fleet -- actually be
-registered by the instrumented components.
+registered by the instrumented components.  And every family must earn
+its place: something reads it and a test asserts it.
 """
 
+import pathlib
 import random
 import re
 
@@ -17,14 +19,11 @@ from repro.obs.names import (
     BACKEND_METRICS,
     BANDIT_METRICS,
     CATALOG,
-    COTUNE_METRICS,
     FLEET_METRICS,
     GAINCACHE_METRICS,
-    GUARDRAIL_METRICS,
     PROFILER_METRICS,
     REPLAY_METRICS,
     RESILIENCE_METRICS,
-    SCHEDULER_METRICS,
     TUNER_METRICS,
 )
 from repro.obs.registry import MetricsRegistry
@@ -42,14 +41,11 @@ class TestCatalogShape:
             **TUNER_METRICS,
             **PROFILER_METRICS,
             **GAINCACHE_METRICS,
-            **SCHEDULER_METRICS,
             **RESILIENCE_METRICS,
             **FLEET_METRICS,
             **BANDIT_METRICS,
-            **GUARDRAIL_METRICS,
             **BACKEND_METRICS,
             **REPLAY_METRICS,
-            **COTUNE_METRICS,
         }
         assert CATALOG == union
 
@@ -92,7 +88,6 @@ class TestLiveRegistration:
             set(TUNER_METRICS)
             | set(PROFILER_METRICS)
             | set(GAINCACHE_METRICS)
-            | set(SCHEDULER_METRICS)
             | set(RESILIENCE_METRICS)
             | set(BACKEND_METRICS)
         )
@@ -110,13 +105,12 @@ class TestLiveRegistration:
             tuner.process_query(eq_query(rng.randint(1, 10_000)))
         names = set(tuner.metrics.names())
         # The bandit registers its own families plus the shared component
-        # catalogs its shim keeps alive (breaker, disabled gain cache,
-        # scheduler) -- dashboards keyed on those stay populated when a
-        # deployment swaps engines.
+        # catalogs its shim keeps alive (breaker, disabled gain cache) --
+        # dashboards keyed on those stay populated when a deployment
+        # swaps engines.
         expected = (
             set(BANDIT_METRICS)
             | set(GAINCACHE_METRICS)
-            | set(SCHEDULER_METRICS)
             | set(RESILIENCE_METRICS)
             | set(BACKEND_METRICS)
         )
@@ -158,3 +152,40 @@ class TestLiveRegistration:
         assert not missing
         for name, kind in types.items():
             assert CATALOG[name].kind == kind
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+#: What reads a family as a contract: the docs (not the generated API
+#: reference, which lists whatever the code declares), the CI gates and
+#: the per-layer benchmark.
+READERS = [
+    *(p for p in sorted((ROOT / "docs").glob("*.md")) if p.name != "API.md"),
+    *sorted((ROOT / "tools").glob("*.py")),
+    ROOT / "perf" / "layers.py",
+]
+#: Pins of the whole catalog name every family without asserting one.
+CATALOG_WIDE_TESTS = {"test_contract.py", "test_metrics_identity.py"}
+
+
+def _naming(paths, name):
+    pattern = re.compile(rf"\b{name}\b")
+    return [p for p in paths if pattern.search(p.read_text())]
+
+
+class TestEveryFamilyEarnsItsPlace:
+    """A family nobody reads is cost, not observability: each one is read
+    by a doc, a gate or ``perf/layers.py`` and asserted by name in a test
+    of its own component."""
+
+    def test_every_family_has_a_reader(self):
+        unread = [name for name in CATALOG if not _naming(READERS, name)]
+        assert unread == []
+
+    def test_every_family_is_asserted_by_a_test(self):
+        tests = [
+            p
+            for p in sorted((ROOT / "tests").rglob("*.py"))
+            if p.name not in CATALOG_WIDE_TESTS
+        ]
+        unasserted = [name for name in CATALOG if not _naming(tests, name)]
+        assert unasserted == []

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.export import (
     SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
     build_snapshot,
     format_for_path,
     load_snapshot,
@@ -109,3 +110,21 @@ class TestFileRoundtrip:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match=SNAPSHOT_FORMAT):
             load_snapshot(str(path))
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"version": 7, "metrics": []}, "version 7"),
+            ({"metrics": []}, "version None"),
+            ({"version": SNAPSHOT_VERSION}, "no metrics list"),
+            ({"version": SNAPSHOT_VERSION, "metrics": {"a": 1}}, "no metrics list"),
+            ({"version": SNAPSHOT_VERSION, "metrics": None}, "no metrics list"),
+        ],
+        ids=["other-version", "no-version", "no-metrics", "metrics-dict", "metrics-null"],
+    )
+    def test_load_rejects_a_malformed_snapshot(self, tmp_path, fields, match):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": SNAPSHOT_FORMAT, **fields}))
+        with pytest.raises(ValueError, match=match) as raised:
+            load_snapshot(str(path))
+        assert str(path) in str(raised.value)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.backend import CostTraceRecorder, LocalBackend, TraceBackend
 from repro.bandit.config import BanditConfig
 from repro.bandit.tuner import BanditTuner
 from repro.core import ColtConfig, ColtTuner
@@ -17,7 +18,7 @@ from repro.obs import spans
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
 
-from tests.fleet.workloads import day_query, eq_query
+from tests.fleet.workloads import build_small_catalog, day_query, eq_query
 
 
 def _tuner(small_catalog, **kwargs):
@@ -63,21 +64,56 @@ class TestTunerCounters:
         assert registry.get("colt_execution_cost_total").value() == pytest.approx(
             sum(o.execution_cost for o in outcomes)
         )
-        assert registry.get("colt_build_cost_total").value() == pytest.approx(
-            sum(o.build_cost for o in outcomes)
-        )
         assert registry.get("colt_query_cost").count() == 40
+        assert registry.get("colt_query_cost").sum() == pytest.approx(
+            sum(o.execution_cost for o in outcomes)
+        )
 
     def test_gauges_reflect_current_state(self, small_catalog):
         tuner = _tuner(small_catalog)
         _run(tuner, 40)
+        assert tuner.metrics.get("profiler_clusters").value() == (
+            tuner.profiler.clusters.live_at_last_assign()
+        ) > 0
+
+
+class TestProfilerCounters:
+    @pytest.mark.parametrize("gain_cache", [False, True], ids=["cache-off", "cache-on"])
+    def test_probe_counters_match_the_whatif_ledger(self, small_catalog, gain_cache):
+        tuner = ColtTuner(
+            small_catalog,
+            ColtConfig(
+                storage_budget_pages=6000.0, min_history_epochs=2, gain_cache=gain_cache
+            ),
+        )
+        outcomes = _run(tuner, 60)
         registry = tuner.metrics
-        assert registry.get("colt_materialized_indexes").value() == len(
-            tuner.materialized_set
+        probes = registry.get("profiler_probes_total").value()
+        # Every probe is one what-if call; a structural zero served by the
+        # gain cache spends a budget unit without one.
+        assert probes == sum(o.whatif_calls for o in outcomes) > 0
+        hits = registry.get("gaincache_hits_total").value(kind="structural")
+        assert registry.get("profiler_whatif_spent_total").value() == probes + hits
+        assert (hits > 0) == gain_cache
+
+
+class TestBackendCounter:
+    def test_counts_every_pricing_request_the_replay_answers(self, small_catalog):
+        recorder = CostTraceRecorder()
+        live = _tuner(
+            small_catalog, backend=LocalBackend(small_catalog, recorder=recorder)
         )
-        assert registry.get("colt_whatif_budget").value() == (
-            tuner.profiler.whatif_budget
-        )
+        _run(live, 40)
+        catalog = build_small_catalog()
+        replay = TraceBackend(catalog, recorder.trace)
+        replayed = _tuner(catalog, backend=replay)
+        _run(replayed, 40)
+        # The replay answers the same requests, one trace lookup each.
+        calls = {
+            name: tuner.metrics.get("backend_optimize_calls_total").value(backend=name)
+            for name, tuner in (("local", live), ("trace", replayed))
+        }
+        assert calls["local"] == calls["trace"] == replay.replayed > 40
 
 
 class TestOverheadDashboard:
@@ -188,11 +224,10 @@ class CountingTracer(spans.SpanTracer):
 #: reads at snapshot time.
 COLT_PLAIN_QUERY_UPDATES = 2
 BANDIT_PLAIN_QUERY_UPDATES = 1
-#: Per what-if probe, COLT: probes_total, whatif_spent_total, the
-#: ci_width histogram and at most two backend pricing calls.  Per reward
-#: probe, bandit: observe_probes_total, its overhead cost, one pricing call.
-COLT_UPDATES_PER_PROBE = 5
-BANDIT_UPDATES_PER_PROBE = 3
+#: Per what-if probe, COLT: probes_total, whatif_spent_total and at most
+#: two backend pricing calls.  Per reward probe, bandit: one pricing call.
+COLT_UPDATES_PER_PROBE = 4
+BANDIT_UPDATES_PER_PROBE = 1
 
 
 class TestPerQueryUpdateBudget:

@@ -12,7 +12,9 @@ families merged under the ``replica`` label).
 Every counter, gauge and cost-histogram sample is compared exactly;
 wall-clock histograms (``*_seconds``) by ``count`` only.  The file was
 recorded on CPython 3.11, on the commit *before* the instrumentation was
-restructured, and stays the reference.  From 3.12 built-in ``sum`` over
+restructured, and stays the reference: the catalog audit that deleted
+the families copying a result object's numbers only took their entries
+out, every surviving entry as recorded and in its order.  From 3.12 built-in ``sum`` over
 floats is compensated, which moves the last digits of sums the bandit
 feeds its histograms (not a count, not a decision): there, floats are
 held within ``FLOAT_REL`` and everything else exactly, as
@@ -150,12 +152,13 @@ def test_the_recording_covers_the_per_query_families(pinned):
     assert value("colt", "colt_whatif_calls_total") > 0
     assert value("colt", "profiler_clusters") > 0
     assert value("colt", "backend_optimize_calls_total", backend="local") > ARRIVALS
-    assert value("colt", "colt_epoch_close_seconds") == ARRIVALS // 10
+    assert value("colt", "colt_epochs_total") == ARRIVALS // 10
     assert value("bandit", "bandit_queries_total") == ARRIVALS
-    assert value("bandit", "bandit_observe_probes_total") > 0
+    # Past one base pricing per arrival: the reward probes' calls.
+    assert value("bandit", "backend_optimize_calls_total", backend="local") > ARRIVALS
     routed = [
         value("fleet", "fleet_queries_routed_total", replica=str(i)) for i in range(2)
     ]
     assert sum(routed) == ARRIVALS and min(routed) > 0
-    assert value("fleet", "fleet_reorganizations_total") == ARRIVALS // 200
     assert value("fleet", "colt_queries_total", replica="0") == routed[0]
+    assert value("fleet", "colt_epochs_total", replica="1") == routed[1] // 10

@@ -37,6 +37,14 @@ class TestAdvise:
         assert report.recommendations == []
         assert report.improvement_percent == 0.0
 
+    def test_negative_budget_rejected(self, small_catalog):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            advise(
+                small_catalog,
+                ["select amount from events where user_id = 5"],
+                budget_pages=-3.0,
+            )
+
     def test_accepts_bound_queries(self, small_catalog):
         q = bind_query(
             parse_query("select amount from events where user_id = 5"),

@@ -168,6 +168,10 @@ class TestExitCodes:
             ["run", "--queries", "-3"],
             ["timeline", "--workload", "stable", "--queries", "0"],
             ["audit", "--queries", "0"],
+            ["fleet-run", "--phase-length", "0", "--transition", "0"],
+            ["fleet-run", "--transition", "-1"],
+            ["replay", "--mode", "serial", "--events", "100", "--phase-length", "0"],
+            ["advise", "--budget", "-3", "select l_orderkey from lineitem_1"],
         ],
     )
     def test_a_bad_size_is_a_clean_error(self, argv, capsys):

@@ -158,4 +158,4 @@ class TestFleetAndSnapshots:
         )
         names = {f["name"] for f in load_snapshot(str(path))["metrics"]}
         assert "bandit_queries_total" in names
-        assert "bandit_epochs_total" in names
+        assert "bandit_reward_samples_total" in names

@@ -62,6 +62,23 @@ class TestShifting:
         assert wl.source[-1] == "phase4"
         assert len(wl) == 200
 
+    @pytest.mark.parametrize(
+        "phase_length, transition, match",
+        [
+            (0, 0, "phase length must be positive"),
+            (-5, 10, "phase length must be positive"),
+            (50, -1, "transition must be non-negative"),
+        ],
+    )
+    def test_rejects_a_bad_size(self, catalog, phase_length, transition, match):
+        with pytest.raises(ValueError, match=match):
+            shifting_workload(
+                phase_distributions(),
+                catalog,
+                phase_length=phase_length,
+                transition=transition,
+            )
+
 
 class TestNoisy:
     def test_noise_fraction(self, catalog):
