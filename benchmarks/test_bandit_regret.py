@@ -23,7 +23,7 @@ distrust.
 Every arm's cumulative observed-cost curve lands in the repo-root
 ``BENCH_bandit.json`` trajectory file, and ``tools/check_bandit_regret.py``
 re-measures one short scenario in CI with the exact same harness
-(:func:`repro.bandit.evaluate.run_scenario`).
+(:func:`repro.bench.scenario.run_scenario`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.bandit import BanditConfig, BanditTuner, curve_is_sane, run_scenario
+from repro.bandit import BanditConfig, BanditTuner
+from repro.bench.scenario import curve_is_sane, run_scenario
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
 from repro.workload import SCENARIOS

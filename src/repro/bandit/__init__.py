@@ -8,7 +8,6 @@ rewards are *observed* execution costs -- never what-if forecasts.  See
 """
 
 from repro.bandit.config import BanditConfig
-from repro.bandit.evaluate import ScenarioResult, curve_is_sane, run_scenario
 from repro.bandit.features import FEATURE_DIM, FEATURE_NAMES, FeatureMap
 from repro.bandit.linucb import RidgeModel
 from repro.bandit.persist import restore_bandit_tuner, snapshot_bandit_tuner
@@ -22,9 +21,6 @@ __all__ = [
     "FEATURE_NAMES",
     "FeatureMap",
     "RidgeModel",
-    "ScenarioResult",
-    "curve_is_sane",
     "restore_bandit_tuner",
-    "run_scenario",
     "snapshot_bandit_tuner",
 ]

@@ -43,8 +43,8 @@ class BanditConfig:
             materialized and produce reward observations.
         observe_per_epoch: Reward observations sampled per epoch --
             each prices a with/without plan pair for one materialized
-            index (the :func:`~repro.guardrails.verify.observed_cost`
-            path when a physical store is attached, plan costs
+            index (:meth:`~repro.executor.instrument.CountingStore.observed_cost`
+            when a physical store is attached, plan costs
             otherwise).
         observe_cost_factor: Fraction of each counterfactual (shadow)
             execution's observed cost charged as tuning overhead.

@@ -50,9 +50,7 @@ from repro.core.profiler import IndexKey, ProfilerBase, _key, _name
 from repro.core.self_organizer import ReorganizationResult
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
-from repro.executor.executor import execute
 from repro.executor.instrument import CountingStore
-from repro.guardrails.verify import observed_cost
 from repro.obs.names import BANDIT_METRICS
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
@@ -218,13 +216,7 @@ class BanditTuner(TuningLoop):
         """Observed cost of the query as it actually ran."""
         if self._counting is None:
             return session.base.cost
-        return self._price_plan(session.base.plan)
-
-    def _price_plan(self, plan) -> float:
-        """Observed cost of a counterfactual plan (shadow execution)."""
-        self._counting.counters.reset()
-        execute(plan, self._counting)
-        return observed_cost(self._counting.counters, self.catalog.params)
+        return self._counting.observed_cost(session.base.plan)
 
     def _observe_rewards(self, session, used, base_observed: float) -> Tuple[int, float]:
         """Sample per-arm rewards for this query.
@@ -276,7 +268,7 @@ class BanditTuner(TuningLoop):
             calls += 1
             probe_charge = self.config.whatif_call_cost
             if self._counting is not None:
-                without_observed = self._price_plan(without.plan)
+                without_observed = self._counting.observed_cost(without.plan)
                 reward = without_observed - base_observed
                 probe_charge += self.config.observe_cost_factor * without_observed
             else:

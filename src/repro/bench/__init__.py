@@ -4,7 +4,9 @@
 and collects per-query ledgers; ``figures`` turns those ledgers into the
 exact series each figure of the paper plots; ``replay`` is the
 throughput driver (wall-clock QPS and latency percentiles over 1M+
-event streams, serial vs multiprocess fleet).
+event streams, serial vs multiprocess fleet); ``scenario`` is the
+store-backed scoreboard (observed execution cost of a tuner, or of no
+tuning, over an adversarial scenario).
 """
 
 from repro.bench.harness import (

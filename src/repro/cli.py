@@ -1121,51 +1121,33 @@ def _run_fleet_status(args) -> None:
 
 def _audit_arm(scenario: str, guardrails: bool, args, advice) -> dict:
     """Run one guardrail arm of the audit scenario; observed-cost regret."""
+    from repro.bench.scenario import run_scenario
     from repro.core.colt import ColtTuner
     from repro.core.config import ColtConfig
-    from repro.executor.executor import execute
-    from repro.executor.instrument import CountingStore
     from repro.guardrails import ExecutionObserver, GuardrailConfig, GuardrailManager
-    from repro.guardrails.verify import observed_cost
-    from repro.workload import build_adversarial_store, misleading_workload
+    from repro.workload import build_misleading_scenario
 
-    # "clean" means clean end to end: uniform data AND truthful stats.
-    # (Skewed data defeats ANALYZE's uniform-selectivity model even when
-    # nobody lies, so it would not exercise the no-false-positive path.)
-    mislead = scenario == "misleading"
-    store = build_adversarial_store(
-        mislead=mislead, skew_fraction=0.85 if mislead else 0.0
+    run = build_misleading_scenario(
+        mislead=scenario == "misleading", length=args.queries, seed=args.seed
     )
-    catalog = store.catalog
-    workload = misleading_workload(catalog, length=args.queries, seed=args.seed)
     manager = None
     if guardrails:
         manager = GuardrailManager(
-            config=GuardrailConfig(), observer=ExecutionObserver(store)
+            config=GuardrailConfig(), observer=ExecutionObserver(run.store)
         )
     tuner = ColtTuner(
-        catalog,
+        run.catalog,
         ColtConfig(epoch_length=20, storage_budget_pages=200.0),
-        store=store,
+        store=run.store,
         guardrails=manager,
         advice=advice,
     )
-    counting = CountingStore(store)
-    observed = overhead = 0.0
-    for query in workload.queries:
-        # Price the plan the tuner is about to choose *before* handing
-        # the query over: an epoch boundary inside run() may drop the
-        # index (and its physical tree) the plan references.
-        plan = tuner.optimizer.optimize(query).plan
-        counting.counters.reset()
-        execute(plan, counting)
-        observed += observed_cost(counting.counters, catalog.params)
-        overhead += tuner.run([query])[0].verify_overhead
+    result = run_scenario("colt", run, tuner=tuner)
     return {
         "guardrails": guardrails,
-        "observed_cost": observed,
-        "verify_overhead": overhead,
-        "materialized": sorted(ix.name for ix in tuner.materialized_set),
+        "observed_cost": result.observed_cost,
+        "verify_overhead": result.verify_overhead,
+        "materialized": result.materialized,
         "quarantined": sorted(
             entry.index.name for entry in manager.quarantine.entries
         )

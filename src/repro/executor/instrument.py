@@ -8,7 +8,9 @@ purposes:
 * **cost-model validation** -- tests check that plans the optimizer
   deems cheaper really do less physical work on data;
 * **EXPLAIN ANALYZE-style reporting** -- examples can show the actual
-  row counts behind a plan.
+  row counts behind a plan;
+* **pricing** -- :meth:`CountingStore.observed_cost` executes a plan and
+  weighs its counters; every store-backed cost comes from it.
 
 The wrapper is transparent: any plan that executes against the
 underlying store executes identically against the counting store.
@@ -20,8 +22,14 @@ import dataclasses
 from typing import Iterator, Optional, Tuple
 
 from repro.engine.btree import BPlusTree
+from repro.engine.cost_params import CostParams
 from repro.engine.index import IndexDef
 from repro.engine.storage import HeapTable, PhysicalStore
+from repro.executor.executor import execute
+from repro.optimizer.plan import PlanNode
+
+#: Heap rows assumed per sequential page when weighing observed counters.
+ROWS_PER_SEQ_PAGE = 64.0
 
 
 @dataclasses.dataclass
@@ -56,6 +64,25 @@ class ExecutionCounters:
             + self.index_searches
             + self.index_entries_read
         )
+
+
+def observed_cost(counters: ExecutionCounters, params: CostParams) -> float:
+    """Weigh physical-operation counters into planner cost units.
+
+    Sequential heap rows amortize their page fetches
+    (:data:`ROWS_PER_SEQ_PAGE` rows per sequential page); every index
+    entry read drags a *random* heap fetch behind it (the executor
+    fetches matched rows by rid), which is exactly the term a
+    misleading selectivity estimate hides.
+    """
+    return (
+        counters.heap_rows_read
+        * (params.cpu_tuple_cost + params.seq_page_cost / ROWS_PER_SEQ_PAGE)
+        + counters.index_searches * params.random_page_cost
+        + counters.index_entries_read
+        * (params.cpu_index_tuple_cost + params.random_page_cost)
+        + counters.heap_cells_read * params.cpu_operator_cost
+    )
 
 
 class _CountingHeap:
@@ -120,7 +147,8 @@ class CountingStore:
     """A :class:`PhysicalStore` facade with operation counting.
 
     Pass this wherever a ``PhysicalStore`` is accepted by the executor;
-    read the accumulated work from :attr:`counters`.
+    read the accumulated work from :attr:`counters`, or price one plan's
+    execution with :meth:`observed_cost`.
     """
 
     def __init__(self, store: PhysicalStore) -> None:
@@ -146,3 +174,9 @@ class CountingStore:
         if tree is None:
             return None
         return _CountingTree(tree, self.counters)
+
+    def observed_cost(self, plan: PlanNode) -> float:
+        """Price one execution of ``plan`` (counters reset first)."""
+        self.counters.reset()
+        execute(plan, self)
+        return observed_cost(self.counters, self._store.catalog.params)

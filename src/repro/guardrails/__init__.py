@@ -26,7 +26,6 @@ from repro.guardrails.verify import (
     Observation,
     PlanCostObserver,
     Verdict,
-    observed_cost,
 )
 
 __all__ = [
@@ -47,5 +46,4 @@ __all__ = [
     "RolloutStage",
     "RolloutSummary",
     "Verdict",
-    "observed_cost",
 ]

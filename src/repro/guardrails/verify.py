@@ -37,13 +37,13 @@ Observers
   are always VERIFIED and tuning decisions are provably unchanged; what
   remains measurable is the verification *overhead* (the reverse
   what-if probes), which the 1.05x obs bar in the benchmarks covers.
-* :class:`ExecutionObserver` -- executes both plans against a
-  :class:`~repro.executor.instrument.CountingStore` and weighs the
-  physical-operation counters into cost units.  This is the observer
-  that catches a misleading cost model: point heap fetches behind an
-  index scan are charged at random-page rates, so an index the
-  optimizer loves but that actually selects half the table observes
-  *negative* benefit.
+* :class:`ExecutionObserver` -- prices both plans with
+  :meth:`~repro.executor.instrument.CountingStore.observed_cost`, which
+  executes each on the store and weighs the physical-operation counters
+  into cost units.  This is the observer that catches a misleading cost
+  model: point heap fetches behind an index scan are charged at
+  random-page rates, so an index the optimizer loves but that actually
+  selects half the table observes *negative* benefit.
 """
 
 from __future__ import annotations
@@ -53,16 +53,11 @@ import enum
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.catalog import Catalog
-from repro.engine.cost_params import CostParams
 from repro.engine.index import IndexDef
 from repro.engine.storage import PhysicalStore
-from repro.executor.executor import execute
-from repro.executor.instrument import CountingStore, ExecutionCounters
+from repro.executor.instrument import CountingStore
 from repro.optimizer.plan import PlanNode
 from repro.optimizer.whatif import WhatIfSession
-
-#: Heap rows assumed per sequential page when weighing observed counters.
-ROWS_PER_SEQ_PAGE = 64.0
 
 IndexKey = Tuple[str, Tuple[str, ...]]
 
@@ -136,25 +131,6 @@ class PlanCostObserver(CostObserver):
         )
 
 
-def observed_cost(counters: ExecutionCounters, params: CostParams) -> float:
-    """Weigh physical-operation counters into planner cost units.
-
-    Sequential heap rows amortize their page fetches
-    (:data:`ROWS_PER_SEQ_PAGE` rows per sequential page); every index
-    entry read drags a *random* heap fetch behind it (the executor
-    fetches matched rows by rid), which is exactly the term a
-    misleading selectivity estimate hides.
-    """
-    return (
-        counters.heap_rows_read
-        * (params.cpu_tuple_cost + params.seq_page_cost / ROWS_PER_SEQ_PAGE)
-        + counters.index_searches * params.random_page_cost
-        + counters.index_entries_read
-        * (params.cpu_index_tuple_cost + params.random_page_cost)
-        + counters.heap_cells_read * params.cpu_operator_cost
-    )
-
-
 class ExecutionObserver(CostObserver):
     """Prices plans by executing them on an instrumented physical store.
 
@@ -170,14 +146,7 @@ class ExecutionObserver(CostObserver):
         self, store: PhysicalStore, shadow_cost_factor: float = 1.0
     ) -> None:
         self._counting = CountingStore(store)
-        self._params = store.catalog.params
         self.shadow_cost_factor = shadow_cost_factor
-
-    def _priced_execution(self, plan: PlanNode) -> float:
-        counters = self._counting.counters
-        counters.reset()
-        execute(plan, self._counting)
-        return observed_cost(counters, self._params)
 
     def observe(
         self,
@@ -186,8 +155,8 @@ class ExecutionObserver(CostObserver):
         predicted_with: float,
         predicted_without: float,
     ) -> Observation:
-        o_with = self._priced_execution(session.base.plan)
-        o_without = self._priced_execution(without_plan)
+        o_with = self._counting.observed_cost(session.base.plan)
+        o_without = self._counting.observed_cost(without_plan)
         return Observation(
             predicted_with=predicted_with,
             predicted_without=predicted_without,

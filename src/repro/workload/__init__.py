@@ -24,6 +24,7 @@ from repro.workload.adversarial import (
     build_correlated_scenario,
     build_drift_scenario,
     build_htap_scenario,
+    build_misleading_scenario,
     misleading_workload,
 )
 from repro.workload.datagen import build_catalog, build_physical
@@ -50,6 +51,7 @@ __all__ = [
     "build_correlated_scenario",
     "build_drift_scenario",
     "build_htap_scenario",
+    "build_misleading_scenario",
     "build_catalog",
     "build_physical",
     "misleading_workload",

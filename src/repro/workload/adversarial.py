@@ -303,6 +303,28 @@ def _canon_event(event: ScenarioEvent) -> str:
     return f"i:{event.table}:{rows}"
 
 
+def build_misleading_scenario(
+    mislead: bool = True, length: int = 240, seed: int = 0
+) -> Scenario:
+    """:func:`misleading_workload` over the facts store, as a scenario.
+
+    ``mislead=False`` is clean end to end: uniform data and truthful
+    statistics (skewed data alone defeats ANALYZE's uniform-selectivity
+    model, so it would not exercise the no-false-positive path).  Not
+    one of :data:`SCENARIOS`, the bandit suite.
+    """
+    store = build_adversarial_store(
+        mislead=mislead, skew_fraction=0.85 if mislead else 0.0
+    )
+    workload = misleading_workload(store.catalog, length=length, seed=seed)
+    return Scenario(
+        name="misleading" if mislead else "clean",
+        description="facts store under the f_skew-heavy query stream",
+        store=store,
+        events=[ScenarioEvent(kind="query", query=q) for q in workload.queries],
+    )
+
+
 # ----------------------------------------------------------------------
 # 1. Ad-hoc: never-repeating queries over columns with lying statistics
 # ----------------------------------------------------------------------

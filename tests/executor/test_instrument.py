@@ -6,7 +6,11 @@ orders them -- the property that makes a cost-model simulation a
 meaningful stand-in for wall-clock measurements (see DESIGN.md §2).
 """
 
+import pytest
+
+from repro.engine.cost_params import CostParams
 from repro.executor import CountingStore, execute
+from repro.executor.instrument import ROWS_PER_SEQ_PAGE, ExecutionCounters, observed_cost
 from repro.optimizer.optimizer import Optimizer, PlanCache
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
@@ -56,6 +60,55 @@ class TestCounters:
         _, counters, _ = _run_counted(small_store, "select * from users", frozenset())
         counters.reset()
         assert counters.total_physical_ops == 0
+
+
+def test_observed_cost_weighs_counters():
+    params = CostParams()
+    counters = ExecutionCounters(
+        heap_rows_read=ROWS_PER_SEQ_PAGE,  # exactly one sequential page
+        heap_cells_read=0,
+        index_searches=1,
+        index_entries_read=10,
+    )
+    cost = observed_cost(counters, params)
+    expected = (
+        ROWS_PER_SEQ_PAGE * (params.cpu_tuple_cost + params.seq_page_cost / ROWS_PER_SEQ_PAGE)
+        + params.random_page_cost
+        + 10 * (params.cpu_index_tuple_cost + params.random_page_cost)
+    )
+    assert cost == pytest.approx(expected)
+    # Index entries drag random-page fetches: far pricier per row than
+    # sequential heap reads -- the term a lying selectivity hides.
+    per_index_row = params.cpu_index_tuple_cost + params.random_page_cost
+    per_seq_row = params.cpu_tuple_cost + params.seq_page_cost / ROWS_PER_SEQ_PAGE
+    assert per_index_row > 100 * per_seq_row
+
+
+class TestStoreObservedCost:
+    SQL = "select user_id, amount from events where user_id = 17"
+
+    def _index_plan(self, store):
+        index = store.catalog.index_for("events", "user_id")
+        store.build_index(index)
+        q = bind_query(parse_query(self.SQL), store.catalog)
+        plan = Optimizer(store.catalog).optimize(
+            q, config=frozenset([index]), cache=PlanCache()
+        ).plan
+        return plan
+
+    def test_back_to_back_calls_price_alike(self, small_store):
+        plan = self._index_plan(small_store)
+        counting = CountingStore(small_store)
+        first = counting.observed_cost(plan)
+        assert first > 0.0
+        assert counting.observed_cost(plan) == first
+
+    def test_prices_one_fresh_execution(self, small_store):
+        plan = self._index_plan(small_store)
+        fresh = CountingStore(small_store)
+        execute(plan, fresh)
+        expected = observed_cost(fresh.counters, small_store.catalog.params)
+        assert CountingStore(small_store).observed_cost(plan) == expected
 
 
 class TestCostModelValidation:

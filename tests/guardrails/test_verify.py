@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.engine.cost_params import CostParams
-from repro.executor.instrument import ExecutionCounters
 from repro.guardrails.verify import (
-    ROWS_PER_SEQ_PAGE,
     IndexVerifier,
     Observation,
     PlanCostObserver,
     Verdict,
-    observed_cost,
 )
 from tests.fleet.workloads import build_small_catalog
 
@@ -105,28 +101,6 @@ def test_plan_cost_observer_mirrors_predictions():
     assert observation.observed_with == 12.5
     assert observation.observed_without == 80.0
     assert observation.charge == 0.0
-
-
-def test_observed_cost_weighs_counters():
-    params = CostParams()
-    counters = ExecutionCounters(
-        heap_rows_read=ROWS_PER_SEQ_PAGE,  # exactly one sequential page
-        heap_cells_read=0,
-        index_searches=1,
-        index_entries_read=10,
-    )
-    cost = observed_cost(counters, params)
-    expected = (
-        ROWS_PER_SEQ_PAGE * (params.cpu_tuple_cost + params.seq_page_cost / ROWS_PER_SEQ_PAGE)
-        + params.random_page_cost
-        + 10 * (params.cpu_index_tuple_cost + params.random_page_cost)
-    )
-    assert cost == pytest.approx(expected)
-    # Index entries drag random-page fetches: far pricier per row than
-    # sequential heap reads -- the term a lying selectivity hides.
-    per_index_row = params.cpu_index_tuple_cost + params.random_page_cost
-    per_seq_row = params.cpu_tuple_cost + params.seq_page_cost / ROWS_PER_SEQ_PAGE
-    assert per_index_row > 100 * per_seq_row
 
 
 def test_verifier_rejects_bad_params():

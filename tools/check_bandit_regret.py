@@ -3,9 +3,9 @@
 
 Runs one short adversarial scenario (``drift`` by default -- the
 cheapest of the four) through the exact benchmark harness
-(:func:`repro.bandit.evaluate.run_scenario`) for both the bandit and
+(:func:`repro.bench.scenario.run_scenario`) for both the bandit and
 COLT, checks every cumulative observed-cost curve with
-:func:`repro.bandit.evaluate.curve_is_sane` (finite, non-negative,
+:func:`repro.bench.scenario.curve_is_sane` (finite, non-negative,
 non-decreasing), and writes the measured curves to a JSON file for the
 CI artifact.  Exits non-zero when a curve is insane or the bandit
 recorded no reward samples at all (a silently dead learner would
@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from repro.bandit.evaluate import curve_is_sane, make_tuner, run_scenario
+from repro.bench.scenario import curve_is_sane, make_tuner, run_scenario
 from repro.workload.adversarial import SCENARIOS
 
 EPOCH_LENGTH = 20
