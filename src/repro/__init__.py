@@ -35,30 +35,24 @@ Quickstart::
     outcome = tuner.process_query(query)
 """
 
-from repro.baselines import OfflineTuner
-from repro.core import ColtConfig, ColtTuner
-from repro.engine import Catalog, ColumnDef, DataType, IndexDef, TableDef
-from repro.executor import execute, execute_query
-from repro.optimizer import Optimizer, WhatIfOptimizer, explain
-from repro.sql import parse_query
-from repro.sql.binder import bind_query
+from repro._facade import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Catalog",
-    "ColtConfig",
-    "ColtTuner",
-    "ColumnDef",
-    "DataType",
-    "IndexDef",
-    "OfflineTuner",
-    "Optimizer",
-    "TableDef",
-    "WhatIfOptimizer",
-    "bind_query",
-    "execute",
-    "execute_query",
-    "explain",
-    "parse_query",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "baselines.offline": ("OfflineTuner",),
+        "core.colt": ("ColtTuner",),
+        "core.config": ("ColtConfig",),
+        "engine.catalog": ("Catalog", "ColumnDef", "TableDef"),
+        "engine.datatypes": ("DataType",),
+        "engine.index": ("IndexDef",),
+        "executor.executor": ("execute", "execute_query"),
+        "optimizer.optimizer": ("Optimizer",),
+        "optimizer.plan": ("explain",),
+        "optimizer.whatif": ("WhatIfOptimizer",),
+        "sql.binder": ("bind_query",),
+        "sql.parser": ("parse_query",),
+    },
+)

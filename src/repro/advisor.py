@@ -30,15 +30,17 @@ Usage::
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.baselines.offline import OfflineTuner
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.optimizer.optimizer import Optimizer, PlanCache
-from repro.sql.ast import Query
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.sql.ast import Query
 
 
 @dataclasses.dataclass

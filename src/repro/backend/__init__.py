@@ -6,36 +6,27 @@ for the workflow.  ``PostgresHypoBackend`` lives in
 connection requires a PostgreSQL driver, but importing it does not.
 """
 
-from repro.backend.base import (
-    Backend,
-    BackendCapabilities,
-    BackendCapabilityError,
-    BackendError,
-    BackendUnavailableError,
-    TraceMissError,
-    WhatIfSession,
-)
-from repro.backend.local import LocalBackend
-from repro.backend.trace import (
-    CostTrace,
-    CostTraceRecorder,
-    ReplayPlan,
-    TraceBackend,
-    trace_key,
-)
+from repro._facade import lazy_exports
 
-__all__ = [
-    "Backend",
-    "BackendCapabilities",
-    "BackendCapabilityError",
-    "BackendError",
-    "BackendUnavailableError",
-    "CostTrace",
-    "CostTraceRecorder",
-    "LocalBackend",
-    "ReplayPlan",
-    "TraceBackend",
-    "TraceMissError",
-    "WhatIfSession",
-    "trace_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "Backend",
+            "BackendCapabilities",
+            "BackendCapabilityError",
+            "BackendError",
+            "BackendUnavailableError",
+            "TraceMissError",
+            "WhatIfSession",
+        ),
+        "local": ("LocalBackend",),
+        "trace": (
+            "CostTrace",
+            "CostTraceRecorder",
+            "ReplayPlan",
+            "TraceBackend",
+            "trace_key",
+        ),
+    },
+)

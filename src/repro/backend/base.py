@@ -32,13 +32,16 @@ indexes + ``EXPLAIN (FORMAT JSON)``, import-guarded).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.optimizer.access import IndexConfig
-from repro.optimizer.optimizer import OptimizationResult, PlanCache
-from repro.sql.ast import Query
+from repro.optimizer.optimizer import PlanCache
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.optimizer.access import IndexConfig
+    from repro.optimizer.optimizer import OptimizationResult
+    from repro.sql.ast import Query
 
 __all__ = [
     "Backend",

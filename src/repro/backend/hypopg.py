@@ -31,24 +31,25 @@ the SQL and plan parsing against a fake connection.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.backend.base import (
     Backend,
     BackendCapabilities,
     BackendCapabilityError,
     BackendUnavailableError,
-    WhatIfSession,
 )
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.optimizer.access import IndexConfig
-from repro.optimizer.optimizer import (
-    OptimizationResult,
-    PlanCache,
-)
-from repro.sql.ast import Query
+from repro.backend.trace import ReplayPlan
+from repro.optimizer.optimizer import OptimizationResult
 from repro.sql.render import render_query
+
+if TYPE_CHECKING:
+    from repro.backend.base import WhatIfSession
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.optimizer.access import IndexConfig
+    from repro.optimizer.optimizer import PlanCache
+    from repro.sql.ast import Query
 
 __all__ = ["PostgresHypoBackend", "driver_available"]
 
@@ -191,8 +192,6 @@ class PostgresHypoBackend(Backend):
             for index in temporarily_dropped:
                 self.simulate_index(index)
         self._count_call()
-        from repro.backend.trace import ReplayPlan
-
         return OptimizationResult(
             plan=ReplayPlan(cost, used), cost=cost, config=config
         )

@@ -23,22 +23,24 @@ The backend doubles as the trace *recorder*: pass a
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.backend.base import (
     Backend,
     BackendCapabilities,
     WhatIfSession,
 )
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.optimizer.access import IndexConfig
 from repro.optimizer.optimizer import (
     OptimizationResult,
     Optimizer,
     PlanCache,
 )
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.optimizer.access import IndexConfig
+    from repro.sql.ast import Query
 
 __all__ = ["LocalBackend"]
 

@@ -26,23 +26,19 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-from repro.backend.base import (
-    Backend,
-    BackendCapabilities,
-    TraceMissError,
-    WhatIfSession,
-)
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.optimizer.access import IndexConfig
-from repro.optimizer.optimizer import (
-    OptimizationResult,
-    PlanCache,
-    relevant_config,
-)
-from repro.sql.ast import Query
+from repro.backend.base import Backend, BackendCapabilities, TraceMissError
+from repro.core.gaincache import query_signature
+from repro.optimizer.optimizer import OptimizationResult, relevant_config
+
+if TYPE_CHECKING:
+    from repro.backend.base import WhatIfSession
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.optimizer.access import IndexConfig
+    from repro.optimizer.optimizer import PlanCache
+    from repro.sql.ast import Query
 
 __all__ = [
     "CostTrace",
@@ -58,10 +54,6 @@ TRACE_VERSION = 1
 
 def trace_key(query: Query, config: IndexConfig) -> str:
     """Stable key for one (query, relevant-config) pricing request."""
-    # Imported lazily: repro.core's package __init__ pulls in the tuner,
-    # which imports this package back.
-    from repro.core.gaincache import query_signature
-
     relevant = relevant_config(query, config)
     csig = tuple(sorted((ix.table, ix.columns) for ix in relevant))
     payload = repr((query_signature(query), csig))

@@ -7,20 +7,15 @@ rewards are *observed* execution costs -- never what-if forecasts.  See
 ``docs/BANDIT.md`` for the algorithm and when to prefer it over COLT.
 """
 
-from repro.bandit.config import BanditConfig
-from repro.bandit.features import FEATURE_DIM, FEATURE_NAMES, FeatureMap
-from repro.bandit.linucb import RidgeModel
-from repro.bandit.persist import restore_bandit_tuner, snapshot_bandit_tuner
-from repro.bandit.tuner import BanditProfile, BanditTuner
+from repro._facade import lazy_exports
 
-__all__ = [
-    "BanditConfig",
-    "BanditProfile",
-    "BanditTuner",
-    "FEATURE_DIM",
-    "FEATURE_NAMES",
-    "FeatureMap",
-    "RidgeModel",
-    "restore_bandit_tuner",
-    "snapshot_bandit_tuner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": ("BanditConfig",),
+        "features": ("FEATURE_DIM", "FEATURE_NAMES", "FeatureMap"),
+        "linucb": ("RidgeModel",),
+        "persist": ("restore_bandit_tuner", "snapshot_bandit_tuner"),
+        "tuner": ("BanditProfile", "BanditTuner"),
+    },
+)

@@ -17,11 +17,13 @@ conditioned without normalization passes.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.core.candidates import CandidateTracker
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
+if TYPE_CHECKING:
+    from repro.core.candidates import CandidateTracker
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+
 
 #: Feature vector dimension (see :meth:`FeatureMap.vector`).
 FEATURE_DIM = 10

@@ -18,14 +18,11 @@ the caller knowing which tuner wrote the file.  The on-disk envelope
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.bandit.config import BanditConfig
 from repro.bandit.linucb import RidgeModel
 from repro.bandit.tuner import BanditTuner, _key
-from repro.engine.catalog import Catalog
-from repro.engine.storage import PhysicalStore
-from repro.guardrails.verify import CostObserver
 from repro.persist import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -39,6 +36,11 @@ from repro.persist import (
     _snapshot_advice_and_guardrails,
     _snapshot_candidates,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.storage import PhysicalStore
+    from repro.guardrails.verify import CostObserver
 
 #: Engine tag embedded in every bandit snapshot.
 ENGINE = "bandit"

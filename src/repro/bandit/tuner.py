@@ -34,27 +34,25 @@ guardrails, CLI, and fault injection drive either engine unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.bandit.config import BanditConfig
 from repro.bandit.features import FEATURE_DIM, FeatureMap
 from repro.bandit.linucb import RidgeModel
-from repro.core.knapsack import (
-    KnapsackItem,
-    Ruling,
-    SelectionConstraints,
-    solve_constrained,
-)
+from repro.core.knapsack import KnapsackItem, Ruling, solve_constrained
 from repro.core.loop import TuningLoop
-from repro.core.profiler import IndexKey, ProfilerBase, _key, _name
+from repro.core.profiler import ProfilerBase, _key, _name
 from repro.core.self_organizer import ReorganizationResult
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.executor.instrument import CountingStore
 from repro.obs.names import BANDIT_METRICS
-from repro.obs.registry import MetricsRegistry
-from repro.resilience.breaker import CircuitBreaker
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.core.knapsack import SelectionConstraints
+    from repro.core.profiler import IndexKey
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.obs.registry import MetricsRegistry
+    from repro.resilience.breaker import CircuitBreaker
+    from repro.sql.ast import Query
 
 
 class BanditProfile(ProfilerBase):
@@ -152,7 +150,12 @@ class BanditTuner(TuningLoop):
             self.catalog, self.config, breaker=breaker, registry=self.registry
         )
         store = self._store
-        self._counting = CountingStore(store) if store is not None else None
+        self._counting = None
+        if store is not None:
+            # The executor loads only for a tuner that prices real runs.
+            from repro.executor.instrument import CountingStore
+
+            self._counting = CountingStore(store)
         self.model = RidgeModel(
             FEATURE_DIM,
             lambda_reg=self.config.lambda_reg,

@@ -12,12 +12,12 @@ the prior work (§1) whose uncontrolled what-if overhead COLT's
 re-budgeting was designed to fix.
 """
 
-from repro.baselines.continuous import ContinuousConfig, ContinuousTuner
-from repro.baselines.offline import OfflineResult, OfflineTuner
+from repro._facade import lazy_exports
 
-__all__ = [
-    "ContinuousConfig",
-    "ContinuousTuner",
-    "OfflineResult",
-    "OfflineTuner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "continuous": ("ContinuousConfig", "ContinuousTuner"),
+        "offline": ("OfflineResult", "OfflineTuner"),
+    },
+)

@@ -27,14 +27,16 @@ experimental comparator:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.optimizer.optimizer import Optimizer
-from repro.optimizer.plan import PlanNode
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.optimizer.plan import PlanNode
+    from repro.sql.ast import Query
 
 IndexKey = Tuple[str, str]
 

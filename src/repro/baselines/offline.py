@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.optimizer.optimizer import Optimizer, PlanCache
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.sql.ast import Query
 
 MAX_EXHAUSTIVE_CANDIDATES = 22
 MAX_GROUP_RELEVANT = 12

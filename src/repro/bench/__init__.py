@@ -9,42 +9,26 @@ store-backed scoreboard (observed execution cost of a tuner, or of no
 tuning, over an adversarial scenario).
 """
 
-from repro.bench.harness import (
-    ColtRun,
-    OfflineRun,
-    run_colt,
-    run_offline,
-)
-from repro.bench.figures import (
-    figure3_stable,
-    figure4_shifting,
-    figure5_overhead,
-    figure6_noise,
-    table1_dataset,
-)
-from repro.bench.replay import (
-    ReplayEvent,
-    ReplayReport,
-    ReplayStream,
-    build_replay_tuner,
-    replay_fleet,
-    replay_serial,
-)
+from repro._facade import lazy_exports
 
-__all__ = [
-    "ColtRun",
-    "OfflineRun",
-    "ReplayEvent",
-    "ReplayReport",
-    "ReplayStream",
-    "build_replay_tuner",
-    "figure3_stable",
-    "figure4_shifting",
-    "figure5_overhead",
-    "figure6_noise",
-    "replay_fleet",
-    "replay_serial",
-    "run_colt",
-    "run_offline",
-    "table1_dataset",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "harness": ("ColtRun", "OfflineRun", "run_colt", "run_offline"),
+        "figures": (
+            "figure3_stable",
+            "figure4_shifting",
+            "figure5_overhead",
+            "figure6_noise",
+            "table1_dataset",
+        ),
+        "replay": (
+            "ReplayEvent",
+            "ReplayReport",
+            "ReplayStream",
+            "build_replay_tuner",
+            "replay_fleet",
+            "replay_serial",
+        ),
+    },
+)

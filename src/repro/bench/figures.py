@@ -9,9 +9,9 @@ for each of these.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.bench.harness import ColtRun, OfflineRun, bar_series, run_colt, run_offline
+from repro.bench.harness import bar_series, run_colt, run_offline
 from repro.core.config import ColtConfig
 from repro.workload.datagen import build_catalog
 from repro.workload.experiments import (
@@ -19,13 +19,13 @@ from repro.workload.experiments import (
     phase_distributions,
     stable_distribution,
 )
-from repro.workload.phases import (
-    Workload,
-    noisy_workload,
-    shifting_workload,
-    stable_workload,
-)
-from repro.workload.tpch import DatasetSummary, dataset_summary
+from repro.workload.phases import noisy_workload, shifting_workload, stable_workload
+from repro.workload.tpch import dataset_summary
+
+if TYPE_CHECKING:
+    from repro.bench.harness import ColtRun, OfflineRun
+    from repro.workload.phases import Workload
+    from repro.workload.tpch import DatasetSummary
 
 # Budget sized so that 3-6 of the stable workload's 18 relevant indexes
 # fit (§6.2): lineitem indexes are ~3,277 pages, orders ~819, dimension

@@ -14,15 +14,19 @@ builds.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.baselines.offline import OfflineResult, OfflineTuner
-from repro.core.colt import ColtTuner, QueryOutcome
-from repro.core.config import ColtConfig
+from repro.baselines.offline import OfflineTuner
+from repro.core.colt import ColtTuner
 from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.optimizer.optimizer import Optimizer, PlanCache
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.baselines.offline import OfflineResult
+    from repro.core.colt import QueryOutcome
+    from repro.core.config import ColtConfig
+    from repro.engine.index import IndexDef
+    from repro.sql.ast import Query
 
 CatalogFactory = Callable[[], Catalog]
 

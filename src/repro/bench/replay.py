@@ -23,17 +23,19 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence
 
 from repro.core.colt import ColtTuner
-from repro.core.config import ColtConfig
-from repro.core.loop import TuningLoop
-from repro.engine.catalog import Catalog
 from repro.obs.names import REPLAY_METRICS
 from repro.obs.quantiles import merge_histogram_samples, summarize_sample
 from repro.obs.registry import MetricsRegistry
-from repro.sql.ast import Query
-from repro.workload.phases import Workload
+
+if TYPE_CHECKING:
+    from repro.core.config import ColtConfig
+    from repro.core.loop import TuningLoop
+    from repro.engine.catalog import Catalog
+    from repro.sql.ast import Query
+    from repro.workload.phases import Workload
 
 __all__ = [
     "ReplayEvent",

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import ColtConfig
 from repro.executor.instrument import CountingStore
 from repro.optimizer.optimizer import Optimizer
-from repro.workload.adversarial import Scenario
+
+if TYPE_CHECKING:
+    from repro.workload.adversarial import Scenario
 
 
 @dataclasses.dataclass

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from repro.core.config import ColtConfig, stored_config
-from repro.core.loop import QueryOutcome, TuningLoop
-from repro.engine.catalog import Catalog
-from repro.sql.ast import Query
+from repro.core.config import stored_config
+
+if TYPE_CHECKING:
+    from repro.core.config import ColtConfig
+    from repro.core.loop import QueryOutcome, TuningLoop
+    from repro.engine.catalog import Catalog
+    from repro.sql.ast import Query
 
 
 @dataclasses.dataclass

@@ -21,7 +21,12 @@ a two-method API: ``process_query`` for every arriving query, which also
 returns the cost ledger entry for that query.
 """
 
-from repro.core.colt import ColtTuner, InsertOutcome, QueryOutcome
-from repro.core.config import ColtConfig
+from repro._facade import lazy_exports
 
-__all__ = ["ColtConfig", "ColtTuner", "InsertOutcome", "QueryOutcome"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "colt": ("ColtTuner", "InsertOutcome", "QueryOutcome"),
+        "config": ("ColtConfig",),
+    },
+)

@@ -11,13 +11,25 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import Container, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Container,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.optimizer.access import crude_index_delta_cost
 from repro.optimizer.optimizer import PlanCache
-from repro.sql.ast import CompareOp, ComparisonPredicate, InPredicate, Query
+from repro.sql.ast import CompareOp, ComparisonPredicate, InPredicate
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.sql.ast import Query
 
 
 class CandidateStats:

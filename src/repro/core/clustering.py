@@ -15,13 +15,15 @@ in a dictionary.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.optimizer.optimizer import PlanCache
 from repro.optimizer.selectivity import predicate_selectivity
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.optimizer.optimizer import PlanCache
+    from repro.sql.ast import Query
 
 # The paper's two selectivity classes.
 SELECTIVE_THRESHOLD = 0.02

@@ -12,17 +12,20 @@ index builds triggered at an epoch boundary it closed).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.core.config import ColtConfig
-from repro.core.knapsack import SelectionConstraints
 from repro.core.loop import InsertOutcome, QueryOutcome, TuningLoop
 from repro.core.profiler import Profiler
-from repro.core.self_organizer import ReorganizationResult, SelfOrganizer
-from repro.engine.index import IndexDef
+from repro.core.self_organizer import SelfOrganizer
 from repro.obs.names import TUNER_METRICS
-from repro.resilience.breaker import CircuitBreaker
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.core.knapsack import SelectionConstraints
+    from repro.core.self_organizer import ReorganizationResult
+    from repro.engine.index import IndexDef
+    from repro.resilience.breaker import CircuitBreaker
+    from repro.sql.ast import Query
 
 __all__ = ["ColtTuner", "InsertOutcome", "QueryOutcome"]
 

@@ -32,17 +32,16 @@ charged.  The differential harness
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, List, Optional, Tuple
 
-from repro.engine.index import IndexDef
 from repro.obs.names import GAINCACHE_METRICS
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.sql.ast import (
-    BetweenPredicate,
-    ComparisonPredicate,
-    InPredicate,
-    Query,
-)
+from repro.obs.registry import NULL_REGISTRY
+from repro.sql.ast import BetweenPredicate, ComparisonPredicate, InPredicate
+
+if TYPE_CHECKING:
+    from repro.engine.index import IndexDef
+    from repro.obs.registry import MetricsRegistry
+    from repro.sql.ast import Query
 
 
 def _literal(value: object) -> Tuple[str, object]:

@@ -21,29 +21,30 @@ import dataclasses
 import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.backend.base import Backend
 from repro.backend.local import LocalBackend
-from repro.core.knapsack import Ruling, SelectionConstraints, constraints_from
+from repro.core.knapsack import Ruling, constraints_from
 from repro.core.scheduler import Scheduler, SchedulingPolicy
-from repro.core.self_organizer import ReorganizationResult
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.engine.storage import PhysicalStore
 from repro.guardrails.advice import AdviceBook
 from repro.obs.dashboard import OverheadDashboard
 from repro.obs.export import build_snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.optimizer.plan import PlanNode
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy
-from repro.sql.ast import Query
 
-if TYPE_CHECKING:  # avoid import cycles
-    from repro.bandit.tuner import SafetyWatch
+if TYPE_CHECKING:
+    from repro.backend.base import Backend
+    from repro.bandit.tuner import SafetyWatch  # that module imports this one
+    from repro.core.knapsack import SelectionConstraints
+    from repro.core.self_organizer import ReorganizationResult
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.engine.storage import PhysicalStore
     from repro.guardrails.manager import GuardrailManager
+    from repro.optimizer.plan import PlanNode
+    from repro.resilience.breaker import CircuitBreaker
+    from repro.resilience.faults import FaultInjector
+    from repro.resilience.retry import RetryPolicy
+    from repro.sql.ast import Query
 
 
 @dataclasses.dataclass

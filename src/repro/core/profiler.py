@@ -31,22 +31,24 @@ import random
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.candidates import CandidateTracker
-from repro.core.clustering import Cluster, ClusterStore
-from repro.core.config import ColtConfig
+from repro.core.clustering import ClusterStore
 from repro.core.gaincache import GainCache
 from repro.core.intervals import GainStats
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.obs.names import PROFILER_METRICS, RESILIENCE_METRICS
-from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.obs.registry import NULL_REGISTRY
 from repro.optimizer.optimizer import referenced_columns
-from repro.optimizer.whatif import WhatIfOptimizer, WhatIfSession
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.errors import WhatIfProbeError
-from repro.sql.ast import Query
 
-if TYPE_CHECKING:  # the Self-Organizer imports this module
-    from repro.core.self_organizer import IndexRecord
+if TYPE_CHECKING:
+    from repro.core.clustering import Cluster
+    from repro.core.config import ColtConfig
+    from repro.core.self_organizer import IndexRecord  # that module imports this one
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.obs.registry import MetricsRegistry
+    from repro.optimizer.whatif import WhatIfOptimizer, WhatIfSession
+    from repro.sql.ast import Query
 
 # Identity of an index within COLT's bookkeeping: table plus the ordered
 # key-column tuple (composite-safe).

@@ -28,13 +28,15 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.engine.storage import PhysicalStore
 from repro.resilience.errors import IndexBuildError
 from repro.resilience.retry import RetryPolicy
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.engine.storage import PhysicalStore
 
 __all__ = [
     "FailedBuild",

@@ -19,23 +19,35 @@ from __future__ import annotations
 import dataclasses
 import operator
 from collections import deque
-from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.candidates import _smoothed_benefit
-from repro.core.config import ColtConfig
 from repro.core.forecast import BenefitHistory
 from repro.core.knapsack import (  # solve_knapsack: perf/layers.py patches it here
     UNCONSTRAINED,
     KnapsackItem,
-    Ruling,
-    SelectionConstraints,
     solve_constrained,
     solve_knapsack,  # noqa: F401
 )
-from repro.core.profiler import Profiler, _name
+from repro.core.profiler import _name
 from repro.core.window_tuner import ForecastWindowTuner
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
+
+if TYPE_CHECKING:
+    from repro.core.config import ColtConfig
+    from repro.core.knapsack import Ruling, SelectionConstraints
+    from repro.core.profiler import Profiler
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
 
 # Composite-safe index identity: table plus ordered key columns.
 IndexKey = Tuple[str, Tuple[str, ...]]

@@ -25,9 +25,11 @@ exceeds the paper's default, only caution does.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Tuple
 
-from repro.engine.index import IndexDef
+if TYPE_CHECKING:
+    from repro.engine.index import IndexDef
+
 
 IndexKey = Tuple[str, str]
 

@@ -8,22 +8,16 @@ real engine that what-if optimization, index materialization, and query
 execution are all meaningful operations rather than stubs.
 """
 
-from repro.engine.catalog import Catalog, ColumnDef, ColumnRef, TableDef
-from repro.engine.cost_params import CostParams
-from repro.engine.datatypes import DataType
-from repro.engine.index import IndexDef
-from repro.engine.stats import ColumnStats, Histogram
-from repro.engine.storage import HeapTable
+from repro._facade import lazy_exports
 
-__all__ = [
-    "Catalog",
-    "ColumnDef",
-    "ColumnRef",
-    "ColumnStats",
-    "CostParams",
-    "DataType",
-    "Histogram",
-    "HeapTable",
-    "IndexDef",
-    "TableDef",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "catalog": ("Catalog", "ColumnDef", "ColumnRef", "TableDef"),
+        "cost_params": ("CostParams",),
+        "datatypes": ("DataType",),
+        "index": ("IndexDef",),
+        "stats": ("ColumnStats", "Histogram"),
+        "storage": ("HeapTable",),
+    },
+)

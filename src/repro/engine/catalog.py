@@ -10,12 +10,14 @@ materialized-set view (see ``repro.optimizer.whatif``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.cost_params import CostParams
-from repro.engine.datatypes import DataType
 from repro.engine.index import IndexDef
 from repro.engine.stats import ColumnStats, default_stats_for
+
+if TYPE_CHECKING:
+    from repro.engine.datatypes import DataType
 
 
 @dataclasses.dataclass(frozen=True)

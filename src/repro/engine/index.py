@@ -10,10 +10,11 @@ materialization cost -- independent of any physical B+tree.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from repro.engine.cost_params import CostParams
-from repro.engine.datatypes import DataType
+if TYPE_CHECKING:
+    from repro.engine.cost_params import CostParams
+    from repro.engine.datatypes import DataType
 
 
 @dataclasses.dataclass(frozen=True)

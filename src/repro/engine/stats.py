@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.engine.datatypes import DataType
+if TYPE_CHECKING:
+    from repro.engine.datatypes import DataType
+
 
 DEFAULT_HISTOGRAM_BUCKETS = 64
 

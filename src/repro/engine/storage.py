@@ -9,12 +9,14 @@ index references to actual data structures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.btree import BPlusTree
-from repro.engine.catalog import Catalog, TableDef
 from repro.engine.datatypes import coerce
-from repro.engine.index import IndexDef
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog, TableDef
+    from repro.engine.index import IndexDef
 
 
 class HeapTable:

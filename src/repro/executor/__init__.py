@@ -10,7 +10,12 @@ model: examples and integration tests run queries for real and check that
 index-assisted plans return the same rows as sequential plans.
 """
 
-from repro.executor.executor import execute, execute_query
-from repro.executor.instrument import CountingStore, ExecutionCounters
+from repro._facade import lazy_exports
 
-__all__ = ["CountingStore", "ExecutionCounters", "execute", "execute_query"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "executor": ("execute", "execute_query"),
+        "instrument": ("CountingStore", "ExecutionCounters"),
+    },
+)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
-from repro.engine.storage import PhysicalStore
 from repro.executor.joins import hash_join, nested_loop
 from repro.executor.operators import (
     aggregate_rows,
@@ -13,7 +12,6 @@ from repro.executor.operators import (
     sort_rows,
     star_rows,
 )
-from repro.executor.predicates import Row
 from repro.executor.scans import index_scan, seq_scan
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.plan import (
@@ -22,12 +20,16 @@ from repro.optimizer.plan import (
     IndexScanNode,
     LimitNode,
     NestedLoopNode,
-    PlanNode,
     ProjectNode,
     SeqScanNode,
     SortNode,
 )
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.storage import PhysicalStore
+    from repro.executor.predicates import Row
+    from repro.optimizer.plan import PlanNode
+    from repro.sql.ast import Query
 
 
 def _rows(plan: PlanNode, store: PhysicalStore) -> Iterator[Row]:

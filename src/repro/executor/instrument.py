@@ -19,14 +19,16 @@ underlying store executes identically against the counting store.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
-from repro.engine.btree import BPlusTree
-from repro.engine.cost_params import CostParams
-from repro.engine.index import IndexDef
-from repro.engine.storage import HeapTable, PhysicalStore
 from repro.executor.executor import execute
-from repro.optimizer.plan import PlanNode
+
+if TYPE_CHECKING:
+    from repro.engine.btree import BPlusTree
+    from repro.engine.cost_params import CostParams
+    from repro.engine.index import IndexDef
+    from repro.engine.storage import HeapTable, PhysicalStore
+    from repro.optimizer.plan import PlanNode
 
 #: Heap rows assumed per sequential page when weighing observed counters.
 ROWS_PER_SEQ_PAGE = 64.0

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Tuple
 
-from repro.engine.storage import PhysicalStore
 from repro.executor.predicates import Row, column_value, eval_join
 from repro.executor.scans import lookup_rows
-from repro.optimizer.plan import HashJoinNode, IndexScanNode, NestedLoopNode
+from repro.optimizer.plan import IndexScanNode
+
+if TYPE_CHECKING:
+    from repro.engine.storage import PhysicalStore
+    from repro.optimizer.plan import HashJoinNode, NestedLoopNode
 
 RowIter = Iterator[Row]
 Source = Callable[[], RowIter]

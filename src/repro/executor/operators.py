@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
-from repro.executor.predicates import Row, column_value
-from repro.optimizer.plan import (
-    AggregateNode,
-    LimitNode,
-    ProjectNode,
-    SortNode,
-)
-from repro.sql.ast import AggFunc, Aggregate, SelectItem
+from repro.executor.predicates import column_value
+from repro.sql.ast import AggFunc, Aggregate
+
+if TYPE_CHECKING:
+    from repro.executor.predicates import Row
+    from repro.optimizer.plan import AggregateNode, LimitNode, ProjectNode, SortNode
+    from repro.sql.ast import SelectItem
 
 
 def sort_rows(node: SortNode, source: Iterator[Row]) -> Iterator[Row]:

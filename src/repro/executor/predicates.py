@@ -7,15 +7,12 @@ tests that cross-check index plans against sequential plans.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from repro.sql.ast import (
-    BetweenPredicate,
-    CompareOp,
-    ComparisonPredicate,
-    InPredicate,
-    JoinPredicate,
-)
+from repro.sql.ast import BetweenPredicate, CompareOp, ComparisonPredicate, InPredicate
+
+if TYPE_CHECKING:
+    from repro.sql.ast import JoinPredicate
 
 Row = Dict[Tuple[str, str], object]
 

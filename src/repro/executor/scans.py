@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import TYPE_CHECKING, Iterator, List
 
-from repro.engine.storage import HeapTable, PhysicalStore
-from repro.executor.predicates import Row, eval_filters
-from repro.optimizer.plan import IndexScanNode, SeqScanNode
+from repro.executor.predicates import eval_filters
+
+if TYPE_CHECKING:
+    from repro.engine.storage import HeapTable, PhysicalStore
+    from repro.executor.predicates import Row
+    from repro.optimizer.plan import IndexScanNode, SeqScanNode
 
 
 def _heap_row(heap: HeapTable, table: str, rid: int) -> Row:

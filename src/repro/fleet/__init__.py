@@ -30,60 +30,40 @@ Components:
 See ``docs/FLEET.md`` and ``docs/COTUNE.md`` for the design discussion.
 """
 
-from repro.fleet.coordinator import (
-    FleetCoordinator,
-    FleetOutcome,
-    FleetReorganizationResult,
-    FleetRun,
-)
-from repro.fleet.cotune import (
-    CotuneConfig,
-    CotuneController,
-    CotuneReport,
-    assign_partitions,
-    partition_signature,
-    signature_label,
-)
-from repro.fleet.replica import ReplicaHealth, TunerReplica
-from repro.fleet.router import (
-    AffinityRouter,
-    CostBasedRouter,
-    RoundRobinRouter,
-    Router,
-    make_router,
-)
-from repro.fleet.snapshots import (
-    FLEET_MANIFEST,
-    load_manifest,
-    restore_fleet,
-    save_fleet,
-    snapshot_fleet,
-)
-from repro.fleet.workers import WorkerCrash, WorkerFleetCoordinator
+from repro._facade import lazy_exports
 
-__all__ = [
-    "AffinityRouter",
-    "CostBasedRouter",
-    "CotuneConfig",
-    "CotuneController",
-    "CotuneReport",
-    "FLEET_MANIFEST",
-    "FleetCoordinator",
-    "FleetOutcome",
-    "FleetReorganizationResult",
-    "FleetRun",
-    "ReplicaHealth",
-    "RoundRobinRouter",
-    "Router",
-    "TunerReplica",
-    "WorkerCrash",
-    "WorkerFleetCoordinator",
-    "assign_partitions",
-    "load_manifest",
-    "make_router",
-    "partition_signature",
-    "restore_fleet",
-    "save_fleet",
-    "signature_label",
-    "snapshot_fleet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "coordinator": (
+            "FleetCoordinator",
+            "FleetOutcome",
+            "FleetReorganizationResult",
+            "FleetRun",
+        ),
+        "cotune": (
+            "CotuneConfig",
+            "CotuneController",
+            "CotuneReport",
+            "assign_partitions",
+            "partition_signature",
+            "signature_label",
+        ),
+        "replica": ("ReplicaHealth", "TunerReplica"),
+        "router": (
+            "AffinityRouter",
+            "CostBasedRouter",
+            "RoundRobinRouter",
+            "Router",
+            "make_router",
+        ),
+        "snapshots": (
+            "FLEET_MANIFEST",
+            "load_manifest",
+            "restore_fleet",
+            "save_fleet",
+            "snapshot_fleet",
+        ),
+        "workers": ("WorkerCrash", "WorkerFleetCoordinator"),
+    },
+)

@@ -24,17 +24,12 @@ ledger record mirroring the single-tuner
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.config import ColtConfig
-from repro.core.loop import QueryOutcome
 from repro.engine.catalog import Catalog
 from repro.engines import engine_spec
-from repro.fleet.cotune import CotuneConfig, CotuneController, CotuneReport
-from repro.fleet.replica import ReplicaHealth, ReplicaStats, TunerReplica
-from repro.guardrails.advice import AdviceBook
-from repro.guardrails.manager import GuardrailConfig, GuardrailManager
-from repro.guardrails.rollout import RolloutController, RolloutSummary
+from repro.fleet.replica import ReplicaHealth, TunerReplica
 from repro.obs.export import build_snapshot
 from repro.obs.names import (
     BANDIT_METRICS,
@@ -49,13 +44,21 @@ from repro.fleet.router import (
     DEFAULT_PROBE_BUDGET,
     AffinityRouter,
     CostBasedRouter,
-    Router,
     make_router,
 )
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultInjector
-from repro.sql.ast import Query
 from repro.workload.phases import Workload
+
+if TYPE_CHECKING:
+    from repro.core.loop import QueryOutcome
+    from repro.fleet.cotune import CotuneConfig, CotuneController, CotuneReport
+    from repro.fleet.replica import ReplicaStats
+    from repro.fleet.router import Router
+    from repro.guardrails.advice import AdviceBook
+    from repro.guardrails.manager import GuardrailConfig
+    from repro.guardrails.rollout import RolloutController, RolloutSummary
+    from repro.resilience.breaker import CircuitBreaker
+    from repro.resilience.faults import FaultInjector
+    from repro.sql.ast import Query
 
 CatalogFactory = Callable[[], Catalog]
 
@@ -292,6 +295,11 @@ class FleetCoordinator:
         engine_spec(engine)  # ValueError for a name the table lacks
         registry = registry if registry is not None else MetricsRegistry()
         config = config or ColtConfig()
+        if guardrails is not None:
+            # Guardrails and their staged rollout load only for a fleet
+            # that has them.
+            from repro.guardrails.manager import GuardrailManager
+            from repro.guardrails.rollout import RolloutController
         replicas: List[TunerReplica] = []
         for i in range(n_replicas):
             breaker = breakers[i] if breakers else None
@@ -355,15 +363,19 @@ class FleetCoordinator:
         self.router = router
         if isinstance(router, CostBasedRouter):
             router.bind(self.replicas)
-        if isinstance(cotune, CotuneController):
-            cotune.set_whatif_call_cost(config.whatif_call_cost)
-        elif cotune:
-            cotune = CotuneController(
-                len(self.replicas),
-                routing_catalog,
-                config=cotune if isinstance(cotune, CotuneConfig) else None,
-                whatif_call_cost=config.whatif_call_cost,
-            )
+        if cotune:
+            # Co-tuning loads only when it is on.
+            from repro.fleet.cotune import CotuneConfig, CotuneController
+
+            if isinstance(cotune, CotuneController):
+                cotune.set_whatif_call_cost(config.whatif_call_cost)
+            else:
+                cotune = CotuneController(
+                    len(self.replicas),
+                    routing_catalog,
+                    config=cotune if isinstance(cotune, CotuneConfig) else None,
+                    whatif_call_cost=config.whatif_call_cost,
+                )
         self.cotune: Optional[CotuneController] = cotune or None
         self._cotune_epoch_cost = 0.0
         self._cotune_epoch_queries = 0

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -60,10 +61,12 @@ from typing import (
 )
 
 from repro.core.gaincache import query_signature
-from repro.core.knapsack import Ruling
-from repro.engine.catalog import Catalog
+from repro.fleet.replica import resolve_advisory  # re-exported: replicas decode advisories
 from repro.fleet.router import DEFAULT_PROBE_BUDGET, MIN_PROBE_BUDGET
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.sql.ast import Query
 
 __all__ = [
     "CotuneConfig",
@@ -263,32 +266,6 @@ def assign_partitions(
         counts[donor] -= 1
         counts[target] += 1
     return assignment
-
-
-def resolve_advisory(
-    catalog: Catalog, payload: Sequence[Tuple[str, Sequence[str], float]]
-) -> List[Ruling]:
-    """Resolve a serialized advisory payload into ``"advisory"`` rulings.
-
-    Payload entries are ``(table, columns, weight)`` -- the wire format
-    the worker fleet ships over the pipe (``IndexDef`` objects must be
-    resolved against each replica's *own* catalog so identity-keyed
-    structures behave).  Entries naming unknown tables or columns are
-    skipped: advice is advisory.
-    """
-    resolved: List[Ruling] = []
-    for table, columns, weight in payload:
-        if not catalog.has_table(table):
-            continue
-        tdef = catalog.table(table)
-        if not all(tdef.has_column(c) for c in columns):
-            continue
-        if len(columns) == 1:
-            index = catalog.index_for(table, columns[0])
-        else:
-            index = catalog.composite_index_for(table, list(columns))
-        resolved.append(Ruling(index, "prefer", "advisory", weight, "partition"))
-    return resolved
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,19 +19,49 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.tracing import TraceAccumulator, TunerTrace
-from repro.core.config import ColtConfig
-from repro.core.loop import QueryOutcome, TuningLoop
-from repro.engine.catalog import Catalog
+from repro.bench.tracing import TraceAccumulator
+from repro.core.knapsack import Ruling
 from repro.engines import engine_spec
-from repro.fleet.cotune import resolve_advisory
-from repro.obs.registry import MetricsRegistry
 from repro.persist import snapshot_any
-from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.faults import FaultInjector
-from repro.sql.ast import Query
+from repro.resilience.breaker import BreakerState
+
+if TYPE_CHECKING:
+    from repro.bench.tracing import TunerTrace
+    from repro.core.config import ColtConfig
+    from repro.core.loop import QueryOutcome, TuningLoop
+    from repro.engine.catalog import Catalog
+    from repro.obs.registry import MetricsRegistry
+    from repro.resilience.breaker import CircuitBreaker
+    from repro.resilience.faults import FaultInjector
+    from repro.sql.ast import Query
+
+
+def resolve_advisory(
+    catalog: Catalog, payload: Sequence[Tuple[str, Sequence[str], float]]
+) -> List[Ruling]:
+    """Resolve a serialized advisory payload into ``"advisory"`` rulings.
+
+    Payload entries are ``(table, columns, weight)`` -- the wire format
+    the worker fleet ships over the pipe (``IndexDef`` objects must be
+    resolved against each replica's *own* catalog so identity-keyed
+    structures behave).  Entries naming unknown tables or columns are
+    skipped: advice is advisory.
+    """
+    resolved: List[Ruling] = []
+    for table, columns, weight in payload:
+        if not catalog.has_table(table):
+            continue
+        tdef = catalog.table(table)
+        if not all(tdef.has_column(c) for c in columns):
+            continue
+        if len(columns) == 1:
+            index = catalog.index_for(table, columns[0])
+        else:
+            index = catalog.composite_index_for(table, list(columns))
+        resolved.append(Ruling(index, "prefer", "advisory", weight, "partition"))
+    return resolved
 
 
 class ReplicaHealth(enum.Enum):

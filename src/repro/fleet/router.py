@@ -23,11 +23,13 @@ Four policies, all honouring the coordinator's drain set:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.clustering import cluster_key
-from repro.engine.catalog import Catalog
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.sql.ast import Query
 
 #: Default per-epoch probe budget for cost-based routing.
 DEFAULT_PROBE_BUDGET = 30

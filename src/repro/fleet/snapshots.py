@@ -20,10 +20,9 @@ Usage::
 from __future__ import annotations
 
 import pathlib
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from repro.engine.catalog import Catalog
-from repro.fleet.coordinator import CatalogFactory, FleetCoordinator
+from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.replica import TunerReplica
 from repro.fleet.router import DEFAULT_PROBE_BUDGET
 from repro.persist import (
@@ -33,6 +32,10 @@ from repro.persist import (
     restore_any,
     save_json,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.fleet.coordinator import CatalogFactory
 
 FLEET_SNAPSHOT_VERSION = 1
 

@@ -64,18 +64,12 @@ import os
 import time
 import types
 from multiprocessing import connection
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import ColtConfig
 from repro.core.loop import QueryOutcome
 from repro.engines import engine_spec
-from repro.fleet.coordinator import (
-    CatalogFactory,
-    FleetCoordinator,
-    FleetOutcome,
-    FleetReorganizationResult,
-)
-from repro.fleet.cotune import CotuneConfig
+from repro.fleet.coordinator import FleetCoordinator, FleetOutcome
 from repro.fleet.replica import ReplicaHealth, ReplicaStats, TunerReplica
 from repro.fleet.router import (
     DEFAULT_PROBE_BUDGET,
@@ -86,7 +80,11 @@ from repro.obs.names import REPLAY_METRICS
 from repro.obs.quantiles import merge_histogram_samples, summarize_sample
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.fleet.coordinator import CatalogFactory, FleetReorganizationResult
+    from repro.fleet.cotune import CotuneConfig
+    from repro.sql.ast import Query
 
 __all__ = ["WorkerCrash", "WorkerFleetCoordinator", "WorkerHandle"]
 

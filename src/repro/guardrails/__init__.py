@@ -10,40 +10,27 @@ and quarantine are orchestrated per tuner by the
 :class:`~repro.guardrails.manager.GuardrailManager`.
 """
 
-from repro.guardrails.advice import AdviceBook, AdviceDirective, AdviceError
-from repro.guardrails.manager import GuardrailConfig, GuardrailManager
-from repro.guardrails.quarantine import Quarantine, QuarantineEntry
-from repro.guardrails.rollout import (
-    RolloutController,
-    RolloutRecord,
-    RolloutStage,
-    RolloutSummary,
-)
-from repro.guardrails.verify import (
-    CostObserver,
-    ExecutionObserver,
-    IndexVerifier,
-    Observation,
-    PlanCostObserver,
-    Verdict,
-)
+from repro._facade import lazy_exports
 
-__all__ = [
-    "AdviceBook",
-    "AdviceDirective",
-    "AdviceError",
-    "CostObserver",
-    "ExecutionObserver",
-    "GuardrailConfig",
-    "GuardrailManager",
-    "IndexVerifier",
-    "Observation",
-    "PlanCostObserver",
-    "Quarantine",
-    "QuarantineEntry",
-    "RolloutController",
-    "RolloutRecord",
-    "RolloutStage",
-    "RolloutSummary",
-    "Verdict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "advice": ("AdviceBook", "AdviceDirective", "AdviceError"),
+        "manager": ("GuardrailConfig", "GuardrailManager"),
+        "quarantine": ("Quarantine", "QuarantineEntry"),
+        "rollout": (
+            "RolloutController",
+            "RolloutRecord",
+            "RolloutStage",
+            "RolloutSummary",
+        ),
+        "verify": (
+            "CostObserver",
+            "ExecutionObserver",
+            "IndexVerifier",
+            "Observation",
+            "PlanCostObserver",
+            "Verdict",
+        ),
+    },
+)

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple, Union
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+
 
 #: Directive verbs accepted in advice files.
 VERBS = ("pin", "ban", "prefer")

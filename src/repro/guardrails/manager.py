@@ -11,18 +11,16 @@ pipeline (:meth:`repro.core.loop.TuningLoop._end_epoch`).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.knapsack import Ruling
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.guardrails.quarantine import Quarantine
-from repro.guardrails.verify import (
-    CostObserver,
-    IndexVerifier,
-    PlanCostObserver,
-    Verdict,
-)
+from repro.guardrails.verify import IndexVerifier, PlanCostObserver, Verdict
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.guardrails.verify import CostObserver
 
 
 @dataclasses.dataclass(frozen=True)

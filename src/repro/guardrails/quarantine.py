@@ -24,11 +24,13 @@ save/restore (the whole point: a restart must not amnesty a bad index).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
 from repro.resilience.breaker import BreakerState, CircuitBreaker
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
 
 #: Epochs an index spends OPEN before parole, by default.
 DEFAULT_COOLDOWN_EPOCHS = 6

@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.knapsack import Ruling
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
+from repro.fleet.replica import ReplicaHealth
 from repro.guardrails.verify import Verdict
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
 
 #: Fleet epochs a rolled-back index stays banned fleet-wide.
 DEFAULT_ROLLBACK_COOLDOWN = 4
@@ -148,8 +151,6 @@ class RolloutController:
         Returns:
             What changed, for the fleet ledger and metrics.
         """
-        from repro.fleet.replica import ReplicaHealth
-
         self._epoch += 1
         summary = RolloutSummary()
         by_id = {r.replica_id: r for r in replicas}

@@ -50,14 +50,15 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.engine.storage import PhysicalStore
-from repro.executor.instrument import CountingStore
-from repro.optimizer.plan import PlanNode
-from repro.optimizer.whatif import WhatIfSession
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.engine.storage import PhysicalStore
+    from repro.optimizer.plan import PlanNode
+    from repro.optimizer.whatif import WhatIfSession
+
 
 IndexKey = Tuple[str, Tuple[str, ...]]
 
@@ -145,6 +146,9 @@ class ExecutionObserver(CostObserver):
     def __init__(
         self, store: PhysicalStore, shadow_cost_factor: float = 1.0
     ) -> None:
+        # The executor loads only for an observer that executes plans.
+        from repro.executor.instrument import CountingStore
+
         self._counting = CountingStore(store)
         self.shadow_cost_factor = shadow_cost_factor
 

@@ -11,40 +11,47 @@ catalog of every metric family the instrumented code emits.
 the overhead dashboard's invariant, and the CLI surface).
 """
 
-from repro.obs.dashboard import (
-    EpochOverheadRecord,
-    OverheadDashboard,
-    render_overhead_rows,
+from repro._facade import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "dashboard": (
+            "EpochOverheadRecord",
+            "OverheadDashboard",
+            "render_overhead_rows",
+        ),
+        "export": (
+            "SNAPSHOT_FORMAT",
+            "SNAPSHOT_VERSION",
+            "build_snapshot",
+            "format_for_path",
+            "load_snapshot",
+            "render_snapshot",
+            "to_json_text",
+            "to_prometheus_text",
+            "write_metrics",
+        ),
+        "names": (
+            "CATALOG",
+            "FLEET_METRICS",
+            "PROFILER_METRICS",
+            "RESILIENCE_METRICS",
+            "TUNER_METRICS",
+            "MetricSpec",
+        ),
+        "registry": (
+            "COST_BUCKETS",
+            "NULL_REGISTRY",
+            "SECONDS_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "Metric",
+            "MetricError",
+            "MetricsRegistry",
+            "merge_snapshots",
+        ),
+        "spans": ("Span", "SpanTracer", "merge_span_summaries"),
+    },
 )
-from repro.obs.export import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    build_snapshot,
-    format_for_path,
-    load_snapshot,
-    render_snapshot,
-    to_json_text,
-    to_prometheus_text,
-    write_metrics,
-)
-from repro.obs.names import (
-    CATALOG,
-    FLEET_METRICS,
-    PROFILER_METRICS,
-    RESILIENCE_METRICS,
-    TUNER_METRICS,
-    MetricSpec,
-)
-from repro.obs.registry import (
-    COST_BUCKETS,
-    NULL_REGISTRY,
-    SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricError,
-    MetricsRegistry,
-    merge_snapshots,
-)
-from repro.obs.spans import Span, SpanTracer, merge_span_summaries

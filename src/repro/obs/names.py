@@ -21,17 +21,12 @@ nouns for gauges, unit-suffixed names for histograms (``_seconds``,
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.obs.registry import (
-    COST_BUCKETS,
-    LATENCY_BUCKETS,
-    SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.registry import COST_BUCKETS, LATENCY_BUCKETS, SECONDS_BUCKETS
+
+if TYPE_CHECKING:
+    from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
 
 @dataclasses.dataclass(frozen=True)

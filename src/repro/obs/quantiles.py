@@ -19,9 +19,11 @@ process boundary.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import Histogram
+if TYPE_CHECKING:
+    from repro.obs.registry import Histogram
+
 
 __all__ = [
     "histogram_quantile",

@@ -11,14 +11,13 @@ returns, for each index in the probation set ``P``, the change in the
 optimal cost of ``q`` if that index's materialization status were flipped.
 """
 
-from repro.optimizer.optimizer import OptimizationResult, Optimizer
-from repro.optimizer.plan import PlanNode, explain
-from repro.optimizer.whatif import WhatIfOptimizer
+from repro._facade import lazy_exports
 
-__all__ = [
-    "OptimizationResult",
-    "Optimizer",
-    "PlanNode",
-    "WhatIfOptimizer",
-    "explain",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "optimizer": ("OptimizationResult", "Optimizer"),
+        "plan": ("PlanNode", "explain"),
+        "whatif": ("WhatIfOptimizer",),
+    },
+)

@@ -10,11 +10,10 @@ interpolated by the column's physical-order correlation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
-from repro.optimizer.plan import IndexScanNode, PlanNode, SeqScanNode
+from repro.optimizer.plan import IndexScanNode, SeqScanNode
 from repro.optimizer.selectivity import (
     conjunction,
     operator_count,
@@ -26,6 +25,10 @@ from repro.sql.ast import (
     ComparisonPredicate,
     InPredicate,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.optimizer.plan import PlanNode
 
 IndexConfig = FrozenSet[IndexDef]
 

@@ -18,23 +18,17 @@ from filtered base cardinalities and per-edge join selectivities.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.engine.catalog import Catalog
-from repro.optimizer.access import (
-    IndexConfig,
-    TableScan,
-    parameterized_index_path,
-    table_scan,
-)
-from repro.optimizer.plan import (
-    HashJoinNode,
-    IndexScanNode,
-    NestedLoopNode,
-    PlanNode,
-)
+from repro.optimizer.access import parameterized_index_path, table_scan
+from repro.optimizer.plan import HashJoinNode, IndexScanNode, NestedLoopNode
 from repro.optimizer.selectivity import join_selectivity
-from repro.sql.ast import JoinPredicate, Query
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.optimizer.access import IndexConfig, TableScan
+    from repro.optimizer.plan import PlanNode
+    from repro.sql.ast import JoinPredicate, Query
 
 
 class JoinPlanner:

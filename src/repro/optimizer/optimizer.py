@@ -12,26 +12,25 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
-from repro.engine.catalog import Catalog
-from repro.engine.index import IndexDef
-from repro.optimizer.access import (
-    IndexConfig,
-    TableScan,
-    best_access_path,
-    table_scan,
-)
+from repro.optimizer.access import best_access_path, table_scan
 from repro.optimizer.joins import JoinPlanner
 from repro.optimizer.plan import (
     AggregateNode,
     IndexScanNode,
     LimitNode,
-    PlanNode,
     ProjectNode,
     SortNode,
 )
-from repro.sql.ast import Aggregate, Query
+from repro.sql.ast import Aggregate
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
+    from repro.optimizer.access import IndexConfig, TableScan
+    from repro.optimizer.plan import PlanNode
+    from repro.sql.ast import Query
 
 
 #: The one empty configuration (``frozenset(iterable)`` allocates a new

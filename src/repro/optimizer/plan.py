@@ -10,10 +10,11 @@ indicator ``u_{q,I}`` (whether the optimizer chose index ``I`` for query
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
-from repro.engine.index import IndexDef
-from repro.sql.ast import Aggregate, ColumnExpr, JoinPredicate, OrderItem, SelectItem
+if TYPE_CHECKING:
+    from repro.engine.index import IndexDef
+    from repro.sql.ast import Aggregate, ColumnExpr, JoinPredicate, OrderItem, SelectItem
 
 
 @dataclasses.dataclass

@@ -8,15 +8,17 @@ formulas reference.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import TYPE_CHECKING, Iterable, List
 
-from repro.engine.catalog import Catalog
 from repro.sql.ast import (
     BetweenPredicate,
     CompareOp,
     ComparisonPredicate,
     InPredicate,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
 
 # Default selectivity for inequality (<>) predicates when stats are thin.
 DEFAULT_NE_SELECTIVITY = 0.995

@@ -30,15 +30,17 @@ the same engineering the paper's PostgreSQL prototype does.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.backend.base import BackendError, WhatIfSession
 from repro.backend.local import LocalBackend
-from repro.engine.index import IndexDef
-from repro.optimizer.access import IndexConfig
-from repro.optimizer.optimizer import Optimizer
 from repro.resilience.errors import WhatIfProbeError
-from repro.sql.ast import Query
+
+if TYPE_CHECKING:
+    from repro.engine.index import IndexDef
+    from repro.optimizer.access import IndexConfig
+    from repro.optimizer.optimizer import Optimizer
+    from repro.sql.ast import Query
 
 __all__ = ["WhatIfOptimizer", "WhatIfSession", "WhatIfProbeError"]
 

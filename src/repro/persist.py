@@ -39,16 +39,17 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig, stored_config
 from repro.core.forecast import BenefitHistory
-from repro.engine.catalog import Catalog
-from repro.engine.storage import PhysicalStore
 from repro.guardrails.advice import AdviceBook
-from repro.guardrails.manager import GuardrailManager
-from repro.guardrails.verify import CostObserver
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.storage import PhysicalStore
+    from repro.guardrails.verify import CostObserver
 
 SNAPSHOT_VERSION = 1
 
@@ -399,12 +400,13 @@ def _restore_advice_and_guardrails(
     """
     guardrails = snapshot.get("guardrails")
     lines = snapshot.get("advice", (guardrails or {}).get("advice", []))
-    return {
-        "guardrails": None
-        if guardrails is None
-        else GuardrailManager.from_snapshot(guardrails, catalog, observer=observer),
-        "advice": AdviceBook.from_snapshot(lines),
-    }
+    manager = None
+    if guardrails is not None:
+        # Guardrails load only for a tuner that had them.
+        from repro.guardrails.manager import GuardrailManager
+
+        manager = GuardrailManager.from_snapshot(guardrails, catalog, observer=observer)
+    return {"guardrails": manager, "advice": AdviceBook.from_snapshot(lines)}
 
 
 def _restore_materialized(tuner, entries, store: Optional[PhysicalStore]) -> None:

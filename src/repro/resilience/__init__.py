@@ -13,28 +13,20 @@ dependency-free); ``faults`` depends only on ``errors``.  Nothing here
 imports the core, so there are no cycles.
 """
 
-from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.errors import (
-    IndexBuildError,
-    InjectedBuildFault,
-    InjectedFault,
-    InjectedWhatIfFault,
-    WhatIfProbeError,
-)
-from repro.resilience.faults import SITES, FaultInjector, FaultPlan, FaultSpec
-from repro.resilience.retry import RetryPolicy
+from repro._facade import lazy_exports
 
-__all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "IndexBuildError",
-    "InjectedBuildFault",
-    "InjectedFault",
-    "InjectedWhatIfFault",
-    "RetryPolicy",
-    "SITES",
-    "WhatIfProbeError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "breaker": ("BreakerState", "CircuitBreaker"),
+        "errors": (
+            "IndexBuildError",
+            "InjectedBuildFault",
+            "InjectedFault",
+            "InjectedWhatIfFault",
+            "WhatIfProbeError",
+        ),
+        "faults": ("SITES", "FaultInjector", "FaultPlan", "FaultSpec"),
+        "retry": ("RetryPolicy",),
+    },
+)

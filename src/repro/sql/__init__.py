@@ -5,29 +5,22 @@ conjunctive select-project-join queries with range/equality/IN predicates,
 optional aggregation, grouping, ordering and LIMIT.
 """
 
-from repro.sql.ast import (
-    Aggregate,
-    BetweenPredicate,
-    ColumnExpr,
-    ComparisonPredicate,
-    InPredicate,
-    JoinPredicate,
-    OrderItem,
-    Query,
-    SelectItem,
-)
-from repro.sql.parser import ParseError, parse_query
+from repro._facade import lazy_exports
 
-__all__ = [
-    "Aggregate",
-    "BetweenPredicate",
-    "ColumnExpr",
-    "ComparisonPredicate",
-    "InPredicate",
-    "JoinPredicate",
-    "OrderItem",
-    "ParseError",
-    "Query",
-    "SelectItem",
-    "parse_query",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ast": (
+            "Aggregate",
+            "BetweenPredicate",
+            "ColumnExpr",
+            "ComparisonPredicate",
+            "InPredicate",
+            "JoinPredicate",
+            "OrderItem",
+            "Query",
+            "SelectItem",
+        ),
+        "parser": ("ParseError", "parse_query"),
+    },
+)

@@ -15,10 +15,9 @@ objects it already held.  Only the ``Query`` and its lists are always new.
 from __future__ import annotations
 
 import operator
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.engine.catalog import Catalog, TableDef
-from repro.engine.datatypes import DataType, coerce, comparable
+from repro.engine.datatypes import coerce, comparable
 from repro.sql.ast import (
     Aggregate,
     BetweenPredicate,
@@ -30,6 +29,10 @@ from repro.sql.ast import (
     Query,
     SelectItem,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog, TableDef
+    from repro.engine.datatypes import DataType
 
 
 class BindError(ValueError):

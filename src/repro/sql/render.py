@@ -10,18 +10,14 @@ renderer against each other.
 from __future__ import annotations
 
 import datetime
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.engine.catalog import Catalog
 from repro.engine.datatypes import DataType, ordinal_to_date
-from repro.sql.ast import (
-    BetweenPredicate,
-    ColumnExpr,
-    ComparisonPredicate,
-    InPredicate,
-    Query,
-    SelectItem,
-)
+from repro.sql.ast import BetweenPredicate, ComparisonPredicate, InPredicate
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.sql.ast import ColumnExpr, Query, SelectItem
 
 
 def render_query(query: Query, catalog: Optional[Catalog] = None) -> str:

@@ -15,51 +15,32 @@ package reconstructs all of it:
   matching the three experiments of §6.
 """
 
-from repro.workload.adversarial import (
-    SCENARIOS,
-    Scenario,
-    ScenarioEvent,
-    build_adhoc_scenario,
-    build_adversarial_store,
-    build_correlated_scenario,
-    build_drift_scenario,
-    build_htap_scenario,
-    build_misleading_scenario,
-    misleading_workload,
-)
-from repro.workload.datagen import build_catalog, build_physical
-from repro.workload.phases import (
-    multi_client_shifting_workload,
-    multi_client_workload,
-    noisy_workload,
-    shifting_workload,
-    stable_workload,
-)
-from repro.workload.querygen import QueryDistribution, QueryTemplate, PredicateSpec
-from repro.workload.tpch import TPCH_INSTANCES, dataset_summary, tpch_schema
+from repro._facade import lazy_exports
 
-__all__ = [
-    "PredicateSpec",
-    "QueryDistribution",
-    "QueryTemplate",
-    "SCENARIOS",
-    "Scenario",
-    "ScenarioEvent",
-    "TPCH_INSTANCES",
-    "build_adhoc_scenario",
-    "build_adversarial_store",
-    "build_correlated_scenario",
-    "build_drift_scenario",
-    "build_htap_scenario",
-    "build_misleading_scenario",
-    "build_catalog",
-    "build_physical",
-    "misleading_workload",
-    "dataset_summary",
-    "multi_client_shifting_workload",
-    "multi_client_workload",
-    "noisy_workload",
-    "shifting_workload",
-    "stable_workload",
-    "tpch_schema",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "adversarial": (
+            "SCENARIOS",
+            "Scenario",
+            "ScenarioEvent",
+            "build_adhoc_scenario",
+            "build_adversarial_store",
+            "build_correlated_scenario",
+            "build_drift_scenario",
+            "build_htap_scenario",
+            "build_misleading_scenario",
+            "misleading_workload",
+        ),
+        "datagen": ("build_catalog", "build_physical"),
+        "phases": (
+            "multi_client_shifting_workload",
+            "multi_client_workload",
+            "noisy_workload",
+            "shifting_workload",
+            "stable_workload",
+        ),
+        "querygen": ("QueryDistribution", "QueryTemplate", "PredicateSpec"),
+        "tpch": ("TPCH_INSTANCES", "dataset_summary", "tpch_schema"),
+    },
+)

@@ -29,10 +29,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog, ColumnDef, TableDef
-from repro.engine.cost_params import CostParams
 from repro.engine.datatypes import DataType
 from repro.engine.stats import ColumnStats
 from repro.engine.storage import PhysicalStore
@@ -46,6 +45,9 @@ from repro.sql.ast import (
     SelectItem,
 )
 from repro.workload.phases import Workload
+
+if TYPE_CHECKING:
+    from repro.engine.cost_params import CostParams
 
 #: Table and column names of the adversarial schema.
 FACTS_TABLE = "facts"

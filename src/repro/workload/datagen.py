@@ -14,13 +14,16 @@ Two entry points with different cost/fidelity trade-offs:
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.engine.catalog import Catalog, ColumnDef, TableDef
-from repro.engine.cost_params import CostParams
 from repro.engine.storage import PhysicalStore
-from repro.workload.spec import TableSpec, generate_rows, scaled_rows
+from repro.workload.spec import generate_rows, scaled_rows
 from repro.workload.tpch import TPCH_INSTANCES, tpch_schema
+
+if TYPE_CHECKING:
+    from repro.engine.cost_params import CostParams
+    from repro.workload.spec import TableSpec
 
 
 def build_catalog(

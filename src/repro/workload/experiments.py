@@ -22,15 +22,17 @@ converges to OFFLINE within ~100 queries.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
 from repro.workload.querygen import (
     JoinSpec,
     PredicateSpec,
     QueryDistribution,
     QueryTemplate,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
 
 # Selectivity bands used throughout: the paper's clustering separates
 # "selective" (0-2%) from "non-selective" (2-100%) predicates.

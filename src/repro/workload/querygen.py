@@ -14,13 +14,12 @@ experiments size the storage budget relative to this set.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
 from repro.engine.datatypes import DataType
-from repro.engine.index import IndexDef
 from repro.sql.ast import (
     AggFunc,
     Aggregate,
@@ -32,6 +31,10 @@ from repro.sql.ast import (
     Query,
     SelectItem,
 )
+
+if TYPE_CHECKING:
+    from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,11 +99,34 @@ class QueryDistribution:
 
     name: str
     templates: Tuple[QueryTemplate, ...]
+    #: Running template weights in template order, and their ``sum``:
+    #: a draw bisects them instead of re-summing every weight.
+    _running: List[float] = dataclasses.field(init=False, repr=False, compare=False)
+    _total: float = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        running: List[float] = []
+        acc = 0.0
+        for template in self.templates:
+            acc += template.weight
+            running.append(acc)
+        object.__setattr__(self, "_running", running)
+        object.__setattr__(self, "_total", sum(t.weight for t in self.templates))
 
     def sample(self, catalog: Catalog, rng: random.Random) -> Query:
         """Draw one query from the distribution."""
-        template = _weighted_choice(self.templates, rng)
-        return build_query(template, catalog, rng)
+        return build_query(self.choose_template(rng), catalog, rng)
+
+    def choose_template(self, rng: random.Random) -> QueryTemplate:
+        """The template a uniform point on ``[0, total weight]`` falls under.
+
+        The first template whose running weight reaches the point, the
+        last one if rounding puts the point past every running weight.
+        Weights are non-negative, so the running weights are sorted.
+        """
+        point = rng.uniform(0.0, self._total)
+        i = bisect.bisect_left(self._running, point)
+        return self.templates[i] if i < len(self._running) else self.templates[-1]
 
     def relevant_indexes(self, catalog: Catalog) -> List[IndexDef]:
         """The single-column indexes this distribution makes relevant.
@@ -206,16 +232,3 @@ def _text_value(stats, rng: random.Random) -> str:
     # bounds; CHOICE stats carry real values as bounds so min/max are
     # always valid members.
     return rng.choice([stats.min_value, stats.max_value])
-
-
-def _weighted_choice(
-    templates: Sequence[QueryTemplate], rng: random.Random
-) -> QueryTemplate:
-    total = sum(t.weight for t in templates)
-    point = rng.uniform(0.0, total)
-    acc = 0.0
-    for template in templates:
-        acc += template.weight
-        if point <= acc:
-            return template
-    return templates[-1]

@@ -18,10 +18,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.engine.datatypes import DataType, parse_date
+from repro.engine.datatypes import parse_date
 from repro.engine.stats import ColumnStats
+
+if TYPE_CHECKING:
+    from repro.engine.datatypes import DataType
 
 
 class ColumnKind(enum.Enum):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.optimizer.selectivity import predicate_selectivity
 from repro.sql.ast import BetweenPredicate, ComparisonPredicate
@@ -26,6 +28,18 @@ from repro.workload.querygen import (
 @pytest.fixture(scope="module")
 def catalog():
     return build_catalog()
+
+
+def _scan_choice(templates, rng):
+    """The template draw as a linear scan that re-sums every weight."""
+    total = sum(t.weight for t in templates)
+    point = rng.uniform(0.0, total)
+    acc = 0.0
+    for template in templates:
+        acc += template.weight
+        if point <= acc:
+            return template
+    return templates[-1]
 
 
 class TestBuildQuery:
@@ -93,6 +107,38 @@ class TestDistributions:
         tables = [dist.sample(catalog, rng).tables[0] for _ in range(500)]
         heavy_frac = tables.count("lineitem_1") / 500
         assert 0.8 < heavy_frac < 0.99
+
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1e-9, max_value=1e6),
+                st.integers(min_value=0, max_value=50),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_template_choice_matches_the_scan(self, weights, seed):
+        templates = tuple(
+            QueryTemplate(
+                predicates=(PredicateSpec("lineitem_1", f"c{i}"),), weight=w
+            )
+            for i, w in enumerate(weights)
+        )
+        dist = QueryDistribution("d", templates)
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert dist.choose_template(fast) is _scan_choice(templates, slow)
+        assert fast.getstate() == slow.getstate()
+
+    def test_template_choice_matches_the_scan_on_the_paper_mixtures(self):
+        dists = [stable_distribution(), *phase_distributions(), *noise_distributions()]
+        for dist in dists:
+            fast, slow = random.Random(7), random.Random(7)
+            for _ in range(2_000):
+                assert dist.choose_template(fast) is _scan_choice(dist.templates, slow)
 
     def test_relevant_indexes_dedup(self, catalog):
         dist = stable_distribution()
