@@ -54,11 +54,14 @@ class _LiveQuery(weakref.ref):
             (:meth:`LocalBackend._validity_token`).
         columns: The tables' ``Catalog.column_stats_version`` when
             ``token`` last changed.
+        installed: Whether every filtered column read installed
+            statistics (not the row-count-derived fallback) when
+            ``columns`` was recorded; it can change only with them.
         cache: The retained plan cache, or None while the query has been
             seen only once under these column statistics.
     """
 
-    __slots__ = ("key", "token", "columns", "cache")
+    __slots__ = ("key", "token", "columns", "installed", "cache")
 
 
 class LocalBackend(Backend):
@@ -188,12 +191,15 @@ class LocalBackend(Backend):
             and held[0] is token[0]
             and entry.columns == columns
             # Fallback statistics are derived from the row count.
-            and all(catalog.has_stats(p.column.table, p.column.column) for p in query.filters)
+            and entry.installed
         ):
             if entry.cache is not None:
                 entry.cache.reprice(catalog)
             return True
         entry.columns = columns
+        entry.installed = all(
+            catalog.has_stats(p.column.table, p.column.column) for p in query.filters
+        )
         return False
 
     def _validity_token(self, query: Query) -> tuple:

@@ -153,7 +153,8 @@ class CandidateTracker:
         object serves them again, and one that re-prices it after a row
         move prices the mined indexes again.  The ``u`` indicator is
         applied by the caller, outside the memo.  Every index mined on a
-        table is priced against that table's one baseline in ``cache``.
+        table is priced against that table's one baseline in ``cache``,
+        from the one index cost the plans priced under the same row count.
         """
         composite = self._composite
         held = cache.crude

@@ -114,7 +114,7 @@ class Catalog:
         self._generation: int = 0
         # The one descriptor per (table, column) that index_for serves.
         self._single_indexes: Dict[Tuple[str, str], IndexDef] = {}
-        # index -> (row_count, params, size pages, build cost), see index_costing.
+        # index -> its row-count terms, see index_costing.
         self._index_costs: Dict[IndexDef, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -189,7 +189,8 @@ class Catalog:
         never be served.  ``set_stats`` (ANALYZE),
         :meth:`apply_row_delta` and :meth:`set_row_count` all bump it --
         the version alone distinguishes a delete-then-insert that
-        restores the original row count, which ``row_count`` cannot.
+        restores the original row count, which ``row_count`` cannot.  A
+        zero delta moves nothing a price reads and leaves it alone.
         """
         return self._stats_versions.get(table, 0)
 
@@ -256,15 +257,23 @@ class Catalog:
         token unchanged and stale plans could be served.  A row move
         leaves :meth:`column_stats_version` and :attr:`generation` alone.
 
+        A zero ``delta`` changes nothing, the stats version included.
+
         Returns:
             The new row count.
 
         Raises:
             KeyError: if the table does not exist.
+            ValueError: if the row count would fall below zero; nothing
+                is mutated.
         """
         tdef = self.table(table)
-        tdef.row_count += delta
-        self._bump_version(table)
+        if delta:
+            rows = tdef.row_count + delta
+            if rows < 0:
+                raise ValueError(f"{table!r} has {tdef.row_count} rows, delta {delta}")
+            tdef.row_count = rows
+            self._bump_version(table)
         return tdef.row_count
 
     def set_row_count(self, table: str, row_count: float) -> None:
@@ -273,8 +282,11 @@ class Catalog:
 
         Raises:
             KeyError: if the table does not exist.
+            ValueError: if ``row_count`` is negative; nothing is mutated.
         """
         tdef = self.table(table)
+        if row_count < 0:
+            raise ValueError(f"row count of {table!r} cannot be {row_count}")
         tdef.row_count = float(row_count)
         self._bump_version(table)
 
@@ -344,17 +356,22 @@ class Catalog:
         return self.index_costing(index)[3]
 
     def index_costing(self, index: IndexDef) -> tuple:
-        """``(row_count, params, size pages, build cost)`` for ``index``,
-        evaluated once per row count of its table: size and build cost
+        """``(row_count, params, size pages, build cost, leaf pages, height,
+        heap pages)`` for ``index``, evaluated once per row count of its
+        table: every row-count term of building and scanning the index
         beside what they were costed under, for a caller that holds the
         tuple and checks the first two itself."""
         table = self.table(index.table)
         rows, params = table.row_count, self.params
         held = self._index_costs.get(index)
         if held is None or held[0] != rows or held[1] is not params:
-            size = index.size_pages(rows, params)
-            build = index.materialization_cost(rows, table.heap_pages(params), params)
-            held = self._index_costs[index] = (rows, params, size, build)
+            heap = table.heap_pages(params)
+            leaves = params.index_pages(rows, index.key_width)
+            held = self._index_costs[index] = (
+                rows, params, index.size_pages(rows, params),
+                index.materialization_cost(rows, heap, params),
+                leaves, params.index_height(leaves), heap,
+            )
         return held
 
     # ------------------------------------------------------------------

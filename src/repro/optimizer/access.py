@@ -10,6 +10,7 @@ interpolated by the column's physical-order correlation.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.engine.index import IndexDef
@@ -63,11 +64,16 @@ class _Sargable:
 
 
 #: What :meth:`TableScan.sargable` holds for one index: the filters'
-#: decomposition, the residual filters and the selectivity of the
-#: consumed ones -- or None when the index cannot serve the filters.
-SargableUse = Optional[Tuple[_Sargable, List, float]]
+#: decomposition, the residual filters and the terms the scan is priced
+#: from beside the row count (:func:`_index_scan_cost`'s last four
+#: arguments: the selectivity of the consumed filters, the number of
+#: lookups, the residual's operator count and the squared correlation of
+#: the index's lead column, a filtered column) -- or None when the index
+#: cannot serve the filters.
+SargableUse = Optional[Tuple[_Sargable, List, Tuple[float, int, int, float]]]
 
 _UNSEEN = object()
+_by_name = operator.attrgetter("name")
 
 
 @dataclasses.dataclass
@@ -78,30 +84,37 @@ class TableScan:
     :class:`~repro.optimizer.optimizer.PlanCache`, and read by every
     access path, what-if probe and crude benefit of that query.
 
-    Everything but ``seq`` is a function of the query and the table's
-    column statistics; ``seq`` also reads the row count and is the one
-    part :meth:`reprice` replaces.
+    Everything but ``seq`` and ``costs`` is a function of the query and
+    the table's column statistics; those two also read the row count and
+    are what :meth:`reprice` replaces.
 
     Attributes:
         filters: The query's filters on the table.
+        ops: ``operator_count(filters)``.
         sel_of: Selectivity of each filter, keyed by the ``id`` of the
             predicate object in ``filters`` (which keeps it alive).
         total_sel: Combined selectivity of all the filters.
         seq: The sequential scan path, every index path's baseline.
         sargs: Each index's :data:`SargableUse` seen so far.
+        costs: Each index's scan cost priced so far under the current
+            row count (None where the index cannot serve the filters):
+            the one number the access path, every what-if probe and the
+            crude pass read.
     """
 
     filters: List
+    ops: int
     sel_of: Dict[int, float]
     total_sel: float
     seq: SeqScanNode
     sargs: Dict[IndexDef, SargableUse] = dataclasses.field(default_factory=dict)
+    costs: Dict[IndexDef, Optional[float]] = dataclasses.field(default_factory=dict)
 
     def selectivity(self, preds: Iterable) -> float:
         """Combined selectivity of ``preds``, objects out of ``filters``."""
         return conjunction(self.sel_of[id(pred)] for pred in preds)
 
-    def sargable(self, index: IndexDef) -> SargableUse:
+    def sargable(self, catalog: Catalog, index: IndexDef) -> SargableUse:
         """How ``index`` serves the filters, decomposed once per index."""
         use = self.sargs.get(index, _UNSEEN)
         if use is _UNSEEN:
@@ -110,27 +123,49 @@ class TableScan:
                 use = None
             else:
                 residual = [f for f in self.filters if f not in sarg.consumed]
-                use = (sarg, residual, self.selectivity(sarg.consumed))
+                correlation = catalog.stats(index.table, index.column).correlation
+                terms = (
+                    self.selectivity(sarg.consumed),
+                    sarg.num_lookups,
+                    operator_count(residual),
+                    correlation * correlation,
+                )
+                use = (sarg, residual, terms)
             self.sargs[index] = use
         return use
 
+    def index_cost(self, catalog: Catalog, index: IndexDef) -> Optional[float]:
+        """The cost of scanning through ``index``, or None when it cannot
+        serve the filters; priced once per index per row count."""
+        cost = self.costs.get(index, _UNSEEN)
+        if cost is _UNSEEN:
+            use = self.sargable(catalog, index)
+            cost = None if use is None else _index_scan_cost(catalog, index, *use[2])
+            self.costs[index] = cost
+        return cost
+
     def reprice(self, catalog: Catalog) -> None:
-        """Re-derive ``seq`` under the table's current row count."""
-        self.seq = _seq_scan(catalog, self.seq.table, self.filters, self.total_sel)
+        """Re-derive ``seq`` and drop ``costs`` (a row move)."""
+        table = self.seq.table
+        self.seq = _seq_scan(catalog, table, self.filters, self.ops, self.total_sel)
+        self.costs.clear()
 
 
 def table_scan(catalog: Catalog, table: str, filters: List) -> TableScan:
     """Evaluate each filter's selectivity and the sequential scan path."""
     sels = [predicate_selectivity(catalog, pred) for pred in filters]
     sel = conjunction(sels)
-    seq = _seq_scan(catalog, table, filters, sel)
+    ops = operator_count(filters)
+    seq = _seq_scan(catalog, table, filters, ops, sel)
     sel_of = dict(zip(map(id, filters), sels))
-    return TableScan(filters=filters, sel_of=sel_of, total_sel=sel, seq=seq)
+    return TableScan(filters=filters, ops=ops, sel_of=sel_of, total_sel=sel, seq=seq)
 
 
-def _seq_scan(catalog: Catalog, table: str, filters: List, sel: float) -> SeqScanNode:
-    """The sequential scan of ``table`` under ``filters`` of combined
-    selectivity ``sel``."""
+def _seq_scan(
+    catalog: Catalog, table: str, filters: List, ops: int, sel: float
+) -> SeqScanNode:
+    """The sequential scan of ``table`` under ``filters`` (``ops``
+    operators) of combined selectivity ``sel``."""
     params = catalog.params
     tdef = catalog.table(table)
     rows = tdef.row_count
@@ -138,7 +173,7 @@ def _seq_scan(catalog: Catalog, table: str, filters: List, sel: float) -> SeqSca
     cost = (
         pages * params.seq_page_cost
         + rows * params.cpu_tuple_cost
-        + rows * operator_count(filters) * params.cpu_operator_cost
+        + rows * ops * params.cpu_operator_cost
     )
     return SeqScanNode(rows=max(1.0, rows * sel), cost=cost, table=table, filters=filters)
 
@@ -146,51 +181,6 @@ def _seq_scan(catalog: Catalog, table: str, filters: List, sel: float) -> SeqSca
 def seq_scan_path(catalog: Catalog, table: str, filters: List) -> SeqScanNode:
     """Build a sequential scan path with its cost and cardinality."""
     return table_scan(catalog, table, filters).seq
-
-
-def index_paths(
-    catalog: Catalog,
-    table: str,
-    filters: List,
-    config: IndexConfig,
-    scan: Optional[TableScan] = None,
-) -> List[IndexScanNode]:
-    """All applicable index scan paths for ``table`` under ``config``.
-
-    ``scan`` is the query's :class:`TableScan` for ``table`` when the
-    caller holds one; ``filters`` must then be ``scan.filters``.
-    """
-    if scan is None:
-        scan = table_scan(catalog, table, filters)
-    rows = scan.seq.rows  # max(1, row_count * total_sel), whatever the path
-    paths: List[IndexScanNode] = []
-    for index in sorted(config, key=lambda ix: ix.name):
-        if index.table != table:
-            continue
-        use = scan.sargable(index)
-        if use is None:
-            continue
-        sarg, residual, index_sel = use
-        cost = _index_scan_cost(
-            catalog, table, index, index_sel, sarg.num_lookups, residual
-        )
-        paths.append(
-            IndexScanNode(
-                rows=rows,
-                cost=cost,
-                table=table,
-                index=index,
-                lookup_value=sarg.lookup_value,
-                range_low=sarg.range_low,
-                range_high=sarg.range_high,
-                residual=residual,
-                in_values=sarg.in_values,
-                low_inclusive=sarg.low_inclusive,
-                high_inclusive=sarg.high_inclusive,
-                prefix_values=sarg.prefix_values,
-            )
-        )
-    return paths
 
 
 def best_access_path(
@@ -202,16 +192,37 @@ def best_access_path(
 ) -> PlanNode:
     """The cheapest access path for one relation.
 
-    Considers the sequential scan and one index scan per applicable
-    index in ``config``.  ``scan`` as for :func:`index_paths`.
+    Compares the sequential scan with the cost of each applicable index
+    in ``config``, in name order with a strict ``<`` (the first of
+    equally cheap indexes wins), and builds a node for the winner alone.
+    ``scan`` is the query's :class:`TableScan` for ``table`` when the
+    caller holds one; ``filters`` must then be ``scan.filters``.
     """
     if scan is None:
         scan = table_scan(catalog, table, filters)
-    best: PlanNode = scan.seq
-    for path in index_paths(catalog, table, filters, config, scan):
-        if path.cost < best.cost:
-            best = path
-    return best
+    best, best_cost = None, scan.seq.cost
+    for index in sorted(config, key=_by_name):
+        if index.table == table:
+            cost = scan.index_cost(catalog, index)
+            if cost is not None and cost < best_cost:
+                best, best_cost = index, cost
+    if best is None:
+        return scan.seq
+    sarg, residual, _ = scan.sargs[best]
+    return IndexScanNode(
+        rows=scan.seq.rows,  # max(1, row_count * total_sel), whatever the path
+        cost=best_cost,
+        table=table,
+        index=best,
+        lookup_value=sarg.lookup_value,
+        range_low=sarg.range_low,
+        range_high=sarg.range_high,
+        residual=residual,
+        in_values=sarg.in_values,
+        low_inclusive=sarg.low_inclusive,
+        high_inclusive=sarg.high_inclusive,
+        prefix_values=sarg.prefix_values,
+    )
 
 
 def parameterized_index_path(
@@ -236,7 +247,7 @@ def parameterized_index_path(
         outer_column: The outer :class:`~repro.sql.ast.ColumnExpr`
             supplying lookup keys at run time.
         config: Available indexes.
-        scan: As for :func:`index_paths`.
+        scan: As for :func:`best_access_path`.
 
     Returns:
         A parameterized index scan, or None if no index on the join
@@ -256,7 +267,8 @@ def parameterized_index_path(
     join_sel = 1.0 / max(1.0, stats.n_distinct)
     if scan is None:
         scan = table_scan(catalog, table, filters)
-    cost = _index_scan_cost(catalog, table, index, join_sel, 1, filters)
+    c2 = stats.correlation * stats.correlation
+    cost = _index_scan_cost(catalog, index, join_sel, 1, operator_count(filters), c2)
     rows = max(1e-6, tdef.row_count * join_sel * scan.total_sel)
     return IndexScanNode(
         rows=rows,
@@ -270,27 +282,24 @@ def parameterized_index_path(
 
 def _index_scan_cost(
     catalog: Catalog,
-    table: str,
     index: IndexDef,
     index_sel: float,
     num_lookups: int,
-    residual: List,
+    residual_ops: int,
+    c2: float,
 ) -> float:
     """Cost of an index scan fetching ``index_sel`` of the table.
 
     Components: B+tree descent per lookup, leaf-level traversal, heap
-    fetches (correlation-interpolated between sequential and random), and
-    CPU for index entries, heap tuples, and residual predicate evaluation.
+    fetches (interpolated between sequential and random by ``c2``, the
+    squared correlation of the index's lead column), and CPU for index
+    entries, heap tuples, and evaluating the ``residual_ops`` operators of
+    the residual predicates.  The row-count terms come from the catalog's
+    entry for ``index``.
     """
-    params = catalog.params
-    tdef = catalog.table(table)
-    rows = tdef.row_count
-    heap_pages = tdef.heap_pages(params)
-    stats = catalog.stats(table, index.column)
+    rows, params, _, _, leaf_pages, height, heap_pages = catalog.index_costing(index)
 
     tuples = max(0.0, index_sel * rows)
-    leaf_pages = params.index_pages(rows, index.key_width)
-    height = params.index_height(leaf_pages)
 
     descent_io = num_lookups * height * params.random_page_cost
     leaf_walk = max(0.0, index_sel * leaf_pages - num_lookups) * params.seq_page_cost
@@ -299,7 +308,6 @@ def _index_scan_cost(
     # visits are assumed to hit the buffer cache (Mackert-Lohman style).
     pages_random = min(tuples, heap_pages)
     pages_seq = min(heap_pages, max(1.0, index_sel * heap_pages)) if tuples > 0 else 0.0
-    c2 = stats.correlation * stats.correlation
     heap_io = (
         c2 * pages_seq * params.seq_page_cost
         + (1.0 - c2) * pages_random * params.random_page_cost
@@ -308,7 +316,7 @@ def _index_scan_cost(
     cpu = (
         tuples * params.cpu_index_tuple_cost
         + tuples * params.cpu_tuple_cost
-        + tuples * operator_count(residual) * params.cpu_operator_cost
+        + tuples * residual_ops * params.cpu_operator_cost
     )
     return descent_io + leaf_walk + heap_io + cpu
 
@@ -447,15 +455,12 @@ def crude_index_delta_cost(
     This is the paper's ``Δcost(R, σ, I)``: standard cost formulas, no
     optimizer invocation.  Returns 0 when the index is inapplicable or
     does not beat the sequential scan.  ``scan`` as for
-    :func:`index_paths`: one baseline for every index mined from a query.
+    :func:`best_access_path`: one baseline, and one index cost, for every
+    index mined from a query.
     """
     if scan is None:
         scan = table_scan(catalog, index.table, filters)
-    use = scan.sargable(index)
-    if use is None:
+    cost = scan.index_cost(catalog, index)
+    if cost is None:
         return 0.0
-    sarg, residual, index_sel = use
-    cost = _index_scan_cost(
-        catalog, index.table, index, index_sel, sarg.num_lookups, residual
-    )
     return max(0.0, scan.seq.cost - cost)

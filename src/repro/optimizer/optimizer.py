@@ -83,7 +83,8 @@ class OptimizationResult:
         cost: The plan's total estimated cost (same as ``plan.cost``).
         config: The index configuration the plan was optimized under.
         indexes_used: ``plan.indexes_used()``, walked once when the
-            result is made (a plan cache serves a result many times).
+            result is made (a plan cache serves a result many times)
+            unless the maker passes it, as a one-table plan does.
     """
 
     plan: PlanNode
@@ -113,13 +114,13 @@ class PlanCache:
     alone) its referenced columns.
 
     It comes in two halves.  The *priced* half -- ``plans``,
-    ``access_paths``, each scan's sequential path and the crude delta
-    costs -- reads row counts; the *structural* half -- everything else
-    -- reads only the query and the installed column statistics, so a
-    row move leaves it exact and :meth:`reprice` drops the priced half
-    alone.  A change of the materialized set makes nothing stale, so a
-    backend may keep one for as long as the statistics it was filled
-    under hold (:meth:`LocalBackend.begin_query
+    ``access_paths``, each scan's sequential path and index costs, and
+    the crude delta costs -- reads row counts; the *structural* half --
+    everything else -- reads only the query and the installed column
+    statistics, so a row move leaves it exact and :meth:`reprice` drops
+    the priced half alone.  A change of the materialized set makes
+    nothing stale, so a backend may keep one for as long as the
+    statistics it was filled under hold (:meth:`LocalBackend.begin_query
     <repro.backend.local.LocalBackend.begin_query>`).
 
     Attributes:
@@ -245,15 +246,17 @@ class Optimizer:
         self.optimize_count += 1
         cache.misses += 1
 
-        access_paths: Dict[str, PlanNode] = {}
         if len(query.tables) == 1:
-            # One table: the plan memo above already is the path memo.
+            # One table: the plan memo above already is the path memo, and
+            # the access path is the plan below the finishing nodes.
             (table,) = query.tables
             scan = cache.scan(self._catalog, query, table)
-            access_paths[table] = best_access_path(
-                self._catalog, table, scan.filters, relevant, scan
+            plan = best_access_path(self._catalog, table, scan.filters, relevant, scan)
+            used = (
+                frozenset((plan.index,)) if type(plan) is IndexScanNode else _NO_INDEXES
             )
         else:
+            access_paths: Dict[str, PlanNode] = {}
             for table in query.tables:
                 table_config = (
                     frozenset(ix for ix in relevant if ix.table == table)
@@ -268,11 +271,11 @@ class Optimizer:
                     )
                     cache.access_paths[key] = path
                 access_paths[table] = path
-
-        planner = JoinPlanner(self._catalog, query, relevant, cache.scans)
-        plan = planner.plan(access_paths)
+            planner = JoinPlanner(self._catalog, query, relevant, cache.scans)
+            plan = planner.plan(access_paths)
+            used = None  # walked from the plan
         plan = self._finalize(query, plan)
-        result = OptimizationResult(plan=plan, cost=plan.cost, config=config)
+        result = OptimizationResult(plan, plan.cost, config, used)
         cache.plans[relevant] = result
         return result
 

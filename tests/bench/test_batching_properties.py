@@ -25,16 +25,20 @@ from hypothesis import strategies as st
 from repro.backend.base import Backend
 from repro.backend.local import LocalBackend
 from repro.core.candidates import CandidateTracker
+from repro.core.colt import ColtTuner
 from repro.core.clustering import cluster_key
 from repro.core.gaincache import query_signature
 from repro.engine.catalog import Catalog, TableDef
 from repro.fleet.cotune import SignatureInterner
+from repro.optimizer.access import table_scan
 from repro.optimizer.optimizer import PlanCache
+from repro.optimizer.plan import IndexScanNode
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 from repro.workload.datagen import build_catalog
 from repro.workload.experiments import stable_distribution
+from tests.optimizer import oracle
 
 DIST = stable_distribution()
 
@@ -286,6 +290,73 @@ class TestBatchedPricerParity:
         assert backend.optimizer.optimize_count == planned + len(queries)
 
 
+def _fresh_index_cost(catalog, table, filters, index):
+    """``index``'s scan cost on a fresh ``TableScan``, checked against the
+    formula evaluated from nothing held; None where it is inapplicable."""
+    cost = table_scan(catalog, table, filters).index_cost(catalog, index)
+    paths = oracle.index_paths(catalog, table, filters, frozenset((index,)))
+    assert cost == (paths[0].cost if paths else None)
+    return cost
+
+
+class TestOneIndexCostServedEverywhere:
+    @given(
+        stream_with_repeats(),
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, len(MUTATIONS) - 1)),
+            max_size=8,
+        ),
+    )
+    @settings(deadline=None)
+    def test_every_served_index_cost_is_a_fresh_one(self, drawn, mutations):
+        # Row moves (direct assignment included), params swaps, statistics
+        # bumps and materialize / drop, anywhere in a stream of repeated
+        # objects: every index cost a retained TableScan hands out -- to
+        # the base path, to each probe's path and to the crude pass -- is
+        # the one a fresh scan prices, bit for bit.
+        seed, n, repeats = drawn
+        catalog, queries = sample_queries(seed, n)
+        stream = queries + queries + [queries[i] for i in repeats]
+        relevant = DIST.relevant_indexes(catalog)
+        backend = LocalBackend(catalog)
+        whatif = WhatIfOptimizer(backend=backend)
+        schedule = {}
+        for position, op in mutations:
+            schedule.setdefault(position % len(stream), []).append(op)
+        for position, query in enumerate(stream):
+            for k, op in enumerate(schedule.get(position, ())):
+                index = relevant[(position + k) % len(relevant)]
+                MUTATIONS[op](catalog, backend, index)
+            session = backend.begin_query(query)
+            probes = [
+                relevant[position % len(relevant)],
+                relevant[(position + 3) % len(relevant)],
+            ]
+            whatif.what_if_optimize(session, probes)
+            for composite in (False, True):
+                _crude_pairs(catalog, session, composite)
+            cache = session.cache
+            for table, scan in cache.scans.items():
+                for index, cost in scan.costs.items():
+                    assert cost == _fresh_index_cost(catalog, table, scan.filters, index)
+            for result in cache.plans.values():
+                stack = [result.plan]
+                while stack:
+                    node = stack.pop()
+                    stack.extend(node.children())
+                    if type(node) is IndexScanNode and node.parameterized_by is None:
+                        filters = cache.scans[node.table].filters
+                        assert node.cost == _fresh_index_cost(
+                            catalog, node.table, filters, node.index
+                        )
+            for pairs in cache.crude:
+                for index, crude in pairs or ():
+                    filters = cache.scans[index.table].filters
+                    cost = _fresh_index_cost(catalog, index.table, filters, index)
+                    seq = table_scan(catalog, index.table, filters).seq.cost
+                    assert crude == (0.0 if cost is None else max(0.0, seq - cost))
+
+
 class TestAdmission:
     def test_cache_is_retained_from_the_second_sighting(self):
         catalog, (query,) = sample_queries(7, 1)
@@ -329,6 +400,24 @@ class TestAdmission:
         assert held.crude is None
         assert list(held.plans.values()) == [session.base]
         assert_session_equals_reference(catalog, backend, session, [])
+
+    @pytest.mark.parametrize("insert", [{"count": 0}, {"rows": []}])
+    def test_a_zero_row_insert_keeps_the_plan(self, insert):
+        # Nothing a price reads has moved: the token holds, so the next
+        # sighting is a plans hit on the retained cache.
+        catalog, (query,) = sample_queries(7, 1)
+        tuner = ColtTuner(catalog)
+        backend = tuner.backend
+        for _ in range(3):
+            held = backend.begin_query(query).cache
+        token = catalog.stats_token(query.tables[0])
+        planned, hits = backend.optimizer.optimize_count, held.hits
+        tuner.process_insert(query.tables[0], **insert)
+        assert catalog.stats_token(query.tables[0]) == token
+        session = backend.begin_query(query)
+        assert session.cache is held
+        assert held.hits == hits + 1
+        assert backend.optimizer.optimize_count == planned
 
     def test_a_row_move_between_the_first_two_sightings_retains(self):
         catalog, (query,) = sample_queries(7, 1)

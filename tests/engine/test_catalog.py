@@ -191,6 +191,31 @@ class TestCounters:
         assert catalog.bump_stats_version("t") == version + 4
         assert catalog.column_stats_version("t") == columns + 2
 
+    def test_a_zero_delta_moves_nothing(self):
+        catalog = self._catalog()
+        token = catalog.stats_token("t")
+        assert catalog.apply_row_delta("t", 0) == token[0]
+        assert catalog.apply_row_delta("t", -0.0) == token[0]
+        assert catalog.stats_token("t") == token
+
+    def test_a_delta_below_zero_rows_is_refused_whole(self):
+        catalog = self._catalog()
+        assert catalog.apply_row_delta("t", -400) == 600.0  # in range: legal
+        token = catalog.stats_token("t")
+        with pytest.raises(ValueError):
+            catalog.apply_row_delta("t", -600.5)
+        assert catalog.stats_token("t") == token
+        assert catalog.apply_row_delta("t", -600) == 0.0
+
+    def test_a_negative_row_count_is_refused_whole(self):
+        catalog = self._catalog()
+        token = catalog.stats_token("t")
+        with pytest.raises(ValueError):
+            catalog.set_row_count("t", -1)
+        assert catalog.stats_token("t") == token
+        catalog.set_row_count("t", 0)
+        assert catalog.stats_token("t") == (0.0, token[1] + 1)
+
     def test_has_stats_tells_installed_from_fallback(self):
         catalog = self._catalog()
         assert catalog.has_stats("t", "a")

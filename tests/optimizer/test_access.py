@@ -5,7 +5,6 @@ import pytest
 from repro.optimizer.access import (
     best_access_path,
     crude_index_delta_cost,
-    index_paths,
     parameterized_index_path,
     seq_scan_path,
     _extract_sargable,
@@ -115,29 +114,30 @@ class TestPathChoice:
     def test_residual_filters_kept(self, small_catalog):
         index = small_catalog.index_for("events", "user_id")
         other = BetweenPredicate(_col("amount"), 0.0, 10.0)
-        paths = index_paths(
+        path = best_access_path(
             small_catalog, "events", [_eq("user_id", 5), other], frozenset([index])
         )
-        assert len(paths) == 1
-        assert other in paths[0].residual
+        assert isinstance(path, IndexScanNode)
+        assert other in path.residual
 
     def test_index_on_other_table_ignored(self, small_catalog):
         index = small_catalog.index_for("users", "user_id")
-        paths = index_paths(
+        path = best_access_path(
             small_catalog, "events", [_eq("user_id", 5)], frozenset([index])
         )
-        assert paths == []
+        assert isinstance(path, SeqScanNode)
 
     def test_rows_estimate_uses_all_filters(self, small_catalog):
         index = small_catalog.index_for("events", "user_id")
-        paths = index_paths(
+        path = best_access_path(
             small_catalog,
             "events",
             [_eq("user_id", 5), BetweenPredicate(_col("amount"), 0.0, 10.0)],
             frozenset([index]),
         )
         # eq 1e-4 * range 1e-2 over 1M rows ≈ 1
-        assert paths[0].rows == pytest.approx(1.0, abs=2.0)
+        assert isinstance(path, IndexScanNode)
+        assert path.rows == pytest.approx(1.0, abs=2.0)
 
 
 class TestParameterized:

@@ -18,6 +18,7 @@ import random
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,7 +88,14 @@ _mutation = st.one_of(
 def _apply(catalog: Catalog, mutation) -> None:
     kind, target, arg = mutation
     if kind == "delta":
-        catalog.apply_row_delta(target, arg)
+        before = catalog.stats_token(target)
+        if before[0] + arg < 0:
+            # Refused whole: neither the row count nor the version moves.
+            with pytest.raises(ValueError):
+                catalog.apply_row_delta(target, arg)
+            assert catalog.stats_token(target) == before
+        else:
+            catalog.apply_row_delta(target, arg)
     elif kind == "set":
         catalog.set_row_count(target, arg)
     elif kind == "assign":
@@ -144,6 +152,11 @@ class TestCatalogServesFreshValues:
             assert catalog.index_build_cost(index) == index.materialization_cost(
                 rows, heap, params
             )
+            # The scan's row-count terms share the one entry per index.
+            leaves = params.index_pages(rows, index.key_width)
+            held = catalog.index_costing(index)
+            assert held[:2] == (rows, params)
+            assert held[4:] == (leaves, params.index_height(leaves), heap)
         assert optimizer.current_config() == frozenset(shadow)
         assert optimizer.current_config() == frozenset(catalog.materialized_indexes())
 
