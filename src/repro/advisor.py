@@ -33,7 +33,6 @@ import dataclasses
 from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 from repro.baselines.offline import OfflineTuner
-from repro.optimizer.optimizer import Optimizer, PlanCache
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 
@@ -146,19 +145,11 @@ def advise(
     tuner = OfflineTuner(catalog, strategy=strategy)
     result = tuner.tune(queries, budget_pages, candidates=candidates)
 
-    optimizer = Optimizer(catalog)
     chosen = frozenset(result.indexes)
-
-    def per_query_costs(config):
-        return [
-            optimizer.optimize(q, config=config, cache=PlanCache()).cost
-            for q in queries
-        ]
-
-    after_costs = per_query_costs(chosen)
+    after_costs = tuner.query_costs(queries, chosen)
     recommendations = []
     for index in result.indexes:
-        without = per_query_costs(chosen - {index})
+        without = tuner.query_costs(queries, chosen - {index})
         marginal = sum(without) - sum(after_costs)
         helped = sum(1 for w, a in zip(without, after_costs) if a < w - 1e-9)
         recommendations.append(

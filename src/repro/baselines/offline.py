@@ -109,6 +109,16 @@ class OfflineTuner:
             configurations_examined=examined,
         )
 
+    def query_costs(
+        self, workload: Sequence[Query], config: FrozenSet[IndexDef]
+    ) -> List[float]:
+        """Each query's cost under the fixed configuration ``config``,
+        each priced from scratch (a fresh plan cache per query)."""
+        return [
+            self._optimizer.optimize(q, config=config, cache=PlanCache()).cost
+            for q in workload
+        ]
+
     # ------------------------------------------------------------------
     def _mine(self, workload: Sequence[Query]) -> List[IndexDef]:
         seen = {}

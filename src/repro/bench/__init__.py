@@ -1,8 +1,9 @@
 """Benchmark harness: experiment drivers for every table and figure.
 
 ``harness`` runs COLT and OFFLINE over a workload on separate catalogs
-and collects per-query ledgers; ``figures`` turns those ledgers into the
-exact series each figure of the paper plots; ``replay`` is the
+and collects per-query ledgers (per-epoch series are read off the
+tuner's epoch log, as ``tracing``'s traces are); ``figures`` turns those
+ledgers into the exact series each figure of the paper plots; ``replay`` is the
 throughput driver (wall-clock QPS and latency percentiles over 1M+
 event streams, serial vs multiprocess fleet); ``scenario`` is the
 store-backed scoreboard (observed execution cost of a tuner, or of no

@@ -14,21 +14,18 @@ builds.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.baselines.offline import OfflineTuner
 from repro.core.colt import ColtTuner
-from repro.engine.catalog import Catalog
-from repro.optimizer.optimizer import Optimizer, PlanCache
 
 if TYPE_CHECKING:
     from repro.baselines.offline import OfflineResult
     from repro.core.colt import QueryOutcome
     from repro.core.config import ColtConfig
+    from repro.engine.catalog import Catalog
     from repro.engine.index import IndexDef
     from repro.sql.ast import Query
-
-CatalogFactory = Callable[[], Catalog]
 
 
 @dataclasses.dataclass
@@ -39,9 +36,10 @@ class ColtRun:
         outcomes: Per-query ledger records.
         total_costs: Per-query total cost (execution + overheads).
         execution_costs: Per-query execution cost only.
-        whatif_per_epoch: What-if calls spent in each epoch.
-        budget_per_epoch: The ``#WI_lim`` granted for each epoch.
-        materialized_history: ``|M|`` after each epoch.
+        whatif_per_epoch: What-if calls spent in each epoch (a trailing
+            partial epoch included when it spent any).
+        budget_per_epoch: The ``#WI_lim`` granted for each closed epoch.
+        materialized_history: ``|M|`` after each closed epoch.
         final_materialized: The final materialized set.
         profiled_index_count: Distinct indexes that ever received a
             what-if call (the paper reports COLT profiles ~11% of the
@@ -95,40 +93,26 @@ def run_colt(
         config: COLT parameters.
 
     Returns:
-        The complete run ledger.
+        The complete run ledger; its per-epoch series are read off the
+        tuner's epoch log (the newest
+        :data:`~repro.obs.dashboard.WINDOW_EPOCHS` epochs, then the
+        open epoch's what-if calls when there are any).
     """
     tuner = ColtTuner(catalog, config)
-    outcomes: List[QueryOutcome] = []
-    whatif_epoch: List[int] = []
-    budget_epoch: List[int] = [tuner.profiler.whatif_budget]
-    m_history: List[int] = []
-    epoch_calls = 0
-    profiled: set = set()
-
-    for query in workload:
-        outcome = tuner.process_query(query)
-        outcomes.append(outcome)
-        epoch_calls += outcome.whatif_calls
-        if outcome.epoch_ended:
-            whatif_epoch.append(epoch_calls)
-            epoch_calls = 0
-            m_history.append(len(tuner.materialized_set))
-            assert outcome.reorganization is not None
-            budget_epoch.append(outcome.reorganization.whatif_budget)
-    if epoch_calls:
-        whatif_epoch.append(epoch_calls)
-
-    profiled = set(tuner.whatif.probed_indexes)
-
+    outcomes = [tuner.process_query(query) for query in workload]
+    log = tuner.dashboard
+    whatif_epoch = [row.whatif_used for row in log.records]
+    if log.open_whatif:
+        whatif_epoch.append(log.open_whatif)
     return ColtRun(
         outcomes=outcomes,
         total_costs=[o.total_cost for o in outcomes],
         execution_costs=[o.execution_cost for o in outcomes],
         whatif_per_epoch=whatif_epoch,
-        budget_per_epoch=budget_epoch[:-1],
-        materialized_history=m_history,
+        budget_per_epoch=[row.granted for row in log.records],
+        materialized_history=[len(row.materialized) for row in log.records],
         final_materialized=tuner.materialized_set,
-        profiled_index_count=len(profiled),
+        profiled_index_count=len(set(tuner.whatif.probed_indexes)),
     )
 
 
@@ -160,12 +144,7 @@ def run_offline(
     )
     for index in result.indexes:
         catalog.materialize_index(index)
-    optimizer = Optimizer(catalog)
-    config = frozenset(result.indexes)
-    costs = [
-        optimizer.optimize(q, config=config, cache=PlanCache()).cost
-        for q in workload
-    ]
+    costs = tuner.query_costs(workload, frozenset(result.indexes))
     return OfflineRun(result=result, per_query_costs=costs)
 
 

@@ -1,12 +1,12 @@
 """Structured experiment traces.
 
-``trace_run`` executes a tuning engine over a workload while recording,
-per epoch, everything it decided: set compositions, probe budget grants
+``trace_run`` executes a tuning engine over a workload and reads, per
+epoch, everything it decided: set compositions, probe budget grants
 and usage, the improvement ratio, and the epoch's execution cost.  The
 resulting :class:`TunerTrace` renders as a human-readable timeline --
-the quickest way to *see* COLT hibernate, wake, and re-tune.  The
-per-epoch records are built by one :class:`TraceAccumulator`, shared
-with the fleet's replicas and the CLI.
+the quickest way to *see* COLT hibernate, wake, and re-tune.  It is a
+view of the tuner's epoch log (:meth:`TunerTrace.of`), shared with the
+fleet's replicas and the CLI.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from repro.core.config import stored_config
 
 if TYPE_CHECKING:
     from repro.core.config import ColtConfig
-    from repro.core.loop import QueryOutcome, TuningLoop
+    from repro.core.loop import TuningLoop
     from repro.engine.catalog import Catalog
+    from repro.obs.dashboard import EpochOverheadRecord
     from repro.sql.ast import Query
 
 
@@ -51,32 +52,61 @@ class EpochTrace:
     dropped: List[str]
     hot: List[str]
 
+    @classmethod
+    def of(cls, row: EpochOverheadRecord) -> "EpochTrace":
+        """Render one epoch-log row: index names, ``M`` in name order."""
+        return cls(
+            epoch=row.epoch,
+            execution_cost=row.execution_cost,
+            total_cost=row.total_cost,
+            whatif_used=row.whatif_used,
+            budget_granted=row.next_granted,
+            improvement_ratio=row.ratio,
+            materialized=[ix.name for ix in sorted(row.materialized, key=str)],
+            added=[_short(ix.name) for ix in row.added],
+            dropped=[_short(ix.name) for ix in row.dropped],
+            hot=[ix.name for ix in row.hot],
+        )
+
 
 @dataclasses.dataclass
 class TunerTrace:
     """A complete traced run.
 
     Attributes:
-        epochs: One record per closed epoch.
+        epochs: One record per epoch the trace holds (a tuner's log
+            keeps its newest :data:`~repro.obs.dashboard.WINDOW_EPOCHS`).
         config: The traced tuner's configuration (the engine's own
             config type).
         engine: Name of the engine that ran (a key of
             :data:`repro.engines.ENGINES`).
+        total_cost / total_whatif: Workload-wide total cost and what-if
+            calls, held epochs or not (summed from ``epochs`` if absent).
     """
 
     epochs: List[EpochTrace]
     config: object
     engine: str = "colt"
+    total_cost: Optional[float] = None
+    total_whatif: Optional[int] = None
 
-    @property
-    def total_cost(self) -> float:
-        """Workload-wide total cost."""
-        return sum(e.total_cost for e in self.epochs)
+    def __post_init__(self) -> None:
+        if self.total_cost is None:
+            self.total_cost = sum(e.total_cost for e in self.epochs)
+        if self.total_whatif is None:
+            self.total_whatif = sum(e.whatif_used for e in self.epochs)
 
-    @property
-    def total_whatif(self) -> int:
-        """Workload-wide what-if calls."""
-        return sum(e.whatif_used for e in self.epochs)
+    @classmethod
+    def of(cls, tuner: TuningLoop) -> "TunerTrace":
+        """The trace of ``tuner``'s epoch log so far."""
+        log = tuner.dashboard
+        return cls(
+            epochs=[EpochTrace.of(row) for row in log.records],
+            config=tuner.config,
+            engine=tuner.engine_name,
+            total_cost=log.total_cost,
+            total_whatif=log.total_whatif,
+        )
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Serialize the trace to a JSON string.
@@ -86,7 +116,8 @@ class TunerTrace:
         ``results/*.txt`` reports and tests can assert per-epoch
         decisions machine-readably.  COLT payloads carry no engine tag
         (old dumps and new ones are the same bytes); every other engine
-        tags its name so :meth:`from_json` can find the config type.
+        tags its name so :meth:`from_json` can find the config type, and
+        a trace missing its first epochs carries its totals.
         """
         payload = {
             "epochs": [dataclasses.asdict(e) for e in self.epochs],
@@ -94,6 +125,8 @@ class TunerTrace:
         }
         if self.engine != "colt":
             payload["engine"] = self.engine
+        if self.epochs and self.epochs[0].epoch:
+            payload["totals"] = [self.total_cost, self.total_whatif]
         return json.dumps(payload, indent=indent)
 
     @classmethod
@@ -119,9 +152,10 @@ class TunerTrace:
         try:
             epochs = [EpochTrace(**entry) for entry in data["epochs"]]
             config = stored_config(engine_spec(engine).config_type, data["config"])
+            total_cost, total_whatif = data.get("totals", (None, None))
         except TypeError as exc:
             raise ValueError(f"malformed TunerTrace payload: {exc}") from exc
-        return cls(epochs=epochs, config=config, engine=engine)
+        return cls(epochs, config, engine, total_cost, total_whatif)
 
     def render_timeline(self, cost_width: int = 24) -> str:
         """Render the run as a per-epoch text timeline."""
@@ -150,59 +184,6 @@ class TunerTrace:
         return "\n".join(lines)
 
 
-class TraceAccumulator:
-    """Folds a tuner's ledger records into one :class:`EpochTrace` per epoch.
-
-    The single builder of epoch records: :func:`trace_run`, the fleet's
-    :class:`~repro.fleet.replica.TunerReplica` and the CLI timeline all
-    feed it the outcomes of whichever engine they drive.
-    """
-
-    def __init__(self, tuner: TuningLoop) -> None:
-        self.tuner = tuner
-        self.epochs: List[EpochTrace] = []
-        self._execution = 0.0
-        self._total = 0.0
-        self._whatif = 0
-
-    def add(self, outcome: QueryOutcome) -> Optional[EpochTrace]:
-        """Account one ledger record of the tuner.
-
-        Returns:
-            The epoch record this outcome closed, if it closed one.
-        """
-        self._execution += outcome.execution_cost
-        self._total += outcome.total_cost
-        self._whatif += outcome.whatif_calls
-        reorg = outcome.reorganization
-        if not outcome.epoch_ended or reorg is None:
-            return None
-        closed = EpochTrace(
-            epoch=len(self.epochs),
-            execution_cost=self._execution,
-            total_cost=self._total,
-            whatif_used=self._whatif,
-            budget_granted=reorg.whatif_budget,
-            improvement_ratio=reorg.improvement_ratio,
-            materialized=[ix.name for ix in self.tuner.materialized_set],
-            added=[_short(ix.name) for ix in reorg.materialize],
-            dropped=[_short(ix.name) for ix in reorg.drop],
-            hot=[ix.name for ix in reorg.hot],
-        )
-        self.epochs.append(closed)
-        self._execution = self._total = 0.0
-        self._whatif = 0
-        return closed
-
-    def trace(self) -> TunerTrace:
-        """The epochs recorded so far as a trace of the tuner."""
-        return TunerTrace(
-            epochs=list(self.epochs),
-            config=self.tuner.config,
-            engine=self.tuner.engine_name,
-        )
-
-
 def trace_run(
     catalog: Catalog,
     workload: Sequence[Query],
@@ -224,10 +205,9 @@ def trace_run(
     from repro.engines import engine_spec
 
     tuner = engine_spec(engine).build(catalog, config, backend=backend)
-    accumulator = TraceAccumulator(tuner)
     for query in workload:
-        accumulator.add(tuner.process_query(query))
-    return accumulator.trace()
+        tuner.process_query(query)
+    return TunerTrace.of(tuner)
 
 
 def _short(name: str) -> str:

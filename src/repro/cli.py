@@ -82,10 +82,18 @@ def _require_epoch_engine(command: str, engine: str) -> None:
         )
 
 
-def _check_gain_cache(engine: str, gain_cache: str) -> None:
+def _add_gain_cache_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--gain-cache",
+        choices=("on", "off"),
+        default="off",
+        help="serve structural-zero what-if gains without a probe "
+        "(COLT only; see docs/PERFORMANCE.md)",
+    )
+
+
+def _check_gain_cache(engine: str) -> None:
     """``--gain-cache on`` needs an engine whose config has the knob."""
-    if gain_cache != "on":
-        return
     caching = [
         name for name, spec in ENGINES.items() if hasattr(spec.config_type, "gain_cache")
     ]
@@ -171,13 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument(
         "--queries", type=int, default=400, help="workload length (stable only)"
     )
-    pt.add_argument(
-        "--gain-cache",
-        choices=("on", "off"),
-        default="off",
-        help="serve structural-zero what-if gains without a probe "
-        "(COLT only; see docs/PERFORMANCE.md)",
-    )
+    _add_gain_cache_flag(pt)
     _add_engine_flag(pt, f"epoch-loop engines only ({', '.join(ENGINES)})")
 
     ps = sub.add_parser(
@@ -221,13 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a metrics snapshot (.prom/.txt: Prometheus text; "
         "otherwise JSON)",
     )
-    pr.add_argument(
-        "--gain-cache",
-        choices=("on", "off"),
-        default="off",
-        help="serve structural-zero what-if gains without a probe "
-        "(COLT only; see docs/PERFORMANCE.md)",
-    )
+    _add_gain_cache_flag(pr)
     _add_engine_flag(pr, "all four engines")
     pr.add_argument(
         "--backend",
@@ -320,12 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the fleet's merged metrics snapshot "
         "(.prom/.txt: Prometheus text; otherwise JSON)",
     )
-    pf.add_argument(
-        "--gain-cache",
-        choices=("on", "off"),
-        default="off",
-        help="per-replica structural-zero what-if gain cache",
-    )
+    _add_gain_cache_flag(pf)
     pf.add_argument(
         "--guardrails",
         choices=("on", "off"),
@@ -463,6 +454,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "gain_cache", "off") == "on":
+            _check_gain_cache(args.engine)
         if args.command == "table1":
             print(table1_dataset().to_text())
         elif args.command == "fig3":
@@ -591,22 +584,12 @@ def _paper_workload(args):
 
 def _run_timeline(args) -> None:
     from repro.bench.tracing import trace_run
-    from repro.core.config import ColtConfig
     from repro.workload import build_catalog
 
     _require_epoch_engine("timeline", args.engine)
-    _check_gain_cache(args.engine, args.gain_cache)
     workload = _paper_workload(args)
-    trace = trace_run(
-        build_catalog(),
-        workload.queries,
-        ColtConfig(
-            storage_budget_pages=args.budget,
-            seed=args.seed,
-            gain_cache=args.gain_cache == "on",
-        ),
-        engine=args.engine,
-    )
+    config = _colt_config(args, seed=args.seed)
+    trace = trace_run(build_catalog(), workload.queries, config, engine=args.engine)
     print(f"workload: {workload.description} (engine: {trace.engine})\n")
     print(trace.render_timeline())
     final = ", ".join(trace.epochs[-1].materialized) if trace.epochs else ""
@@ -631,7 +614,6 @@ def _run_check_snapshot(args) -> None:
 def _run_run(args) -> None:
     from repro.obs.export import write_metrics
 
-    _check_gain_cache(args.engine, args.gain_cache)
     _check_backend_flags(args)
     workload = _paper_workload(args)
     if args.engine == "offline":
@@ -714,19 +696,22 @@ def _build_backend(args, catalog):
     return PostgresHypoBackend(dsn=getattr(args, "dsn", None), catalog=catalog)
 
 
+def _colt_config(args, **fields):
+    """The tuning configuration of ``--budget`` and ``--gain-cache``."""
+    from repro.core.config import ColtConfig
+
+    return ColtConfig(
+        storage_budget_pages=args.budget, gain_cache=args.gain_cache == "on", **fields
+    )
+
+
 def _build_engine_tuner(args):
     """A loop-engine tuner over the paper catalog, from CLI args."""
-    from repro.core.config import ColtConfig
     from repro.workload import build_catalog
 
     catalog = build_catalog()
-    config = ColtConfig(
-        storage_budget_pages=args.budget,
-        seed=args.seed,
-        gain_cache=args.gain_cache == "on",
-    )
     return engine_spec(args.engine).build(
-        catalog, config, backend=_build_backend(args, catalog)
+        catalog, _colt_config(args, seed=args.seed), backend=_build_backend(args, catalog)
     )
 
 
@@ -767,21 +752,29 @@ def _run_continuous(args, workload) -> None:
     print(f"what-if calls: {sum(o.whatif_calls for o in outcomes)}")
 
 
+def _client_workload(clients: int, phase_length: int, transition: int, seed: int):
+    """The multi-client shifting stream: one client per replica, each
+    shifting through its own pair of consecutive paper phases."""
+    from repro.workload import build_catalog, multi_client_shifting_workload
+    from repro.workload.experiments import phase_distributions
+
+    return multi_client_shifting_workload(
+        phase_distributions(),
+        build_catalog(),
+        clients,
+        phase_length=phase_length,
+        transition=transition,
+        seed=seed,
+    )
+
+
 def _live_metrics_snapshot(seed: int):
     """A small live fleet run exercising every stable metric family."""
     from repro.core.config import ColtConfig
     from repro.fleet import FleetCoordinator
-    from repro.workload import build_catalog, multi_client_shifting_workload
-    from repro.workload.experiments import phase_distributions
+    from repro.workload import build_catalog
 
-    merged = multi_client_shifting_workload(
-        phase_distributions(),
-        build_catalog(),
-        2,
-        phase_length=40,
-        transition=10,
-        seed=seed,
-    )
+    merged = _client_workload(2, phase_length=40, transition=10, seed=seed)
     fleet = FleetCoordinator(
         build_catalog,
         n_replicas=2,
@@ -808,38 +801,26 @@ def _run_metrics(args) -> None:
 
 
 def _run_fleet(args) -> None:
-    from repro.core.config import ColtConfig
-    from repro.fleet import FleetCoordinator, save_fleet
+    from repro.fleet import FleetCoordinator
     from repro.guardrails import GuardrailConfig
-    from repro.workload import build_catalog, multi_client_shifting_workload
-    from repro.workload.experiments import phase_distributions
+    from repro.workload import build_catalog
 
     _require_epoch_engine("fleet-run", args.engine)
-    _check_gain_cache(args.engine, args.gain_cache)
     if args.workers and args.guardrails == "on":
         raise ValueError(
             "--workers does not support --guardrails on "
             "(see repro.fleet.workers)"
         )
     n_replicas = args.workers if args.workers else args.replicas
-    # One client per replica, each shifting through its own pair of
-    # consecutive phases -- the §6.2 multi-user setting with enough
-    # cross-client divergence for routing to exploit.
-    merged = multi_client_shifting_workload(
-        phase_distributions(),
-        build_catalog(),
-        n_replicas,
-        phase_length=args.phase_length,
-        transition=args.transition,
-        seed=args.seed,
+    # The §6.2 multi-user setting with enough cross-client divergence
+    # for routing to exploit.  --seed seeds the workload only.
+    merged = _client_workload(
+        n_replicas, args.phase_length, args.transition, seed=args.seed
     )
     fleet = FleetCoordinator(
         build_catalog,
         n_replicas=n_replicas,
-        config=ColtConfig(
-            storage_budget_pages=args.budget,
-            gain_cache=args.gain_cache == "on",
-        ),
+        config=_colt_config(args),
         policy=args.policy,
         fleet_epoch_length=args.fleet_epoch,
         guardrails=GuardrailConfig() if args.guardrails == "on" else None,
@@ -887,16 +868,10 @@ def _print_fleet_report(args, fleet, run, merged) -> None:
         + (f" (drained: {drains})" if drains else "")
     )
     if fleet.rollout is not None:
-        started = sum(
-            len(r.rollout.started) for r in run.reorganizations if r.rollout
-        )
-        promoted = sum(
-            len(r.rollout.promoted) for r in run.reorganizations if r.rollout
-        )
-        rolled_back = sum(
-            len(r.rollout.rolled_back)
-            for r in run.reorganizations
-            if r.rollout
+        rollouts = [r.rollout for r in run.reorganizations if r.rollout]
+        started, promoted, rolled_back = (
+            sum(len(getattr(r, stage)) for r in rollouts)
+            for stage in ("started", "promoted", "rolled_back")
         )
         print(
             f"rollouts:             {started:>14}"
@@ -942,8 +917,7 @@ def _run_replay(args) -> None:
     )
     from repro.core.config import ColtConfig
     from repro.fleet import FleetCoordinator
-    from repro.workload import build_catalog, multi_client_shifting_workload
-    from repro.workload.experiments import phase_distributions
+    from repro.workload import build_catalog
 
     if args.events < 1:
         raise ValueError("--events must be positive")
@@ -953,13 +927,8 @@ def _run_replay(args) -> None:
     config = ColtConfig(storage_budget_pages=args.budget)
     # Same multi-client shifting base workload fleet-run uses, cycled
     # out to --events timestamped arrivals.
-    merged = multi_client_shifting_workload(
-        phase_distributions(),
-        build_catalog(),
-        args.workers,
-        phase_length=args.phase_length,
-        transition=args.transition,
-        seed=args.seed,
+    merged = _client_workload(
+        args.workers, args.phase_length, args.transition, seed=args.seed
     )
     stream = ReplayStream.from_workload(
         merged,

@@ -147,7 +147,8 @@ class TuningLoop:
 
     Attributes:
         tracer: Span tracer timing queries and epoch closes.
-        dashboard: Per-epoch probe-budget overhead accounting.
+        dashboard: The epoch log: one bounded row per close (probe
+            budget, costs, decisions) plus exact running totals.
 
     An engine sets the class attributes ``engine_name``, ``config_type``
     and ``budget_label`` and implements the ``_build_engine`` ..
@@ -339,12 +340,14 @@ class TuningLoop:
                     verify_calls * self.config.whatif_call_cost + verify_charge
                 )
 
+            base = session.base
+            cost = base.cost + overhead + verify_overhead
             self._queries_seen += 1
             build_cost = 0.0
             reorg: Optional[ReorganizationResult] = None
             epoch_ended = self._queries_seen % self.config.epoch_length == 0
             if epoch_ended:
-                reorg, build_cost = self._end_epoch()
+                reorg, build_cost = self._end_epoch(base.cost, cost, calls)
         finally:
             # The "query" span, without a handle: a raising query records too.
             if started is not None:
@@ -353,14 +356,18 @@ class TuningLoop:
                 )
 
         self._count_query(session, calls, overhead)
-        base = session.base
+        if not epoch_ended:
+            log = self.dashboard
+            log.open_execution += base.cost
+            log.open_total += cost
+            log.open_whatif += calls
         return QueryOutcome(
             index=index,
             execution_cost=base.cost,
             whatif_calls=calls,
             whatif_overhead=overhead,
             build_cost=build_cost,
-            total_cost=base.cost + overhead + verify_overhead + build_cost,
+            total_cost=cost + build_cost,
             plan=base.plan,
             verify_calls=verify_calls,
             verify_overhead=verify_overhead,
@@ -475,8 +482,12 @@ class TuningLoop:
         )
 
     # ------------------------------------------------------------------
-    def _end_epoch(self) -> Tuple[ReorganizationResult, float]:
-        """Close the epoch the clock just completed.
+    def _end_epoch(
+        self, execution: float = 0.0, cost: float = 0.0, calls: int = 0
+    ) -> Tuple[ReorganizationResult, float]:
+        """Close the epoch the clock just completed and log its row, which
+        counts the closing query's ``execution`` cost, ``cost`` before
+        build charges and what-if ``calls`` only if the close succeeds.
 
         Returns:
             (the boundary's decisions, build cost charged applying them).
@@ -507,13 +518,14 @@ class TuningLoop:
             build_cost = self._apply(reorg)
             if self.safety is not None:
                 self.safety.applied(reorg)
-        self.dashboard.record(
-            requested=requested,
-            granted=granted,
-            spent=spent,
-            ratio=reorg.improvement_ratio,
-            build_cost=build_cost,
-            breaker_state=reorg.breaker_state,
+        log = self.dashboard
+        log.open_execution += execution
+        log.open_total += cost + build_cost
+        log.open_whatif += calls
+        log.record(
+            requested, granted, spent, reorg.improvement_ratio, build_cost,
+            reorg.breaker_state, reorg.whatif_budget, self.materialized,
+            reorg.materialize, reorg.drop, reorg.hot,
         )
         return reorg, build_cost
 

@@ -10,9 +10,9 @@ from the tuner's existing profiling circuit breaker
 DRAINED so the router stops sending it traffic, HALF_OPEN maps to
 DEGRADED (traffic allowed, profiling trickles), and CLOSED is HEALTHY.
 
-The replica also keeps the per-epoch :class:`~repro.bench.tracing.
-EpochTrace` ledger so fleet benchmarks can dump machine-readable traces
-of every replica's decisions.
+The replica's trace (the newest ``WINDOW_EPOCHS`` epochs of its tuner's
+epoch log, plus exact totals) lets fleet benchmarks dump
+machine-readable traces of every replica's decisions.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import dataclasses
 import enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.tracing import TraceAccumulator
 from repro.core.knapsack import Ruling
 from repro.engines import engine_spec
 from repro.persist import snapshot_any
@@ -164,8 +163,6 @@ class TunerReplica:
             )
         self.tuner = tuner
         self.stats = ReplicaStats()
-        self.config_version = 0
-        self._trace = TraceAccumulator(tuner)
 
     # ------------------------------------------------------------------
     @property
@@ -182,6 +179,11 @@ class TunerReplica:
     def breaker(self) -> CircuitBreaker:
         """The replica's profiling circuit breaker."""
         return self.tuner.profiler.breaker
+
+    @property
+    def config_version(self) -> int:
+        """Closes that added or dropped an index (the router's cache key)."""
+        return self.tuner.dashboard.reconfigurations
 
     @property
     def materialized_names(self) -> List[str]:
@@ -251,7 +253,9 @@ class TunerReplica:
     # ------------------------------------------------------------------
     def trace(self) -> TunerTrace:
         """The replica's per-epoch decision trace so far."""
-        return self._trace.trace()
+        from repro.bench.tracing import TunerTrace
+
+        return TunerTrace.of(self.tuner)
 
     def _account(self, outcome: QueryOutcome) -> None:
         self.stats.queries += 1
@@ -260,6 +264,3 @@ class TunerReplica:
         self.stats.whatif_calls += outcome.whatif_calls
         if outcome.failed:
             self.stats.failed += 1
-        closed = self._trace.add(outcome)
-        if closed is not None and (closed.added or closed.dropped):
-            self.config_version += 1

@@ -1,4 +1,4 @@
-"""The overhead dashboard: COLT's self-regulation signal, per epoch.
+"""The overhead dashboard: a tuner's one epoch log.
 
 The paper's central safety claim is that profiling overhead regulates
 itself: the re-budgeting ratio ``r = NetBenefit(M')/NetBenefit(M)``
@@ -8,13 +8,18 @@ the evidence per epoch -- budget *requested* (the hard cap ``#WI_max``),
 *granted* (``#WI_lim`` in force), and *spent* (calls actually issued) --
 so benchmarks and operators can assert the invariant ``spent <= granted
 <= requested`` and watch the spend decay once the configuration is
-stable.
+stable.  Each row also holds the epoch's costs and the close's
+decisions, so traces, the figures' series and fleet replicas read this
+log instead of folding the ledger again.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Deque, Dict, List, NamedTuple, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.engine.index import IndexDef
 
 #: Epochs kept row by row (the newest); the totals run over every epoch.
 #: Far above any test or figure run, so those see every row -- while a
@@ -23,7 +28,7 @@ WINDOW_EPOCHS = 4096
 
 
 class EpochOverheadRecord(NamedTuple):
-    """One epoch's overhead accounting.
+    """One epoch's row: its overhead accounting and what its close decided.
 
     Attributes:
         epoch: 0-based epoch number.
@@ -36,6 +41,15 @@ class EpochOverheadRecord(NamedTuple):
         build_cost: Index build cost charged at this boundary.
         breaker_state: Profiling circuit-breaker state after the
             boundary.
+        execution_cost / total_cost: The epoch's execution cost, and
+            that plus tuning overheads.
+        whatif_used: Ledger what-if calls (``spent`` also counts
+            gain-cache hits charged without a call).
+        next_granted: ``#WI_lim`` granted for the *next* epoch.
+        materialized / added / dropped / hot: ``M`` after the boundary
+            (in set order), its decisions, and the next ``H`` -- as
+            ``IndexDef`` tuples, shared with the previous row when
+            unchanged.
     """
 
     epoch: int
@@ -45,6 +59,14 @@ class EpochOverheadRecord(NamedTuple):
     ratio: float
     build_cost: float
     breaker_state: str
+    execution_cost: float = 0.0
+    total_cost: float = 0.0
+    whatif_used: int = 0
+    next_granted: int = 0
+    materialized: Tuple[IndexDef, ...] = ()
+    added: Tuple[IndexDef, ...] = ()
+    dropped: Tuple[IndexDef, ...] = ()
+    hot: Tuple[IndexDef, ...] = ()
 
     @property
     def within_budget(self) -> bool:
@@ -52,21 +74,31 @@ class EpochOverheadRecord(NamedTuple):
         return self.spent <= self.granted
 
 
+#: The columns metrics snapshots carry.
+OVERHEAD_COLUMNS = EpochOverheadRecord._fields[:7]
+
+
 class OverheadDashboard:
-    """Per-epoch overhead records for one tuner.
+    """The epoch log of one tuner: a bounded row per close, exact totals.
 
     Attributes:
         records: The newest :data:`WINDOW_EPOCHS` epochs'
             :class:`EpochOverheadRecord`, in order.
         epochs: Epochs recorded so far, kept or not.
         total_spent: What-if calls issued across all of them.
+        total_cost / total_whatif / reconfigurations: Their costs,
+            ledger what-if calls, and closes that added or dropped.
         within_budget: Whether every one respected its granted allowance.
+        open_execution / open_total / open_whatif: The open epoch's
+            sums, which the tuning loop adds to per query.
     """
 
     def __init__(self) -> None:
         self.records: Deque[EpochOverheadRecord] = deque(maxlen=WINDOW_EPOCHS)
         self.epochs = 0
-        self.total_spent = 0
+        self.total_spent = self.total_whatif = self.reconfigurations = 0
+        self.total_cost = self.open_execution = self.open_total = 0.0
+        self.open_whatif = 0
         self.within_budget = True
 
     def record(
@@ -77,16 +109,36 @@ class OverheadDashboard:
         ratio: float,
         build_cost: float,
         breaker_state: str,
+        next_granted: int = 0,
+        materialized: AbstractSet[IndexDef] = frozenset(),
+        added: Sequence[IndexDef] = (),
+        dropped: Sequence[IndexDef] = (),
+        hot: Sequence[IndexDef] = (),
     ) -> EpochOverheadRecord:
-        """Append one epoch's accounting and return the record."""
+        """Close the open epoch: append its row and return it."""
+        last = self.records[-1] if self.records else None
+        held_m = last.materialized if last is not None else ()
+        if len(held_m) != len(materialized) or not materialized.issuperset(held_m):
+            held_m = tuple(materialized)
+        held_h = tuple(hot)
+        if last is not None and held_h == last.hot:
+            held_h = last.hot
         entry = EpochOverheadRecord(
-            self.epochs, requested, granted, spent, ratio, build_cost, breaker_state
+            self.epochs, requested, granted, spent, ratio, build_cost, breaker_state,
+            self.open_execution, self.open_total, self.open_whatif, next_granted,
+            held_m, tuple(added), tuple(dropped), held_h,
         )
         self.records.append(entry)
         self.epochs += 1
         self.total_spent += spent
+        self.total_cost += self.open_total
+        self.total_whatif += self.open_whatif
+        if added or dropped:
+            self.reconfigurations += 1
         if spent > granted:
             self.within_budget = False
+        self.open_execution = self.open_total = 0.0
+        self.open_whatif = 0
         return entry
 
     # ------------------------------------------------------------------
@@ -106,8 +158,8 @@ class OverheadDashboard:
         return sum(fractions) / len(fractions)
 
     def to_rows(self) -> List[Dict]:
-        """JSON-compatible rows for metrics snapshots."""
-        return [r._asdict() for r in self.records]
+        """JSON-compatible overhead rows for metrics snapshots."""
+        return [dict(zip(OVERHEAD_COLUMNS, r)) for r in self.records]
 
     def render(self) -> str:
         """Human-readable overhead table."""

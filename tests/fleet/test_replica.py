@@ -80,6 +80,30 @@ class TestProcessing:
         # epoch still open).
         assert sum(e.total_cost for e in trace.epochs) <= replica.stats.total_cost
 
+    def test_trace_keeps_the_newest_window_with_exact_totals(self):
+        from repro.bench.tracing import TunerTrace
+        from repro.obs.dashboard import WINDOW_EPOCHS
+
+        from tests.bench import oracle
+
+        replica = make_replica(epoch_length=1)
+        reference = oracle.TraceAccumulator(replica.tuner)
+        closes = WINDOW_EPOCHS + 40
+        for i in range(closes):
+            reference.add(replica.process(eq_query(i % 9 + 1)))
+        trace, full = replica.trace(), reference.trace()
+        assert len(replica.tuner.dashboard.records) == len(trace.epochs) == WINDOW_EPOCHS
+        assert trace.epochs == full.epochs[-WINDOW_EPOCHS:]
+        assert trace.epochs[0].epoch == 40
+        assert trace.total_whatif == full.total_whatif > 0
+        assert trace.total_cost == pytest.approx(full.total_cost, rel=1e-12)
+        restored = TunerTrace.from_json(trace.to_json())
+        assert restored.epochs == trace.epochs
+        assert (restored.total_cost, restored.total_whatif) == (
+            trace.total_cost,
+            trace.total_whatif,
+        )
+
     def test_config_version_bumps_on_materialization(self):
         replica = make_replica(epoch_length=5)
         assert replica.config_version == 0

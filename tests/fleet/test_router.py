@@ -157,7 +157,7 @@ class TestCostBased:
         assert first.replica_id == 0  # tie broken by id
         ix = replicas[1].catalog.index_for("events", "user_id")
         replicas[1].catalog.materialize_index(ix)
-        replicas[1].config_version += 1
+        replicas[1].tuner.dashboard.reconfigurations += 1  # what a close logs
         rerouted = router.route(eq_query(2))
         assert rerouted.probes == 2  # re-probed after the version bump
         assert rerouted.replica_id == 1
@@ -211,7 +211,7 @@ class TestCostBased:
         # A route change restores the full grant.
         ix = replicas[1].catalog.index_for("events", "user_id")
         replicas[1].catalog.materialize_index(ix)
-        replicas[1].config_version += 1
+        replicas[1].tuner.dashboard.reconfigurations += 1  # what a close logs
         router.route(eq_query(2))
         router.roll_epoch()
         assert router.probe_budget == 40

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.core import ColtTuner
+from repro.engine.index import IndexDef
 from repro.obs.dashboard import WINDOW_EPOCHS, OverheadDashboard, render_overhead_rows
 from repro.workload import build_catalog
 
@@ -130,6 +131,39 @@ class TestBoundedWindow:
         assert time_end <= 2.0 * time_mid + 0.005  # same rows: same work
         assert tuner.dashboard.epochs == 10_000
         assert tuner.dashboard.total_spent == 30_000
+
+
+class TestRowsStaySmall:
+    """A close logs references; unchanged ``M`` / ``H`` share one tuple."""
+
+    def test_unchanged_sets_reuse_the_previous_rows_tuple(self):
+        from repro.workload import stable_workload
+        from repro.workload.experiments import stable_distribution
+
+        catalog = build_catalog()
+        tuner = ColtTuner(catalog)
+        tuner.run(stable_workload(stable_distribution(), 300, catalog, seed=3).queries)
+        rows = list(tuner.dashboard.records)
+        shared_m = shared_h = 0
+        for before, after in zip(rows, rows[1:]):
+            if set(after.materialized) == set(before.materialized):
+                assert after.materialized is before.materialized
+                shared_m += 1
+            if after.hot == before.hot:
+                assert after.hot is before.hot
+                shared_h += 1
+        assert shared_m and shared_h
+        held = [ix for row in rows for ix in (*row.materialized, *row.added, *row.hot)]
+        assert held and all(isinstance(ix, IndexDef) for ix in held)
+
+    def test_overhead_rows_keep_their_seven_columns(self):
+        d = OverheadDashboard()
+        d.record(20, 20, 3, 1.2, 0.0, "closed", next_granted=9, hot=["x"])
+        assert list(d.to_rows()[0]) == [
+            "epoch", "requested", "granted", "spent", "ratio", "build_cost",
+            "breaker_state",
+        ]
+        assert d.records[0].hot == ("x",) and d.records[0].next_granted == 9
 
 
 class TestRenderOverheadRows:

@@ -99,6 +99,7 @@ def test_benchmark_setup_imports_load_no_optional_subsystem():
         "repro.bench.figures",
         "repro.bench.replay",
         "repro.bench.harness",
+        "repro.bench.tracing",
         "repro.workload.adversarial",
         "repro.baselines.*",
     ])
