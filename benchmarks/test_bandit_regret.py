@@ -66,7 +66,7 @@ def _merge_bench(key: str, payload: dict) -> None:
 # ----------------------------------------------------------------------
 # Arm 1-4: the adversarial scenarios, observed execution cost
 # ----------------------------------------------------------------------
-def _scenario_arms(name: str) -> dict:
+def scenario_arms(name: str) -> dict:
     """Run colt/bandit/none over fresh copies of one scenario."""
     build = SCENARIOS[name]
     arms = {}
@@ -81,9 +81,21 @@ def _scenario_arms(name: str) -> dict:
     return arms
 
 
+def scenario_payload(arms: dict) -> dict:
+    """One scenario's ``BENCH_bandit.json`` entry, from its three arms."""
+    colt = arms["colt"]
+    return {
+        "queries": colt.queries,
+        "epoch_length": EPOCH_LENGTH,
+        "budget_pages": BUDGET_PAGES,
+        "arms": {engine: arms[engine].to_dict() for engine in ("colt", "bandit", "none")},
+        "bandit_over_colt": arms["bandit"].observed_cost / colt.observed_cost,
+    }
+
+
 def test_bandit_regret_scenarios(benchmark, report):
     all_arms = benchmark.pedantic(
-        lambda: {name: _scenario_arms(name) for name in SCENARIOS}, rounds=1
+        lambda: {name: scenario_arms(name) for name in SCENARIOS}, rounds=1
     )
 
     lines = [
@@ -106,19 +118,7 @@ def test_bandit_regret_scenarios(benchmark, report):
             f"    bandit/colt: {ratio:.3f}"
             f" ({'bandit wins' if ratio < 1.0 else 'colt wins'})",
         ]
-        _merge_bench(
-            name,
-            {
-                "queries": colt.queries,
-                "epoch_length": EPOCH_LENGTH,
-                "budget_pages": BUDGET_PAGES,
-                "arms": {
-                    engine: arms[engine].to_dict()
-                    for engine in ("colt", "bandit", "none")
-                },
-                "bandit_over_colt": ratio,
-            },
-        )
+        _merge_bench(name, scenario_payload(arms))
     lines.append(f"  bandit wins: {', '.join(wins)} ({len(wins)}/4)")
     report("\n".join(lines))
 

@@ -10,14 +10,15 @@ The same workload through the bandit engine is pinned the same way in
 ``tests/data/golden_bandit_trace.json`` (reward probes, ridge updates,
 super-arm selection, safety fallback).
 
-When a change *intentionally* alters tuner behaviour, regenerate with:
+Both files are re-recorded, and a change to them explained epoch by
+epoch, by the one tool for every decision-pinned file:
 
-    GOLDEN_REGEN=1 PYTHONPATH=src python -m pytest \
-        tests/bench/test_golden_trace.py -q
+    PYTHONPATH=src python tools/regen_pinned.py --only golden_trace golden_bandit_trace
+
+(add ``--write`` only for an intended behaviour change).
 """
 
 import json
-import os
 import pathlib
 
 import pytest
@@ -28,6 +29,8 @@ from repro.workload.datagen import build_catalog
 from repro.workload.experiments import phase_distributions
 from repro.workload.phases import shifting_workload
 
+from tests.decision_diff import trace_diff
+
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "data" / "golden_trace.json"
 GOLDEN_BANDIT_PATH = GOLDEN_PATH.with_name("golden_bandit_trace.json")
 
@@ -37,7 +40,7 @@ BUDGET_PAGES = 9_000.0
 SEED = 0
 
 
-def _traced_run(engine="colt"):
+def traced_run(engine="colt"):
     catalog = build_catalog()
     workload = shifting_workload(
         phase_distributions(),
@@ -52,72 +55,41 @@ def _traced_run(engine="colt"):
 
 @pytest.fixture(scope="module")
 def trace():
-    return _traced_run()
+    return traced_run()
 
 
 @pytest.fixture(scope="module")
 def bandit_trace():
-    return _traced_run("bandit")
+    return traced_run("bandit")
 
 
-def _exists_or_regenerates(trace, path):
-    if os.environ.get("GOLDEN_REGEN") == "1":
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(trace.to_json(indent=2) + "\n")
+def _exists(path):
     assert path.exists(), (
-        "golden trace missing -- regenerate with GOLDEN_REGEN=1 (see module "
-        "docstring)"
+        f"golden trace missing -- re-record with tools/regen_pinned.py "
+        f"--only {path.stem} --write (see module docstring)"
     )
 
 
-def test_golden_trace_exists_or_regenerates(trace):
-    _exists_or_regenerates(trace, GOLDEN_PATH)
+def test_golden_trace_exists_or_regenerates():
+    _exists(GOLDEN_PATH)
 
 
-def test_golden_bandit_trace_exists_or_regenerates(bandit_trace):
-    _exists_or_regenerates(bandit_trace, GOLDEN_BANDIT_PATH)
+def test_golden_bandit_trace_exists_or_regenerates():
+    _exists(GOLDEN_BANDIT_PATH)
 
 
 def test_trace_matches_golden(trace):
-    _assert_matches(trace, TunerTrace.from_json(GOLDEN_PATH.read_text()))
+    assert trace_diff(trace, TunerTrace.from_json(GOLDEN_PATH.read_text())).lines == []
 
 
 def test_bandit_trace_matches_golden(bandit_trace):
     golden = TunerTrace.from_json(GOLDEN_BANDIT_PATH.read_text())
     assert golden.engine == "bandit"
-    _assert_matches(bandit_trace, golden)
+    assert trace_diff(bandit_trace, golden).lines == []
     # The bandit pin must actually exercise decisions, not an idle run.
     assert sum(len(e.added) for e in golden.epochs) >= 5
     assert sum(len(e.dropped) for e in golden.epochs) >= 5
     assert golden.total_whatif > 0
-
-
-def _assert_matches(trace, golden):
-    assert trace.engine == golden.engine
-    assert trace.config == golden.config
-    assert len(trace.epochs) == len(golden.epochs)
-    for current, pinned in zip(trace.epochs, golden.epochs):
-        label = f"epoch {pinned.epoch}"
-        # Decisions: exact.
-        assert current.materialized == pinned.materialized, label
-        assert current.added == pinned.added, label
-        assert current.dropped == pinned.dropped, label
-        assert current.hot == pinned.hot, label
-        assert current.whatif_used == pinned.whatif_used, label
-        assert current.budget_granted == pinned.budget_granted, label
-        # Costs/ratios: floats through a JSON round trip, so approx at
-        # tight tolerance (repr round-trips exactly; this guards only
-        # against accumulation-order changes that are real regressions
-        # anyway).
-        assert current.improvement_ratio == pytest.approx(
-            pinned.improvement_ratio, rel=1e-12
-        ), label
-        assert current.execution_cost == pytest.approx(
-            pinned.execution_cost, rel=1e-12
-        ), label
-        assert current.total_cost == pytest.approx(
-            pinned.total_cost, rel=1e-12
-        ), label
 
 
 def test_total_cost_matches_golden(trace):

@@ -57,25 +57,29 @@ scenarios and the snapshot on the parent of the commit that gave the
 close one record per tracked index; the three after them, and their
 snapshots, on the parent of the commit that merged the close's
 constraint sources into one list of rulings), and stays the reference
-newer arithmetic is held against.  Only an intended behaviour
-change regenerates it:
+newer arithmetic is held against.  Only an intended behaviour change
+re-records it, through the one tool for every decision-pinned file,
+which first prints what moved (the first divergent close, the changed
+decisions, the cost and what-if deltas):
 
-    CLOSE_IDENTITY_REGEN=1 PYTHONPATH=src python -m pytest \
-        tests/core/test_close_identity.py -q
+    PYTHONPATH=src python tools/regen_pinned.py --only close_identity
 
-(``CLOSE_IDENTITY_REGEN=colt_faults,colt_restored`` records only the
-named scenarios and leaves the other recordings as they are.)
+(``--only colt_faults colt_restored`` re-records only the named
+scenarios and leaves the other recordings as they are; ``--write``
+writes the file.)  The ``tests/data/parent_*snapshot.json`` files the
+``*_restored`` scenarios start from are restore fixtures, not
+recordings: each was copied by hand from the commit named above, and
+nothing re-records them.
 """
 
 import itertools
 import json
-import os
 import pathlib
 import sys
 
 import pytest
 
-from repro.bandit.persist import restore_bandit_tuner, snapshot_bandit_tuner
+from repro.bandit.persist import restore_bandit_tuner
 from repro.core.config import ColtConfig
 from repro.core.knapsack import Ruling
 from repro.engines import engine_spec
@@ -89,6 +93,8 @@ from repro.workload.experiments import phase_distributions
 from repro.workload.phases import noisy_workload
 from repro.workload.querygen import PredicateSpec, QueryDistribution, QueryTemplate
 
+from tests.decision_diff import Diff, close_diff
+
 DATA_PATH = pathlib.Path(__file__).parent.parent / "data" / "close_identity.json"
 SNAPSHOT_PATH = DATA_PATH.with_name("parent_snapshot.json")
 BANDIT_SNAPSHOT_PATH = DATA_PATH.with_name("parent_bandit_snapshot.json")
@@ -96,7 +102,6 @@ ADVICE_SNAPSHOT_PATH = DATA_PATH.with_name("parent_advice_snapshot.json")
 SEED = 0
 CYCLES = 10
 SNAPSHOT_ARRIVALS = 2000  # tests/obs/test_metrics_identity.py's run
-BANDIT_SNAPSHOT_ARRIVALS = 2450  # a bandit_shift close with live safety bans and watch
 RETIRED_CONFIG_KEYS = ("knapsack_warm_start",)
 RATIO_REL = 1e-9
 HTAP_TABLES = ("lineitem_1", "lineitem_2", "orders_1", "orders_2")
@@ -243,34 +248,6 @@ def _identity_snapshot():
     )
 
 
-def _bandit_snapshot():
-    """The bandit mid-``bandit_shift``: safety bans live, a change watched."""
-    return _snapshot_after(
-        engine_spec("bandit").tuner(build_catalog()),
-        BANDIT_SNAPSHOT_ARRIVALS,
-        snapshot_bandit_tuner,
-    )
-
-
-def _advice_snapshot():
-    """COLT under guardrails and the DBA advice, after the identity run's arrivals."""
-    return _snapshot_after(
-        engine_spec("colt").tuner(
-            build_catalog(), guardrails=GuardrailManager(), advice=AdviceBook.parse(ADVICE)
-        ),
-        SNAPSHOT_ARRIVALS,
-        snapshot_tuner,
-    )
-
-
-#: Snapshots a regeneration of the named scenario writes first.
-SNAPSHOTS = {
-    "colt_restored": (SNAPSHOT_PATH, _identity_snapshot),
-    "bandit_restored": (BANDIT_SNAPSHOT_PATH, _bandit_snapshot),
-    "colt_advice_restored": (ADVICE_SNAPSHOT_PATH, _advice_snapshot),
-}
-
-
 SCENARIOS = {
     "colt_shift": lambda: _run("colt", _shift_events),
     "bandit_shift": lambda: _run("bandit", _shift_events),
@@ -313,7 +290,7 @@ SCENARIOS = {
 }
 
 
-def _dump(recorded) -> str:
+def dump(recorded) -> str:
     """One epoch per line: a diff of the file names the diverging epoch."""
     parts = []
     for name, (rows, total) in recorded.items():
@@ -327,41 +304,27 @@ def _dump(recorded) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+def differences(scenario, run, recorded) -> Diff:
+    """One scenario's run against its recording (see the module docstring)."""
+    bit_exact = scenario.startswith("colt_") and sys.version_info < (3, 12)
+    rows, total = run
+    return close_diff(
+        rows,
+        total,
+        recorded["epochs"],
+        recorded["total_cost"],
+        rel=None if bit_exact else RATIO_REL,
+    )
+
+
 @pytest.fixture(scope="module")
 def pinned():
-    regen = os.environ.get("CLOSE_IDENTITY_REGEN")
-    if regen:
-        # "1" records everything; a comma list only the named scenarios.
-        names = sorted(SCENARIOS) if regen == "1" else regen.split(",")
-        for name in names:
-            if name in SNAPSHOTS:
-                path, take = SNAPSHOTS[name]
-                path.write_text(json.dumps(take(), indent=1) + "\n")
-        recorded = {} if regen == "1" else json.loads(DATA_PATH.read_text())
-        recorded = {
-            name: (run["epochs"], run["total_cost"]) for name, run in recorded.items()
-        }
-        recorded.update((name, SCENARIOS[name]()) for name in names)
-        DATA_PATH.write_text(_dump({name: recorded[name] for name in SCENARIOS}))
-    assert DATA_PATH.exists(), "fixture missing -- see the module docstring"
     return json.loads(DATA_PATH.read_text())
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_every_close_matches_the_recorded_run(pinned, scenario):
-    rows, total = SCENARIOS[scenario]()
-    expected = pinned[scenario]
-    bit_exact = scenario.startswith("colt_") and sys.version_info < (3, 12)
-    assert len(rows) == len(expected["epochs"])
-    for epoch, (got, want) in enumerate(zip(rows, expected["epochs"])):
-        where = f"{scenario}: first divergence at epoch {epoch}"
-        assert got[:4] == want[:4], where
-        if bit_exact:
-            assert got[4] == want[4], where
-        else:
-            assert float(got[4]) == pytest.approx(float(want[4]), rel=RATIO_REL), where
-        assert got[5:] == want[5:], where
-    assert total == expected["total_cost"]
+    assert differences(scenario, SCENARIOS[scenario](), pinned[scenario]).lines == []
 
 
 def _without_retired(snapshot):

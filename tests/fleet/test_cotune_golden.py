@@ -10,14 +10,15 @@ to the partitioner, the hysteresis rule, the probe budget, advisory
 synthesis, or the underlying tuners that shifts one co-tuning decision
 fails loudly with the first diverging boundary.
 
-When a change *intentionally* alters co-tuning behaviour, regenerate:
+The file is re-recorded, and a change to it explained boundary by
+boundary, by the one tool for every decision-pinned file:
 
-    GOLDEN_REGEN=1 PYTHONPATH=src python -m pytest \
-        tests/fleet/test_cotune_golden.py -q
+    PYTHONPATH=src python tools/regen_pinned.py --only golden_fleet_cotune
+
+(add ``--write`` only for an intended behaviour change).
 """
 
 import json
-import os
 import pathlib
 
 import pytest
@@ -26,6 +27,8 @@ from repro.core.config import ColtConfig
 from repro.fleet import FleetCoordinator
 from repro.workload import build_catalog, multi_client_shifting_workload
 from repro.workload.experiments import phase_distributions
+
+from tests.decision_diff import Diff, totals, value, walk_epochs
 
 GOLDEN_PATH = (
     pathlib.Path(__file__).parent.parent / "data" / "golden_fleet_cotune.json"
@@ -40,9 +43,13 @@ SEED = 11
 
 #: History fields that hold floats (JSON round-trip -> approx compare).
 _FLOAT_KEYS = ("cost_per_query",)
+#: Fleet totals: exact, but the costs (floats) within 1e-12.
+_EXACT_KEYS = ("workload", "queries_per_replica", "whatif_calls")
+_COST_KEYS = ("execution_cost", "routing_overhead", "total_cost")
+_FINAL_KEYS = ("materialized", "converged", "migrations_total")
 
 
-def _cotuned_run():
+def cotuned_run():
     merged = multi_client_shifting_workload(
         phase_distributions(),
         build_catalog(),
@@ -78,46 +85,87 @@ def _cotuned_run():
 
 @pytest.fixture(scope="module")
 def document():
-    return _cotuned_run()
+    return cotuned_run()
 
 
-def test_golden_exists_or_regenerates(document):
-    if os.environ.get("GOLDEN_REGEN") == "1":
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(json.dumps(document, indent=1) + "\n")
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_exists_or_regenerates():
     assert GOLDEN_PATH.exists(), (
-        "co-tuned fleet golden trace missing -- regenerate with "
-        "GOLDEN_REGEN=1 (see module docstring)"
+        "co-tuned fleet golden trace missing -- re-record with "
+        "tools/regen_pinned.py --only golden_fleet_cotune --write "
+        "(see module docstring)"
     )
 
 
-def test_partition_history_matches_golden(document):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert len(document["history"]) == len(golden["history"])
-    for current, pinned in zip(document["history"], golden["history"]):
-        label = f"boundary {pinned['epoch']}"
-        for key in pinned:
-            if key in _FLOAT_KEYS:
-                assert current[key] == pytest.approx(
-                    pinned[key], rel=1e-12
-                ), label
-            else:
-                # The partition assignment map, migrations, probes,
-                # and the convergence flag: exact.
-                assert current[key] == pinned[key], (label, key)
+def history_differences(document, golden) -> Diff:
+    """Every boundary's partition history, over the keys the golden holds.
+
+    The partition assignment map, migrations, probes and the convergence
+    flag exactly; the float keys within 1e-12 (JSON round trip).
+    """
+    diff = Diff()
+
+    def changes(current, pinned):
+        return [_moved(diff, current, pinned, key, _FLOAT_KEYS) for key in pinned]
+
+    walk_epochs(
+        diff, document["history"], golden["history"], changes, lambda i, row: row["epoch"]
+    )
+    return diff
 
 
-def test_costs_and_routing_match_golden(document):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert document["workload"] == golden["workload"]
-    assert document["queries_per_replica"] == golden["queries_per_replica"]
-    assert document["whatif_calls"] == golden["whatif_calls"]
-    for key in ("execution_cost", "routing_overhead", "total_cost"):
-        assert document[key] == pytest.approx(golden[key], rel=1e-12), key
+def _moved(diff, current, pinned, key, float_keys):
+    if key in float_keys:
+        same = diff.near(current[key], pinned[key], 1e-12)
+    else:
+        same = current[key] == pinned[key]
+    return None if same else value(key, current[key], pinned[key])
 
 
-def test_final_state_matches_golden(document):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert document["materialized"] == golden["materialized"]
-    assert document["converged"] == golden["converged"]
-    assert document["migrations_total"] == golden["migrations_total"]
+def cost_differences(document, golden) -> Diff:
+    """Workload, routing split and what-if calls exact; costs within 1e-12."""
+    diff = Diff()
+    moved = [_moved(diff, document, golden, key, _COST_KEYS) for key in _EXACT_KEYS + _COST_KEYS]
+    moved = [change for change in moved if change]
+    if moved:
+        diff.lines += moved + totals(
+            document["total_cost"],
+            golden["total_cost"],
+            "what-if calls",
+            document["whatif_calls"],
+            golden["whatif_calls"],
+        )
+    return diff
+
+
+def final_differences(document, golden) -> Diff:
+    """The final per-replica designs, convergence and migration count, exact."""
+    diff = Diff()
+    moved = [_moved(diff, document, golden, key, ()) for key in _FINAL_KEYS]
+    diff.lines = [change for change in moved if change]
+    return diff
+
+
+def differences(document, golden) -> Diff:
+    """The three comparisons above, as one diff."""
+    diff = Diff()
+    diff.add("history", history_differences(document, golden))
+    diff.add("costs", cost_differences(document, golden))
+    diff.add("final", final_differences(document, golden))
+    return diff
+
+
+def test_partition_history_matches_golden(document, golden):
+    assert history_differences(document, golden).lines == []
+
+
+def test_costs_and_routing_match_golden(document, golden):
+    assert cost_differences(document, golden).lines == []
+
+
+def test_final_state_matches_golden(document, golden):
+    assert final_differences(document, golden).lines == []

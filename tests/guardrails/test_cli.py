@@ -1,9 +1,12 @@
 """CLI surfaces for the guardrail subsystem: audit and fleet-status.
 
-The two ``audit --compare`` runs are held to the documents recorded in
-``tests/data/audit_identity.json``, compared exactly: observed cost,
-verification overhead, final design, quarantine and every audit row of
-both arms.
+The two ``audit --compare`` runs (``AUDIT_RUNS``) are held to the
+documents recorded in ``tests/data/audit_identity.json``, compared
+exactly: observed cost, verification overhead, final design, quarantine
+and every audit row of both arms.  The file is re-recorded from the same
+two runs by the one tool for every decision-pinned file:
+
+    PYTHONPATH=src python tools/regen_pinned.py --only audit_identity
 """
 
 import json
@@ -13,9 +16,30 @@ import pytest
 
 from repro.cli import EXIT_ERROR, build_parser, main
 
-AUDIT_IDENTITY = json.loads(
-    (pathlib.Path(__file__).parent.parent / "data" / "audit_identity.json").read_text()
-)
+from tests.decision_diff import json_diff
+
+AUDIT_PATH = pathlib.Path(__file__).parent.parent / "data" / "audit_identity.json"
+AUDIT_IDENTITY = json.loads(AUDIT_PATH.read_text())
+
+#: The pinned ``audit --compare`` runs: argv, and the advice file's text.
+AUDIT_RUNS = {
+    "clean_advice": (
+        ["audit", "--scenario", "clean", "--queries", "160", "--compare"],
+        "pin facts.f_id\nban facts.f_skew\n",
+    ),
+    "misleading": (["audit", "--queries", "240", "--seed", "1", "--compare"], None),
+}
+
+
+def run_audit(name, directory):
+    """Run one of ``AUDIT_RUNS`` in ``directory``: its exit code and JSON document."""
+    argv, advice = AUDIT_RUNS[name]
+    if advice is not None:
+        (directory / "advice.txt").write_text(advice)
+        argv = argv + ["--advice", str(directory / "advice.txt")]
+    target = directory / f"{name}.json"
+    code = main(argv + ["--json", str(target)])
+    return code, json.loads(target.read_text()) if code == 0 else None
 
 
 class TestAuditParsing:
@@ -54,25 +78,11 @@ class TestAuditCommand:
         assert "quarantined (cooldown" not in out
 
     def test_audit_compare_wins_and_writes_json(self, capsys, tmp_path):
-        target = tmp_path / "audit.json"
-        assert (
-            main(
-                [
-                    "audit",
-                    "--queries",
-                    "240",
-                    "--seed",
-                    "1",
-                    "--compare",
-                    "--json",
-                    str(target),
-                ]
-            )
-            == 0
-        )
+        code, document = run_audit("misleading", tmp_path)
+        assert code == 0
         out = capsys.readouterr().out
         assert "regret saved" in out
-        assert json.loads(target.read_text()) == AUDIT_IDENTITY["misleading"]
+        assert json_diff(document, AUDIT_IDENTITY["misleading"]).lines == []
 
     def test_audit_respects_advice_file(self, capsys, tmp_path):
         advice = tmp_path / "advice.txt"
@@ -95,13 +105,9 @@ class TestAuditCommand:
         assert main(argv) == EXIT_ERROR
 
     def test_compare_gives_the_advice_to_both_arms(self, capsys, tmp_path):
-        advice = tmp_path / "advice.txt"
-        advice.write_text("pin facts.f_id\nban facts.f_skew\n")
-        target = tmp_path / "audit.json"
-        argv = ["audit", "--scenario", "clean", "--queries", "160", "--compare"]
-        argv += ["--advice", str(advice), "--json", str(target)]
-        assert main(argv) == 0
-        assert json.loads(target.read_text()) == AUDIT_IDENTITY["clean_advice"]
+        code, document = run_audit("clean_advice", tmp_path)
+        assert code == 0
+        assert json_diff(document, AUDIT_IDENTITY["clean_advice"]).lines == []
 
     def test_help_no_longer_ties_advice_to_guardrails(self, capsys):
         with pytest.raises(SystemExit):

@@ -19,15 +19,19 @@ floats is compensated, which moves the last digits of sums the bandit
 feeds its histograms (not a count, not a decision): there, floats are
 held within ``FLOAT_REL`` and everything else exactly, as
 ``tests/core/test_close_identity.py`` does for its ratios.  Only an
-intended metric change regenerates the file:
+intended metric change re-records the file, through the one tool for
+every decision-pinned file:
 
-    METRICS_IDENTITY_REGEN=1 PYTHONPATH=src python -m pytest \
-        tests/obs/test_metrics_identity.py -q
+    PYTHONPATH=src python tools/regen_pinned.py --only metrics_identity
+
+It prints, per run, the families that are gone, new, reordered or
+moved (the first differing sample of each) -- a deletion reads as
+"gone", with every other family as recorded and in order -- and
+``--write`` writes the file.
 """
 
 import itertools
 import json
-import os
 import pathlib
 import sys
 
@@ -38,6 +42,7 @@ from repro.fleet import FleetCoordinator
 from repro.workload import build_catalog
 
 from tests.core.test_close_identity import shifting_workload_base
+from tests.decision_diff import SHOWN, Diff, json_diff
 
 DATA_PATH = pathlib.Path(__file__).parent.parent / "data" / "metrics_identity.json"
 SEED = 0
@@ -96,7 +101,7 @@ def _comparable(snapshot):
     return json.loads(json.dumps(families))
 
 
-def _dump(recorded) -> str:
+def dump(recorded) -> str:
     """One family per line: a diff of the file names the family that moved."""
     parts = []
     for name, families in recorded.items():
@@ -108,35 +113,47 @@ def _dump(recorded) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+def differences(got, want) -> Diff:
+    """One run's families against the recording: names and order exactly.
+
+    Samples exactly below CPython 3.12, floats within ``FLOAT_REL`` from
+    it (the recording's ``sum`` is 3.11's).
+    """
+    rel = None if sys.version_info < (3, 12) else FLOAT_REL
+    diff = Diff()
+    have = [f["name"] for f in got]
+    had = [f["name"] for f in want]
+    kept = [name for name in had if name in have]
+    for word, names in (("gone", set(had) - set(have)), ("new", set(have) - set(had))):
+        if names:
+            diff.lines.append(f"families {word}: " + ", ".join(sorted(names)))
+    if [name for name in have if name in had] != kept:
+        diff.lines.append("families reordered")
+    now = {f["name"]: f for f in got}
+    moved = []
+    for family in want:
+        if family["name"] in now:
+            sample = json_diff(now[family["name"]], family, rel)
+            diff.tolerated += sample.tolerated
+            if sample.lines:
+                moved.append(f"{family['name']} moved: {sample.lines[0]}")
+    diff.lines += moved[:SHOWN]
+    if len(moved) > SHOWN:
+        diff.lines.append(f"... and {len(moved) - SHOWN} more moved families")
+    elif not moved and diff.lines:
+        diff.lines.append(f"the other {len(kept)} families as recorded")
+    return diff
+
+
 @pytest.fixture(scope="module")
 def pinned():
-    if os.environ.get("METRICS_IDENTITY_REGEN") == "1":
-        DATA_PATH.write_text(
-            _dump({name: _comparable(run()) for name, run in SCENARIOS.items()})
-        )
-    assert DATA_PATH.exists(), "fixture missing -- see the module docstring"
     return json.loads(DATA_PATH.read_text())
-
-
-def _within(got, want) -> bool:
-    """Equal, floats within ``FLOAT_REL`` (the recording's ``sum`` is 3.11's)."""
-    if isinstance(want, dict):
-        return got.keys() == want.keys() and all(_within(got[k], want[k]) for k in want)
-    if isinstance(want, list):
-        return len(got) == len(want) and all(map(_within, got, want))
-    if isinstance(want, float):
-        return got == pytest.approx(want, rel=FLOAT_REL)
-    return got == want
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_every_sample_matches_the_recorded_run(pinned, scenario):
     got = _comparable(SCENARIOS[scenario]())
-    expected = pinned[scenario]
-    assert [f["name"] for f in got] == [f["name"] for f in expected]
-    for family, want in zip(got, expected):
-        same = family == want if sys.version_info < (3, 12) else _within(family, want)
-        assert same, f"{scenario}: {family['name']} moved"
+    assert differences(got, pinned[scenario]).lines == []
 
 
 def test_the_recording_covers_the_per_query_families(pinned):
