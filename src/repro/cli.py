@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pf.add_argument(
         "--policy",
-        choices=("round-robin", "affinity", "client", "cost"),
+        choices=("round-robin", "affinity", "client"),
         default="affinity",
         help="routing policy",
     )
@@ -332,14 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fleet's replicas in N worker processes (one per "
         "replica, overriding --replicas; bit-identical decisions, see "
         "docs/FLEET.md); 0 keeps everything in-process",
-    )
-    pf.add_argument(
-        "--cotune",
-        choices=("on", "off"),
-        default="off",
-        help="divergent-design co-tuning: partition the stream by "
-        "relevant-index signature, specialize replicas, refine the "
-        "routing map with budgeted what-if probes (see docs/COTUNE.md)",
     )
     _add_engine_flag(pf, f"epoch-loop engines only ({', '.join(ENGINES)})")
 
@@ -779,7 +771,7 @@ def _live_metrics_snapshot(seed: int):
         build_catalog,
         n_replicas=2,
         config=ColtConfig(storage_budget_pages=DEFAULT_BUDGET_PAGES, seed=seed),
-        policy="cost",
+        policy="affinity",
         fleet_epoch_length=25,
     )
     fleet.run(merged)
@@ -826,7 +818,6 @@ def _run_fleet(args) -> None:
         guardrails=GuardrailConfig() if args.guardrails == "on" else None,
         engine=args.engine,
         workers=args.workers,
-        cotune=args.cotune == "on",
     )
     try:
         run = fleet.run(merged)
@@ -862,7 +853,6 @@ def _print_fleet_report(args, fleet, run, merged) -> None:
     print(
         f"\nfleet execution cost: {run.execution_cost:>14,.0f}\n"
         f"fleet total cost:     {run.total_cost:>14,.0f}\n"
-        f"routing overhead:     {run.routing_overhead:>14,.0f}\n"
         f"config divergence:    {fleet.configuration_divergence():>14.2f}\n"
         f"reorganizations:      {len(run.reorganizations):>14}"
         + (f" (drained: {drains})" if drains else "")
@@ -877,27 +867,6 @@ def _print_fleet_report(args, fleet, run, merged) -> None:
             f"rollouts:             {started:>14}"
             f" (promoted: {promoted}, rolled back: {rolled_back})"
         )
-    if fleet.cotune is not None:
-        reports = [r.cotune for r in run.reorganizations if r.cotune]
-        probes = sum(r.probes for r in reports)
-        probe_cost = sum(r.probe_cost for r in reports)
-        last = reports[-1] if reports else None
-        print(
-            f"co-tuning:            {last.partitions if last else 0:>14}"
-            f" partitions over"
-            f" {last.signatures if last else 0} signatures"
-        )
-        print(
-            f"  migrations: {fleet.cotune.migrations_total}, "
-            f"probes: {probes} (overhead cost {probe_cost:,.0f}), "
-            f"converged: {'yes' if fleet.cotune.converged else 'no'}"
-        )
-        for replica in fleet.replicas:
-            labels = fleet.cotune.partition_of(replica.replica_id)
-            print(
-                f"  replica {replica.replica_id}: "
-                f"{', '.join(labels) if labels else '(no partition)'}"
-            )
     if args.snapshot_dir:
         path = save_fleet(args.snapshot_dir, fleet)
         print(f"\nfleet snapshot saved: {path}")
@@ -1017,30 +986,12 @@ def _fleet_status_document(directory) -> dict:
                     "cooldown_remaining": record.get("cooldown_remaining", 0),
                 }
             )
-    cotune = manifest.get("cotune")
-    partitions = None
-    if cotune:
-        assignment = {}
-        for pairs, replica in cotune.get("assignment", []):
-            label = "+".join(f"{t}.{c}" for t, c in sorted(map(tuple, pairs)))
-            assignment.setdefault(int(replica), []).append(label)
-        partitions = {
-            "epochs": cotune.get("epochs", 0),
-            "migrations_total": cotune.get("migrations_total", 0),
-            "converged": cotune.get("converged", False),
-            "probe_budget": cotune.get("probe_budget", 0),
-            "assignment": {
-                replica: sorted(labels)
-                for replica, labels in sorted(assignment.items())
-            },
-        }
     return {
         "directory": str(root),
         "policy": manifest["policy"],
         "queries_routed": manifest["queries_routed"],
         "replicas": replicas,
         "rollouts": rollouts,
-        "cotune": partitions,
     }
 
 
@@ -1077,15 +1028,6 @@ def _run_fleet_status(args) -> None:
             elif record["stage"] == "rolled_back":
                 extra = f" (cooldown: {record['cooldown_remaining']})"
             print(f"  {record['index']:<28} {record['stage']}{extra}")
-    if doc.get("cotune"):
-        cotune = doc["cotune"]
-        print(
-            f"\nco-tuning partitions ({cotune['epochs']} epochs, "
-            f"{cotune['migrations_total']} migrations, "
-            f"converged: {'yes' if cotune['converged'] else 'no'}):"
-        )
-        for replica, labels in cotune["assignment"].items():
-            print(f"  replica {replica}: {', '.join(labels)}")
 
 
 def _audit_arm(scenario: str, guardrails: bool, args, advice) -> dict:

@@ -94,8 +94,10 @@ class Ruling(NamedTuple):
         index: The index ruled on (a knapsack item key).
         kind: ``"pin"``, ``"ban"`` or ``"prefer"``.
         source: Who ruled: ``"dba"`` (advice), ``"quarantine"``
-            (guardrails), ``"rollout"`` / ``"advisory"`` (pushed by a
-            fleet controller) or ``"safety"`` (the bandit's fallback).
+            (guardrails), ``"rollout"`` (pushed by the fleet's staged
+            rollout), any other source a caller pushes through
+            ``TuningLoop.push_rulings``, or ``"safety"`` (the bandit's
+            fallback).
         weight: Value multiplier of a ``prefer`` ruling (> 0).
         reason: Why, for a reader of the close.
         until: First epoch close at which the ruling lapses by itself;

@@ -5,8 +5,8 @@ epoch's budget; per epoch: select under the storage budget, apply,
 re-budget (Fig. 2, §5).  :class:`TuningLoop` is that loop, once: it owns
 construction wiring, the per-query frame, the epoch clock, inserts,
 ``run``, the close's ruling pipeline (DBA advice, guardrail quarantine,
-pushed rollout bans and co-tuning advice, the engine's safety stage --
-merged once) and the scheduler apply protocol.  An engine
+pushed rollout bans, the engine's safety stage -- merged once) and the
+scheduler apply protocol.  An engine
 (:class:`~repro.core.colt.ColtTuner`,
 :class:`~repro.bandit.tuner.BanditTuner`) subclasses it and supplies
 only what differs: how a query is observed and how an epoch's evidence
@@ -263,12 +263,11 @@ class TuningLoop:
     def push_rulings(self, source: str, rulings) -> None:
         """Replace the rulings a fleet controller keeps on this tuner.
 
-        The coordinator's staged rollout pushes ``"rollout"`` bans, the
-        co-tuning loop ``"advisory"`` preferences for this replica's
-        workload partition; every close rules them until the next push
-        under the same source (an empty one withdraws them).  Preferred
-        indexes are seeded into the candidate tracker so the engine can
-        credit them without waiting for the miner.
+        The coordinator's staged rollout pushes ``"rollout"`` bans;
+        every close rules a source's rulings until the next push under
+        the same source (an empty one withdraws them).  Pushed
+        ``"prefer"`` rulings are seeded into the candidate tracker so
+        the engine can credit them without waiting for the miner.
         """
         self._pushed[source] = tuple(sorted(rulings, key=lambda r: str(r.index)))
         self.profiler.candidates.seed(

@@ -4,16 +4,16 @@ The paper tunes a single server; this package is the scale-out step.  A
 fleet runs N independent :class:`~repro.fleet.replica.TunerReplica`
 instances -- each with its own catalog, storage budget, and circuit
 breaker -- behind a workload-aware query router.  Routing the shifting
-multi-client stream by cluster affinity (or by cheap cost probes) lets
-each replica's materialized set *specialize* on its slice of the
-workload, which beats both a single shared tuner and blind round-robin
-on total execution cost.
+multi-client stream by cluster affinity lets each replica's
+materialized set *specialize* on its slice of the workload, which beats
+both a single shared tuner and blind round-robin on total execution
+cost.
 
 Components:
 
 * ``replica``     -- one tuner + catalog + health state.
-* ``router``      -- round-robin, affinity, client and cost-based
-  routing policies with a self-regulating probe budget.
+* ``router``      -- round-robin, affinity and client routing
+  policies.
 * ``coordinator`` -- epoch-aligned fleet reorganization: drains
   breaker-open replicas, restores recovered ones, and rebalances
   affinity routes.
@@ -21,13 +21,8 @@ Components:
 * ``workers``     -- the multiprocess coordinator
   (``FleetCoordinator(..., workers=N)``): one worker process per
   replica, bit-identical decisions, crash-safe epoch barriers.
-* ``cotune``      -- divergent-design co-tuning
-  (``FleetCoordinator(..., cotune=True)``): partitions the query
-  stream by relevant-index signature, specializes each replica toward
-  its partition, and refines the routing map with budgeted what-if
-  probes until fleet cost converges.
 
-See ``docs/FLEET.md`` and ``docs/COTUNE.md`` for the design discussion.
+See ``docs/FLEET.md`` for the design discussion.
 """
 
 from repro._facade import lazy_exports
@@ -41,18 +36,9 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "FleetReorganizationResult",
             "FleetRun",
         ),
-        "cotune": (
-            "CotuneConfig",
-            "CotuneController",
-            "CotuneReport",
-            "assign_partitions",
-            "partition_signature",
-            "signature_label",
-        ),
         "replica": ("ReplicaHealth", "TunerReplica"),
         "router": (
             "AffinityRouter",
-            "CostBasedRouter",
             "RoundRobinRouter",
             "Router",
             "make_router",

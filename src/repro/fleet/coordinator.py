@@ -2,17 +2,15 @@
 
 The coordinator owns N :class:`~repro.fleet.replica.TunerReplica`
 instances and a :class:`~repro.fleet.router.Router`.  Per arriving
-query it routes, processes, and charges any routing probes as overhead;
-every ``fleet_epoch_length`` queries it runs a *fleet reorganization*,
-the scale-out analogue of COLT's per-epoch self-organization:
+query it routes and processes; every ``fleet_epoch_length`` queries it
+runs a *fleet reorganization*, the scale-out analogue of COLT's
+per-epoch self-organization:
 
 * replicas whose profiling breaker tripped OPEN are **drained** --
   removed from routing with their sticky assignments redistributed, so
   no arriving query is ever dropped;
 * recovered replicas (breaker HALF_OPEN after cooldown, then CLOSED)
   are **restored** to the rotation;
-* the cost router's probe budget is re-granted (self-regulating, like
-  ``#WI_lim``);
 * a configuration-divergence measure over the replicas' materialized
   sets is reported, making specialization observable.
 
@@ -40,17 +38,11 @@ from repro.obs.names import (
 )
 from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.obs.spans import SpanTracer, merge_span_summaries
-from repro.fleet.router import (
-    DEFAULT_PROBE_BUDGET,
-    AffinityRouter,
-    CostBasedRouter,
-    make_router,
-)
+from repro.fleet.router import AffinityRouter, make_router
 from repro.workload.phases import Workload
 
 if TYPE_CHECKING:
     from repro.core.loop import QueryOutcome
-    from repro.fleet.cotune import CotuneConfig, CotuneController, CotuneReport
     from repro.fleet.replica import ReplicaStats
     from repro.fleet.router import Router
     from repro.guardrails.advice import AdviceBook
@@ -99,16 +91,12 @@ class FleetReorganizationResult:
             drained replicas.
         rebalanced: Sticky affinity keys moved toward starved replicas
             (e.g. a just-restored replica that owns no assignments).
-        probe_budget: The cost router's probe budget granted for the
-            next fleet epoch (0 for probe-free policies).
         divergence: Mean pairwise Jaccard *distance* between the
             replicas' materialized sets -- 0 when every replica holds
             the same indexes, 1 when all sets are disjoint.
         replicas: Per-replica status lines.
         rollout: What the staged-rollout pass did at this boundary
             (None when the fleet runs without guardrails).
-        cotune: What the co-tuning pass did at this boundary (None when
-            the fleet runs without co-tuning).
     """
 
     epoch: int
@@ -117,11 +105,9 @@ class FleetReorganizationResult:
     drained_total: List[int]
     moved_assignments: int
     rebalanced: int
-    probe_budget: int
     divergence: float
     replicas: List[ReplicaStatus]
     rollout: Optional[RolloutSummary] = None
-    cotune: Optional[CotuneReport] = None
 
 
 @dataclasses.dataclass
@@ -132,8 +118,8 @@ class FleetOutcome:
         index: 0-based position in the fleet's arrival stream.
         replica_id: The replica that served the query.
         outcome: The replica tuner's own ledger record.
-        routing_overhead: Cost units charged for routing probes spent on
-            this query (cost policy only).
+        routing_overhead: Always 0.0: no routing policy spends probes.
+            Kept for readers of the ledger (``perf/run.py``).
         reorganization: The fleet reorganization this query's arrival
             closed, if any.
     """
@@ -146,8 +132,8 @@ class FleetOutcome:
 
     @property
     def total_cost(self) -> float:
-        """The query's replica-side total cost plus routing overhead."""
-        return self.outcome.total_cost + self.routing_overhead
+        """The query's replica-side total cost."""
+        return self.outcome.total_cost
 
 
 @dataclasses.dataclass
@@ -173,13 +159,8 @@ class FleetRun:
         return sum(o.outcome.execution_cost for o in self.outcomes)
 
     @property
-    def routing_overhead(self) -> float:
-        """Workload-wide cost charged for routing probes."""
-        return sum(o.routing_overhead for o in self.outcomes)
-
-    @property
     def total_cost(self) -> float:
-        """Execution plus all tuning and routing overheads."""
+        """Execution plus all tuning overheads."""
         return sum(o.total_cost for o in self.outcomes)
 
     @property
@@ -206,7 +187,6 @@ class FleetCoordinator:
         policy: Routing policy name (see :func:`~repro.fleet.router.
             make_router`).
         fleet_epoch_length: Queries between fleet reorganizations.
-        probe_budget: Per-epoch probe budget for cost-based routing.
         breakers: Optional per-replica circuit breakers (tests inject
             tight thresholds).
         fault_injectors: Optional per-replica fault injectors; entries
@@ -229,12 +209,6 @@ class FleetCoordinator:
         backend_factory: Optional callable ``catalog -> Backend``
             giving each replica its DBMS backend (defaults to the local
             in-python engine).
-        cotune: Enables divergent-design co-tuning (see
-            :mod:`repro.fleet.cotune`): truthy turns the
-            partition-specialize-route loop on, a
-            :class:`~repro.fleet.cotune.CotuneConfig` additionally
-            supplies its knobs.  Off (the default) leaves the fleet
-            bit-identical to a coordinator without the feature.
         workers: When positive, replicas run in that many worker
             *processes* instead of in-process: construction returns a
             :class:`~repro.fleet.workers.WorkerFleetCoordinator` (same
@@ -268,7 +242,6 @@ class FleetCoordinator:
         config: Optional[ColtConfig] = None,
         policy: str = "affinity",
         fleet_epoch_length: int = 50,
-        probe_budget: int = DEFAULT_PROBE_BUDGET,
         breakers: Optional[Sequence[Optional[CircuitBreaker]]] = None,
         fault_injectors: Optional[Sequence[Optional[FaultInjector]]] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -276,7 +249,6 @@ class FleetCoordinator:
         advice: Optional[AdviceBook] = None,
         engine: str = "colt",
         backend_factory=None,
-        cotune: Union[bool, CotuneConfig, None] = None,
         workers: int = 0,
     ) -> None:
         if workers:
@@ -326,12 +298,10 @@ class FleetCoordinator:
             baseline = [ix for r in replicas for ix in r.tuner.materialized_set]
             rollout = RolloutController(baseline=baseline)
         routing_catalog = catalog_factory()
-        router = make_router(
-            policy, n_replicas, routing_catalog, probe_budget=probe_budget
-        )
+        router = make_router(policy, n_replicas, routing_catalog)
         self._wire(
             engine, config, replicas, routing_catalog, router,
-            fleet_epoch_length, registry, rollout=rollout, cotune=cotune,
+            fleet_epoch_length, registry, rollout=rollout,
         )
 
     def _wire(
@@ -344,14 +314,11 @@ class FleetCoordinator:
         fleet_epoch_length: int,
         registry: MetricsRegistry,
         rollout: Optional[RolloutController] = None,
-        cotune: Union[bool, CotuneConfig, CotuneController, None] = None,
     ) -> None:
         """Install the coordinator's fields around existing replicas.
 
         The one place the field set is spelled out: fresh construction,
         :meth:`adopt` and the multiprocess coordinator all end here.
-        ``cotune`` is a restored controller (adopted as is), a config /
-        truthy flag (a fresh controller is built) or falsy (off).
         """
         self.engine = engine
         self.config = config
@@ -361,24 +328,6 @@ class FleetCoordinator:
         self.rollout = rollout
         self._routing_catalog = routing_catalog
         self.router = router
-        if isinstance(router, CostBasedRouter):
-            router.bind(self.replicas)
-        if cotune:
-            # Co-tuning loads only when it is on.
-            from repro.fleet.cotune import CotuneConfig, CotuneController
-
-            if isinstance(cotune, CotuneController):
-                cotune.set_whatif_call_cost(config.whatif_call_cost)
-            else:
-                cotune = CotuneController(
-                    len(self.replicas),
-                    routing_catalog,
-                    config=cotune if isinstance(cotune, CotuneConfig) else None,
-                    whatif_call_cost=config.whatif_call_cost,
-                )
-        self.cotune: Optional[CotuneController] = cotune or None
-        self._cotune_epoch_cost = 0.0
-        self._cotune_epoch_queries = 0
         self.queries_routed = 0
         self.reorganizations: List[FleetReorganizationResult] = []
         self._init_observability()
@@ -391,27 +340,21 @@ class FleetCoordinator:
         routing_catalog: Catalog,
         policy: str = "affinity",
         fleet_epoch_length: int = 50,
-        probe_budget: int = DEFAULT_PROBE_BUDGET,
         rollout: Optional[RolloutController] = None,
-        cotune: Optional[CotuneController] = None,
     ) -> "FleetCoordinator":
         """Build a coordinator around pre-existing replicas.
 
         Used when restoring a fleet from snapshots: the replicas (and
         their tuners) already exist, so no catalogs are constructed.
-        ``rollout`` re-attaches a restored staged-rollout controller,
-        ``cotune`` a restored co-tuning controller (resuming the
-        partition map mid-convergence).
+        ``rollout`` re-attaches a restored staged-rollout controller.
         """
         coordinator = cls.__new__(cls)
         tuner = replicas[0].tuner
-        router = make_router(
-            policy, len(replicas), routing_catalog, probe_budget=probe_budget
-        )
+        router = make_router(policy, len(replicas), routing_catalog)
         coordinator._wire(
             replicas[0].engine, tuner.config, replicas, routing_catalog, router,
             fleet_epoch_length, MetricsRegistry(enabled=tuner.registry.enabled),
-            rollout=rollout, cotune=cotune,
+            rollout=rollout,
         )
         return coordinator
 
@@ -491,25 +434,6 @@ class FleetCoordinator:
         """
         return [r.snapshot() for r in self.replicas]
 
-    def _route(self, query: Query, client_id: Optional[int]):
-        """Routing front door: partition map first, base policy second.
-
-        With co-tuning enabled every arrival is offered to the
-        controller -- a pure dictionary lookup over the partition
-        assignment (never a probe).  Unpartitioned queries (empty
-        signature, unassigned signature, or a drained target) fall
-        through to the configured routing policy unchanged; with
-        co-tuning off this *is* the configured policy, bit for bit.
-        """
-        if self.cotune is not None:
-            choice = self.cotune.admit(query, self.router.drained)
-            if choice is not None:
-                return self.router.route_to(choice)
-            route = self.router.route(query, client_id)
-            self.cotune.note_fallback(query, route.replica_id)
-            return route
-        return self.router.route(query, client_id)
-
     def process_query(
         self,
         query: Query,
@@ -530,7 +454,7 @@ class FleetCoordinator:
             The fleet ledger record; when this arrival closes a fleet
             epoch it carries the boundary's reorganization report.
         """
-        route = self._route(query, client_id)
+        route = self.router.route(query, client_id)
         replica = self.replicas[route.replica_id]
         outcome = replica.process(query, on_error=on_error)
         # Drained replicas see no queries; advance their breaker clocks
@@ -540,23 +464,14 @@ class FleetCoordinator:
                 self.replicas[drained_id].idle_tick()
 
         self.queries_routed += 1
-        if self.cotune is not None:
-            self._cotune_epoch_cost += outcome.execution_cost
-            self._cotune_epoch_queries += 1
-        routing_overhead = route.probes * self.config.whatif_call_cost
         self._count_routed[route.replica_id]()
         reorg: Optional[FleetReorganizationResult] = None
         if self.queries_routed % self.fleet_epoch_length == 0:
             reorg = self.reorganize()
-            if reorg.cotune is not None:
-                # Refinement probes spent at the boundary are charged
-                # as routing overhead on the epoch-closing arrival.
-                routing_overhead += reorg.cotune.probe_cost
         return FleetOutcome(
             index=self.queries_routed - 1,
             replica_id=route.replica_id,
             outcome=outcome,
-            routing_overhead=routing_overhead,
             reorganization=reorg,
         )
 
@@ -624,24 +539,7 @@ class FleetCoordinator:
                 if drained:
                     moved = self.router.reassign_from(drained)
                 rebalanced = self.router.rebalance()
-            cotune_report: Optional[CotuneReport] = None
-            if self.cotune is not None:
-                # Partition reassignment rides the same boundary as
-                # drain/rebalance: the active set already excludes this
-                # boundary's drains, so orphaned partitions move here.
-                cotune_report = self._run_cotune(
-                    [
-                        r.replica_id
-                        for r in self.replicas
-                        if r.replica_id not in unhealthy
-                    ]
-                )
             self.router.roll_epoch()
-            probe_budget = (
-                self.router.probe_budget
-                if isinstance(self.router, CostBasedRouter)
-                else 0
-            )
 
             rollout_summary: Optional[RolloutSummary] = None
             if self.rollout is not None:
@@ -657,7 +555,6 @@ class FleetCoordinator:
             drained_total=sorted(unhealthy),
             moved_assignments=moved,
             rebalanced=rebalanced,
-            probe_budget=probe_budget,
             divergence=divergence,
             replicas=[
                 ReplicaStatus(
@@ -671,55 +568,11 @@ class FleetCoordinator:
                 for r in self.replicas
             ],
             rollout=rollout_summary,
-            cotune=cotune_report,
         )
         self.reorganizations.append(result)
         return result
 
     # ------------------------------------------------------------------
-    def _run_cotune(self, active: List[int]) -> CotuneReport:
-        """One co-tuning boundary: partition, refine, advise, account."""
-        epoch_cost = self._cotune_epoch_cost
-        epoch_queries = self._cotune_epoch_queries
-        self._cotune_epoch_cost = 0.0
-        self._cotune_epoch_queries = 0
-        report = self.cotune.end_epoch(
-            active=active,
-            cost_per_query=(
-                epoch_cost / epoch_queries if epoch_queries else 0.0
-            ),
-            epoch_queries=epoch_queries,
-            probe_costs=self._cotune_probe_costs,
-        )
-        self._cotune_advise(self.cotune.advisory_payloads())
-        return report
-
-    def _cotune_probe_costs(
-        self, queries: List[Query], replica_ids: List[int]
-    ) -> Dict[int, List[float]]:
-        """Price representative queries on each replica (refinement).
-
-        The multiprocess coordinator overrides this with a batched
-        pipe round-trip; replicas never see a tuning-state mutation
-        either way (``probe_cost`` is the read-only what-if path).
-        """
-        return {
-            replica_id: [
-                self.replicas[replica_id].probe_cost(q) for q in queries
-            ]
-            for replica_id in replica_ids
-        }
-
-    def _cotune_advise(self, payloads: Dict[int, List]) -> None:
-        """Push per-replica partition advisories down to the tuners.
-
-        Runs at the fleet-epoch boundary -- between chunk batches on the
-        multiprocess fleet, i.e. the same point in every replica's event
-        sequence -- so serial-order parity is preserved.
-        """
-        for replica_id in sorted(payloads):
-            self.replicas[replica_id].advise(payloads[replica_id])
-
     def configuration_divergence(self) -> float:
         """Mean pairwise Jaccard distance between materialized sets.
 

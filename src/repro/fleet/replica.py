@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.knapsack import Ruling
 from repro.engines import engine_spec
 from repro.persist import snapshot_any
 from repro.resilience.breaker import BreakerState
@@ -35,32 +34,6 @@ if TYPE_CHECKING:
     from repro.resilience.breaker import CircuitBreaker
     from repro.resilience.faults import FaultInjector
     from repro.sql.ast import Query
-
-
-def resolve_advisory(
-    catalog: Catalog, payload: Sequence[Tuple[str, Sequence[str], float]]
-) -> List[Ruling]:
-    """Resolve a serialized advisory payload into ``"advisory"`` rulings.
-
-    Payload entries are ``(table, columns, weight)`` -- the wire format
-    the worker fleet ships over the pipe (``IndexDef`` objects must be
-    resolved against each replica's *own* catalog so identity-keyed
-    structures behave).  Entries naming unknown tables or columns are
-    skipped: advice is advisory.
-    """
-    resolved: List[Ruling] = []
-    for table, columns, weight in payload:
-        if not catalog.has_table(table):
-            continue
-        tdef = catalog.table(table)
-        if not all(tdef.has_column(c) for c in columns):
-            continue
-        if len(columns) == 1:
-            index = catalog.index_for(table, columns[0])
-        else:
-            index = catalog.composite_index_for(table, list(columns))
-        resolved.append(Ruling(index, "prefer", "advisory", weight, "partition"))
-    return resolved
 
 
 class ReplicaHealth(enum.Enum):
@@ -181,11 +154,6 @@ class TunerReplica:
         return self.tuner.profiler.breaker
 
     @property
-    def config_version(self) -> int:
-        """Closes that added or dropped an index (the router's cache key)."""
-        return self.tuner.dashboard.reconfigurations
-
-    @property
     def materialized_names(self) -> List[str]:
         """Names of the replica's currently materialized indexes."""
         return [ix.name for ix in self.tuner.materialized_set]
@@ -212,25 +180,6 @@ class TunerReplica:
         outcome = self.tuner.run([query], on_error=on_error)[0]
         self._account(outcome)
         return outcome
-
-    def probe_cost(self, query: Query) -> float:
-        """Cheap what-if probe: this replica's cost for the query.
-
-        Optimizes under the replica's *current* materialized set without
-        touching tuning state -- the router's cost signal.  The router
-        charges the probe against its per-epoch budget; this method only
-        measures.
-        """
-        return self.tuner.backend.get_cost(query)
-
-    def advise(self, payload) -> None:
-        """Install a partition advisory given in wire format.
-
-        ``(table, [columns], weight)`` entries are resolved against this
-        replica's own catalog so identity-keyed tuner structures see its
-        ``IndexDef`` objects.
-        """
-        self.tuner.push_rulings("advisory", resolve_advisory(self.catalog, payload))
 
     def snapshot(self) -> Dict:
         """The tuner's durable state (:func:`repro.persist.snapshot_any`)."""

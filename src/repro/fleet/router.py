@@ -1,6 +1,6 @@
 """Workload-aware query routing policies for the tuning fleet.
 
-Four policies, all honouring the coordinator's drain set:
+Three policies, all honouring the coordinator's drain set:
 
 * **round-robin** -- the baseline: cycle over active replicas.
 * **affinity** -- sticky routing by the paper's query-clustering key
@@ -10,20 +10,12 @@ Four policies, all honouring the coordinator's drain set:
 * **client** -- sticky routing by the submitting client's stable id
   (``Workload.client_ids``), falling back to cluster affinity for
   untagged queries.
-* **cost** -- route to the replica whose optimizer currently prices the
-  query cheapest, measured by cheap what-if probes.  Probes are paid
-  from a per-epoch budget that self-regulates like COLT's ``#WI_lim``:
-  while routes keep changing the budget stays at its maximum, and once
-  the routing table is stable it decays -- so steady state costs almost
-  nothing.  Cached routes are invalidated when any replica's
-  materialized configuration changes (the only event that can change
-  the comparison).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.clustering import cluster_key
 
@@ -31,24 +23,15 @@ if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
     from repro.sql.ast import Query
 
-#: Default per-epoch probe budget for cost-based routing.
-DEFAULT_PROBE_BUDGET = 30
-#: Floor the self-regulating probe budget never decays below.
-MIN_PROBE_BUDGET = 3
-
-
 @dataclasses.dataclass
 class Route:
     """One routing decision.
 
     Attributes:
         replica_id: The chosen replica.
-        probes: What-if probes spent making this decision (cost policy
-            only; the coordinator charges them as routing overhead).
     """
 
     replica_id: int
-    probes: int = 0
 
 
 class Router:
@@ -93,22 +76,14 @@ class Router:
         """Choose a replica for one arriving query."""
         raise NotImplementedError
 
-    def route_to(self, replica_id: int) -> Route:
-        """Commit an externally decided route (co-tuning partition map).
-
-        Bypasses the policy's own choice but still records load, so the
-        policy's balancing view of unpartitioned traffic stays honest.
-        """
-        return self._commit(replica_id)
-
     # ------------------------------------------------------------------
     def _least_loaded(self) -> int:
         active = self.active()
         return min(active, key=lambda i: (self.load[i], i))
 
-    def _commit(self, replica_id: int, probes: int = 0) -> Route:
+    def _commit(self, replica_id: int) -> Route:
         self.load[replica_id] += 1
-        return Route(replica_id=replica_id, probes=probes)
+        return Route(replica_id=replica_id)
 
 
 class RoundRobinRouter(Router):
@@ -249,114 +224,13 @@ class AffinityRouter(Router):
         self.epoch_key_counts = {}
 
 
-class CostBasedRouter(Router):
-    """Route each query shape to the replica that prices it cheapest.
-
-    Args:
-        n_replicas: Fleet size.
-        catalog: Reference catalog for cluster keys.
-        probe_budget: Maximum what-if probes per fleet epoch.
-
-    Attributes:
-        probes_used: Probes spent in the current fleet epoch.
-        probe_budget: The budget currently granted (self-regulating).
-        route_changes: Probe outcomes that changed an existing route in
-            the current epoch (drives the next epoch's budget).
-    """
-
-    name = "cost"
-
-    def __init__(
-        self,
-        n_replicas: int,
-        catalog: Catalog,
-        probe_budget: int = DEFAULT_PROBE_BUDGET,
-    ) -> None:
-        super().__init__(n_replicas)
-        self._catalog = catalog
-        self._replicas: Sequence = ()
-        self.max_probe_budget = probe_budget
-        self.probe_budget = probe_budget
-        self.probes_used = 0
-        self.route_changes = 0
-        # key -> (replica_id, per-replica config-version vector at probe
-        # time); a version bump anywhere invalidates the entry.
-        self._cache: Dict[Hashable, Tuple[int, Tuple[int, ...]]] = {}
-
-    def bind(self, replicas: Sequence) -> None:
-        """Attach the live replicas probed for costs (coordinator wiring)."""
-        if len(replicas) != self.n_replicas:
-            raise ValueError("replica count does not match router size")
-        self._replicas = replicas
-
-    # ------------------------------------------------------------------
-    def _versions(self) -> Tuple[int, ...]:
-        return tuple(r.config_version for r in self._replicas)
-
-    def route(self, query: Query, client_id: Optional[int] = None) -> Route:
-        """Cheapest replica by probe, cached per query shape.
-
-        Falls back to the stale cached route (then to the least-loaded
-        replica) once the epoch's probe budget is spent.
-        """
-        if not self._replicas:
-            raise RuntimeError("CostBasedRouter.route before bind()")
-        key = cluster_key(query, self._catalog)
-        versions = self._versions()
-        cached = self._cache.get(key)
-        if cached is not None and cached[1] == versions and cached[0] not in self.drained:
-            return self._commit(cached[0])
-
-        active = [i for i in range(self.n_replicas) if i not in self.drained]
-        if not active:
-            # The whole fleet is drained.  Degraded service still
-            # routes (least-loaded fallback), but a drained replica
-            # must never be probed -- route blind, spend nothing.
-            return self._commit(self._least_loaded())
-        if self.probes_used + len(active) > self.probe_budget:
-            # Budget exhausted: reuse the stale route if it is still
-            # routable, otherwise balance blindly.
-            if cached is not None and cached[0] not in self.drained:
-                return self._commit(cached[0])
-            return self._commit(self._least_loaded())
-
-        costs = {i: self._replicas[i].probe_cost(query) for i in active}
-        self.probes_used += len(active)
-        choice = min(active, key=lambda i: (costs[i], i))
-        if cached is not None and cached[0] != choice:
-            self.route_changes += 1
-        self._cache[key] = (choice, versions)
-        return self._commit(choice, probes=len(active))
-
-    def roll_epoch(self) -> None:
-        """Re-grant the probe budget for the next fleet epoch.
-
-        Self-regulation mirrors COLT's re-budgeting: any route change
-        this epoch means the fleet is still differentiating, so the full
-        budget is granted; a quiet epoch halves it toward a small floor.
-        """
-        if self.route_changes > 0:
-            self.probe_budget = self.max_probe_budget
-        else:
-            self.probe_budget = max(MIN_PROBE_BUDGET, self.probe_budget // 2)
-        self.probes_used = 0
-        self.route_changes = 0
-
-
-def make_router(
-    policy: str,
-    n_replicas: int,
-    catalog: Catalog,
-    probe_budget: int = DEFAULT_PROBE_BUDGET,
-) -> Router:
+def make_router(policy: str, n_replicas: int, catalog: Catalog) -> Router:
     """Build a router by policy name.
 
     Args:
-        policy: ``"round-robin"``, ``"affinity"``, ``"client"`` or
-            ``"cost"``.
+        policy: ``"round-robin"``, ``"affinity"`` or ``"client"``.
         n_replicas: Fleet size.
-        catalog: Reference catalog for key computation / probing.
-        probe_budget: Per-epoch probe budget (cost policy only).
+        catalog: Reference catalog for key computation.
 
     Raises:
         ValueError: for an unknown policy name.
@@ -367,9 +241,7 @@ def make_router(
         return AffinityRouter(n_replicas, catalog, by="cluster")
     if policy == "client":
         return AffinityRouter(n_replicas, catalog, by="client")
-    if policy == "cost":
-        return CostBasedRouter(n_replicas, catalog, probe_budget=probe_budget)
     raise ValueError(
         f"unknown routing policy {policy!r}; expected one of "
-        "'round-robin', 'affinity', 'client', 'cost'"
+        "'round-robin', 'affinity', 'client'"
     )

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.replica import TunerReplica
-from repro.fleet.router import DEFAULT_PROBE_BUDGET
 from repro.persist import (
     SnapshotError,
     checksum,
@@ -86,11 +85,6 @@ def snapshot_fleet(
             if coordinator.rollout is not None
             else {}
         ),
-        **(
-            {"cotune": coordinator.cotune.to_snapshot()}
-            if getattr(coordinator, "cotune", None) is not None
-            else {}
-        ),
     }
 
 
@@ -147,7 +141,6 @@ def restore_fleet(
     directory: Union[str, pathlib.Path],
     catalog_factory: CatalogFactory,
     policy: Optional[str] = None,
-    probe_budget: int = DEFAULT_PROBE_BUDGET,
 ) -> FleetCoordinator:
     """Rebuild a fleet coordinator from a snapshot directory.
 
@@ -161,13 +154,28 @@ def restore_fleet(
             one for routing).
         policy: Routing policy override; the manifest's policy is used
             when omitted.
-        probe_budget: Per-epoch probe budget for cost routing.
 
     Raises:
-        SnapshotError: on any missing/corrupt file or checksum mismatch.
+        SnapshotError: on any missing/corrupt file or checksum mismatch,
+            and on a manifest of a retired fleet feature: ``cost``
+            routing (restorable under a ``policy`` override) or
+            divergent-design co-tuning (its partition-map block).
     """
     root = pathlib.Path(directory)
     manifest = load_manifest(root)
+    if "cotune" in manifest:
+        raise SnapshotError(
+            "fleet manifest carries a co-tuning ('cotune') block; "
+            "divergent-design co-tuning was retired and its partition "
+            "map cannot be restored"
+        )
+    if not policy:
+        policy = str(manifest["policy"])
+        if policy == "cost":
+            raise SnapshotError(
+                "fleet manifest names the retired 'cost' routing policy; "
+                "restore it with a policy= override (e.g. 'affinity')"
+            )
     replicas: List[TunerReplica] = []
     for entry in sorted(manifest["replicas"], key=lambda e: e["replica_id"]):
         snap = load_json(root / entry["file"])
@@ -190,23 +198,10 @@ def restore_fleet(
         rollout = RolloutController.from_snapshot(
             manifest["rollout"], replicas[0].catalog
         )
-    routing_catalog = catalog_factory()
-    cotune = None
-    if "cotune" in manifest:
-        from repro.fleet.cotune import CotuneController
-
-        # The partition assignment (and convergence state) persists in
-        # the manifest, so a restored fleet resumes co-tuning
-        # mid-convergence instead of re-deriving the partition map.
-        cotune = CotuneController.from_snapshot(
-            manifest["cotune"], routing_catalog
-        )
     return FleetCoordinator.adopt(
         replicas,
-        routing_catalog=routing_catalog,
-        policy=policy or str(manifest["policy"]),
+        routing_catalog=catalog_factory(),
+        policy=policy,
         fleet_epoch_length=int(manifest["fleet_epoch_length"]),
-        probe_budget=probe_budget,
         rollout=rollout,
-        cotune=cotune,
     )

@@ -39,16 +39,7 @@ the ordinary drain path.  A crashed replica is never ticked -- a dead
 process cannot recover, so its breaker stays OPEN and the replica stays
 out of the rotation for good.
 
-Divergent-design co-tuning (``cotune=``, see :mod:`repro.fleet.cotune`)
-*is* supported: the controller lives entirely in the parent, partition
-routing is a dictionary lookup over the arrival stream, and the
-boundary-time refinement probes and partition advisories cross the pipe
-as chunk-aligned ``probe`` / ``advise`` ops -- the same point in every
-replica's event sequence where the serial coordinator acts, so
-serial-order parity holds with co-tuning on.
-
 Deliberately unsupported with workers (ValueError at construction):
-cost-based routing (probes replica state synchronously per arrival),
 guardrail managers/advice and staged rollout (verification hooks into
 the per-query path), and injected breakers/fault injectors (those
 objects live in the worker; use the worker crash hook to test failure
@@ -64,18 +55,14 @@ import os
 import time
 import types
 from multiprocessing import connection
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import ColtConfig
 from repro.core.loop import QueryOutcome
 from repro.engines import engine_spec
 from repro.fleet.coordinator import FleetCoordinator, FleetOutcome
 from repro.fleet.replica import ReplicaHealth, ReplicaStats, TunerReplica
-from repro.fleet.router import (
-    DEFAULT_PROBE_BUDGET,
-    CostBasedRouter,
-    make_router,
-)
+from repro.fleet.router import make_router
 from repro.obs.names import REPLAY_METRICS
 from repro.obs.quantiles import merge_histogram_samples, summarize_sample
 from repro.obs.registry import MetricsRegistry
@@ -83,7 +70,6 @@ from repro.resilience.breaker import BreakerState, CircuitBreaker
 
 if TYPE_CHECKING:
     from repro.fleet.coordinator import CatalogFactory, FleetReorganizationResult
-    from repro.fleet.cotune import CotuneConfig
     from repro.sql.ast import Query
 
 __all__ = ["WorkerCrash", "WorkerFleetCoordinator", "WorkerHandle"]
@@ -146,7 +132,6 @@ def _status(replica: TunerReplica) -> Dict:
         "failed": replica.stats.failed,
         "materialized": replica.materialized_names,
         "quarantined": replica.quarantined_names,
-        "config_version": replica.config_version,
     }
 
 
@@ -211,16 +196,6 @@ def _worker_main(
                 conn.send(("ok", outcomes, _status(replica)))
             elif op == "status":
                 conn.send(("ok", None, _status(replica)))
-            elif op == "probe":
-                # Read-only what-if pricing for co-tuning refinement.
-                prices = [
-                    replica.probe_cost(_decode(queries, event))
-                    for event in command[1]
-                ]
-                conn.send(("ok", prices, _status(replica)))
-            elif op == "advise":
-                replica.advise(command[1])
-                conn.send(("ok", None, _status(replica)))
             elif op == "latency":
                 conn.send(("ok", latency.samples(), _status(replica)))
             elif op == "metrics":
@@ -236,7 +211,7 @@ def _worker_main(
             else:
                 raise ValueError(f"unknown worker command {op!r}")
         except Exception as exc:  # propagate to the parent, stay alive
-            if op in ("batch", "probe"):
+            if op == "batch":
                 # The parent holds every first crossing it sent as made.
                 queries.update(e for e in command[1] if e.__class__ is tuple)
             conn.send(("error", f"{type(exc).__name__}: {exc}", None))
@@ -275,12 +250,11 @@ class WorkerHandle:
         self._remote_state = BreakerState.CLOSED
         self._materialized: List[str] = []
         self._quarantined: List[str] = []
-        self.config_version = 0
         self._deadline = 0.0  # monotonic; restarted by every send
         # Query interning over the pipe: ship each distinct query object
         # once, then reference it by key.  Strong refs guard the id()
-        # fast path against id reuse (same discipline as the
-        # SignatureInterner in repro.fleet.cotune).
+        # fast path against id reuse: a key is never handed to a second
+        # object while the first is alive.
         self._query_keys: Dict[int, int] = {}
         self._query_refs: List[Query] = []
 
@@ -316,11 +290,6 @@ class WorkerHandle:
     def quarantined_names(self) -> List[str]:
         return list(self._quarantined)
 
-    def advise(self, payload) -> None:
-        """Ship a partition advisory to the worker (no-op once crashed)."""
-        if not self.crashed:
-            self.request(("advise", payload))
-
     def metrics_snapshot(self) -> Optional[Dict]:
         """The worker tuner's metrics snapshot; None once it has crashed."""
         return None if self.crashed else self.request(("metrics",))
@@ -351,7 +320,6 @@ class WorkerHandle:
         )
         self._materialized = status["materialized"]
         self._quarantined = status["quarantined"]
-        self.config_version = status["config_version"]
 
     def mark_crashed(self) -> None:
         """Record the worker as dead and trip the crash breaker (once)."""
@@ -471,7 +439,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
         config: Optional[ColtConfig] = None,
         policy: str = "affinity",
         fleet_epoch_length: int = 50,
-        probe_budget: int = DEFAULT_PROBE_BUDGET,
         breakers=None,
         fault_injectors=None,
         registry: Optional[MetricsRegistry] = None,
@@ -479,7 +446,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
         advice=None,
         engine: str = "colt",
         backend_factory=None,
-        cotune: Union[bool, CotuneConfig, None] = None,
         workers: int = 0,
         worker_timeout: float = 120.0,
         _crash_plan: Optional[Dict[int, int]] = None,
@@ -503,14 +469,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
             raise ValueError("fleet_epoch_length must be positive")
         routing_catalog = catalog_factory()
         # One process per replica: `workers` IS the fleet size.
-        router = make_router(
-            policy, workers, routing_catalog, probe_budget=probe_budget
-        )
-        if isinstance(router, CostBasedRouter):
-            raise ValueError(
-                "cost-based routing probes replica state synchronously per "
-                "arrival and is not supported with worker processes"
-            )
+        router = make_router(policy, workers, routing_catalog)
         registry = registry if registry is not None else MetricsRegistry()
         config = config or ColtConfig()
         self.workers = workers
@@ -537,12 +496,9 @@ class WorkerFleetCoordinator(FleetCoordinator):
             process.start()
             child_conn.close()
             handles.append(WorkerHandle(i, parent_conn, process, worker_timeout))
-        # Co-tuning state lives entirely in the parent: routing is a
-        # lookup, and boundary probes/advisories travel as chunk-aligned
-        # worker ops, so serial-order parity is preserved.
         self._wire(
             engine, config, handles, routing_catalog, router,
-            fleet_epoch_length, registry, cotune=cotune,
+            fleet_epoch_length, registry,
         )
 
     # ------------------------------------------------------------------
@@ -618,7 +574,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
         # A crashed replica is never ticked; the drain set and the crash
         # marks only change between chunks.
         ticked = [d for d in self.router.drained if not replicas[d].crashed]
-        route = self._route
+        route = self.router.route
         for offset, (query, client_id) in enumerate(
             zip(queries, client_ids or itertools.repeat(None))
         ):
@@ -642,7 +598,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
             [(h, ("batch", batch, on_error)) for h, batch in zip(replicas, events) if batch]
         ):
             replica_id = handle.replica_id
-            # The supported policies are probe-free: no routing overhead.
             for offset, slim in zip(slots[replica_id], payload):
                 outcomes[offset] = FleetOutcome(
                     start + offset, replica_id, QueryOutcome(*slim)
@@ -672,21 +627,8 @@ class WorkerFleetCoordinator(FleetCoordinator):
                 )
             replicas[replica_id].stats.queries += len(slots[replica_id])
             replicas[replica_id].stats.failed += len(slots[replica_id])
-        if self.cotune is not None:
-            # Summed in arrival order, as the serial coordinator does:
-            # float addition is not associative.
-            cost = self._cotune_epoch_cost
-            for fleet_outcome in outcomes:
-                cost += fleet_outcome.outcome.execution_cost
-            self._cotune_epoch_cost = cost
-            self._cotune_epoch_queries += len(queries)
         if len(queries) == self.fleet_epoch_length:
-            reorg = self.reorganize()
-            outcomes[-1].reorganization = reorg
-            if reorg.cotune is not None:
-                # Refinement probes are charged as routing overhead on
-                # the epoch-closing arrival, as in the serial coordinator.
-                outcomes[-1].routing_overhead += reorg.cotune.probe_cost
+            outcomes[-1].reorganization = self.reorganize()
         return outcomes
 
     def _collect(
@@ -733,27 +675,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
             elif not handle.reported:
                 handle.request(("status",))
         return super().reorganize()
-
-    def _cotune_probe_costs(
-        self, queries: List[Query], replica_ids: List[int]
-    ) -> Dict[int, List[float]]:
-        """Batched refinement probes: one ``probe`` op per replica.
-
-        Dispatch-all-then-collect, like chunk batches, so the workers
-        price their partitions concurrently.  Crashed or unresponsive
-        workers are simply omitted from the cost map -- the controller
-        treats missing replicas as unprobeable.
-        """
-        return {
-            handle.replica_id: list(prices)
-            for handle, prices in self._collect(
-                [
-                    (h, ("probe", [h.encode_query(q) for q in queries]))
-                    for h in (self.replicas[i] for i in replica_ids)
-                    if not h.crashed
-                ]
-            )
-        }
 
     # ------------------------------------------------------------------
     def replica_traces(self) -> List[Dict]:

@@ -86,8 +86,7 @@ class OverheadDashboard:
             :class:`EpochOverheadRecord`, in order.
         epochs: Epochs recorded so far, kept or not.
         total_spent: What-if calls issued across all of them.
-        total_cost / total_whatif / reconfigurations: Their costs,
-            ledger what-if calls, and closes that added or dropped.
+        total_cost / total_whatif: Their costs and ledger what-if calls.
         within_budget: Whether every one respected its granted allowance.
         open_execution / open_total / open_whatif: The open epoch's
             sums, which the tuning loop adds to per query.
@@ -96,7 +95,7 @@ class OverheadDashboard:
     def __init__(self) -> None:
         self.records: Deque[EpochOverheadRecord] = deque(maxlen=WINDOW_EPOCHS)
         self.epochs = 0
-        self.total_spent = self.total_whatif = self.reconfigurations = 0
+        self.total_spent = self.total_whatif = 0
         self.total_cost = self.open_execution = self.open_total = 0.0
         self.open_whatif = 0
         self.within_budget = True
@@ -133,8 +132,6 @@ class OverheadDashboard:
         self.total_spent += spent
         self.total_cost += self.open_total
         self.total_whatif += self.open_whatif
-        if added or dropped:
-            self.reconfigurations += 1
         if spent > granted:
             self.within_budget = False
         self.open_execution = self.open_total = 0.0

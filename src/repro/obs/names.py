@@ -11,7 +11,8 @@ A family is here only if a doc, a ``tools/`` gate or ``perf/layers.py``
 reads it and a test asserts its value by name (``tests/obs/
 test_contract.py`` checks both).  A number some result object already
 returns -- ``ReorganizationResult``, ``QueryOutcome``, the scheduler's
-counters, ``CotuneReport`` -- is read there, not copied into a family.
+counters, ``FleetReorganizationResult`` -- is read there, not copied
+into a family.
 
 Name conventions follow Prometheus: ``*_total`` for counters, bare
 nouns for gauges, unit-suffixed names for histograms (``_seconds``,

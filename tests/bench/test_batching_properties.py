@@ -27,9 +27,7 @@ from repro.backend.local import LocalBackend
 from repro.core.candidates import CandidateTracker
 from repro.core.colt import ColtTuner
 from repro.core.clustering import cluster_key
-from repro.core.gaincache import query_signature
 from repro.engine.catalog import Catalog, TableDef
-from repro.fleet.cotune import SignatureInterner
 from repro.optimizer.access import table_scan
 from repro.optimizer.optimizer import PlanCache
 from repro.optimizer.plan import IndexScanNode
@@ -56,40 +54,6 @@ def stream_with_repeats(draw):
     # Repeat some queries (replay streams cycle), preserving identity.
     repeats = draw(st.lists(st.integers(0, n - 1), max_size=16))
     return seed, n, repeats
-
-
-class TestInterner:
-    @given(stream_with_repeats())
-    @settings(max_examples=50, deadline=None)
-    def test_never_conflates_and_never_splits(self, drawn):
-        seed, n, repeats = drawn
-        _, queries = sample_queries(seed, n)
-        queries = queries + [queries[i] for i in repeats]
-        interner = SignatureInterner()
-        results = [interner.signature_index(q) for q in queries]
-        for (sig_a, idx_a), qa in zip(results, queries):
-            # Ground truth is the raw structural signature (includes
-            # literals): the interner must agree with it exactly.
-            assert sig_a == query_signature(qa)
-            for (sig_b, idx_b), qb in zip(results, queries):
-                same = query_signature(qa) == query_signature(qb)
-                assert (sig_a is sig_b) == same  # interned to one object
-                assert (idx_a == idx_b) == same  # indices biject
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_indices_stable_and_fresh_after_clear(self, seed):
-        _, queries = sample_queries(seed, 8)
-        interner = SignatureInterner()
-        before = [interner.signature_index(q)[1] for q in queries]
-        # Stable: re-asking yields the same indices.
-        assert [interner.signature_index(q)[1] for q in queries] == before
-        interner.clear()
-        after = [interner.signature_index(q)[1] for q in queries]
-        # Fresh: post-clear indices never reuse pre-clear ones, so a
-        # consumer that kept an index-keyed memo across the clear can
-        # miss but never alias.
-        assert not (set(before) & set(after))
 
 
 # Every way the inputs of ``Optimizer.optimize`` can move.  Each takes

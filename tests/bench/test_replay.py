@@ -189,7 +189,7 @@ class TestDecisionParity:
         assert report.total_cost > 0
         assert report.failed == 0
 
-    @pytest.mark.parametrize("policy", ["round-robin", "affinity", "client", "cost"])
+    @pytest.mark.parametrize("policy", ["round-robin", "affinity", "client"])
     def test_one_replica_fleet_matches_serial(self, policy):
         # A fleet of one is the serial tuner behind a router: the
         # ledger anchors -- what-if calls included -- must be equal.

@@ -31,7 +31,7 @@ streams are therefore pinned epoch by epoch in
   took after the 2 000-arrival run of ``tests/obs/test_metrics_identity.py``
   (its ``config`` block still carries whatever fields that commit had);
 * ``bandit_constrained`` -- the shifting stream through the bandit under
-  the same DBA advice and guardrails plus a co-tuning advisory naming a
+  the same DBA advice and guardrails plus a pushed advisory naming a
   DBA-banned, a DBA-preferred and a fresh index, with the safety stage
   tripping: every source of the close's rulings at once;
 * ``bandit_restored`` -- the shifting stream through a bandit restored
@@ -112,7 +112,7 @@ ban lineitem_2.l_shipdate
 prefer orders_3.o_orderdate 1.5
 prefer lineitem_1.l_receiptdate 0.5
 """
-# Co-tuning advice naming a DBA-banned, a DBA-preferred and a fresh key.
+# Pushed preferences naming a DBA-banned, a DBA-preferred and a fresh key.
 ADVISORY = (
     (("lineitem_2", "l_shipdate"), 3.0),
     (("orders_3", "o_orderdate"), 2.0),
@@ -219,7 +219,7 @@ def _run(engine, events, resilience=False, **kwargs):
 
 
 def _constrained_bandit():
-    """The bandit under DBA advice, guardrails and the co-tuning advisory."""
+    """The bandit under DBA advice, guardrails and a pushed advisory."""
     tuner = engine_spec("bandit").tuner(
         build_catalog(), guardrails=GuardrailManager(), advice=AdviceBook.parse(ADVICE)
     )

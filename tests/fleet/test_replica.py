@@ -103,32 +103,3 @@ class TestProcessing:
             trace.total_cost,
             trace.total_whatif,
         )
-
-    def test_config_version_bumps_on_materialization(self):
-        replica = make_replica(epoch_length=5)
-        assert replica.config_version == 0
-        for i in range(60):
-            replica.process(eq_query(i + 1))
-        assert replica.materialized_names  # it specialized
-        assert replica.config_version >= 1
-
-
-class TestProbe:
-    def test_probe_cost_is_side_effect_free(self):
-        replica = make_replica()
-        replica.process(eq_query(1))
-        before_seen = replica.tuner.queries_seen
-        before_calls = replica.tuner.whatif.call_count
-        cost = replica.probe_cost(eq_query(2))
-        assert cost > 0
-        assert replica.tuner.queries_seen == before_seen
-        assert replica.tuner.whatif.call_count == before_calls
-        assert replica.stats.queries == 1
-
-    def test_probe_cost_reflects_materialized_indexes(self):
-        replica = make_replica()
-        query = eq_query(7)
-        cold = replica.probe_cost(query)
-        ix = replica.catalog.index_for("events", "user_id")
-        replica.catalog.materialize_index(ix)
-        assert replica.probe_cost(query) < cold

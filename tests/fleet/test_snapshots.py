@@ -112,9 +112,8 @@ class TestRoundtrip:
     def test_restore_honours_policy_override(self, tmp_path):
         fleet = warm_fleet(make_fleet(policy="round-robin"))
         save_fleet(tmp_path, fleet)
-        restored = restore_fleet(tmp_path, build_small_catalog, policy="cost")
-        assert restored.policy == "cost"
-        # The cost router is bound to the restored replicas.
+        restored = restore_fleet(tmp_path, build_small_catalog, policy="affinity")
+        assert restored.policy == "affinity"
         assert restored.process_query(eq_query(1)).outcome.execution_cost > 0
 
     def test_save_is_idempotent(self, tmp_path):
@@ -123,6 +122,35 @@ class TestRoundtrip:
         save_fleet(tmp_path, fleet)  # overwrite in place
         restored = restore_fleet(tmp_path, build_small_catalog)
         assert len(restored.replicas) == 2
+
+
+def _rewrite_manifest(directory, **changes):
+    manifest = load_manifest(directory)
+    manifest.update(changes)
+    save_json(directory / FLEET_MANIFEST, manifest)
+
+
+class TestRetiredFeatures:
+    """Manifests written by a fleet feature that no longer exists."""
+
+    def test_cost_policy_needs_an_override(self, tmp_path):
+        save_fleet(tmp_path, warm_fleet(make_fleet()))
+        _rewrite_manifest(tmp_path, policy="cost")
+        with pytest.raises(SnapshotError, match="retired 'cost' routing policy"):
+            restore_fleet(tmp_path, build_small_catalog)
+        restored = restore_fleet(tmp_path, build_small_catalog, policy="affinity")
+        assert restored.policy == "affinity"
+        assert not restored.process_query(eq_query(1)).outcome.failed
+
+    def test_cotune_block_is_refused(self, tmp_path):
+        save_fleet(tmp_path, warm_fleet(make_fleet()))
+        _rewrite_manifest(
+            tmp_path,
+            cotune={"assignment": [], "epochs": 3, "converged": False},
+        )
+        for policy in (None, "affinity"):
+            with pytest.raises(SnapshotError, match="co-tuning .* was retired"):
+                restore_fleet(tmp_path, build_small_catalog, policy=policy)
 
 
 class TestTornWrites:

@@ -4,7 +4,7 @@
 directions cross ``pickle`` as they would cross the pipe.  Events are
 encoded by a real :class:`WorkerHandle` (bare key, ``(key, query)`` on a
 first crossing, ``None`` for an idle tick) and every reply -- outcomes,
-probe prices, status, error -- plus the served replica's breaker clock
+status, error -- plus the served replica's breaker clock
 is held ``==`` to a local :class:`TunerReplica` fed the decoded
 sequence.  The idle-tick branch is only reachable this way: a live
 worker's breaker cannot be tripped from the parent, and a crashed
@@ -98,7 +98,7 @@ def assert_outcome(slim, expected: QueryOutcome):
 POOL = [eq_query(7), day_query(8100), score_query(3), eq_query(9), bad_query()]
 
 #: A step is a batch (query pool positions, None = idle tick, plus the
-#: error mode), a probe round, or tripping the replica's breaker.
+#: error mode) or tripping the replica's breaker.
 steps = st.lists(
     st.one_of(
         st.tuples(
@@ -106,7 +106,6 @@ steps = st.lists(
             st.lists(st.one_of(st.none(), st.integers(0, len(POOL) - 1)), max_size=12),
             st.sampled_from(["skip", "raise"]),
         ),
-        st.tuples(st.just("probe"), st.lists(st.integers(0, len(POOL) - 2), max_size=4)),
         st.just(("trip",)),
     ),
     max_size=8,
@@ -121,8 +120,6 @@ def test_replies_and_breaker_clock_equal_a_local_replica(steps):
         if step[0] == "batch":
             wire = [None if e is None else encode(POOL[e]) for e in step[1]]
             script.append(("batch", wire, step[2]))
-        elif step[0] == "probe":
-            script.append(("probe", [encode(POOL[e]) for e in step[1]]))
         else:
             script.append(lambda replica: replica.breaker.trip())
     served, replies = serve(script)
@@ -134,26 +131,22 @@ def test_replies_and_breaker_clock_equal_a_local_replica(steps):
             local.breaker.trip()
             continue
         kind, payload, status = next(replies)
-        if step[0] == "probe":
-            assert kind == "ok"
-            assert payload == [local.probe_cost(POOL[e]) for e in step[1]]
-        else:
-            expected, error = [], None
-            for event in step[1]:
-                if event is None:
-                    local.idle_tick()
-                    continue
-                try:
-                    expected.append(local.process(POOL[event], on_error=step[2]))
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    break
-            if error is not None:
-                assert (kind, payload, status) == ("error", error, None)
+        expected, error = [], None
+        for event in step[1]:
+            if event is None:
+                local.idle_tick()
                 continue
-            assert kind == "ok" and len(payload) == len(expected)
-            for slim, outcome in zip(payload, expected):
-                assert_outcome(slim, outcome)
+            try:
+                expected.append(local.process(POOL[event], on_error=step[2]))
+            except Exception as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                break
+        if error is not None:
+            assert (kind, payload, status) == ("error", error, None)
+            continue
+        assert kind == "ok" and len(payload) == len(expected)
+        for slim, outcome in zip(payload, expected):
+            assert_outcome(slim, outcome)
         assert status == workers._status(local)
     assert next(replies, None) is None
     assert breaker_clock(served) == breaker_clock(local)

@@ -1,6 +1,6 @@
 """The close's one merge (``constraints_from``) against the composition
 it replaced (``tests/guardrails/oracle.py``), over generated rulings
-from every stage: DBA advice, quarantine, rollout, co-tuning advisory
+from every stage: DBA advice, quarantine, rollout, a pushed advisory
 and the bandit's safety stage.
 
 Keys are :class:`IndexDef` objects, so the merge's sets are iterated in

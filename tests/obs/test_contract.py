@@ -138,7 +138,7 @@ class TestLiveRegistration:
             config=ColtConfig(
                 storage_budget_pages=6000.0, min_history_epochs=2
             ),
-            policy="cost",
+            policy="affinity",
             fleet_epoch_length=10,
         )
         queries = [

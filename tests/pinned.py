@@ -1,7 +1,7 @@
 """The decision-pinned artifacts: one recorder and one comparison each.
 
 A pinned artifact is a file a test holds today's code to, decision by
-decision: the three golden traces, the close, metric and audit
+decision: the two golden traces, the close, metric and audit
 identities, and the ``drift`` entry of ``BENCH_bandit.json``.  Each row
 of :data:`TABLE` names its file, a recorder that returns the exact text
 the file holds -- built from the code path the file's test reads -- and
@@ -31,7 +31,6 @@ from tests.bench import test_golden_trace as golden
 from tests.bench import test_scenario as scenario
 from tests.core import test_close_identity as closes
 from tests.decision_diff import Diff, json_diff, trace_diff
-from tests.fleet import test_cotune_golden as cotune
 from tests.guardrails import test_cli as audit
 from tests.obs import test_metrics_identity as metrics
 
@@ -63,14 +62,6 @@ def _trace(engine):
 
 def _trace_compare(new: str, old: str) -> Diff:
     return trace_diff(TunerTrace.from_json(new), TunerTrace.from_json(old))
-
-
-def _cotune_record(current, parts) -> str:
-    return json.dumps(cotune.cotuned_run(), indent=1) + "\n"
-
-
-def _cotune_compare(new: str, old: str) -> Diff:
-    return cotune.differences(json.loads(new), json.loads(old))
 
 
 def _close_record(current: str, parts: Sequence[str]) -> str:
@@ -145,7 +136,6 @@ def _drift_compare(new: str, old: str) -> Diff:
 TABLE = (
     Pinned("golden_trace", golden.GOLDEN_PATH, _trace("colt"), _trace_compare),
     Pinned("golden_bandit_trace", golden.GOLDEN_BANDIT_PATH, _trace("bandit"), _trace_compare),
-    Pinned("golden_fleet_cotune", cotune.GOLDEN_PATH, _cotune_record, _cotune_compare),
     Pinned(
         "close_identity",
         closes.DATA_PATH,

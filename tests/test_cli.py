@@ -213,6 +213,11 @@ class TestFleetCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fleet-run", "--policy", "random"])
 
+    def test_fleet_run_rejects_retired_cost_policy(self):
+        # What-if probe routing was retired; "cost" is no longer a choice.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fleet-run", "--policy", "cost"])
+
     def test_fleet_run_reports_per_replica_table(self, capsys):
         assert main(self.FAST) == 0
         out = capsys.readouterr().out
@@ -223,6 +228,10 @@ class TestFleetCommands:
     def test_fleet_run_round_robin_policy(self, capsys):
         assert main(self.FAST + ["--policy", "round-robin"]) == 0
         assert "round-robin" in capsys.readouterr().out
+
+    def test_fleet_run_client_policy(self, capsys):
+        assert main(self.FAST + ["--policy", "client"]) == 0
+        assert "policy:   client (2 replicas" in capsys.readouterr().out
 
     def test_fleet_run_saves_snapshot(self, capsys, tmp_path):
         target = tmp_path / "state"

@@ -93,7 +93,6 @@ def test_benchmark_setup_imports_load_no_optional_subsystem():
     assert {"repro.fleet.coordinator", "repro.bandit.tuner"} <= modules
     assert not matching(modules, [
         "repro.fleet.workers",
-        "repro.fleet.cotune",
         "repro.guardrails.rollout",
         "repro.executor.*",
         "repro.bench.figures",
