@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.backend.base import Backend, BackendCapabilities, TraceMissError
 from repro.core.gaincache import query_signature
@@ -212,18 +212,11 @@ class TraceBackend(Backend):
             )
         self.replayed += 1
         used = {
-            self._resolve_index(table, tuple(columns))
+            self._catalog.composite_index_for(table, columns)
             for table, columns in entry["used"]
         }
         plan = ReplayPlan(entry["cost"], used)
         return OptimizationResult(plan=plan, cost=entry["cost"], config=config)
-
-    def _resolve_index(
-        self, table: str, columns: Tuple[str, ...]
-    ) -> IndexDef:
-        if len(columns) == 1:
-            return self._catalog.index_for(table, columns[0])
-        return self._catalog.composite_index_for(table, list(columns))
 
     # -- hypothetical indexes ------------------------------------------
     def simulate_index(self, index: IndexDef) -> None:

@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.bandit.config import BanditConfig
 from repro.bandit.linucb import RidgeModel
-from repro.bandit.tuner import BanditTuner, _key
+from repro.bandit.tuner import BanditTuner
+from repro.core.profiler import _name
 from repro.persist import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -70,10 +71,8 @@ def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
         "prev_solution_value": tuner._prev_solution_value,  # noqa: SLF001
         "safety": {
             "bans": {
-                _key_text(ix.table, ix.columns): remaining
-                for ix, remaining in sorted(
-                    safety.bans.values(), key=lambda pair: pair[0].name
-                )
+                _key_text(ix): safety.bans[ix]
+                for ix in sorted(safety.bans, key=_name)
             },
             "watch": watch,
         },
@@ -136,7 +135,7 @@ def _restore(
     safety = snapshot.get("safety", {})
     for key_text, remaining in safety.get("bans", {}).items():
         index = _parse_index(catalog, key_text)
-        tuner.safety.bans[_key(index)] = (index, int(remaining))
+        tuner.safety.bans[index] = int(remaining)
     watch = safety.get("watch")
     if watch:
         tuner.safety.watch = (

@@ -41,13 +41,12 @@ from repro.bandit.features import FEATURE_DIM, FeatureMap
 from repro.bandit.linucb import RidgeModel
 from repro.core.knapsack import KnapsackItem, Ruling, solve_constrained
 from repro.core.loop import TuningLoop
-from repro.core.profiler import ProfilerBase, _key, _name
+from repro.core.profiler import ProfilerBase, _name
 from repro.core.self_organizer import ReorganizationResult
 from repro.obs.names import BANDIT_METRICS
 
 if TYPE_CHECKING:
     from repro.core.knapsack import SelectionConstraints
-    from repro.core.profiler import IndexKey
     from repro.engine.catalog import Catalog
     from repro.engine.index import IndexDef
     from repro.obs.registry import MetricsRegistry
@@ -86,34 +85,32 @@ class SafetyWatch:
 
     Attributes:
         watch: ``(arms built, baseline cost)`` awaiting judgement.
-        bans: Live bans, ``IndexKey -> (index, closes left)``.
+        bans: Live bans, ``index -> closes left``.
     """
 
     def __init__(self, factor: float, cooldown: int, trips) -> None:
         self.factor = factor
         self.cooldown = cooldown
         self.watch: Optional[Tuple[List[IndexDef], float]] = None
-        self.bans: Dict[IndexKey, Tuple[IndexDef, int]] = {}
+        self.bans: Dict[IndexDef, int] = {}
         self._trips = trips
         self._cost = 0.0
 
     def rulings(self, epoch: int, mean_cost: float, materialized) -> Tuple[Ruling, ...]:
         """Age the bans, judge the watched change, rule the live bans."""
         self._cost = mean_cost
-        self.bans = {
-            k: (ix, left - 1) for k, (ix, left) in self.bans.items() if left > 1
-        }
+        self.bans = {ix: left - 1 for ix, left in self.bans.items() if left > 1}
         if self.watch is not None:
             added, baseline = self.watch
             self.watch = None
             tripped = [ix for ix in added if ix in materialized]
             if baseline > 0.0 and mean_cost > self.factor * baseline and tripped:
                 for index in tripped:
-                    self.bans[_key(index)] = (index, self.cooldown)
+                    self.bans[index] = self.cooldown
                 self._trips.inc()
         return tuple(
             Ruling(ix, "ban", "safety", reason="regressed", until=epoch + left)
-            for ix, left in self.bans.values()
+            for ix, left in self.bans.items()
         )
 
     def applied(self, reorg: ReorganizationResult) -> None:
@@ -166,8 +163,8 @@ class BanditTuner(TuningLoop):
         self.hot: List[IndexDef] = []
         self._epochs_closed = 0
         # Per-round reward bookkeeping.
-        self._epoch_rewards: Dict[IndexKey, List[float]] = {}
-        self._epoch_uses: Dict[IndexKey, int] = {}
+        self._epoch_rewards: Dict[IndexDef, List[float]] = {}
+        self._epoch_uses: Dict[IndexDef, int] = {}
         self._epoch_observed_cost = 0.0
         self._epoch_probes = 0
         self._prev_solution_value = 0.0
@@ -247,8 +244,7 @@ class BanditTuner(TuningLoop):
         for index in sorted(used, key=_name):
             if index not in mat:
                 continue
-            key = _key(index)
-            self._epoch_uses[key] = self._epoch_uses.get(key, 0) + 1
+            self._epoch_uses[index] = self._epoch_uses.get(index, 0) + 1
             if self._epoch_probes >= self.config.observe_per_epoch:
                 continue
             if not self.profiler.breaker.allows_probes():
@@ -277,7 +273,7 @@ class BanditTuner(TuningLoop):
             else:
                 reward = without.cost - session.base.cost
             charge += probe_charge
-            self._epoch_rewards.setdefault(key, []).append(reward)
+            self._epoch_rewards.setdefault(index, []).append(reward)
         return calls, charge
 
     # ------------------------------------------------------------------
@@ -294,9 +290,8 @@ class BanditTuner(TuningLoop):
         # 1. Learn: fold the round's reward evidence into the model.
         self.model.decay()
         for index in sorted(self.materialized, key=_name):
-            key = _key(index)
-            samples = self._epoch_rewards.get(key)
-            uses = self._epoch_uses.get(key, 0)
+            samples = self._epoch_rewards.get(index)
+            uses = self._epoch_uses.get(index, 0)
             x = self.features.vector(
                 index, self.profiler.candidates, self.materialized
             )
@@ -332,19 +327,14 @@ class BanditTuner(TuningLoop):
 
     def _arm_pool(self) -> List[IndexDef]:
         """Arms for this round: ``M`` plus the best-ranked candidates."""
-        pool: Dict[IndexKey, IndexDef] = {
-            _key(ix): ix for ix in sorted(self.materialized, key=_name)
-        }
+        pool = sorted(self.materialized, key=_name)
         budget = self.config.max_arms - len(pool)
-        for stats in self.profiler.candidates.ranked(exclude=pool.values()):
+        for stats in self.profiler.candidates.ranked(exclude=pool):
             if budget <= 0:
                 break
-            key = _key(stats.index)
-            if key in pool:
-                continue
-            pool[key] = stats.index
+            pool.append(stats.index)
             budget -= 1
-        return list(pool.values())
+        return pool
 
     def _select(self, constraints: SelectionConstraints) -> ReorganizationResult:
         forced = self._epochs_closed < self.config.forced_exploration_epochs
@@ -352,13 +342,13 @@ class BanditTuner(TuningLoop):
 
         pool = self._arm_pool()
         # Advice-pinned indexes must be selectable even when never mined.
-        present = {_key(ix) for ix in pool}
+        present = set(pool)
         for index in sorted(constraints.pinned, key=_name):
-            if _key(index) not in present:
+            if index not in present:
                 pool.append(index)
-                present.add(_key(index))
+                present.add(index)
         items: List[KnapsackItem] = []
-        scores: Dict[IndexKey, float] = {}
+        scores: Dict[IndexDef, float] = {}
         # One pass over the arms, its invariants bound once per close
         # (per close, not per tuner: a restore replaces ``self.model``).
         config, materialized = self.config, self.materialized
@@ -380,7 +370,7 @@ class BanditTuner(TuningLoop):
                     # arm whose optimistic estimate has gone non-positive
                     # earns no retention credit and falls out.
                     value += retention * costing[3]
-            scores[_key(index)] = optimistic
+            scores[index] = optimistic
             items.append(KnapsackItem(index, costing[2], value))
 
         selected, total_value = solve_constrained(
@@ -394,8 +384,8 @@ class BanditTuner(TuningLoop):
             (ix for ix in self.materialized if ix not in target), key=_name
         )
         self.hot = sorted(
-            (ix for ix in pool if ix not in target and scores[_key(ix)] > 0.0),
-            key=lambda ix: (-scores[_key(ix)], ix.name),
+            (ix for ix in pool if ix not in target and scores[ix] > 0.0),
+            key=lambda ix: (-scores[ix], ix.name),
         )[: self.config.max_hot_size]
 
         prev = self._prev_solution_value

@@ -27,7 +27,7 @@ experimental comparator:
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -37,8 +37,6 @@ if TYPE_CHECKING:
     from repro.engine.index import IndexDef
     from repro.optimizer.plan import PlanNode
     from repro.sql.ast import Query
-
-IndexKey = Tuple[str, str]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,7 +85,7 @@ class ContinuousTuner:
         self.config = config or ContinuousConfig()
         self.optimizer = Optimizer(catalog)
         self.whatif = WhatIfOptimizer(self.optimizer)
-        self._credit: Dict[IndexKey, float] = {}
+        self._credit: Dict[IndexDef, float] = {}
         self._queries = 0
 
     @property
@@ -106,8 +104,7 @@ class ContinuousTuner:
         if candidates:
             gains = self.whatif.what_if_optimize(session, candidates)
             for index, gain in gains.items():
-                key = (index.table, index.column)
-                self._credit[key] = self._credit.get(key, 0.0) + max(0.0, gain)
+                self._credit[index] = self._credit.get(index, 0.0) + max(0.0, gain)
 
         build_cost = self._reorganize()
 
@@ -130,21 +127,21 @@ class ContinuousTuner:
 
     # ------------------------------------------------------------------
     def _relevant_candidates(self, query: Query) -> List[IndexDef]:
-        seen: Dict[IndexKey, IndexDef] = {}
-        for col in query.selection_columns() + query.join_columns():
-            if not self.catalog.table(col.table).column(col.column).indexable:
-                continue
-            key = (col.table, col.column)
-            if key not in seen:
-                seen[key] = self.catalog.index_for(col.table, col.column)
-        return list(seen.values())
+        catalog = self.catalog
+        return list(
+            dict.fromkeys(
+                catalog.index_for(col.table, col.column)
+                for col in query.selection_columns() + query.join_columns()
+                if catalog.table(col.table).column(col.column).indexable
+            )
+        )
 
     def _decay_credit(self) -> None:
         decay = self.config.decay
-        for key in list(self._credit):
-            self._credit[key] *= decay
-            if self._credit[key] < 1e-9:
-                del self._credit[key]
+        for index in list(self._credit):
+            self._credit[index] *= decay
+            if self._credit[index] < 1e-9:
+                del self._credit[index]
 
     def _reorganize(self) -> float:
         """Adopt over-threshold candidates; retire decayed incumbents."""
@@ -152,24 +149,19 @@ class ContinuousTuner:
 
         # Retirement first, freeing space.
         for index in self.catalog.materialized_indexes():
-            key = (index.table, index.column)
             floor = self.config.retirement_factor * self.catalog.index_build_cost(index)
-            if self._credit.get(key, 0.0) < floor:
+            if self._credit.get(index, 0.0) < floor:
                 self.catalog.drop_index(index)
 
         # Adoption, richest candidates first.
+        credit_of = self._credit
         hopefuls = sorted(
-            (
-                (credit, key)
-                for key, credit in self._credit.items()
-                if not self.catalog.is_materialized(
-                    self.catalog.index_for(*key)
-                )
-            ),
+            (ix for ix in credit_of if not self.catalog.is_materialized(ix)),
+            key=lambda ix: (credit_of[ix], ix.table, ix.column),
             reverse=True,
         )
-        for credit, key in hopefuls:
-            index = self.catalog.index_for(*key)
+        for index in hopefuls:
+            credit = credit_of[index]
             threshold = self.config.adoption_factor * self.catalog.index_build_cost(index)
             if credit < threshold:
                 break  # sorted descending: nothing later qualifies either
@@ -188,14 +180,13 @@ class ContinuousTuner:
         used = self.catalog.materialized_size_pages()
         if used + size <= budget:
             return True
-        key = (index.table, index.column)
-        credit = self._credit.get(key, 0.0)
+        credit = self._credit.get(index, 0.0)
         incumbents = sorted(
             self.catalog.materialized_indexes(),
-            key=lambda ix: self._credit.get((ix.table, ix.column), 0.0),
+            key=lambda ix: self._credit.get(ix, 0.0),
         )
         for victim in incumbents:
-            victim_credit = self._credit.get((victim.table, victim.column), 0.0)
+            victim_credit = self._credit.get(victim, 0.0)
             if victim_credit >= credit:
                 return False  # cannot evict a better incumbent
             self.catalog.drop_index(victim)

@@ -251,9 +251,7 @@ def figure5_overhead(
     boundary_epochs = sorted({b // config.epoch_length for b in boundaries})
     relevant = set()
     for dist in distributions:
-        relevant.update(
-            (ix.table, ix.column) for ix in dist.relevant_indexes(catalog)
-        )
+        relevant.update(dist.relevant_indexes(catalog))
     return OverheadResult(
         whatif_per_epoch=colt_run.whatif_per_epoch,
         budget_per_epoch=colt_run.budget_per_epoch,

@@ -444,7 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse's usage-error 2 would read as EXIT_PARSE
+            return EXIT_ERROR
+        raise  # --help
     try:
         if getattr(args, "gain_cache", "off") == "on":
             _check_gain_cache(args.engine)

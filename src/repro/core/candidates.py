@@ -90,7 +90,7 @@ class CandidateTracker:
         self._history = history_epochs
         self._smoothing = smoothing
         self._composite = composite
-        self._stats: Dict[Tuple[str, Tuple[str, ...]], CandidateStats] = {}
+        self._stats: Dict[IndexDef, CandidateStats] = {}
 
     def __len__(self) -> int:
         return len(self._stats)
@@ -101,7 +101,7 @@ class CandidateTracker:
 
     def stats_for(self, index: IndexDef) -> Optional[CandidateStats]:
         """Stats for one candidate, if it has been mined."""
-        return self._stats.get((index.table, index.columns))
+        return self._stats.get(index)
 
     def observe_query(
         self,
@@ -130,10 +130,10 @@ class CandidateTracker:
         """
         credited: List[Tuple[IndexDef, float]] = []
         for index, crude in self._mined_with_crude(query, cache or PlanCache()):
-            stats = self._stats.get((index.table, index.columns))
+            stats = self._stats.get(index)
             if stats is None:
                 stats = CandidateStats(index, self._history, self._smoothing)
-                self._stats[(index.table, index.columns)] = stats
+                self._stats[index] = stats
             if index in materialized and index not in used_indexes:
                 u = 0.0  # the optimizer had it and chose not to use it
             else:
@@ -221,7 +221,7 @@ class CandidateTracker:
         dead = []
         # One loop over the candidates' own fields, no call per candidate:
         # every one of them passes here at every boundary.
-        for key, stats in self._stats.items():
+        for index, stats in self._stats.items():
             # Push the per-query average into the window.
             benefit = stats.epoch_gain / epoch_length
             stats.epoch_gain = 0.0
@@ -234,9 +234,9 @@ class CandidateTracker:
                 stats._smoothed = a * benefit + (1.0 - a) * stats._smoothed
             stats._idle = idle = stats._idle + 1 if benefit <= 0.0 else 0
             if idle >= window.maxlen:  # no benefit across the whole window
-                dead.append(key)
-        for key in dead:
-            del self._stats[key]
+                dead.append(index)
+        for index in dead:
+            del self._stats[index]
 
     def seed(self, indexes: Iterable[IndexDef]) -> int:
         """Ensure tracker entries exist for externally suggested indexes.
@@ -255,9 +255,8 @@ class CandidateTracker:
         """
         created = 0
         for index in sorted(indexes, key=str):
-            key = (index.table, index.columns)
-            if key not in self._stats:
-                self._stats[key] = CandidateStats(
+            if index not in self._stats:
+                self._stats[index] = CandidateStats(
                     index, self._history, self._smoothing
                 )
                 created += 1
@@ -265,10 +264,6 @@ class CandidateTracker:
 
     def ranked(self, exclude: Iterable[IndexDef] = ()) -> List[CandidateStats]:
         """Candidates by descending smoothed benefit, minus exclusions."""
-        excluded = {(ix.table, ix.columns) for ix in exclude}
-        pool = [
-            s
-            for key, s in self._stats.items()
-            if key not in excluded
-        ]
+        excluded = set(exclude)
+        pool = [s for index, s in self._stats.items() if index not in excluded]
         return sorted(pool, key=_smoothed_benefit, reverse=True)

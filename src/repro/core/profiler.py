@@ -50,15 +50,6 @@ if TYPE_CHECKING:
     from repro.optimizer.whatif import WhatIfOptimizer, WhatIfSession
     from repro.sql.ast import Query
 
-# Identity of an index within COLT's bookkeeping: table plus the ordered
-# key-column tuple (composite-safe).
-IndexKey = Tuple[str, Tuple[str, ...]]
-
-
-def _key(index: IndexDef) -> IndexKey:
-    return index.table, index.columns
-
-
 # Canonical order of an index set: by name, which is what ``str`` gives.
 _name = operator.attrgetter("name")
 
@@ -80,7 +71,7 @@ class PairStats:
 
     __slots__ = ("gain", "signature")
 
-    def __init__(self, confidence: float, signature: FrozenSet[IndexKey]) -> None:
+    def __init__(self, confidence: float, signature: FrozenSet[IndexDef]) -> None:
         self.gain = GainStats(confidence)
         self.signature = signature
 
@@ -159,10 +150,10 @@ class Profiler(ProfilerBase):
         self.clusters = ClusterStore(catalog, config.history_epochs)
         # The gauge is as of the last profiled query, read when it is read.
         clusters.set_function(self.clusters.live_at_last_assign)
-        self._pairs: Dict[Tuple[IndexKey, int], PairStats] = {}
+        self._pairs: Dict[Tuple[IndexDef, int], PairStats] = {}
         # Per-epoch bookkeeping, keyed by index then cluster id.
-        self._epoch_measured: Dict[IndexKey, Dict[int, List[float]]] = {}
-        self._epoch_exposure: Dict[IndexKey, Dict[int, int]] = {}
+        self._epoch_measured: Dict[IndexDef, Dict[int, List[float]]] = {}
+        self._epoch_exposure: Dict[IndexDef, Dict[int, int]] = {}
         self.whatif_budget = config.max_whatif_per_epoch
 
     # ------------------------------------------------------------------
@@ -301,12 +292,12 @@ class Profiler(ProfilerBase):
         w = self._config.epoch_length
         epoch_measured, epoch_exposure = self._epoch_measured, self._epoch_exposure
         for rec in tracked:
-            key = rec.key
-            exposure = epoch_exposure.get(key)
+            index = rec.index
+            exposure = epoch_exposure.get(index)
             if not exposure:  # no query met the index: 0.0 / w, twice
                 rec.epoch = _UNEXPOSED
                 continue
-            measured = epoch_measured.get(key)
+            measured = epoch_measured.get(index)
             low_total = 0.0
             high_total = 0.0
             n_measured = 0
@@ -315,7 +306,7 @@ class Profiler(ProfilerBase):
                 samples = measured.get(cid, ()) if measured is not None else ()
                 n = len(samples)
                 n_measured += n
-                pair = self._valid_pair(key, cid)
+                pair = self._valid_pair(index, cid)
                 if pair is not None and pair.gain.count > 0:
                     low_bound, high_bound = pair.gain.interval()
                 else:
@@ -330,7 +321,7 @@ class Profiler(ProfilerBase):
             if any_unmeasured_pair:
                 # Never-profiled exposure: the optimistic view falls back
                 # to the crude (optimistic by construction) estimate.
-                crude = self._crude_epoch_benefit(rec.index)
+                crude = self._crude_epoch_benefit(index)
                 high = max(high, crude)
             rec.epoch = (low, max(high, low), n_measured)
 
@@ -375,18 +366,18 @@ class Profiler(ProfilerBase):
         of an index on one of the cluster's referenced columns changed.
         Pairs for evicted clusters are dropped too.
         """
-        for (key, cid), pair in list(self._pairs.items()):
+        for (index, cid), pair in list(self._pairs.items()):
             if not self.clusters.has_id(cid):
-                del self._pairs[(key, cid)]
+                del self._pairs[(index, cid)]
                 continue
             cluster = self.clusters.by_id(cid)
             if pair.signature != self._cluster_signature(cluster):
-                del self._pairs[(key, cid)]
+                del self._pairs[(index, cid)]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cluster_signature(self, cluster: Cluster) -> FrozenSet[IndexKey]:
+    def _cluster_signature(self, cluster: Cluster) -> FrozenSet[IndexDef]:
         """Materialized indexes on columns the cluster references, evaluated
         once per catalog generation (any materialization change bumps it)."""
         generation = self._catalog.generation
@@ -394,16 +385,16 @@ class Profiler(ProfilerBase):
         if held is None or held[0] != generation:
             referenced = cluster.referenced_columns()
             signature = frozenset(
-                _key(ix)
+                ix
                 for ix in self._catalog.materialized_indexes()
                 if any((ix.table, col) in referenced for col in ix.columns)
             )
             held = cluster.signature = (generation, signature)
         return held[1]
 
-    def _valid_pair(self, key: IndexKey, cluster_id: int) -> Optional[PairStats]:
+    def _valid_pair(self, index: IndexDef, cluster_id: int) -> Optional[PairStats]:
         """The pair stats for (index, cluster), if current and consistent."""
-        pair = self._pairs.get((key, cluster_id))
+        pair = self._pairs.get((index, cluster_id))
         if pair is None or not self.clusters.has_id(cluster_id):
             return pair
         cluster = self.clusters.by_id(cluster_id)
@@ -412,7 +403,7 @@ class Profiler(ProfilerBase):
         return pair
 
     def _pair(self, index: IndexDef, cluster: Cluster) -> PairStats:
-        key = (_key(index), cluster.cluster_id)
+        key = (index, cluster.cluster_id)
         signature = self._cluster_signature(cluster)
         pair = self._pairs.get(key)
         if pair is None or pair.signature != signature:
@@ -421,12 +412,12 @@ class Profiler(ProfilerBase):
         return pair
 
     def _bump_exposure(self, index: IndexDef, cluster: Cluster) -> None:
-        per_cluster = self._epoch_exposure.setdefault(_key(index), {})
+        per_cluster = self._epoch_exposure.setdefault(index, {})
         per_cluster[cluster.cluster_id] = per_cluster.get(cluster.cluster_id, 0) + 1
 
     def _record_gain(self, index: IndexDef, cluster: Cluster, gain: float) -> None:
         self._pair(index, cluster).gain.add(gain)
-        per_cluster = self._epoch_measured.setdefault(_key(index), {})
+        per_cluster = self._epoch_measured.setdefault(index, {})
         per_cluster.setdefault(cluster.cluster_id, []).append(gain)
 
     def _sample_rate(self, index: IndexDef, cluster: Cluster) -> float:
@@ -436,7 +427,7 @@ class Profiler(ProfilerBase):
         popularity and the gain variance, and shrinks with the number of
         samples; unprofiled pairs are sampled with certainty.
         """
-        pair = self._valid_pair(_key(index), cluster.cluster_id)
+        pair = self._valid_pair(index, cluster.cluster_id)
         if pair is None or pair.gain.count < 3:
             # Too few samples for the CLT interval to mean anything:
             # profile with certainty until a baseline exists.
@@ -456,7 +447,7 @@ class Profiler(ProfilerBase):
         self, index: IndexDef, cluster_id: int
     ) -> Optional[Tuple[float, float]]:
         """The (low, high) gain interval for a pair, if it has samples."""
-        pair = self._valid_pair(_key(index), cluster_id)
+        pair = self._valid_pair(index, cluster_id)
         if pair is None or pair.gain.count == 0:
             return None
         return pair.gain.interval()

@@ -49,10 +49,6 @@ if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
     from repro.engine.index import IndexDef
 
-# Composite-safe index identity: table plus ordered key columns.
-IndexKey = Tuple[str, Tuple[str, ...]]
-
-
 _record_name = operator.attrgetter("index.name")
 _first = operator.itemgetter(0)
 
@@ -75,8 +71,8 @@ class IndexRecord:
     row of the boundary table.
 
     Attributes:
-        index / key / table: The index, its bookkeeping identity and its
-            table definition (whose row count validates ``costing``).
+        index / table: The index and its table definition (whose row
+            count validates ``costing``).
         low / high: Conservative and optimistic per-epoch benefit
             windows; None while the index has none (never reported or
             promoted, or dropped from ``M`` since).
@@ -96,13 +92,12 @@ class IndexRecord:
     """
 
     __slots__ = (
-        "index", "key", "table", "low", "high", "measured", "costing",
+        "index", "table", "low", "high", "measured", "costing",
         "epoch", "hot", "held", "charge", "item",
     )
 
     def __init__(self, index: IndexDef, catalog: Catalog) -> None:
         self.index = index
-        self.key: IndexKey = (index.table, index.columns)
         self.table = catalog.table(index.table)
         self.low: Optional[BenefitHistory] = None
         self.high: Optional[BenefitHistory] = None
@@ -167,7 +162,7 @@ class SelfOrganizer:
         # One record per index ever tracked, and the boundary table: the
         # records of ``H ∪ M`` in name order, held beside frozen copies
         # of the two sets it was built from.
-        self._records: Dict[IndexKey, IndexRecord] = {}
+        self._records: Dict[IndexDef, IndexRecord] = {}
         self._tracked: List[IndexRecord] = []
         self._tracked_sets: Tuple[FrozenSet[IndexDef], ...] = (frozenset(), frozenset())
         # Write-aware extension: per-table insert counts per epoch.
@@ -181,10 +176,9 @@ class SelfOrganizer:
     # ------------------------------------------------------------------
     def record(self, index: IndexDef) -> IndexRecord:
         """The index's record, created on first sight."""
-        key = (index.table, index.columns)
-        rec = self._records.get(key)
+        rec = self._records.get(index)
         if rec is None:
-            rec = self._records[key] = IndexRecord(index, self._catalog)
+            rec = self._records[index] = IndexRecord(index, self._catalog)
         return rec
 
     def records(self) -> Iterable[IndexRecord]:

@@ -25,13 +25,10 @@ exceeds the paper's default, only caution does.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable
 
 if TYPE_CHECKING:
     from repro.engine.index import IndexDef
-
-
-IndexKey = Tuple[str, str]
 
 
 class ForecastWindowTuner:
@@ -59,7 +56,7 @@ class ForecastWindowTuner:
         self._growth = growth
         self._max = max(base_window, int(round(base_window * max_factor)))
         self._window = float(base_window)
-        self._built_at: Dict[IndexKey, int] = {}
+        self._built_at: Dict[IndexDef, int] = {}
         self._epoch = 0
         self.short_tenure_drops = 0
 
@@ -89,13 +86,12 @@ class ForecastWindowTuner:
         """
         overreacted = False
         for index in dropped:
-            key = (index.table, index.column)
-            built = self._built_at.pop(key, None)
+            built = self._built_at.pop(index, None)
             if built is not None and self._epoch - built < self._short:
                 overreacted = True
                 self.short_tenure_drops += 1
         for index in materialized:
-            self._built_at[(index.table, index.column)] = self._epoch
+            self._built_at[index] = self._epoch
 
         if overreacted:
             self._window = min(float(self._max), self._window * self._growth)

@@ -108,7 +108,8 @@ class Catalog:
         self.params = params or CostParams()
         self._tables: Dict[str, TableDef] = {}
         self._stats: Dict[Tuple[str, str], ColumnStats] = {}
-        self._materialized: Dict[Tuple[str, Tuple[str, ...]], IndexDef] = {}
+        # The materialized set, in materialization order.
+        self._materialized: Dict[IndexDef, None] = {}
         self._stats_versions: Dict[str, int] = {}
         self._column_stats_versions: Dict[str, int] = {}
         self._generation: int = 0
@@ -303,12 +304,15 @@ class Catalog:
         return index
 
     def composite_index_for(self, table: str, columns: Iterable[str]) -> IndexDef:
-        """The canonical composite :class:`IndexDef` over ordered columns.
+        """The canonical :class:`IndexDef` over ordered columns; over one
+        column it is :meth:`index_for`'s descriptor.
 
         Raises:
             ValueError: for fewer than one column or duplicates.
         """
         names = list(columns)
+        if len(names) == 1:
+            return self.index_for(table, names[0])
         if not names:
             raise ValueError("an index needs at least one column")
         if len(set(names)) != len(names):
@@ -324,28 +328,29 @@ class Catalog:
 
     def materialize_index(self, index: IndexDef) -> None:
         """Mark an index as materialized (usable by the optimizer)."""
-        self._materialized[(index.table, index.columns)] = index
+        self._materialized[index] = None
         self._generation += 1
 
     def drop_index(self, index: IndexDef) -> None:
         """Remove an index from the materialized set (no-op if absent)."""
-        if self._materialized.pop((index.table, index.columns), None) is not None:
+        if index in self._materialized:
+            del self._materialized[index]
             self._generation += 1
 
     def is_materialized(self, index: IndexDef) -> bool:
         """Whether this index is currently materialized."""
-        return (index.table, index.columns) in self._materialized
+        return index in self._materialized
 
     def materialized_indexes(self, table: Optional[str] = None) -> List[IndexDef]:
         """Materialized indexes, optionally restricted to one table."""
-        indexes = self._materialized.values()
+        indexes = self._materialized
         if table is not None:
             return [ix for ix in indexes if ix.table == table]
         return list(indexes)
 
     def materialized_size_pages(self) -> float:
         """Total pages consumed by the materialized set."""
-        return sum(self.index_size_pages(ix) for ix in self._materialized.values())
+        return sum(self.index_size_pages(ix) for ix in self._materialized)
 
     def index_size_pages(self, index: IndexDef) -> float:
         """Estimated size of one index in pages."""

@@ -10,11 +10,18 @@ materialization cost -- independent of any physical B+tree.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:
     from repro.engine.cost_params import CostParams
     from repro.engine.datatypes import DataType
+
+
+# The order of the guardrails' tables and snapshots: table, then key
+# columns.  ``name`` order differs where a name splits two ways
+# (``ix_a_b_c`` is both ``a.b_c`` and ``a_b.c``).
+_by_table = operator.attrgetter("table", "columns")
 
 
 @dataclasses.dataclass(frozen=True)

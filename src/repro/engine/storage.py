@@ -95,7 +95,7 @@ class PhysicalStore:
     def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
         self._heaps: Dict[str, HeapTable] = {}
-        self._trees: Dict[Tuple[str, Tuple[str, ...]], BPlusTree] = {}
+        self._trees: Dict[IndexDef, BPlusTree] = {}
 
     def create_heap(self, table: str) -> HeapTable:
         """Create (or return the existing) heap for a catalog table."""
@@ -134,18 +134,18 @@ class PhysicalStore:
         else:
             values = heap.column(index.column)
             tree = BPlusTree.bulk_load((v, rid) for rid, v in enumerate(values))
-        self._trees[(index.table, index.columns)] = tree
+        self._trees[index] = tree
         self.catalog.materialize_index(index)
         return tree
 
     def drop_index(self, index: IndexDef) -> None:
         """Remove the physical tree and catalog entry for ``index``."""
-        self._trees.pop((index.table, index.columns), None)
+        self._trees.pop(index, None)
         self.catalog.drop_index(index)
 
     def tree(self, index: IndexDef) -> Optional[BPlusTree]:
         """The physical B+tree for an index, if one has been built."""
-        return self._trees.get((index.table, index.columns))
+        return self._trees.get(index)
 
     def apply_inserts(self, table: str, rows: Iterable[Sequence]) -> int:
         """Insert rows into a heap and maintain every built index on it.
@@ -157,7 +157,7 @@ class PhysicalStore:
         heap = self.heap(table)
         index_trees = []
         for index in self.catalog.materialized_indexes(table):
-            tree = self._trees.get((index.table, index.columns))
+            tree = self._trees.get(index)
             if tree is not None:
                 index_trees.append((index, tree))
 

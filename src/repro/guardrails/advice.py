@@ -190,8 +190,6 @@ class AdviceBook:
                     f"advice names unknown column "
                     f"{directive.table}.{column}"
                 )
-        if len(directive.columns) == 1:
-            return catalog.index_for(directive.table, directive.columns[0])
         return catalog.composite_index_for(directive.table, directive.columns)
 
     # ------------------------------------------------------------------

@@ -14,6 +14,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.knapsack import Ruling
+from repro.engine.index import _by_table
 from repro.guardrails.quarantine import Quarantine
 from repro.guardrails.verify import IndexVerifier, PlanCostObserver, Verdict
 
@@ -225,17 +226,16 @@ class GuardrailManager:
         verifier, in quarantine, or named by one of the tuner's standing
         rulings.
         """
-        mat = {(ix.table, ix.columns): ix for ix in materialized}
-        rows: Dict[Tuple[str, Tuple[str, ...]], Dict] = {}
+        mat = set(materialized)
+        rows: Dict[IndexDef, Dict] = {}
 
         def row_for(index: IndexDef) -> Dict:
-            key = (index.table, index.columns)
-            if key not in rows:
-                rows[key] = {
+            if index not in rows:
+                rows[index] = {
                     "index": f"{index.table}.{'+'.join(index.columns)}",
                     "table": index.table,
                     "columns": list(index.columns),
-                    "materialized": key in mat,
+                    "materialized": index in mat,
                     "pinned": False,
                     "banned": False,
                     "preferred_weight": None,
@@ -246,9 +246,9 @@ class GuardrailManager:
                     "verdict": Verdict.PENDING.value,
                     "quarantine": None,
                 }
-            return rows[key]
+            return rows[index]
 
-        for index in mat.values():
+        for index in mat:
             row_for(index)
         for state in self.verifier.states:
             row = row_for(state.index)
@@ -280,7 +280,7 @@ class GuardrailManager:
                     row["preferred_weight"] = ruling.weight
             else:
                 row["pinned" if ruling.kind == "pin" else "banned"] = True
-        return [rows[key] for key in sorted(rows)]
+        return [rows[ix] for ix in sorted(rows, key=_by_table)]
 
     # ------------------------------------------------------------------
     def to_snapshot(self) -> Dict:

@@ -24,8 +24,9 @@ save/restore (the whole point: a restart must not amnesty a bad index).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
+from repro.engine.index import _by_table
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 
 if TYPE_CHECKING:
@@ -34,13 +35,6 @@ if TYPE_CHECKING:
 
 #: Epochs an index spends OPEN before parole, by default.
 DEFAULT_COOLDOWN_EPOCHS = 6
-
-IndexKey = Tuple[str, Tuple[str, ...]]
-
-
-def _key(index: IndexDef) -> IndexKey:
-    return index.table, index.columns
-
 
 @dataclasses.dataclass
 class QuarantineEntry:
@@ -90,7 +84,7 @@ class Quarantine:
         if cooldown_epochs < 1:
             raise ValueError("cooldown_epochs must be positive")
         self.cooldown_epochs = cooldown_epochs
-        self._entries: Dict[IndexKey, QuarantineEntry] = {}
+        self._entries: Dict[IndexDef, QuarantineEntry] = {}
         self._epoch = 0
         self.total_quarantines = 0
         self.total_releases = 0
@@ -99,16 +93,17 @@ class Quarantine:
         return len(self._entries)
 
     def __contains__(self, index: IndexDef) -> bool:
-        return _key(index) in self._entries
+        return index in self._entries
 
     @property
     def entries(self) -> List[QuarantineEntry]:
-        """Current entries, name-sorted for stable iteration."""
-        return [self._entries[k] for k in sorted(self._entries)]
+        """Current entries, sorted by table then key columns for stable
+        iteration."""
+        return [self._entries[ix] for ix in sorted(self._entries, key=_by_table)]
 
     def entry_for(self, index: IndexDef) -> Optional[QuarantineEntry]:
         """The entry for an index, if it is in quarantine or on parole."""
-        return self._entries.get(_key(index))
+        return self._entries.get(index)
 
     def blocked(self) -> List[IndexDef]:
         """Indexes currently hard-banned (breaker OPEN)."""
@@ -125,8 +120,7 @@ class Quarantine:
         Returns:
             The (new or re-tripped) entry, breaker OPEN.
         """
-        key = _key(index)
-        entry = self._entries.get(key)
+        entry = self._entries.get(index)
         if entry is None:
             breaker = CircuitBreaker(
                 failure_threshold=1,
@@ -139,7 +133,7 @@ class Quarantine:
                 entered_epoch=self._epoch,
                 breaker=breaker,
             )
-            self._entries[key] = entry
+            self._entries[index] = entry
         else:
             entry.strikes += 1
             entry.ratio = ratio
@@ -151,7 +145,7 @@ class Quarantine:
 
     def clear(self, index: IndexDef) -> bool:
         """Release an index outright (e.g. its parole verification passed)."""
-        entry = self._entries.pop(_key(index), None)
+        entry = self._entries.pop(index, None)
         if entry is None:
             return False
         if entry.breaker.state is not BreakerState.CLOSED:
@@ -171,12 +165,11 @@ class Quarantine:
             Indexes released this tick (parole expired unused).
         """
         self._epoch += 1
-        in_m = {_key(ix) for ix in materialized}
+        in_m = set(materialized)
         released: List[IndexDef] = []
-        for key in sorted(self._entries):
-            entry = self._entries[key]
+        for entry in self.entries:
             entry.breaker.tick()
-            if entry.breaker.state is BreakerState.HALF_OPEN and key not in in_m:
+            if entry.breaker.state is BreakerState.HALF_OPEN and entry.index not in in_m:
                 entry.parole_ticks += 1
                 if entry.parole_ticks >= self.cooldown_epochs:
                     released.append(entry.index)
@@ -215,11 +208,7 @@ class Quarantine:
         quarantine.total_quarantines = int(data.get("total_quarantines", 0))
         quarantine.total_releases = int(data.get("total_releases", 0))
         for raw in data.get("entries", []):
-            columns = list(raw["columns"])
-            if len(columns) == 1:
-                index = catalog.index_for(raw["table"], columns[0])
-            else:
-                index = catalog.composite_index_for(raw["table"], columns)
+            index = catalog.composite_index_for(raw["table"], raw["columns"])
             breaker = CircuitBreaker(
                 failure_threshold=1,
                 cooldown_ticks=quarantine.cooldown_epochs,
@@ -239,5 +228,5 @@ class Quarantine:
                 breaker=breaker,
                 parole_ticks=int(raw.get("parole_ticks", 0)),
             )
-            quarantine._entries[_key(index)] = entry
+            quarantine._entries[index] = entry
         return quarantine

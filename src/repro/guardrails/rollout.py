@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.core.knapsack import Ruling
+from repro.engine.index import _by_table
 from repro.fleet.replica import ReplicaHealth
 from repro.guardrails.verify import Verdict
 
@@ -38,13 +39,6 @@ if TYPE_CHECKING:
 
 #: Fleet epochs a rolled-back index stays banned fleet-wide.
 DEFAULT_ROLLBACK_COOLDOWN = 4
-
-IndexKey = Tuple[str, Tuple[str, ...]]
-
-
-def _key(index: IndexDef) -> IndexKey:
-    return index.table, index.columns
-
 
 class RolloutStage(enum.Enum):
     """Lifecycle stage of one index rollout."""
@@ -120,23 +114,23 @@ class RolloutController:
         if rollback_cooldown < 1:
             raise ValueError("rollback_cooldown must be positive")
         self.rollback_cooldown = rollback_cooldown
-        self._baseline: Set[IndexKey] = {_key(ix) for ix in baseline}
-        self._records: Dict[IndexKey, RolloutRecord] = {}
+        self._baseline: Set[IndexDef] = set(baseline)
+        self._records: Dict[IndexDef, RolloutRecord] = {}
         self._epoch = 0
 
     # ------------------------------------------------------------------
     @property
     def records(self) -> List[RolloutRecord]:
-        """Current rollout records, name-sorted."""
-        return [self._records[k] for k in sorted(self._records)]
+        """Current rollout records, sorted by table then key columns."""
+        return [self._records[ix] for ix in sorted(self._records, key=_by_table)]
 
     def record_for(self, index: IndexDef) -> Optional[RolloutRecord]:
         """The rollout record tracking an index, if any."""
-        return self._records.get(_key(index))
+        return self._records.get(index)
 
     def stage_for(self, index: IndexDef) -> Optional[RolloutStage]:
         """The index's rollout stage (None: baseline or untracked)."""
-        record = self._records.get(_key(index))
+        record = self._records.get(index)
         return record.stage if record is not None else None
 
     # ------------------------------------------------------------------
@@ -157,16 +151,14 @@ class RolloutController:
         healthy = {
             r.replica_id for r in replicas if r.health is not ReplicaHealth.DRAINED
         }
-        holders: Dict[IndexKey, List[int]] = {}
-        exemplars: Dict[IndexKey, IndexDef] = {}
+        holders: Dict[IndexDef, List[int]] = {}
         for r in replicas:
             for ix in r.tuner.materialized_set:
-                holders.setdefault(_key(ix), []).append(r.replica_id)
-                exemplars.setdefault(_key(ix), ix)
+                holders.setdefault(ix, []).append(r.replica_id)
 
         self._tick_cooldowns()
         self._advance_canaries(summary, by_id, healthy, holders)
-        self._discover(summary, healthy, holders, exemplars)
+        self._discover(summary, healthy, holders)
         self._push_bans(replicas)
         summary.active_canaries = sum(
             1 for rec in self._records.values() if rec.stage is RolloutStage.CANARY
@@ -175,41 +167,37 @@ class RolloutController:
 
     def _tick_cooldowns(self) -> None:
         expired = []
-        for key, rec in self._records.items():
+        for index, rec in self._records.items():
             if rec.stage is RolloutStage.ROLLED_BACK:
                 rec.cooldown_remaining -= 1
                 if rec.cooldown_remaining <= 0:
                     # Cooldown served: forget the record so a future
                     # materialization starts a fresh canary rollout.
-                    expired.append(key)
-        for key in expired:
-            del self._records[key]
+                    expired.append(index)
+        for index in expired:
+            del self._records[index]
 
     def _advance_canaries(
         self,
         summary: RolloutSummary,
         by_id: Dict,
         healthy: Set[int],
-        holders: Dict[IndexKey, List[int]],
+        holders: Dict[IndexDef, List[int]],
     ) -> None:
-        for key in sorted(self._records):
-            rec = self._records[key]
+        for rec in self.records:
             if rec.stage is not RolloutStage.CANARY:
                 continue
-            canary_ok = rec.canary_id in healthy and rec.canary_id in holders.get(
-                key, []
-            )
+            held_by = holders.get(rec.index, [])
+            canary_ok = rec.canary_id in healthy and rec.canary_id in held_by
             if not canary_ok:
-                successors = sorted(
-                    rid for rid in holders.get(key, []) if rid in healthy
-                )
+                successors = sorted(rid for rid in held_by if rid in healthy)
                 if successors:
                     rec.canary_id = successors[0]
                     rec.reassignments += 1
                     summary.reassigned += 1
                 else:
                     # Nobody healthy holds the index: cancel outright.
-                    del self._records[key]
+                    del self._records[rec.index]
                     summary.cancelled.append(rec.index)
                     continue
             manager = getattr(by_id[rec.canary_id].tuner, "guardrails", None)
@@ -224,7 +212,7 @@ class RolloutController:
             if verdict is Verdict.VERIFIED:
                 rec.stage = RolloutStage.PROMOTED
                 rec.decided_epoch = self._epoch
-                self._baseline.add(key)
+                self._baseline.add(rec.index)
                 summary.promoted.append(rec.index)
             elif verdict is Verdict.REGRESSED:
                 rec.stage = RolloutStage.ROLLED_BACK
@@ -236,27 +224,26 @@ class RolloutController:
         self,
         summary: RolloutSummary,
         healthy: Set[int],
-        holders: Dict[IndexKey, List[int]],
-        exemplars: Dict[IndexKey, IndexDef],
+        holders: Dict[IndexDef, List[int]],
     ) -> None:
-        for key in sorted(holders):
-            if key in self._baseline or key in self._records:
+        for index in sorted(holders, key=_by_table):
+            if index in self._baseline or index in self._records:
                 continue
             healthy_holders = sorted(
-                rid for rid in holders[key] if rid in healthy
+                rid for rid in holders[index] if rid in healthy
             )
             if not healthy_holders:
                 # Only drained replicas hold it: wait for a holder that
                 # can actually run canary verification.
                 continue
             record = RolloutRecord(
-                index=exemplars[key],
+                index=index,
                 stage=RolloutStage.CANARY,
                 canary_id=healthy_holders[0],
                 started_epoch=self._epoch,
             )
-            self._records[key] = record
-            summary.started.append(record.index)
+            self._records[index] = record
+            summary.started.append(index)
 
     def _push_bans(self, replicas) -> None:
         for r in replicas:
@@ -281,7 +268,7 @@ class RolloutController:
             "epoch": self._epoch,
             "rollback_cooldown": self.rollback_cooldown,
             "baseline": sorted(
-                [key[0], list(key[1])] for key in self._baseline
+                [ix.table, list(ix.columns)] for ix in self._baseline
             ),
             "records": [
                 {
@@ -304,14 +291,11 @@ class RolloutController:
         controller = cls(rollback_cooldown=int(data["rollback_cooldown"]))
         controller._epoch = int(data["epoch"])
         controller._baseline = {
-            (table, tuple(columns)) for table, columns in data.get("baseline", [])
+            catalog.composite_index_for(table, columns)
+            for table, columns in data.get("baseline", [])
         }
         for raw in data.get("records", []):
-            columns = list(raw["columns"])
-            if len(columns) == 1:
-                index = catalog.index_for(raw["table"], columns[0])
-            else:
-                index = catalog.composite_index_for(raw["table"], columns)
+            index = catalog.composite_index_for(raw["table"], raw["columns"])
             record = RolloutRecord(
                 index=index,
                 stage=RolloutStage(raw["stage"]),
@@ -325,5 +309,5 @@ class RolloutController:
                 cooldown_remaining=int(raw.get("cooldown_remaining", 0)),
                 reassignments=int(raw.get("reassignments", 0)),
             )
-            controller._records[_key(index)] = record
+            controller._records[index] = record
         return controller

@@ -50,7 +50,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+from repro.engine.index import _by_table
 
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
@@ -58,13 +60,6 @@ if TYPE_CHECKING:
     from repro.engine.storage import PhysicalStore
     from repro.optimizer.plan import PlanNode
     from repro.optimizer.whatif import WhatIfSession
-
-
-IndexKey = Tuple[str, Tuple[str, ...]]
-
-
-def _key(index: IndexDef) -> IndexKey:
-    return index.table, index.columns
 
 
 class Verdict(enum.Enum):
@@ -208,36 +203,34 @@ class IndexVerifier:
         self.window = window
         self.quarantine_ratio = quarantine_ratio
         self.min_predicted_fraction = min_predicted_fraction
-        self._states: Dict[IndexKey, VerificationState] = {}
+        self._states: Dict[IndexDef, VerificationState] = {}
 
     def __len__(self) -> int:
         return len(self._states)
 
     @property
     def states(self) -> List[VerificationState]:
-        """Every tracked index's state, name-sorted."""
-        return [self._states[k] for k in sorted(self._states)]
+        """Every tracked index's state, sorted by table then key columns."""
+        return [self._states[ix] for ix in sorted(self._states, key=_by_table)]
 
     def state_for(self, index: IndexDef) -> Optional[VerificationState]:
         """The state for one index, if it has ever been sampled."""
-        return self._states.get(_key(index))
+        return self._states.get(index)
 
     def verdict_for(self, index: IndexDef) -> Verdict:
         """Current verdict for an index (PENDING when never sampled)."""
-        state = self._states.get(_key(index))
+        state = self._states.get(index)
         return state.verdict if state is not None else Verdict.PENDING
 
     def needs_samples(self, index: IndexDef) -> bool:
         """Whether this index still needs observations for a verdict."""
-        state = self._states.get(_key(index))
+        state = self._states.get(index)
         return state is None or state.verdict is Verdict.PENDING
 
     # ------------------------------------------------------------------
     def record(self, index: IndexDef, observation: Observation) -> VerificationState:
         """Fold one observation in and refresh the index's verdict."""
-        state = self._states.setdefault(
-            _key(index), VerificationState(index=index)
-        )
+        state = self._states.setdefault(index, VerificationState(index=index))
         state.samples += 1
         state.predicted_gain += (
             observation.predicted_without - observation.predicted_with
@@ -269,7 +262,7 @@ class IndexVerifier:
 
     def reset(self, index: IndexDef) -> None:
         """Forget an index's evidence (it left the materialized set)."""
-        self._states.pop(_key(index), None)
+        self._states.pop(index, None)
 
     # ------------------------------------------------------------------
     def to_snapshot(self) -> List[Dict]:
@@ -292,11 +285,7 @@ class IndexVerifier:
     def restore(self, entries: List[Dict], catalog: Catalog) -> None:
         """Rebuild tracked states against an equivalent catalog."""
         for raw in entries:
-            columns = list(raw["columns"])
-            if len(columns) == 1:
-                index = catalog.index_for(raw["table"], columns[0])
-            else:
-                index = catalog.composite_index_for(raw["table"], columns)
+            index = catalog.composite_index_for(raw["table"], raw["columns"])
             state = VerificationState(
                 index=index,
                 samples=int(raw["samples"]),
@@ -307,4 +296,4 @@ class IndexVerifier:
                 verdict=Verdict(raw["verdict"]),
                 ratio=None if raw.get("ratio") is None else float(raw["ratio"]),
             )
-            self._states[_key(index)] = state
+            self._states[index] = state

@@ -48,6 +48,7 @@ from repro.guardrails.advice import AdviceBook
 
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
+    from repro.engine.index import IndexDef
     from repro.engine.storage import PhysicalStore
     from repro.guardrails.verify import CostObserver
 
@@ -82,17 +83,17 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
         # keeps its "measured" count when a drop forgets both windows.
         "histories": {
             "low": {
-                _key_text(*rec.key): rec.low.values()
+                _key_text(rec.index): rec.low.values()
                 for rec in records
                 if rec.low is not None
             },
             "high": {
-                _key_text(*rec.key): rec.high.values()
+                _key_text(rec.index): rec.high.values()
                 for rec in records
                 if rec.high is not None
             },
             "measured": {
-                _key_text(*rec.key): rec.measured
+                _key_text(rec.index): rec.measured
                 for rec in records
                 if rec.measured is not None
             },
@@ -356,8 +357,8 @@ def load_or_quarantine(path: Union[str, pathlib.Path]) -> Optional[Dict]:
 
 
 # ----------------------------------------------------------------------
-def _key_text(table: str, columns) -> str:
-    return f"{table}:{','.join(columns)}"
+def _key_text(index: IndexDef) -> str:
+    return f"{index.table}:{','.join(index.columns)}"
 
 
 def _resolve(catalog: Catalog, table: str, columns):
@@ -370,8 +371,6 @@ def _resolve(catalog: Catalog, table: str, columns):
             raise SnapshotError(
                 f"snapshot references unknown column {table}.{column}"
             )
-    if len(columns) == 1:
-        return catalog.index_for(table, columns[0])
     return catalog.composite_index_for(table, columns)
 
 
@@ -441,4 +440,4 @@ def _restore_candidates(tuner, entries, config) -> None:
         stats = CandidateStats(index, config.history_epochs, config.smoothing)
         window = entry["window"][-config.history_epochs :]
         stats.load(map(float, window), float(entry["smoothed"]))
-        tracker._stats[(index.table, index.columns)] = stats  # noqa: SLF001
+        tracker._stats[index] = stats  # noqa: SLF001

@@ -93,18 +93,17 @@ class TestRoundtrip:
         assert restored.epochs_closed == tuner.epochs_closed + 2
 
     def test_safety_state_round_trips(self, small_catalog):
-        from repro.bandit.tuner import _key
         from repro.engine.datatypes import DataType
         from repro.engine.index import IndexDef
 
         tuner = _trained_bandit(small_catalog)
         ix = IndexDef("events", "user_id", DataType.INT)
-        tuner.safety.bans[_key(ix)] = (ix, 3)
+        tuner.safety.bans[ix] = 3
         tuner.safety.watch = ([ix], 42.0)
         snap = snapshot_bandit_tuner(tuner)
         restored = restore_bandit_tuner(build_small_catalog(), snap)
-        assert _key(ix) in restored.safety.bans
-        assert restored.safety.bans[_key(ix)][1] == 3
+        assert ix in restored.safety.bans
+        assert restored.safety.bans[ix] == 3
         watched, baseline = restored.safety.watch
         assert baseline == 42.0
         assert [str(w) for w in watched] == [str(ix)]

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.bandit import BanditConfig, BanditTuner
-from repro.bandit.tuner import _key
 from repro.core.knapsack import Ruling
 from repro.core.self_organizer import ReorganizationResult
 from repro.engine.datatypes import DataType
@@ -147,8 +146,7 @@ class TestSafetyFallback:
         assert rulings == (
             Ruling(ix, "ban", "safety", reason=rulings[0].reason, until=7 + cooldown),
         )
-        _, remaining = tuner.safety.bans[_key(ix)]
-        assert remaining == cooldown
+        assert tuner.safety.bans[ix] == cooldown
         assert tuner.safety.watch is None
         assert _metric_total(tuner, "bandit_safety_fallbacks_total") == 1
 
@@ -171,11 +169,11 @@ class TestSafetyFallback:
     def test_bans_expire_after_cooldown(self, small_catalog):
         tuner = _make_tuner(small_catalog, safety_cooldown_epochs=2)
         ix = self._index()
-        tuner.safety.bans[_key(ix)] = (ix, 2)
+        tuner.safety.bans[ix] = 2
         assert [r.until for r in tuner.safety.rulings(3, 0.0, set())] == [4]
-        assert tuner.safety.bans[_key(ix)][1] == 1
+        assert tuner.safety.bans[ix] == 1
         assert tuner.safety.rulings(4, 0.0, set()) == ()
-        assert _key(ix) not in tuner.safety.bans
+        assert ix not in tuner.safety.bans
 
     def test_only_built_arms_are_watched(self, small_catalog):
         tuner = _make_tuner(small_catalog)

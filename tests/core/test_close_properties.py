@@ -355,13 +355,12 @@ def test_inline_roll_equals_the_per_candidate_calls(
     history_epochs, smoothing, epochs, reload_at
 ):
     index = CATALOG.index_for("lineitem_1", "l_shipdate")
-    key = (index.table, index.columns)
     tracker = CandidateTracker(CATALOG, history_epochs, smoothing)
     tracker.seed([index])
     twin = CandidateStats(index, history_epochs, smoothing)
     window = deque(maxlen=history_epochs)
     for epoch, gains in enumerate(epochs):
-        if key not in tracker._stats:  # evicted: a later sighting starts over
+        if index not in tracker._stats:  # evicted: a later sighting starts over
             tracker.seed([index])
             twin = CandidateStats(index, history_epochs, smoothing)
             window.clear()
@@ -372,7 +371,7 @@ def test_inline_roll_equals_the_per_candidate_calls(
                 if holder is None:
                     twin = reloaded
                 else:
-                    holder[key] = reloaded
+                    holder[index] = reloaded
         for gain in gains:
             tracker.stats_for(index).add_gain(gain)
             twin.add_gain(gain)
@@ -382,7 +381,7 @@ def test_inline_roll_equals_the_per_candidate_calls(
         window.append(twin._window[-1])
         assert _state(stats) == _state(twin)
         assert _stale_oracle(twin) == _stale_by_scan(window)
-        assert (key not in tracker._stats) == _stale_oracle(twin)
+        assert (index not in tracker._stats) == _stale_oracle(twin)
 
 
 @given(
@@ -421,8 +420,8 @@ def _report_oracle(profiler, hot, materialized):
     report = {}
     for index in sorted({*hot, *materialized}, key=lambda ix: ix.name):
         key = (index.table, index.columns)
-        measured = profiler._epoch_measured.get(key, {})
-        exposure = profiler._epoch_exposure.get(key, {})
+        measured = profiler._epoch_measured.get(index, {})
+        exposure = profiler._epoch_exposure.get(index, {})
         low_total = 0.0
         high_total = 0.0
         n_measured = 0
@@ -431,7 +430,7 @@ def _report_oracle(profiler, hot, materialized):
             samples = measured.get(cid, ())
             n = len(samples)
             n_measured += n
-            pair = profiler._valid_pair(key, cid)
+            pair = profiler._valid_pair(index, cid)
             if pair is not None and pair.gain.count > 0:
                 low_bound, high_bound = pair.gain.interval()
             else:
@@ -493,7 +492,9 @@ def _watch(tuner, shadow):
         report = _report_oracle(profiler, organizer.hot, organizer.materialized)
         digest(tracked)
         # Same indexes, same (name) order, same floats.
-        assert [(rec.key, rec.epoch) for rec in tracked] == list(report.items())
+        assert [
+            ((rec.index.table, rec.index.columns), rec.epoch) for rec in tracked
+        ] == list(report.items())
         shadow.record(report)
 
     def decide(tracked, *args, **kwargs):

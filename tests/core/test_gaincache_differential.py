@@ -41,7 +41,7 @@ def _capture_epoch_reports(tuner, sink):
 
     def wrapper(tracked):
         original(tracked)
-        sink.append(dict(sorted((rec.key, rec.epoch) for rec in tracked)))
+        sink.append({rec.index: rec.epoch for rec in tracked})
 
     tuner.profiler.end_epoch = wrapper
 

@@ -25,7 +25,7 @@ def _end_epoch(profiler, catalog, hot, materialized):
     """Close the epoch over fresh records; ``{key: (low, high, measured)}``."""
     tracked = [IndexRecord(ix, catalog) for ix in (*hot, *materialized)]
     profiler.end_epoch(tracked)
-    return {rec.key: rec.epoch for rec in tracked}
+    return {(rec.index.table, rec.index.columns): rec.epoch for rec in tracked}
 
 
 class TestProfileQuery:

@@ -75,6 +75,21 @@ class TestController:
         tuner.observe_epoch(materialized=[], dropped=[ix])  # now short
         assert tuner.short_tenure_drops == 1
 
+    def test_lead_column_index_keeps_its_own_tenure(self, small_catalog):
+        # A composite and the single-column index on its lead column are
+        # two indexes: building the second must not restart the first's
+        # tenure clock.
+        tuner = ForecastWindowTuner(base_window=12)
+        composite = small_catalog.composite_index_for("events", ["user_id", "day"])
+        lead = small_catalog.index_for("events", "user_id")
+        tuner.observe_epoch(materialized=[composite], dropped=[])  # epoch 0
+        for _ in range(9):
+            tuner.observe_epoch(materialized=[], dropped=[])
+        tuner.observe_epoch(materialized=[lead], dropped=[])  # epoch 10
+        tuner.observe_epoch(materialized=[], dropped=[composite])  # epoch 11
+        assert tuner.short_tenure_drops == 0  # the composite lived 11 epochs
+        assert tuner.window == 12
+
 
 class TestIntegration:
     def test_colt_respects_flag(self, small_catalog):

@@ -1,5 +1,7 @@
 """Unit tests for index descriptors."""
 
+import pytest
+
 from repro.engine.cost_params import CostParams
 from repro.engine.datatypes import DataType
 from repro.engine.index import IndexDef
@@ -48,3 +50,109 @@ class TestSizing:
         assert ix.materialization_cost(200_000, 2000.0, params) > (
             ix.materialization_cost(100_000, 1000.0, params)
         )
+
+
+class TestIdentityAcrossCatalogs:
+    """Every per-index map is keyed by the ``IndexDef`` itself.
+
+    Fleet replicas, worker processes and snapshot restores hand a tuner
+    descriptors built by another catalog (or rebuilt by ``pickle``); each
+    must find the entries a first catalog's descriptor made.
+    """
+
+    @staticmethod
+    def _pair(kind, columns):
+        import pickle
+
+        from repro.workload import build_catalog
+
+        catalog = build_catalog()
+        index = catalog.composite_index_for("lineitem_1", columns)
+        if kind == "other catalog":
+            probe = build_catalog().composite_index_for("lineitem_1", columns)
+        else:
+            probe = pickle.loads(pickle.dumps(index))
+        assert probe is not index and probe == index
+        return catalog, index, probe
+
+    KINDS = pytest.mark.parametrize("kind", ["other catalog", "pickled"])
+    COLUMNS = pytest.mark.parametrize(
+        "columns", [["l_shipdate"], ["l_shipdate", "l_quantity"]], ids=["single", "composite"]
+    )
+
+    @KINDS
+    @COLUMNS
+    def test_guardrail_maps(self, kind, columns):
+        from repro.guardrails.quarantine import Quarantine
+        from repro.guardrails.rollout import RolloutController
+        from repro.guardrails.verify import IndexVerifier, Observation
+
+        catalog, index, probe = self._pair(kind, columns)
+        quarantine = Quarantine()
+        entry = quarantine.admit(index, 0.1)
+        assert probe in quarantine
+        assert quarantine.entry_for(probe) is entry
+        assert quarantine.tick_epoch([probe]) == []
+
+        verifier = IndexVerifier()
+        state = verifier.record(index, Observation(10.0, 100.0, 10.0, 100.0))
+        assert verifier.state_for(probe) is state
+        verifier.reset(probe)
+        assert len(verifier) == 0
+
+        controller = RolloutController.from_snapshot(
+            {
+                "epoch": 1,
+                "rollback_cooldown": 4,
+                "baseline": [],
+                "records": [
+                    {
+                        "table": index.table,
+                        "columns": list(index.columns),
+                        "stage": "canary",
+                        "canary_id": 0,
+                        "started_epoch": 1,
+                    }
+                ],
+            },
+            catalog,
+        )
+        assert controller.record_for(probe).index == index
+
+    @KINDS
+    @COLUMNS
+    def test_tuner_maps(self, kind, columns):
+        from types import SimpleNamespace
+
+        from repro.bandit.tuner import SafetyWatch
+        from repro.core.candidates import CandidateTracker
+        from repro.core.config import ColtConfig
+        from repro.core.self_organizer import SelfOrganizer
+
+        catalog, index, probe = self._pair(kind, columns)
+        tracker = CandidateTracker(catalog, 4, 0.5)
+        tracker.seed([index])
+        assert tracker.stats_for(probe).index is index
+        assert tracker.seed([probe]) == 0
+        assert tracker.ranked(exclude=[probe]) == []
+
+        organizer = SelfOrganizer(catalog, ColtConfig())
+        assert organizer.record(probe) is organizer.record(index)
+
+        watch = SafetyWatch(1.5, 3, SimpleNamespace(inc=lambda: None))
+        watch.watch = ([index], 10.0)
+        (ruling,) = watch.rulings(0, 100.0, {probe})
+        assert ruling.index == index and watch.bans[probe] == 3
+
+        catalog.materialize_index(index)
+        assert catalog.is_materialized(probe)
+        catalog.drop_index(probe)
+        assert not catalog.is_materialized(index)
+        assert catalog.materialized_indexes() == []
+
+    def test_one_column_composite_is_the_interned_single(self):
+        from repro.workload import build_catalog
+
+        catalog = build_catalog()
+        single = catalog.index_for("lineitem_1", "l_shipdate")
+        assert catalog.composite_index_for("lineitem_1", ["l_shipdate"]) is single

@@ -111,6 +111,19 @@ class TestExitCodes:
     def test_lex_error_exit_code(self, capsys):
         assert main(["explain", "select ~ from lineitem_1"]) == EXIT_PARSE
 
+    def test_usage_error_exit_code(self, capsys):
+        # argparse exits 2 on a usage error; the CLI reserves 2 for SQL
+        # parse errors, so a usage error is the generic 1.
+        assert main(["fleet-run", "--policy", "cost"]) == EXIT_ERROR
+        assert main(["run", "--no-such-option"]) == EXIT_ERROR
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["explain", "selectt nope"]) == EXIT_PARSE
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
     @pytest.mark.parametrize(
         "literal", ["\u00b2", "\u0663", "1\u0663", "-5 limit -5"],
         ids=["superscript-two", "arabic-three", "mixed-digits", "negative-limit"],

@@ -80,7 +80,7 @@ class TestRoundtrip:
         snapshot = snapshot_tuner(tuner)
         restored = restore_tuner(copy.deepcopy(small_catalog), snapshot)
         def windows(organizer, view):
-            held = ((rec.key, getattr(rec, view)) for rec in organizer.records())
+            held = ((rec.index, getattr(rec, view)) for rec in organizer.records())
             return {key: h.values() for key, h in held if h is not None}
 
         assert windows(tuner.self_organizer, "low")
