@@ -17,9 +17,8 @@ bandits drives an identical loop through PostgreSQL + HypoPG.
   hypothetical-index lifecycle, folded into ``current_config()``.
 * ``stats_token(table)`` / ``refresh_stats(table)`` -- statistics
   freshness, the validity token a retained plan cache checks.
-* :class:`BackendCapabilities` -- feature flags callers consult before
-  leaning on optional behavior (reverse what-if, plan-cache reuse,
-  plans in results).
+* :class:`BackendCapabilities` -- the backend's name and whether it
+  supports reverse what-if, which callers consult before leaning on it.
 
 Implementations: :class:`~repro.backend.local.LocalBackend` (the
 in-python engine, default and bit-identical to the pre-protocol code
@@ -87,7 +86,7 @@ class TraceMissError(BackendError):
 
 @dataclasses.dataclass(frozen=True)
 class BackendCapabilities:
-    """Feature flags a backend advertises to the tuning stack.
+    """What a backend advertises to the tuning stack: its name and one flag.
 
     Attributes:
         name: Short backend identifier (``local``, ``trace``,
@@ -97,23 +96,10 @@ class BackendCapabilities:
             for ``I ∈ M``).  HypoPG cannot hide a real index, so its
             adapter reports ``False`` and reverse probes degrade to
             :class:`~repro.resilience.errors.WhatIfProbeError`.
-        plan_cache_reuse: Whether consecutive what-if calls for one
-            query reuse sub-plans through the session's
-            :class:`~repro.optimizer.optimizer.PlanCache` (the paper's
-            "reuse intermediate solutions" engineering).  Informational:
-            callers may skip cache bookkeeping when ``False``.
-        hypothetical_indexes: Whether ``simulate_index`` is supported.
-        produces_plans: Whether ``optimize`` results carry a physical
-            plan whose ``indexes_used()`` is meaningful, or only a cost
-            (trace replay returns stub plans reconstructed from the
-            recording).
     """
 
     name: str
     reverse_whatif: bool = True
-    plan_cache_reuse: bool = True
-    hypothetical_indexes: bool = True
-    produces_plans: bool = True
 
 
 @dataclasses.dataclass
@@ -189,9 +175,9 @@ class Backend:
             cache: Explicit plan cache (``session`` takes precedence).
 
         Returns:
-            An :class:`OptimizationResult`.  When
-            ``capabilities.produces_plans`` is false the plan is a stub
-            that still answers ``indexes_used()``.
+            An :class:`OptimizationResult`.  A backend without a physical
+            plan (trace replay, HypoPG) returns a stub that still
+            answers ``indexes_used()``.
         """
         raise NotImplementedError
 

@@ -18,8 +18,8 @@ Capability notes: HypoPG cannot *hide* a really-materialized index, so
 ``reverse_whatif`` is ``False`` -- the what-if layer degrades reverse
 probes of materialized indexes to
 :class:`~repro.resilience.errors.WhatIfProbeError`, which the profiler
-absorbs.  ``EXPLAIN`` output is parsed for cost only
-(``produces_plans`` is ``False``); index usage is recovered best-effort
+absorbs.  ``EXPLAIN`` output is parsed for cost only (the plan is a
+stub); index usage is recovered best-effort
 from ``Index Name`` fields that match hypothetical indexes this adapter
 created.
 
@@ -92,13 +92,7 @@ class PostgresHypoBackend(Backend):
             connection was injected.
     """
 
-    capabilities = BackendCapabilities(
-        name="hypopg",
-        reverse_whatif=False,
-        plan_cache_reuse=False,
-        hypothetical_indexes=True,
-        produces_plans=False,
-    )
+    capabilities = BackendCapabilities(name="hypopg", reverse_whatif=False)
 
     def __init__(
         self,

@@ -9,7 +9,7 @@ indexes need no server-side state -- ``simulate_index`` just folds the
 index into :meth:`current_config`.
 
 Sessions are where it departs from the base class: a stream that hands
-the same bound ``Query`` object in again (``repro replay``, the fleet
+the same bound ``Query`` object in again (a cycled stream, the fleet
 workers' interned transfer) gets its :class:`~repro.optimizer.optimizer.
 PlanCache` back for as long as the statistics of its tables hold -- and
 its structural half across row moves -- see :meth:`LocalBackend.begin_query`.
@@ -76,13 +76,7 @@ class LocalBackend(Backend):
             (query, config) pair is recorded for later replay.
     """
 
-    capabilities = BackendCapabilities(
-        name="local",
-        reverse_whatif=True,
-        plan_cache_reuse=True,
-        hypothetical_indexes=True,
-        produces_plans=True,
-    )
+    capabilities = BackendCapabilities(name="local", reverse_whatif=True)
 
     def __init__(
         self,

@@ -168,13 +168,7 @@ class TraceBackend(Backend):
         trace: The recorded :class:`CostTrace`.
     """
 
-    capabilities = BackendCapabilities(
-        name="trace",
-        reverse_whatif=True,
-        plan_cache_reuse=False,
-        hypothetical_indexes=True,
-        produces_plans=False,
-    )
+    capabilities = BackendCapabilities(name="trace", reverse_whatif=True)
 
     def __init__(self, catalog: Catalog, trace: CostTrace) -> None:
         self._catalog = catalog

@@ -3,10 +3,8 @@
 ``harness`` runs COLT and OFFLINE over a workload on separate catalogs
 and collects per-query ledgers (per-epoch series are read off the
 tuner's epoch log, as ``tracing``'s traces are); ``figures`` turns those
-ledgers into the exact series each figure of the paper plots; ``replay`` is the
-throughput driver (wall-clock QPS and latency percentiles over 1M+
-event streams, serial vs multiprocess fleet); ``scenario`` is the
-store-backed scoreboard (observed execution cost of a tuner, or of no
+ledgers into the exact series each figure of the paper plots; ``scenario`` is
+the store-backed scoreboard (observed execution cost of a tuner, or of no
 tuning, over an adversarial scenario).
 """
 
@@ -22,14 +20,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "figure5_overhead",
             "figure6_noise",
             "table1_dataset",
-        ),
-        "replay": (
-            "ReplayEvent",
-            "ReplayReport",
-            "ReplayStream",
-            "build_replay_tuner",
-            "replay_fleet",
-            "replay_serial",
         ),
     },
 )

@@ -335,56 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_flag(pf, f"epoch-loop engines only ({', '.join(ENGINES)})")
 
-    pp = sub.add_parser(
-        "replay",
-        help="throughput benchmark: replay a timed query stream and report "
-        "wall-clock QPS plus latency percentiles (docs/PERFORMANCE.md)",
-    )
-    pp.add_argument(
-        "--events",
-        type=int,
-        default=1_000_000,
-        help="stream length (the base workload is cycled out to this many "
-        "timestamped arrivals)",
-    )
-    pp.add_argument(
-        "--mode",
-        choices=("serial", "workers", "all"),
-        default="all",
-        help="which serving paths to measure",
-    )
-    pp.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker process count (= fleet size) for the workers mode",
-    )
-    pp.add_argument("--seed", type=int, default=0, help="workload RNG seed")
-    pp.add_argument(
-        "--budget",
-        type=float,
-        default=DEFAULT_BUDGET_PAGES,
-        help="storage budget in pages (per replica in workers mode)",
-    )
-    pp.add_argument(
-        "--phase-length", type=int, default=100, help="queries per client phase"
-    )
-    pp.add_argument(
-        "--transition", type=int, default=20, help="phase transition length"
-    )
-    pp.add_argument(
-        "--fleet-epoch",
-        type=int,
-        default=200,
-        help="queries between fleet reorganizations (workers mode)",
-    )
-    pp.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=2000.0,
-        help="mean arrivals/second stamped on the generated stream",
-    )
-
     pg = sub.add_parser(
         "fleet-status",
         help="inspect a fleet snapshot directory written by fleet-run",
@@ -482,8 +432,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _run_metrics(args)
         elif args.command == "fleet-run":
             _run_fleet(args)
-        elif args.command == "replay":
-            _run_replay(args)
         elif args.command == "fleet-status":
             _run_fleet_status(args)
         elif args.command == "audit":
@@ -880,75 +828,6 @@ def _print_fleet_report(args, fleet, run, merged) -> None:
 
         fmt = write_metrics(args.metrics_out, fleet.metrics_snapshot())
         print(f"\nmetrics snapshot written: {args.metrics_out} ({fmt})")
-
-
-def _run_replay(args) -> None:
-    from repro.bench.replay import (
-        ReplayStream,
-        build_replay_tuner,
-        replay_fleet,
-        replay_serial,
-    )
-    from repro.core.config import ColtConfig
-    from repro.fleet import FleetCoordinator
-    from repro.workload import build_catalog
-
-    if args.events < 1:
-        raise ValueError("--events must be positive")
-    if args.workers < 1:
-        raise ValueError("--workers must be positive")
-    modes = ("serial", "workers") if args.mode == "all" else (args.mode,)
-    config = ColtConfig(storage_budget_pages=args.budget)
-    # Same multi-client shifting base workload fleet-run uses, cycled
-    # out to --events timestamped arrivals.
-    merged = _client_workload(
-        args.workers, args.phase_length, args.transition, seed=args.seed
-    )
-    stream = ReplayStream.from_workload(
-        merged,
-        events=args.events,
-        seed=args.seed,
-        arrival_rate=args.arrival_rate,
-    )
-    print(
-        f"replaying {args.events:,} events "
-        f"(base workload: {len(merged.queries)} queries, "
-        f"arrival rate {args.arrival_rate:,.0f}/s)\n"
-    )
-
-    reports = []
-    for mode in modes:
-        if mode == "serial":
-            tuner = build_replay_tuner(build_catalog(), config)
-            report = replay_serial(tuner, stream)
-        else:
-            fleet = FleetCoordinator(
-                build_catalog,
-                config=config,
-                policy="client",
-                fleet_epoch_length=args.fleet_epoch,
-                workers=args.workers,
-            )
-            try:
-                report = replay_fleet(fleet, stream, on_error="skip")
-            finally:
-                fleet.close()
-        reports.append(report)
-        lat = report.latency
-        pct = " ".join(
-            f"{name}={lat[name] * 1e6:,.0f}us" if lat[name] is not None else f"{name}=n/a"
-            for name in ("p50", "p95", "p99")
-        )
-        print(f"{report.mode:>8}: {report.qps:>10,.0f} qps   {pct}")
-
-    serial = next((r for r in reports if r.mode == "serial"), None)
-    if serial is not None and serial.qps > 0:
-        for report in reports:
-            if report.mode != "serial":
-                print(
-                    f"\n{report.mode} speedup vs serial: "
-                    f"{report.qps / serial.qps:.2f}x"
-                )
 
 
 def _fleet_status_document(directory) -> dict:

@@ -113,8 +113,9 @@ class Catalog:
         self._stats_versions: Dict[str, int] = {}
         self._column_stats_versions: Dict[str, int] = {}
         self._generation: int = 0
-        # The one descriptor per (table, column) that index_for serves.
-        self._single_indexes: Dict[Tuple[str, str], IndexDef] = {}
+        # The one descriptor per (table, columns) that index_for and
+        # composite_index_for serve.
+        self._indexes: Dict[Tuple[str, Tuple[str, ...]], IndexDef] = {}
         # index -> its row-count terms, see index_costing.
         self._index_costs: Dict[IndexDef, tuple] = {}
 
@@ -296,35 +297,36 @@ class Catalog:
     # ------------------------------------------------------------------
     def index_for(self, table: str, column: str) -> IndexDef:
         """The canonical single-column :class:`IndexDef` for a column."""
-        index = self._single_indexes.get((table, column))
+        index = self._indexes.get((table, (column,)))
         if index is None:
-            dtype = self.table(table).column(column).dtype
-            index = IndexDef(table=table, column=column, dtype=dtype)
-            self._single_indexes[(table, column)] = index
+            index = self.composite_index_for(table, (column,))
         return index
 
     def composite_index_for(self, table: str, columns: Iterable[str]) -> IndexDef:
-        """The canonical :class:`IndexDef` over ordered columns; over one
-        column it is :meth:`index_for`'s descriptor.
+        """The canonical :class:`IndexDef` over ordered columns: every call
+        with the same columns returns the same object, and over one column
+        it is :meth:`index_for`'s descriptor.
 
         Raises:
             ValueError: for fewer than one column or duplicates.
         """
-        names = list(columns)
-        if len(names) == 1:
-            return self.index_for(table, names[0])
-        if not names:
-            raise ValueError("an index needs at least one column")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate columns in composite index: {names}")
-        tdef = self.table(table)
-        dtypes = [tdef.column(name).dtype for name in names]
-        return IndexDef(
-            table=table,
-            column=names[0],
-            dtype=dtypes[0],
-            extra_columns=tuple(zip(names[1:], dtypes[1:])),
-        )
+        names = tuple(columns)
+        index = self._indexes.get((table, names))
+        if index is None:
+            if not names:
+                raise ValueError("an index needs at least one column")
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate columns in composite index: {list(names)}")
+            tdef = self.table(table)
+            dtypes = [tdef.column(name).dtype for name in names]
+            index = IndexDef(
+                table=table,
+                column=names[0],
+                dtype=dtypes[0],
+                extra_columns=tuple(zip(names[1:], dtypes[1:])),
+            )
+            self._indexes[(table, names)] = index
+        return index
 
     def materialize_index(self, index: IndexDef) -> None:
         """Mark an index as materialized (usable by the optimizer)."""

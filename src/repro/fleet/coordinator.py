@@ -369,7 +369,7 @@ class FleetCoordinator:
             routed.labels(replica=r.replica_id).inc for r in self.replicas
         ]
         # The engine-specific families (COLT's and the bandit's) and the
-        # throughput serving path's are registered fleet-level too: a
+        # workers' latency family are registered fleet-level too: a
         # fleet may mix engines, run single-process or with workers, but
         # the export contract (every CATALOG family present) stays
         # configuration-agnostic either way.
@@ -454,23 +454,23 @@ class FleetCoordinator:
             The fleet ledger record; when this arrival closes a fleet
             epoch it carries the boundary's reorganization report.
         """
-        route = self.router.route(query, client_id)
-        replica = self.replicas[route.replica_id]
+        replica_id = self.router.route(query, client_id)
+        replica = self.replicas[replica_id]
         outcome = replica.process(query, on_error=on_error)
         # Drained replicas see no queries; advance their breaker clocks
         # so cooldown (measured in arrivals, as everywhere) elapses.
         for drained_id in self.router.drained:
-            if drained_id != route.replica_id:
+            if drained_id != replica_id:
                 self.replicas[drained_id].idle_tick()
 
         self.queries_routed += 1
-        self._count_routed[route.replica_id]()
+        self._count_routed[replica_id]()
         reorg: Optional[FleetReorganizationResult] = None
         if self.queries_routed % self.fleet_epoch_length == 0:
             reorg = self.reorganize()
         return FleetOutcome(
             index=self.queries_routed - 1,
-            replica_id=route.replica_id,
+            replica_id=replica_id,
             outcome=outcome,
             reorganization=reorg,
         )

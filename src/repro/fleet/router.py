@@ -14,7 +14,6 @@ Three policies, all honouring the coordinator's drain set:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.clustering import cluster_key
@@ -22,16 +21,6 @@ from repro.core.clustering import cluster_key
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
     from repro.sql.ast import Query
-
-@dataclasses.dataclass
-class Route:
-    """One routing decision.
-
-    Attributes:
-        replica_id: The chosen replica.
-    """
-
-    replica_id: int
 
 
 class Router:
@@ -72,8 +61,8 @@ class Router:
     def roll_epoch(self) -> None:
         """Hook called at each fleet epoch boundary (default: no-op)."""
 
-    def route(self, query: Query, client_id: Optional[int] = None) -> Route:
-        """Choose a replica for one arriving query."""
+    def route(self, query: Query, client_id: Optional[int] = None) -> int:
+        """Choose a replica for one arriving query; returns its id."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -81,9 +70,9 @@ class Router:
         active = self.active()
         return min(active, key=lambda i: (self.load[i], i))
 
-    def _commit(self, replica_id: int) -> Route:
+    def _commit(self, replica_id: int) -> int:
         self.load[replica_id] += 1
-        return Route(replica_id=replica_id)
+        return replica_id
 
 
 class RoundRobinRouter(Router):
@@ -95,7 +84,7 @@ class RoundRobinRouter(Router):
         super().__init__(n_replicas)
         self._cursor = 0
 
-    def route(self, query: Query, client_id: Optional[int] = None) -> Route:
+    def route(self, query: Query, client_id: Optional[int] = None) -> int:
         """Next active replica in rotation."""
         active = self.active()
         choice = active[self._cursor % len(active)]
@@ -143,7 +132,7 @@ class AffinityRouter(Router):
             return ("client", client_id)
         return cluster_key(query, self._catalog)
 
-    def route(self, query: Query, client_id: Optional[int] = None) -> Route:
+    def route(self, query: Query, client_id: Optional[int] = None) -> int:
         """Sticky choice: existing assignment, else least-loaded replica."""
         key = self.affinity_key(query, client_id)
         choice = self.assignments.get(key)

@@ -162,12 +162,12 @@ def _worker_main(
         backend_factory=backend_factory,
     )
     # Latency observations stay on regardless of the replica metrics
-    # switch: the replay driver needs worker-side percentiles even when
+    # switch: latency_summary() serves worker-side percentiles even when
     # the fleet runs with instrumentation off for throughput.
     latency = REPLAY_METRICS["replay_query_latency_seconds"].build(
         MetricsRegistry()
     )
-    # Replayed streams cycle a bounded set of distinct queries; the
+    # Long streams cycle a bounded set of distinct queries; the
     # parent ships each one exactly once and then references it by key,
     # so steady-state batch messages carry small integers, not ASTs
     # (see _decode); in a batch, None is an idle tick while drained.
@@ -430,8 +430,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
             replica's process before it serves query ``n + 1``.
     """
 
-    is_multiprocess = True
-
     def __init__(
         self,
         catalog_factory: CatalogFactory,
@@ -578,8 +576,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
         for offset, (query, client_id) in enumerate(
             zip(queries, client_ids or itertools.repeat(None))
         ):
-            chosen = route(query, client_id)
-            replica_id = chosen.replica_id
+            replica_id = route(query, client_id)
             events[replica_id].append(encode[replica_id](query))
             slots[replica_id].append(offset)
             for drained_id in ticked:

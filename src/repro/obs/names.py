@@ -136,15 +136,9 @@ BACKEND_METRICS = _catalog(
     ),
 )
 
-#: Families emitted by the throughput serving path: the replay driver
-#: (:mod:`repro.bench.replay`) and the multiprocess fleet
+#: Families emitted by the multiprocess fleet's workers
 #: (:mod:`repro.fleet.workers`).
 REPLAY_METRICS = _catalog(
-    MetricSpec(
-        "replay_queries_total",
-        "counter",
-        "Queries replayed through the throughput driver.",
-    ),
     MetricSpec(
         "replay_query_latency_seconds",
         "histogram",

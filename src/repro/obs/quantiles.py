@@ -1,11 +1,12 @@
 """Quantile estimation and merging over the registry's histograms.
 
-The replay driver (``repro.bench.replay``) reports p50/p95/p99 latency
-from the same cumulative-bucket histograms the rest of the system
-exports -- no second data structure, no raw-sample retention.  The
-estimator is the standard Prometheus ``histogram_quantile`` algorithm:
-find the lowest bucket whose cumulative count reaches the target rank,
-then interpolate linearly inside it.  The error is therefore bounded by
+The multiprocess fleet (``WorkerFleetCoordinator.latency_summary``)
+reports p50/p95/p99 latency from the same cumulative-bucket histograms
+the rest of the system exports -- no second data structure, no
+raw-sample retention.  The estimator is the standard Prometheus
+``histogram_quantile`` algorithm: find the lowest bucket whose
+cumulative count reaches the target rank, then interpolate linearly
+inside it.  The error is therefore bounded by
 one bucket width, which is what the exact-reference test in
 ``tests/obs/test_quantiles.py`` pins against a brute-force sorted list.
 

@@ -51,7 +51,7 @@ SECONDS_BUCKETS = (
     1.0,
 )
 
-#: Fine-grained buckets for per-query replay latencies, in seconds.
+#: Fine-grained buckets for per-query serving latencies, in seconds.
 #: The serving hot path prices a query in well under a millisecond, so
 #: the ``SECONDS_BUCKETS`` floor (0.5 ms) would collapse every
 #: observation into one bucket and p50/p95/p99 would be meaningless;

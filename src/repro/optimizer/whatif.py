@@ -21,11 +21,11 @@ orientation that makes gains positive for useful indexes.
 Every probe is answered by a pluggable :class:`~repro.backend.base.
 Backend` -- the in-python engine by default
 (:class:`~repro.backend.local.LocalBackend`), a recorded-trace replayer,
-or a HypoPG adapter.  Each probed index costs one what-if call; on
-backends with ``plan_cache_reuse`` the per-query
-:class:`~repro.optimizer.optimizer.PlanCache` makes the incremental cost
-of each call small by reusing sub-plans from the initial optimization --
-the same engineering the paper's PostgreSQL prototype does.
+or a HypoPG adapter.  Each probed index costs one what-if call; on the
+local backend the per-query :class:`~repro.optimizer.optimizer.PlanCache`
+makes the incremental cost of each call small by reusing sub-plans from
+the initial optimization -- the same engineering the paper's PostgreSQL
+prototype does.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from repro.backend.trace import (
 )
 from repro.bench.tracing import trace_run
 from repro.core.config import ColtConfig
+from repro.optimizer.whatif import WhatIfOptimizer
 
 from tests.fleet.workloads import (
     build_small_catalog,
@@ -85,15 +86,25 @@ class TestCapabilities:
     def test_name_matches_kind(self, kind):
         b = make_backend(kind, build_small_catalog())
         assert b.capabilities.name == kind
-        assert b.capabilities.hypothetical_indexes
 
-    def test_local_supports_plan_cache_reuse_trace_does_not(self):
-        local = make_backend("local", build_small_catalog())
-        trace = make_backend("trace", build_small_catalog())
-        assert local.capabilities.plan_cache_reuse
-        assert not trace.capabilities.plan_cache_reuse
-        assert local.capabilities.produces_plans
-        assert not trace.capabilities.produces_plans
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_reverse_whatif_prices_without_a_materialized_index(self, kind):
+        # The flag the what-if layer reads: a conformant backend prices
+        # a query as if a built index were absent, and a reverse probe
+        # yields a gain instead of a probe error.
+        catalog = build_small_catalog()
+        b = make_backend(kind, catalog)
+        assert b.capabilities.reverse_whatif
+        query = eq_query(7)
+        bare = b.get_cost(query, config=frozenset())
+        user = catalog.index_for("events", "user_id")
+        catalog.materialize_index(user)
+        assert b.get_cost(query, config=frozenset()) == bare
+        with_user = b.get_cost(query, config=frozenset({user}))
+        assert with_user < bare
+        whatif = WhatIfOptimizer(backend=b)
+        session = whatif.begin_query(query)
+        assert whatif.what_if_optimize(session, [user]) == {user: bare - with_user}
 
 
 class TestCostMonotonicity:

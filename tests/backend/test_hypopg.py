@@ -116,8 +116,6 @@ class TestConstruction:
         caps = backend.capabilities
         assert caps.name == "hypopg"
         assert not caps.reverse_whatif
-        assert not caps.produces_plans
-        assert caps.hypothetical_indexes
 
     def test_catalog_mirror_is_optional_but_guarded(self, conn):
         backend = PostgresHypoBackend(connection=conn)

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,14 @@ _tables = st.sampled_from(_TABLES)
 
 
 def _row_delta(catalog, live, arms, table, n):
-    catalog.apply_row_delta(table, n)
+    before = catalog.stats_token(table)
+    if before[0] + n < 0:
+        # Refused whole: neither the row count nor the version moves.
+        with pytest.raises(ValueError):
+            catalog.apply_row_delta(table, n)
+        assert catalog.stats_token(table) == before
+    else:
+        catalog.apply_row_delta(table, n)
 
 
 def _assign_row_count(catalog, live, arms, table, n):

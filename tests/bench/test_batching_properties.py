@@ -9,11 +9,14 @@ measured through it, the crude ``(index, gain)`` pairs and the cluster
 key read from it -- must equal the session the base class opens on an
 empty cache.  These properties let hypothesis hunt for a mutation
 schedule that breaks that, instead of trusting a few hand-picked cases.
+``TestEndToEndDifferential`` holds the whole tuner to it: a stream that
+cycles its objects against the same stream as deep copies.
 
 (The parity class keeps the name it had when these properties guarded
 the batched pricer, which this path replaced.)
 """
 
+import copy
 import dataclasses
 import gc
 import random
@@ -27,7 +30,10 @@ from repro.backend.local import LocalBackend
 from repro.core.candidates import CandidateTracker
 from repro.core.colt import ColtTuner
 from repro.core.clustering import cluster_key
+from repro.core.config import ColtConfig
 from repro.engine.catalog import Catalog, TableDef
+from repro.engines import ENGINES
+from repro.fleet import FleetCoordinator
 from repro.optimizer.access import table_scan
 from repro.optimizer.optimizer import PlanCache
 from repro.optimizer.plan import IndexScanNode
@@ -36,6 +42,7 @@ from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 from repro.workload.datagen import build_catalog
 from repro.workload.experiments import stable_distribution
+from tests.fleet.workloads import build_small_catalog, day_query, eq_query, score_query
 from tests.optimizer import oracle
 
 DIST = stable_distribution()
@@ -51,7 +58,7 @@ def sample_queries(seed, n):
 def stream_with_repeats(draw):
     seed = draw(st.integers(0, 10_000))
     n = draw(st.integers(1, 24))
-    # Repeat some queries (replay streams cycle), preserving identity.
+    # Repeat some queries (long streams cycle), preserving identity.
     repeats = draw(st.lists(st.integers(0, n - 1), max_size=16))
     return seed, n, repeats
 
@@ -252,6 +259,93 @@ class TestBatchedPricerParity:
         for query in queries:
             Backend.begin_query(backend, query)
         assert backend.optimizer.optimize_count == planned + len(queries)
+
+
+def _cycling_and_fresh_streams():
+    """300 arrivals cycling over 30 query objects, and the same stream as
+    300 distinct deep copies."""
+    makers = [eq_query, day_query, score_query]
+    base = [makers[i % 3](8000 + i if i % 3 == 1 else i + 1) for i in range(30)]
+    cycling = [base[i % len(base)] for i in range(300)]
+    fresh = [copy.deepcopy(q) for q in cycling]
+    assert len({id(q) for q in fresh}) == 300
+    return cycling, fresh
+
+
+def _ledger_row(o):
+    """Every decision-relevant field of one ``QueryOutcome``."""
+    return (
+        o.execution_cost,
+        o.whatif_calls,
+        o.whatif_overhead,
+        o.build_cost,
+        o.total_cost,
+        o.epoch_ended,
+        o.failed,
+        o.plan,
+        o.reorganization
+        and (
+            sorted(map(str, o.reorganization.materialize)),
+            sorted(map(str, o.reorganization.drop)),
+            o.reorganization.whatif_budget,
+        ),
+    )
+
+
+def _differential_config():
+    return ColtConfig(storage_budget_pages=6000.0, min_history_epochs=2)
+
+
+class TestEndToEndDifferential:
+    # A cycling stream hands the backend the same objects again, so
+    # sessions open on retained plan caches; the same stream as
+    # never-repeating deep copies opens every session from scratch.
+    # No knob selects between the two, so this is the differential:
+    # the ledgers must be identical, row by row.
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_repeating_stream_matches_fresh_copies_exactly(self, engine):
+        cycling, fresh = _cycling_and_fresh_streams()
+
+        def ledger(stream):
+            tuner = ENGINES[engine].build(build_small_catalog(), _differential_config())
+            return [_ledger_row(tuner.process_query(q)) for q in stream]
+
+        rows = ledger(cycling)
+        assert rows == ledger(fresh)
+        assert sum(row[1] for row in rows) > 0  # what-if calls
+        assert not any(row[6] for row in rows)  # failed
+
+    @pytest.mark.parametrize("policy", ["round-robin", "affinity", "client"])
+    def test_fleet_repeating_stream_matches_fresh_copies_exactly(self, policy):
+        # The same differential through a two-replica fleet: each
+        # replica's backend sees a repeat only of what was routed to it,
+        # and fleet reorganizations close epochs between the repeats.
+        cycling, fresh = _cycling_and_fresh_streams()
+        client_ids = [i % 4 for i in range(len(cycling))]
+
+        def ledger(stream):
+            fleet = FleetCoordinator(
+                build_small_catalog,
+                n_replicas=2,
+                config=_differential_config(),
+                policy=policy,
+                fleet_epoch_length=20,
+            )
+            run = fleet.run(stream, client_ids=client_ids)
+            rows = [(f.replica_id, _ledger_row(f.outcome)) for f in run.outcomes]
+            configs = [sorted(r.materialized_names) for r in fleet.replicas]
+            planned = sum(r.tuner.optimizer.optimize_count for r in fleet.replicas)
+            return (rows, len(run.reorganizations), configs), planned
+
+        (rows, reorganizations, configs), planned = ledger(cycling)
+        fresh_ledger, fresh_planned = ledger(fresh)
+        assert (rows, reorganizations, configs) == fresh_ledger
+        assert planned < fresh_planned  # the repeats did reuse retained plans
+        assert {replica for replica, _ in rows} == {0, 1}
+        assert reorganizations == 15
+        assert sum(row[1] for _, row in rows) > 0  # what-if calls
+        assert not any(row[6] for _, row in rows)  # failed
 
 
 def _fresh_index_cost(catalog, table, filters, index):

@@ -156,3 +156,16 @@ class TestIdentityAcrossCatalogs:
         catalog = build_catalog()
         single = catalog.index_for("lineitem_1", "l_shipdate")
         assert catalog.composite_index_for("lineitem_1", ["l_shipdate"]) is single
+
+    def test_a_composite_is_interned(self):
+        from repro.workload import build_catalog
+
+        catalog = build_catalog()
+        first = catalog.composite_index_for("lineitem_1", ["l_shipdate", "l_quantity"])
+        again = catalog.composite_index_for("lineitem_1", ("l_shipdate", "l_quantity"))
+        assert again is first
+        other = catalog.composite_index_for("lineitem_1", ["l_quantity", "l_shipdate"])
+        assert other is not first and other != first
+        for bad in ([], ["l_shipdate", "l_shipdate"]):
+            with pytest.raises(ValueError):
+                catalog.composite_index_for("lineitem_1", bad)

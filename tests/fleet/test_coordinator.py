@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import ColtConfig
+from repro.engines import ENGINES
 from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.replica import ReplicaHealth
 from repro.guardrails.advice import AdviceBook
@@ -17,7 +18,9 @@ from tests.fleet.workloads import (
 )
 
 
-def make_fleet(n=3, policy="affinity", fleet_epoch_length=10, breakers=None, **cfg):
+def make_fleet(
+    n=3, policy="affinity", fleet_epoch_length=10, breakers=None, engine="colt", **cfg
+):
     cfg.setdefault("storage_budget_pages", 6000.0)
     cfg.setdefault("min_history_epochs", 2)
     return FleetCoordinator(
@@ -27,6 +30,7 @@ def make_fleet(n=3, policy="affinity", fleet_epoch_length=10, breakers=None, **c
         policy=policy,
         fleet_epoch_length=fleet_epoch_length,
         breakers=breakers,
+        engine=engine,
     )
 
 
@@ -55,6 +59,28 @@ class TestValidation:
         for replica in fleet.replicas:
             assert replica.tuner.guardrails is None
             assert "ix_users_score" in replica.materialized_names
+
+
+class TestOneReplica:
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("policy", ["round-robin", "affinity", "client"])
+    def test_one_replica_fleet_matches_serial(self, policy, engine):
+        # A fleet of one is the serial tuner behind a router: the
+        # ledger anchors -- what-if calls included -- must be equal.
+        base = mixed_queries(30)
+        queries = [base[i % len(base)] for i in range(200)]
+        tuner = ENGINES[engine].build(
+            build_small_catalog(),
+            ColtConfig(storage_budget_pages=6000.0, min_history_epochs=2),
+        )
+        serial = [tuner.process_query(q) for q in queries]
+        fleet = make_fleet(n=1, policy=policy, fleet_epoch_length=20, engine=engine)
+        fleet.run(queries)
+        (replica,) = fleet.replicas
+        whatif_calls = sum(o.whatif_calls for o in serial)
+        assert whatif_calls > 0
+        assert replica.stats.whatif_calls == whatif_calls
+        assert replica.stats.total_cost == sum(o.total_cost for o in serial)
 
 
 class TestEpochs:

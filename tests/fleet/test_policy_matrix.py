@@ -201,7 +201,7 @@ class TestRouterContract:
     def test_routes_stay_inside_the_fleet_and_count_load(self, policy):
         router = make_router(policy, 3, build_small_catalog())
         assert router.name == policy
-        chosen = [router.route(q, c).replica_id for q, c in self.arrivals()]
+        chosen = [router.route(q, c) for q, c in self.arrivals()]
         assert set(chosen) <= {0, 1, 2}
         assert router.load == [chosen.count(i) for i in range(3)]
 
@@ -213,7 +213,7 @@ class TestRouterContract:
             router.route(query, client)
         router.set_drained([1])
         router.roll_epoch()
-        chosen = {router.route(q, c).replica_id for q, c in arrivals[10:]}
+        chosen = {router.route(q, c) for q, c in arrivals[10:]}
         assert chosen and 1 not in chosen
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -221,6 +221,6 @@ class TestRouterContract:
         # Degraded service beats dropping queries.
         router = make_router(policy, 2, build_small_catalog())
         router.set_drained([0, 1])
-        chosen = [router.route(q, c).replica_id for q, c in self.arrivals(12)]
+        chosen = [router.route(q, c) for q, c in self.arrivals(12)]
         assert len(chosen) == 12
         assert set(chosen) <= {0, 1}

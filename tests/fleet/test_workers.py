@@ -10,6 +10,7 @@ hard-killed mid-epoch trips its breaker and is drained at the next
 boundary instead of deadlocking the coordinator.
 """
 
+import copy
 import functools
 import json
 import os
@@ -23,6 +24,7 @@ from repro.fleet import FleetCoordinator, WorkerCrash, WorkerFleetCoordinator
 from repro.fleet.replica import ReplicaHealth
 from repro.fleet.snapshots import restore_fleet, save_fleet
 from repro.fleet.workers import WorkerHandle
+from repro.obs.names import CATALOG
 
 from tests.fleet.workloads import (
     build_small_catalog,
@@ -194,9 +196,35 @@ class TestParity:
         ]
         assert worker_run.queries_per_replica == serial_run.queries_per_replica
 
+    def test_repeating_stream_matches_fresh_copies(self):
+        # The parent ships each query object once and then its key, so
+        # a repeat reaches the worker as the object it already holds and
+        # its backend opens the session on retained plans; deep copies
+        # cross as new queries every time.  The decisions must not tell
+        # the two apart.
+        base = mixed_queries(15)
+        cycling = [base[i % len(base)] for i in range(90)]
+        fresh = [copy.deepcopy(q) for q in cycling]
+        runs = []
+        for stream in (cycling, fresh):
+            with make_worker_fleet(workers=2) as fleet:
+                run = fleet.run(stream)
+                runs.append(
+                    ([outcome_key(o) for o in run.outcomes], fleet.replica_traces())
+                )
+        assert runs[0] == runs[1]
+        assert sum(key[3] for key in runs[0][0]) > 0  # what-if calls
+
     def test_latency_summary_merges_worker_histograms(self):
+        buckets = CATALOG["replay_query_latency_seconds"].buckets
         with make_worker_fleet(workers=2) as fleet:
-            fleet.run(mixed_queries(30))
+            run = fleet.run(mixed_queries(30))
+            # Each worker ships its latency family's bucket counts, one
+            # observation per query it served.
+            for handle, served in zip(fleet.replicas, run.queries_per_replica):
+                (sample,) = handle.request(("latency",))
+                assert list(sample["buckets"]) == [repr(b) for b in buckets] + ["+Inf"]
+                assert sample["count"] == served
             summary = fleet.latency_summary()
             assert summary["count"] == 30
             assert summary["p50"] is not None
@@ -209,7 +237,7 @@ class TestParity:
             save_fleet(tmp_path, fleet)
             expected = [sorted(h.materialized_names) for h in fleet.replicas]
         restored = restore_fleet(tmp_path, build_small_catalog)
-        assert not getattr(restored, "is_multiprocess", False)
+        assert not isinstance(restored, WorkerFleetCoordinator)
         assert [
             sorted(r.materialized_names) for r in restored.replicas
         ] == expected
@@ -334,8 +362,7 @@ class TestErrorReplies:
             # The in-process fleet, fed the same arrivals: routed in
             # full, served by replica 1 only, no fleet epoch closed.
             for query in chunks[1]:
-                route = serial.router.route(query, None)
-                if route.replica_id == 1:
+                if serial.router.route(query, None) == 1:
                     serial.replicas[1].process(query)
             serial.queries_routed += 10
 
@@ -352,7 +379,6 @@ class TestValidation:
     def test_front_door_dispatches_to_worker_subclass(self):
         with make_worker_fleet(workers=2) as fleet:
             assert isinstance(fleet, WorkerFleetCoordinator)
-            assert fleet.is_multiprocess
             assert len(fleet.replicas) == 2
 
     def test_workers_must_be_positive(self):

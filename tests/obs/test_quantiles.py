@@ -1,6 +1,6 @@
 """Exact-reference tests for histogram quantiles and worker merging.
 
-The replay driver reports p50/p95/p99 from cumulative-bucket histograms
+The multiprocess fleet reports p50/p95/p99 from cumulative-bucket histograms
 (``repro.obs.quantiles``).  The estimator interpolates inside one
 bucket, so its error is bounded by that bucket's width -- these tests
 pin the estimate against a brute-force sorted-list reference on known

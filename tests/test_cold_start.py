@@ -96,7 +96,6 @@ def test_benchmark_setup_imports_load_no_optional_subsystem():
         "repro.guardrails.rollout",
         "repro.executor.*",
         "repro.bench.figures",
-        "repro.bench.replay",
         "repro.bench.harness",
         "repro.bench.tracing",
         "repro.workload.adversarial",
