@@ -28,7 +28,6 @@ from repro.guardrails.advice import AdviceBook
 from repro.obs.dashboard import OverheadDashboard
 from repro.obs.export import build_snapshot
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
 from repro.optimizer.whatif import WhatIfOptimizer
 
 if TYPE_CHECKING:
@@ -146,7 +145,6 @@ class TuningLoop:
             against ``catalog`` here and ruled at every close.
 
     Attributes:
-        tracer: Span tracer timing queries and epoch closes.
         dashboard: The epoch log: one bounded row per close (probe
             budget, costs, decisions) plus exact running totals.
 
@@ -185,7 +183,6 @@ class TuningLoop:
         self.catalog = catalog
         self.config = config or self.config_type()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = SpanTracer(enabled=self.registry.enabled)
         self.dashboard = OverheadDashboard()
         self.backend = backend if backend is not None else LocalBackend(catalog)
         if self.backend.catalog is not catalog:
@@ -300,11 +297,9 @@ class TuningLoop:
         return self.registry
 
     def metrics_snapshot(self) -> Dict:
-        """Self-describing snapshot: metric families, overhead, spans."""
+        """Self-describing snapshot: metric families and overhead."""
         return build_snapshot(
-            self.registry.snapshot(),
-            overhead=self.dashboard.to_rows(),
-            spans=self.tracer.summary(),
+            self.registry.snapshot(), overhead=self.dashboard.to_rows()
         )
 
     # ------------------------------------------------------------------
@@ -319,40 +314,31 @@ class TuningLoop:
         Returns:
             The ledger record for the query.
         """
-        tracer = self.tracer
         index = self._queries_seen
-        started = tracer.clock() if tracer.enabled else None
-        try:
-            session = self.whatif.begin_query(query)
-            calls, overhead = self._observe_query(query, session)
+        session = self.whatif.begin_query(query)
+        calls, overhead = self._observe_query(query, session)
 
-            verify_calls = 0
-            verify_overhead = 0.0
-            if self.guardrails is not None:
-                # Verification probes re-optimize directly (bypassing
-                # the what-if call counter), so the engine's accounting
-                # above stays untouched; their cost is charged here.
-                verify_calls, verify_charge = self.guardrails.observe_query(
-                    session, self.materialized
-                )
-                verify_overhead = (
-                    verify_calls * self.config.whatif_call_cost + verify_charge
-                )
+        verify_calls = 0
+        verify_overhead = 0.0
+        if self.guardrails is not None:
+            # Verification probes re-optimize directly (bypassing
+            # the what-if call counter), so the engine's accounting
+            # above stays untouched; their cost is charged here.
+            verify_calls, verify_charge = self.guardrails.observe_query(
+                session, self.materialized
+            )
+            verify_overhead = (
+                verify_calls * self.config.whatif_call_cost + verify_charge
+            )
 
-            base = session.base
-            cost = base.cost + overhead + verify_overhead
-            self._queries_seen += 1
-            build_cost = 0.0
-            reorg: Optional[ReorganizationResult] = None
-            epoch_ended = self._queries_seen % self.config.epoch_length == 0
-            if epoch_ended:
-                reorg, build_cost = self._end_epoch(base.cost, cost, calls)
-        finally:
-            # The "query" span, without a handle: a raising query records too.
-            if started is not None:
-                tracer.record(
-                    "query", started, tracer.clock() - started, (("index", index),)
-                )
+        base = session.base
+        cost = base.cost + overhead + verify_overhead
+        self._queries_seen += 1
+        build_cost = 0.0
+        reorg: Optional[ReorganizationResult] = None
+        epoch_ended = self._queries_seen % self.config.epoch_length == 0
+        if epoch_ended:
+            reorg, build_cost = self._end_epoch(base.cost, cost, calls)
 
         self._count_query(session, calls, overhead)
         if not epoch_ended:
@@ -495,28 +481,27 @@ class TuningLoop:
         # engine's spend counter.
         requested, granted, spent = self._epoch_budget()
         epoch = self._queries_seen // self.config.epoch_length - 1
-        with self.tracer.span("epoch_close", epoch=epoch):
-            evidence = self._digest_epoch()
-            # The stages, in order: DBA advice; guardrail quarantine (a
-            # fresh admission is already a ban at this boundary, so the
-            # index falls out of the selection and is dropped); what the
-            # fleet pushed; the engine's safety stage.  One merge.
-            quarantine, quarantined, released = (), [], []
-            if self.guardrails is not None:
-                quarantine, quarantined, released = self.guardrails.end_epoch(
-                    self.materialized, epoch
-                )
-            safety = ()
-            if self.safety is not None:
-                safety = self.safety.rulings(epoch, evidence, self.materialized)
-            pushed = itertools.chain.from_iterable(self._pushed.values())
-            rulings = (*self._advice, *quarantine, *pushed, *safety)
-            reorg = self._decide(evidence, constraints_from(rulings))
-            reorg.rulings = rulings
-            reorg.quarantined, reorg.released = quarantined, released
-            build_cost = self._apply(reorg)
-            if self.safety is not None:
-                self.safety.applied(reorg)
+        evidence = self._digest_epoch()
+        # The stages, in order: DBA advice; guardrail quarantine (a
+        # fresh admission is already a ban at this boundary, so the
+        # index falls out of the selection and is dropped); what the
+        # fleet pushed; the engine's safety stage.  One merge.
+        quarantine, quarantined, released = (), [], []
+        if self.guardrails is not None:
+            quarantine, quarantined, released = self.guardrails.end_epoch(
+                self.materialized, epoch
+            )
+        safety = ()
+        if self.safety is not None:
+            safety = self.safety.rulings(epoch, evidence, self.materialized)
+        pushed = itertools.chain.from_iterable(self._pushed.values())
+        rulings = (*self._advice, *quarantine, *pushed, *safety)
+        reorg = self._decide(evidence, constraints_from(rulings))
+        reorg.rulings = rulings
+        reorg.quarantined, reorg.released = quarantined, released
+        build_cost = self._apply(reorg)
+        if self.safety is not None:
+            self.safety.applied(reorg)
         log = self.dashboard
         log.open_execution += execution
         log.open_total += cost + build_cost

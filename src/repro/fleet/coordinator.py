@@ -33,11 +33,10 @@ from repro.obs.names import (
     BANDIT_METRICS,
     FLEET_METRICS,
     PROFILER_METRICS,
-    REPLAY_METRICS,
     TUNER_METRICS,
+    WORKER_METRICS,
 )
 from repro.obs.registry import MetricsRegistry, merge_snapshots
-from repro.obs.spans import SpanTracer, merge_span_summaries
 from repro.fleet.router import AffinityRouter, make_router
 from repro.workload.phases import Workload
 
@@ -218,7 +217,6 @@ class FleetCoordinator:
             process.
 
     Attributes:
-        tracer: Span tracer timing fleet reorganizations.
         rollout: The staged-rollout controller (None without
             guardrails).
     """
@@ -360,8 +358,7 @@ class FleetCoordinator:
 
     # ------------------------------------------------------------------
     def _init_observability(self) -> None:
-        """Build the fleet-level collectors and span tracer."""
-        self.tracer = SpanTracer(enabled=self.registry.enabled)
+        """Build the fleet-level collectors."""
         # Counted on every arrival: bound to each replica's sample here
         # (replica ids are positions in ``self.replicas``).
         routed = FLEET_METRICS["fleet_queries_routed_total"].build(self.registry)
@@ -377,7 +374,7 @@ class FleetCoordinator:
             TUNER_METRICS,
             PROFILER_METRICS,
             BANDIT_METRICS,
-            REPLAY_METRICS,
+            WORKER_METRICS,
         ):
             for spec in catalog.values():
                 spec.build(self.registry)
@@ -397,11 +394,10 @@ class FleetCoordinator:
         """Merged snapshot: fleet families plus per-replica families.
 
         Replica samples gain a ``replica`` label; overhead rows gain a
-        ``replica`` key; span summaries merge (counts add, maxima max).
+        ``replica`` key.
         """
         parts = [(self.registry.snapshot(), {})]
         overhead: List[Dict] = []
-        summaries = [self.tracer.summary()]
         for r in self.replicas:
             snapshot = r.metrics_snapshot()
             if snapshot is None:
@@ -412,12 +408,7 @@ class FleetCoordinator:
             for row in snapshot["overhead"]:
                 row["replica"] = r.replica_id
                 overhead.append(row)
-            summaries.append(snapshot["spans"])
-        return build_snapshot(
-            merge_snapshots(parts),
-            overhead=overhead,
-            spans=merge_span_summaries(summaries),
-        )
+        return build_snapshot(merge_snapshots(parts), overhead=overhead)
 
     def replica_snapshots(self) -> List[Dict]:
         """Per-replica durable snapshots, by replica id.
@@ -522,30 +513,29 @@ class FleetCoordinator:
         Called automatically at fleet epoch boundaries; callable
         directly by tests and by operators reacting to an incident.
         """
-        with self.tracer.span("fleet_reorganize", epoch=len(self.reorganizations)):
-            previously = set(self.router.drained)
-            unhealthy = {
-                r.replica_id
-                for r in self.replicas
-                if r.health is ReplicaHealth.DRAINED
-            }
-            drained = sorted(unhealthy - previously)
-            restored = sorted(previously - unhealthy)
-            self.router.set_drained(sorted(unhealthy))
+        previously = set(self.router.drained)
+        unhealthy = {
+            r.replica_id
+            for r in self.replicas
+            if r.health is ReplicaHealth.DRAINED
+        }
+        drained = sorted(unhealthy - previously)
+        restored = sorted(previously - unhealthy)
+        self.router.set_drained(sorted(unhealthy))
 
-            moved = 0
-            rebalanced = 0
-            if isinstance(self.router, AffinityRouter):
-                if drained:
-                    moved = self.router.reassign_from(drained)
-                rebalanced = self.router.rebalance()
-            self.router.roll_epoch()
+        moved = 0
+        rebalanced = 0
+        if isinstance(self.router, AffinityRouter):
+            if drained:
+                moved = self.router.reassign_from(drained)
+            rebalanced = self.router.rebalance()
+        self.router.roll_epoch()
 
-            rollout_summary: Optional[RolloutSummary] = None
-            if self.rollout is not None:
-                # Staged rollout runs after drains are known: a drained
-                # canary hands its duty to a healthy holder here.
-                rollout_summary = self.rollout.reconcile(self.replicas)
+        rollout_summary: Optional[RolloutSummary] = None
+        if self.rollout is not None:
+            # Staged rollout runs after drains are known: a drained
+            # canary hands its duty to a healthy holder here.
+            rollout_summary = self.rollout.reconcile(self.replicas)
 
         divergence = self.configuration_divergence()
         result = FleetReorganizationResult(

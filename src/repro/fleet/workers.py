@@ -63,7 +63,7 @@ from repro.engines import engine_spec
 from repro.fleet.coordinator import FleetCoordinator, FleetOutcome
 from repro.fleet.replica import ReplicaHealth, ReplicaStats, TunerReplica
 from repro.fleet.router import make_router
-from repro.obs.names import REPLAY_METRICS
+from repro.obs.names import WORKER_METRICS
 from repro.obs.quantiles import merge_histogram_samples, summarize_sample
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerState, CircuitBreaker
@@ -164,7 +164,7 @@ def _worker_main(
     # Latency observations stay on regardless of the replica metrics
     # switch: latency_summary() serves worker-side percentiles even when
     # the fleet runs with instrumentation off for throughput.
-    latency = REPLAY_METRICS["replay_query_latency_seconds"].build(
+    latency = WORKER_METRICS["worker_query_latency_seconds"].build(
         MetricsRegistry()
     )
     # Long streams cycle a bounded set of distinct queries; the
@@ -687,7 +687,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
         """Fleet-wide per-query latency percentiles.
 
         Raw samples never cross the process boundary: each worker
-        exports its ``replay_query_latency_seconds`` bucket counts and
+        exports its ``worker_query_latency_seconds`` bucket counts and
         the parent merges them (bucket-count merging is associative --
         the obs quantile tests prove it) before reading percentiles.
         """

@@ -1,11 +1,11 @@
-"""Observability for the COLT reproduction: metrics, spans, overhead.
+"""Observability for the COLT reproduction: metrics and overhead.
 
 The subsystem is dependency-free and instance-scoped: each tuner or
-fleet coordinator owns (or shares) a :class:`MetricsRegistry`, a
-:class:`SpanTracer`, and an :class:`OverheadDashboard`, and exposes a
-merged snapshot via ``metrics_snapshot()``.  Exporters render snapshots
-as Prometheus text or JSON; :mod:`repro.obs.names` is the stable
-catalog of every metric family the instrumented code emits.
+fleet coordinator owns (or shares) a :class:`MetricsRegistry` and an
+:class:`OverheadDashboard`, and exposes a merged snapshot via
+``metrics_snapshot()``.  Exporters render snapshots as Prometheus text
+or JSON; :mod:`repro.obs.names` is the stable catalog of every metric
+family the instrumented code emits.
 
 ``docs/OBSERVABILITY.md`` is the narrative guide (what is instrumented,
 the overhead dashboard's invariant, and the CLI surface).
@@ -52,6 +52,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "MetricsRegistry",
             "merge_snapshots",
         ),
-        "spans": ("Span", "SpanTracer", "merge_span_summaries"),
     },
 )

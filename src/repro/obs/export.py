@@ -103,9 +103,7 @@ def to_prometheus_text(metrics: List[Dict]) -> str:
 
 
 def build_snapshot(
-    metrics: List[Dict],
-    overhead: Optional[List[Dict]] = None,
-    spans: Optional[Dict[str, Dict[str, float]]] = None,
+    metrics: List[Dict], overhead: Optional[List[Dict]] = None
 ) -> Dict:
     """Assemble the self-describing snapshot document.
 
@@ -113,15 +111,12 @@ def build_snapshot(
         metrics: Family list from a registry (or merged) snapshot.
         overhead: Per-epoch overhead rows
             (:meth:`~repro.obs.dashboard.OverheadDashboard.to_rows`).
-        spans: Span summary
-            (:meth:`~repro.obs.spans.SpanTracer.summary`).
     """
     return {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "metrics": metrics,
         "overhead": overhead or [],
-        "spans": spans or {},
     }
 
 

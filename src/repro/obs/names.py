@@ -138,11 +138,11 @@ BACKEND_METRICS = _catalog(
 
 #: Families emitted by the multiprocess fleet's workers
 #: (:mod:`repro.fleet.workers`).
-REPLAY_METRICS = _catalog(
+WORKER_METRICS = _catalog(
     MetricSpec(
-        "replay_query_latency_seconds",
+        "worker_query_latency_seconds",
         "histogram",
-        "Wall-clock per-query processing latency during replay.",
+        "Wall-clock per-query processing latency inside a fleet worker process.",
         buckets=LATENCY_BUCKETS,
     ),
 )
@@ -156,5 +156,5 @@ CATALOG: Dict[str, MetricSpec] = {
     **FLEET_METRICS,
     **BANDIT_METRICS,
     **BACKEND_METRICS,
-    **REPLAY_METRICS,
+    **WORKER_METRICS,
 }

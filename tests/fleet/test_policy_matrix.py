@@ -10,6 +10,7 @@ combination unseen:
 * a run is a pure function of its arrivals;
 * routing charges nothing -- a query's fleet cost is its replica cost;
 * one reorganization closes every fleet epoch;
+* no arrival or reorganization reads a wall clock;
 * a tripped replica is drained at the next boundary and serves nothing
   after it, with no query dropped;
 * a snapshot restores every replica exactly;
@@ -33,6 +34,7 @@ from tests.fleet.workloads import (
     eq_query,
     score_query,
 )
+from tests.obs.test_instrumentation import clock_reads
 
 POLICIES = ["round-robin", "affinity", "client"]
 ENGINES = ["colt", "bandit"]
@@ -124,6 +126,12 @@ class TestFleetContract:
         assert [o.index for o in run.outcomes if o.reorganization] == [9, 19, 29]
         assert run.policy == policy
         assert run.failed_queries == 0
+
+    @matrix
+    def test_arrivals_and_reorganizations_read_no_clock(self, policy, engine):
+        fleet = make_fleet(policy, engine)
+        run, reads = clock_reads(fleet.run, mixed_workload(35))
+        assert len(run.reorganizations) == 3 and reads == 0
 
     @matrix
     def test_routed_counter_matches_the_per_replica_ledger(self, policy, engine):

@@ -216,7 +216,7 @@ class TestParity:
         assert sum(key[3] for key in runs[0][0]) > 0  # what-if calls
 
     def test_latency_summary_merges_worker_histograms(self):
-        buckets = CATALOG["replay_query_latency_seconds"].buckets
+        buckets = CATALOG["worker_query_latency_seconds"].buckets
         with make_worker_fleet(workers=2) as fleet:
             run = fleet.run(mixed_queries(30))
             # Each worker ships its latency family's bucket counts, one

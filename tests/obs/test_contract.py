@@ -22,9 +22,9 @@ from repro.obs.names import (
     FLEET_METRICS,
     GAINCACHE_METRICS,
     PROFILER_METRICS,
-    REPLAY_METRICS,
     RESILIENCE_METRICS,
     TUNER_METRICS,
+    WORKER_METRICS,
 )
 from repro.obs.registry import MetricsRegistry
 
@@ -45,7 +45,7 @@ class TestCatalogShape:
             **FLEET_METRICS,
             **BANDIT_METRICS,
             **BACKEND_METRICS,
-            **REPLAY_METRICS,
+            **WORKER_METRICS,
         }
         assert CATALOG == union
 
@@ -147,6 +147,7 @@ class TestLiveRegistration:
         ]
         fleet.run(queries)
         snapshot = fleet.metrics_snapshot()
+        assert set(snapshot) == {"format", "version", "metrics", "overhead"}
         types = _type_lines(to_prometheus_text(snapshot["metrics"]))
         missing = set(CATALOG) - set(types)
         assert not missing

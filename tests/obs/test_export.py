@@ -64,11 +64,11 @@ class TestPrometheusText:
 
 class TestSnapshotDocument:
     def test_build_snapshot_structure(self):
-        doc = build_snapshot([], overhead=[{"epoch": 0}], spans={"q": {}})
+        doc = build_snapshot([], overhead=[{"epoch": 0}])
+        assert set(doc) == {"format", "version", "metrics", "overhead"}
         assert doc["format"] == SNAPSHOT_FORMAT
         assert doc["version"] == 1
         assert doc["overhead"] == [{"epoch": 0}]
-        assert doc["spans"] == {"q": {}}
 
     def test_json_text_is_valid_json(self):
         doc = build_snapshot(_sample_registry().snapshot())

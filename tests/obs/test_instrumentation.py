@@ -7,6 +7,8 @@ than just a zero.
 """
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -14,7 +16,6 @@ from repro.backend import CostTraceRecorder, LocalBackend, TraceBackend
 from repro.bandit.config import BanditConfig
 from repro.bandit.tuner import BanditTuner
 from repro.core import ColtConfig, ColtTuner
-from repro.obs import spans
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
 
@@ -126,12 +127,12 @@ class TestOverheadDashboard:
             assert row["spent"] <= row["granted"] <= row["requested"]
         assert tuner.dashboard.within_budget
 
-    def test_snapshot_carries_overhead_and_spans(self, small_catalog):
+    def test_snapshot_carries_metrics_and_overhead(self, small_catalog):
         tuner = _tuner(small_catalog)
         _run(tuner, 30)
         snapshot = tuner.metrics_snapshot()
+        assert set(snapshot) == {"format", "version", "metrics", "overhead"}
         assert len(snapshot["overhead"]) == len(tuner.dashboard.records)
-        assert snapshot["spans"]["query"]["count"] == 30
 
 
 class TestDisabledRegistry:
@@ -141,7 +142,6 @@ class TestDisabledRegistry:
         )
         _run(tuner, 25)
         assert tuner.metrics.get("colt_queries_total").value() == 0
-        assert tuner.metrics_snapshot()["spans"] == {}
         assert tuner.dashboard.records  # accounting itself still runs
 
 
@@ -201,21 +201,39 @@ class CountingRegistry:
         return []
 
 
-class CountingTracer(spans.SpanTracer):
-    """Tracer double logging handles opened and spans recorded."""
+#: The `time` module clocks a query could read.
+CLOCKS = frozenset(
+    (time.perf_counter, time.perf_counter_ns, time.monotonic, time.monotonic_ns,
+     time.time, time.time_ns, time.process_time)
+)
 
-    def __init__(self):
-        super().__init__()
-        self.handles = 0
-        self.recorded = []
 
-    def span(self, name, **attrs):
-        self.handles += 1
-        return super().span(name, **attrs)
+def clock_reads(call, *args, **kwargs):
+    """(``call(*args, **kwargs)``, clock reads ``repro`` code made inside it).
 
-    def record(self, name, start, duration, attrs=()):
-        self.recorded.append((name, attrs))
-        super().record(name, start, duration, attrs)
+    Counted by a profile hook rather than by patching ``time``: a clock
+    bound at import (a default argument, a module alias) is the same
+    object, so the hook sees it and a patched module attribute does not.
+    Reads by other code are not counted: a garbage collection inside the
+    call runs whatever ``gc.callbacks`` holds (hypothesis times them).
+    """
+    reads = [0]
+
+    def hook(frame, event, arg):
+        if (
+            event == "c_call"
+            and arg in CLOCKS
+            and frame.f_globals.get("__name__", "").startswith("repro.")
+        ):
+            reads[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        result = call(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return result, reads[0]
 
 
 #: Collector updates of a query that probes nothing: the backend's call
@@ -242,40 +260,31 @@ class TestPerQueryUpdateBudget:
         ids=["colt", "bandit"],
     )
     def test_updates_per_query_are_bounded(
-        self, small_catalog, monkeypatch, engine, config, plain, per_probe
+        self, small_catalog, engine, config, plain, per_probe
     ):
         registry = CountingRegistry()
         tuner = engine(
             small_catalog, config(storage_budget_pages=6000.0), registry=registry
-        )
-        tuner.tracer = tracer = CountingTracer()
-        built = []
-        monkeypatch.setattr(
-            spans, "Span", lambda **fields: built.append(fields) or fields
         )
         queries = [eq_query(7), day_query(8100), eq_query(9)]
         plain_seen = probing_seen = 0
         for i in range(400):
             query = queries[i % len(queries)]  # the same objects: retained hits
             registry.updates.clear()
-            tracer.recorded.clear()
-            handles = tracer.handles
-            outcome = tuner.process_query(query)
+            outcome, reads = clock_reads(tuner.process_query, query)
             if outcome.epoch_ended:
                 continue  # the close is the boundary's own budget
             assert len(registry.updates) <= plain + per_probe * outcome.whatif_calls, (
                 i, registry.updates
             )
-            assert tracer.handles == handles and built == []
-            assert tracer.recorded == [("query", (("index", i),))]
+            if outcome.whatif_calls == 0:
+                assert reads == 0, (i, reads)  # no per-query wall-clock timing
             plain_seen += outcome.whatif_calls == 0
             probing_seen += outcome.whatif_calls > 0
         assert plain_seen > 100 and probing_seen > 10
-        assert len(tracer.recent()) == 256 == len(built)  # Spans are built on read
 
-    def test_raising_query_still_records_its_span(self, small_catalog):
+    def test_raising_query_propagates_and_is_not_counted(self, small_catalog):
         tuner = _tuner(small_catalog)
-        tuner.tracer = tracer = CountingTracer()
         _run(tuner, 3)
 
         def refuse(query):
@@ -284,6 +293,4 @@ class TestPerQueryUpdateBudget:
         tuner.whatif.begin_query = refuse
         with pytest.raises(RuntimeError):
             tuner.process_query(eq_query(1))
-        assert tracer.recorded[-1] == ("query", (("index", 3),))
-        assert tracer.summary()["query"]["count"] == 4
         assert tuner.metrics.get("colt_queries_total").value() == 3

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import sys
 
 import pytest
@@ -339,13 +340,29 @@ class TestRunCommand:
         assert "Traceback" not in err
 
 
+#: The per-name span aggregates documents written before the span
+#: tracer was deleted carried; they still load and render.
+SPANS_SECTION = {
+    "epoch_close": {"count": 3, "max_seconds": 0.002, "total_seconds": 0.005},
+    "query": {"count": 30, "max_seconds": 0.001, "total_seconds": 0.004},
+}
+
+
 class TestMetricsCommand:
-    def _snapshot_file(self, tmp_path):
+    @pytest.fixture(params=["fresh", "with-spans"])
+    def snapshot_file(self, request, tmp_path):
+        from repro.obs.export import load_snapshot
+
         path = tmp_path / "m.json"
         assert (
             main(["run", "--queries", "30", "--seed", "2", "--metrics-out", str(path)])
             == 0
         )
+        doc = load_snapshot(str(path))
+        assert set(doc) == {"format", "version", "metrics", "overhead"}
+        if request.param == "with-spans":
+            path.write_text(json.dumps({**doc, "spans": SPANS_SECTION}))
+            assert load_snapshot(str(path))["spans"] == SPANS_SECTION
         return path
 
     def test_metrics_parsing_defaults(self):
@@ -353,17 +370,21 @@ class TestMetricsCommand:
         assert args.format == "prom"
         assert args.from_file is None
 
-    def test_metrics_from_file_prom(self, capsys, tmp_path):
-        path = self._snapshot_file(tmp_path)
+    def test_metrics_from_file_prom(self, capsys, snapshot_file):
         capsys.readouterr()
-        assert main(["metrics", "--from", str(path)]) == 0
+        assert main(["metrics", "--from", str(snapshot_file)]) == 0
         out = capsys.readouterr().out
         assert "# TYPE colt_epochs_total counter" in out
 
-    def test_metrics_from_file_text_renders_overhead(self, capsys, tmp_path):
-        path = self._snapshot_file(tmp_path)
+    def test_metrics_from_file_json(self, capsys, snapshot_file):
         capsys.readouterr()
-        assert main(["metrics", "--from", str(path), "--format", "text"]) == 0
+        assert main(["metrics", "--from", str(snapshot_file), "--format", "json"]) == 0
+        rendered = json.loads(capsys.readouterr().out)
+        assert rendered == json.loads(snapshot_file.read_text())
+
+    def test_metrics_from_file_text_renders_overhead(self, capsys, snapshot_file):
+        capsys.readouterr()
+        assert main(["metrics", "--from", str(snapshot_file), "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "grant" in out and "spent" in out
 

@@ -31,6 +31,8 @@ from repro.sql.ast import (
     SelectItem,
 )
 
+from tests.obs.test_instrumentation import clock_reads
+
 pytestmark = pytest.mark.parametrize("engine", list(ENGINES))
 
 
@@ -99,7 +101,7 @@ class TestConstruction:
             engine, small_catalog, breaker=breaker, registry=registry, backend=backend
         )
         assert tuner.profiler.breaker is breaker
-        assert tuner.registry is registry and not tuner.tracer.enabled
+        assert tuner.registry is registry
         assert tuner.backend is backend and tuner.whatif.backend is backend
 
     def test_adopts_preexisting_materialized_set(self, engine, small_catalog):
@@ -109,7 +111,7 @@ class TestConstruction:
 
     def test_component_surface_the_fleet_and_faults_reach(self, engine, small_catalog):
         tuner = _make(engine, small_catalog)
-        for name in ("whatif", "backend", "scheduler", "catalog", "dashboard", "tracer"):
+        for name in ("whatif", "backend", "scheduler", "catalog", "dashboard"):
             assert getattr(tuner, name) is not None
         for name in ("breaker", "candidates", "gain_cache"):
             assert hasattr(tuner.profiler, name)
@@ -128,6 +130,22 @@ class TestRun:
             )
         assert len(tuner.dashboard.records) == 4
         assert tuner.queries_seen == 23
+
+    def test_metrics_snapshot_is_metrics_and_overhead(self, engine, small_catalog):
+        tuner = _make(engine, small_catalog)
+        tuner.run(_stream(12))
+        snapshot = tuner.metrics_snapshot()
+        assert set(snapshot) == {"format", "version", "metrics", "overhead"}
+        assert len(snapshot["overhead"]) == len(tuner.dashboard.records) == 2
+
+    def test_no_arrival_reads_a_clock(self, engine, small_catalog):
+        # The loop is counted, not timed: wall-clock timing lives in perf/.
+        tuner = _make(engine, small_catalog)
+        stream = [*_stream(9), _bad_query(), *_stream(3, seed=1)]
+        outcomes, reads = clock_reads(tuner.run, stream, on_error="skip")
+        assert [o.index for o in outcomes if o.epoch_ended] == [4, 9]
+        assert outcomes[9].failed and reads == 0
+        assert clock_reads(tuner.process_insert, "events", count=40)[1] == 0
 
     def test_unknown_mode_rejected(self, engine, small_catalog):
         with pytest.raises(ValueError, match="on_error"):
