@@ -19,7 +19,7 @@ Exposes the reproduction's experiments and a few interactive utilities::
     python -m repro fleet-run              # replicated tuning fleet behind a
                                            #   workload-aware query router
     python -m repro fleet-status DIR       # inspect a saved fleet snapshot
-                                           #   (+ quarantine/rollout, --json)
+                                           #   (per-replica integrity, --json)
     python -m repro audit                  # guardrail audit: predicted vs
                                            #   observed index benefit
     python -m repro demo                   # 60-second COLT walkthrough
@@ -317,13 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(.prom/.txt: Prometheus text; otherwise JSON)",
     )
     _add_gain_cache_flag(pf)
-    pf.add_argument(
-        "--guardrails",
-        choices=("on", "off"),
-        default="off",
-        help="per-replica verification/quarantine plus staged canary "
-        "rollout of new indexes (see docs/GUARDRAILS.md)",
-    )
     pf.add_argument(
         "--workers",
         type=int,
@@ -747,15 +740,9 @@ def _run_metrics(args) -> None:
 
 def _run_fleet(args) -> None:
     from repro.fleet import FleetCoordinator
-    from repro.guardrails import GuardrailConfig
     from repro.workload import build_catalog
 
     _require_epoch_engine("fleet-run", args.engine)
-    if args.workers and args.guardrails == "on":
-        raise ValueError(
-            "--workers does not support --guardrails on "
-            "(see repro.fleet.workers)"
-        )
     n_replicas = args.workers if args.workers else args.replicas
     # The §6.2 multi-user setting with enough cross-client divergence
     # for routing to exploit.  --seed seeds the workload only.
@@ -768,7 +755,6 @@ def _run_fleet(args) -> None:
         config=_colt_config(args),
         policy=args.policy,
         fleet_epoch_length=args.fleet_epoch,
-        guardrails=GuardrailConfig() if args.guardrails == "on" else None,
         engine=args.engine,
         workers=args.workers,
     )
@@ -793,13 +779,12 @@ def _print_fleet_report(args, fleet, run, merged) -> None:
     )
     print(
         f"{'replica':>8} {'health':>9} {'queries':>8} {'|M|':>4} "
-        f"{'quar':>4} {'exec cost':>14}"
+        f"{'exec cost':>14}"
     )
     for replica in fleet.replicas:
         print(
             f"{replica.replica_id:>8} {replica.health.value:>9} "
             f"{replica.stats.queries:>8} {len(replica.materialized_names):>4} "
-            f"{len(replica.quarantined_names):>4} "
             f"{replica.stats.execution_cost:>14,.0f}"
         )
     drains = sorted({i for r in run.reorganizations for i in r.drained})
@@ -810,16 +795,6 @@ def _print_fleet_report(args, fleet, run, merged) -> None:
         f"reorganizations:      {len(run.reorganizations):>14}"
         + (f" (drained: {drains})" if drains else "")
     )
-    if fleet.rollout is not None:
-        rollouts = [r.rollout for r in run.reorganizations if r.rollout]
-        started, promoted, rolled_back = (
-            sum(len(getattr(r, stage)) for r in rollouts)
-            for stage in ("started", "promoted", "rolled_back")
-        )
-        print(
-            f"rollouts:             {started:>14}"
-            f" (promoted: {promoted}, rolled back: {rolled_back})"
-        )
     if args.snapshot_dir:
         path = save_fleet(args.snapshot_dir, fleet)
         print(f"\nfleet snapshot saved: {path}")
@@ -831,7 +806,7 @@ def _print_fleet_report(args, fleet, run, merged) -> None:
 
 
 def _fleet_status_document(directory) -> dict:
-    """Machine-readable fleet status: manifest, integrity, guardrails."""
+    """Machine-readable fleet status: manifest and per-replica integrity."""
     import pathlib
 
     from repro.fleet import load_manifest
@@ -853,29 +828,15 @@ def _fleet_status_document(directory) -> dict:
                 "health": entry["health"],
                 "queries": entry["queries"],
                 "materialized": entry["materialized"],
-                "quarantined": list(entry.get("quarantined", [])),
                 "file": entry["file"],
                 "integrity": state,
             }
         )
-    rollout = manifest.get("rollout")
-    rollouts = []
-    if rollout:
-        for record in rollout.get("records", []):
-            rollouts.append(
-                {
-                    "index": f"{record['table']}.{'+'.join(record['columns'])}",
-                    "stage": record["stage"],
-                    "canary": record.get("canary_id"),
-                    "cooldown_remaining": record.get("cooldown_remaining", 0),
-                }
-            )
     return {
         "directory": str(root),
         "policy": manifest["policy"],
         "queries_routed": manifest["queries_routed"],
         "replicas": replicas,
-        "rollouts": rollouts,
     }
 
 
@@ -892,26 +853,16 @@ def _run_fleet_status(args) -> None:
         f"{doc['queries_routed']} queries routed)"
     )
     print(
-        f"{'replica':>8} {'engine':>7} {'health':>9} {'queries':>8} {'|M|':>4} "
-        f"{'quarantined':>24}  snapshot"
+        f"{'replica':>8} {'engine':>7} {'health':>9} {'queries':>8} {'|M|':>4}"
+        "  snapshot"
     )
     for entry in doc["replicas"]:
-        quarantined = ",".join(entry["quarantined"]) or "-"
         print(
             f"{entry['replica_id']:>8} {entry['engine']:>7} "
             f"{entry['health']:>9} "
-            f"{entry['queries']:>8} {entry['materialized']:>4} "
-            f"{quarantined:>24}  {entry['file']}: {entry['integrity']}"
+            f"{entry['queries']:>8} {entry['materialized']:>4}"
+            f"  {entry['file']}: {entry['integrity']}"
         )
-    if doc["rollouts"]:
-        print("\nstaged rollouts:")
-        for record in doc["rollouts"]:
-            extra = ""
-            if record["stage"] == "canary":
-                extra = f" (canary: replica {record['canary']})"
-            elif record["stage"] == "rolled_back":
-                extra = f" (cooldown: {record['cooldown_remaining']})"
-            print(f"  {record['index']:<28} {record['stage']}{extra}")
 
 
 def _audit_arm(scenario: str, guardrails: bool, args, advice) -> dict:

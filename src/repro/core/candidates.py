@@ -241,11 +241,11 @@ class CandidateTracker:
     def seed(self, indexes: Iterable[IndexDef]) -> int:
         """Ensure tracker entries exist for externally suggested indexes.
 
-        ``TuningLoop.push_rulings`` seeds the indexes of pushed
-        ``"prefer"`` rulings here, so the profiler can start crediting
-        gains immediately instead of waiting for the miner to discover
-        them.  Seeding only creates the entry -- no
-        benefit is invented, so an unused seed decays out through the
+        ``TuningLoop.push_rulings`` seeds the indexes of a caller's
+        pushed ``"prefer"`` rulings here, so the profiler can start
+        crediting gains immediately instead of waiting for the miner to
+        discover them.  Seeding only creates the entry -- no benefit is
+        invented, so an unused seed decays out through the
         normal stale-eviction window.  Indexes are inserted in sorted
         order so the pool's tie-break order stays deterministic across
         processes.

@@ -94,8 +94,7 @@ class Ruling(NamedTuple):
         index: The index ruled on (a knapsack item key).
         kind: ``"pin"``, ``"ban"`` or ``"prefer"``.
         source: Who ruled: ``"dba"`` (advice), ``"quarantine"``
-            (guardrails), ``"rollout"`` (pushed by the fleet's staged
-            rollout), any other source a caller pushes through
+            (guardrails), any source a caller pushes through
             ``TuningLoop.push_rulings``, or ``"safety"`` (the bandit's
             fallback).
         weight: Value multiplier of a ``prefer`` ruling (> 0).

@@ -5,7 +5,7 @@ epoch's budget; per epoch: select under the storage budget, apply,
 re-budget (Fig. 2, §5).  :class:`TuningLoop` is that loop, once: it owns
 construction wiring, the per-query frame, the epoch clock, inserts,
 ``run``, the close's ruling pipeline (DBA advice, guardrail quarantine,
-pushed rollout bans, the engine's safety stage -- merged once) and the
+pushed rulings, the engine's safety stage -- merged once) and the
 scheduler apply protocol.  An engine
 (:class:`~repro.core.colt.ColtTuner`,
 :class:`~repro.bandit.tuner.BanditTuner`) subclasses it and supplies
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.backend.local import LocalBackend
 from repro.core.knapsack import Ruling, constraints_from
-from repro.core.scheduler import Scheduler, SchedulingPolicy
+from repro.core.scheduler import Scheduler
 from repro.guardrails.advice import AdviceBook
 from repro.obs.dashboard import OverheadDashboard
 from repro.obs.export import build_snapshot
@@ -122,7 +122,6 @@ class TuningLoop:
             subclass's ``config_type``; defaults to ``config_type()``).
         store: Optional physical store; when given, materializations
             build real B+trees so queries can be executed.
-        policy: Materialization scheduling policy.
         breaker: Circuit breaker guarding the engine's probes; defaults
             to a fresh one with standard thresholds.
         retry: Backoff policy for failed index builds.
@@ -171,7 +170,6 @@ class TuningLoop:
         catalog: Catalog,
         config=None,
         store: Optional[PhysicalStore] = None,
-        policy: SchedulingPolicy = SchedulingPolicy.IMMEDIATE,
         breaker: Optional[CircuitBreaker] = None,
         retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -193,7 +191,7 @@ class TuningLoop:
         self._store = store
         self._queries_seen = 0
         self._build_engine(breaker)
-        self.scheduler = Scheduler(catalog, store=store, policy=policy, retry=retry)
+        self.scheduler = Scheduler(catalog, store=store, retry=retry)
         if fault_injector is not None:
             fault_injector.attach(self)
         self.advice = advice or AdviceBook()
@@ -258,10 +256,9 @@ class TuningLoop:
 
     # ------------------------------------------------------------------
     def push_rulings(self, source: str, rulings) -> None:
-        """Replace the rulings a fleet controller keeps on this tuner.
+        """Replace the rulings an outside controller keeps on this tuner.
 
-        The coordinator's staged rollout pushes ``"rollout"`` bans;
-        every close rules a source's rulings until the next push under
+        Every close rules a source's rulings until the next push under
         the same source (an empty one withdraws them).  Pushed
         ``"prefer"`` rulings are seeded into the candidate tracker so
         the engine can credit them without waiting for the miner.
@@ -526,13 +523,9 @@ class TuningLoop:
             build_cost += scheduler.request_materialization(reorg.materialize)
             # A failed build leaves the index unmaterialized: take it back
             # out of M so the next selection sees reality, and surface it
-            # on the ledger record.  Idle-policy requests are merely
-            # queued, not failed.
-            queued = set(scheduler.pending)
+            # on the ledger record.
             failed = [
-                ix
-                for ix in reorg.materialize
-                if not self.catalog.is_materialized(ix) and ix not in queued
+                ix for ix in reorg.materialize if not self.catalog.is_materialized(ix)
             ]
             for index in failed:
                 self.materialized.discard(index)

@@ -1,15 +1,11 @@
 """The Scheduler: carrying out materialization requests (§3).
 
-The paper lists three strategies and implements the first; we implement
-the first two:
-
-1. **Immediate** -- build requested indexes right away, asynchronously in
-   the prototype; in the simulation the build cost is charged to the
-   ledger at request time and the index becomes available for the next
-   query.
-2. **Idle-time** (extension) -- queue requests and build them only when
-   the caller signals idle time, trading index availability for zero
-   interference with foreground queries.
+The paper lists three strategies and implements the first; so do we:
+**immediate** -- build requested indexes right away, asynchronously in
+the prototype; in the simulation the build cost is charged to the
+ledger at request time and the index becomes available for the next
+query.  Idle-time building and building from intermediate results are
+not implemented.
 
 When a :class:`~repro.engine.storage.PhysicalStore` is attached the
 scheduler also builds the physical B+tree so that subsequent executions
@@ -27,7 +23,6 @@ the index is abandoned until the Self-Organizer requests it again.
 from __future__ import annotations
 
 import dataclasses
-import enum
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional
 
 from repro.resilience.errors import IndexBuildError
@@ -44,15 +39,7 @@ __all__ = [
     "RetryReport",
     "ScheduledBuild",
     "Scheduler",
-    "SchedulingPolicy",
 ]
-
-
-class SchedulingPolicy(enum.Enum):
-    """When requested index builds are executed."""
-
-    IMMEDIATE = "immediate"
-    IDLE = "idle"
 
 
 @dataclasses.dataclass
@@ -101,7 +88,6 @@ class Scheduler:
     Args:
         catalog: The catalog to operate on.
         store: Optional physical store for real B+tree builds.
-        policy: When requested builds run.
         retry: Backoff policy for failed builds.
         failpoint: Optional hook invoked before each build attempt with
             the index; a fault injector installs one that raises
@@ -120,16 +106,13 @@ class Scheduler:
         self,
         catalog: Catalog,
         store: Optional[PhysicalStore] = None,
-        policy: SchedulingPolicy = SchedulingPolicy.IMMEDIATE,
         retry: Optional[RetryPolicy] = None,
         failpoint: Optional[Callable[[IndexDef], None]] = None,
     ) -> None:
         self._catalog = catalog
         self._store = store
-        self._policy = policy
         self._retry = retry or RetryPolicy()
         self.failpoint = failpoint
-        self._pending: List[IndexDef] = []
         self._epoch = 0
         self.total_build_cost = 0.0
         self.builds: List[ScheduledBuild] = []
@@ -138,72 +121,39 @@ class Scheduler:
         self.failure_count = 0
 
     @property
-    def pending(self) -> List[IndexDef]:
-        """Builds queued under the idle-time policy."""
-        return list(self._pending)
-
-    @property
     def epoch(self) -> int:
         """Epoch boundaries seen so far (the retry clock)."""
         return self._epoch
 
     def request_materialization(self, indexes: Iterable[IndexDef]) -> float:
-        """Request index builds; returns the cost charged *now*.
+        """Build the requested indexes now; returns the cost charged.
 
-        Under the immediate policy every build happens (and is charged)
-        at once; under the idle policy requests are queued and cost 0
-        until :meth:`on_idle`.  A build that fails charges nothing and
-        joins :attr:`retry_queue`; the caller can tell from the catalog
-        (the index stays unmaterialized).
+        A build that fails charges nothing and joins
+        :attr:`retry_queue`; the caller can tell from the catalog (the
+        index stays unmaterialized).
         """
         charged = 0.0
         for index in indexes:
             if self._catalog.is_materialized(index):
                 continue
-            if self._policy is SchedulingPolicy.IMMEDIATE:
-                try:
-                    charged += self._build(index)
-                except IndexBuildError as exc:
-                    self._record_failure(index, exc)
-            else:
-                if index not in self._pending:
-                    self._pending.append(index)
+            try:
+                charged += self._build(index)
+            except IndexBuildError as exc:
+                self._record_failure(index, exc)
         return charged
 
     def request_drop(self, indexes: Iterable[IndexDef]) -> None:
-        """Drop indexes immediately (dropping is cheap in any policy).
+        """Drop indexes immediately.
 
-        Dropping also cancels any queued or backed-off retry for the
-        index -- the Self-Organizer no longer wants it.
+        Dropping also cancels any backed-off retry for the index -- the
+        Self-Organizer no longer wants it.
         """
         for index in indexes:
-            self._pending = [p for p in self._pending if p != index]
             self.retry_queue = [f for f in self.retry_queue if f.index != index]
             if self._store is not None:
                 self._store.drop_index(index)
             else:
                 self._catalog.drop_index(index)
-
-    def on_idle(self, max_builds: Optional[int] = None) -> float:
-        """Build queued indexes during idle time (idle policy only).
-
-        Args:
-            max_builds: Cap on how many queued builds to run; None runs
-                them all.
-
-        Returns:
-            The cost charged for the builds performed.
-        """
-        charged = 0.0
-        budget = len(self._pending) if max_builds is None else max_builds
-        while self._pending and budget > 0:
-            index = self._pending.pop(0)
-            try:
-                charged += self._build(index)
-            except IndexBuildError as exc:
-                self._record_failure(index, exc)
-            budget -= 1
-        return charged
 
     def advance_epoch(self) -> RetryReport:
         """Close an epoch: advance the retry clock and run due retries.

@@ -45,8 +45,6 @@ if TYPE_CHECKING:
     from repro.fleet.replica import ReplicaStats
     from repro.fleet.router import Router
     from repro.guardrails.advice import AdviceBook
-    from repro.guardrails.manager import GuardrailConfig
-    from repro.guardrails.rollout import RolloutController, RolloutSummary
     from repro.resilience.breaker import CircuitBreaker
     from repro.resilience.faults import FaultInjector
     from repro.sql.ast import Query
@@ -64,8 +62,6 @@ class ReplicaStatus:
         breaker_state: The underlying breaker state.
         queries: Queries processed so far.
         materialized: Number of materialized indexes.
-        quarantined: Names of indexes this replica's guardrails hold in
-            quarantine or on parole (empty without guardrails).
     """
 
     replica_id: int
@@ -73,7 +69,6 @@ class ReplicaStatus:
     breaker_state: str
     queries: int
     materialized: int
-    quarantined: List[str] = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass
@@ -94,8 +89,6 @@ class FleetReorganizationResult:
             replicas' materialized sets -- 0 when every replica holds
             the same indexes, 1 when all sets are disjoint.
         replicas: Per-replica status lines.
-        rollout: What the staged-rollout pass did at this boundary
-            (None when the fleet runs without guardrails).
     """
 
     epoch: int
@@ -106,7 +99,6 @@ class FleetReorganizationResult:
     rebalanced: int
     divergence: float
     replicas: List[ReplicaStatus]
-    rollout: Optional[RolloutSummary] = None
 
 
 @dataclasses.dataclass
@@ -195,11 +187,6 @@ class FleetCoordinator:
             registry (same enabled state) so
             :meth:`metrics_snapshot` can merge them under a
             ``replica`` label.
-        guardrails: Optional :class:`~repro.guardrails.manager.
-            GuardrailConfig`; when given, every replica gets its own
-            guardrail manager (observed-cost verification, quarantine)
-            and the coordinator stages new indexes through a canary
-            replica before fleet-wide promotion.
         advice: Optional DBA advice applied to every replica's tuner.
         engine: Name of the tuning engine every replica runs (a key of
             :data:`repro.engines.ENGINES`); a ``ColtConfig`` is still
@@ -215,10 +202,6 @@ class FleetCoordinator:
             see ``repro/fleet/workers.py`` for the supported subset of
             fleet features).  0 (the default) keeps everything in this
             process.
-
-    Attributes:
-        rollout: The staged-rollout controller (None without
-            guardrails).
     """
 
     def __new__(cls, *args, workers: int = 0, **kwargs):
@@ -243,7 +226,6 @@ class FleetCoordinator:
         breakers: Optional[Sequence[Optional[CircuitBreaker]]] = None,
         fault_injectors: Optional[Sequence[Optional[FaultInjector]]] = None,
         registry: Optional[MetricsRegistry] = None,
-        guardrails: Optional[GuardrailConfig] = None,
         advice: Optional[AdviceBook] = None,
         engine: str = "colt",
         backend_factory=None,
@@ -265,18 +247,10 @@ class FleetCoordinator:
         engine_spec(engine)  # ValueError for a name the table lacks
         registry = registry if registry is not None else MetricsRegistry()
         config = config or ColtConfig()
-        if guardrails is not None:
-            # Guardrails and their staged rollout load only for a fleet
-            # that has them.
-            from repro.guardrails.manager import GuardrailManager
-            from repro.guardrails.rollout import RolloutController
         replicas: List[TunerReplica] = []
         for i in range(n_replicas):
             breaker = breakers[i] if breakers else None
             injector = fault_injectors[i] if fault_injectors else None
-            manager = (
-                GuardrailManager(config=guardrails) if guardrails is not None else None
-            )
             replicas.append(
                 TunerReplica(
                     i,
@@ -285,21 +259,16 @@ class FleetCoordinator:
                     breaker=breaker,
                     fault_injector=injector,
                     registry=MetricsRegistry(enabled=registry.enabled),
-                    guardrails=manager,
                     engine=engine,
                     backend_factory=backend_factory,
                     advice=advice,
                 )
             )
-        rollout: Optional[RolloutController] = None
-        if guardrails is not None:
-            baseline = [ix for r in replicas for ix in r.tuner.materialized_set]
-            rollout = RolloutController(baseline=baseline)
         routing_catalog = catalog_factory()
         router = make_router(policy, n_replicas, routing_catalog)
         self._wire(
             engine, config, replicas, routing_catalog, router,
-            fleet_epoch_length, registry, rollout=rollout,
+            fleet_epoch_length, registry,
         )
 
     def _wire(
@@ -311,7 +280,6 @@ class FleetCoordinator:
         router: Router,
         fleet_epoch_length: int,
         registry: MetricsRegistry,
-        rollout: Optional[RolloutController] = None,
     ) -> None:
         """Install the coordinator's fields around existing replicas.
 
@@ -323,7 +291,6 @@ class FleetCoordinator:
         self.fleet_epoch_length = fleet_epoch_length
         self.registry = registry
         self.replicas = list(replicas)
-        self.rollout = rollout
         self._routing_catalog = routing_catalog
         self.router = router
         self.queries_routed = 0
@@ -338,13 +305,11 @@ class FleetCoordinator:
         routing_catalog: Catalog,
         policy: str = "affinity",
         fleet_epoch_length: int = 50,
-        rollout: Optional[RolloutController] = None,
     ) -> "FleetCoordinator":
         """Build a coordinator around pre-existing replicas.
 
         Used when restoring a fleet from snapshots: the replicas (and
         their tuners) already exist, so no catalogs are constructed.
-        ``rollout`` re-attaches a restored staged-rollout controller.
         """
         coordinator = cls.__new__(cls)
         tuner = replicas[0].tuner
@@ -352,7 +317,6 @@ class FleetCoordinator:
         coordinator._wire(
             replicas[0].engine, tuner.config, replicas, routing_catalog, router,
             fleet_epoch_length, MetricsRegistry(enabled=tuner.registry.enabled),
-            rollout=rollout,
         )
         return coordinator
 
@@ -531,12 +495,6 @@ class FleetCoordinator:
             rebalanced = self.router.rebalance()
         self.router.roll_epoch()
 
-        rollout_summary: Optional[RolloutSummary] = None
-        if self.rollout is not None:
-            # Staged rollout runs after drains are known: a drained
-            # canary hands its duty to a healthy holder here.
-            rollout_summary = self.rollout.reconcile(self.replicas)
-
         divergence = self.configuration_divergence()
         result = FleetReorganizationResult(
             epoch=len(self.reorganizations),
@@ -553,11 +511,9 @@ class FleetCoordinator:
                     breaker_state=r.breaker.state.value,
                     queries=r.stats.queries,
                     materialized=len(r.materialized_names),
-                    quarantined=r.quarantined_names,
                 )
                 for r in self.replicas
             ],
-            rollout=rollout_summary,
         )
         self.reorganizations.append(result)
         return result

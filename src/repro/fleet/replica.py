@@ -90,9 +90,6 @@ class TunerReplica:
             coordinator hands each replica its own so snapshots can be
             merged under a ``replica`` label); ignored when ``tuner``
             is pre-built.
-        guardrails: Optional per-replica guardrail manager forwarded to
-            the tuner (verification, quarantine); ignored when ``tuner``
-            is pre-built.
         advice: Optional DBA advice forwarded to the tuner; ignored
             when ``tuner`` is pre-built.
         engine: Name of the tuning engine to construct (a key of
@@ -114,7 +111,6 @@ class TunerReplica:
         fault_injector: Optional[FaultInjector] = None,
         tuner: Optional[TuningLoop] = None,
         registry: Optional[MetricsRegistry] = None,
-        guardrails=None,
         engine: str = "colt",
         backend_factory=None,
         advice=None,
@@ -128,7 +124,6 @@ class TunerReplica:
                 breaker=breaker,
                 fault_injector=fault_injector,
                 registry=registry,
-                guardrails=guardrails,
                 backend=(
                     backend_factory(catalog) if backend_factory is not None else None
                 ),
@@ -157,15 +152,6 @@ class TunerReplica:
     def materialized_names(self) -> List[str]:
         """Names of the replica's currently materialized indexes."""
         return [ix.name for ix in self.tuner.materialized_set]
-
-    @property
-    def quarantined_names(self) -> List[str]:
-        """Names of indexes this replica's guardrails hold in quarantine
-        (or on parole); empty when no guardrail manager is attached."""
-        manager = self.tuner.guardrails
-        if manager is None:
-            return []
-        return [entry.index.name for entry in manager.quarantine.entries]
 
     # ------------------------------------------------------------------
     def process(self, query: Query, on_error: str = "raise") -> QueryOutcome:

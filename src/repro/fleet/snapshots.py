@@ -42,6 +42,14 @@ FLEET_SNAPSHOT_VERSION = 1
 FLEET_MANIFEST = "fleet.json"
 
 
+#: Manifest blocks of retired fleet features, with the feature each
+#: one recorded.  A manifest carrying one is refused by name.
+_RETIRED_BLOCKS = {
+    "cotune": "divergent-design co-tuning (its partition map)",
+    "rollout": "the fleet's staged rollout (its canary records)",
+}
+
+
 def _replica_file(replica_id: int) -> str:
     return f"replica-{replica_id}.json"
 
@@ -71,7 +79,6 @@ def snapshot_fleet(
                 "health": replica.health.value,
                 "queries": replica.stats.queries,
                 "materialized": len(replica.materialized_names),
-                "quarantined": replica.quarantined_names,
             }
         )
     return {
@@ -80,11 +87,6 @@ def snapshot_fleet(
         "fleet_epoch_length": coordinator.fleet_epoch_length,
         "queries_routed": coordinator.queries_routed,
         "replicas": entries,
-        **(
-            {"rollout": coordinator.rollout.to_snapshot()}
-            if coordinator.rollout is not None
-            else {}
-        ),
     }
 
 
@@ -158,17 +160,18 @@ def restore_fleet(
     Raises:
         SnapshotError: on any missing/corrupt file or checksum mismatch,
             and on a manifest of a retired fleet feature: ``cost``
-            routing (restorable under a ``policy`` override) or
-            divergent-design co-tuning (its partition-map block).
+            routing (restorable under a ``policy`` override),
+            divergent-design co-tuning (its partition-map block) or
+            staged rollout (its canary block).
     """
     root = pathlib.Path(directory)
     manifest = load_manifest(root)
-    if "cotune" in manifest:
-        raise SnapshotError(
-            "fleet manifest carries a co-tuning ('cotune') block; "
-            "divergent-design co-tuning was retired and its partition "
-            "map cannot be restored"
-        )
+    for block, feature in _RETIRED_BLOCKS.items():
+        if block in manifest:
+            raise SnapshotError(
+                f"fleet manifest carries a {block!r} block; {feature} was "
+                "retired and its state cannot be restored"
+            )
     if not policy:
         policy = str(manifest["policy"])
         if policy == "cost":
@@ -191,17 +194,9 @@ def restore_fleet(
         replicas.append(
             TunerReplica(int(entry["replica_id"]), catalog, tuner=tuner)
         )
-    rollout = None
-    if "rollout" in manifest:
-        from repro.guardrails.rollout import RolloutController
-
-        rollout = RolloutController.from_snapshot(
-            manifest["rollout"], replicas[0].catalog
-        )
     return FleetCoordinator.adopt(
         replicas,
         routing_catalog=catalog_factory(),
         policy=policy,
         fleet_epoch_length=int(manifest["fleet_epoch_length"]),
-        rollout=rollout,
     )

@@ -40,10 +40,8 @@ process cannot recover, so its breaker stays OPEN and the replica stays
 out of the rotation for good.
 
 Deliberately unsupported with workers (ValueError at construction):
-guardrail managers/advice and staged rollout (verification hooks into
-the per-query path), and injected breakers/fault injectors (those
-objects live in the worker; use the worker crash hook to test failure
-paths).
+DBA advice, and injected breakers/fault injectors (those objects live
+in the worker; use the worker crash hook to test failure paths).
 """
 
 from __future__ import annotations
@@ -131,7 +129,6 @@ def _status(replica: TunerReplica) -> Dict:
         "whatif_calls": replica.stats.whatif_calls,
         "failed": replica.stats.failed,
         "materialized": replica.materialized_names,
-        "quarantined": replica.quarantined_names,
     }
 
 
@@ -226,9 +223,8 @@ class WorkerHandle:
 
     Duck-types the coordinator-facing surface of
     :class:`~repro.fleet.replica.TunerReplica` (``health``, ``breaker``,
-    ``stats``, ``materialized_names``, ``quarantined_names``) from the
-    worker's last reported status, so the inherited reorganization logic
-    runs unchanged.
+    ``stats``, ``materialized_names``) from the worker's last reported
+    status, so the inherited reorganization logic runs unchanged.
 
     The ``breaker`` attribute is a real parent-side
     :class:`~repro.resilience.breaker.CircuitBreaker` that exists solely
@@ -249,7 +245,6 @@ class WorkerHandle:
         self.stats = ReplicaStats()
         self._remote_state = BreakerState.CLOSED
         self._materialized: List[str] = []
-        self._quarantined: List[str] = []
         self._deadline = 0.0  # monotonic; restarted by every send
         # Query interning over the pipe: ship each distinct query object
         # once, then reference it by key.  Strong refs guard the id()
@@ -286,10 +281,6 @@ class WorkerHandle:
     def materialized_names(self) -> List[str]:
         return list(self._materialized)
 
-    @property
-    def quarantined_names(self) -> List[str]:
-        return list(self._quarantined)
-
     def metrics_snapshot(self) -> Optional[Dict]:
         """The worker tuner's metrics snapshot; None once it has crashed."""
         return None if self.crashed else self.request(("metrics",))
@@ -319,7 +310,6 @@ class WorkerHandle:
             failed=status["failed"],
         )
         self._materialized = status["materialized"]
-        self._quarantined = status["quarantined"]
 
     def mark_crashed(self) -> None:
         """Record the worker as dead and trip the crash breaker (once)."""
@@ -440,7 +430,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
         breakers=None,
         fault_injectors=None,
         registry: Optional[MetricsRegistry] = None,
-        guardrails=None,
         advice=None,
         engine: str = "colt",
         backend_factory=None,
@@ -450,11 +439,10 @@ class WorkerFleetCoordinator(FleetCoordinator):
     ) -> None:
         if workers < 1:
             raise ValueError("WorkerFleetCoordinator requires workers >= 1")
-        if guardrails is not None or advice is not None:
+        if advice is not None:
             raise ValueError(
-                "guardrails and advice are not supported with worker "
-                "processes (verification hooks into the per-query path); "
-                "run the single-process fleet for guardrail deployments"
+                "advice is not supported with worker processes; run the "
+                "single-process fleet for advised deployments"
             )
         if breakers is not None or fault_injectors is not None:
             raise ValueError(

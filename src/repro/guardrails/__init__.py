@@ -1,12 +1,11 @@
-"""Production guardrails: verify, quarantine, stage, and constrain.
+"""Production guardrails: verify, quarantine, and constrain.
 
 Closes the predict->observe->act loop around COLT's what-if-driven
 decisions: observed-cost verification per materialized index
 (:mod:`repro.guardrails.verify`), breaker-backed quarantine for indexes
 that failed it (:mod:`repro.guardrails.quarantine`), DBA pin/ban/prefer
-advice (:mod:`repro.guardrails.advice`, resolved by the tuner itself),
-canary-first fleet rollout (:mod:`repro.guardrails.rollout`); verification
-and quarantine are orchestrated per tuner by the
+advice (:mod:`repro.guardrails.advice`, resolved by the tuner itself);
+verification and quarantine are orchestrated per tuner by the
 :class:`~repro.guardrails.manager.GuardrailManager`.
 """
 
@@ -18,12 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "advice": ("AdviceBook", "AdviceDirective", "AdviceError"),
         "manager": ("GuardrailConfig", "GuardrailManager"),
         "quarantine": ("Quarantine", "QuarantineEntry"),
-        "rollout": (
-            "RolloutController",
-            "RolloutRecord",
-            "RolloutStage",
-            "RolloutSummary",
-        ),
         "verify": (
             "CostObserver",
             "ExecutionObserver",

@@ -109,7 +109,7 @@ class GuardrailManager:
 
         Called by :class:`~repro.core.loop.TuningLoop` when constructed
         with a guardrail manager.  The tuner's standing rulings (DBA
-        advice, rollout bans) mark the :meth:`audit` rows; the audit and
+        advice, pushed rulings) mark the :meth:`audit` rows; the audit and
         the close's rulings are the guardrails' record.
         """
         self._tuner = tuner

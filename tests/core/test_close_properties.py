@@ -30,7 +30,7 @@ from repro.core.knapsack import (
     _take_all,
     solve_knapsack,
 )
-from repro.core.scheduler import RetryReport, Scheduler, SchedulingPolicy
+from repro.core.scheduler import RetryReport, Scheduler
 from repro.core.self_organizer import (
     _net_benefit,
     two_means_split,
@@ -594,12 +594,7 @@ def _apply_oracle(self, reorg):
     self.scheduler.request_drop(reorg.drop)
     if self.guardrails is not None and reorg.drop:
         self.guardrails.on_drop(reorg.drop)
-    queued = set(self.scheduler.pending)
-    failed = [
-        ix
-        for ix in reorg.materialize
-        if not self.catalog.is_materialized(ix) and ix not in queued
-    ]
+    failed = [ix for ix in reorg.materialize if not self.catalog.is_materialized(ix)]
     for index in failed:
         self.materialized.discard(index)
     reorg.build_failures = failed
@@ -650,7 +645,6 @@ def _scheduler_state(scheduler):
         scheduler.epoch,
         failed(scheduler.retry_queue),
         failed(scheduler.abandoned),
-        scheduler.pending,
         scheduler.failure_count,
         scheduler.total_build_cost,
         [(b.index, b.cost) for b in scheduler.builds],
@@ -664,7 +658,6 @@ _retry_policies = st.builds(
     max_delay_epochs=st.integers(2, 4),
     max_attempts=st.integers(1, 4),
 )
-_policies = st.sampled_from(list(SchedulingPolicy))
 
 
 # Heavy writes retire an index with nothing built in its place: the one
@@ -678,30 +671,23 @@ _write_op = st.tuples(
 
 @given(
     ops=st.lists(st.one_of(_queries_op, _queries_op, _write_op), max_size=16),
-    idle_every=st.integers(1, 4),
     probability=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
     fault_seed=st.integers(0, 3),
     retry=_retry_policies,
-    policy=_policies,
 )
 @settings(deadline=None)
-def test_apply_exits_equal_the_full_protocol(
-    ops, idle_every, probability, fault_seed, retry, policy
-):
+def test_apply_exits_equal_the_full_protocol(ops, probability, fault_seed, retry):
     def build():
         faults = FaultInjector(
             FaultPlan(build=FaultSpec(probability=probability)), seed=fault_seed
         )
         config = ColtConfig(epoch_length=5, min_history_epochs=2, storage_budget_pages=4_000.0)
-        return ColtTuner(
-            build_catalog(), config, policy=policy, retry=retry, fault_injector=faults
-        )
+        return ColtTuner(build_catalog(), config, retry=retry, fault_injector=faults)
 
     got, want = build(), build()
     want._apply = types.MethodType(_apply_oracle, want)
     _as_it_stood(want.scheduler)
     cursor = [0] * len(PHASES)
-    closes = 0
     for kind, phase, count in ops:
         if kind == "insert":
             for tuner in (got, want):
@@ -715,9 +701,6 @@ def test_apply_exits_equal_the_full_protocol(
             if not a.epoch_ended:
                 continue
             assert a.reorganization == b.reorganization  # every ledger field
-            closes += 1
-            if closes % idle_every == 0:  # idle time: queued builds run (or fail)
-                assert got.scheduler.on_idle(2) == want.scheduler.on_idle(2)
             assert _scheduler_state(got.scheduler) == _scheduler_state(want.scheduler)
             assert got.materialized == want.materialized
     assert _comparable(got.metrics_snapshot()) == _comparable(want.metrics_snapshot())
@@ -729,7 +712,6 @@ _scheduler_op = st.one_of(
     st.tuples(st.just("drop"), _picks),
     st.tuples(st.just("advance"), st.just([])),
     st.tuples(st.just("advance"), st.just([])),
-    st.tuples(st.just("idle"), _picks),
 )
 
 
@@ -737,10 +719,9 @@ _scheduler_op = st.one_of(
     ops=st.lists(_scheduler_op, max_size=40),
     failing=st.lists(st.booleans(), max_size=40),
     retry=_retry_policies,
-    policy=_policies,
 )
 @settings(deadline=None)
-def test_scheduler_exits_equal_the_full_protocol(ops, failing, retry, policy):
+def test_scheduler_exits_equal_the_full_protocol(ops, failing, retry):
     """Also with the requests passed as one-shot generators, which an
     ``if not indexes`` exit would get wrong."""
 
@@ -752,9 +733,7 @@ def test_scheduler_exits_equal_the_full_protocol(ops, failing, retry, policy):
                 raise IndexBuildError(f"injected failure building {index}")
 
         catalog = build_catalog()
-        scheduler = Scheduler(
-            catalog, policy=policy, retry=retry, failpoint=failpoint
-        )
+        scheduler = Scheduler(catalog, retry=retry, failpoint=failpoint)
         columns = ("l_shipdate", "l_commitdate", "l_receiptdate", "l_quantity", "l_discount")
         return scheduler, [catalog.index_for("lineitem_1", c) for c in columns]
 
@@ -767,8 +746,6 @@ def test_scheduler_exits_equal_the_full_protocol(ops, failing, retry, policy):
         elif op == "drop":
             got.request_drop(got_indexes[i] for i in picks)
             want.request_drop([want_indexes[i] for i in picks])
-        elif op == "advance":
-            assert got.advance_epoch() == want.advance_epoch()
         else:
-            assert got.on_idle(len(picks)) == want.on_idle(len(picks))
+            assert got.advance_epoch() == want.advance_epoch()
         assert _scheduler_state(got) == _scheduler_state(want)

@@ -84,7 +84,6 @@ class TestIdentityAcrossCatalogs:
     @COLUMNS
     def test_guardrail_maps(self, kind, columns):
         from repro.guardrails.quarantine import Quarantine
-        from repro.guardrails.rollout import RolloutController
         from repro.guardrails.verify import IndexVerifier, Observation
 
         catalog, index, probe = self._pair(kind, columns)
@@ -99,25 +98,6 @@ class TestIdentityAcrossCatalogs:
         assert verifier.state_for(probe) is state
         verifier.reset(probe)
         assert len(verifier) == 0
-
-        controller = RolloutController.from_snapshot(
-            {
-                "epoch": 1,
-                "rollback_cooldown": 4,
-                "baseline": [],
-                "records": [
-                    {
-                        "table": index.table,
-                        "columns": list(index.columns),
-                        "stage": "canary",
-                        "canary_id": 0,
-                        "started_epoch": 1,
-                    }
-                ],
-            },
-            catalog,
-        )
-        assert controller.record_for(probe).index == index
 
     @KINDS
     @COLUMNS

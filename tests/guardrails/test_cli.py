@@ -1,4 +1,4 @@
-"""CLI surfaces for the guardrail subsystem: audit and fleet-status.
+"""CLI surface for the guardrail subsystem: audit.
 
 The two ``audit --compare`` runs (``AUDIT_RUNS``) are held to the
 documents recorded in ``tests/data/audit_identity.json``, compared
@@ -53,11 +53,6 @@ class TestAuditParsing:
     def test_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["audit", "--scenario", "sunny"])
-
-    def test_fleet_run_guardrails_flag(self):
-        args = build_parser().parse_args(["fleet-run", "--guardrails", "on"])
-        assert args.guardrails == "on"
-        assert build_parser().parse_args(["fleet-run"]).guardrails == "off"
 
 
 class TestAuditCommand:
@@ -114,44 +109,3 @@ class TestAuditCommand:
             main(["audit", "--help"])
         assert "requires guardrails" not in " ".join(capsys.readouterr().out.split())
 
-
-class TestFleetStatusGuardrails:
-    FLEET = [
-        "fleet-run",
-        "--replicas", "2",
-        "--phase-length", "15",
-        "--transition", "5",
-        "--fleet-epoch", "10",
-        "--seed", "3",
-        "--guardrails", "on",
-    ]
-
-    def _snapshot(self, tmp_path, capsys):
-        target = tmp_path / "state"
-        assert main(self.FLEET + ["--snapshot-dir", str(target)]) == 0
-        capsys.readouterr()
-        return target
-
-    def test_fleet_run_prints_rollout_summary(self, capsys, tmp_path):
-        assert main(self.FLEET) == 0
-        out = capsys.readouterr().out
-        assert "rollouts:" in out
-        assert "promoted:" in out
-
-    def test_fleet_status_text_shows_quarantine_column(self, capsys, tmp_path):
-        target = self._snapshot(tmp_path, capsys)
-        assert main(["fleet-status", str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "quarantined" in out
-
-    def test_fleet_status_json_document(self, capsys, tmp_path):
-        target = self._snapshot(tmp_path, capsys)
-        assert main(["fleet-status", str(target), "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert len(document["replicas"]) == 2
-        for entry in document["replicas"]:
-            assert "quarantined" in entry
-            assert entry["integrity"] == "OK"
-        assert "rollouts" in document
-        for rollout in document["rollouts"]:
-            assert {"index", "stage", "canary"} <= set(rollout)
