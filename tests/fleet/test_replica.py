@@ -20,6 +20,20 @@ def make_replica(replica_id=0, breaker=None, **config_kwargs):
     )
 
 
+class TestConstruction:
+    def test_a_replica_tuner_runs_without_a_guardrail_manager(self):
+        from repro.guardrails import GuardrailConfig, GuardrailManager
+
+        assert make_replica().tuner.guardrails is None
+        assert not hasattr(TunerReplica, "quarantined_names")
+        with pytest.raises(TypeError, match="guardrails"):
+            TunerReplica(
+                0,
+                build_small_catalog(),
+                guardrails=GuardrailManager(config=GuardrailConfig()),
+            )
+
+
 class TestHealth:
     def test_fresh_replica_is_healthy(self):
         assert make_replica().health is ReplicaHealth.HEALTHY

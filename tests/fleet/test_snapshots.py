@@ -51,6 +51,14 @@ class TestManifest:
         for entry in manifest["replicas"]:
             assert {"replica_id", "file", "checksum", "health"} <= set(entry)
 
+    def test_manifest_carries_no_guardrail_state(self):
+        manifest = snapshot_fleet(warm_fleet(make_fleet()))
+        assert set(manifest) == {
+            "version", "policy", "fleet_epoch_length", "queries_routed", "replicas",
+        }
+        for entry in manifest["replicas"]:
+            assert "quarantined" not in entry
+
     def test_save_writes_manifest_and_replica_files(self, tmp_path):
         fleet = warm_fleet(make_fleet())
         path = save_fleet(tmp_path, fleet)
@@ -108,6 +116,25 @@ class TestRoundtrip:
         outcome = restored.process_query(eq_query(123))
         assert not outcome.outcome.failed
         assert restored.replicas[outcome.replica_id].stats.queries == 1
+
+    def test_restore_on_epoch_boundaries_continues_like_the_original(self, tmp_path):
+        # The warmup ends on a fleet-epoch boundary (40 queries, epochs of
+        # 10) and on every replica's tuner-epoch boundary (20 each, epochs
+        # of 5): neither clock is in the snapshot, so only there does a
+        # restored fleet resume in step with the live one.
+        fleet = warm_fleet(make_fleet())
+        assert [r.tuner.queries_seen % 5 for r in fleet.replicas] == [0, 0]
+        save_fleet(tmp_path, fleet)
+        restored = restore_fleet(tmp_path, build_small_catalog)
+        more = [day_query(9000 + i) if i % 3 else eq_query(i + 1) for i in range(30)]
+        original_run, restored_run = fleet.run(more), restored.run(more)
+        assert [o.replica_id for o in restored_run.outcomes] == [
+            o.replica_id for o in original_run.outcomes
+        ]
+        assert restored_run.total_cost == pytest.approx(original_run.total_cost)
+        assert [sorted(r.materialized_names) for r in restored.replicas] == [
+            sorted(r.materialized_names) for r in fleet.replicas
+        ]
 
     def test_restore_honours_policy_override(self, tmp_path):
         fleet = warm_fleet(make_fleet(policy="round-robin"))

@@ -22,6 +22,7 @@ from repro.guardrails.advice import AdviceBook, AdviceDirective
 from repro.guardrails.manager import GuardrailManager
 from repro.obs.registry import MetricsRegistry
 from repro.persist import SnapshotError, restore_any, snapshot_any
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
 from repro.resilience.breaker import CircuitBreaker
 from repro.sql.ast import (
     ColumnExpr,
@@ -195,6 +196,71 @@ class TestRun:
         # Every boundary started the next epoch with its spend reset.
         assert tuner._epoch_budget()[2] == 0
 
+
+class TestBuilds:
+    """Builds run at the boundary that requests them (the immediate policy)."""
+
+    def test_there_is_no_policy_to_choose(self, engine, small_catalog):
+        with pytest.raises(TypeError, match="policy"):
+            _make(engine, small_catalog, policy="idle")
+
+    def test_a_requested_build_is_charged_and_usable_at_its_boundary(
+        self, engine, small_catalog
+    ):
+        tuner = _make(engine, small_catalog)
+        built = []
+        for outcome in tuner.run(_stream(60)):
+            reorg = outcome.reorganization
+            if reorg is None or not reorg.materialize:
+                continue
+            assert outcome.build_cost == pytest.approx(
+                sum(small_catalog.index_build_cost(ix) for ix in reorg.materialize)
+            )
+            assert all(small_catalog.is_materialized(ix) for ix in reorg.materialize)
+            built.extend(reorg.materialize)
+        assert built, "expected the stream to materialize an index"
+        assert {b.index for b in tuner.scheduler.builds} == set(built)
+
+    def test_a_failed_build_stays_out_of_m_and_is_surfaced(
+        self, engine, small_catalog
+    ):
+        injector = FaultInjector(FaultPlan(build=FaultSpec(every=1)))
+        tuner = _make(engine, small_catalog, fault_injector=injector)
+        failures = []
+        for outcome in tuner.run(_stream(60)):
+            reorg = outcome.reorganization
+            if reorg is not None:
+                assert reorg.build_failures == list(reorg.materialize)
+                assert tuner.materialized_set == []
+                failures.extend(reorg.build_failures)
+            assert outcome.build_cost == 0.0
+        assert failures, "expected the stream to request a build"
+        assert not small_catalog.materialized_indexes()
+        assert {f.index for f in tuner.scheduler.retry_queue} <= set(failures)
+
+    def test_a_retried_build_rejoins_m(self, engine, small_catalog):
+        injector = FaultInjector(FaultPlan(build=FaultSpec(at_calls=(1,))))
+        tuner = _make(
+            engine,
+            small_catalog,
+            retry=RetryPolicy(base_delay_epochs=1),
+            fault_injector=injector,
+        )
+        outcomes = tuner.run(_stream(60))
+        failed = [
+            ix
+            for o in outcomes
+            if o.reorganization
+            for ix in o.reorganization.build_failures
+        ]
+        recovered = [
+            ix
+            for o in outcomes
+            if o.reorganization
+            for ix in o.reorganization.recovered_builds
+        ]
+        assert len(failed) == 1 and recovered == failed
+        assert set(tuner.materialized_set) == set(small_catalog.materialized_indexes())
 
 class TestInserts:
     def test_requires_rows_or_count(self, engine, small_catalog):
