@@ -4,13 +4,19 @@ The system keeps, per index, a window of per-epoch measured benefits.
 At reorganization time it predicts the benefit for each of the next
 ``h`` epochs: the forecast ``PredBenefit_j`` for the ``j``-th future
 epoch is "computed taking all of the past ``j`` epochs into account" --
-we realize this as the mean of the last ``j`` windowed measurements, so
-near-term forecasts weigh recent behaviour and far-term forecasts spread
-over the whole memory.  Then
+we realize this as the mean of the last ``max(j, MIN_FORECAST_WINDOW)``
+windowed measurements (all of them when the window holds fewer), so
+near-term forecasts weigh recent behaviour, no forecast rests on fewer
+than ``MIN_FORECAST_WINDOW`` epochs, and far-term forecasts spread over
+the whole memory.  Then
 
     NetBenefit(I) = sum_{j=1..h} PredBenefit_j(I) - MatCost(I)
 
 with ``MatCost(I) = 0`` for already-materialized indexes.
+
+Every sum here is a left fold from ``0``, oldest term first: what the
+built-in ``sum`` computes over floats up to CPython 3.11 (3.12's is
+compensated), so a forecast is the same float on every version.
 
 This windowed design is deliberately what produces the Figure 6 noise
 band: a burst roughly as long as the window dominates every forecast
@@ -20,7 +26,7 @@ horizon and is mistaken for a shift.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Sequence
+from typing import Deque, Iterable, List, Sequence
 
 
 class BenefitHistory:
@@ -29,39 +35,52 @@ class BenefitHistory:
     Attributes:
         nonzero: How many windowed benefits differ from zero, kept as
             they enter and leave.  Every forecast term of a window
-            without one is ``0.0`` (``-0.0`` terms included: Python's
-            ``sum`` starts from ``0``), so such a window needs no
-            forecast at all.
+            without one is ``0.0`` (``-0.0`` terms included: a fold
+            starts from ``0``), so such a window needs no forecast at
+            all.
     """
 
-    __slots__ = ("_window", "nonzero")
+    __slots__ = ("_window", "_sums", "nonzero")
 
     def __init__(self, history_epochs: int) -> None:
         self._window: Deque[float] = deque(maxlen=history_epochs)
+        # _sums[j] is the fold of the newest j benefits, oldest first.
+        # An append extends every suffix by the same newest term, so the
+        # new _sums[j] is the old _sums[j - 1] plus it: the very fold
+        # the window's own sum would perform.
+        self._sums: List[float] = [0]
         self.nonzero = 0
 
     def record(self, benefit: float) -> None:
         """Append the benefit measured for the epoch just ended."""
         window = self._window
-        if len(window) == window.maxlen and window[0] != 0.0:
-            self.nonzero -= 1  # the append below pushes it out
+        sums = self._sums
+        if len(window) == window.maxlen:
+            if window[0] != 0.0:
+                self.nonzero -= 1  # the append below pushes it out
+            sums.pop()  # and with it the sum of the whole window
         window.append(benefit)
         if benefit != 0.0:
             self.nonzero += 1
+        sums = [s + benefit for s in sums]
+        sums.insert(0, 0)
+        self._sums = sums
 
     def values(self) -> List[float]:
         """Windowed benefits, oldest first."""
         return list(self._window)
 
     def predicted_total(self, horizon: int) -> float:
-        """:func:`total_predicted_benefit` of the window."""
+        """:func:`total_predicted_benefit` of the window, read from the
+        suffix sums."""
         if not self.nonzero:
             return 0.0
-        return total_predicted_benefit(list(self._window), horizon)
+        return _total_from_sums(self._sums, horizon, MIN_FORECAST_WINDOW)
 
     def clear(self) -> None:
         """Forget all history (used when statistics become inconsistent)."""
         self._window.clear()
+        self._sums = [0]
         self.nonzero = 0
 
     def __len__(self) -> int:
@@ -87,7 +106,7 @@ def predicted_benefit(
         return 0.0
     span = max(j, min_window)
     window = list(history[-span:]) if span < len(history) else list(history)
-    return sum(window) / len(window)
+    return _fold(window) / len(window)
 
 
 def total_predicted_benefit(
@@ -102,21 +121,39 @@ def total_predicted_benefit(
     shrinks as ``j`` grows: the first ``min_window`` terms share one
     mean, each later ``j`` up to ``len(history)`` averages one more
     measurement, and every term past that repeats the whole-history
-    mean.  Each window is summed oldest first and the terms are summed
+    mean.  Each window is folded oldest first and the terms are folded
     in ``j`` order, exactly as the term-per-``j`` definition does.
     """
-    n = len(history)
-    if not n:
+    if not history:
         return 0.0
-    min_window = max(min_window, 1)  # max(j, min_window) never goes below j >= 1
+    sums = [0, *(_fold(history[-j:]) for j in range(1, len(history) + 1))]
+    # max(j, min_window) never goes below j >= 1
+    return _total_from_sums(sums, horizon, max(min_window, 1))
+
+
+def _total_from_sums(sums: List[float], horizon: int, min_window: int) -> float:
+    """:func:`total_predicted_benefit` of a non-empty window, given its
+    suffix sums: ``sums[j]`` is the fold of its newest ``j`` benefits."""
+    n = len(sums) - 1
     window = min(min_window, n)
-    mean = sum(history[-window:]) / window
-    terms = [mean] * min(horizon, min_window)
+    mean = sums[window] / window
+    total = 0
+    for _ in range(min(horizon, min_window)):
+        total += mean
     for j in range(min_window + 1, horizon + 1):
         if j <= n:
-            mean = sum(history[-j:]) / j
-        terms.append(mean)
-    return sum(terms)
+            mean = sums[j] / j
+        total += mean
+    return total
+
+
+def _fold(values: Iterable[float]) -> float:
+    """``sum(values)`` as a plain left fold from ``0`` (see the module
+    docstring): the same float on every CPython version."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def net_benefit(

@@ -12,7 +12,7 @@ re-budgeting scenario.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 # Standard normal quantiles for the confidence levels the paper's
 # experiments plausibly use; intermediate levels are interpolated.
@@ -43,15 +43,21 @@ class GainStats:
     ``HighGain = +inf`` (callers substitute a crude optimistic estimate
     for the unbounded side).  With one sample the spread is taken to be
     the sample magnitude itself, a deliberately wide prior.
+
+    The half-width and the interval are computed on first read and held
+    until the next :meth:`add`: an epoch close reads the interval of
+    every exposed pair, and most pairs got no sample since the last one.
     """
 
-    __slots__ = ("count", "_mean", "_m2", "_z")
+    __slots__ = ("count", "_mean", "_m2", "_z", "_half", "_interval")
 
     def __init__(self, confidence: float = 0.90) -> None:
         self.count = 0
         self._mean = 0.0
         self._m2 = 0.0
         self._z = z_value(confidence)
+        self._half: Optional[float] = None
+        self._interval: Optional[Tuple[float, float]] = None
 
     def add(self, gain: float) -> None:
         """Record one measured gain."""
@@ -59,6 +65,7 @@ class GainStats:
         delta = gain - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (gain - self._mean)
+        self._half = self._interval = None
 
     @property
     def mean(self) -> float:
@@ -85,13 +92,17 @@ class GainStats:
         bound would make one-off measurements worthless to the
         conservative estimator).
         """
-        if self.count == 0:
-            return math.inf
-        if self.count == 1:
-            return 0.5 * abs(self._mean)
-        # z * stddev / sqrt(n), without the property hops: this runs per
-        # probe and per (index, cluster) pair of every epoch summary.
-        return self._z * math.sqrt(self._m2 / (self.count - 1)) / math.sqrt(self.count)
+        half = self._half
+        if half is None:
+            count = self.count
+            if count == 0:
+                half = math.inf
+            elif count == 1:
+                half = 0.5 * abs(self._mean)
+            else:  # z * stddev / sqrt(n)
+                half = self._z * math.sqrt(self._m2 / (count - 1)) / math.sqrt(count)
+            self._half = half
+        return half
 
     def interval(self) -> Tuple[float, float]:
         """The confidence interval ``[LowGain, HighGain]``.
@@ -100,10 +111,15 @@ class GainStats:
         never *acted on* more strongly than "no gain", matching the
         conservative-materialization policy.
         """
-        if self.count == 0:
-            return 0.0, math.inf
-        hw = self.half_width()
-        return max(0.0, self._mean - hw), self._mean + hw
+        interval = self._interval
+        if interval is None:
+            if self.count == 0:
+                interval = (0.0, math.inf)
+            else:
+                hw = self.half_width()
+                interval = (max(0.0, self._mean - hw), self._mean + hw)
+            self._interval = interval
+        return interval
 
     @property
     def low(self) -> float:

@@ -3,10 +3,12 @@
 The Self-Organizer models reorganization as a knapsack: objects are the
 indexes of ``H ∪ M``, sizes are index sizes in pages, values are
 ``NetBenefit`` forecasts, and the capacity is the storage budget ``B``
-(§5).  Sizes are fractional, so the exact solver discretizes them onto a
-fixed grid (rounding sizes *up*, which keeps solutions feasible); a
-density-ordered greedy solver is available for large instances and as a
-cross-check in tests.
+(§5).  Pools of at most :data:`MAX_EXACT_ITEMS` items -- every pool an
+epoch close builds -- are solved exactly by branch-and-bound over the
+true float sizes; larger pools go to a DP that discretizes the sizes onto
+a fixed grid (rounding them *up*, which keeps solutions feasible).  The
+density-ordered greedy :func:`solve_greedy` has no caller in the tuner;
+tests use it as a lower bound on the exact solvers.
 """
 
 from __future__ import annotations
@@ -247,23 +249,15 @@ def _solve_exact(
 ) -> Tuple[List[KnapsackItem], float]:
     """Branch-and-bound with the fractional-relaxation upper bound.
 
-    ``order`` lists the viable items by descending value density.
+    ``order`` lists the viable items by descending value density.  The
+    search is depth first, taking an item before leaving it out; a node
+    is ``(position, room left, value so far, mask of items taken)`` and
+    its bound, written out in the loop, is the value of the fractional
+    relaxation over the items from its position on.
     """
     sizes = [it.size for it in order]
     values = [it.value for it in order]
     n = len(order)
-
-    def bound(pos: int, room: float) -> float:
-        """Value of the fractional relaxation over items[pos:]."""
-        total = 0.0
-        for i in range(pos, n):
-            if sizes[i] <= room:
-                room -= sizes[i]
-                total += values[i]
-            else:
-                total += values[i] * (room / sizes[i])
-                break
-        return total
 
     best_value = 0.0
     best_mask = 0
@@ -274,18 +268,42 @@ def _solve_exact(
     # strict comparison can wrongly prune the optimal solution.
     eps = 1e-9 * max(1.0, capacity)
 
-    def dfs(pos: int, room: float, value: float, mask: int) -> None:
-        nonlocal best_value, best_mask
+    # The node in hand is (pos, room, value, mask); it goes on to the
+    # child that takes item ``pos`` while the one that leaves it out
+    # waits on the stack, so the whole subtree that takes an item is
+    # searched before the one that leaves it out.
+    stack: List[Tuple[int, float, float, int]] = []
+    push = stack.append
+    pop = stack.pop
+    pos, room, value, mask = 0, capacity, 0.0, 0
+    while True:
         if value > best_value:
             best_value = value
             best_mask = mask
-        if pos >= n or value + bound(pos, room) <= best_value + 1e-12:
-            return
-        if sizes[pos] <= room + eps:
-            dfs(pos + 1, room - sizes[pos], value + values[pos], mask | (1 << pos))
-        dfs(pos + 1, room, value, mask)
+        if pos < n:
+            bound = 0.0
+            left = room
+            for i in range(pos, n):
+                size = sizes[i]
+                if size <= left:
+                    left -= size
+                    bound += values[i]
+                else:
+                    bound += values[i] * (left / size)
+                    break
+            if not value + bound <= best_value + 1e-12:  # a NaN bound searches on
+                size = sizes[pos]
+                if size <= room + eps:
+                    push((pos + 1, room, value, mask))
+                    room -= size
+                    value += values[pos]
+                    mask |= 1 << pos
+                pos += 1
+                continue
+        if not stack:
+            break
+        pos, room, value, mask = pop()
 
-    dfs(0, capacity, 0.0, 0)
     selected = [order[i] for i in range(n) if best_mask & (1 << i)]
     return selected, best_value
 

@@ -3,8 +3,11 @@
 Each piece the close computes incrementally, in a single pass, or not at
 all when a boundary cannot have changed it, is compared against the
 from-scratch code it replaced, kept here verbatim as the oracle: the
-forecast sum and its all-zero exit, the windows' running non-zero count,
-the knapsack's take-everything exit, the 2-means split that skips a
+forecast sum and its all-zero exit, the suffix sums a window keeps on
+append and the forecast it holds until the next one, the windows' running
+non-zero count, the (index, cluster) pairs' held intervals, the
+knapsack's stack search against the recursive one it replaced and its
+take-everything exit, the 2-means split that skips a
 hopeless bottom group, the running cluster populations, the candidates'
 in-line epoch roll, the profiler's unexposed-index exit, the per-index
 record against the three dicts it replaced, and the no-op exits of
@@ -16,15 +19,22 @@ import math
 import types
 from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidates import CandidateStats, CandidateTracker
 from repro.core.clustering import ClusterStore, cluster_key
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
-from repro.core.forecast import BenefitHistory, net_benefit, total_predicted_benefit
+from repro.core.forecast import (
+    MIN_FORECAST_WINDOW,
+    BenefitHistory,
+    net_benefit,
+    total_predicted_benefit,
+)
+from repro.core.intervals import GainStats
 from repro.core.knapsack import (
+    MAX_EXACT_ITEMS,
     KnapsackItem,
     _solve_exact,
     _take_all,
@@ -54,12 +64,22 @@ benefits = st.one_of(
 
 # ----------------------------------------------------------------------
 # forecast
+def _fold(values):
+    """The built-in ``sum`` over floats as CPython <= 3.11 computes it
+    (and every pinned file recorded it): a plain left fold from ``0``.
+    3.12's ``sum`` is compensated, so the oracles spell the fold out."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def _predicted_benefit_oracle(history, j, min_window):
     if not history:
         return 0.0
     span = max(j, min_window)
     window = list(history[-span:]) if span < len(history) else list(history)
-    return sum(window) / len(window)
+    return _fold(window) / len(window)
 
 
 def _total_predicted_benefit_oracle(history, horizon, min_window):
@@ -73,7 +93,7 @@ def _total_predicted_benefit_oracle(history, horizon, min_window):
         if window not in by_window:
             by_window[window] = _predicted_benefit_oracle(history, j, min_window)
         terms.append(by_window[window])
-    return sum(terms)
+    return _fold(terms)
 
 
 @given(
@@ -155,15 +175,166 @@ def test_running_nonzero_count_equals_a_recount(history_epochs, ops):
         assert len(history) <= history_epochs
 
 
+_forecast_op = st.one_of(
+    st.one_of(zeros, benefits, st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.sampled_from(["clear", "restore"]),
+    st.tuples(st.just("read"), st.integers(0, 2 * H)),
+)
+
+
+@given(
+    history_epochs=st.integers(1, H),
+    ops=st.lists(_forecast_op, max_size=3 * H),
+)
+@example(history_epochs=3, ops=[1.0, 2.0, "clear", 3.0, ("read", 2)])
+@example(history_epochs=2, ops=[1.0, 2.0, 4.0, ("read", 7), ("read", 1), "restore"])
+@settings(deadline=None)
+def test_held_suffix_sums_forecast_as_the_window_does(history_epochs, ops):
+    """The suffix sums kept on ``record`` forecast like the window made
+    from scratch, through appends past the window, clears, restores and
+    repeated reads."""
+    history = BenefitHistory(history_epochs)
+    for op in ops:
+        if op == "clear":
+            history.clear()
+        elif op == "restore":  # as repro.persist replays a stored window
+            stored = json.loads(json.dumps(history.values()))
+            history = BenefitHistory(history_epochs)
+            for value in stored[-history_epochs:]:
+                history.record(float(value))
+        elif isinstance(op, tuple):
+            horizon = op[1]
+            want = _total_predicted_benefit_oracle(
+                history.values(), horizon, MIN_FORECAST_WINDOW
+            )
+            for _ in range(2):  # a read changes nothing
+                got = history.predicted_total(horizon)
+                assert _same(got, total_predicted_benefit(history.values(), horizon))
+                assert _same(got, want)
+        else:
+            history.record(op)
+        windowed = history.values()
+        assert _same(
+            history.predicted_total(H), _total_predicted_benefit_oracle(windowed, H, MIN_FORECAST_WINDOW)
+        )
+
+
+# ----------------------------------------------------------------------
+# gain intervals
+def _half_width_oracle(stats):
+    """``GainStats.half_width`` as it stood, from the running moments."""
+    if stats.count == 0:
+        return math.inf
+    if stats.count == 1:
+        return 0.5 * abs(stats._mean)
+    return stats._z * math.sqrt(stats._m2 / (stats.count - 1)) / math.sqrt(stats.count)
+
+
+def _interval_oracle(stats):
+    """``GainStats.interval`` as it stood."""
+    if stats.count == 0:
+        return 0.0, math.inf
+    hw = _half_width_oracle(stats)
+    return max(0.0, stats._mean - hw), stats._mean + hw
+
+
+def _relative_uncertainty_oracle(stats):
+    """``GainStats.relative_uncertainty`` as it stood."""
+    if stats.count == 0:
+        return math.inf
+    return _half_width_oracle(stats) / (abs(stats._mean) + 1e-9)
+
+
+def _same_floats(got, want):
+    return len(got) == len(want) and all(map(_same, got, want))
+
+
+gains = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-13, 1e300, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(
+    confidence=st.sampled_from([0.8, 0.9, 0.95]),
+    ops=st.lists(st.one_of(gains, st.just("read")), max_size=40),
+)
+@settings(deadline=None)
+def test_held_interval_equals_a_fresh_computation(confidence, ops):
+    stats = GainStats(confidence)
+    samples = []
+    for op in ops:
+        if op == "read":  # the held values, read twice
+            for _ in range(2):
+                held = (*stats.interval(), stats.half_width(), stats.relative_uncertainty())
+                assert _same_floats(held[:2], (stats.low, stats.high))
+        else:
+            stats.add(op)
+            samples.append(op)
+        fresh = GainStats(confidence)
+        for sample in samples:
+            fresh.add(sample)
+        got = (*stats.interval(), stats.half_width(), stats.relative_uncertainty())
+        assert _same_floats(
+            got, (*fresh.interval(), fresh.half_width(), fresh.relative_uncertainty())
+        )
+        assert _same_floats(
+            got,
+            (
+                *_interval_oracle(stats),
+                _half_width_oracle(stats),
+                _relative_uncertainty_oracle(stats),
+            ),
+        )
+
+
 # ----------------------------------------------------------------------
 # knapsack
-def _search(items, capacity):
+def _solve_exact_recursive(order, capacity):
+    """``_solve_exact`` as it stood: a recursive search calling a bound
+    closure at every node."""
+    sizes = [it.size for it in order]
+    values = [it.value for it in order]
+    n = len(order)
+
+    def bound(pos, room):
+        total = 0.0
+        for i in range(pos, n):
+            if sizes[i] <= room:
+                room -= sizes[i]
+                total += values[i]
+            else:
+                total += values[i] * (room / sizes[i])
+                break
+        return total
+
+    best_value = 0.0
+    best_mask = 0
+    eps = 1e-9 * max(1.0, capacity)
+
+    def dfs(pos, room, value, mask):
+        nonlocal best_value, best_mask
+        if value > best_value:
+            best_value = value
+            best_mask = mask
+        if pos >= n or value + bound(pos, room) <= best_value + 1e-12:
+            return
+        if sizes[pos] <= room + eps:
+            dfs(pos + 1, room - sizes[pos], value + values[pos], mask | (1 << pos))
+        dfs(pos + 1, room, value, mask)
+
+    dfs(0, capacity, 0.0, 0)
+    selected = [order[i] for i in range(n) if best_mask & (1 << i)]
+    return selected, best_value
+
+
+def _search(items, capacity, solve=_solve_exact):
     """``solve_knapsack`` with the branch-and-bound deciding every case."""
     viable = [it for it in items if it.value > 0.0 and 0.0 < it.size <= capacity]
     if not viable or capacity <= 0.0:
         return [], 0.0
     order = sorted(viable, key=lambda it: it.value / it.size, reverse=True)
-    return _solve_exact(order, capacity)
+    return solve(order, capacity)
 
 
 sizes = st.one_of(st.floats(0.01, 500.0), st.sampled_from([0.1, 0.2, 0.3, 0.7, 0.9]))
@@ -196,6 +367,61 @@ def test_take_all_exit_is_the_search_result(pairs, fit):
         "double": total * 2,
     }[fit]
     assert solve_knapsack(items, capacity) == _search(items, capacity)  # selection and value
+
+
+@st.composite
+def knapsack_instances(draw):
+    """Pools of up to ``MAX_EXACT_ITEMS`` items, and a capacity around a
+    subset's size, where the two searches could part: equal densities
+    (the bound ties the incumbent), values within 1e-12 of one another
+    (the prune tolerance), sizes summing to the capacity within ``eps``
+    (the feasibility tolerance), and infinite values."""
+    n = draw(st.integers(1, MAX_EXACT_ITEMS))
+    item_sizes = draw(st.lists(sizes, min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["mixed", "equal_density", "near_tie", "infinite"]))
+    if kind == "equal_density":
+        density = draw(st.sampled_from([1.0, 0.1, 3.0, 1e-3]))
+        item_values = [size * density for size in item_sizes]
+    elif kind == "near_tie":
+        base = draw(st.floats(0.1, 1e4))
+        offsets = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, 1e-12, -1e-12, 2e-12])
+        item_values = [base + draw(offsets) for _ in range(n)]
+    else:
+        item_values = draw(st.lists(values, min_size=n, max_size=n))
+        if kind == "infinite":
+            item_values[draw(st.integers(0, n - 1))] = math.inf
+    taken = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    total = 0.0
+    for size, take in zip(item_sizes, taken):
+        if take:
+            total += size
+    total = max(total, item_sizes[0])
+    eps = 1e-9 * max(1.0, total)
+    capacity = {
+        "exact": total,
+        "ulp below": math.nextafter(total, 0.0),
+        "ulp above": math.nextafter(total, math.inf),
+        "eps below": total - eps,
+        "half eps below": total - eps / 2,
+        "eps above": total + eps,
+        "half": total / 2,
+    }[draw(st.sampled_from(
+        ["exact", "ulp below", "ulp above", "eps below", "half eps below", "eps above", "half"]
+    ))]
+    items = [
+        KnapsackItem(key=i, size=s, value=v)
+        for i, (s, v) in enumerate(zip(item_sizes, item_values))
+    ]
+    return items, capacity
+
+
+@given(instance=knapsack_instances())
+@settings(deadline=None)
+def test_stack_search_equals_the_recursive_search(instance):
+    items, capacity = instance
+    got = _search(items, capacity)
+    want = _search(items, capacity, solve=_solve_exact_recursive)
+    assert got == want  # the same items in the same order, the same float
 
 
 def test_take_all_exit_fires_only_when_everything_fits():

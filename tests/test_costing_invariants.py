@@ -269,18 +269,28 @@ class TestIndexDefAcrossProcesses:
 
 
 def _reference_total(history, horizon, min_window):
-    """The term-per-``j`` evaluation ``total_predicted_benefit`` replaced."""
+    """The term-per-``j`` evaluation ``total_predicted_benefit`` replaced.
+
+    Its sums are spelled out as left folds from ``0``: what the built-in
+    ``sum`` computed over floats up to CPython 3.11 (3.12's is
+    compensated), and what the forecast computes on every version."""
+
+    def fold(values):
+        total = 0
+        for value in values:
+            total = total + value
+        return total
 
     def predicted(j):
         if not history:
             return 0.0
         span = max(j, min_window)
         window = list(history[-span:]) if span < len(history) else list(history)
-        return sum(window) / len(window)
+        return fold(window) / len(window)
 
     if not history:
         return 0.0
-    return sum(predicted(j) for j in range(1, horizon + 1))
+    return fold(predicted(j) for j in range(1, horizon + 1))
 
 
 class TestForecastIsBitIdentical:
