@@ -1,9 +1,7 @@
 """Pluggable DBMS backends behind the what-if interface.
 
 See :mod:`repro.backend.base` for the protocol and ``docs/BACKENDS.md``
-for the workflow.  ``PostgresHypoBackend`` lives in
-:mod:`repro.backend.hypopg`; constructing it without an injected
-connection requires a PostgreSQL driver, but importing it does not.
+for the workflow.
 """
 
 from repro._facade import lazy_exports
@@ -13,10 +11,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "base": (
             "Backend",
-            "BackendCapabilities",
-            "BackendCapabilityError",
             "BackendError",
-            "BackendUnavailableError",
             "TraceMissError",
             "WhatIfSession",
         ),

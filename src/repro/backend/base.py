@@ -17,15 +17,14 @@ bandits drives an identical loop through PostgreSQL + HypoPG.
   hypothetical-index lifecycle, folded into ``current_config()``.
 * ``stats_token(table)`` / ``refresh_stats(table)`` -- statistics
   freshness, the validity token a retained plan cache checks.
-* :class:`BackendCapabilities` -- the backend's name and whether it
-  supports reverse what-if, which callers consult before leaning on it.
+
+Every backend prices reverse what-if (a query without a materialized
+index, ``M − {I}``), as the paper's extended optimizer does.
 
 Implementations: :class:`~repro.backend.local.LocalBackend` (the
 in-python engine, default and bit-identical to the pre-protocol code
-path), :class:`~repro.backend.trace.TraceBackend` (deterministic replay
-of recorded costs for CI), and
-:class:`~repro.backend.hypopg.PostgresHypoBackend` (HypoPG hypothetical
-indexes + ``EXPLAIN (FORMAT JSON)``, import-guarded).
+path) and :class:`~repro.backend.trace.TraceBackend` (deterministic
+replay of recorded costs for CI).
 """
 
 from __future__ import annotations
@@ -37,17 +36,13 @@ from repro.optimizer.optimizer import PlanCache
 
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
-    from repro.engine.index import IndexDef
     from repro.optimizer.access import IndexConfig
     from repro.optimizer.optimizer import OptimizationResult
     from repro.sql.ast import Query
 
 __all__ = [
     "Backend",
-    "BackendCapabilities",
     "BackendError",
-    "BackendCapabilityError",
-    "BackendUnavailableError",
     "TraceMissError",
     "WhatIfSession",
 ]
@@ -62,17 +57,8 @@ class BackendError(RuntimeError):
     Unlike :class:`~repro.resilience.errors.WhatIfProbeError` (which the
     profiler absorbs as a degraded probe), a ``BackendError`` signals
     the backend itself is unusable for the request -- a trace miss
-    during deterministic replay, a capability the backend does not
-    implement, a missing driver.  These propagate to the caller.
+    during deterministic replay.  These propagate to the caller.
     """
-
-
-class BackendCapabilityError(BackendError):
-    """A request requires a capability the backend does not advertise."""
-
-
-class BackendUnavailableError(BackendError):
-    """The backend cannot be constructed (missing driver or server)."""
 
 
 class TraceMissError(BackendError):
@@ -82,24 +68,6 @@ class TraceMissError(BackendError):
     diverged from the recording, so this is a hard error rather than a
     skippable probe failure.
     """
-
-
-@dataclasses.dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend advertises to the tuning stack: its name and one flag.
-
-    Attributes:
-        name: Short backend identifier (``local``, ``trace``,
-            ``hypopg``); also the ``backend`` metric label value.
-        reverse_whatif: Whether the backend can price a query *without*
-            a currently-materialized index (the paper's reverse what-if
-            for ``I ∈ M``).  HypoPG cannot hide a real index, so its
-            adapter reports ``False`` and reverse probes degrade to
-            :class:`~repro.resilience.errors.WhatIfProbeError`.
-    """
-
-    name: str
-    reverse_whatif: bool = True
 
 
 @dataclasses.dataclass
@@ -121,13 +89,15 @@ class WhatIfSession:
 class Backend:
     """Base class for DBMS backends; see the module docstring.
 
-    Subclasses must set :attr:`capabilities`, implement
-    :meth:`optimize`, and expose the catalog the tuner's candidate
-    generation and scheduler operate on.  Everything else has working
-    defaults expressed in terms of those primitives.
+    Subclasses must set :attr:`name`, implement :meth:`optimize` and the
+    hypothetical-index lifecycle, and expose the catalog the tuner's
+    candidate generation and scheduler operate on.  Everything else has
+    working defaults expressed in terms of those primitives.
     """
 
-    capabilities: BackendCapabilities
+    #: Short backend identifier (``local``, ``trace``); also the
+    #: ``backend`` metric label value.
+    name: str
 
     @property
     def catalog(self) -> Catalog:
@@ -176,8 +146,8 @@ class Backend:
 
         Returns:
             An :class:`OptimizationResult`.  A backend without a physical
-            plan (trace replay, HypoPG) returns a stub that still
-            answers ``indexes_used()``.
+            plan (trace replay) returns a stub that still answers
+            ``indexes_used()``.
         """
         raise NotImplementedError
 
@@ -191,24 +161,6 @@ class Backend:
         return self.optimize(query, config=config, session=session).cost
 
     # -- hypothetical indexes ------------------------------------------
-    def simulate_index(self, index: IndexDef) -> None:
-        """Make ``index`` part of the backend's default configuration.
-
-        The simulated index participates in :meth:`current_config` (and
-        hence in default-config pricing) without being physically built.
-        """
-        raise BackendCapabilityError(
-            f"backend {self.capabilities.name!r} does not support "
-            "hypothetical indexes"
-        )
-
-    def drop_simulated_index(self, index: IndexDef) -> None:
-        """Remove a previously simulated index (idempotent)."""
-        raise BackendCapabilityError(
-            f"backend {self.capabilities.name!r} does not support "
-            "hypothetical indexes"
-        )
-
     def simulated_indexes(self) -> IndexConfig:
         """The currently simulated (hypothetical) index set."""
         return frozenset()
@@ -237,7 +189,7 @@ class Backend:
         self._count_call = (
             BACKEND_METRICS["backend_optimize_calls_total"]
             .build(registry)
-            .labels(backend=self.capabilities.name)
+            .labels(backend=self.name)
             .inc
         )
 

@@ -25,11 +25,7 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.backend.base import (
-    Backend,
-    BackendCapabilities,
-    WhatIfSession,
-)
+from repro.backend.base import Backend, WhatIfSession
 from repro.optimizer.optimizer import (
     OptimizationResult,
     Optimizer,
@@ -76,7 +72,7 @@ class LocalBackend(Backend):
             (query, config) pair is recorded for later replay.
     """
 
-    capabilities = BackendCapabilities(name="local", reverse_whatif=True)
+    name = "local"
 
     def __init__(
         self,
@@ -204,9 +200,11 @@ class LocalBackend(Backend):
 
     # -- hypothetical indexes ------------------------------------------
     def simulate_index(self, index: IndexDef) -> None:
+        """Add ``index`` to :meth:`current_config` without building it."""
         self._simulated[index] = None
 
     def drop_simulated_index(self, index: IndexDef) -> None:
+        """Remove a simulated index (idempotent)."""
         self._simulated.pop(index, None)
 
     def simulated_indexes(self) -> IndexConfig:

@@ -28,7 +28,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Set
 
-from repro.backend.base import Backend, BackendCapabilities, TraceMissError
+from repro.backend.base import Backend, TraceMissError
 from repro.core.gaincache import query_signature
 from repro.optimizer.optimizer import OptimizationResult, relevant_config
 
@@ -168,7 +168,7 @@ class TraceBackend(Backend):
         trace: The recorded :class:`CostTrace`.
     """
 
-    capabilities = BackendCapabilities(name="trace", reverse_whatif=True)
+    name = "trace"
 
     def __init__(self, catalog: Catalog, trace: CostTrace) -> None:
         self._catalog = catalog
@@ -214,9 +214,11 @@ class TraceBackend(Backend):
 
     # -- hypothetical indexes ------------------------------------------
     def simulate_index(self, index: IndexDef) -> None:
+        """Add ``index`` to :meth:`current_config` without building it."""
         self._simulated[index] = None
 
     def drop_simulated_index(self, index: IndexDef) -> None:
+        """Remove a simulated index (idempotent)."""
         self._simulated.pop(index, None)
 
     def simulated_indexes(self) -> IndexConfig:

@@ -3,9 +3,9 @@
 Persists everything the bandit would otherwise have to re-learn: the
 ridge model (``V``, ``b``), the materialized and hot sets, candidate
 crude-benefit windows, the feature map's read/write EWMA rates, the
-safety-fallback state (live bans and the watched change), and the
-decision-round clock.  DBA advice and guardrail state ride along
-exactly as for COLT snapshots.
+safety-fallback state (live bans and the watched change), the
+decision-round clock and the epoch clock.  DBA advice and guardrail
+state ride along exactly as for COLT snapshots.
 
 The produced dictionaries are JSON-compatible and carry
 ``"engine": "bandit"`` so :func:`repro.persist.snapshot_any` /
@@ -34,8 +34,8 @@ from repro.persist import (
     _restore_advice_and_guardrails,
     _restore_candidates,
     _restore_materialized,
-    _snapshot_advice_and_guardrails,
     _snapshot_candidates,
+    _snapshot_loop_state,
 )
 
 if TYPE_CHECKING:
@@ -76,7 +76,7 @@ def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
             },
             "watch": watch,
         },
-        **_snapshot_advice_and_guardrails(tuner),
+        **_snapshot_loop_state(tuner),
     }
 
 

@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flag(pr, "all four engines")
     pr.add_argument(
         "--backend",
-        choices=("local", "trace", "hypopg"),
+        choices=("local", "trace"),
         default="local",
         help="DBMS backend answering what-if probes (loop engines only; "
         "see docs/BACKENDS.md)",
@@ -244,12 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="cost-trace file to replay (requires --backend trace)",
-    )
-    pr.add_argument(
-        "--dsn",
-        default=None,
-        metavar="DSN",
-        help="PostgreSQL connection string (requires --backend hypopg)",
     )
 
     pm = sub.add_parser(
@@ -589,7 +583,7 @@ def _run_run(args) -> None:
 
 
 def _check_backend_flags(args) -> None:
-    """Reject ``--backend``/``--trace``/``--dsn``/``--metrics-out`` combos
+    """Reject ``--backend``/``--trace``/``--metrics-out`` combos
     the selected engine cannot serve."""
     backend = getattr(args, "backend", "local")
     if args.engine not in ENGINES:
@@ -609,8 +603,6 @@ def _check_backend_flags(args) -> None:
         raise ValueError("--trace is only meaningful with --backend trace")
     if backend == "trace" and not getattr(args, "trace", None):
         raise ValueError("--backend trace requires --trace PATH")
-    if getattr(args, "dsn", None) and backend != "hypopg":
-        raise ValueError("--dsn is only meaningful with --backend hypopg")
 
 
 def _build_backend(args, catalog):
@@ -625,13 +617,9 @@ def _build_backend(args, catalog):
         from repro.backend.local import LocalBackend
 
         return LocalBackend(catalog, recorder=recorder)
-    if backend == "trace":
-        from repro.backend.trace import CostTrace, TraceBackend
+    from repro.backend.trace import CostTrace, TraceBackend
 
-        return TraceBackend(catalog, CostTrace.load(args.trace))
-    from repro.backend.hypopg import PostgresHypoBackend
-
-    return PostgresHypoBackend(dsn=getattr(args, "dsn", None), catalog=catalog)
+    return TraceBackend(catalog, CostTrace.load(args.trace))
 
 
 def _colt_config(args, **fields):

@@ -26,7 +26,7 @@ horizon and is mistaken for a shift.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Sequence
+from typing import Deque, List
 
 
 class BenefitHistory:
@@ -71,8 +71,9 @@ class BenefitHistory:
         return list(self._window)
 
     def predicted_total(self, horizon: int) -> float:
-        """:func:`total_predicted_benefit` of the window, read from the
-        suffix sums."""
+        """Sum of ``PredBenefit_j`` for ``j = 1..horizon`` over the window
+        (``0.0`` for an empty or all-zero one), read from the suffix
+        sums."""
         if not self.nonzero:
             return 0.0
         return _total_from_sums(self._sums, horizon, MIN_FORECAST_WINDOW)
@@ -94,46 +95,19 @@ class BenefitHistory:
 MIN_FORECAST_WINDOW = 6
 
 
-def predicted_benefit(
-    history: Sequence[float], j: int, min_window: int = MIN_FORECAST_WINDOW
-) -> float:
-    """``PredBenefit_j``: forecast for the ``j``-th future epoch.
-
-    The mean of the last ``max(j, min_window)`` recorded benefits (or of
-    all of them when fewer exist).  Returns 0 with no history.
-    """
-    if not history:
-        return 0.0
-    span = max(j, min_window)
-    window = list(history[-span:]) if span < len(history) else list(history)
-    return _fold(window) / len(window)
-
-
-def total_predicted_benefit(
-    history: Sequence[float],
-    horizon: int,
-    min_window: int = MIN_FORECAST_WINDOW,
-) -> float:
-    """Sum of ``PredBenefit_j`` for ``j = 1..horizon``.
+def _total_from_sums(sums: List[float], horizon: int, min_window: int) -> float:
+    """Sum of ``PredBenefit_j`` for ``j = 1..horizon`` over a non-empty
+    window, given its suffix sums: ``sums[j]`` is the fold of its newest
+    ``j`` benefits.
 
     A term depends on ``j`` only through the number of measurements it
-    averages, ``min(max(j, min_window), len(history))``, which never
+    averages, ``min(max(j, min_window), len(window))``, which never
     shrinks as ``j`` grows: the first ``min_window`` terms share one
-    mean, each later ``j`` up to ``len(history)`` averages one more
-    measurement, and every term past that repeats the whole-history
-    mean.  Each window is folded oldest first and the terms are folded
-    in ``j`` order, exactly as the term-per-``j`` definition does.
+    mean, each later ``j`` up to the window's length averages one more
+    measurement, and every term past that repeats the whole-window mean.
+    The terms are folded in ``j`` order, exactly as the term-per-``j``
+    definition does.
     """
-    if not history:
-        return 0.0
-    sums = [0, *(_fold(history[-j:]) for j in range(1, len(history) + 1))]
-    # max(j, min_window) never goes below j >= 1
-    return _total_from_sums(sums, horizon, max(min_window, 1))
-
-
-def _total_from_sums(sums: List[float], horizon: int, min_window: int) -> float:
-    """:func:`total_predicted_benefit` of a non-empty window, given its
-    suffix sums: ``sums[j]`` is the fold of its newest ``j`` benefits."""
     n = len(sums) - 1
     window = min(min_window, n)
     mean = sums[window] / window
@@ -145,27 +119,3 @@ def _total_from_sums(sums: List[float], horizon: int, min_window: int) -> float:
             mean = sums[j] / j
         total += mean
     return total
-
-
-def _fold(values: Iterable[float]) -> float:
-    """``sum(values)`` as a plain left fold from ``0`` (see the module
-    docstring): the same float on every CPython version."""
-    total = 0
-    for value in values:
-        total += value
-    return total
-
-
-def net_benefit(
-    history: Sequence[float],
-    horizon: int,
-    materialization_cost: float,
-    min_window: int = MIN_FORECAST_WINDOW,
-) -> float:
-    """``NetBenefit``: forecasted benefit minus materialization cost.
-
-    Benefits in the history are *per-query averages* for each epoch;
-    callers scale ``materialization_cost`` consistently (see
-    ``ColtConfig.matcost_weight``).
-    """
-    return total_predicted_benefit(history, horizon, min_window) - materialization_cost

@@ -6,9 +6,7 @@ indexes of ``H ∪ M``, sizes are index sizes in pages, values are
 (§5).  Pools of at most :data:`MAX_EXACT_ITEMS` items -- every pool an
 epoch close builds -- are solved exactly by branch-and-bound over the
 true float sizes; larger pools go to a DP that discretizes the sizes onto
-a fixed grid (rounding them *up*, which keeps solutions feasible).  The
-density-ordered greedy :func:`solve_greedy` has no caller in the tuner;
-tests use it as a lower bound on the exact solvers.
+a fixed grid (rounding them *up*, which keeps solutions feasible).
 """
 
 from __future__ import annotations
@@ -335,21 +333,3 @@ def _solve_grid(
     selected.reverse()
     return selected, dp[cells]
 
-
-def solve_greedy(
-    items: Sequence[KnapsackItem], capacity: float
-) -> Tuple[List[KnapsackItem], float]:
-    """Density-ordered greedy knapsack (value per size, descending)."""
-    viable = [
-        it for it in items if it.value > 0.0 and 0.0 < it.size <= capacity
-    ]
-    viable.sort(key=lambda it: it.value / it.size, reverse=True)
-    selected: List[KnapsackItem] = []
-    used = 0.0
-    total = 0.0
-    for item in viable:
-        if used + item.size <= capacity:
-            selected.append(item)
-            used += item.size
-            total += item.value
-    return selected, total

@@ -305,11 +305,14 @@ class FleetCoordinator:
         routing_catalog: Catalog,
         policy: str = "affinity",
         fleet_epoch_length: int = 50,
+        queries_routed: int = 0,
     ) -> "FleetCoordinator":
         """Build a coordinator around pre-existing replicas.
 
         Used when restoring a fleet from snapshots: the replicas (and
         their tuners) already exist, so no catalogs are constructed.
+        ``queries_routed`` resumes the fleet-epoch clock; the router
+        starts fresh.
         """
         coordinator = cls.__new__(cls)
         tuner = replicas[0].tuner
@@ -318,6 +321,7 @@ class FleetCoordinator:
             replicas[0].engine, tuner.config, replicas, routing_catalog, router,
             fleet_epoch_length, MetricsRegistry(enabled=tuner.registry.enabled),
         )
+        coordinator.queries_routed = queries_routed
         return coordinator
 
     # ------------------------------------------------------------------

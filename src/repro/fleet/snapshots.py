@@ -199,4 +199,5 @@ def restore_fleet(
         routing_catalog=catalog_factory(),
         policy=policy,
         fleet_epoch_length=int(manifest["fleet_epoch_length"]),
+        queries_routed=int(manifest["queries_routed"]),
     )

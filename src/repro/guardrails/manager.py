@@ -135,10 +135,6 @@ class GuardrailManager:
         """
         if self._backend is None:
             return 0, 0.0
-        if not self._backend.capabilities.reverse_whatif:
-            # Verification is a reverse what-if; on backends that cannot
-            # hide a materialized index (HypoPG) it degrades to a no-op.
-            return 0, 0.0
         mat = frozenset(materialized)
         calls = 0
         charge = 0.0

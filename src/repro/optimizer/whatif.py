@@ -20,8 +20,8 @@ orientation that makes gains positive for useful indexes.
 
 Every probe is answered by a pluggable :class:`~repro.backend.base.
 Backend` -- the in-python engine by default
-(:class:`~repro.backend.local.LocalBackend`), a recorded-trace replayer,
-or a HypoPG adapter.  Each probed index costs one what-if call; on the
+(:class:`~repro.backend.local.LocalBackend`) or a recorded-trace
+replayer.  Each probed index costs one what-if call; on the
 local backend the per-query :class:`~repro.optimizer.optimizer.PlanCache`
 makes the incremental cost of each call small by reusing sub-plans from
 the initial optimization -- the same engineering the paper's PostgreSQL
@@ -30,7 +30,7 @@ prototype does.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from repro.backend.base import BackendError, WhatIfSession
 from repro.backend.local import LocalBackend
@@ -108,9 +108,8 @@ class WhatIfOptimizer:
             tie-breaks).
 
         Raises:
-            WhatIfProbeError: when a probe fails (injected fault, an
-                optimizer error, or a reverse probe on a backend without
-                ``reverse_whatif``).  The failed call is already
+            WhatIfProbeError: when a probe fails (an injected fault or
+                an optimizer error).  The failed call is already
                 counted; gains measured earlier in this invocation ride
                 along on the exception's ``partial_gains`` so callers
                 can consume them instead of re-probing.
@@ -120,7 +119,6 @@ class WhatIfOptimizer:
         """
         if materialized is None:
             materialized = self.backend.current_config()
-        capabilities = self.backend.capabilities
         gains: Dict[IndexDef, float] = {}
         for index in probation:
             self.call_count += 1
@@ -131,11 +129,6 @@ class WhatIfOptimizer:
                 if index in materialized:
                     # Reverse what-if: how much worse would the query be
                     # without this materialized index?
-                    if not capabilities.reverse_whatif:
-                        raise WhatIfProbeError(
-                            f"backend {capabilities.name!r} cannot reverse "
-                            f"what-if materialized index {index}"
-                        )
                     without_cost = self.backend.get_cost(
                         session.query,
                         config=materialized - {index},
@@ -162,13 +155,6 @@ class WhatIfOptimizer:
                     partial_gains=gains,
                 ) from exc
         return gains
-
-    def gains_for(
-        self, query: Query, probation: List[IndexDef]
-    ) -> Dict[IndexDef, float]:
-        """One-shot convenience: optimize ``query`` and probe ``probation``."""
-        session = self.begin_query(query)
-        return self.what_if_optimize(session, probation)
 
     def _cost_under(self, session: WhatIfSession, config: IndexConfig) -> float:
         if config == session.base.config:

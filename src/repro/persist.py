@@ -4,9 +4,9 @@ A production on-line tuner must survive server restarts without
 re-learning the workload from scratch.  This module serializes the
 durable parts of a :class:`~repro.core.colt.ColtTuner` -- the
 materialized and hot sets, per-index benefit histories, candidate
-statistics, and the current what-if budget -- to a plain JSON-compatible
-dictionary, and restores them into a fresh tuner over a structurally
-equivalent catalog.
+statistics, the current what-if budget and the epoch clock -- to a
+plain JSON-compatible dictionary, and restores them into a fresh tuner
+over a structurally equivalent catalog.
 
 What is deliberately *not* persisted: per-(index, cluster) gain samples.
 Their validity is tied to the precise materialized configuration and to
@@ -100,7 +100,7 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
         },
         "candidates": _snapshot_candidates(tuner),
         "whatif_budget": tuner.profiler.whatif_budget,
-        **_snapshot_advice_and_guardrails(tuner),
+        **_snapshot_loop_state(tuner),
     }
 
 
@@ -150,11 +150,20 @@ def _checked_restore(engine: str, restore, catalog, snapshot, store, observer):
             "or restore with the matching --engine)"
         )
     try:
-        return restore(catalog, snapshot, store, observer)
+        tuner = restore(catalog, snapshot, store, observer)
+        seen = int(snapshot.get("queries_seen", 0))
     except SnapshotError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc!r}") from exc
+    if seen < 0:
+        raise SnapshotError(f"malformed snapshot: queries_seen {seen}")
+    # The epoch clock resumes where it stopped (a snapshot written before
+    # the clock was persisted restarts it at 0), and so does the epoch
+    # log's numbering; the log's rows and totals start empty.
+    tuner._queries_seen = seen  # noqa: SLF001 - the clock has no setter
+    tuner.dashboard.epochs = seen // tuner.config.epoch_length
+    return tuner
 
 
 def _restore_tuner(
@@ -379,9 +388,11 @@ def _parse_index(catalog: Catalog, text: str):
     return _resolve(catalog, table, rest.split(","))
 
 
-def _snapshot_advice_and_guardrails(tuner) -> Dict:
-    """The ``"guardrails"`` and ``"advice"`` keys a tuner has state for."""
-    keys = {}
+def _snapshot_loop_state(tuner) -> Dict:
+    """What every engine's snapshot carries from the tuning loop: the
+    epoch clock's ``"queries_seen"``, and the ``"guardrails"`` and
+    ``"advice"`` keys the tuner has state for."""
+    keys = {"queries_seen": tuner.queries_seen}
     if tuner.guardrails is not None:
         keys["guardrails"] = tuner.guardrails.to_snapshot()
     if len(tuner.advice):

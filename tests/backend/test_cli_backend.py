@@ -102,9 +102,9 @@ class TestBackendFlagErrors:
         assert main(FAST_RUN + ["--trace", str(trace)]) == EXIT_ERROR
         assert "--backend trace" in capsys.readouterr().err
 
-    def test_stray_dsn_rejected(self, capsys):
-        assert main(FAST_RUN + ["--dsn", "postgres://x"]) == EXIT_ERROR
-        assert "--backend hypopg" in capsys.readouterr().err
+    def test_hypopg_backend_is_a_usage_error(self, capsys):
+        assert main(FAST_RUN + ["--backend", "hypopg"]) == EXIT_ERROR
+        assert "invalid choice: 'hypopg'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["offline", "continuous"])
     def test_baseline_engines_price_locally(self, capsys, engine, tmp_path):
@@ -126,18 +126,20 @@ class TestBackendFlagErrors:
         )
         assert "on-line engine" in capsys.readouterr().err
 
-    def test_hypopg_without_driver_is_a_backend_error(
-        self, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(
-            "repro.backend.hypopg._import_driver", lambda: None
-        )
+    def test_trace_miss_is_a_backend_error(self, capsys, tmp_path):
+        # A recording that holds none of the run's probes: the replay's
+        # first pricing request raises TraceMissError.
+        from repro.backend.trace import CostTrace
+
+        trace = tmp_path / "empty.json"
+        CostTrace().save(trace)
         assert (
-            main(FAST_RUN + ["--backend", "hypopg", "--dsn", "postgres://x"])
+            main(FAST_RUN + ["--backend", "trace", "--trace", str(trace)])
             == EXIT_ERROR
         )
         err = capsys.readouterr().err
         assert "backend error" in err
+        assert "replay diverged" in err
         assert "Traceback" not in err
 
     def test_corrupt_trace_file_reported(self, capsys, tmp_path):

@@ -24,7 +24,10 @@ from repro.backend.trace import (
     trace_key,
 )
 from repro.bench.tracing import trace_run
+from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
+from repro.guardrails.manager import GuardrailManager
+from repro.obs.registry import MetricsRegistry
 from repro.optimizer.whatif import WhatIfOptimizer
 
 from tests.fleet.workloads import (
@@ -85,16 +88,27 @@ class TestCapabilities:
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_name_matches_kind(self, kind):
         b = make_backend(kind, build_small_catalog())
-        assert b.capabilities.name == kind
+        assert b.name == kind
 
     @pytest.mark.parametrize("kind", BACKENDS)
-    def test_reverse_whatif_prices_without_a_materialized_index(self, kind):
-        # The flag the what-if layer reads: a conformant backend prices
-        # a query as if a built index were absent, and a reverse probe
+    def test_pricing_counter_is_labelled_with_the_name(self, kind):
+        # The name is the ``backend`` label of the pricing-call counter.
+        b = make_backend(kind, build_small_catalog())
+        registry = MetricsRegistry()
+        b.bind_registry(registry)
+        b.get_cost(eq_query(7), config=frozenset())
+        b.get_cost(day_query(8100), config=frozenset())
+        counter = registry.get("backend_optimize_calls_total")
+        assert counter.value(backend=kind) == 2
+        assert counter.samples() == [{"labels": {"backend": kind}, "value": 2.0}]
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_reverse_probe_prices_without_a_materialized_index(self, kind):
+        # Every backend answers the paper's reverse what-if: it prices a
+        # query as if a built index were absent, and a reverse probe
         # yields a gain instead of a probe error.
         catalog = build_small_catalog()
         b = make_backend(kind, catalog)
-        assert b.capabilities.reverse_whatif
         query = eq_query(7)
         bare = b.get_cost(query, config=frozenset())
         user = catalog.index_for("events", "user_id")
@@ -105,6 +119,19 @@ class TestCapabilities:
         whatif = WhatIfOptimizer(backend=b)
         session = whatif.begin_query(query)
         assert whatif.what_if_optimize(session, [user]) == {user: bare - with_user}
+
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_guardrail_verification_probes_every_backend(self, kind):
+        # Verification is a reverse probe too: it runs on every backend.
+        catalog = build_small_catalog()
+        b = make_backend(kind, catalog)
+        user = catalog.index_for("events", "user_id")
+        catalog.materialize_index(user)
+        tuner = ColtTuner(catalog, backend=b, guardrails=GuardrailManager())
+        session = tuner.whatif.begin_query(eq_query(7))
+        assert session.base.indexes_used == {user}
+        calls, charge = tuner.guardrails.observe_query(session, {user})
+        assert calls == 1 and charge >= 0.0
 
 
 class TestCostMonotonicity:

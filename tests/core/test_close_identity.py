@@ -103,6 +103,8 @@ SEED = 0
 CYCLES = 10
 SNAPSHOT_ARRIVALS = 2000  # tests/obs/test_metrics_identity.py's run
 RETIRED_CONFIG_KEYS = ("knapsack_warm_start",)
+# Snapshot keys written since the recording (checked on their own).
+ADDED_KEYS = ("queries_seen",)
 RATIO_REL = 1e-9
 HTAP_TABLES = ("lineitem_1", "lineitem_2", "orders_1", "orders_2")
 ADVICE = """
@@ -327,17 +329,21 @@ def test_every_close_matches_the_recorded_run(pinned, scenario):
     assert differences(scenario, SCENARIOS[scenario](), pinned[scenario]).lines == []
 
 
-def _without_retired(snapshot):
+def _as_recorded(snapshot):
     config = {
         k: v for k, v in snapshot["config"].items() if k not in RETIRED_CONFIG_KEYS
     }
-    return dict(snapshot, config=config)
+    kept = {k: v for k, v in snapshot.items() if k not in ADDED_KEYS}
+    return dict(kept, config=config)
 
 
 def test_snapshot_after_the_identity_run_is_the_recording_commits():
-    """Same canonical JSON on both commits, bar the retired config keys."""
-    got = _without_retired(_identity_snapshot())
-    want = _without_retired(json.loads(SNAPSHOT_PATH.read_text()))
+    """Same canonical JSON on both commits, bar the retired config keys
+    and the keys added since, which hold what the run did."""
+    snapshot = _identity_snapshot()
+    assert snapshot["queries_seen"] == SNAPSHOT_ARRIVALS
+    got = _as_recorded(snapshot)
+    want = _as_recorded(json.loads(SNAPSHOT_PATH.read_text()))
     assert got == want
     assert checksum(got) == checksum(want)
 

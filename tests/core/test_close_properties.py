@@ -26,12 +26,7 @@ from repro.core.candidates import CandidateStats, CandidateTracker
 from repro.core.clustering import ClusterStore, cluster_key
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
-from repro.core.forecast import (
-    MIN_FORECAST_WINDOW,
-    BenefitHistory,
-    net_benefit,
-    total_predicted_benefit,
-)
+from repro.core.forecast import MIN_FORECAST_WINDOW, BenefitHistory, _total_from_sums
 from repro.core.intervals import GainStats
 from repro.core.knapsack import (
     MAX_EXACT_ITEMS,
@@ -83,7 +78,7 @@ def _predicted_benefit_oracle(history, j, min_window):
 
 
 def _total_predicted_benefit_oracle(history, horizon, min_window):
-    """``total_predicted_benefit`` as it stood before the single pass."""
+    """The summed forecast as it stood before the single pass."""
     if not history:
         return 0.0
     by_window = {}
@@ -96,6 +91,22 @@ def _total_predicted_benefit_oracle(history, horizon, min_window):
     return _fold(terms)
 
 
+def _net_benefit_oracle(history, horizon, charge):
+    """NetBenefit of a plain window, from the oracle forecast."""
+    return _total_predicted_benefit_oracle(history, horizon, MIN_FORECAST_WINDOW) - charge
+
+
+def suffix_forecast(history, horizon, min_window=MIN_FORECAST_WINDOW):
+    """The close's forecast of ``history`` under ``min_window``: a
+    :class:`BenefitHistory` holding it, read through its suffix sums."""
+    if not history:
+        return 0.0
+    window = BenefitHistory(len(history))
+    for value in history:
+        window.record(value)
+    return _total_from_sums(window._sums, horizon, min_window)
+
+
 @given(
     history=st.lists(benefits, max_size=2 * H),
     horizon=st.integers(1, 24),
@@ -105,7 +116,7 @@ def _total_predicted_benefit_oracle(history, horizon, min_window):
 def test_single_pass_forecast_equals_the_windowed_definition(
     history, horizon, min_window
 ):
-    got = total_predicted_benefit(history, horizon, min_window)
+    got = suffix_forecast(history, horizon, min_window)
     want = _total_predicted_benefit_oracle(history, horizon, min_window)
     assert got == want or (math.isnan(got) and math.isnan(want))  # inf - inf
 
@@ -142,13 +153,15 @@ def test_zero_window_exit_equals_the_full_forecast(
     windowed = history.values()
     assert windowed == values[-history_epochs:]
     assert _same(
-        history.predicted_total(horizon), total_predicted_benefit(windowed, horizon)
+        history.predicted_total(horizon),
+        _total_predicted_benefit_oracle(windowed, horizon, MIN_FORECAST_WINDOW),
     )
     assert _same(
-        _net_benefit(history, horizon, charge), net_benefit(windowed, horizon, charge)
+        _net_benefit(history, horizon, charge),
+        _net_benefit_oracle(windowed, horizon, charge),
     )
     if not values:  # an index without a window forecasts like an empty one
-        assert _same(_net_benefit(None, horizon, charge), net_benefit([], horizon, charge))
+        assert _same(_net_benefit(None, horizon, charge), _net_benefit_oracle([], horizon, charge))
 
 
 _window_op = st.one_of(
@@ -208,9 +221,7 @@ def test_held_suffix_sums_forecast_as_the_window_does(history_epochs, ops):
                 history.values(), horizon, MIN_FORECAST_WINDOW
             )
             for _ in range(2):  # a read changes nothing
-                got = history.predicted_total(horizon)
-                assert _same(got, total_predicted_benefit(history.values(), horizon))
-                assert _same(got, want)
+                assert _same(history.predicted_total(horizon), want)
         else:
             history.record(op)
         windowed = history.values()

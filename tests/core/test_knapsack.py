@@ -6,11 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.knapsack import KnapsackItem, solve_greedy, solve_knapsack
+from repro.core.knapsack import KnapsackItem, solve_knapsack
 
 
 def _items(triples):
     return [KnapsackItem(key=i, size=s, value=v) for i, (s, v) in enumerate(triples)]
+
+
+def solve_greedy(items, capacity):
+    """Density-ordered greedy knapsack (value per size, descending): a
+    feasible lower bound on the exact solvers."""
+    viable = [it for it in items if it.value > 0.0 and 0.0 < it.size <= capacity]
+    viable.sort(key=lambda it: it.value / it.size, reverse=True)
+    selected = []
+    used = total = 0.0
+    for item in viable:
+        if used + item.size <= capacity:
+            selected.append(item)
+            used += item.size
+            total += item.value
+    return selected, total
 
 
 class TestExactSolver:
@@ -96,14 +111,19 @@ class TestGreedy:
         _, exact_value = solve_knapsack(items, 11.0)
         assert greedy_value <= exact_value + 1e-9
 
-    def test_greedy_density_order(self):
+    def test_exact_escapes_the_density_trap(self):
         items = _items([(10.0, 10.0), (1.0, 5.0)])
-        selected, _ = solve_greedy(items, 10.0)
         # Density picks the small dense item first, then the big one no
-        # longer fits.
-        assert [it.size for it in selected] == [1.0]
+        # longer fits; the exact solver takes the big one alone.
+        greedy, _ = solve_greedy(items, 10.0)
+        assert [it.size for it in greedy] == [1.0]
+        exact, value = solve_knapsack(items, 10.0)
+        assert [it.size for it in exact] == [10.0]
+        assert value == 10.0
 
     def test_greedy_respects_capacity(self):
         items = _items([(4.0, 10.0), (4.0, 9.0), (4.0, 8.0)])
-        selected, _ = solve_greedy(items, 8.0)
-        assert sum(it.size for it in selected) <= 8.0
+        for solve in (solve_greedy, solve_knapsack):
+            selected, value = solve(items, 8.0)
+            assert sum(it.size for it in selected) <= 8.0
+            assert value == 19.0

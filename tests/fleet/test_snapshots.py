@@ -120,8 +120,8 @@ class TestRoundtrip:
     def test_restore_on_epoch_boundaries_continues_like_the_original(self, tmp_path):
         # The warmup ends on a fleet-epoch boundary (40 queries, epochs of
         # 10) and on every replica's tuner-epoch boundary (20 each, epochs
-        # of 5): neither clock is in the snapshot, so only there does a
-        # restored fleet resume in step with the live one.
+        # of 5), where no gain sample is pending: a restored fleet
+        # resumes in step with the live one, decisions included.
         fleet = warm_fleet(make_fleet())
         assert [r.tuner.queries_seen % 5 for r in fleet.replicas] == [0, 0]
         save_fleet(tmp_path, fleet)
@@ -135,6 +135,27 @@ class TestRoundtrip:
         assert [sorted(r.materialized_names) for r in restored.replicas] == [
             sorted(r.materialized_names) for r in fleet.replicas
         ]
+
+    def test_restore_off_a_fleet_epoch_boundary_reorganizes_with_the_live_fleet(
+        self, tmp_path
+    ):
+        # 43 arrivals, fleet epochs of 10: both epoch clocks resume from
+        # the snapshot, so the next reorganizations land on the same
+        # arrivals (routing may differ: the router starts fresh).
+        fleet = warm_fleet(make_fleet(), n=43)
+        save_fleet(tmp_path, fleet)
+        restored = restore_fleet(tmp_path, build_small_catalog)
+        assert restored.queries_routed == 43
+        assert [r.tuner.queries_seen for r in restored.replicas] == [
+            r.tuner.queries_seen for r in fleet.replicas
+        ]
+        more = [day_query(9000 + i) if i % 3 else eq_query(i + 1) for i in range(25)]
+        original_run, restored_run = fleet.run(more), restored.run(more)
+        assert [o.index for o in restored_run.outcomes] == list(range(43, 68))
+        reorganized = [o.index for o in restored_run.outcomes if o.reorganization]
+        assert reorganized == [
+            o.index for o in original_run.outcomes if o.reorganization
+        ] == [49, 59]
 
     def test_restore_honours_policy_override(self, tmp_path):
         fleet = warm_fleet(make_fleet(policy="round-robin"))

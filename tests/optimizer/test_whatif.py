@@ -94,11 +94,12 @@ class TestSessionCaching:
         # Second probe answered entirely from the session's plan cache.
         assert optimizer.optimize_count == count
 
-    def test_gains_for_convenience(self, small_catalog):
+    def test_one_query_one_gain_per_probed_index(self, small_catalog):
         catalog = small_catalog
         q = _query(catalog, "select amount from events where user_id = 5")
         whatif = WhatIfOptimizer(Optimizer(catalog))
-        gains = whatif.gains_for(q, [catalog.index_for("events", "user_id")])
+        session = whatif.begin_query(q)
+        gains = whatif.what_if_optimize(session, [catalog.index_for("events", "user_id")])
         assert len(gains) == 1
 
 

@@ -185,6 +185,18 @@ class TestExitCodes:
         path.write_text(json.dumps({"version": 99}))
         assert main(["check-snapshot", str(path)]) == EXIT_SNAPSHOT
 
+    def test_snapshot_negative_clock_exit_code(self, capsys, tmp_path):
+        from repro.core import ColtTuner
+        from repro.persist import save_json, snapshot_tuner
+        from repro.workload import build_catalog
+
+        snapshot = snapshot_tuner(ColtTuner(build_catalog()))
+        snapshot["queries_seen"] = -1
+        path = tmp_path / "state.json"
+        save_json(path, snapshot)
+        assert main(["check-snapshot", str(path)]) == EXIT_SNAPSHOT
+        assert "queries_seen -1" in capsys.readouterr().err
+
     def test_generic_error_exit_code(self, capsys):
         sql = "select l_orderkey from lineitem_1"
         assert main(["explain", sql, "--index", "bogus"]) == EXIT_ERROR

@@ -26,7 +26,7 @@ from repro.backend.local import LocalBackend
 from repro.core.candidates import CandidateTracker
 from repro.core.clustering import Cluster, cluster_key
 from repro.core.config import ColtConfig
-from repro.core.forecast import MIN_FORECAST_WINDOW, total_predicted_benefit
+from repro.core.forecast import MIN_FORECAST_WINDOW
 from repro.core.profiler import Profiler
 from repro.engine.catalog import Catalog, ColumnDef, TableDef
 from repro.engine.datatypes import DataType
@@ -39,6 +39,8 @@ from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
 from repro.workload import build_catalog, shifting_workload
 from repro.workload.experiments import phase_distributions
+
+from tests.core.test_close_properties import suffix_forecast
 
 TABLES = {
     "facts": [("a", DataType.INT), ("b", DataType.FLOAT), ("c", DataType.TEXT)],
@@ -269,7 +271,7 @@ class TestIndexDefAcrossProcesses:
 
 
 def _reference_total(history, horizon, min_window):
-    """The term-per-``j`` evaluation ``total_predicted_benefit`` replaced.
+    """The term-per-``j`` evaluation the summed forecast replaced.
 
     Its sums are spelled out as left folds from ``0``: what the built-in
     ``sum`` computed over floats up to CPython 3.11 (3.12's is
@@ -303,7 +305,7 @@ class TestForecastIsBitIdentical:
     )
     @settings(max_examples=400, deadline=None)
     def test_equals_reference(self, history, horizon, min_window):
-        got = total_predicted_benefit(history, horizon, min_window)
+        got = suffix_forecast(history, horizon, min_window)
         assert got == _reference_total(history, horizon, min_window)
 
     def test_seeded_sweep_default_window(self):
@@ -311,7 +313,7 @@ class TestForecastIsBitIdentical:
         for _ in range(500):
             history = [rng.uniform(0.0, 50.0) for _ in range(rng.randint(0, 14))]
             horizon = rng.randint(1, 14)
-            assert total_predicted_benefit(history, horizon) == _reference_total(
+            assert suffix_forecast(history, horizon) == _reference_total(
                 history, horizon, MIN_FORECAST_WINDOW
             )
 

@@ -453,6 +453,48 @@ class TestSnapshots:
             sum(o.execution_cost for o in continued)
         )
 
+    def test_mid_epoch_restore_closes_at_the_live_arrival(self, engine, small_catalog):
+        # 23 arrivals with epochs of 5: four closes, three queries into
+        # the fifth epoch.  The restored clock closes it two arrivals
+        # later, as the live tuner does.  Decisions may differ: gain
+        # samples are not persisted.
+        head, tail = _stream(23, seed=1), _stream(12, seed=2)
+        fresh = copy.deepcopy(small_catalog)
+        live = _make(engine, small_catalog)
+        live.run(head)
+        snapshot = json.loads(json.dumps(snapshot_any(live)))
+        assert snapshot["queries_seen"] == 23
+
+        restored = restore_any(fresh, snapshot, engine=engine)
+        assert restored.queries_seen == 23
+        assert restored.dashboard.epochs == live.dashboard.epochs == 4
+        continued, resumed = live.run(tail), restored.run(tail)
+        assert [o.index for o in resumed] == [o.index for o in continued]
+        closes = [o.index for o in resumed if o.epoch_ended]
+        assert closes == [o.index for o in continued if o.epoch_ended] == [24, 29, 34]
+        assert [r.epoch for r in restored.dashboard.records] == [4, 5, 6]
+
+    def test_a_snapshot_without_the_clock_restarts_it(self, engine, small_catalog):
+        # Snapshots written before the clock was persisted restore at 0.
+        live = _make(engine, copy.deepcopy(small_catalog))
+        live.run(_stream(23))
+        snapshot = snapshot_any(live)
+        del snapshot["queries_seen"]
+        restored = restore_any(small_catalog, snapshot)
+        assert restored.queries_seen == restored.dashboard.epochs == 0
+
+    def test_a_negative_clock_is_refused(self, engine, small_catalog):
+        snapshot = snapshot_any(_make(engine, copy.deepcopy(small_catalog)))
+        snapshot["queries_seen"] = -1
+        with pytest.raises(SnapshotError, match="queries_seen"):
+            restore_any(small_catalog, snapshot)
+
+    def test_a_clock_that_is_no_count_is_refused(self, engine, small_catalog):
+        snapshot = snapshot_any(_make(engine, copy.deepcopy(small_catalog)))
+        snapshot["queries_seen"] = "twenty-three"
+        with pytest.raises(SnapshotError, match="malformed snapshot"):
+            restore_any(small_catalog, snapshot)
+
     def test_unknown_tuner_type_has_no_serializer(self, engine):
         with pytest.raises(SnapshotError, match="no snapshot serializer"):
             snapshot_any(object())

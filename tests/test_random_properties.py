@@ -11,13 +11,10 @@ import random
 
 import pytest
 
-from repro.core.knapsack import (
-    MAX_EXACT_ITEMS,
-    KnapsackItem,
-    solve_greedy,
-    solve_knapsack,
-)
+from repro.core.knapsack import MAX_EXACT_ITEMS, KnapsackItem, solve_knapsack
 from repro.core.self_organizer import two_means_split
+
+from tests.core.test_knapsack import solve_greedy
 
 
 def _random_instance(rng, n=None):
