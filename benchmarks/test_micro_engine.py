@@ -8,6 +8,7 @@ in the same `pytest benchmarks/` run that regenerates the figures.
 
 import random
 
+from repro.backend.local import LocalBackend
 from repro.engine.btree import BPlusTree
 from repro.optimizer.optimizer import Optimizer, PlanCache
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -104,7 +105,7 @@ def test_whatif_call_throughput(benchmark):
     rng = random.Random(3)
     dist = stable_distribution()
     queries = [dist.sample(catalog, rng) for _ in range(20)]
-    whatif = WhatIfOptimizer(Optimizer(catalog))
+    whatif = WhatIfOptimizer(LocalBackend(catalog))
     probes = [
         catalog.index_for("lineitem_1", "l_shipdate"),
         catalog.index_for("orders_1", "o_orderdate"),

@@ -1,25 +1,26 @@
 """The DBMS backend protocol behind the what-if interface.
 
 COLT's decision loop -- profiling, gain estimation, knapsack selection --
-only ever talks to the DBMS through a narrow surface: "what would this
-query cost under that index configuration?", "pretend this index
-exists", and "have this table's statistics changed?".  The paper assumes
-that surface is the DBMS's own extended optimizer (§4.1); CoPhy shows
-the same thin what-if protocol ports an advisor across engines, and DBA
-bandits drives an identical loop through PostgreSQL + HypoPG.
+only ever asks the DBMS one question: "what would this query cost under
+that index configuration?".  The paper assumes the DBMS's own extended
+optimizer answers it (§4.1); CoPhy shows the same thin what-if protocol
+ports an advisor across engines, and DBA bandits drives an identical
+loop through PostgreSQL.
 
-:class:`Backend` freezes that surface into a protocol:
+:class:`Backend` freezes that question into a protocol of six members:
 
-* ``get_cost(query, config)`` / ``optimize(query, config)`` -- the
-  what-if cost oracle (``optimize`` additionally returns a plan when the
-  backend produces one).
-* ``simulate_index(index)`` / ``drop_simulated_index(index)`` --
-  hypothetical-index lifecycle, folded into ``current_config()``.
-* ``stats_token(table)`` / ``refresh_stats(table)`` -- statistics
-  freshness, the validity token a retained plan cache checks.
+* ``name`` and ``catalog`` -- the metric label and the schema the
+  tuner's candidate generation and scheduler operate on.
+* ``optimize(query, config, cache)`` -- the what-if cost oracle; the
+  configuration is any index set, materialized or not, so forward
+  (``M ∪ {I}``) and reverse (``M − {I}``) probes are the same call.
+* ``current_config()`` and ``begin_query(query)`` -- the materialized
+  set and the normal optimization a query's probes start from; both
+  have defaults in terms of ``catalog`` and ``optimize``.
+* ``bind_registry(registry)`` -- the pricing-call counter.
 
-Every backend prices reverse what-if (a query without a materialized
-index, ``M − {I}``), as the paper's extended optimizer does.
+Statistics freshness is the catalog's
+(:meth:`~repro.engine.catalog.Catalog.stats_token`).
 
 Implementations: :class:`~repro.backend.local.LocalBackend` (the
 in-python engine, default and bit-identical to the pre-protocol code
@@ -46,10 +47,6 @@ __all__ = [
     "TraceMissError",
     "WhatIfSession",
 ]
-
-#: Stats freshness token: opaque to callers beyond equality comparison.
-StatsToken = tuple
-
 
 class BackendError(RuntimeError):
     """A backend failed in a way that is *not* ordinary probe noise.
@@ -89,10 +86,9 @@ class WhatIfSession:
 class Backend:
     """Base class for DBMS backends; see the module docstring.
 
-    Subclasses must set :attr:`name`, implement :meth:`optimize` and the
-    hypothetical-index lifecycle, and expose the catalog the tuner's
-    candidate generation and scheduler operate on.  Everything else has
-    working defaults expressed in terms of those primitives.
+    Subclasses must set :attr:`name`, expose :attr:`catalog` and
+    implement :meth:`optimize`; the other members have working defaults
+    expressed in terms of those.
     """
 
     #: Short backend identifier (``local``, ``trace``); also the
@@ -104,14 +100,9 @@ class Backend:
         """The catalog describing the schema this backend prices against."""
         raise NotImplementedError
 
-    # -- what-if cost oracle -------------------------------------------
     def current_config(self) -> IndexConfig:
-        """Materialized plus simulated indexes, as a configuration."""
-        config = frozenset(self.catalog.materialized_indexes())
-        simulated = self.simulated_indexes()
-        if simulated:
-            config = config | simulated
-        return config
+        """The materialized index set, as a configuration."""
+        return frozenset(self.catalog.materialized_indexes())
 
     def begin_query(self, query: Query) -> WhatIfSession:
         """Normally optimize ``query`` and open a what-if session for it.
@@ -131,7 +122,6 @@ class Backend:
         self,
         query: Query,
         config: Optional[IndexConfig] = None,
-        session: Optional[WhatIfSession] = None,
         cache: Optional[PlanCache] = None,
     ) -> OptimizationResult:
         """Price ``query`` under ``config`` (default: current config).
@@ -140,46 +130,15 @@ class Backend:
             query: A bound query.
             config: Index configuration; defaults to
                 :meth:`current_config`.
-            session: Open what-if session for this query; its plan cache
-                is used when the backend supports reuse.
-            cache: Explicit plan cache (``session`` takes precedence).
+            cache: Plan cache of the query's what-if session, reused
+                when the backend supports reuse.
 
         Returns:
             An :class:`OptimizationResult`.  A backend without a physical
-            plan (trace replay) returns a stub that still answers
-            ``indexes_used()``.
+            plan (trace replay) returns a stub plan beside the result's
+            ``indexes_used``.
         """
         raise NotImplementedError
-
-    def get_cost(
-        self,
-        query: Query,
-        config: Optional[IndexConfig] = None,
-        session: Optional[WhatIfSession] = None,
-    ) -> float:
-        """Estimated cost of ``query`` under ``config``."""
-        return self.optimize(query, config=config, session=session).cost
-
-    # -- hypothetical indexes ------------------------------------------
-    def simulated_indexes(self) -> IndexConfig:
-        """The currently simulated (hypothetical) index set."""
-        return frozenset()
-
-    # -- statistics ----------------------------------------------------
-    def stats_token(self, table: str) -> StatsToken:
-        """Freshness token for ``table``'s statistics.
-
-        Two equal tokens assert the backend would price queries over the
-        table identically; any stats-affecting mutation must change the
-        token.  The default combines the logical row count with the
-        catalog's monotonically bumped ``stats_version`` (row-count
-        changes, ``set_stats``).
-        """
-        return self.catalog.stats_token(table)
-
-    def refresh_stats(self, table: str) -> None:
-        """Recompute (or mark changed) statistics for ``table``."""
-        self.catalog.bump_stats_version(table)
 
     # -- observability -------------------------------------------------
     def bind_registry(self, registry) -> None:

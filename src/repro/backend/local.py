@@ -3,10 +3,9 @@
 ``LocalBackend`` wraps the cost-based :class:`~repro.optimizer.optimizer.
 Optimizer` unchanged: every ``optimize`` call is exactly the pre-protocol
 ``Optimizer.optimize(query, config, cache)`` call, so the golden-trace
-pin holds bit-identically through the protocol.  Because the local
-optimizer prices arbitrary configurations symbolically, hypothetical
-indexes need no server-side state -- ``simulate_index`` just folds the
-index into :meth:`current_config`.
+pin holds bit-identically through the protocol.  The local optimizer
+prices arbitrary configurations symbolically, so a hypothetical index is
+just a member of the configuration passed in.
 
 Sessions are where it departs from the base class: a stream that hands
 the same bound ``Query`` object in again (a cycled stream, the fleet
@@ -34,7 +33,6 @@ from repro.optimizer.optimizer import (
 
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
-    from repro.engine.index import IndexDef
     from repro.optimizer.access import IndexConfig
     from repro.sql.ast import Query
 
@@ -64,29 +62,19 @@ class LocalBackend(Backend):
     """Backend over the reproduction's own optimizer and catalog.
 
     Args:
-        catalog: Catalog to build a fresh :class:`Optimizer` over.
-        optimizer: An existing optimizer to wrap instead (mutually
-            exclusive source of truth with ``catalog``; the optimizer's
-            catalog wins).
+        catalog: Catalog to build the backend's :class:`Optimizer` over.
         recorder: Optional trace recorder; when set, every priced
             (query, config) pair is recorded for later replay.
+
+    Attributes:
+        optimizer: The :class:`Optimizer` every price comes from.
     """
 
     name = "local"
 
-    def __init__(
-        self,
-        catalog: Optional[Catalog] = None,
-        optimizer: Optional[Optimizer] = None,
-        recorder=None,
-    ) -> None:
-        if optimizer is None:
-            if catalog is None:
-                raise ValueError("LocalBackend needs a catalog or an optimizer")
-            optimizer = Optimizer(catalog)
-        self.optimizer = optimizer
+    def __init__(self, catalog: Catalog, recorder=None) -> None:
+        self.optimizer = Optimizer(catalog)
         self.recorder = recorder
-        self._simulated: Dict[IndexDef, None] = {}
         # id(query) -> its _LiveQuery; the entry goes when the query does.
         self._live: Dict[int, _LiveQuery] = {}
         self._forget = lambda ref, live=self._live: live.pop(ref.key, None)
@@ -96,20 +84,14 @@ class LocalBackend(Backend):
         return self.optimizer.catalog
 
     def current_config(self) -> IndexConfig:
-        config = self.optimizer.current_config()
-        if self._simulated:
-            config = config | frozenset(self._simulated)
-        return config
+        return self.optimizer.current_config()
 
     def optimize(
         self,
         query: Query,
         config: Optional[IndexConfig] = None,
-        session: Optional[WhatIfSession] = None,
         cache: Optional[PlanCache] = None,
     ) -> OptimizationResult:
-        if session is not None:
-            cache = session.cache
         if config is None:
             config = self.current_config()
         result = self.optimizer.optimize(query, config=config, cache=cache)
@@ -197,15 +179,3 @@ class LocalBackend(Backend):
         key: the cost parameters and the statistics token of each table."""
         catalog = self.optimizer.catalog
         return (catalog.params, *map(catalog.stats_token, query.tables))
-
-    # -- hypothetical indexes ------------------------------------------
-    def simulate_index(self, index: IndexDef) -> None:
-        """Add ``index`` to :meth:`current_config` without building it."""
-        self._simulated[index] = None
-
-    def drop_simulated_index(self, index: IndexDef) -> None:
-        """Remove a simulated index (idempotent)."""
-        self._simulated.pop(index, None)
-
-    def simulated_indexes(self) -> IndexConfig:
-        return frozenset(self._simulated)

@@ -33,7 +33,6 @@ from repro.core.gaincache import query_signature
 from repro.optimizer.optimizer import OptimizationResult, relevant_config
 
 if TYPE_CHECKING:
-    from repro.backend.base import WhatIfSession
     from repro.engine.catalog import Catalog
     from repro.engine.index import IndexDef
     from repro.optimizer.access import IndexConfig
@@ -126,10 +125,7 @@ class CostTraceRecorder:
         key = trace_key(query, config)
         if key in self.trace.entries:
             return
-        used = sorted(
-            (ix.table, list(ix.columns))
-            for ix in result.plan.indexes_used()
-        )
+        used = sorted((ix.table, list(ix.columns)) for ix in result.indexes_used)
         self.trace.entries[key] = {
             "cost": result.cost,
             "used": [[table, columns] for table, columns in used],
@@ -173,24 +169,16 @@ class TraceBackend(Backend):
     def __init__(self, catalog: Catalog, trace: CostTrace) -> None:
         self._catalog = catalog
         self.trace = trace
-        self._simulated: Dict[IndexDef, None] = {}
         self.replayed = 0
 
     @property
     def catalog(self) -> Catalog:
         return self._catalog
 
-    def current_config(self) -> IndexConfig:
-        config = frozenset(self._catalog.materialized_indexes())
-        if self._simulated:
-            config = config | frozenset(self._simulated)
-        return config
-
     def optimize(
         self,
         query: Query,
         config: Optional[IndexConfig] = None,
-        session: Optional[WhatIfSession] = None,
         cache: Optional[PlanCache] = None,
     ) -> OptimizationResult:
         if config is None:
@@ -205,21 +193,9 @@ class TraceBackend(Backend):
                 "replay diverged from the recording"
             )
         self.replayed += 1
-        used = {
+        used = frozenset(
             self._catalog.composite_index_for(table, columns)
             for table, columns in entry["used"]
-        }
+        )
         plan = ReplayPlan(entry["cost"], used)
-        return OptimizationResult(plan=plan, cost=entry["cost"], config=config)
-
-    # -- hypothetical indexes ------------------------------------------
-    def simulate_index(self, index: IndexDef) -> None:
-        """Add ``index`` to :meth:`current_config` without building it."""
-        self._simulated[index] = None
-
-    def drop_simulated_index(self, index: IndexDef) -> None:
-        """Remove a simulated index (idempotent)."""
-        self._simulated.pop(index, None)
-
-    def simulated_indexes(self) -> IndexConfig:
-        return frozenset(self._simulated)
+        return OptimizationResult(plan, entry["cost"], config, used)

@@ -256,7 +256,7 @@ class BanditTuner(TuningLoop):
                 if self.whatif.failpoint is not None:
                     self.whatif.failpoint(index)
                 without = self.backend.optimize(
-                    session.query, config=without_config, session=session
+                    session.query, config=without_config, cache=session.cache
                 )
             except Exception:
                 self.profiler.breaker.record_failure()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.optimizer.optimizer import Optimizer
+from repro.backend.local import LocalBackend
 from repro.optimizer.whatif import WhatIfOptimizer
 
 if TYPE_CHECKING:
@@ -83,8 +83,7 @@ class ContinuousTuner:
     ) -> None:
         self.catalog = catalog
         self.config = config or ContinuousConfig()
-        self.optimizer = Optimizer(catalog)
-        self.whatif = WhatIfOptimizer(self.optimizer)
+        self.whatif = WhatIfOptimizer(LocalBackend(catalog))
         self._credit: Dict[IndexDef, float] = {}
         self._queries = 0
 

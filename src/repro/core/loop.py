@@ -187,7 +187,7 @@ class TuningLoop:
             raise ValueError("backend and tuner must share one catalog")
         self.backend.bind_registry(self.registry)
         self.optimizer = getattr(self.backend, "optimizer", None)
-        self.whatif = WhatIfOptimizer(backend=self.backend)
+        self.whatif = WhatIfOptimizer(self.backend)
         self._store = store
         self._queries_seen = 0
         self._build_engine(breaker)

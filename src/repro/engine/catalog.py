@@ -199,8 +199,7 @@ class Catalog:
     def column_stats_version(self, table: str) -> int:
         """Monotone counter over the table's column statistics: bumped
         with :meth:`stats_version` by :meth:`bump_stats_version` (so by
-        ``set_stats`` and a backend's ``refresh_stats``) and by nothing
-        else, *not* by row moves.
+        ``set_stats``) and by nothing else, *not* by row moves.
 
         An unchanged value means every installed column statistic of the
         table, and so every filter selectivity read from one, is what it

@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from repro.fleet.router import Router
     from repro.guardrails.advice import AdviceBook
     from repro.resilience.breaker import CircuitBreaker
-    from repro.resilience.faults import FaultInjector
     from repro.sql.ast import Query
 
 CatalogFactory = Callable[[], Catalog]
@@ -180,8 +179,6 @@ class FleetCoordinator:
         fleet_epoch_length: Queries between fleet reorganizations.
         breakers: Optional per-replica circuit breakers (tests inject
             tight thresholds).
-        fault_injectors: Optional per-replica fault injectors; entries
-            may be None.
         registry: Fleet-level metrics registry; defaults to a fresh
             enabled one.  Each replica additionally gets its own
             registry (same enabled state) so
@@ -192,9 +189,6 @@ class FleetCoordinator:
             :data:`repro.engines.ENGINES`); a ``ColtConfig`` is still
             what parameterizes the fleet (other engines derive a
             matched configuration from it through the table's adapter).
-        backend_factory: Optional callable ``catalog -> Backend``
-            giving each replica its DBMS backend (defaults to the local
-            in-python engine).
         workers: When positive, replicas run in that many worker
             *processes* instead of in-process: construction returns a
             :class:`~repro.fleet.workers.WorkerFleetCoordinator` (same
@@ -224,11 +218,9 @@ class FleetCoordinator:
         policy: str = "affinity",
         fleet_epoch_length: int = 50,
         breakers: Optional[Sequence[Optional[CircuitBreaker]]] = None,
-        fault_injectors: Optional[Sequence[Optional[FaultInjector]]] = None,
         registry: Optional[MetricsRegistry] = None,
         advice: Optional[AdviceBook] = None,
         engine: str = "colt",
-        backend_factory=None,
         workers: int = 0,
     ) -> None:
         if workers:
@@ -250,17 +242,14 @@ class FleetCoordinator:
         replicas: List[TunerReplica] = []
         for i in range(n_replicas):
             breaker = breakers[i] if breakers else None
-            injector = fault_injectors[i] if fault_injectors else None
             replicas.append(
                 TunerReplica(
                     i,
                     catalog_factory(),
                     config,
                     breaker=breaker,
-                    fault_injector=injector,
                     registry=MetricsRegistry(enabled=registry.enabled),
                     engine=engine,
-                    backend_factory=backend_factory,
                     advice=advice,
                 )
             )

@@ -32,7 +32,6 @@ if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
     from repro.obs.registry import MetricsRegistry
     from repro.resilience.breaker import CircuitBreaker
-    from repro.resilience.faults import FaultInjector
     from repro.sql.ast import Query
 
 
@@ -82,8 +81,6 @@ class TunerReplica:
             *per-replica* budget.
         breaker: Optional pre-built circuit breaker (tests inject one
             with tight thresholds); defaults to the tuner's standard.
-        fault_injector: Optional fault injector wired into this
-            replica's tuner only (chaos tests drain a single replica).
         tuner: Pre-built tuner to adopt instead of constructing one
             (used when restoring a fleet from snapshots).
         registry: Metrics registry for this replica's tuner (the
@@ -96,10 +93,6 @@ class TunerReplica:
             :data:`repro.engines.ENGINES`; its configuration is derived
             from ``config`` by the table's adapter); ignored when
             ``tuner`` is pre-built.
-        backend_factory: Optional callable ``catalog -> Backend``
-            building the replica tuner's DBMS backend (defaults to the
-            local in-python engine); ignored when ``tuner`` is
-            pre-built.
     """
 
     def __init__(
@@ -108,11 +101,9 @@ class TunerReplica:
         catalog: Catalog,
         config: Optional[ColtConfig] = None,
         breaker: Optional[CircuitBreaker] = None,
-        fault_injector: Optional[FaultInjector] = None,
         tuner: Optional[TuningLoop] = None,
         registry: Optional[MetricsRegistry] = None,
         engine: str = "colt",
-        backend_factory=None,
         advice=None,
     ) -> None:
         self.replica_id = replica_id
@@ -122,11 +113,7 @@ class TunerReplica:
                 catalog,
                 config,
                 breaker=breaker,
-                fault_injector=fault_injector,
                 registry=registry,
-                backend=(
-                    backend_factory(catalog) if backend_factory is not None else None
-                ),
                 advice=advice,
             )
         self.tuner = tuner

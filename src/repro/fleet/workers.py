@@ -40,8 +40,8 @@ process cannot recover, so its breaker stays OPEN and the replica stays
 out of the rotation for good.
 
 Deliberately unsupported with workers (ValueError at construction):
-DBA advice, and injected breakers/fault injectors (those objects live
-in the worker; use the worker crash hook to test failure paths).
+DBA advice, and injected breakers (those live in the worker; use the
+worker crash hook to test failure paths).
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ def _worker_main(
     catalog_factory: CatalogFactory,
     config: Optional[ColtConfig],
     engine: str,
-    backend_factory,
     metrics_enabled: bool,
     crash_after: Optional[int],
 ) -> None:
@@ -156,7 +155,6 @@ def _worker_main(
         config,
         registry=registry,
         engine=engine,
-        backend_factory=backend_factory,
     )
     # Latency observations stay on regardless of the replica metrics
     # switch: latency_summary() serves worker-side percentiles even when
@@ -428,11 +426,9 @@ class WorkerFleetCoordinator(FleetCoordinator):
         policy: str = "affinity",
         fleet_epoch_length: int = 50,
         breakers=None,
-        fault_injectors=None,
         registry: Optional[MetricsRegistry] = None,
         advice=None,
         engine: str = "colt",
-        backend_factory=None,
         workers: int = 0,
         worker_timeout: float = 120.0,
         _crash_plan: Optional[Dict[int, int]] = None,
@@ -444,11 +440,11 @@ class WorkerFleetCoordinator(FleetCoordinator):
                 "advice is not supported with worker processes; run the "
                 "single-process fleet for advised deployments"
             )
-        if breakers is not None or fault_injectors is not None:
+        if breakers is not None:
             raise ValueError(
-                "breakers and fault injectors live inside the worker "
-                "process and cannot be injected from the parent; use the "
-                "worker crash hook to exercise failure paths"
+                "breakers live inside the worker process and cannot be "
+                "injected from the parent; use the worker crash hook to "
+                "exercise failure paths"
             )
         engine_spec(engine)  # ValueError for a name the table lacks
         if fleet_epoch_length < 1:
@@ -473,7 +469,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
                     catalog_factory,
                     config,
                     engine,
-                    backend_factory,
                     registry.enabled,
                     crash_plan.get(i),
                 ),

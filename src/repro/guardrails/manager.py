@@ -144,7 +144,7 @@ class GuardrailManager:
             if index not in mat or not self.verifier.needs_samples(index):
                 continue
             without = self._backend.optimize(
-                session.query, config=mat - {index}, session=session
+                session.query, config=mat - {index}, cache=session.cache
             )
             observation = self.observer.observe(
                 session, without.plan, session.base.cost, without.cost

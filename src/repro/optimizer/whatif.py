@@ -18,8 +18,8 @@ Note on sign convention: the paper's formula as printed reads
 text defines QueryGain as "the savings in execution time", so we use the
 orientation that makes gains positive for useful indexes.
 
-Every probe is answered by a pluggable :class:`~repro.backend.base.
-Backend` -- the in-python engine by default
+Every probe is one ``optimize(query, config)`` call on a pluggable
+:class:`~repro.backend.base.Backend` -- the in-python engine
 (:class:`~repro.backend.local.LocalBackend`) or a recorded-trace
 replayer.  Each probed index costs one what-if call; on the
 local backend the per-query :class:`~repro.optimizer.optimizer.PlanCache`
@@ -33,13 +33,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional
 
 from repro.backend.base import BackendError, WhatIfSession
-from repro.backend.local import LocalBackend
 from repro.resilience.errors import WhatIfProbeError
 
 if TYPE_CHECKING:
+    from repro.backend.base import Backend
     from repro.engine.index import IndexDef
     from repro.optimizer.access import IndexConfig
-    from repro.optimizer.optimizer import Optimizer
     from repro.sql.ast import Query
 
 __all__ = ["WhatIfOptimizer", "WhatIfSession", "WhatIfProbeError"]
@@ -60,46 +59,27 @@ class WhatIfOptimizer:
             a timed-out what-if call costs time.
     """
 
-    def __init__(
-        self,
-        optimizer: Optional[Optimizer] = None,
-        backend=None,
-    ) -> None:
-        if backend is None:
-            if optimizer is None:
-                raise ValueError(
-                    "WhatIfOptimizer needs an optimizer or a backend"
-                )
-            backend = LocalBackend(optimizer=optimizer)
-        elif optimizer is not None:
-            raise ValueError("pass either an optimizer or a backend, not both")
+    def __init__(self, backend: Backend) -> None:
         self.backend = backend
         self.call_count = 0
         self.probed_indexes: set = set()
         self.failpoint: Optional[Callable[[IndexDef], None]] = None
-
-    @property
-    def optimizer(self) -> Optional[Optimizer]:
-        """The underlying plain optimizer (``None`` for remote/replay)."""
-        return getattr(self.backend, "optimizer", None)
 
     def begin_query(self, query: Query) -> WhatIfSession:
         """Normally optimize ``query`` and open a what-if session for it."""
         return self.backend.begin_query(query)
 
     def what_if_optimize(
-        self,
-        session: WhatIfSession,
-        probation: Iterable[IndexDef],
-        materialized: Optional[IndexConfig] = None,
+        self, session: WhatIfSession, probation: Iterable[IndexDef]
     ) -> Dict[IndexDef, float]:
         """Measure QueryGain for each index in the probation set.
+
+        The materialized set ``M`` is the backend's current
+        configuration.
 
         Args:
             session: Session from :meth:`begin_query` for this query.
             probation: Indexes to probe (the set ``P`` of Figure 2).
-            materialized: The materialized set ``M``; defaults to the
-                backend's current configuration.
 
         Returns:
             Mapping from each probed index to its QueryGain (cost units;
@@ -117,8 +97,9 @@ class WhatIfOptimizer:
                 request (e.g. a trace miss during deterministic replay);
                 never absorbed as probe noise.
         """
-        if materialized is None:
-            materialized = self.backend.current_config()
+        materialized = self.backend.current_config()
+        optimize = self.backend.optimize
+        query, cache = session.query, session.cache
         gains: Dict[IndexDef, float] = {}
         for index in probation:
             self.call_count += 1
@@ -129,19 +110,15 @@ class WhatIfOptimizer:
                 if index in materialized:
                     # Reverse what-if: how much worse would the query be
                     # without this materialized index?
-                    without_cost = self.backend.get_cost(
-                        session.query,
-                        config=materialized - {index},
-                        session=session,
-                    )
+                    without_cost = optimize(
+                        query, config=materialized - {index}, cache=cache
+                    ).cost
                     with_cost = self._cost_under(session, materialized)
                     gains[index] = without_cost - with_cost
                 else:
-                    with_cost = self.backend.get_cost(
-                        session.query,
-                        config=materialized | {index},
-                        session=session,
-                    )
+                    with_cost = optimize(
+                        query, config=materialized | {index}, cache=cache
+                    ).cost
                     without_cost = self._cost_under(session, materialized)
                     gains[index] = without_cost - with_cost
             except WhatIfProbeError as exc:
@@ -159,4 +136,6 @@ class WhatIfOptimizer:
     def _cost_under(self, session: WhatIfSession, config: IndexConfig) -> float:
         if config == session.base.config:
             return session.base.cost
-        return self.backend.get_cost(session.query, config=config, session=session)
+        return self.backend.optimize(
+            session.query, config=config, cache=session.cache
+        ).cost

@@ -2,10 +2,8 @@
 
 Every :class:`~repro.backend.base.Backend` the tuning stack can run on
 must satisfy the same observable contract: more indexes never price a
-query worse, hypothetical indexes are session-local and idempotent,
-stats tokens change on every statistics-affecting catalog mutation, and
-pricing depends only on the *configuration* -- not on whether an index
-happens to be hypothetical or materialized.  The suite is parametrized
+query worse, and pricing depends only on the *configuration* -- not on
+whether an index happens to be hypothetical or materialized.  The suite is parametrized
 over the local engine and the trace replayer; the differential class at
 the bottom proves the two produce bit-identical tuning decisions on a
 shifting workload.
@@ -15,7 +13,7 @@ import random
 
 import pytest
 
-from repro.backend.base import BackendError, TraceMissError
+from repro.backend.base import Backend, BackendError, TraceMissError
 from repro.backend.local import LocalBackend
 from repro.backend.trace import (
     CostTrace,
@@ -75,7 +73,7 @@ def make_backend(kind, catalog):
     live = LocalBackend(shadow, recorder=recorder)
     for query in probe_queries():
         for config in probe_configs(shadow):
-            live.get_cost(query, config=config)
+            live.optimize(query, config=config)
     return TraceBackend(catalog, recorder.trace)
 
 
@@ -96,8 +94,8 @@ class TestCapabilities:
         b = make_backend(kind, build_small_catalog())
         registry = MetricsRegistry()
         b.bind_registry(registry)
-        b.get_cost(eq_query(7), config=frozenset())
-        b.get_cost(day_query(8100), config=frozenset())
+        b.optimize(eq_query(7), config=frozenset())
+        b.optimize(day_query(8100), config=frozenset())
         counter = registry.get("backend_optimize_calls_total")
         assert counter.value(backend=kind) == 2
         assert counter.samples() == [{"labels": {"backend": kind}, "value": 2.0}]
@@ -110,13 +108,13 @@ class TestCapabilities:
         catalog = build_small_catalog()
         b = make_backend(kind, catalog)
         query = eq_query(7)
-        bare = b.get_cost(query, config=frozenset())
+        bare = b.optimize(query, config=frozenset()).cost
         user = catalog.index_for("events", "user_id")
         catalog.materialize_index(user)
-        assert b.get_cost(query, config=frozenset()) == bare
-        with_user = b.get_cost(query, config=frozenset({user}))
+        assert b.optimize(query, config=frozenset()).cost == bare
+        with_user = b.optimize(query, config=frozenset({user})).cost
         assert with_user < bare
-        whatif = WhatIfOptimizer(backend=b)
+        whatif = WhatIfOptimizer(b)
         session = whatif.begin_query(query)
         assert whatif.what_if_optimize(session, [user]) == {user: bare - with_user}
 
@@ -134,14 +132,56 @@ class TestCapabilities:
         assert calls == 1 and charge >= 0.0
 
 
+class TestProtocol:
+    def test_the_public_surface_is_six_members(self):
+        public = {n for n in dir(Backend) if not n.startswith("_")}
+        public |= set(Backend.__annotations__)
+        assert public == {
+            "name",
+            "catalog",
+            "optimize",
+            "current_config",
+            "begin_query",
+            "bind_registry",
+        }
+
+    def test_current_config_is_the_materialized_set(self, backend):
+        catalog = backend.catalog
+        user = catalog.index_for("events", "user_id")
+        assert backend.current_config() == frozenset()
+        catalog.materialize_index(user)
+        assert backend.current_config() == frozenset({user})
+        catalog.drop_index(user)
+        assert backend.current_config() == frozenset()
+
+    def test_probes_price_on_the_session_cache(self, backend):
+        catalog = backend.catalog
+        user = catalog.index_for("events", "user_id")
+        day = catalog.index_for("events", "day")
+        catalog.materialize_index(user)
+        whatif = WhatIfOptimizer(backend)
+        session = whatif.begin_query(eq_query(7))
+        caches = []
+        real = backend.optimize
+
+        def spy(query, config=None, cache=None):
+            caches.append(cache)
+            return real(query, config=config, cache=cache)
+
+        backend.optimize = spy
+        whatif.what_if_optimize(session, [user, day])  # reverse, then forward
+        assert len(caches) == 2
+        assert all(cache is session.cache for cache in caches)
+
+
 class TestCostMonotonicity:
     def test_relevant_index_never_hurts(self, backend):
         catalog = backend.catalog
         user = catalog.index_for("events", "user_id")
         q = eq_query(7)
-        assert backend.get_cost(q, config=frozenset({user})) <= backend.get_cost(
+        assert backend.optimize(q, config=frozenset({user})).cost <= backend.optimize(
             q, config=frozenset()
-        )
+        ).cost
 
     def test_superset_config_never_hurts(self, backend):
         catalog = backend.catalog
@@ -149,99 +189,17 @@ class TestCostMonotonicity:
         day = catalog.index_for("events", "day")
         score = catalog.index_for("users", "score")
         for q in probe_queries():
-            lo = backend.get_cost(q, config=frozenset())
-            hi = backend.get_cost(q, config=frozenset({user, day, score}))
+            lo = backend.optimize(q, config=frozenset()).cost
+            hi = backend.optimize(q, config=frozenset({user, day, score})).cost
             assert hi <= lo
 
     def test_irrelevant_index_changes_nothing(self, backend):
         catalog = backend.catalog
         score = catalog.index_for("users", "score")
         q = eq_query(7)  # touches only events
-        assert backend.get_cost(q, config=frozenset({score})) == backend.get_cost(
+        assert backend.optimize(q, config=frozenset({score})).cost == backend.optimize(
             q, config=frozenset()
-        )
-
-
-class TestSimulateDropIdempotence:
-    def test_simulate_is_idempotent(self, backend):
-        user = backend.catalog.index_for("events", "user_id")
-        backend.simulate_index(user)
-        backend.simulate_index(user)
-        assert backend.simulated_indexes() == frozenset({user})
-        assert user in backend.current_config()
-
-    def test_drop_is_idempotent(self, backend):
-        user = backend.catalog.index_for("events", "user_id")
-        backend.simulate_index(user)
-        backend.drop_simulated_index(user)
-        backend.drop_simulated_index(user)
-        assert backend.simulated_indexes() == frozenset()
-        assert user not in backend.current_config()
-
-    def test_drop_of_never_simulated_index_is_a_no_op(self, backend):
-        day = backend.catalog.index_for("events", "day")
-        backend.drop_simulated_index(day)
-        assert backend.simulated_indexes() == frozenset()
-
-    def test_simulated_index_prices_into_default_config(self, backend):
-        user = backend.catalog.index_for("events", "user_id")
-        q = eq_query(7)
-        explicit = backend.get_cost(q, config=frozenset({user}))
-        backend.simulate_index(user)
-        try:
-            assert backend.get_cost(q) == explicit
-        finally:
-            backend.drop_simulated_index(user)
-
-
-class TestStatsTokenInvalidation:
-    def test_row_delta_changes_token(self, backend):
-        before = backend.stats_token("events")
-        backend.catalog.apply_row_delta("events", 1000)
-        assert backend.stats_token("events") != before
-
-    def test_token_does_not_revert_when_row_count_reverts(self, backend):
-        # Truncate-refill: the row count round-trips back to its old
-        # value, but the version component keeps the token fresh.
-        before = backend.stats_token("events")
-        backend.catalog.apply_row_delta("events", 1000)
-        backend.catalog.apply_row_delta("events", -1000)
-        assert backend.stats_token("events") != before
-
-    def test_set_row_count_changes_token(self, backend):
-        before = backend.stats_token("users")
-        backend.catalog.set_row_count("users", 10_000)  # same count
-        assert backend.stats_token("users") != before
-
-    def test_refresh_stats_changes_token(self, backend):
-        before = backend.stats_token("events")
-        backend.refresh_stats("events")
-        assert backend.stats_token("events") != before
-
-    def test_tokens_are_per_table(self, backend):
-        users_before = backend.stats_token("users")
-        backend.catalog.apply_row_delta("events", 500)
-        assert backend.stats_token("users") == users_before
-
-    def test_materialization_leaves_the_token(self, backend):
-        # The index set is not statistics: the catalog's generation
-        # tracks it, and a plan cache keys it inside.
-        catalog = backend.catalog
-        before = {t: backend.stats_token(t) for t in ("events", "users")}
-        user = catalog.index_for("events", "user_id")
-        catalog.materialize_index(user)
-        assert {t: backend.stats_token(t) for t in before} == before
-        catalog.drop_index(user)
-        catalog.drop_index(user)  # absent: a no-op
-        assert {t: backend.stats_token(t) for t in before} == before
-
-    def test_simulation_leaves_the_token(self, backend):
-        before = backend.stats_token("events")
-        day = backend.catalog.index_for("events", "day")
-        backend.simulate_index(day)
-        assert backend.stats_token("events") == before
-        backend.drop_simulated_index(day)
-        assert backend.stats_token("events") == before
+        ).cost
 
 
 class TestReverseWhatIfConsistency:
@@ -257,12 +215,12 @@ class TestReverseWhatIfConsistency:
         catalog = backend.catalog
         user = catalog.index_for("events", "user_id")
         q = eq_query(7)
-        with_hyp = backend.get_cost(q, config=frozenset({user}))
-        without_hyp = backend.get_cost(q, config=frozenset())
+        with_hyp = backend.optimize(q, config=frozenset({user})).cost
+        without_hyp = backend.optimize(q, config=frozenset()).cost
         catalog.materialize_index(user)
         try:
-            assert backend.get_cost(q, config=frozenset({user})) == with_hyp
-            assert backend.get_cost(q, config=frozenset()) == without_hyp
+            assert backend.optimize(q, config=frozenset({user})).cost == with_hyp
+            assert backend.optimize(q, config=frozenset()).cost == without_hyp
         finally:
             catalog.drop_index(user)
 
@@ -270,14 +228,14 @@ class TestReverseWhatIfConsistency:
         catalog = backend.catalog
         user = catalog.index_for("events", "user_id")
         q = eq_query(7)
-        forward = backend.get_cost(q, config=frozenset()) - backend.get_cost(
+        forward = backend.optimize(q, config=frozenset()).cost - backend.optimize(
             q, config=frozenset({user})
-        )
+        ).cost
         catalog.materialize_index(user)
         try:
-            reverse = backend.get_cost(q, config=frozenset()) - backend.get_cost(
+            reverse = backend.optimize(q, config=frozenset()).cost - backend.optimize(
                 q, config=frozenset({user})
-            )
+            ).cost
         finally:
             catalog.drop_index(user)
         assert forward == reverse
@@ -288,7 +246,7 @@ class TestTraceBackendSpecifics:
     def test_miss_is_a_hard_backend_error(self):
         backend = TraceBackend(build_small_catalog(), CostTrace())
         with pytest.raises(TraceMissError):
-            backend.get_cost(eq_query(7))
+            backend.optimize(eq_query(7))
         assert isinstance(TraceMissError("x"), BackendError)
 
     def test_key_restricts_to_relevant_config(self):
@@ -306,7 +264,7 @@ class TestTraceBackendSpecifics:
         backend = make_backend("trace", catalog)
         user = catalog.index_for("events", "user_id")
         result = backend.optimize(eq_query(7), config=frozenset({user}))
-        assert user in result.plan.indexes_used()
+        assert result.indexes_used == result.plan.indexes_used() == {user}
         assert backend.replayed > 0
 
     def test_round_trips_through_json_files(self, tmp_path):
@@ -314,11 +272,11 @@ class TestTraceBackendSpecifics:
         recorder = CostTraceRecorder()
         live = LocalBackend(catalog, recorder=recorder)
         q = eq_query(7)
-        cost = live.get_cost(q, config=frozenset())
+        cost = live.optimize(q, config=frozenset()).cost
         path = tmp_path / "trace.json"
         recorder.trace.save(path)
         replay = TraceBackend(build_small_catalog(), CostTrace.load(path))
-        assert replay.get_cost(q, config=frozenset()) == cost
+        assert replay.optimize(q, config=frozenset()).cost == cost
 
     def test_rejects_foreign_payloads(self):
         with pytest.raises(ValueError):

@@ -74,10 +74,6 @@ def _drop(catalog, backend, index):
     catalog.drop_index(index)
 
 
-def _simulate(catalog, backend, index):
-    backend.simulate_index(index)
-
-
 def _row_delta(catalog, backend, index):
     catalog.apply_row_delta(index.table, 50_000)
 
@@ -107,7 +103,7 @@ def _set_stats(catalog, backend, index):
 
 
 def _bump_version(catalog, backend, index):
-    backend.refresh_stats(index.table)
+    catalog.bump_stats_version(index.table)
 
 
 def _replace_params(catalog, backend, index):
@@ -120,7 +116,6 @@ def _replace_params(catalog, backend, index):
 MUTATIONS = [
     _materialize,
     _drop,
-    _simulate,
     _row_delta,
     _set_row_count,
     _assign_row_count,
@@ -171,7 +166,7 @@ def assert_session_equals_reference(catalog, backend, session, probes):
     assert session.base.cost == want.base.cost
     assert session.base.config == want.base.config
     assert session.base.plan == want.base.plan
-    whatif = WhatIfOptimizer(backend=backend)
+    whatif = WhatIfOptimizer(backend)
     assert whatif.what_if_optimize(session, probes) == (
         whatif.what_if_optimize(want, probes)
     )
@@ -377,7 +372,7 @@ class TestOneIndexCostServedEverywhere:
         stream = queries + queries + [queries[i] for i in repeats]
         relevant = DIST.relevant_indexes(catalog)
         backend = LocalBackend(catalog)
-        whatif = WhatIfOptimizer(backend=backend)
+        whatif = WhatIfOptimizer(backend)
         schedule = {}
         for position, op in mutations:
             schedule.setdefault(position % len(stream), []).append(op)

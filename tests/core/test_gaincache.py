@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.local import LocalBackend
 from repro.core import ColtConfig, ColtTuner
 from repro.core.gaincache import GainCache, query_signature
 from repro.obs.registry import MetricsRegistry
-from repro.optimizer.optimizer import Optimizer, referenced_columns
+from repro.optimizer.optimizer import referenced_columns
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
@@ -36,7 +37,7 @@ def catalog():
 
 @pytest.fixture()
 def whatif(catalog):
-    return WhatIfOptimizer(Optimizer(catalog))
+    return WhatIfOptimizer(LocalBackend(catalog))
 
 
 @pytest.fixture()
@@ -117,7 +118,7 @@ class TestStructuralZero:
         index = catalog.composite_index_for(table, columns)
         if len(materialized) % 2:
             catalog.materialize_index(index)  # the reverse probe, too
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         session = whatif.begin_query(query)
         assert whatif.what_if_optimize(session, [index]) == {index: 0.0}
         assert GainCache(enabled=True).lookup(referenced, index) == 0.0

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.backend.local import LocalBackend
 from repro.core.config import ColtConfig
 from repro.core.profiler import Profiler
 from repro.core.self_organizer import IndexRecord
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
@@ -13,7 +13,7 @@ from repro.sql.parser import parse_query
 
 def _setup(catalog, **config_kwargs):
     config = ColtConfig(**config_kwargs)
-    whatif = WhatIfOptimizer(Optimizer(catalog))
+    whatif = WhatIfOptimizer(LocalBackend(catalog))
     return Profiler(catalog, whatif, config), whatif, config
 
 

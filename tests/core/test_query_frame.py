@@ -29,7 +29,6 @@ salt-dependent order would leak.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.local import LocalBackend
 from repro.core import ColtConfig, ColtTuner
 from repro.core.knapsack import Ruling
 from repro.optimizer.optimizer import (
@@ -181,7 +180,7 @@ class TestProfilerPoolEqualsFreshFilter:
 
 
 _index_step = st.one_of(
-    st.tuples(st.sampled_from(["materialize", "drop", "simulate", "unsimulate"]), _column),
+    st.tuples(st.sampled_from(["materialize", "drop", "hypothesize", "forget"]), _column),
     st.tuples(st.just("check"), st.integers(0, len(QUERIES) - 1)),
 )
 
@@ -191,9 +190,9 @@ class TestRestrictionEqualsRelevantConfig:
     @settings(deadline=None)
     def test_current_and_probe_configurations(self, steps, probe):
         catalog = build_catalog()
-        backend = LocalBackend(catalog)
-        optimizer = backend.optimizer
+        optimizer = Optimizer(catalog)
         caches = {}  # one retained cache per query, as begin_query keeps them
+        hypothetical = set()  # unbuilt indexes a probe configuration adds
         stale = optimizer.current_config()
         for kind, arg in steps + [("check", 0)]:
             if kind == "check":
@@ -206,7 +205,7 @@ class TestRestrictionEqualsRelevantConfig:
                     current | {index},
                     current - {index},
                     frozenset(current),  # equal content, another object
-                    backend.current_config(),  # with the simulated indexes
+                    current | hypothetical,  # an explicit probe configuration
                     stale,  # an object handed out before the set moved
                 ):
                     got = optimizer.relevant(query, config, cache)
@@ -223,10 +222,10 @@ class TestRestrictionEqualsRelevantConfig:
                 catalog.materialize_index(index)
             elif kind == "drop":
                 catalog.drop_index(index)
-            elif kind == "simulate":
-                backend.simulate_index(index)
+            elif kind == "hypothesize":
+                hypothetical.add(index)
             else:
-                backend.drop_simulated_index(index)
+                hypothetical.discard(index)
 
     def test_one_restriction_object_per_generation(self):
         """A repeated query's base optimization is two dict lookups."""

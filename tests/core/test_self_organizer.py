@@ -1,9 +1,9 @@
 """Unit tests for the Self-Organizer (reorganization + re-budgeting)."""
 
+from repro.backend.local import LocalBackend
 from repro.core.config import ColtConfig
 from repro.core.profiler import Profiler
 from repro.core.self_organizer import SelfOrganizer, two_means_split
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
@@ -24,7 +24,7 @@ def _setup(catalog, **kwargs):
     kwargs.setdefault("storage_budget_pages", 5000.0)
     config = ColtConfig(**kwargs)
     so = SelfOrganizer(catalog, config)
-    profiler = Profiler(catalog, WhatIfOptimizer(Optimizer(catalog)), config)
+    profiler = Profiler(catalog, WhatIfOptimizer(LocalBackend(catalog)), config)
     return so, profiler, config
 
 

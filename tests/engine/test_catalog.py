@@ -178,6 +178,26 @@ class TestCounters:
         catalog.drop_index(index)  # absent: a no-op
         assert counters() == before
 
+    @pytest.mark.parametrize(
+        "move",
+        [
+            lambda c: c.apply_row_delta("t", 1000),
+            # Truncate-refill: the row count round-trips, the version does not.
+            lambda c: (c.apply_row_delta("t", 1000), c.apply_row_delta("t", -1000)),
+            lambda c: c.set_row_count("t", 1000),  # the same count
+            lambda c: c.bump_stats_version("t"),
+            lambda c: c.set_stats("t", "a", c.stats("t", "a")),
+        ],
+        ids=["row_delta", "delta_and_back", "same_row_count", "bump", "set_stats"],
+    )
+    def test_every_statistics_move_changes_the_token_of_its_table_alone(self, move):
+        catalog = self._catalog()
+        catalog.add_table(_table("u"))
+        before = catalog.stats_token("t"), catalog.stats_token("u")
+        move(catalog)
+        assert catalog.stats_token("t") != before[0]
+        assert catalog.stats_token("u") == before[1]
+
     def test_row_moves_leave_the_column_statistics_version(self):
         catalog = self._catalog()
         columns, version = catalog.column_stats_version("t"), catalog.stats_version("t")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend.local import LocalBackend
 from repro.core.config import ColtConfig
 from repro.engines import ENGINES
 from repro.fleet.coordinator import FleetCoordinator
@@ -47,6 +48,14 @@ class TestValidation:
     def test_rejects_bad_epoch_length(self):
         with pytest.raises(ValueError):
             make_fleet(fleet_epoch_length=0)
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_each_replica_prices_on_its_own_local_backend(self, engine):
+        fleet = make_fleet(n=2, engine=engine)
+        for replica in fleet.replicas:
+            assert type(replica.tuner.backend) is LocalBackend
+            assert replica.tuner.backend.catalog is replica.catalog
+        assert fleet.replicas[0].catalog is not fleet.replicas[1].catalog
 
     def test_guardrails_parameter_is_gone(self):
         from repro.guardrails import GuardrailConfig

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.backend.local import LocalBackend
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.datagen import build_catalog
@@ -56,7 +57,7 @@ class TestWhatIfMatchesMaterialization:
     def test_hypothetical_cost_equals_real_cost(self):
         catalog, cases = _cases()
         for query, index in cases:
-            whatif = WhatIfOptimizer(Optimizer(catalog))
+            whatif = WhatIfOptimizer(LocalBackend(catalog))
             session = whatif.begin_query(query)
             gain = whatif.what_if_optimize(session, [index])[index]
             hypothetical = session.base.cost - gain
@@ -88,7 +89,7 @@ class TestWhatIfMatchesMaterialization:
 
     def test_gains_are_nonnegative_for_single_table_probes(self):
         catalog, cases = _cases()
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         for query, index in cases[:50]:
             session = whatif.begin_query(query)
             gain = whatif.what_if_optimize(session, [index])[index]

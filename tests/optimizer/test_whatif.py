@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend.local import LocalBackend
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
@@ -17,7 +18,7 @@ class TestForwardWhatIf:
         catalog = small_catalog
         q = _query(catalog, "select amount from events where user_id = 5")
         optimizer = Optimizer(catalog)
-        whatif = WhatIfOptimizer(optimizer)
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         ix = catalog.index_for("events", "user_id")
 
         session = whatif.begin_query(q)
@@ -31,7 +32,7 @@ class TestForwardWhatIf:
     def test_useless_index_zero_gain(self, small_catalog):
         catalog = small_catalog
         q = _query(catalog, "select amount from events where user_id = 5")
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         session = whatif.begin_query(q)
         gains = whatif.what_if_optimize(
             session, [catalog.index_for("users", "score")]
@@ -41,7 +42,7 @@ class TestForwardWhatIf:
     def test_call_count_per_probed_index(self, small_catalog):
         catalog = small_catalog
         q = _query(catalog, "select amount from events where user_id = 5")
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         session = whatif.begin_query(q)
         whatif.what_if_optimize(
             session,
@@ -57,7 +58,7 @@ class TestReverseWhatIf:
         ix = catalog.index_for("events", "user_id")
         catalog.materialize_index(ix)
         q = _query(catalog, "select amount from events where user_id = 5")
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         session = whatif.begin_query(q)
         gains = whatif.what_if_optimize(session, [ix])
         # Removing the index would make the query slower: positive gain.
@@ -69,7 +70,7 @@ class TestReverseWhatIf:
         catalog = small_catalog
         ix = catalog.index_for("events", "user_id")
         q = _query(catalog, "select amount from events where user_id = 5")
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
 
         session = whatif.begin_query(q)
         forward = whatif.what_if_optimize(session, [ix])[ix]
@@ -84,8 +85,9 @@ class TestSessionCaching:
     def test_repeated_probes_cheap(self, small_catalog):
         catalog = small_catalog
         q = _query(catalog, "select amount from events where user_id = 5")
-        optimizer = Optimizer(catalog)
-        whatif = WhatIfOptimizer(optimizer)
+        backend = LocalBackend(catalog)
+        optimizer = backend.optimizer
+        whatif = WhatIfOptimizer(backend)
         session = whatif.begin_query(q)
         ix = catalog.index_for("events", "user_id")
         whatif.what_if_optimize(session, [ix])
@@ -97,21 +99,7 @@ class TestSessionCaching:
     def test_one_query_one_gain_per_probed_index(self, small_catalog):
         catalog = small_catalog
         q = _query(catalog, "select amount from events where user_id = 5")
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         session = whatif.begin_query(q)
         gains = whatif.what_if_optimize(session, [catalog.index_for("events", "user_id")])
         assert len(gains) == 1
-
-
-class TestExplicitMaterializedSet:
-    def test_explicit_m_overrides_catalog(self, small_catalog):
-        catalog = small_catalog
-        ix_user = catalog.index_for("events", "user_id")
-        q = _query(catalog, "select amount from events where user_id = 5")
-        whatif = WhatIfOptimizer(Optimizer(catalog))
-        session = whatif.begin_query(q)
-        gains = whatif.what_if_optimize(
-            session, [ix_user], materialized=frozenset([ix_user])
-        )
-        # Treated as materialized → reverse what-if → still positive.
-        assert gains[ix_user] > 0

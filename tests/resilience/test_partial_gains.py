@@ -10,9 +10,9 @@ treating the failure as probe noise.
 
 import pytest
 
+from repro.backend.local import LocalBackend
 from repro.core.config import ColtConfig
 from repro.core.profiler import Profiler
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.resilience import (
     FaultInjector,
@@ -27,7 +27,7 @@ from tests.fleet.workloads import eq_query
 
 @pytest.fixture
 def whatif(small_catalog):
-    return WhatIfOptimizer(Optimizer(small_catalog))
+    return WhatIfOptimizer(LocalBackend(small_catalog))
 
 
 class TestWhatIfPartialGains:
@@ -56,11 +56,11 @@ class TestWhatIfPartialGains:
     def test_partial_gains_match_a_clean_batch(self, small_catalog):
         user = small_catalog.index_for("events", "user_id")
         day = small_catalog.index_for("events", "day")
-        clean = WhatIfOptimizer(Optimizer(small_catalog))
+        clean = WhatIfOptimizer(LocalBackend(small_catalog))
         session = clean.begin_query(eq_query(7))
         reference = clean.what_if_optimize(session, [user, day])
 
-        faulty = WhatIfOptimizer(Optimizer(small_catalog))
+        faulty = WhatIfOptimizer(LocalBackend(small_catalog))
         injector = FaultInjector(FaultPlan(whatif=FaultSpec(at_calls=(2,))))
         faulty.failpoint = injector.whatif_failpoint
         session = faulty.begin_query(eq_query(7))
@@ -75,15 +75,15 @@ class TestWhatIfPartialGains:
         day = small_catalog.index_for("events", "day")
         session = whatif.begin_query(eq_query(7))
         calls = []
-        real = whatif.backend.get_cost
+        real = whatif.backend.optimize
 
-        def flaky(query, config=None, session=None):
+        def flaky(query, config=None, cache=None):
             calls.append(config)
             if len(calls) >= 2:  # call 1 prices user; call 2 prices day
                 raise RuntimeError("optimizer exploded")
-            return real(query, config=config, session=session)
+            return real(query, config=config, cache=cache)
 
-        whatif.backend.get_cost = flaky
+        whatif.backend.optimize = flaky
         with pytest.raises(WhatIfProbeError) as err:
             whatif.what_if_optimize(session, [user, day])
         assert set(err.value.partial_gains) == {user}
@@ -91,7 +91,7 @@ class TestWhatIfPartialGains:
 
 class TestProfilerConsumesPartialGains:
     def _profiler(self, catalog):
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         config = ColtConfig(storage_budget_pages=6000.0)
         return Profiler(catalog, whatif, config), whatif
 
@@ -100,7 +100,7 @@ class TestProfilerConsumesPartialGains:
         user = small_catalog.index_for("events", "user_id")
         day = small_catalog.index_for("events", "day")
 
-        def always_fail(session, probation, materialized=None):
+        def always_fail(session, probation):
             raise WhatIfProbeError("boom", partial_gains={day: 42.0})
 
         whatif.what_if_optimize = always_fail

@@ -118,10 +118,10 @@ class TestCatalogServesFreshValues:
     @settings(max_examples=150, deadline=None)
     def test_any_interleaving(self, mutations):
         catalog = _catalog()
-        optimizer = Optimizer(catalog)
+        frame = _Frame(catalog)
+        optimizer = frame.optimizer
         params = catalog.params
         shadow = set()  # the materialized set, tracked independently
-        frame = _Frame(catalog, optimizer)
         self._check(catalog, optimizer, params, shadow)
         for mutation in mutations:
             _apply(catalog, mutation)
@@ -183,13 +183,13 @@ class _Frame:
     the retained plan, its used indexes, the restriction of the current
     and of what-if configurations, the profiler's ordered ``I_M`` / ``I_H``."""
 
-    def __init__(self, catalog, optimizer):
+    def __init__(self, catalog):
         self.catalog = catalog
-        self.optimizer = optimizer
-        self.backend = LocalBackend(optimizer=optimizer)
+        self.backend = LocalBackend(catalog)
+        self.optimizer = self.backend.optimizer
         self.queries = [bind_query(parse_query(sql), catalog) for sql in QUERIES]
         self.profiler = Profiler(
-            catalog, WhatIfOptimizer(backend=self.backend), ColtConfig()
+            catalog, WhatIfOptimizer(self.backend), ColtConfig()
         )
         self.hot = set()  # dropped indexes turn hot: mutated in place
 
@@ -324,7 +324,7 @@ class TestCrudeGainsShareOneBaseline:
         queries = shifting_workload(
             phase_distributions(), catalog, phase_length=60, transition=10, seed=5
         ).queries
-        whatif = WhatIfOptimizer(Optimizer(catalog))
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
         tracker = CandidateTracker(catalog, 12, 0.5, composite=True)
         credited_any = 0
         for query in queries:

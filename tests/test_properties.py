@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.local import LocalBackend
 from repro.core import ColtConfig, ColtTuner
 from repro.optimizer.optimizer import Optimizer, PlanCache
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -89,11 +90,10 @@ class TestWhatIfConsistency:
     def test_gain_equals_cost_difference(self, query, index_pos):
         index = ALL_RELEVANT[index_pos]
         optimizer = Optimizer(CATALOG)
-        whatif = WhatIfOptimizer(optimizer)
+        whatif = WhatIfOptimizer(LocalBackend(CATALOG))
+        assert whatif.backend.current_config() == frozenset()
         session = whatif.begin_query(query)
-        gain = whatif.what_if_optimize(session, [index], materialized=frozenset())[
-            index
-        ]
+        gain = whatif.what_if_optimize(session, [index])[index]
         without = optimizer.optimize(query, config=frozenset(), cache=PlanCache()).cost
         with_ix = optimizer.optimize(
             query, config=frozenset([index]), cache=PlanCache()
