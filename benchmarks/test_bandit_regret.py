@@ -21,9 +21,12 @@ pure cost-model mode: the bandit must stay within
 distrust.
 
 Every arm's cumulative observed-cost curve lands in the repo-root
-``BENCH_bandit.json`` trajectory file, and ``tools/check_bandit_regret.py``
-re-measures one short scenario in CI with the exact same harness
-(:func:`repro.bench.scenario.run_scenario`).
+``BENCH_bandit.json`` trajectory file.  Every arm's curve must be finite
+and monotone, and the bandit must fold reward samples into its model on
+every scenario: a silently dead learner would otherwise pass on luck.
+``tests/bench/test_scenario.py`` holds the same harness
+(:func:`repro.bench.scenario.run_scenario`) to the recorded ``drift``
+entry in tier-1.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import json
 import pathlib
 
 from repro.bandit import BanditConfig, BanditTuner
-from repro.bench.scenario import curve_is_sane, run_scenario
+from repro.bench.scenario import curve_is_sane, make_tuner, run_scenario
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
 from repro.workload import SCENARIOS
@@ -66,19 +69,21 @@ def _merge_bench(key: str, payload: dict) -> None:
 # ----------------------------------------------------------------------
 # Arm 1-4: the adversarial scenarios, observed execution cost
 # ----------------------------------------------------------------------
-def scenario_arms(name: str) -> dict:
-    """Run colt/bandit/none over fresh copies of one scenario."""
+def scenario_arms(name: str):
+    """Run colt/bandit/none over fresh copies of one scenario.
+
+    Returns the three arms' results and the number of reward samples
+    the bandit folded into its model.
+    """
     build = SCENARIOS[name]
-    arms = {}
+    arms, tuners = {}, {}
     for engine in ("colt", "bandit", "none"):
-        result = run_scenario(
-            engine,
-            build(),
-            epoch_length=EPOCH_LENGTH,
-            storage_budget_pages=BUDGET_PAGES,
-        )
-        arms[engine] = result
-    return arms
+        scenario = build()
+        tuners[engine] = make_tuner(engine, scenario, EPOCH_LENGTH, BUDGET_PAGES)
+        arms[engine] = run_scenario(engine, scenario, tuner=tuners[engine])
+    families = tuners["bandit"].metrics_snapshot()["metrics"]
+    (rewards,) = [f for f in families if f["name"] == "bandit_reward_samples_total"]
+    return arms, sum(sample["value"] for sample in rewards["samples"])
 
 
 def scenario_payload(arms: dict) -> dict:
@@ -94,7 +99,7 @@ def scenario_payload(arms: dict) -> dict:
 
 
 def test_bandit_regret_scenarios(benchmark, report):
-    all_arms = benchmark.pedantic(
+    runs = benchmark.pedantic(
         lambda: {name: scenario_arms(name) for name in SCENARIOS}, rounds=1
     )
 
@@ -103,7 +108,7 @@ def test_bandit_regret_scenarios(benchmark, report):
         f"budget={BUDGET_PAGES:.0f} pages, observed execution cost)"
     ]
     wins = []
-    for name, arms in all_arms.items():
+    for name, (arms, reward_samples) in runs.items():
         colt, bandit, none = arms["colt"], arms["bandit"], arms["none"]
         ratio = bandit.observed_cost / colt.observed_cost
         if bandit.observed_cost < colt.observed_cost:
@@ -117,20 +122,22 @@ def test_bandit_regret_scenarios(benchmark, report):
             f"    none:   {none.observed_cost:>12,.0f}",
             f"    bandit/colt: {ratio:.3f}"
             f" ({'bandit wins' if ratio < 1.0 else 'colt wins'})",
+            f"    bandit reward samples: {reward_samples:.0f}",
         ]
         _merge_bench(name, scenario_payload(arms))
     lines.append(f"  bandit wins: {', '.join(wins)} ({len(wins)}/4)")
     report("\n".join(lines))
 
-    for name, arms in all_arms.items():
+    for name, (arms, reward_samples) in runs.items():
         for engine in ("colt", "bandit", "none"):
             assert curve_is_sane(arms[engine].curve), (name, engine)
+        assert reward_samples > 0, f"the bandit learned nothing on {name}"
     # Acceptance: the bandit beats COLT on observed execution cost on
     # at least two scenarios, including the two what-if-lie regimes.
     for name in MUST_WIN:
+        arms, _ = runs[name]
         assert (
-            all_arms[name]["bandit"].observed_cost
-            < all_arms[name]["colt"].observed_cost
+            arms["bandit"].observed_cost < arms["colt"].observed_cost
         ), f"bandit must beat COLT on the {name} scenario"
     assert len(wins) >= 2
 

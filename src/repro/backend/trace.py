@@ -14,11 +14,11 @@ small and makes replay robust to irrelevant-index churn.
 
 Costs round-trip through JSON bit-exactly (``json`` serializes floats
 with ``repr``), so a tuner replaying its own recording makes *decisions
-bit-identical* to the live run -- the property
-``tools/check_backend_parity.py`` and the cross-backend differential
-test gate on.  A lookup miss during replay raises
-:class:`~repro.backend.base.TraceMissError` -- a hard error, because a
-miss means the decision stream diverged from the recording.
+bit-identical* to the live run -- the property the cross-backend
+differential in ``tests/backend/test_contract.py`` holds.  A lookup
+miss during replay raises :class:`~repro.backend.base.TraceMissError`
+-- a hard error, because a miss means the decision stream diverged from
+the recording.
 """
 
 from __future__ import annotations

@@ -197,8 +197,8 @@ def trace_run(
         config: Tuning parameters; engines other than COLT derive their
             own configuration from it through the engine table.
         backend: Optional DBMS backend for the tuner (defaults to the
-            local in-python engine) -- what lets the parity gate replay
-            a recorded cost trace through the identical harness.
+            local in-python engine) -- what lets a recorded cost trace
+            be replayed through the identical harness.
         engine: Name of the engine to run (a key of
             :data:`repro.engines.ENGINES`).
     """

@@ -186,7 +186,6 @@ class TuningLoop:
         if self.backend.catalog is not catalog:
             raise ValueError("backend and tuner must share one catalog")
         self.backend.bind_registry(self.registry)
-        self.optimizer = getattr(self.backend, "optimizer", None)
         self.whatif = WhatIfOptimizer(self.backend)
         self._store = store
         self._queries_seen = 0

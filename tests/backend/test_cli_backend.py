@@ -1,8 +1,9 @@
 """CLI coverage for ``--backend`` / trace record-replay / ``--engine``.
 
-The round-trip test drives the exact workflow CI's parity gate uses:
-record a cost trace from a live run, replay it with ``--backend
-trace``, and require the two runs' reports to be identical.
+The round-trip test records a cost trace from a live run, replays it
+with ``--backend trace``, and requires the two runs' reports to be
+identical, on a short stable run and on the Figure-4 shifting workload
+at its default size.
 """
 
 import pytest
@@ -31,19 +32,22 @@ class TestParsing:
 
 
 class TestRecordReplayRoundTrip:
-    def test_replay_report_is_identical_to_live(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "run",
+        [FAST_RUN, ["run", "--workload", "shifting"]],
+        ids=["stable", "shifting"],
+    )
+    def test_replay_report_is_identical_to_live(self, capsys, tmp_path, run):
         trace = tmp_path / "costs.json"
-        assert main(FAST_RUN + ["--record-trace", str(trace)]) == 0
+        assert main(run + ["--record-trace", str(trace)]) == 0
         recorded = capsys.readouterr().out
         assert "cost trace recorded" in recorded
         assert trace.exists()
 
-        assert main(FAST_RUN) == 0
+        assert main(run) == 0
         live = capsys.readouterr().out
 
-        assert (
-            main(FAST_RUN + ["--backend", "trace", "--trace", str(trace)]) == 0
-        )
+        assert main(run + ["--backend", "trace", "--trace", str(trace)]) == 0
         replayed = capsys.readouterr().out
         assert replayed == live
 

@@ -5,8 +5,8 @@ must satisfy the same observable contract: more indexes never price a
 query worse, and pricing depends only on the *configuration* -- not on
 whether an index happens to be hypothetical or materialized.  The suite is parametrized
 over the local engine and the trace replayer; the differential class at
-the bottom proves the two produce bit-identical tuning decisions on a
-shifting workload.
+the bottom proves the two produce bit-identical tuning decisions on two
+shifting workloads, one of them the paper's Figure-4 phases.
 """
 
 import random
@@ -27,6 +27,8 @@ from repro.core.config import ColtConfig
 from repro.guardrails.manager import GuardrailManager
 from repro.obs.registry import MetricsRegistry
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.workload import build_catalog, shifting_workload
+from repro.workload.experiments import phase_distributions
 
 from tests.fleet.workloads import (
     build_small_catalog,
@@ -297,18 +299,45 @@ def _shifting_workload():
     return queries
 
 
-class TestCrossBackendDifferential:
-    """Live pricing vs. trace replay must make *bit-identical* decisions."""
+def _figure4_workload(catalog):
+    """240 queries of the paper's first two Figure-4 phases (seed 0)."""
+    phases = phase_distributions()[:2]
+    workload = shifting_workload(
+        phases, catalog, phase_length=120, transition=10, seed=0
+    )
+    return list(workload.queries)[:240]
 
-    def test_replay_reproduces_live_run_exactly(self):
-        config = ColtConfig(
+
+#: (catalog builder, workload builder, config) per differential input.
+DIFFERENTIAL_RUNS = {
+    "small_shift": (
+        build_small_catalog,
+        lambda catalog: _shifting_workload(),
+        ColtConfig(
             epoch_length=20,
             storage_budget_pages=6000.0,
             min_history_epochs=2,
-        )
-        workload = _shifting_workload()
+        ),
+    ),
+    # Two phases force hibernation, wake-up and re-tuning on the paper
+    # catalog: the decision sequence replay must reproduce.
+    "paper_figure4": (
+        build_catalog,
+        _figure4_workload,
+        ColtConfig(epoch_length=20, storage_budget_pages=6000.0),
+    ),
+}
 
-        live_catalog = build_small_catalog()
+
+class TestCrossBackendDifferential:
+    """Live pricing vs. trace replay must make *bit-identical* decisions."""
+
+    @pytest.mark.parametrize("run", sorted(DIFFERENTIAL_RUNS))
+    def test_replay_reproduces_live_run_exactly(self, run):
+        build, make_workload, config = DIFFERENTIAL_RUNS[run]
+
+        live_catalog = build()
+        workload = make_workload(live_catalog)
         recorder = CostTraceRecorder()
         live = trace_run(
             live_catalog,
@@ -317,7 +346,7 @@ class TestCrossBackendDifferential:
             backend=LocalBackend(live_catalog, recorder=recorder),
         )
 
-        replay_catalog = build_small_catalog()
+        replay_catalog = build()
         replay_backend = TraceBackend(replay_catalog, recorder.trace)
         replay = trace_run(
             replay_catalog, workload, config, backend=replay_backend
@@ -333,6 +362,7 @@ class TestCrossBackendDifferential:
             assert a.whatif_used == b.whatif_used
             assert a.budget_granted == b.budget_granted
             assert a.execution_cost == b.execution_cost  # exact, not approx
+            assert a.total_cost == b.total_cost
         assert live.to_json() == replay.to_json()
 
     def test_replay_with_wrong_workload_fails_loudly(self):

@@ -15,11 +15,13 @@ import pytest
 
 from repro.backend.base import Backend
 from repro.backend.local import LocalBackend
+from repro.bench.scenario import run_scenario
 from repro.core import ColtConfig
 from repro.engines import engine_spec
 from repro.guardrails.manager import GuardrailManager
 from repro.optimizer.optimizer import Optimizer, PlanCache
 from repro.workload import build_catalog, shifting_workload
+from repro.workload.adversarial import build_drift_scenario
 from repro.workload.experiments import phase_distributions
 
 
@@ -98,3 +100,23 @@ def test_three_member_backend_decides_like_the_local_one(engine, stream, guarded
     assert minimal == local
     assert any(materialize for _, materialize, *_ in local)  # the stream tunes
     assert minimal_total == local_total  # bit-identical, not approx
+
+
+def test_scenario_scoreboard_runs_on_the_three_member_backend():
+    # run_scenario prices each query's plan with an optimizer of its own,
+    # so the store-backed scoreboard needs nothing beyond the protocol.
+    scenario = build_drift_scenario()
+    config = ColtConfig(
+        epoch_length=20,
+        storage_budget_pages=400.0,
+        composite_candidates=True,
+        seed=0,
+    )
+    tuner = engine_spec("colt").build(
+        scenario.catalog,
+        config,
+        store=scenario.store,
+        backend=MinimalBackend(scenario.catalog),
+    )
+    minimal = run_scenario("colt", scenario, tuner=tuner)
+    assert minimal == run_scenario("colt", build_drift_scenario())

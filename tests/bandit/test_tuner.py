@@ -225,7 +225,7 @@ class TestWiring:
             "materialized_set",
             "hot_set",
             "metrics_snapshot",
-            "optimizer",
+            "backend",
             "whatif",
             "scheduler",
             "profiler",

@@ -330,7 +330,7 @@ class TestEndToEndDifferential:
             run = fleet.run(stream, client_ids=client_ids)
             rows = [(f.replica_id, _ledger_row(f.outcome)) for f in run.outcomes]
             configs = [sorted(r.materialized_names) for r in fleet.replicas]
-            planned = sum(r.tuner.optimizer.optimize_count for r in fleet.replicas)
+            planned = sum(r.tuner.backend.optimizer.optimize_count for r in fleet.replicas)
             return (rows, len(run.reorganizations), configs), planned
 
         (rows, reorganizations, configs), planned = ledger(cycling)

@@ -17,7 +17,7 @@ import pathlib
 import pytest
 
 from repro.bench.scenario import curve_is_sane, run_scenario
-from repro.workload.adversarial import build_drift_scenario
+from repro.workload.adversarial import build_drift_scenario, build_htap_scenario
 
 from tests.decision_diff import Diff, json_diff
 
@@ -47,6 +47,18 @@ def test_drift_arm_matches_recording(engine):
         storage_budget_pages=recorded["budget_pages"],
     ).to_dict()
     assert arm_differences(result, recorded["arms"][engine]).lines == []
+    # The curve ends at the total, so a sane curve means a finite cost.
+    assert result["curve"][-1] == result["observed_cost"]
+
+
+def test_curve_ends_with_a_partial_interval():
+    # 37 queries at a stride of 20: the last sample closes a partial
+    # interval and must still land on the run's total.
+    result = run_scenario("colt", build_htap_scenario(length=60))
+    assert result.queries % result.sample_every != 0
+    assert len(result.curve) == -(-result.queries // result.sample_every)
+    assert result.curve[-1] == result.observed_cost
+    assert curve_is_sane(result.curve)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.btree import BPlusTree
+from repro.engine.btree import DEFAULT_ORDER, BPlusTree
 
 
 class TestBasicOperations:
@@ -30,14 +30,15 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             BPlusTree(order=2)
 
-    def test_many_inserts_stay_balanced(self):
-        tree = BPlusTree(order=4)
+    @pytest.mark.parametrize("order, n", [(4, 2000), (64, 5000)])
+    def test_many_inserts_stay_balanced(self, order, n):
+        tree = BPlusTree(order=order)
         rng = random.Random(99)
-        keys = [rng.randrange(10_000) for _ in range(2000)]
+        keys = [rng.randrange(10_000) for _ in range(n)]
         for rid, key in enumerate(keys):
             tree.insert(key, rid)
         tree.check_invariants()
-        assert len(tree) == 2000
+        assert len(tree) == n
         assert tree.height > 1
 
     def test_delete(self):
@@ -94,18 +95,26 @@ class TestRangeScan:
         tree = self._build()
         assert [k for k, _ in tree.range_scan(11, 11)] == []
 
+    def test_inclusive_range_over_a_bulk_loaded_tree(self):
+        tree = BPlusTree.bulk_load((i, i) for i in range(20_000))
+        keys = [k for k, _ in tree.range_scan(1_000, 6_000)]
+        assert keys == list(range(1_000, 6_001))
+
 
 class TestBulkLoad:
-    def test_matches_incremental(self):
+    @pytest.mark.parametrize(
+        "order, n, domain", [(8, 1500, 500), (DEFAULT_ORDER, 20_000, 20_000)]
+    )
+    def test_matches_incremental(self, order, n, domain):
         rng = random.Random(5)
-        pairs = [(rng.randrange(500), rid) for rid in range(1500)]
-        bulk = BPlusTree.bulk_load(pairs, order=8)
-        incremental = BPlusTree(order=8)
+        pairs = [(rng.randrange(domain), rid) for rid in range(n)]
+        bulk = BPlusTree.bulk_load(pairs, order=order)
+        incremental = BPlusTree(order=order)
         for key, rid in pairs:
             incremental.insert(key, rid)
         bulk.check_invariants()
-        assert len(bulk) == len(incremental)
-        for key in range(500):
+        assert len(bulk) == len(incremental) == n
+        for key in range(domain):
             assert sorted(bulk.search(key)) == sorted(incremental.search(key))
 
     def test_empty_bulk_load(self):

@@ -14,6 +14,7 @@ from repro.optimizer.plan import (
 )
 from repro.sql.binder import bind_query
 from repro.sql.parser import ParseError, parse_query
+from repro.workload.datagen import build_catalog
 
 
 def _optimize(catalog, sql, config=None, cache=None):
@@ -71,11 +72,31 @@ class TestFinalization:
             with pytest.raises(ValueError):
                 LimitNode(rows=rows, cost=1.0, child=scan, limit=limit)
 
-    def test_cost_monotone_up_the_tree(self, small_catalog):
-        res = _optimize(
-            small_catalog,
-            "select kind, count(*) from events where amount > 1 group by kind order by kind",
-        )
+    @pytest.mark.parametrize(
+        "paper, sql",
+        [
+            (
+                False,
+                "select kind, count(*) from events where amount > 1 "
+                "group by kind order by kind",
+            ),
+            (
+                True,
+                "select l_orderkey from lineitem_1 "
+                "where l_shipdate between '1994-01-01' and '1994-01-08'",
+            ),
+            (
+                True,
+                "select lineitem_1.l_orderkey from lineitem_1, orders_1 "
+                "where lineitem_1.l_orderkey = orders_1.o_orderkey "
+                "and orders_1.o_orderdate between '1994-01-01' and '1994-01-08'",
+            ),
+        ],
+        ids=["aggregate", "paper_range", "paper_join"],
+    )
+    def test_cost_monotone_up_the_tree(self, small_catalog, paper, sql):
+        res = _optimize(build_catalog() if paper else small_catalog, sql)
+        assert res.cost > 0
         for node in _walk(res.plan):
             for child in node.children():
                 assert node.cost >= child.cost - 1e-9

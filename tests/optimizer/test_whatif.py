@@ -1,5 +1,7 @@
 """Unit tests for the what-if optimizer interface."""
 
+import random
+
 import pytest
 
 from repro.backend.local import LocalBackend
@@ -7,6 +9,8 @@ from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.sql.binder import bind_query
 from repro.sql.parser import parse_query
+from repro.workload.datagen import build_catalog
+from repro.workload.experiments import stable_distribution
 
 
 def _query(catalog, sql):
@@ -50,6 +54,22 @@ class TestForwardWhatIf:
         )
         assert whatif.call_count == 2
         assert len(whatif.probed_indexes) == 2
+
+    def test_a_probe_batch_gains_once_per_query_and_index(self):
+        catalog = build_catalog()
+        rng = random.Random(3)
+        queries = [stable_distribution().sample(catalog, rng) for _ in range(20)]
+        probes = [
+            catalog.index_for("lineitem_1", "l_shipdate"),
+            catalog.index_for("orders_1", "o_orderdate"),
+        ]
+        whatif = WhatIfOptimizer(LocalBackend(catalog))
+        answered = 0
+        for query in queries:
+            gains = whatif.what_if_optimize(whatif.begin_query(query), probes)
+            assert set(gains) == set(probes)
+            answered += len(gains)
+        assert answered == whatif.call_count == 40
 
 
 class TestReverseWhatIf:

@@ -121,7 +121,7 @@ def _audit_record(current, parts) -> str:
 
 def _drift_record(current: str, parts) -> str:
     document = json.loads(current)
-    document["drift"] = regret.scenario_payload(regret.scenario_arms("drift"))
+    document["drift"] = regret.scenario_payload(regret.scenario_arms("drift")[0])
     return json.dumps(document, indent=1, sort_keys=True) + "\n"
 
 

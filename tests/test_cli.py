@@ -489,6 +489,27 @@ class TestFleetMetricsOut:
         replicas = {s["labels"]["replica"] for s in colt["samples"]}
         assert replicas == {"0", "1"}
 
+    def test_gain_cache_fleet_records_hits(self, capsys, tmp_path):
+        # CI's fleet smoke run with the gain cache on: a cache that was
+        # off, broken or starved by the stream would record no hit.
+        from repro.obs.export import load_snapshot
+
+        path = tmp_path / "metrics.json"
+        argv = [
+            "fleet-run",
+            "--replicas", "2",
+            "--phase-length", "15",
+            "--transition", "5",
+            "--fleet-epoch", "10",
+            "--gain-cache", "on",
+            "--metrics-out", str(path),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        by_name = {f["name"]: f for f in load_snapshot(str(path))["metrics"]}
+        hits = sum(s["value"] for s in by_name["gaincache_hits_total"]["samples"])
+        assert hits > 0
+
 
 class TestAsciiBars:
     def test_empty(self):

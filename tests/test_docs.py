@@ -80,10 +80,14 @@ class TestGeneratedApiReference:
         )
 
 
+#: Every prose document: the top-level ones and each page under docs/.
+PROSE_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+    p.relative_to(ROOT).as_posix() for p in (ROOT / "docs").glob("*.md")
+)
+
+
 class TestProseDocs:
-    @pytest.mark.parametrize(
-        "doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/PAPER_MAP.md"]
-    )
+    @pytest.mark.parametrize("doc", PROSE_DOCS)
     def test_referenced_paths_exist(self, doc):
         text = (ROOT / doc).read_text()
         # Check backticked repo-relative paths that look like files.
