@@ -28,12 +28,7 @@ import pathlib
 from repro.bench.scenario import run_scenario
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
-from repro.guardrails import (
-    ExecutionObserver,
-    GuardrailConfig,
-    GuardrailManager,
-    PlanCostObserver,
-)
+from repro.guardrails import ExecutionObserver, GuardrailManager, PlanCostObserver
 from repro.workload import build_misleading_scenario
 from repro.workload.datagen import build_catalog
 from repro.workload.experiments import stable_distribution
@@ -64,7 +59,7 @@ def _clean_run(guardrails: bool):
         stable_distribution(), CLEAN_QUERIES, catalog, seed=0
     )
     manager = (
-        GuardrailManager(config=GuardrailConfig(), observer=PlanCostObserver())
+        GuardrailManager(observer=PlanCostObserver())
         if guardrails
         else None
     )
@@ -139,9 +134,7 @@ def test_guardrails_clean_overhead(benchmark, report):
 def _misleading_run(guardrails: bool):
     scenario = build_misleading_scenario(length=MISLEADING_QUERIES, seed=1)
     manager = (
-        GuardrailManager(
-            config=GuardrailConfig(), observer=ExecutionObserver(scenario.store)
-        )
+        GuardrailManager(observer=ExecutionObserver(scenario.store))
         if guardrails
         else None
     )

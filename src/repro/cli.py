@@ -858,7 +858,7 @@ def _audit_arm(scenario: str, guardrails: bool, args, advice) -> dict:
     from repro.bench.scenario import run_scenario
     from repro.core.colt import ColtTuner
     from repro.core.config import ColtConfig
-    from repro.guardrails import ExecutionObserver, GuardrailConfig, GuardrailManager
+    from repro.guardrails import ExecutionObserver, GuardrailManager
     from repro.workload import build_misleading_scenario
 
     run = build_misleading_scenario(
@@ -866,9 +866,7 @@ def _audit_arm(scenario: str, guardrails: bool, args, advice) -> dict:
     )
     manager = None
     if guardrails:
-        manager = GuardrailManager(
-            config=GuardrailConfig(), observer=ExecutionObserver(run.store)
-        )
+        manager = GuardrailManager(observer=ExecutionObserver(run.store))
     tuner = ColtTuner(
         run.catalog,
         ColtConfig(epoch_length=20, storage_budget_pages=200.0),

@@ -35,12 +35,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, FrozenSet, List, Optional, Tuple
 
 from repro.obs.names import GAINCACHE_METRICS
-from repro.obs.registry import NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.sql.ast import BetweenPredicate, ComparisonPredicate, InPredicate
 
 if TYPE_CHECKING:
     from repro.engine.index import IndexDef
-    from repro.obs.registry import MetricsRegistry
     from repro.sql.ast import Query
 
 
@@ -113,7 +112,7 @@ class GainCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        reg = registry or NULL_REGISTRY
+        reg = registry if registry is not None else MetricsRegistry()
         self._m_hits = GAINCACHE_METRICS["gaincache_hits_total"].build(reg)
         self._m_misses = GAINCACHE_METRICS["gaincache_misses_total"].build(reg)
 

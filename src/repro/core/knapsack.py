@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
+#: Capacity cells of the DP that solves pools over :data:`MAX_EXACT_ITEMS`.
 DEFAULT_RESOLUTION = 2048
 
 
@@ -143,7 +144,6 @@ def solve_constrained(
     items: Sequence[KnapsackItem],
     capacity: float,
     constraints: SelectionConstraints,
-    resolution: int = DEFAULT_RESOLUTION,
 ) -> Tuple[List[KnapsackItem], float]:
     """Solve 0/1 knapsack under pin/ban/prefer constraints.
 
@@ -159,7 +159,7 @@ def solve_constrained(
         the order given; with no constraints, :func:`solve_knapsack`'s.
     """
     if not constraints:
-        return solve_knapsack(items, capacity, resolution=resolution)
+        return solve_knapsack(items, capacity)
     prefs = constraints.preference_map
     pinned: List[KnapsackItem] = []
     free: List[KnapsackItem] = []
@@ -177,7 +177,7 @@ def solve_constrained(
             item = item._replace(value=item.value * weight)
         free.append(item)
     room = max(0.0, capacity - sum(it.size for it in pinned))
-    selected, total = solve_knapsack(free, room, resolution=resolution)
+    selected, total = solve_knapsack(free, room)
     pinned_value = sum(it.value for it in pinned)
     return pinned + selected, pinned_value + total
 
@@ -185,19 +185,18 @@ def solve_constrained(
 def solve_knapsack(
     items: Sequence[KnapsackItem],
     capacity: float,
-    resolution: int = DEFAULT_RESOLUTION,
 ) -> Tuple[List[KnapsackItem], float]:
     """Solve 0/1 knapsack.
 
     Pools of at most :data:`MAX_EXACT_ITEMS` items (every pool COLT ever
     builds -- ``H ∪ M`` is small) are solved exactly over the true float
     sizes with branch-and-bound; larger pools use a discretized DP whose
-    size rounding keeps solutions feasible.
+    size rounding (:data:`DEFAULT_RESOLUTION` cells) keeps solutions
+    feasible.
 
     Args:
         items: Candidate objects.
         capacity: Knapsack capacity (>= 0).
-        resolution: Grid cells for the large-pool DP fallback.
 
     Returns:
         (selected items, total value).  Items with value <= 0 or size
@@ -209,7 +208,7 @@ def solve_knapsack(
     if not viable or capacity <= 0.0:
         return [], 0.0
     if len(viable) > MAX_EXACT_ITEMS:
-        return _solve_grid(viable, capacity, resolution)
+        return _solve_grid(viable, capacity)
     order = sorted(viable, key=lambda it: it.value / it.size, reverse=True)
     total = _take_all(order, capacity)
     if total is not None:
@@ -307,10 +306,10 @@ def _solve_exact(
 
 
 def _solve_grid(
-    viable: List[KnapsackItem], capacity: float, resolution: int
+    viable: List[KnapsackItem], capacity: float
 ) -> Tuple[List[KnapsackItem], float]:
     """DP over capacity cells; sizes round up, so solutions always fit."""
-    cells = max(1, resolution)
+    cells = DEFAULT_RESOLUTION
     unit = capacity / cells
     weights = [max(1, int(-(-it.size // unit))) for it in viable]
 

@@ -129,9 +129,7 @@ class TuningLoop:
             failpoints are installed on the what-if optimizer and the
             scheduler (testing and chaos runs).
         registry: Metrics registry shared by the tuner and its
-            components; defaults to a fresh enabled one.  Pass
-            ``MetricsRegistry(enabled=False)`` for a zero-overhead
-            no-op registry.
+            components; defaults to a fresh one.
         guardrails: Optional :class:`~repro.guardrails.manager.
             GuardrailManager` closing the predict->observe->act loop:
             per-query observed-cost verification and quarantine of

@@ -35,7 +35,7 @@ from repro.core.clustering import ClusterStore
 from repro.core.gaincache import GainCache
 from repro.core.intervals import GainStats
 from repro.obs.names import PROFILER_METRICS, RESILIENCE_METRICS
-from repro.obs.registry import NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.optimizer.optimizer import referenced_columns
 from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.errors import WhatIfProbeError
@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from repro.core.self_organizer import IndexRecord  # that module imports this one
     from repro.engine.catalog import Catalog
     from repro.engine.index import IndexDef
-    from repro.obs.registry import MetricsRegistry
     from repro.optimizer.whatif import WhatIfOptimizer, WhatIfSession
     from repro.sql.ast import Query
 
@@ -105,7 +104,7 @@ class ProfilerBase:
         registry: Optional[MetricsRegistry],
         gain_cache: bool,
     ) -> None:
-        self.registry = registry or NULL_REGISTRY
+        self.registry = registry if registry is not None else MetricsRegistry()
         self.breaker = breaker or CircuitBreaker()
         transitions = RESILIENCE_METRICS["breaker_transitions_total"].build(self.registry)
         self.breaker.add_listener(

@@ -180,8 +180,7 @@ class FleetCoordinator:
         breakers: Optional per-replica circuit breakers (tests inject
             tight thresholds).
         registry: Fleet-level metrics registry; defaults to a fresh
-            enabled one.  Each replica additionally gets its own
-            registry (same enabled state) so
+            one.  Each replica's tuner owns a registry of its own, so
             :meth:`metrics_snapshot` can merge them under a
             ``replica`` label.
         advice: Optional DBA advice applied to every replica's tuner.
@@ -248,7 +247,6 @@ class FleetCoordinator:
                     catalog_factory(),
                     config,
                     breaker=breaker,
-                    registry=MetricsRegistry(enabled=registry.enabled),
                     engine=engine,
                     advice=advice,
                 )
@@ -308,7 +306,7 @@ class FleetCoordinator:
         router = make_router(policy, len(replicas), routing_catalog)
         coordinator._wire(
             replicas[0].engine, tuner.config, replicas, routing_catalog, router,
-            fleet_epoch_length, MetricsRegistry(enabled=tuner.registry.enabled),
+            fleet_epoch_length, MetricsRegistry(),
         )
         coordinator.queries_routed = queries_routed
         return coordinator

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from repro.core.config import ColtConfig
     from repro.core.loop import QueryOutcome, TuningLoop
     from repro.engine.catalog import Catalog
-    from repro.obs.registry import MetricsRegistry
     from repro.resilience.breaker import CircuitBreaker
     from repro.sql.ast import Query
 
@@ -83,10 +82,6 @@ class TunerReplica:
             with tight thresholds); defaults to the tuner's standard.
         tuner: Pre-built tuner to adopt instead of constructing one
             (used when restoring a fleet from snapshots).
-        registry: Metrics registry for this replica's tuner (the
-            coordinator hands each replica its own so snapshots can be
-            merged under a ``replica`` label); ignored when ``tuner``
-            is pre-built.
         advice: Optional DBA advice forwarded to the tuner; ignored
             when ``tuner`` is pre-built.
         engine: Name of the tuning engine to construct (a key of
@@ -102,7 +97,6 @@ class TunerReplica:
         config: Optional[ColtConfig] = None,
         breaker: Optional[CircuitBreaker] = None,
         tuner: Optional[TuningLoop] = None,
-        registry: Optional[MetricsRegistry] = None,
         engine: str = "colt",
         advice=None,
     ) -> None:
@@ -113,7 +107,6 @@ class TunerReplica:
                 catalog,
                 config,
                 breaker=breaker,
-                registry=registry,
                 advice=advice,
             )
         self.tuner = tuner

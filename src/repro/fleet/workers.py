@@ -138,7 +138,6 @@ def _worker_main(
     catalog_factory: CatalogFactory,
     config: Optional[ColtConfig],
     engine: str,
-    metrics_enabled: bool,
     crash_after: Optional[int],
 ) -> None:
     """Worker process entry point: build one replica, serve commands.
@@ -148,17 +147,14 @@ def _worker_main(
     the shape of a real OOM kill) before processing query number
     ``crash_after + 1``.
     """
-    registry = MetricsRegistry(enabled=metrics_enabled)
     replica = TunerReplica(
         replica_id,
         catalog_factory(),
         config,
-        registry=registry,
         engine=engine,
     )
-    # Latency observations stay on regardless of the replica metrics
-    # switch: latency_summary() serves worker-side percentiles even when
-    # the fleet runs with instrumentation off for throughput.
+    # Latency observations live in a registry of their own, which
+    # latency_summary() reads.
     latency = WORKER_METRICS["worker_query_latency_seconds"].build(
         MetricsRegistry()
     )
@@ -469,7 +465,6 @@ class WorkerFleetCoordinator(FleetCoordinator):
                     catalog_factory,
                     config,
                     engine,
-                    registry.enabled,
                     crash_plan.get(i),
                 ),
                 daemon=True,

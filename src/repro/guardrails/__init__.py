@@ -2,7 +2,7 @@
 
 Closes the predict->observe->act loop around COLT's what-if-driven
 decisions: observed-cost verification per materialized index
-(:mod:`repro.guardrails.verify`), breaker-backed quarantine for indexes
+(:mod:`repro.guardrails.verify`), epoch-counted quarantine for indexes
 that failed it (:mod:`repro.guardrails.quarantine`), DBA pin/ban/prefer
 advice (:mod:`repro.guardrails.advice`, resolved by the tuner itself);
 verification and quarantine are orchestrated per tuner by the
@@ -15,7 +15,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "advice": ("AdviceBook", "AdviceDirective", "AdviceError"),
-        "manager": ("GuardrailConfig", "GuardrailManager"),
+        "manager": ("GuardrailManager",),
         "quarantine": ("Quarantine", "QuarantineEntry"),
         "verify": (
             "CostObserver",

@@ -10,13 +10,21 @@ pipeline (:meth:`repro.core.loop.TuningLoop._end_epoch`).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.knapsack import Ruling
 from repro.engine.index import _by_table
-from repro.guardrails.quarantine import Quarantine
-from repro.guardrails.verify import IndexVerifier, PlanCostObserver, Verdict
+from repro.guardrails.quarantine import COOLDOWN_EPOCHS, Quarantine, require_stored
+from repro.guardrails.verify import (
+    MIN_PREDICTED_FRACTION,
+    QUARANTINE_RATIO,
+    SHADOW_COST_FACTOR,
+    VERIFY_WINDOW,
+    IndexVerifier,
+    PlanCostObserver,
+    Verdict,
+)
+from repro.persist import SnapshotError
 
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
@@ -24,81 +32,35 @@ if TYPE_CHECKING:
     from repro.guardrails.verify import CostObserver
 
 
-@dataclasses.dataclass(frozen=True)
-class GuardrailConfig:
-    """Guardrail tuning knobs.
+#: Verification probes per epoch; each is one extra optimizer call plus
+#: (with an execution observer) a shadow execution.
+PROBES_PER_EPOCH = 4
 
-    Kept separate from :class:`~repro.core.config.ColtConfig` so old
-    tuner snapshots (which round-trip ``ColtConfig`` field-for-field)
-    keep restoring unchanged.
-
-    Attributes:
-        verify_window: Observations per index before a verdict.
-        quarantine_ratio: Observed/predicted savings ratio below which
-            an index is REGRESSED.
-        quarantine_epochs: Epochs a quarantined index stays hard-banned
-            before parole.
-        verify_budget_per_epoch: Max verification probes per epoch; each
-            probe is one extra optimizer call plus (with an execution
-            observer) a shadow execution.
-        min_predicted_fraction: Predicted relative savings below this
-            count as "nothing promised" -- never REGRESSED.
-        shadow_cost_factor: Fraction of a shadow execution's observed
-            cost charged as overhead (execution observer only).
-    """
-
-    verify_window: int = 8
-    quarantine_ratio: float = 0.5
-    quarantine_epochs: int = 6
-    verify_budget_per_epoch: int = 4
-    min_predicted_fraction: float = 0.01
-    shadow_cost_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.verify_window < 1:
-            raise ValueError("verify_window must be positive")
-        if not 0.0 < self.quarantine_ratio:
-            raise ValueError("quarantine_ratio must be positive")
-        if self.quarantine_epochs < 1:
-            raise ValueError("quarantine_epochs must be positive")
-        if self.verify_budget_per_epoch < 1:
-            raise ValueError("verify_budget_per_epoch must be positive")
-        if self.shadow_cost_factor < 0.0:
-            raise ValueError("shadow_cost_factor must be non-negative")
-
-    def to_dict(self) -> Dict:
-        """JSON-compatible serialization."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "GuardrailConfig":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**data)
+# The settings a snapshot's ``"config"`` block held before each became a
+# constant, at the values they are fixed at.
+_STORED_CONFIG = {
+    "verify_window": VERIFY_WINDOW,
+    "quarantine_ratio": QUARANTINE_RATIO,
+    "quarantine_epochs": COOLDOWN_EPOCHS,
+    "verify_budget_per_epoch": PROBES_PER_EPOCH,
+    "min_predicted_fraction": MIN_PREDICTED_FRACTION,
+    "shadow_cost_factor": SHADOW_COST_FACTOR,
+}
 
 
 class GuardrailManager:
     """Per-tuner guardrail state machine.
 
     Args:
-        config: Guardrail knobs; defaults follow the module docstring.
         observer: How observed costs are priced; defaults to
             :class:`~repro.guardrails.verify.PlanCostObserver` (pure
             cost-model mode, decisions provably unchanged).
     """
 
-    def __init__(
-        self,
-        config: Optional[GuardrailConfig] = None,
-        observer: Optional[CostObserver] = None,
-    ) -> None:
-        self.config = config or GuardrailConfig()
+    def __init__(self, observer: Optional[CostObserver] = None) -> None:
         self.observer = observer or PlanCostObserver()
-        self.verifier = IndexVerifier(
-            window=self.config.verify_window,
-            quarantine_ratio=self.config.quarantine_ratio,
-            min_predicted_fraction=self.config.min_predicted_fraction,
-        )
-        self.quarantine = Quarantine(cooldown_epochs=self.config.quarantine_epochs)
+        self.verifier = IndexVerifier()
+        self.quarantine = Quarantine()
         self._epoch_probes = 0
         self._tuner = None
         self._backend = None
@@ -122,7 +84,7 @@ class GuardrailManager:
         Each probe re-optimizes the query with one used index removed
         (a reverse what-if, sharing the session's plan cache) and asks
         the observer to price both plans.  Probes are bounded by
-        ``verify_budget_per_epoch`` and skipped for indexes whose
+        :data:`PROBES_PER_EPOCH` and skipped for indexes whose
         verdict is already in.
 
         Args:
@@ -139,7 +101,7 @@ class GuardrailManager:
         calls = 0
         charge = 0.0
         for index in sorted(session.base.indexes_used, key=str):
-            if self._epoch_probes >= self.config.verify_budget_per_epoch:
+            if self._epoch_probes >= PROBES_PER_EPOCH:
                 break
             if index not in mat or not self.verifier.needs_samples(index):
                 continue
@@ -198,7 +160,7 @@ class GuardrailManager:
                 "ban",
                 "quarantine",
                 reason=f"observed/predicted {entry.ratio:.2f}, strike {entry.strikes}",
-                until=epoch + entry.cooldown_remaining,
+                until=epoch + entry.cooldown_left,
             )
             for entry in self.quarantine.entries
             if entry.state == "quarantined"
@@ -265,7 +227,7 @@ class GuardrailManager:
                 "state": entry.state,
                 "ratio": entry.ratio,
                 "strikes": entry.strikes,
-                "cooldown_remaining": entry.cooldown_remaining,
+                "cooldown_remaining": entry.cooldown_left,
                 "parole_ticks": entry.parole_ticks,
             }
         standing = self._tuner.standing_rulings if self._tuner is not None else ()
@@ -282,7 +244,6 @@ class GuardrailManager:
     def to_snapshot(self) -> Dict:
         """JSON-compatible serialization of all guardrail state."""
         return {
-            "config": self.config.to_dict(),
             "quarantine": self.quarantine.to_snapshot(),
             "verifier": self.verifier.to_snapshot(),
             "epoch_probes": self._epoch_probes,
@@ -299,10 +260,17 @@ class GuardrailManager:
 
         Observers do not serialize (an execution observer holds a live
         store); pass one explicitly or accept the plan-cost default.
+
+        Raises:
+            SnapshotError: for a stored ``"config"`` block (written when
+                the guardrails had settings) naming an unknown setting
+                or one at another value than the constant fixes.
         """
-        manager = cls(
-            config=GuardrailConfig.from_dict(data["config"]), observer=observer
-        )
+        for field, value in data.get("config", {}).items():
+            if field not in _STORED_CONFIG:
+                raise SnapshotError(f"snapshot names unknown guardrail setting {field!r}")
+            require_stored(field, value, _STORED_CONFIG[field])
+        manager = cls(observer=observer)
         manager.quarantine = Quarantine.from_snapshot(data["quarantine"], catalog)
         manager.verifier.restore(data.get("verifier", []), catalog)
         manager._epoch_probes = int(data.get("epoch_probes", 0))

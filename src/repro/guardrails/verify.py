@@ -25,9 +25,10 @@ Comparing savings *fractions* rather than raw cost deltas makes the
 verdict scale-free: the observer may price plans in physical-operation
 units on a down-sampled store while the optimizer predicts at paper
 scale, and an honest index still scores ``ratio ~= 1``.  Once the window
-holds ``window`` samples, ``ratio < quarantine_ratio`` is a REGRESSED
-verdict; anything else is VERIFIED.  An index whose predicted savings
-are negligible is trivially VERIFIED -- nothing was promised.
+holds :data:`VERIFY_WINDOW` samples, ``ratio <`` :data:`QUARANTINE_RATIO`
+is a REGRESSED verdict; anything else is VERIFIED.  An index whose
+predicted savings fall below :data:`MIN_PREDICTED_FRACTION` is trivially
+VERIFIED -- nothing was promised.
 
 Observers
 ---------
@@ -60,6 +61,20 @@ if TYPE_CHECKING:
     from repro.engine.storage import PhysicalStore
     from repro.optimizer.plan import PlanNode
     from repro.optimizer.whatif import WhatIfSession
+
+#: Observations per index before a verdict.
+VERIFY_WINDOW = 8
+
+#: Observed/predicted savings ratio below which an index is REGRESSED.
+QUARANTINE_RATIO = 0.5
+
+#: Predicted relative savings below this count as "nothing promised":
+#: never REGRESSED.
+MIN_PREDICTED_FRACTION = 0.01
+
+#: Fraction of a shadow execution's observed cost charged as overhead:
+#: the shadow run does real work, all of which is charged.
+SHADOW_COST_FACTOR = 1.0
 
 
 class Verdict(enum.Enum):
@@ -130,22 +145,18 @@ class PlanCostObserver(CostObserver):
 class ExecutionObserver(CostObserver):
     """Prices plans by executing them on an instrumented physical store.
 
+    The counterfactual (without-plan) execution is charged as
+    verification overhead, scaled by :data:`SHADOW_COST_FACTOR`.
+
     Args:
         store: The physical store holding real rows.
-        shadow_cost_factor: Fraction of the counterfactual (without-
-            plan) execution's observed cost charged as verification
-            overhead.  1.0 is honest accounting -- the shadow run does
-            real work; lower values model sampled shadow execution.
     """
 
-    def __init__(
-        self, store: PhysicalStore, shadow_cost_factor: float = 1.0
-    ) -> None:
+    def __init__(self, store: PhysicalStore) -> None:
         # The executor loads only for an observer that executes plans.
         from repro.executor.instrument import CountingStore
 
         self._counting = CountingStore(store)
-        self.shadow_cost_factor = shadow_cost_factor
 
     def observe(
         self,
@@ -161,7 +172,7 @@ class ExecutionObserver(CostObserver):
             predicted_without=predicted_without,
             observed_with=o_with,
             observed_without=o_without,
-            charge=o_without * self.shadow_cost_factor,
+            charge=o_without * SHADOW_COST_FACTOR,
         )
 
 
@@ -180,29 +191,9 @@ class VerificationState:
 
 
 class IndexVerifier:
-    """Folds observations into per-index verdicts.
+    """Folds observations into per-index verdicts."""
 
-    Args:
-        window: Samples required before a verdict is issued.
-        quarantine_ratio: Observed/predicted savings ratio below which
-            the verdict is REGRESSED.
-        min_predicted_fraction: Predicted relative savings below this
-            are treated as "nothing promised" -- trivially VERIFIED.
-    """
-
-    def __init__(
-        self,
-        window: int = 8,
-        quarantine_ratio: float = 0.5,
-        min_predicted_fraction: float = 0.01,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be positive")
-        if quarantine_ratio <= 0.0:
-            raise ValueError("quarantine_ratio must be positive")
-        self.window = window
-        self.quarantine_ratio = quarantine_ratio
-        self.min_predicted_fraction = min_predicted_fraction
+    def __init__(self) -> None:
         self._states: Dict[IndexDef, VerificationState] = {}
 
     def __len__(self) -> int:
@@ -212,10 +203,6 @@ class IndexVerifier:
     def states(self) -> List[VerificationState]:
         """Every tracked index's state, sorted by table then key columns."""
         return [self._states[ix] for ix in sorted(self._states, key=_by_table)]
-
-    def state_for(self, index: IndexDef) -> Optional[VerificationState]:
-        """The state for one index, if it has ever been sampled."""
-        return self._states.get(index)
 
     def verdict_for(self, index: IndexDef) -> Verdict:
         """Current verdict for an index (PENDING when never sampled)."""
@@ -240,12 +227,12 @@ class IndexVerifier:
             observation.observed_without - observation.observed_with
         )
         state.observed_without += observation.observed_without
-        if state.samples >= self.window:
+        if state.samples >= VERIFY_WINDOW:
             state.ratio = self._ratio(state)
             state.verdict = (
                 Verdict.REGRESSED
                 if state.ratio is not None
-                and state.ratio < self.quarantine_ratio
+                and state.ratio < QUARANTINE_RATIO
                 else Verdict.VERIFIED
             )
         return state
@@ -255,7 +242,7 @@ class IndexVerifier:
         if state.predicted_without <= 0.0 or state.observed_without <= 0.0:
             return None
         pred_frac = state.predicted_gain / state.predicted_without
-        if pred_frac < self.min_predicted_fraction:
+        if pred_frac < MIN_PREDICTED_FRACTION:
             return None
         obs_frac = state.observed_gain / state.observed_without
         return obs_frac / pred_frac

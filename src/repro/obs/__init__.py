@@ -42,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "registry": (
             "COST_BUCKETS",
-            "NULL_REGISTRY",
             "SECONDS_BUCKETS",
             "Counter",
             "Gauge",

@@ -5,9 +5,7 @@ hot path (every arriving query) can afford it: a family is created once
 at instrumentation time, ``family.labels(...)`` binds one of its samples
 once, and each update of the bound child is a dict lookup plus a float
 add.  A total its owner already keeps is not counted twice: the family
-reads it when it is read (:meth:`Metric.set_function`).  A registry
-built with ``enabled=False`` hands out one shared do-nothing child,
-which is how the instrumentation's wall-clock cost is measured.
+reads it when it is read (:meth:`Metric.set_function`).
 
 All three collector types support Prometheus-style labels, declared at
 registration time (``labelnames``) and bound with ``labels(replica=0)``;
@@ -94,14 +92,6 @@ def _validate_name(name: str) -> None:
         raise MetricError(f"metric name {name!r} must not start with a digit")
 
 
-def _noop(amount: float = 1.0) -> None:
-    return None
-
-
-#: The one child a disabled registry hands out.
-_NOOP_CHILD = types.SimpleNamespace(inc=_noop, dec=_noop, set=_noop, observe=_noop)
-
-
 class Metric:
     """Base collector: a named family of labeled samples.
 
@@ -109,8 +99,6 @@ class Metric:
         name: Metric family name (``[a-zA-Z_][a-zA-Z0-9_]*``).
         help: One-line description rendered as ``# HELP``.
         labelnames: Label keys every sample of this family must bind.
-        enabled: When False every update is a no-op (the registry's
-            disabled mode).
     """
 
     kind = "untyped"
@@ -120,7 +108,6 @@ class Metric:
         name: str,
         help: str,
         labelnames: Sequence[str] = (),
-        enabled: bool = True,
     ) -> None:
         _validate_name(name)
         for label in labelnames:
@@ -129,7 +116,6 @@ class Metric:
         self.help = help
         self.labelnames = tuple(labelnames)
         self._sorted_labelnames = tuple(sorted(self.labelnames))
-        self._enabled = enabled
         self._samples: Dict[Tuple[str, ...], float] = {}
         self._children: Dict[Tuple[str, ...], object] = {}
         self._readers: Dict[Tuple[str, ...], Callable[[], Optional[float]]] = {}
@@ -151,14 +137,11 @@ class Metric:
         Bind once at instrumentation time, update the child on the hot
         path (``inc`` / ``set`` / ``dec`` / ``observe`` as the family
         has them, without label arguments).  Updates through the child
-        and through the family land on the same sample; a disabled
-        registry's child does nothing.
+        and through the family land on the same sample.
 
         Raises:
             MetricError: for wrong or missing label names.
         """
-        if not self._enabled:
-            return _NOOP_CHILD
         key = self._labelvalues(labels)
         child = self._children.get(key)
         if child is None:
@@ -169,8 +152,7 @@ class Metric:
         """Read one label binding's value from ``read()`` whenever the
         family is read, for a total its owner already keeps.  ``read``
         returns None while the binding has no sample yet."""
-        if self._enabled:
-            self._readers[self._labelvalues(labels)] = read
+        self._readers[self._labelvalues(labels)] = read
 
     def _read(self) -> Dict[Tuple[str, ...], float]:
         for key, read in self._readers.items():
@@ -254,7 +236,7 @@ class Histogram(Metric):
     """Cumulative-bucket histogram (Prometheus semantics).
 
     Args:
-        name / help / labelnames / enabled: As for :class:`Metric`.
+        name / help / labelnames: As for :class:`Metric`.
         buckets: Ascending upper bounds; a ``+Inf`` bucket is implicit.
     """
 
@@ -266,9 +248,8 @@ class Histogram(Metric):
         help: str,
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = SECONDS_BUCKETS,
-        enabled: bool = True,
     ) -> None:
-        super().__init__(name, help, labelnames, enabled=enabled)
+        super().__init__(name, help, labelnames)
         bounds = tuple(float(b) for b in buckets)
         if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
             raise MetricError(f"histogram {name} buckets must be ascending")
@@ -330,18 +311,12 @@ class Histogram(Metric):
 class MetricsRegistry:
     """A collection of metrics owned by one subsystem instance.
 
-    Args:
-        enabled: When False, every collector this registry creates is a
-            no-op and snapshots carry no samples -- the switch the
-            overhead benchmark flips.
-
     Registries are instance-scoped on purpose (no process-global
     default): each tuner, scheduler, and fleet coordinator owns or
     shares one explicitly, so tests and replicas never interfere.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
     # ------------------------------------------------------------------
@@ -358,7 +333,7 @@ class MetricsRegistry:
                 )
             return existing
         self._metrics[metric.name] = metric
-        if metric._enabled and not metric.labelnames:
+        if not metric.labelnames:
             # One sample, so the family is its own bound child: its update
             # methods are the child's, and every site that holds it is bound.
             vars(metric).update(vars(metric.labels()))
@@ -368,9 +343,7 @@ class MetricsRegistry:
         self, name: str, help: str, labelnames: Sequence[str] = ()
     ) -> Counter:
         """Register (or fetch) a counter family."""
-        metric = self._register(
-            Counter(name, help, labelnames, enabled=self.enabled)
-        )
+        metric = self._register(Counter(name, help, labelnames))
         assert isinstance(metric, Counter)
         return metric
 
@@ -378,9 +351,7 @@ class MetricsRegistry:
         self, name: str, help: str, labelnames: Sequence[str] = ()
     ) -> Gauge:
         """Register (or fetch) a gauge family."""
-        metric = self._register(
-            Gauge(name, help, labelnames, enabled=self.enabled)
-        )
+        metric = self._register(Gauge(name, help, labelnames))
         assert isinstance(metric, Gauge)
         return metric
 
@@ -392,9 +363,7 @@ class MetricsRegistry:
         buckets: Sequence[float] = SECONDS_BUCKETS,
     ) -> Histogram:
         """Register (or fetch) a histogram family."""
-        metric = self._register(
-            Histogram(name, help, labelnames, buckets, enabled=self.enabled)
-        )
+        metric = self._register(Histogram(name, help, labelnames, buckets))
         assert isinstance(metric, Histogram)
         return metric
 
@@ -410,10 +379,6 @@ class MetricsRegistry:
     def snapshot(self) -> List[Dict]:
         """JSON-compatible snapshot of every family, registration order."""
         return [m.snapshot() for m in self._metrics.values()]
-
-
-#: Shared no-op registry for components constructed without one.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
 
 
 def merge_snapshots(

@@ -40,19 +40,20 @@ class CircuitBreaker:
             probing resumes HALF_OPEN.
         recovery_threshold: Consecutive HALF_OPEN successes needed to
             close the breaker again.
-        half_open_budget: Probes allowed per query while HALF_OPEN.
 
     Attributes:
+        half_open_budget: Probes allowed per query while HALF_OPEN.
         transitions: ``(from_state, to_state, tick)`` log of every state
             change, for tests and traces.
     """
+
+    half_open_budget = 1
 
     def __init__(
         self,
         failure_threshold: int = 5,
         cooldown_ticks: int = 20,
         recovery_threshold: int = 2,
-        half_open_budget: int = 1,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be positive")
@@ -63,7 +64,6 @@ class CircuitBreaker:
         self.failure_threshold = failure_threshold
         self.cooldown_ticks = cooldown_ticks
         self.recovery_threshold = recovery_threshold
-        self.half_open_budget = half_open_budget
         self.state = BreakerState.CLOSED
         self.transitions: List[Tuple[str, str, int]] = []
         self._listeners: List[Callable[[str, str], None]] = []

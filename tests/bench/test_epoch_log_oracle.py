@@ -18,7 +18,7 @@ from repro.bench.harness import run_colt
 from repro.bench.tracing import TunerTrace
 from repro.core.config import ColtConfig
 from repro.engines import ENGINES, engine_spec
-from repro.guardrails import ExecutionObserver, GuardrailConfig, GuardrailManager
+from repro.guardrails import ExecutionObserver, GuardrailManager
 from repro.workload import build_adversarial_store, build_catalog, misleading_workload
 from repro.workload.experiments import phase_distributions
 from repro.workload.phases import shifting_workload
@@ -95,9 +95,7 @@ def test_guarded_trace_is_the_fold_of_the_ledger(engine, seed, length, failures)
         catalog,
         ColtConfig(epoch_length=20, storage_budget_pages=200.0, seed=seed),
         store=store,
-        guardrails=GuardrailManager(
-            config=GuardrailConfig(), observer=ExecutionObserver(store)
-        ),
+        guardrails=GuardrailManager(observer=ExecutionObserver(store)),
     )
     reference = oracle.TraceAccumulator(tuner)
     for query in stream:

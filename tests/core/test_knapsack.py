@@ -76,7 +76,7 @@ class TestExactSolver:
             KnapsackItem(key=i, size=s, value=v)
             for i, (s, v) in enumerate(zip(sizes, values))
         ]
-        selected, value = solve_knapsack(items, capacity, resolution=4096)
+        selected, value = solve_knapsack(items, capacity)
         assert sum(it.size for it in selected) <= capacity + 1e-9
 
         best = 0.0

@@ -90,12 +90,12 @@ class TestIdentityAcrossCatalogs:
         quarantine = Quarantine()
         entry = quarantine.admit(index, 0.1)
         assert probe in quarantine
-        assert quarantine.entry_for(probe) is entry
+        assert quarantine.entries == [entry]
         assert quarantine.tick_epoch([probe]) == []
 
         verifier = IndexVerifier()
         state = verifier.record(index, Observation(10.0, 100.0, 10.0, 100.0))
-        assert verifier.state_for(probe) is state
+        assert verifier.states == [state]
         verifier.reset(probe)
         assert len(verifier) == 0
 

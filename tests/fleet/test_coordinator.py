@@ -58,10 +58,10 @@ class TestValidation:
         assert fleet.replicas[0].catalog is not fleet.replicas[1].catalog
 
     def test_guardrails_parameter_is_gone(self):
-        from repro.guardrails import GuardrailConfig
+        from repro.guardrails import GuardrailManager
 
         with pytest.raises(TypeError, match="guardrails"):
-            FleetCoordinator(build_small_catalog, guardrails=GuardrailConfig())
+            FleetCoordinator(build_small_catalog, guardrails=GuardrailManager())
 
     def test_advice_needs_no_guardrails(self):
         fleet = FleetCoordinator(

@@ -22,7 +22,7 @@ def make_replica(replica_id=0, breaker=None, **config_kwargs):
 
 class TestConstruction:
     def test_a_replica_tuner_runs_without_a_guardrail_manager(self):
-        from repro.guardrails import GuardrailConfig, GuardrailManager
+        from repro.guardrails import GuardrailManager
 
         assert make_replica().tuner.guardrails is None
         assert not hasattr(TunerReplica, "quarantined_names")
@@ -30,7 +30,7 @@ class TestConstruction:
             TunerReplica(
                 0,
                 build_small_catalog(),
-                guardrails=GuardrailManager(config=GuardrailConfig()),
+                guardrails=GuardrailManager(),
             )
 
 

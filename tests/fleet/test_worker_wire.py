@@ -74,7 +74,7 @@ def serve(script):
 
     with mock.patch.object(workers, "TunerReplica", capture):
         workers._worker_main(
-            conn, 0, build_small_catalog, make_config(), "colt", True, None
+            conn, 0, build_small_catalog, make_config(), "colt", None
         )
     assert conn.replies.pop() == ("ok", None, None)  # the stop
     return conn.replica, conn.replies

@@ -388,10 +388,10 @@ class TestValidation:
             )
 
     def test_guardrails_rejected(self):
-        from repro.guardrails import GuardrailConfig
+        from repro.guardrails import GuardrailManager
 
         with pytest.raises(TypeError, match="guardrails"):
-            make_worker_fleet(workers=2, guardrails=GuardrailConfig())
+            make_worker_fleet(workers=2, guardrails=GuardrailManager())
 
     def test_advice_rejected(self):
         from repro.guardrails import AdviceBook

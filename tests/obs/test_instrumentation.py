@@ -135,16 +135,6 @@ class TestOverheadDashboard:
         assert len(snapshot["overhead"]) == len(tuner.dashboard.records)
 
 
-class TestDisabledRegistry:
-    def test_disabled_tuner_records_nothing(self, small_catalog):
-        tuner = _tuner(
-            small_catalog, registry=MetricsRegistry(enabled=False)
-        )
-        _run(tuner, 25)
-        assert tuner.metrics.get("colt_queries_total").value() == 0
-        assert tuner.dashboard.records  # accounting itself still runs
-
-
 class TestBreakerTransitions:
     def test_listener_counts_every_transition(self, small_catalog):
         registry = MetricsRegistry()
@@ -186,8 +176,6 @@ class _CountingFamily:
 class CountingRegistry:
     """Registry double counting collector updates (what a query *does*,
     not how long it takes: deterministic, so it can gate in tier 1)."""
-
-    enabled = True
 
     def __init__(self):
         self.updates = []

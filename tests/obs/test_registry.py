@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.registry import (
-    NULL_REGISTRY,
     Counter,
     Histogram,
     MetricError,
@@ -144,18 +143,6 @@ class TestBoundChildren:
         with pytest.raises(MetricError):
             child.inc(-1)
 
-    def test_disabled_registry_child_is_a_noop(self):
-        r = MetricsRegistry(enabled=False)
-        c = r.counter("x_total", "x", ("replica",))
-        child = c.labels(replica=0)
-        child.inc(5)
-        r.gauge("depth", "d").labels().set(3)
-        r.histogram("d", "d").labels().observe(0.5)
-        assert child is c.labels(replica=1)  # one shared child
-        assert c.value(replica=0) == 0.0 and c.samples() == []
-        assert r.get("depth").value() == 0.0 and r.get("d").count() == 0
-
-
 class TestSetFunction:
     def test_value_is_read_when_the_family_is_read(self):
         r = MetricsRegistry()
@@ -177,12 +164,6 @@ class TestSetFunction:
         assert [s["value"] for s in g.samples()] == [7.0, 2.0]
         with pytest.raises(MetricError):
             g.set_function(lambda: 1)
-
-    def test_disabled_registry_reads_nothing(self):
-        c = MetricsRegistry(enabled=False).counter("x_total", "x")
-        c.set_function(lambda: 5)
-        assert c.value() == 0.0 and c.samples() == []
-
 
 class TestRegistry:
     def test_registration_is_idempotent_for_identical_family(self):
@@ -211,28 +192,6 @@ class TestRegistry:
         r.counter("b_total", "b")
         r.counter("a_total", "a")
         assert [f["name"] for f in r.snapshot()] == ["b_total", "a_total"]
-
-
-class TestDisabledRegistry:
-    def test_updates_are_noops(self):
-        r = MetricsRegistry(enabled=False)
-        c = r.counter("x_total", "x")
-        g = r.gauge("depth", "d")
-        h = r.histogram("d", "d", buckets=(1.0,))
-        c.inc(5)
-        g.set(3)
-        h.observe(0.5)
-        assert c.value() == 0.0
-        assert g.value() == 0.0
-        assert h.count() == 0
-
-    def test_null_registry_is_disabled(self):
-        assert NULL_REGISTRY.enabled is False
-
-    def test_families_still_registered_when_disabled(self):
-        r = MetricsRegistry(enabled=False)
-        r.counter("x_total", "x")
-        assert "x_total" in r.names()
 
 
 class TestMergeSnapshots:

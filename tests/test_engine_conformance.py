@@ -85,7 +85,7 @@ class TestConstruction:
         tuner = ENGINES[engine].tuner(small_catalog)
         assert isinstance(tuner.config, ENGINES[engine].config_type)
         assert tuner.backend.catalog is small_catalog
-        assert tuner.metrics is tuner.registry and tuner.registry.enabled
+        assert tuner.metrics is tuner.registry
         assert tuner.queries_seen == 0
         assert tuner.materialized_set == [] and tuner.hot_set == []
 
@@ -96,7 +96,7 @@ class TestConstruction:
 
     def test_injected_components_are_used(self, engine, small_catalog):
         breaker = CircuitBreaker(failure_threshold=1, cooldown_ticks=3)
-        registry = MetricsRegistry(enabled=False)
+        registry = MetricsRegistry()
         backend = LocalBackend(small_catalog)
         tuner = _make(
             engine, small_catalog, breaker=breaker, registry=registry, backend=backend
@@ -282,15 +282,10 @@ class TestInserts:
         )
         assert outcome.total_cost == outcome.heap_cost + outcome.maintenance_cost
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_negative_count_rejected_before_any_mutation(
-        self, engine, small_catalog, enabled
-    ):
+    def test_negative_count_rejected_before_any_mutation(self, engine, small_catalog):
         # Regression: one engine returned a negative-cost outcome and
         # shrank the table, the other mutated first and raised later.
-        tuner = _make(
-            engine, small_catalog, registry=MetricsRegistry(enabled=enabled)
-        )
+        tuner = _make(engine, small_catalog)
         tuner.run(_stream(7))
         table = small_catalog.table("events")
         rows, version = table.row_count, small_catalog.stats_version("events")
