@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.bandit import BanditConfig, BanditTuner
+from repro.bandit import BanditTuner
 from repro.bench.scenario import curve_is_sane, make_tuner, run_scenario
 from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
@@ -150,16 +150,9 @@ def _clean_run(engine: str) -> dict:
     workload = shifting_workload(
         phase_distributions(), catalog, phase_length=300, transition=50, seed=0
     )
-    if engine == "colt":
-        tuner = ColtTuner(
-            catalog,
-            ColtConfig(storage_budget_pages=CLEAN_BUDGET_PAGES, seed=0),
-        )
-    else:
-        tuner = BanditTuner(
-            catalog,
-            BanditConfig(storage_budget_pages=CLEAN_BUDGET_PAGES, seed=0),
-        )
+    tuner = (ColtTuner if engine == "colt" else BanditTuner)(
+        catalog, ColtConfig(storage_budget_pages=CLEAN_BUDGET_PAGES, seed=0)
+    )
     execution = 0.0
     total = 0.0
     for query in workload.queries:

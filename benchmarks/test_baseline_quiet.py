@@ -12,7 +12,7 @@ unregulated tuner issues an order of magnitude more what-if calls --
 one-plus per query, forever.
 """
 
-from repro.baselines import ContinuousConfig, ContinuousTuner
+from repro.baselines import ContinuousTuner
 from repro.bench.harness import run_colt
 from repro.core.config import ColtConfig
 from repro.workload.datagen import build_catalog
@@ -34,7 +34,7 @@ def test_baseline_quiet_comparison(benchmark, report):
             ColtConfig(storage_budget_pages=BUDGET_PAGES),
         )
         quiet_tuner = ContinuousTuner(
-            build_catalog(), ContinuousConfig(storage_budget_pages=BUDGET_PAGES)
+            build_catalog(), ColtConfig(storage_budget_pages=BUDGET_PAGES)
         )
         quiet = quiet_tuner.run(workload.queries)
         return colt, quiet, quiet_tuner

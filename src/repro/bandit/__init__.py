@@ -12,7 +12,6 @@ from repro._facade import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "config": ("BanditConfig",),
         "features": ("FEATURE_DIM", "FEATURE_NAMES", "FeatureMap"),
         "linucb": ("RidgeModel",),
         "persist": ("restore_bandit_tuner", "snapshot_bandit_tuner"),

@@ -20,9 +20,9 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.bandit.config import BanditConfig
 from repro.bandit.linucb import RidgeModel
 from repro.bandit.tuner import BanditTuner
+from repro.core.config import stored_config
 from repro.core.profiler import _name
 from repro.persist import (
     SNAPSHOT_VERSION,
@@ -105,7 +105,7 @@ def _restore(
     store: Optional[PhysicalStore],
     observer: Optional[CostObserver],
 ) -> BanditTuner:
-    config = BanditConfig(**snapshot["config"])
+    config = stored_config(snapshot["config"])
     tuner = BanditTuner(
         catalog,
         config,

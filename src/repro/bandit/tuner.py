@@ -17,13 +17,17 @@ Safety rails:
   chosen without build-cost hysteresis, so high-uncertainty arms get
   materialized and produce reward evidence.
 * **Shrinking ellipsoid** -- the confidence term decays as observations
-  accumulate in ``V``; the optional forgetting factor re-inflates it
-  under drift.
+  accumulate in ``V``; the forgetting factor re-inflates it under drift.
 * **Safety fallback** -- when the observed per-query cost of the round
   following a configuration change regresses past
-  ``safety_factor x`` the pre-change cost, the change is reverted and
+  ``SAFETY_FACTOR x`` the pre-change cost, the change is reverted and
   the added arms are banned for a cooldown (:class:`SafetyWatch`, a
   stage of the loop's ruling pipeline).
+
+The bandit reads the knobs it shares with COLT (epoch clock, budget,
+candidate window, build-cost weights, seed) from the same
+:class:`~repro.core.config.ColtConfig`; its own values are the module
+constants below.
 
 The class is the bandit engine of the shared
 :class:`~repro.core.loop.TuningLoop` (``run``/``process_query`` frame,
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.bandit.config import BanditConfig
 from repro.bandit.features import FEATURE_DIM, FeatureMap
 from repro.bandit.linucb import RidgeModel
 from repro.core.knapsack import KnapsackItem, Ruling, solve_constrained
@@ -46,12 +49,50 @@ from repro.core.self_organizer import ReorganizationResult
 from repro.obs.names import BANDIT_METRICS
 
 if TYPE_CHECKING:
+    from repro.core.config import ColtConfig
     from repro.core.knapsack import SelectionConstraints
     from repro.engine.catalog import Catalog
     from repro.engine.index import IndexDef
     from repro.obs.registry import MetricsRegistry
     from repro.resilience.breaker import CircuitBreaker
     from repro.sql.ast import Query
+
+#: Exploration scale of the UCB term ``theta^T x + ALPHA * sqrt(x^T V^-1 x)``.
+ALPHA = 1.0
+#: Ridge regularizer (the ``lambda I`` prior on ``V``).
+LAMBDA_REG = 1.0
+#: Per-round decay ``gamma`` of ``V`` and ``b`` before new rewards are
+#: folded in: stale rewards age out so the model tracks drift.
+FORGETTING = 0.9
+#: Rounds chosen without build-cost hysteresis at the start, so
+#: never-played arms get built and produce reward observations.
+FORCED_EXPLORATION_EPOCHS = 3
+#: Reward probes per round.
+OBSERVE_PER_EPOCH = 6
+#: Fraction of a counterfactual execution's observed cost charged as
+#: tuning overhead (physical-store runs only).
+OBSERVE_COST_FACTOR = 1.0
+#: A change whose next round costs more than this times the round
+#: before it is reverted.
+SAFETY_FACTOR = 1.5
+#: Rounds a reverted arm stays banned.
+SAFETY_COOLDOWN_EPOCHS = 6
+#: Arms per round: ``M`` plus the best-ranked candidates.
+MAX_ARMS = 24
+#: The constants above under the names a bandit's snapshot and trace
+#: ``config`` block stored them by when they were settable
+#: (:func:`repro.core.config.stored_config` reads these).
+STORED_CONSTANTS = {
+    "alpha": ALPHA,
+    "lambda_reg": LAMBDA_REG,
+    "forgetting": FORGETTING,
+    "forced_exploration_epochs": FORCED_EXPLORATION_EPOCHS,
+    "observe_per_epoch": OBSERVE_PER_EPOCH,
+    "observe_cost_factor": OBSERVE_COST_FACTOR,
+    "safety_factor": SAFETY_FACTOR,
+    "safety_cooldown_epochs": SAFETY_COOLDOWN_EPOCHS,
+    "max_arms": MAX_ARMS,
+}
 
 
 class BanditProfile(ProfilerBase):
@@ -67,7 +108,7 @@ class BanditProfile(ProfilerBase):
     def __init__(
         self,
         catalog: Catalog,
-        config: BanditConfig,
+        config: ColtConfig,
         breaker: Optional[CircuitBreaker] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -79,18 +120,17 @@ class SafetyWatch:
 
     After a boundary builds arms, the watch holds them against that
     round's mean observed per-query cost (the bandit's epoch evidence).
-    When the next round costs more than ``factor`` times that, the
-    built arms still in ``M`` are banned for ``cooldown`` closes -- the
-    knapsack drops them, reverting the change.
+    When the next round costs more than :data:`SAFETY_FACTOR` times
+    that, the built arms still in ``M`` are banned for
+    :data:`SAFETY_COOLDOWN_EPOCHS` closes -- the knapsack drops them,
+    reverting the change.  ``trips`` counts the reversions.
 
     Attributes:
         watch: ``(arms built, baseline cost)`` awaiting judgement.
         bans: Live bans, ``index -> closes left``.
     """
 
-    def __init__(self, factor: float, cooldown: int, trips) -> None:
-        self.factor = factor
-        self.cooldown = cooldown
+    def __init__(self, trips) -> None:
         self.watch: Optional[Tuple[List[IndexDef], float]] = None
         self.bans: Dict[IndexDef, int] = {}
         self._trips = trips
@@ -104,9 +144,9 @@ class SafetyWatch:
             added, baseline = self.watch
             self.watch = None
             tripped = [ix for ix in added if ix in materialized]
-            if baseline > 0.0 and mean_cost > self.factor * baseline and tripped:
+            if baseline > 0.0 and mean_cost > SAFETY_FACTOR * baseline and tripped:
                 for index in tripped:
-                    self.bans[index] = self.cooldown
+                    self.bans[index] = SAFETY_COOLDOWN_EPOCHS
                 self._trips.inc()
         return tuple(
             Ruling(ix, "ban", "safety", reason="regressed", until=epoch + left)
@@ -130,7 +170,11 @@ class BanditTuner(TuningLoop):
     super-arm selection on the shared knapsack.
 
     Args:
-        config: Bandit parameters (:class:`BanditConfig`).
+        config: The shared tuning parameters (:class:`ColtConfig`);
+            the bandit reads the epoch clock, storage budget, candidate
+            window, build-cost weights, hot-set cap, probe charge and
+            seed.  Its budget must be positive and its hot-set cap at
+            least 1.
         store: Optional physical store.  When given, rewards are priced
             from real executions on a :class:`CountingStore`; without
             one, optimizer plan costs stand in (still *post-decision*
@@ -139,10 +183,13 @@ class BanditTuner(TuningLoop):
     """
 
     engine_name = "bandit"
-    config_type = BanditConfig
     budget_label = "observation"
 
     def _build_engine(self, breaker: Optional[CircuitBreaker]) -> None:
+        if self.config.storage_budget_pages <= 0.0:
+            raise ValueError("storage_budget_pages must be positive")
+        if self.config.max_hot_size < 1:
+            raise ValueError("max_hot_size must be positive")
         self.profiler = BanditProfile(
             self.catalog, self.config, breaker=breaker, registry=self.registry
         )
@@ -153,11 +200,7 @@ class BanditTuner(TuningLoop):
             from repro.executor.instrument import CountingStore
 
             self._counting = CountingStore(store)
-        self.model = RidgeModel(
-            FEATURE_DIM,
-            lambda_reg=self.config.lambda_reg,
-            forgetting=self.config.forgetting,
-        )
+        self.model = RidgeModel(FEATURE_DIM, lambda_reg=LAMBDA_REG, forgetting=FORGETTING)
         self.features = FeatureMap(self.catalog, self.config.storage_budget_pages)
         self.materialized = set(self.catalog.materialized_indexes())
         self.hot: List[IndexDef] = []
@@ -171,11 +214,7 @@ class BanditTuner(TuningLoop):
         self._metrics = {
             name: spec.build(self.registry) for name, spec in BANDIT_METRICS.items()
         }
-        self.safety = SafetyWatch(
-            self.config.safety_factor,
-            self.config.safety_cooldown_epochs,
-            self._metrics["bandit_safety_fallbacks_total"],
-        )
+        self.safety = SafetyWatch(self._metrics["bandit_safety_fallbacks_total"])
         self._counted = 0  # read by its family, as in ColtTuner
         self._metrics["bandit_queries_total"].set_function(lambda: self._counted or None)
 
@@ -207,8 +246,7 @@ class BanditTuner(TuningLoop):
 
     def _epoch_budget(self) -> Tuple[int, int, int]:
         # A fixed observation budget per round, not an adaptive #WI_lim.
-        per_round = self.config.observe_per_epoch
-        return per_round, per_round, self._epoch_probes
+        return OBSERVE_PER_EPOCH, OBSERVE_PER_EPOCH, self._epoch_probes
 
     # ------------------------------------------------------------------
     # reward observation
@@ -245,7 +283,7 @@ class BanditTuner(TuningLoop):
             if index not in mat:
                 continue
             self._epoch_uses[index] = self._epoch_uses.get(index, 0) + 1
-            if self._epoch_probes >= self.config.observe_per_epoch:
+            if self._epoch_probes >= OBSERVE_PER_EPOCH:
                 continue
             if not self.profiler.breaker.allows_probes():
                 continue
@@ -269,7 +307,7 @@ class BanditTuner(TuningLoop):
             if self._counting is not None:
                 without_observed = self._counting.observed_cost(without.plan)
                 reward = without_observed - base_observed
-                probe_charge += self.config.observe_cost_factor * without_observed
+                probe_charge += OBSERVE_COST_FACTOR * without_observed
             else:
                 reward = without.cost - session.base.cost
             charge += probe_charge
@@ -328,7 +366,7 @@ class BanditTuner(TuningLoop):
     def _arm_pool(self) -> List[IndexDef]:
         """Arms for this round: ``M`` plus the best-ranked candidates."""
         pool = sorted(self.materialized, key=_name)
-        budget = self.config.max_arms - len(pool)
+        budget = MAX_ARMS - len(pool)
         for stats in self.profiler.candidates.ranked(exclude=pool):
             if budget <= 0:
                 break
@@ -337,7 +375,7 @@ class BanditTuner(TuningLoop):
         return pool
 
     def _select(self, constraints: SelectionConstraints) -> ReorganizationResult:
-        forced = self._epochs_closed < self.config.forced_exploration_epochs
+        forced = self._epochs_closed < FORCED_EXPLORATION_EPOCHS
         epoch_length = self.config.epoch_length
 
         pool = self._arm_pool()
@@ -355,11 +393,11 @@ class BanditTuner(TuningLoop):
         tracker = self.profiler.candidates
         vector, width_of, mean_of = self.features.vector, self.model.width, self.model.mean
         costing_of = self.catalog.index_costing  # (rows, params, size, build)
-        alpha, retention, matcost = config.alpha, config.retention_weight, config.matcost_weight
+        retention, matcost = config.retention_weight, config.matcost_weight
         for index in pool:
             x = vector(index, tracker, materialized)
             width = width_of(x)
-            optimistic = mean_of(x) + alpha * width
+            optimistic = mean_of(x) + ALPHA * width
             value = optimistic * epoch_length
             costing = costing_of(index)
             if not forced:

@@ -17,7 +17,7 @@ from repro._facade import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "continuous": ("ContinuousConfig", "ContinuousTuner"),
+        "continuous": ("ContinuousTuner",),
         "offline": ("OfflineResult", "OfflineTuner"),
     },
 )

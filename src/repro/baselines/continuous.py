@@ -18,10 +18,14 @@ experimental comparator:
 * per-index benefits accumulate with exponential decay (so old evidence
   ages out and the tuner can adapt to shifts);
 * an index is materialized when its decayed accumulated benefit exceeds
-  ``adoption_factor`` times its build cost, subject to the storage
+  ``ADOPTION_FACTOR`` times its build cost, subject to the storage
   budget (evicting the lowest-credit indexes if needed);
-* a materialized index whose credit decays below ``retirement_factor``
+* a materialized index whose credit decays below ``RETIREMENT_FACTOR``
   times its build cost is dropped.
+
+It reads the storage budget and the what-if charge from the same
+:class:`~repro.core.config.ColtConfig` as COLT, so a comparison runs
+both tuners under one configuration.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.backend.local import LocalBackend
+from repro.core.config import ColtConfig
 from repro.optimizer.whatif import WhatIfOptimizer
 
 if TYPE_CHECKING:
@@ -39,27 +44,15 @@ if TYPE_CHECKING:
     from repro.sql.ast import Query
 
 
-@dataclasses.dataclass(frozen=True)
-class ContinuousConfig:
-    """Parameters of the QUIET-style tuner.
-
-    Attributes:
-        storage_budget_pages: Storage budget shared with COLT runs.
-        decay: Per-query multiplicative decay of accumulated credit
-            (memory comparable to COLT's ``w * h`` queries at ~0.99).
-        adoption_factor: Multiple of the build cost the accumulated
-            credit must reach before materialization.
-        retirement_factor: Credit floor (as a multiple of build cost)
-            below which a materialized index is dropped.
-        whatif_call_cost: Ledger charge per what-if call (same unit as
-            ``ColtConfig.whatif_call_cost``).
-    """
-
-    storage_budget_pages: float = 9_000.0
-    decay: float = 0.99
-    adoption_factor: float = 1.0
-    retirement_factor: float = 0.1
-    whatif_call_cost: float = 10.0
+#: Per-query multiplicative decay of accumulated credit (memory
+#: comparable to COLT's ``w * h`` queries).
+DECAY = 0.99
+#: Multiple of its build cost an index's credit must reach before it is
+#: materialized.
+ADOPTION_FACTOR = 1.0
+#: Credit floor, as a multiple of its build cost, below which a
+#: materialized index is dropped.
+RETIREMENT_FACTOR = 0.1
 
 
 @dataclasses.dataclass
@@ -78,11 +71,9 @@ class ContinuousOutcome:
 class ContinuousTuner:
     """The unregulated continuous tuner (QUIET-style baseline)."""
 
-    def __init__(
-        self, catalog: Catalog, config: Optional[ContinuousConfig] = None
-    ) -> None:
+    def __init__(self, catalog: Catalog, config: Optional[ColtConfig] = None) -> None:
         self.catalog = catalog
-        self.config = config or ContinuousConfig()
+        self.config = config or ColtConfig()
         self.whatif = WhatIfOptimizer(LocalBackend(catalog))
         self._credit: Dict[IndexDef, float] = {}
         self._queries = 0
@@ -136,9 +127,8 @@ class ContinuousTuner:
         )
 
     def _decay_credit(self) -> None:
-        decay = self.config.decay
         for index in list(self._credit):
-            self._credit[index] *= decay
+            self._credit[index] *= DECAY
             if self._credit[index] < 1e-9:
                 del self._credit[index]
 
@@ -148,7 +138,7 @@ class ContinuousTuner:
 
         # Retirement first, freeing space.
         for index in self.catalog.materialized_indexes():
-            floor = self.config.retirement_factor * self.catalog.index_build_cost(index)
+            floor = RETIREMENT_FACTOR * self.catalog.index_build_cost(index)
             if self._credit.get(index, 0.0) < floor:
                 self.catalog.drop_index(index)
 
@@ -161,7 +151,7 @@ class ContinuousTuner:
         )
         for index in hopefuls:
             credit = credit_of[index]
-            threshold = self.config.adoption_factor * self.catalog.index_build_cost(index)
+            threshold = ADOPTION_FACTOR * self.catalog.index_build_cost(index)
             if credit < threshold:
                 break  # sorted descending: nothing later qualifies either
             if not self._fits_with_eviction(index):

@@ -76,8 +76,7 @@ class TunerTrace:
     Attributes:
         epochs: One record per epoch the trace holds (a tuner's log
             keeps its newest :data:`~repro.obs.dashboard.WINDOW_EPOCHS`).
-        config: The traced tuner's configuration (the engine's own
-            config type).
+        config: The traced tuner's configuration.
         engine: Name of the engine that ran (a key of
             :data:`repro.engines.ENGINES`).
         total_cost / total_whatif: Workload-wide total cost and what-if
@@ -85,7 +84,7 @@ class TunerTrace:
     """
 
     epochs: List[EpochTrace]
-    config: object
+    config: ColtConfig
     engine: str = "colt"
     total_cost: Optional[float] = None
     total_whatif: Optional[int] = None
@@ -116,8 +115,8 @@ class TunerTrace:
         ``results/*.txt`` reports and tests can assert per-epoch
         decisions machine-readably.  COLT payloads carry no engine tag
         (old dumps and new ones are the same bytes); every other engine
-        tags its name so :meth:`from_json` can find the config type, and
-        a trace missing its first epochs carries its totals.
+        tags its name, and a trace missing its first epochs carries its
+        totals.
         """
         payload = {
             "epochs": [dataclasses.asdict(e) for e in self.epochs],
@@ -151,7 +150,8 @@ class TunerTrace:
         engine = data.get("engine", "colt")
         try:
             epochs = [EpochTrace(**entry) for entry in data["epochs"]]
-            config = stored_config(engine_spec(engine).config_type, data["config"])
+            engine_spec(engine)  # an unknown tag raises ValueError
+            config = stored_config(data["config"])
             total_cost, total_whatif = data.get("totals", (None, None))
         except TypeError as exc:
             raise ValueError(f"malformed TunerTrace payload: {exc}") from exc
@@ -194,8 +194,7 @@ def trace_run(
     """Run a tuning engine over a workload, one trace entry per epoch.
 
     Args:
-        config: Tuning parameters; engines other than COLT derive their
-            own configuration from it through the engine table.
+        config: Tuning parameters (every engine reads a ``ColtConfig``).
         backend: Optional DBMS backend for the tuner (defaults to the
             local in-python engine) -- what lets a recorded cost trace
             be replayed through the identical harness.

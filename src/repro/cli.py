@@ -93,9 +93,9 @@ def _add_gain_cache_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_gain_cache(engine: str) -> None:
-    """``--gain-cache on`` needs an engine whose config has the knob."""
+    """``--gain-cache on`` needs an engine that spends what-if calls."""
     caching = [
-        name for name, spec in ENGINES.items() if hasattr(spec.config_type, "gain_cache")
+        name for name, spec in ENGINES.items() if spec.tuner.budget_label == "what-if"
     ]
     if engine not in caching:
         raise ValueError(
@@ -661,12 +661,10 @@ def _run_offline(args, workload) -> None:
 
 def _run_continuous(args, workload) -> None:
     """The QUIET-style continuous baseline under ``run``."""
-    from repro.baselines.continuous import ContinuousConfig, ContinuousTuner
+    from repro.baselines.continuous import ContinuousTuner
     from repro.workload import build_catalog
 
-    tuner = ContinuousTuner(
-        build_catalog(), ContinuousConfig(storage_budget_pages=args.budget)
-    )
+    tuner = ContinuousTuner(build_catalog(), _colt_config(args))
     outcomes = tuner.run(workload.queries)
     print(f"workload: {workload.description}")
     print("engine:   continuous (QUIET-style, unregulated what-if)")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-from repro.core.config import ColtConfig
 from repro.core.loop import InsertOutcome, QueryOutcome, TuningLoop
 from repro.core.profiler import Profiler
 from repro.core.self_organizer import SelfOrganizer
@@ -41,12 +40,11 @@ class ColtTuner(TuningLoop):
     knapsack, hot-set promotion, re-budgeting).
 
     Args:
-        config: Tuning parameters (:class:`ColtConfig`; defaults follow
-            the paper).
+        config: Tuning parameters (:class:`~repro.core.config.ColtConfig`;
+            defaults follow the paper).
     """
 
     engine_name = "colt"
-    config_type = ColtConfig
     budget_label = "what-if"
 
     def _build_engine(self, breaker: Optional[CircuitBreaker]) -> None:

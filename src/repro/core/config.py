@@ -16,16 +16,9 @@ from typing import Mapping
 RETIRED_FIELDS = frozenset({"knapsack_warm_start"})
 
 
-def stored_config(config_type: type, stored: Mapping):
-    """An engine configuration from a stored ``config`` block, without
-    the fields retired since it was written (any other unknown key still
-    fails the constructor)."""
-    return config_type(**{k: v for k, v in stored.items() if k not in RETIRED_FIELDS})
-
-
 @dataclasses.dataclass(frozen=True)
 class ColtConfig:
-    """Tuning parameters for COLT.
+    """Tuning parameters for COLT, read by every engine.
 
     Attributes:
         epoch_length: Queries per epoch (the paper's ``w``).
@@ -137,3 +130,35 @@ class ColtConfig:
     def effective_forecast_window(self) -> int:
         """The forecasting window in epochs."""
         return self.forecast_window or self.history_epochs
+
+
+_FIELD_NAMES = frozenset(field.name for field in dataclasses.fields(ColtConfig))
+
+
+def stored_config(stored: Mapping) -> ColtConfig:
+    """The :class:`ColtConfig` a stored ``config`` block describes.
+
+    Every engine is parameterized by a ``ColtConfig``, and this is the
+    one reader of the ``config`` block in snapshots and traces.  Fields
+    retired since the block was written are dropped.  A bandit block
+    written before the bandit's own knobs became the constants of
+    :mod:`repro.bandit.tuner` still carries them: each is accepted only
+    at its constant's value.  Any other unknown key fails the
+    constructor (``TypeError``).
+
+    Raises:
+        ValueError: naming a bandit knob stored at another value.
+    """
+    fields = {k: v for k, v in stored.items() if k not in RETIRED_FIELDS}
+    if fields.keys() - _FIELD_NAMES:
+        # Only a block with keys ColtConfig lacks loads the bandit module.
+        from repro.bandit.tuner import STORED_CONSTANTS
+
+        for name in sorted(fields.keys() & STORED_CONSTANTS.keys()):
+            value = fields.pop(name)
+            if value != STORED_CONSTANTS[name]:
+                raise ValueError(
+                    f"stored config field {name!r} is {value!r}, but the"
+                    f" bandit fixes it at {STORED_CONSTANTS[name]!r}"
+                )
+    return ColtConfig(**fields)

@@ -22,6 +22,7 @@ import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.backend.local import LocalBackend
+from repro.core.config import ColtConfig
 from repro.core.knapsack import Ruling, constraints_from
 from repro.core.scheduler import Scheduler
 from repro.guardrails.advice import AdviceBook
@@ -42,7 +43,6 @@ if TYPE_CHECKING:
     from repro.optimizer.plan import PlanNode
     from repro.resilience.breaker import CircuitBreaker
     from repro.resilience.faults import FaultInjector
-    from repro.resilience.retry import RetryPolicy
     from repro.sql.ast import Query
 
 
@@ -118,13 +118,12 @@ class TuningLoop:
     Args:
         catalog: The catalog to tune.  Its materialized set is owned by
             the tuner from now on.
-        config: The engine's configuration (an instance of the
-            subclass's ``config_type``; defaults to ``config_type()``).
+        config: The tuning parameters every engine reads; defaults to
+            ``ColtConfig()`` (the paper's).
         store: Optional physical store; when given, materializations
             build real B+trees so queries can be executed.
         breaker: Circuit breaker guarding the engine's probes; defaults
             to a fresh one with standard thresholds.
-        retry: Backoff policy for failed index builds.
         fault_injector: Optional fault injector; when given, its
             failpoints are installed on the what-if optimizer and the
             scheduler (testing and chaos runs).
@@ -145,8 +144,8 @@ class TuningLoop:
         dashboard: The epoch log: one bounded row per close (probe
             budget, costs, decisions) plus exact running totals.
 
-    An engine sets the class attributes ``engine_name``, ``config_type``
-    and ``budget_label`` and implements the ``_build_engine`` ..
+    An engine sets the class attributes ``engine_name`` and
+    ``budget_label`` and implements the ``_build_engine`` ..
     ``_applied`` hooks below.  ``_build_engine`` must leave behind
     ``self.profiler`` (exposing ``breaker``, ``candidates`` and
     ``gain_cache``) and the sets ``self.materialized`` / ``self.hot``; it
@@ -156,8 +155,6 @@ class TuningLoop:
 
     #: Key of this engine in :data:`repro.engines.ENGINES`.
     engine_name: str
-    #: Dataclass type of ``self.config``.
-    config_type: type
     #: What the dashboard's requested/granted/spent columns count.
     budget_label: str
     #: The engine's safety stage, when it has one (the bandit's).
@@ -166,10 +163,9 @@ class TuningLoop:
     def __init__(
         self,
         catalog: Catalog,
-        config=None,
+        config: Optional[ColtConfig] = None,
         store: Optional[PhysicalStore] = None,
         breaker: Optional[CircuitBreaker] = None,
-        retry: Optional[RetryPolicy] = None,
         fault_injector: Optional[FaultInjector] = None,
         registry: Optional[MetricsRegistry] = None,
         guardrails: Optional["GuardrailManager"] = None,
@@ -177,7 +173,7 @@ class TuningLoop:
         advice: Optional[AdviceBook] = None,
     ) -> None:
         self.catalog = catalog
-        self.config = config or self.config_type()
+        self.config = config or ColtConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.dashboard = OverheadDashboard()
         self.backend = backend if backend is not None else LocalBackend(catalog)
@@ -188,7 +184,7 @@ class TuningLoop:
         self._store = store
         self._queries_seen = 0
         self._build_engine(breaker)
-        self.scheduler = Scheduler(catalog, store=store, retry=retry)
+        self.scheduler = Scheduler(catalog, store=store)
         if fault_injector is not None:
             fault_injector.attach(self)
         self.advice = advice or AdviceBook()

@@ -3,10 +3,9 @@
 Everything that must turn an engine *name* into behaviour -- fleet
 replicas, snapshot dispatch, the CLI, the scenario harness, trace
 loading -- looks the name up here instead of branching on it.  An
-engine is a :class:`~repro.core.loop.TuningLoop` subclass plus the four
-facts the loop cannot know: its config type, how to derive that config
-from the :class:`~repro.core.config.ColtConfig` that parameterizes
-fleets and the CLI, and its snapshot/restore pair.  Registering a third
+engine is a :class:`~repro.core.loop.TuningLoop` subclass (every engine
+reads the same :class:`~repro.core.config.ColtConfig`) plus the one fact
+the loop cannot know: its snapshot/restore pair.  Registering a third
 engine is one more :class:`EngineSpec` in :data:`ENGINES` (see
 ``DESIGN.md``, "Engine contract").
 
@@ -19,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Optional
 
-from repro.bandit.config import BanditConfig
 from repro.bandit.persist import restore_bandit_tuner, snapshot_bandit_tuner
 from repro.bandit.tuner import BanditTuner
 from repro.core.colt import ColtTuner
@@ -35,13 +33,11 @@ class EngineSpec:
 
     Attributes:
         tuner: The :class:`~repro.core.loop.TuningLoop` subclass.
-        adapt: ``ColtConfig -> engine config`` (identity for COLT).
         snapshot: ``tuner -> JSON dict`` serializer.
         restore: ``(catalog, snapshot, store=, observer=) -> tuner``.
     """
 
     tuner: type
-    adapt: Callable[[ColtConfig], object]
     snapshot: Callable
     restore: Callable
 
@@ -50,16 +46,10 @@ class EngineSpec:
         """The engine's name (``--engine`` value, snapshot/trace tag)."""
         return self.tuner.engine_name
 
-    @property
-    def config_type(self) -> type:
-        """Dataclass type of the engine's configuration."""
-        return self.tuner.config_type
-
     def build(self, catalog, config: Optional[ColtConfig] = None, **kwargs):
-        """A tuner of this engine over ``catalog``, parameterized by a
-        ``ColtConfig`` (adapted to the engine's own config type);
-        ``kwargs`` are the :class:`~repro.core.loop.TuningLoop` keywords."""
-        return self.tuner(catalog, self.adapt(config or ColtConfig()), **kwargs)
+        """A tuner of this engine over ``catalog``; ``kwargs`` are the
+        :class:`~repro.core.loop.TuningLoop` keywords."""
+        return self.tuner(catalog, config, **kwargs)
 
 
 #: name -> spec, in ``--engine`` listing order.  COLT is the default
@@ -67,13 +57,8 @@ class EngineSpec:
 ENGINES: Dict[str, EngineSpec] = {
     spec.name: spec
     for spec in (
-        EngineSpec(ColtTuner, lambda config: config, snapshot_tuner, restore_tuner),
-        EngineSpec(
-            BanditTuner,
-            BanditConfig.from_colt,
-            snapshot_bandit_tuner,
-            restore_bandit_tuner,
-        ),
+        EngineSpec(ColtTuner, snapshot_tuner, restore_tuner),
+        EngineSpec(BanditTuner, snapshot_bandit_tuner, restore_bandit_tuner),
     )
 }
 

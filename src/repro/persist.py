@@ -42,7 +42,7 @@ import tempfile
 from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.core.colt import ColtTuner
-from repro.core.config import ColtConfig, stored_config
+from repro.core.config import stored_config
 from repro.core.forecast import BenefitHistory
 from repro.guardrails.advice import AdviceBook
 
@@ -172,7 +172,7 @@ def _restore_tuner(
     store: Optional[PhysicalStore],
     observer: Optional[CostObserver] = None,
 ) -> ColtTuner:
-    config = stored_config(ColtConfig, snapshot["config"])
+    config = stored_config(snapshot["config"])
     tuner = ColtTuner(
         catalog,
         config,

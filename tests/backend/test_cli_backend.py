@@ -158,19 +158,14 @@ class TestBackendFlagErrors:
 
 class TestCheckSnapshotEngine:
     def _write(self, tmp_path, engine):
-        from repro.bandit import BanditConfig, BanditTuner
-        from repro.core import ColtConfig, ColtTuner
+        from repro.core import ColtConfig
+        from repro.engines import engine_spec
         from repro.persist import save_json, snapshot_any
         from repro.workload import build_catalog
 
-        if engine == "bandit":
-            tuner = BanditTuner(
-                build_catalog(), BanditConfig(storage_budget_pages=6000.0)
-            )
-        else:
-            tuner = ColtTuner(
-                build_catalog(), ColtConfig(storage_budget_pages=6000.0)
-            )
+        tuner = engine_spec(engine).build(
+            build_catalog(), ColtConfig(storage_budget_pages=6000.0)
+        )
         path = tmp_path / f"{engine}.json"
         save_json(path, snapshot_any(tuner))
         return path

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.bandit import BanditConfig, BanditTuner
+from repro.bandit import BanditTuner
 from repro.bandit.linucb import RidgeModel
 from repro.bandit.persist import (
     ENGINE,
@@ -46,10 +46,7 @@ def _eq_query(value):
 
 
 def _trained_bandit(catalog, queries=40):
-    tuner = BanditTuner(
-        catalog,
-        BanditConfig(epoch_length=5, storage_budget_pages=5000.0),
-    )
+    tuner = BanditTuner(catalog, ColtConfig(epoch_length=5, storage_budget_pages=5000.0))
     rng = random.Random(0)
     for _ in range(queries):
         tuner.process_query(_eq_query(rng.randint(1, 10_000)))

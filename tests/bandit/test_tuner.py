@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from repro.bandit import BanditConfig, BanditTuner
+from repro.bandit import BanditTuner
+from repro.bandit.tuner import SAFETY_COOLDOWN_EPOCHS, SAFETY_FACTOR
+from repro.core.config import ColtConfig
 from repro.core.knapsack import Ruling
 from repro.core.self_organizer import ReorganizationResult
 from repro.engine.datatypes import DataType
@@ -33,7 +35,7 @@ def _eq_query(value, table="events", column="user_id"):
 def _make_tuner(catalog, **overrides):
     overrides.setdefault("epoch_length", 5)
     overrides.setdefault("storage_budget_pages", 5000.0)
-    return BanditTuner(catalog, BanditConfig(**overrides))
+    return BanditTuner(catalog, ColtConfig(**overrides))
 
 
 def _metric_total(tuner, name):
@@ -61,7 +63,7 @@ class TestEpochLoop:
         tuner = _make_tuner(small_catalog)
         rng = random.Random(0)
         tuner.run([_eq_query(rng.randint(1, 10_000)) for _ in range(30)])
-        # The first forced_exploration_epochs rounds select optimistically
+        # The first FORCED_EXPLORATION_EPOCHS rounds select optimistically
         # (no build-cost hysteresis), so the hot candidate gets built.
         assert tuner.materialized_set
         assert _metric_total(tuner, "bandit_reward_samples_total") >= 1
@@ -140,9 +142,10 @@ class TestSafetyFallback:
         ix = self._index()
         tuner.materialized.add(ix)
         tuner.safety.watch = ([ix], 10.0)
-        # safety_factor defaults to 1.5: 100 > 1.5 * 10 trips the rail.
+        # 100 > SAFETY_FACTOR * 10 trips the rail.
+        assert 100.0 > SAFETY_FACTOR * 10.0
         rulings = tuner.safety.rulings(7, 100.0, tuner.materialized)
-        cooldown = tuner.config.safety_cooldown_epochs
+        cooldown = SAFETY_COOLDOWN_EPOCHS
         assert rulings == (
             Ruling(ix, "ban", "safety", reason=rulings[0].reason, until=7 + cooldown),
         )
@@ -155,7 +158,8 @@ class TestSafetyFallback:
         ix = self._index()
         tuner.materialized.add(ix)
         tuner.safety.watch = ([ix], 10.0)
-        assert tuner.safety.rulings(0, 14.0, tuner.materialized) == ()  # < 1.5x
+        assert 14.0 < SAFETY_FACTOR * 10.0
+        assert tuner.safety.rulings(0, 14.0, tuner.materialized) == ()
         assert not tuner.safety.bans
         assert _metric_total(tuner, "bandit_safety_fallbacks_total") == 0
 
@@ -167,12 +171,16 @@ class TestSafetyFallback:
         assert not tuner.safety.bans
 
     def test_bans_expire_after_cooldown(self, small_catalog):
-        tuner = _make_tuner(small_catalog, safety_cooldown_epochs=2)
+        tuner = _make_tuner(small_catalog)
         ix = self._index()
-        tuner.safety.bans[ix] = 2
-        assert [r.until for r in tuner.safety.rulings(3, 0.0, set())] == [4]
-        assert tuner.safety.bans[ix] == 1
-        assert tuner.safety.rulings(4, 0.0, set()) == ()
+        tuner.safety.bans[ix] = SAFETY_COOLDOWN_EPOCHS
+        for epoch in range(1, SAFETY_COOLDOWN_EPOCHS):
+            left = SAFETY_COOLDOWN_EPOCHS - epoch
+            assert [r.until for r in tuner.safety.rulings(epoch, 0.0, set())] == [
+                epoch + left
+            ]
+            assert tuner.safety.bans[ix] == left
+        assert tuner.safety.rulings(SAFETY_COOLDOWN_EPOCHS, 0.0, set()) == ()
         assert ix not in tuner.safety.bans
 
     def test_only_built_arms_are_watched(self, small_catalog):
@@ -195,20 +203,26 @@ class TestSafetyFallback:
 
 
 class TestWiring:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("storage_budget_pages", 0.0), ("max_hot_size", 0)],
+    )
+    def test_stricter_inputs_than_colt_refused(self, small_catalog, field, value):
+        # COLT takes a zero budget or hot-set cap; the bandit refuses both.
+        config = ColtConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            BanditTuner(small_catalog, config)
+
     def test_custom_breaker_guards_probes(self, small_catalog):
         breaker = CircuitBreaker(failure_threshold=1)
         tuner = _make_tuner(small_catalog)
         assert tuner.profiler.breaker is not breaker
-        tuner = BanditTuner(
-            small_catalog, BanditConfig(epoch_length=5), breaker=breaker
-        )
+        tuner = BanditTuner(small_catalog, ColtConfig(epoch_length=5), breaker=breaker)
         assert tuner.profiler.breaker is breaker
 
     def test_registry_receives_bandit_families(self, small_catalog):
         registry = MetricsRegistry()
-        tuner = BanditTuner(
-            small_catalog, BanditConfig(epoch_length=5), registry=registry
-        )
+        tuner = BanditTuner(small_catalog, ColtConfig(epoch_length=5), registry=registry)
         tuner.run([_eq_query(i + 1) for i in range(6)])
         names = {f["name"] for f in registry.snapshot()}
         assert "bandit_queries_total" in names

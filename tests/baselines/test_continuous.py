@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.baselines import ContinuousConfig, ContinuousTuner
+from repro.baselines import ContinuousTuner
+from repro.core.config import ColtConfig
 from repro.sql.ast import (
     ColumnExpr,
     CompareOp,
@@ -28,9 +29,7 @@ def _eq_query(value):
 
 class TestAdoption:
     def test_adopts_after_enough_credit(self, small_catalog):
-        tuner = ContinuousTuner(
-            small_catalog, ContinuousConfig(storage_budget_pages=5000.0)
-        )
+        tuner = ContinuousTuner(small_catalog, ColtConfig(storage_budget_pages=5000.0))
         rng = random.Random(0)
         for _ in range(60):
             tuner.process_query(_eq_query(rng.randint(1, 10_000)))
@@ -42,7 +41,7 @@ class TestAdoption:
         assert tuner.materialized_set == []
 
     def test_budget_respected(self, small_catalog):
-        config = ContinuousConfig(storage_budget_pages=100.0)
+        config = ColtConfig(storage_budget_pages=100.0)
         tuner = ContinuousTuner(small_catalog, config)
         rng = random.Random(1)
         for _ in range(80):
@@ -50,9 +49,7 @@ class TestAdoption:
             assert small_catalog.materialized_size_pages() <= 100.0
 
     def test_build_cost_charged_once(self, small_catalog):
-        tuner = ContinuousTuner(
-            small_catalog, ContinuousConfig(storage_budget_pages=5000.0)
-        )
+        tuner = ContinuousTuner(small_catalog, ColtConfig(storage_budget_pages=5000.0))
         rng = random.Random(2)
         build_events = [
             tuner.process_query(_eq_query(rng.randint(1, 10_000))).build_cost
@@ -64,9 +61,7 @@ class TestAdoption:
 class TestOverhead:
     def test_profiles_every_query(self, small_catalog):
         """The defining flaw of the prior-work model: constant intensity."""
-        tuner = ContinuousTuner(
-            small_catalog, ContinuousConfig(storage_budget_pages=5000.0)
-        )
+        tuner = ContinuousTuner(small_catalog, ColtConfig(storage_budget_pages=5000.0))
         rng = random.Random(3)
         outcomes = [
             tuner.process_query(_eq_query(rng.randint(1, 10_000)))
@@ -86,7 +81,7 @@ class TestOverhead:
 
 class TestRetirement:
     def test_unused_index_retired(self, small_catalog):
-        config = ContinuousConfig(storage_budget_pages=5000.0, decay=0.9)
+        config = ColtConfig(storage_budget_pages=5000.0)
         tuner = ContinuousTuner(small_catalog, config)
         rng = random.Random(4)
         for _ in range(60):
@@ -100,14 +95,16 @@ class TestRetirement:
                 ComparisonPredicate(ColumnExpr("score", "users"), CompareOp.EQ, 5)
             ],
         )
-        for _ in range(120):
+        # At DECAY = 0.99 the stale credit falls below the retirement
+        # floor after ~570 queries.
+        for _ in range(800):
             tuner.process_query(other)
         assert small_catalog.index_for("events", "user_id") not in tuner.materialized_set
 
     def test_eviction_prefers_weak_incumbents(self, small_catalog):
         # Budget fits one events index only; shifting the workload must
         # eventually evict the stale incumbent.
-        config = ContinuousConfig(storage_budget_pages=3000.0, decay=0.9)
+        config = ColtConfig(storage_budget_pages=3000.0)
         tuner = ContinuousTuner(small_catalog, config)
         rng = random.Random(5)
         for _ in range(60):

@@ -82,6 +82,7 @@ import pytest
 from repro.bandit.persist import restore_bandit_tuner
 from repro.core.config import ColtConfig
 from repro.core.knapsack import Ruling
+from repro.core.scheduler import Scheduler
 from repro.engines import engine_spec
 from repro.guardrails.advice import AdviceBook
 from repro.guardrails.manager import GuardrailManager
@@ -220,6 +221,14 @@ def _run(engine, events, resilience=False, **kwargs):
     return rows, repr(total)
 
 
+def _faulty_colt():
+    """COLT under build faults, its scheduler giving up after three attempts."""
+    tuner = engine_spec("colt").tuner(build_catalog())
+    tuner.scheduler = Scheduler(tuner.catalog, retry=RetryPolicy(max_attempts=3))
+    FaultInjector(FaultPlan(build=FaultSpec(probability=0.6)), seed=SEED).attach(tuner)
+    return tuner
+
+
 def _constrained_bandit():
     """The bandit under DBA advice, guardrails and a pushed advisory."""
     tuner = engine_spec("bandit").tuner(
@@ -260,15 +269,7 @@ SCENARIOS = {
         guardrails=GuardrailManager(),
         advice=AdviceBook.parse(ADVICE),
     ),
-    "colt_faults": lambda: _run(
-        "colt",
-        _shift_events,
-        resilience=True,
-        fault_injector=FaultInjector(
-            FaultPlan(build=FaultSpec(probability=0.6)), seed=SEED
-        ),
-        retry=RetryPolicy(max_attempts=3),
-    ),
+    "colt_faults": lambda: _run(_faulty_colt(), _shift_events, resilience=True),
     "colt_adaptive_composite": lambda: _run(
         "colt",
         _conjunctive_events,

@@ -919,7 +919,10 @@ def test_apply_exits_equal_the_full_protocol(ops, probability, fault_seed, retry
             FaultPlan(build=FaultSpec(probability=probability)), seed=fault_seed
         )
         config = ColtConfig(epoch_length=5, min_history_epochs=2, storage_budget_pages=4_000.0)
-        return ColtTuner(build_catalog(), config, retry=retry, fault_injector=faults)
+        tuner = ColtTuner(build_catalog(), config)
+        tuner.scheduler = Scheduler(tuner.catalog, retry=retry)
+        faults.attach(tuner)
+        return tuner
 
     got, want = build(), build()
     want._apply = types.MethodType(_apply_oracle, want)

@@ -104,7 +104,7 @@ class TestIdentityAcrossCatalogs:
     def test_tuner_maps(self, kind, columns):
         from types import SimpleNamespace
 
-        from repro.bandit.tuner import SafetyWatch
+        from repro.bandit.tuner import SAFETY_COOLDOWN_EPOCHS, SafetyWatch
         from repro.core.candidates import CandidateTracker
         from repro.core.config import ColtConfig
         from repro.core.self_organizer import SelfOrganizer
@@ -119,10 +119,10 @@ class TestIdentityAcrossCatalogs:
         organizer = SelfOrganizer(catalog, ColtConfig())
         assert organizer.record(probe) is organizer.record(index)
 
-        watch = SafetyWatch(1.5, 3, SimpleNamespace(inc=lambda: None))
+        watch = SafetyWatch(SimpleNamespace(inc=lambda: None))
         watch.watch = ([index], 10.0)
         (ruling,) = watch.rulings(0, 100.0, {probe})
-        assert ruling.index == index and watch.bans[probe] == 3
+        assert ruling.index == index and watch.bans[probe] == SAFETY_COOLDOWN_EPOCHS
 
         catalog.materialize_index(index)
         assert catalog.is_materialized(probe)

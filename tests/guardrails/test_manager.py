@@ -16,11 +16,15 @@ from repro.guardrails import (
     GuardrailManager,
     Verdict,
 )
+from repro.guardrails.quarantine import COOLDOWN_EPOCHS
 from repro.guardrails.verify import QUARANTINE_RATIO
 from repro.persist import restore_tuner, snapshot_tuner
 from repro.workload import build_adversarial_store, misleading_workload
 
 QUERIES = 240
+# Arrivals after which the skew index has served one close of its
+# quarantine (admitted at the close after arrival 120).
+MID_COOLDOWN = 140
 SKEW_NAME = "ix_facts_f_skew"
 HONEST_NAME = "ix_facts_f_grp"
 
@@ -123,40 +127,50 @@ def test_verification_overhead_is_accounted():
 
 def test_snapshot_round_trip_preserves_guardrail_state():
     advice = AdviceBook.parse("prefer facts.f_grp 1.5")
-    store, tuner, manager, _ = _run(advice=advice)
+    store, tuner, manager, _ = _run(advice=advice, queries=MID_COOLDOWN)
     skew = _skew_index(store.catalog)
-    assert skew in manager.quarantine
+    original = _entry(manager, skew)
+    assert original.state == "quarantined"
+    assert 1 < original.cooldown_left < COOLDOWN_EPOCHS  # mid-cooldown
 
     snapshot = snapshot_tuner(tuner)
     assert "guardrails" in snapshot
 
-    fresh_store = build_adversarial_store()
-    restored = restore_tuner(
-        fresh_store.catalog,
-        snapshot,
-        store=fresh_store,
-        observer=ExecutionObserver(fresh_store),
-    )
+    def restore():
+        fresh_store = build_adversarial_store()
+        return restore_tuner(
+            fresh_store.catalog,
+            snapshot,
+            store=fresh_store,
+            observer=ExecutionObserver(fresh_store),
+        )
+
+    restored = restore()
     restored_manager = restored.guardrails
     assert restored_manager is not None
 
     # Quarantine state (entry, strikes, clocks) survived the restart.
     entry = _entry(restored_manager, skew)
-    original = _entry(manager, skew)
     assert entry.state == original.state
     assert entry.strikes == original.strikes
+    assert entry.cooldown_left == original.cooldown_left
     assert entry.ratio == pytest.approx(original.ratio)
     # Advice survived too.
     assert restored.advice.to_snapshot() == advice.to_snapshot()
-    # A restart must not amnesty the bad index: run more queries and the
-    # quarantined index must stay out of M while blocked.
-    workload = misleading_workload(fresh_store.catalog, length=40, seed=3)
-    restored.run(workload.queries)
-    if skew in restored_manager.quarantine:
-        if _entry(restored_manager, skew).state == "quarantined":
-            assert SKEW_NAME not in {
-                ix.name for ix in restored.materialized_set
-            }
+
+    # A restart must not amnesty the bad index: through the closes left
+    # in its cooldown (the last one paroles it) it stays out of M.
+    stream = misleading_workload(restored.catalog, length=QUERIES, seed=1).queries
+    rest = stream[MID_COOLDOWN:][: (entry.cooldown_left - 1) * tuner.config.epoch_length]
+    for query in rest:
+        restored.process_query(query)
+        assert _entry(restored_manager, skew).state == "quarantined"
+        assert SKEW_NAME not in {ix.name for ix in restored.materialized_set}
+    # ...which is the ban's doing: released, the same stream builds it.
+    amnestied = restore()
+    amnestied.guardrails.quarantine.clear(skew)
+    amnestied.run(rest)
+    assert SKEW_NAME in {ix.name for ix in amnestied.materialized_set}
 
 
 def test_snapshot_without_guardrails_restores_none():

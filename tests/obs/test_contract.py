@@ -94,11 +94,11 @@ class TestLiveRegistration:
         assert expected <= names
 
     def test_bandit_tuner_registers_every_bandit_family(self, small_catalog):
-        from repro.bandit import BanditConfig, BanditTuner
+        from repro.bandit import BanditTuner
+        from repro.core import ColtConfig
 
         tuner = BanditTuner(
-            small_catalog,
-            BanditConfig(epoch_length=5, storage_budget_pages=6000.0),
+            small_catalog, ColtConfig(epoch_length=5, storage_budget_pages=6000.0)
         )
         rng = random.Random(3)
         for _ in range(25):

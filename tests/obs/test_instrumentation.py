@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.backend import CostTraceRecorder, LocalBackend, TraceBackend
-from repro.bandit.config import BanditConfig
 from repro.bandit.tuner import BanditTuner
 from repro.core import ColtConfig, ColtTuner
 from repro.obs.registry import MetricsRegistry
@@ -240,19 +239,19 @@ class TestPerQueryUpdateBudget:
     """The overhead bound that can fail: counts, not a timing ratio."""
 
     @pytest.mark.parametrize(
-        "engine, config, plain, per_probe",
+        "engine, plain, per_probe",
         [
-            (ColtTuner, ColtConfig, COLT_PLAIN_QUERY_UPDATES, COLT_UPDATES_PER_PROBE),
-            (BanditTuner, BanditConfig, BANDIT_PLAIN_QUERY_UPDATES, BANDIT_UPDATES_PER_PROBE),
+            (ColtTuner, COLT_PLAIN_QUERY_UPDATES, COLT_UPDATES_PER_PROBE),
+            (BanditTuner, BANDIT_PLAIN_QUERY_UPDATES, BANDIT_UPDATES_PER_PROBE),
         ],
         ids=["colt", "bandit"],
     )
     def test_updates_per_query_are_bounded(
-        self, small_catalog, engine, config, plain, per_probe
+        self, small_catalog, engine, plain, per_probe
     ):
         registry = CountingRegistry()
         tuner = engine(
-            small_catalog, config(storage_budget_pages=6000.0), registry=registry
+            small_catalog, ColtConfig(storage_budget_pages=6000.0), registry=registry
         )
         queries = [eq_query(7), day_query(8100), eq_query(9)]
         plain_seen = probing_seen = 0

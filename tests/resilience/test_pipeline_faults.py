@@ -15,7 +15,6 @@ from repro.resilience import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    RetryPolicy,
 )
 from repro.sql.ast import (
     ColumnExpr,
@@ -133,12 +132,7 @@ class TestBuildFaultsThroughTuner:
 
     def test_retry_recovers_after_transient_failure(self, small_catalog):
         injector = FaultInjector(FaultPlan(build=FaultSpec(at_calls=(1,))))
-        tuner = ColtTuner(
-            small_catalog,
-            _config(),
-            retry=RetryPolicy(base_delay_epochs=1),
-            fault_injector=injector,
-        )
+        tuner = ColtTuner(small_catalog, _config(), fault_injector=injector)
         outcomes = _stream(tuner, 160)
         recovered = [
             o.reorganization

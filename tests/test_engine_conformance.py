@@ -22,7 +22,7 @@ from repro.guardrails.advice import AdviceBook, AdviceDirective
 from repro.guardrails.manager import GuardrailManager
 from repro.obs.registry import MetricsRegistry
 from repro.persist import SnapshotError, restore_any, snapshot_any
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.resilience.breaker import CircuitBreaker
 from repro.sql.ast import (
     ColumnExpr,
@@ -74,16 +74,18 @@ PIN_SCORE = AdviceDirective("pin", "users", ("score",))
 
 
 class TestConstruction:
-    def test_table_row_is_a_loop_engine(self, engine):
+    def test_table_row_is_a_loop_engine(self, engine, small_catalog):
         spec = ENGINES[engine]
         assert issubclass(spec.tuner, TuningLoop)
         assert spec.name == engine == spec.tuner.engine_name
-        assert isinstance(spec.adapt(ColtConfig()), spec.config_type)
+        # Every engine reads the ColtConfig it is built with, as given.
+        config = ColtConfig(epoch_length=7, storage_budget_pages=4000.0, seed=3)
+        assert spec.build(small_catalog, config).config is config
         assert spec.tuner.budget_label
 
     def test_defaults(self, engine, small_catalog):
         tuner = ENGINES[engine].tuner(small_catalog)
-        assert isinstance(tuner.config, ENGINES[engine].config_type)
+        assert tuner.config == ColtConfig()
         assert tuner.backend.catalog is small_catalog
         assert tuner.metrics is tuner.registry
         assert tuner.queries_seen == 0
@@ -240,12 +242,7 @@ class TestBuilds:
 
     def test_a_retried_build_rejoins_m(self, engine, small_catalog):
         injector = FaultInjector(FaultPlan(build=FaultSpec(at_calls=(1,))))
-        tuner = _make(
-            engine,
-            small_catalog,
-            retry=RetryPolicy(base_delay_epochs=1),
-            fault_injector=injector,
-        )
+        tuner = _make(engine, small_catalog, fault_injector=injector)
         outcomes = tuner.run(_stream(60))
         failed = [
             ix
